@@ -234,7 +234,6 @@ def core_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> tuple[list
         "zm": zm,
         "pair": pair,
         "closed": closed,
-        "brute": brute,
         "spectrum": spectrum,
     }
     return checks, computed
@@ -686,3 +685,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clustersqueeze
 from clustersqueeze import SearchExhausted
-from clustersqueeze.cli import main, matrix_from_json, matrix_to_json
+from clustersqueeze.cli import EXIT_INPUT, EXIT_OK, main, matrix_from_json, matrix_to_json
 
 EPR_GRAPH = "2\n0 1 1.0\n"
 
@@ -340,3 +345,34 @@ class TestUsage:
             ["sweep", "--graph", graph, "-z", "1", "--z-range", "1:2:1"], capsys
         )
         assert code == 2 and "not both" in err
+
+
+class TestModuleEntryPoints:
+    @staticmethod
+    def run_module(module, args):
+        src = str(Path(clustersqueeze.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["clustersqueeze", "clustersqueeze.cli"])
+    def test_missing_graph_exits_input(self, module, tmp_path):
+        missing = str(tmp_path / "nonexist.graph")
+        proc = self.run_module(module, ["verify", "--graph", missing])
+        assert proc.returncode == EXIT_INPUT
+        assert "cannot read" in proc.stderr
+
+    @pytest.mark.parametrize("module", ["clustersqueeze", "clustersqueeze.cli"])
+    def test_valid_verify_exits_ok(self, module, tmp_path):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        proc = self.run_module(module, ["verify", "--graph", graph])
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["passed"] is True

@@ -25,6 +25,8 @@ from clustersqueeze import (
     unitary_from_adjacency,
     validate_gauge,
 )
+from clustersqueeze import oracle, synthesis
+from clustersqueeze.oracle import quadrature_flow, quadrature_generator
 
 from conftest import (
     epr_adjacency,
@@ -107,6 +109,52 @@ class TestBogoliubovOracle:
         zm = InteractionMatrix.from_matrix(20.0j * np.eye(1))
         with pytest.raises(DomainError):
             bogoliubov_matrix(zm, 2.0)
+
+
+class TestQuadratureFlow:
+    def test_generator_is_mode_generator_in_quadrature_basis(self):
+        rng = np.random.default_rng(90)
+        for _ in range(20):
+            n = int(rng.integers(1, 8))
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            zz = (m + m.T) / 2.0
+            z = float(rng.uniform(0.0, 3.0))
+            eye = np.eye(n)
+            t = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)
+            k = t.conj().T @ squeezing_generator(zz, z) @ t
+            real_k = quadrature_generator(zz, z)
+            assert not np.iscomplexobj(real_k)
+            assert np.max(np.abs(real_k - k)) <= 1e-12
+
+    def test_flow_is_symplectic(self):
+        rng = np.random.default_rng(91)
+        for trial in range(20):
+            n = int(rng.integers(1, 8))
+            a = random_adjacency(rng, n)
+            th = random_phases(rng, n)
+            z = float(rng.uniform(0.2, 3.0))
+            kind = ("identity", "faithful", "custom")[trial % 3]
+            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th, z))
+            s = quadrature_flow(zm, z)
+            zero = np.zeros((n, n))
+            omega = np.block([[zero, np.eye(n)], [-np.eye(n), zero]])
+            residual = np.max(np.abs(s @ omega @ s.T - omega))
+            assert residual <= 1e-12 * np.linalg.norm(s, 2) ** 2
+
+    def test_oracle_does_not_use_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(93)
+        a = random_adjacency(rng, 6)
+        th = random_phases(rng, 6)
+        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th, 1.2))
+        expected = covariance_oracle(a, th, zm, 1.2).C
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not call this")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(synthesis, "covariance_closed_form", forbidden)
+        monkeypatch.setattr(oracle, "covariance_closed_form", forbidden)
+        assert np.array_equal(covariance_oracle(a, th, zm, 1.2).C, expected)
 
 
 class TestCovarianceOracle:
