@@ -41,12 +41,17 @@ DEFAULT_PHASE_SEED = 12345
 
 
 class ClusterRecovery(NamedTuple):
-    """Cluster recovered from an interaction matrix at one phase choice."""
+    """Cluster recovered from an interaction matrix at one phase choice.
+
+    ``margin`` is sigma_min at the chosen phases, ``input_margin`` at the
+    supplied ones (None when no phases were supplied).
+    """
 
     theta: np.ndarray
     adjacency: np.ndarray
     covariance: CovarianceReport
     margin: float
+    input_margin: float | None
 
 
 def _rotated(U: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -181,15 +186,21 @@ def analyze_interaction(
     """
     u = zm.U
     chosen: np.ndarray | None = None
+    input_margin: float | None = None
     if theta is not None:
         th = phase_vector(theta, zm.n)
-        if regularity_margin(u, th) >= tol.phase_accept:
-            chosen = th
+        input_margin = regularity_margin(u, th)
+        if input_margin >= tol.phase_accept:
+            chosen, margin = th, input_margin
     if chosen is None:
         chosen = find_regular_phases(u, seed, tol)
-    margin = regularity_margin(u, chosen)
+        margin = regularity_margin(u, chosen)
     a = adjacency_from_unitary(u, chosen, tol)
     report = covariance_closed_form(a, chosen, zm.P, z, tol)
     return ClusterRecovery(
-        theta=chosen, adjacency=a, covariance=report, margin=margin
+        theta=chosen,
+        adjacency=a,
+        covariance=report,
+        margin=margin,
+        input_margin=input_margin,
     )

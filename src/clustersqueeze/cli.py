@@ -10,7 +10,9 @@ Subcommands::
 
 Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
-representation that round-trips a double.  Graph files use the text format
+representation that round-trips a double.  JSON output is byte-identical to
+``json.dumps(obj, indent=2)``; each flat list of numbers is formatted by one
+call of the C encoder and then re-indented.  Graph files use the text format
 described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
 
@@ -60,10 +62,10 @@ def matrix_to_json(m) -> dict:
     out = {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": [[float(x) for x in row] for row in np.real(a)],
+        "re": np.real(a).astype(float, copy=False).tolist(),
     }
     if np.iscomplexobj(a) and float(np.max(np.abs(a.imag))) != 0.0:
-        out["im"] = [[float(x) for x in row] for row in a.imag]
+        out["im"] = a.imag.astype(float, copy=False).tolist()
     return out
 
 
@@ -239,8 +241,11 @@ def core_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> tuple[list
     return checks, computed
 
 
-def deep_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> list[dict]:
-    """Core battery plus interferometer-reduction checks (verify command)."""
+def deep_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> tuple[list[dict], dict]:
+    """Core battery plus interferometer-reduction checks (verify command).
+
+    Returns (checks, computed) with computed as in :func:`core_battery`.
+    """
     checks, computed = core_battery(A, theta, P, z, gauge_name, tol)
     zm = computed["zm"]
     pair = computed["pair"]
@@ -266,7 +271,7 @@ def deep_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> list[dict]
             tol.rtol,
         ),
     ]
-    return checks
+    return checks, computed
 
 
 # --------------------------------------------------------------------------
@@ -281,7 +286,41 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, for string-keyed objects.
+
+    The pure-Python encoder that ``indent`` selects formats every number in
+    Python; here a list holding only floats and ints is encoded by one call
+    of the C encoder (same ``float.__repr__``, same ``NaN``/``Infinity``)
+    and its ``", "`` separators are turned into indented line breaks.
+    """
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, newline: str, chunks: list[str]) -> None:
+    """Append ``obj`` laid out as ``indent=2`` does; ``newline`` ends in its indent."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        brackets = "{}"
+        items = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= {float, int}:
+            flat = json.dumps(obj)
+            chunks.append("[" + inner + flat[1:-1].replace(", ", "," + inner) + newline + "]")
+            return
+        brackets = "[]"
+        items = [("", value) for value in obj]
+    else:
+        chunks.append(json.dumps(obj))  # scalars and empty containers
+        return
+    separator = brackets[0] + inner
+    for prefix, value in items:
+        chunks.append(separator + prefix)
+        _write_json(value, inner, chunks)
+        separator = "," + inner
+    chunks.append(newline + brackets[1])
 
 
 def _summarize_checks(checks: list[dict]) -> list[str]:
@@ -399,11 +438,11 @@ def cmd_analyze(args) -> int:
         theta = load_phases(args.phases, zm.n)
     else:
         theta = np.zeros(zm.n)
-    margin_given = analysis.regularity_margin(zm.U, theta)
     z = _z_list(args)[0]
     result = analysis.analyze_interaction(
         zm, theta=theta, z=z, seed=args.seed, tol=tol
     )
+    margin_given = result.input_margin
     searched = bool(margin_given < tol.phase_accept)
     report = {
         "command": "analyze",
@@ -508,16 +547,14 @@ def cmd_verify(args) -> int:
         p = matrix_from_json(bundle["P"])
         z = float(bundle["z"])
         gauge_name = str(bundle["gauge"])
-        checks = deep_battery(a, theta, p, z, gauge_name, tol)
-        zm = synthesis.interaction_from_cluster(a, theta, p, tol)
-        pair = synthesis.bogoliubov_from_interaction(zm, z, tol)
-        closed = synthesis.covariance_closed_form(a, theta, p, z, tol)
+        checks, computed = deep_battery(a, theta, p, z, gauge_name, tol)
+        zm, pair = computed["zm"], computed["pair"]
         for key, fresh in (
             ("Z", zm.Z),
             ("U", zm.U),
             ("X", pair.X),
             ("Y", pair.Y),
-            ("C", closed.C),
+            ("C", computed["closed"].C),
         ):
             if key in bundle:
                 stored = matrix_from_json(bundle[key])
@@ -534,7 +571,7 @@ def cmd_verify(args) -> int:
         a = parse_graph(_read_text(args.graph), tol)
         theta = load_phases(args.phases, a.shape[0])
         gauge_name, p = _load_gauge(args.gauge, a, theta, z, tol)
-        checks = deep_battery(a, theta, p, z, gauge_name, tol)
+        checks, _ = deep_battery(a, theta, p, z, gauge_name, tol)
     checks += bundle_checks
     passed = all(c["passed"] for c in checks)
     report = {

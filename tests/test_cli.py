@@ -11,8 +11,15 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import SearchExhausted
-from clustersqueeze.cli import EXIT_INPUT, EXIT_OK, main, matrix_from_json, matrix_to_json
+from clustersqueeze import SearchExhausted, cli
+from clustersqueeze.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    _dump_json,
+    main,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 EPR_GRAPH = "2\n0 1 1.0\n"
 
@@ -345,6 +352,83 @@ class TestUsage:
             ["sweep", "--graph", graph, "-z", "1", "--z-range", "1:2:1"], capsys
         )
         assert code == 2 and "not both" in err
+
+
+def _ring_graph(n):
+    return f"{n}\n" + "".join(f"{i} {(i + 1) % n} 1.0\n" for i in range(n))
+
+
+def _random_graph(rng, n):
+    lines = [f"{i} {j} {rng.uniform(-1.5, 1.5)!r}\n"
+             for i in range(n) for j in range(i, n) if rng.uniform() < 0.6]
+    return f"{n}\n" + "".join(lines)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer is byte-identical to ``json.dumps(obj, indent=2)``."""
+
+    @staticmethod
+    def assert_reference(obj):
+        assert _dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("case", ["epr", "ring12", "random7"])
+    def test_every_subcommand_output(self, case, tmp_path, capsys, monkeypatch):
+        emitted = []
+
+        def recording(obj):
+            emitted.append(obj)
+            return _dump_json(obj)
+
+        monkeypatch.setattr(cli, "_dump_json", recording)
+        rng = np.random.default_rng(7)
+        graph_text = {"epr": EPR_GRAPH, "ring12": _ring_graph(12),
+                      "random7": _random_graph(rng, 7)}[case]
+        graph = write(tmp_path, "g.graph", graph_text)
+        flags = ["--graph", graph, "-z", "0.7"]
+        if case == "random7":
+            phases = write(tmp_path, "th.txt", "".join(
+                f"{t!r}\n" for t in rng.uniform(-np.pi, np.pi, 7).tolist()))
+            flags += ["--phases", phases, "--gauge", "faithful"]
+        bundle = str(tmp_path / "bundle.json")
+        runs = [
+            ["synthesize", *flags, "--out", bundle],
+            ["synthesize", *flags],
+            ["analyze", "--interaction", bundle, "-z", "0.7"],
+            ["decompose", *flags],
+            ["decompose", "--interaction", bundle, "-z", "0.7"],
+            ["verify", "--interaction", bundle],
+            ["verify", *flags],
+            ["sweep", *flags[:2], *flags[4:], "--z-range", "0.5:1.5:0.5",
+             "--format", "json"],
+        ]
+        for args in runs:
+            code, out, _ = run_cli(args, capsys)
+            assert code == EXIT_OK, args
+            if "--out" not in args:
+                assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(emitted) == len(runs)
+        for obj in emitted:
+            self.assert_reference(obj)
+
+    def test_special_floats(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+                  1.7976931348623157e308, -2.5e-308, 0.1]
+        self.assert_reference({"row": values, "matrix": [values, values[::-1]],
+                               "scalars": {"nan": math.nan, "inf": -math.inf}})
+
+    def test_mixed_and_empty_containers(self):
+        self.assert_reference({
+            "mixed": [1, 2.5, True, False, None, -7],
+            "ints": [0, -1, 2**70],
+            "empty": [[], {}, [[]], {"a": {}}],
+            "nested": [[1.0, 2.0], [], ["x", 3]],
+            "tuple": (1.0, 2),
+            "text": 'a, b "quoted" \\ caf\u00e9 \u03b8 \u65e5\u672c',
+            "strings": ["a, b", "", "\n"],
+            "z": None,
+        })
+        for obj in ([], {}, [[]], [1, 2], 3.5, "s, t", None, True):
+            self.assert_reference(obj)
 
 
 class TestModuleEntryPoints:
