@@ -28,7 +28,7 @@ print("adjacency:\n", A)
 zm = interaction_from_cluster(A, theta, gauge_identity(2))
 print("\ninteraction matrix (trivial gauge):\n", zm.Z.real)
 
-report = covariance_closed_form(A, theta, gauge_identity(2), z)
+report = covariance_closed_form(A, theta, zm, z)
 print("nullifier covariance:\n", report.C)
 print("expected 2 e^{-2z} on the diagonal:", 2 * np.exp(-2 * z))
 
@@ -40,7 +40,7 @@ for mode in squeezer_spectrum(zm, z):
 # --- faithful gauge: covariance proportional to the identity ---------------
 P = gauge_faithful(A, theta, z)
 zm_faithful = interaction_from_cluster(A, theta, P)
-report_faithful = covariance_closed_form(A, theta, P, z)
+report_faithful = covariance_closed_form(A, theta, zm_faithful, z)
 print("\nfaithful-gauge covariance:\n", report_faithful.C)
 print("expected e^{-2z} identity:", np.exp(-2 * z))
 

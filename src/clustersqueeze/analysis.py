@@ -27,13 +27,19 @@ from .errors import (
 )
 from .graphs import phase_vector
 from .matfun import (
+    _spectral,
     as_complex_matrix,
     max_abs,
     realness_defect,
     symmetric_unitary_angles,
     symmetry_defect,
 )
-from .synthesis import CovarianceReport, InteractionMatrix, covariance_closed_form
+from .synthesis import (
+    CovarianceReport,
+    InteractionMatrix,
+    covariance_closed_form,
+    require_compatible_gauge,
+)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 #: Seed of the pseudo-random tail of the phase-search schedule.
@@ -147,7 +153,7 @@ def k_matrix_form(U, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     u = as_complex_matrix(U)
     th = phase_vector(theta, u.shape[0])
     q, angles = symmetric_unitary_angles(_rotated(u, th), tol)
-    return (q * angles[None, :]) @ q.T
+    return _spectral(q, angles)
 
 
 def adjacency_from_k(K, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -164,7 +170,7 @@ def adjacency_from_k(K, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
             "an eigen-angle of K sits at -pi/2, where the inverse relation "
             "is singular"
         )
-    return (q * (-np.cos(w) / denom)[None, :]) @ q.T
+    return _spectral(q, -np.cos(w) / denom)
 
 
 def analyze_interaction(
@@ -196,7 +202,9 @@ def analyze_interaction(
         chosen = find_regular_phases(u, seed, tol)
         margin = regularity_margin(u, chosen)
     a = adjacency_from_unitary(u, chosen, tol)
-    report = covariance_closed_form(a, chosen, zm.P, z, tol)
+    # P came with the interaction, not with the recovered cluster.
+    require_compatible_gauge(a, chosen, zm.P, tol)
+    report = covariance_closed_form(a, chosen, zm, z, tol)
     return ClusterRecovery(
         theta=chosen,
         adjacency=a,

@@ -3,7 +3,8 @@
 Any Bogoliubov pair factorizes as X = V cosh(z D) W^dagger and
 Y = V sinh(z D) W^T with V, W unitary and D the diagonal of squeezer
 strengths.  For a squeezing transformation with interaction matrix Z = P U
-the factors follow from the eigendecomposition P = T^dagger D T and a
+the factors follow from the eigendecomposition P = T^dagger D T, which the
+interaction matrix already carries (``strengths``, ``modes``), and a
 balancing unitary R obtained from the Autonne-Takagi factorization of
 -i T U T^T:
 
@@ -28,9 +29,10 @@ import numpy as np
 from .errors import NotOrthogonal
 from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
+    _spectral,
     as_complex_matrix,
     max_abs,
-    ordered_eigh,
+    phase_fixed_columns,
     spectrum_clusters,
     takagi_symmetric_unitary,
 )
@@ -84,7 +86,7 @@ def bloch_messiah(
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    w, v = ordered_eigh(zm.P, tol)
+    w, v = zm.strengths, phase_fixed_columns(zm.modes)
     check_squeeze_budget(float(w[-1]), z, tol)
     n = zm.n
     balanced = -1j * v.conj().T @ zm.U @ v.conj()
@@ -120,7 +122,7 @@ def canonical_cluster_interferometer(
             f"seed orthogonality defect {max_abs(o @ o.T - np.eye(a.shape[0])):.3e}"
         )
     w, q = np.linalg.eigh(a)
-    inv_root = (q * (1.0 / np.sqrt(w * w + 1.0))[None, :]) @ q.T
+    inv_root = _spectral(q, 1.0 / np.sqrt(w * w + 1.0))
     eye = np.eye(a.shape[0])
     return np.exp(-1j * th)[:, None] * ((eye + 1j * a) @ inv_root @ o)
 

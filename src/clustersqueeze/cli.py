@@ -130,15 +130,22 @@ def load_phases(spec: str, n: int) -> np.ndarray:
     return phase_vector(values, n)
 
 
-def _load_gauge(spec: str, A, theta, z: float, tol: Tolerances):
+def _gauge_selector(spec: str):
+    """--gauge value: 'identity', 'faithful', or the matrix in custom:PATH."""
     if spec in ("identity", "faithful"):
-        return spec, synthesis.resolve_gauge(spec, A, theta, z, tol)
+        return spec
     if spec.startswith("custom:"):
-        path = spec[len("custom:"):]
-        return "custom", matrix_from_json(_load_json(path))
+        return matrix_from_json(_load_json(spec[len("custom:"):]))
     raise _InputError(
         f"unknown gauge {spec!r}; use identity, faithful or custom:PATH"
     )
+
+
+def _load_gauge(spec: str, A, theta, z: float, tol: Tolerances):
+    """Gauge name for the report and the concrete P at scale z."""
+    selector = _gauge_selector(spec)
+    name = selector if isinstance(selector, str) else "custom"
+    return name, synthesis.resolve_gauge(selector, A, theta, z, tol)
 
 
 # --------------------------------------------------------------------------
@@ -162,14 +169,11 @@ def core_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> tuple[list
     a = adjacency_matrix(A, tol)
     n = a.shape[0]
     eye = np.eye(n)
-    gauge = synthesis.validate_gauge(a, theta, P, tol)
-    if not gauge.ok:
-        raise GaugeIncompatible(
-            f"gauge reality residual {gauge.residual:.3e} exceeds {tol.rtol:.1e}"
-        )
-    zm = synthesis.interaction_from_cluster(a, theta, P, tol)
+    gauge = synthesis.require_compatible_gauge(a, theta, P, tol)
+    u = synthesis.unitary_from_adjacency(a, theta, tol)
+    zm = synthesis.InteractionMatrix.from_factors(P, u, tol)
     pair = synthesis.bogoliubov_from_interaction(zm, z, tol)
-    closed = synthesis.covariance_closed_form(a, theta, P, z, tol)
+    closed = synthesis.covariance_closed_form(a, theta, zm, z, tol)
     brute = oracle.covariance_oracle(a, theta, zm, z, tol)
     spectrum = synthesis.squeezer_spectrum(zm, z, tol)
 
@@ -597,13 +601,7 @@ def cmd_sweep(args) -> int:
     theta = load_phases(args.phases, a.shape[0])
     zs = _z_list(args)
     gauge_spec = args.gauge
-    if gauge_spec.startswith("custom:"):
-        gauge = matrix_from_json(_load_json(gauge_spec[len("custom:"):]))
-    elif gauge_spec in ("identity", "faithful"):
-        gauge = gauge_spec
-    else:
-        raise _InputError(f"unknown gauge {gauge_spec!r}")
-    rows = oracle.convergence_sweep(a, theta, gauge, zs, tol)
+    rows = oracle.convergence_sweep(a, theta, _gauge_selector(gauge_spec), zs, tol)
     if args.format == "json":
         report = {
             "command": "sweep",

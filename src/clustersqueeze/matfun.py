@@ -3,7 +3,9 @@
 Everything else in the library is built on the three operations here:
 functions of Hermitian matrices through the eigendecomposition, the polar
 decomposition Z = P U of a complex symmetric matrix, and the Autonne-Takagi
-factorization S = R R^T of a symmetric unitary.
+factorization S = R R^T of a symmetric unitary.  Every function f(H) of a
+Hermitian matrix is evaluated by one kernel, :func:`_spectral`, from
+eigenpairs the caller already holds.
 """
 
 from __future__ import annotations
@@ -75,35 +77,18 @@ def is_real(m, tol: float = 1e-9) -> bool:
     return realness_defect(m) <= tol * max(1.0, max_abs(m))
 
 
-def hermitian_eigh(
-    m, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending real eigenvalues and a unitary matrix of column
-    eigenvectors.  Raises :class:`NotHermitian` when the max-entry residual
-    of ``m - m.conj().T`` exceeds the relative tolerance.
-    """
-    m = as_complex_matrix(m)
-    if not is_hermitian(m, tol.rtol):
-        raise NotHermitian(
-            f"hermiticity defect {hermiticity_defect(m):.3e} exceeds tolerance"
-        )
-    w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w, q
+def _spectral(q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """f(H) = Q diag(f(L)) Q^dagger from the eigenvectors Q of H and f(L)."""
+    return (q * values[None, :]) @ q.conj().T
 
 
-def ordered_eigh(
-    m, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with a deterministic eigenvector phase.
+def phase_fixed_columns(q: np.ndarray) -> np.ndarray:
+    """Copy of an eigenvector matrix with a deterministic phase per column.
 
     Each column is rescaled so its first component of non-negligible modulus
-    is real and positive.  Eigenvalues stay in ascending order; contracts
-    downstream remain residual-based, the fixed phase only stabilizes output
-    for repeated runs.
+    is real and positive.  Contracts downstream remain residual-based; the
+    fixed phase only stabilizes output for repeated runs.
     """
-    w, q = hermitian_eigh(m, tol)
     q = q.copy()
     for j in range(q.shape[1]):
         col = q[:, j]
@@ -111,7 +96,7 @@ def ordered_eigh(
         if idx.size:
             pivot = col[idx[0]]
             q[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return w, q
+    return q
 
 
 def hermitian_apply(
@@ -122,11 +107,17 @@ def hermitian_apply(
     """Evaluate a scalar function on a Hermitian matrix.
 
     Computes ``Q f(L) Q^dagger`` from the eigendecomposition ``m = Q L
-    Q^dagger``.  ``f`` may be a NumPy ufunc or a plain scalar callable; it
-    must be defined on every eigenvalue (e.g. ``log`` needs a positive
-    spectrum), otherwise :class:`DomainError` is raised.
+    Q^dagger`` of a matrix that is Hermitian within the relative tolerance
+    (else :class:`NotHermitian`).  ``f`` may be a NumPy ufunc or a plain
+    scalar callable; it must be defined on every eigenvalue (e.g. ``log``
+    needs a positive spectrum), otherwise :class:`DomainError` is raised.
     """
-    w, q = hermitian_eigh(m, tol)
+    m = as_complex_matrix(m)
+    if not is_hermitian(m, tol.rtol):
+        raise NotHermitian(
+            f"hermiticity defect {hermiticity_defect(m):.3e} exceeds tolerance"
+        )
+    w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
     with np.errstate(all="ignore"):
         try:
             values = np.asarray(f(w), dtype=complex)
@@ -142,7 +133,7 @@ def hermitian_apply(
     if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
         bad = w[~np.isfinite(values.real) | ~np.isfinite(values.imag)]
         raise DomainError(f"function is undefined at eigenvalue(s) {bad}")
-    return (q * values[None, :]) @ q.conj().T
+    return _spectral(q, values)
 
 
 def polar_decompose_symmetric(
@@ -173,9 +164,9 @@ def polar_decompose_symmetric(
             f"sigma_min/sigma_max = {sigma[0]:.3e}/{sigma[-1]:.3e} below "
             f"threshold {tol.singular:.1e}"
         )
-    p = (q * sigma[None, :]) @ q.conj().T
+    p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
-    u = (q * (1.0 / sigma)[None, :]) @ q.conj().T @ zm
+    u = _spectral(q, 1.0 / sigma) @ zm
     return p, u
 
 
@@ -205,7 +196,7 @@ def symmetric_unitary_angles(
     im = (sm.imag + sm.imag.T) / 2.0
     w, q = np.linalg.eigh(re)
     gap = tol.degeneracy * max(1.0, float(np.linalg.norm(sm, 2)))
-    groups = _cluster_ascending(w, gap)
+    groups = spectrum_clusters(w, gap)
     for g in groups:
         if len(g) > 1:
             block = q[:, g].T @ im @ q[:, g]
@@ -230,7 +221,7 @@ def takagi_symmetric_unitary(
     return q * np.exp(0.5j * angles)[None, :]
 
 
-def _cluster_ascending(values: np.ndarray, gap: float) -> list[list[int]]:
+def spectrum_clusters(values: Sequence[float], gap: float) -> list[list[int]]:
     """Group indices of an ascending 1-D array into gap-separated clusters."""
     groups: list[list[int]] = []
     start = 0
@@ -240,10 +231,3 @@ def _cluster_ascending(values: np.ndarray, gap: float) -> list[list[int]]:
             groups.append(list(range(start, i)))
             start = i
     return groups
-
-
-def spectrum_clusters(
-    values: Sequence[float], gap: float
-) -> list[list[int]]:
-    """Public wrapper over the ascending-cluster helper (ascending input)."""
-    return _cluster_ascending(np.asarray(values, dtype=float), gap)

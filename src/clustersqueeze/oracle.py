@@ -48,8 +48,9 @@ M_x M_p^T - M_p M_x^T, is the realness residual.  The blocks come back as
 X = ((S_xx + S_pp) + i (S_px - S_xp)) / 2 and
 Y = ((S_xx - S_pp) + i (S_px + S_xp)) / 2.
 
-The path never touches the eigenvectors of P used by the closed form; the
-only spectral call is the eigenvalue bound on z * lambda_max.
+The path never touches the eigenpairs of P that the interaction matrix
+carries for the closed form; the only spectral call is its own eigenvalue
+bound on z * lambda_max.
 """
 
 from __future__ import annotations
@@ -234,20 +235,15 @@ def convergence_sweep(
     a = adjacency_matrix(A, tol)
     th = phase_vector(theta, a.shape[0])
     rows = []
-    ends = {}
     for z in zs:
-        p = resolve_gauge(gauge, a, th, z, tol)
-        report = covariance_closed_form(a, th, p, z, tol)
+        zm = interaction_from_cluster(a, th, resolve_gauge(gauge, a, th, z, tol), tol)
+        closed = covariance_closed_form(a, th, zm, z, tol)
         rows.append(
-            SweepPoint(z=z, max_abs=report.max_abs, frobenius=report.frobenius)
+            SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
-        if z in (zs[0], zs[-1]):
-            ends[z] = (p, report)
-    if cross_check:
-        for z, (p, closed) in ends.items():
-            zm = interaction_from_cluster(a, th, p, tol)
-            brute = covariance_oracle(a, th, zm, z, tol)
-            gap = max_abs(closed.C - brute.C)
+        # Checked while this row's interaction is alive: no endpoint is kept.
+        if cross_check and z in (zs[0], zs[-1]):
+            gap = max_abs(closed.C - covariance_oracle(a, th, zm, z, tol).C)
             if gap > tol.oracle * (1.0 + closed.max_abs):
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "

@@ -15,7 +15,9 @@ and the closed-form nullifier covariance
 
 with E = (A + i 1) e^{i Theta} e^{-z P}.  The gauge factor is free up to the
 reality condition checked by :func:`validate_gauge`; the faithful choice
-makes C exactly e^{-2z} times the identity.
+makes C exactly e^{-2z} times the identity.  X, Y, C and the squeezer
+strengths all come from the one eigendecomposition of P that
+:class:`InteractionMatrix`, the synthesis plan, carries.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DomainError,
     GaugeIncompatible,
     NotHermitian,
@@ -37,6 +40,7 @@ from .errors import (
 )
 from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
+    _spectral,
     as_complex_matrix,
     hermiticity_defect,
     max_abs,
@@ -49,10 +53,12 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 @dataclass(frozen=True)
 class InteractionMatrix:
-    """Complex symmetric interaction matrix with cached polar factors.
+    """Synthesis plan: Z = P U with the eigendecomposition of P.
 
-    Z = P U with P Hermitian positive definite (the squeezing strengths) and
-    U symmetric unitary (the cluster structure).  Build instances through
+    P is Hermitian positive definite (the squeezing strengths) and U is
+    symmetric unitary (the cluster structure).  ``strengths`` (ascending)
+    and ``modes`` (column eigenvectors) are the eigenpairs of P, computed
+    once here and read by every consumer.  Build instances through
     :meth:`from_matrix` or :meth:`from_factors`, which enforce the
     invariants.
     """
@@ -60,6 +66,8 @@ class InteractionMatrix:
     Z: np.ndarray
     P: np.ndarray
     U: np.ndarray
+    strengths: np.ndarray
+    modes: np.ndarray
 
     @property
     def n(self) -> int:
@@ -70,7 +78,8 @@ class InteractionMatrix:
         """Polar-decompose a complex symmetric non-singular matrix."""
         zm = as_complex_matrix(Z)
         p, u = polar_decompose_symmetric(zm, tol)
-        return cls(Z=zm, P=p, U=u)
+        w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
+        return cls(Z=zm, P=p, U=u, strengths=w, modes=q)
 
     @classmethod
     def from_factors(cls, P, U, tol: Tolerances = DEFAULT_TOLERANCES) -> "InteractionMatrix":
@@ -81,12 +90,12 @@ class InteractionMatrix:
             raise ValueError("factor shapes differ")
         if hermiticity_defect(p) > tol.rtol * max(1.0, max_abs(p)):
             raise NotHermitian("gauge factor is not Hermitian")
-        eigs = np.linalg.eigvalsh((p + p.conj().T) / 2.0)
-        if eigs[0] <= tol.positive * max(1.0, eigs[-1]):
+        w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
+        if w[0] <= tol.positive * max(1.0, w[-1]):
             raise NotPositiveDefinite(
-                f"gauge factor has min eigenvalue {eigs[0]:.3e}"
+                f"gauge factor has min eigenvalue {w[0]:.3e}"
             )
-        if eigs[0] < tol.singular * eigs[-1]:
+        if w[0] < tol.singular * w[-1]:
             raise SingularInput("gauge factor is numerically singular")
         if unitarity_defect(u) > tol.rtol * u.shape[0]:
             raise NotUnitary("structure factor is not unitary")
@@ -97,7 +106,7 @@ class InteractionMatrix:
             raise NotSymmetric(
                 "P U is not symmetric; the factors are not gauge-compatible"
             )
-        return cls(Z=z, P=p, U=u)
+        return cls(Z=z, P=p, U=u, strengths=w, modes=q)
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,7 @@ def gauge_faithful(A, theta, z: float, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     th = phase_vector(theta, a.shape[0])
     eye = np.eye(a.shape[0])
     w, q = np.linalg.eigh(a @ a + eye)
-    log_gram = (q * np.log(w)[None, :]) @ q.T
+    log_gram = _spectral(q, np.log(w))
     ph = np.exp(-1j * th)
     p = eye + ph[:, None] * log_gram * ph.conj()[None, :] / (2.0 * z)
     return (p + p.conj().T) / 2.0
@@ -229,23 +238,25 @@ def validate_gauge(A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeCh
     return GaugeCheck(ok=bool(residual <= tol.rtol), residual=float(residual))
 
 
+def require_compatible_gauge(
+    A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES
+) -> GaugeCheck:
+    """:func:`validate_gauge`, raising :class:`GaugeIncompatible` on failure."""
+    check = validate_gauge(A, theta, P, tol)
+    if not check.ok:
+        raise GaugeIncompatible(
+            f"gauge reality residual {check.residual:.3e} exceeds {tol.rtol:.1e}"
+        )
+    return check
+
+
 def interaction_from_cluster(
     A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> InteractionMatrix:
     """Interaction matrix Z = P U for a cluster and a compatible gauge."""
-    check = validate_gauge(A, theta, P, tol)
-    if not check.ok:
-        raise GaugeIncompatible(
-            f"gauge reality residual {check.residual:.3e} exceeds "
-            f"{tol.rtol:.1e}; P U would not be symmetric"
-        )
+    require_compatible_gauge(A, theta, P, tol)
     u = unitary_from_adjacency(A, theta, tol)
     return InteractionMatrix.from_factors(P, u, tol)
-
-
-def _strength_eigh(zm: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
-    p = (zm.P + zm.P.conj().T) / 2.0
-    return np.linalg.eigh(p)
 
 
 def check_squeeze_budget(
@@ -269,35 +280,35 @@ def bogoliubov_from_interaction(
     """
     if not (np.isfinite(z) and z >= 0):
         raise ValueError("squeezing scale z must be non-negative and finite")
-    w, q = _strength_eigh(zm)
+    w, q = zm.strengths, zm.modes
     check_squeeze_budget(float(w[-1]), z, tol)
-    x = (q * np.cosh(z * w)[None, :]) @ q.conj().T
-    y = -1j * ((q * np.sinh(z * w)[None, :]) @ q.conj().T) @ zm.U
+    x = _spectral(q, np.cosh(z * w))
+    y = -1j * _spectral(q, np.sinh(z * w)) @ zm.U
     return BogoliubovPair(X=x, Y=y)
 
 
 def covariance_closed_form(
-    A, theta, P, z: float, tol: Tolerances = DEFAULT_TOLERANCES
+    A, theta, zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> CovarianceReport:
     """Closed-form nullifier covariance of the synthesized state.
 
-    Single code path for every gauge; the special cases (faithful gauge
-    e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z}, self-inverse graphs
-    2 e^{-2z} 1) are consequences used as test oracles, not branches.
+    ``zm`` is the interaction matrix of the cluster (A, Theta), as built by
+    :func:`interaction_from_cluster`, which checks the gauge; e^{-z P} comes
+    from its eigenpairs.  Single code path for every gauge; the special
+    cases (faithful gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z},
+    self-inverse graphs 2 e^{-2z} 1) are consequences used as test oracles,
+    not branches.
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    check = validate_gauge(A, theta, P, tol)
-    if not check.ok:
-        raise GaugeIncompatible(
-            f"gauge reality residual {check.residual:.3e} exceeds {tol.rtol:.1e}"
-        )
     a = adjacency_matrix(A, tol)
     th = phase_vector(theta, a.shape[0])
-    p = as_complex_matrix(P)
+    if a.shape[0] != zm.n:
+        raise DimensionMismatch(
+            f"graph has {a.shape[0]} modes, interaction has {zm.n}"
+        )
     eye = np.eye(a.shape[0])
-    w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
-    decay = (q * np.exp(-z * w)[None, :]) @ q.conj().T
+    decay = _spectral(zm.modes, np.exp(-z * zm.strengths))
     e_factor = (a + 1j * eye) @ (np.exp(1j * th)[:, None] * decay)
     raw = e_factor @ e_factor.conj().T
     c = (raw.real + raw.real.T) / 2.0
@@ -321,7 +332,7 @@ def squeezer_spectrum(
     """
     if not (np.isfinite(z) and z >= 0):
         raise ValueError("squeezing scale z must be non-negative and finite")
-    w, _ = _strength_eigh(zm)
+    w = zm.strengths
     check_squeeze_budget(float(w[-1]), z, tol)
     return [
         SqueezerMode(

@@ -59,7 +59,7 @@ def test_criterion_01_faithful_gauge_identity():
         th = random_phases(rng, n)
         for z in (0.5, 1.0, 2.0):
             p = gauge_faithful(a, th, z)
-            rep = covariance_closed_form(a, th, p, z)
+            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p), z)
             worst = max(
                 worst, float(np.max(np.abs(rep.C - math.exp(-2.0 * z) * np.eye(n))))
             )
@@ -73,7 +73,8 @@ def test_criterion_01_faithful_gauge_identity():
 
 
 def test_criterion_02_self_inverse_case():
-    rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], gauge_identity(2), 1.0)
+    zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+    rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, 1.0)
     residual = float(np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))))
     _report(2, "self-inverse EPR value", residual <= 1e-10, f"residual {residual:.3e}")
 
@@ -86,7 +87,8 @@ def test_criterion_03_uniform_gauge_formula():
         a = random_adjacency(rng, n)
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.5))
-        rep = covariance_closed_form(a, th, gauge_identity(n), z)
+        zm = interaction_from_cluster(a, th, gauge_identity(n))
+        rep = covariance_closed_form(a, th, zm, z)
         target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
         worst = max(worst, float(np.max(np.abs(rep.C - target))))
     _report(3, "trivial-gauge formula", worst <= 1e-9, f"max residual {worst:.3e}")
@@ -104,7 +106,7 @@ def test_criterion_04_oracle_equivalence():
         kind = ("identity", "faithful", "custom")[trial % 3]
         p = random_gauge(rng, kind, a, th, z)
         zm = interaction_from_cluster(a, th, p)
-        closed = covariance_closed_form(a, th, p, z)
+        closed = covariance_closed_form(a, th, zm, z)
         brute = covariance_oracle(a, th, zm, z)
         worst = max(worst, float(np.max(np.abs(closed.C - brute.C))))
     elapsed = time.perf_counter() - start

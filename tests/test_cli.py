@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import SearchExhausted, cli
+from clustersqueeze import SearchExhausted, cli, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -318,6 +318,52 @@ class TestSweep:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+
+class TestGaugeOption:
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "sweep"])
+    def test_unknown_gauge_exits_2(self, command, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        code, _, err = run_cli([command, "--graph", graph, "--gauge", "bogus"], capsys)
+        assert code == EXIT_INPUT and "unknown gauge 'bogus'" in err
+
+    def test_sweep_custom_unit_gauge_matches_identity(self, tmp_path, capsys):
+        graph = write(tmp_path, "g.graph", "3\n0 1 0.7\n1 2 -1.2\n0 0 0.3\n")
+        eye = write(tmp_path, "eye.json", json.dumps(matrix_to_json(np.eye(3))))
+        base = ["sweep", "--graph", graph, "--z-range", "0.5:1.5:0.5"]
+        code_custom, custom, _ = run_cli([*base, "--gauge", f"custom:{eye}"], capsys)
+        code_identity, identity, _ = run_cli([*base, "--gauge", "identity"], capsys)
+        assert code_custom == code_identity == EXIT_OK
+        assert custom == identity and len(custom.splitlines()) == 4
+
+
+class TestOneFactorizationPerRequest:
+    """A request factorizes the gauge factor P once and checks the gauge once."""
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    @pytest.mark.parametrize("command", ["synthesize", "verify"])
+    def test_counts(self, command, gauge, tmp_path, capsys, monkeypatch):
+        text = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
+        graph = write(tmp_path, "g.graph", text)
+        eigh_args, gauges = [], []
+        eigh, validate_gauge = np.linalg.eigh, synthesis.validate_gauge
+
+        def counting_eigh(a, *args, **kwargs):
+            eigh_args.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        def counting_validate_gauge(A, theta, P, *args, **kwargs):
+            gauges.append(np.asarray(P, dtype=complex))
+            return validate_gauge(A, theta, P, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(synthesis, "validate_gauge", counting_validate_gauge)
+        code, _, _ = run_cli([command, "--graph", graph, "--gauge", gauge, "-z", "0.9"], capsys)
+        assert code == EXIT_OK
+        assert len(gauges) == 1
+        p = gauges[0]
+        p_sym = (p + p.conj().T) / 2.0
+        assert sum(1 for a in eigh_args if np.array_equal(a, p_sym)) == 1
 
 
 class TestUsage:

@@ -187,7 +187,7 @@ class TestCovarianceOracle:
             kind = ("identity", "faithful", "custom")[trial % 3]
             p = random_gauge(rng, kind, a, th, z)
             zm = interaction_from_cluster(a, th, p)
-            closed = covariance_closed_form(a, th, p, z)
+            closed = covariance_closed_form(a, th, zm, z)
             brute = covariance_oracle(a, th, zm, z)
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
             assert np.max(np.abs(brute.C - brute.E @ brute.E.conj().T)) <= 1e-8

@@ -222,9 +222,8 @@ class TestBogoliubov:
 
 class TestCovarianceClosedForm:
     def test_epr_identity_gauge(self):
-        rep = covariance_closed_form(
-            epr_adjacency(), [0.0, 0.0], gauge_identity(2), z=1.0
-        )
+        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+        rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, z=1.0)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_faithful_gauge_scalar_value(self):
@@ -232,11 +231,12 @@ class TestCovarianceClosedForm:
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
         p = gauge_faithful(a, th, z=1.0)
-        rep = covariance_closed_form(a, th, p, z=1.0)
+        rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p), z=1.0)
         assert np.max(np.abs(rep.C - math.exp(-2.0) * np.eye(5))) <= 1e-9
 
     def test_self_loop_identity_gauge(self):
-        rep = covariance_closed_form(np.array([[1.0]]), [0.0], gauge_identity(1), z=1.0)
+        zm = interaction_from_cluster(np.array([[1.0]]), [0.0], gauge_identity(1))
+        rep = covariance_closed_form(np.array([[1.0]]), [0.0], zm, z=1.0)
         assert np.allclose(rep.C, [[2.0 * math.exp(-2.0)]], atol=1e-12)
 
     def test_uniform_gauge_formula(self):
@@ -246,7 +246,8 @@ class TestCovarianceClosedForm:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
-            rep = covariance_closed_form(a, th, gauge_identity(n), z)
+            zm = interaction_from_cluster(a, th, gauge_identity(n))
+            rep = covariance_closed_form(a, th, zm, z)
             target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
             assert np.max(np.abs(rep.C - target)) <= 1e-9
 
@@ -258,7 +259,7 @@ class TestCovarianceClosedForm:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th, z)
-            rep = covariance_closed_form(a, th, p, z)
+            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p), z)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
             assert rep.asym_residual <= 1e-9 * scale
@@ -275,18 +276,19 @@ class TestCovarianceClosedForm:
                 norms = []
                 for z in (0.5, 1.0, 2.0):
                     p = random_gauge(rng, gauge, a, th, z)
-                    norms.append(covariance_closed_form(a, th, p, z).max_abs)
+                    zm = interaction_from_cluster(a, th, p)
+                    norms.append(covariance_closed_form(a, th, zm, z).max_abs)
                 assert norms[0] > norms[1] > norms[2]
 
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
-            covariance_closed_form(epr_adjacency(), [0.0, 0.0], gauge_identity(2), 0.0)
+            zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+            covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, 0.0)
 
     def test_rejects_incompatible_gauge(self):
+        # the closed form takes a plan; the plan builder rejects the gauge
         with pytest.raises(GaugeIncompatible):
-            covariance_closed_form(
-                epr_adjacency(), [0.0, 0.0], np.diag([1.0, 2.0]), 1.0
-            )
+            interaction_from_cluster(epr_adjacency(), [0.0, 0.0], np.diag([1.0, 2.0]))
 
 
 class TestSqueezerSpectrum:
