@@ -53,23 +53,16 @@ from .graphs import (
     phase_vector,
 )
 from .matfun import (
-    hermitian_apply,
-    is_hermitian,
-    is_real,
-    is_symmetric,
-    is_unitary,
     polar_decompose_symmetric,
     takagi_symmetric_unitary,
 )
 from .oracle import (
     SweepPoint,
-    bogoliubov_matrix,
     bogoliubov_oracle,
     convergence_sweep,
     covariance_from_pair,
     covariance_oracle,
     squeezing_generator,
-    swap_form,
 )
 from .synthesis import (
     BogoliubovPair,
@@ -127,7 +120,6 @@ __all__ = [
     "analyze_interaction",
     "bloch_messiah",
     "bogoliubov_from_interaction",
-    "bogoliubov_matrix",
     "bogoliubov_oracle",
     "canonical_cluster_interferometer",
     "cluster_condition_residual",
@@ -139,12 +131,7 @@ __all__ = [
     "format_graph",
     "gauge_faithful",
     "gauge_identity",
-    "hermitian_apply",
     "interaction_from_cluster",
-    "is_hermitian",
-    "is_real",
-    "is_symmetric",
-    "is_unitary",
     "k_matrix_form",
     "nullifier_map",
     "parse_graph",
@@ -154,7 +141,6 @@ __all__ = [
     "resolve_gauge",
     "squeezer_spectrum",
     "squeezing_generator",
-    "swap_form",
     "takagi_symmetric_unitary",
     "unitary_from_adjacency",
     "unitary_from_interferometer",

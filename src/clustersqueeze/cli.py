@@ -17,7 +17,8 @@ described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
 
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors,
-3 gauge incompatibility, 4 numerical failure, 5 exhausted phase search.
+3 rejected gauge (incompatible, not Hermitian or not positive definite),
+4 numerical failure, 5 exhausted phase search.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     ClusterSqueezeError,
     GaugeIncompatible,
     GraphFormatError,
+    NotHermitian,
     NotPositiveDefinite,
     SearchExhausted,
 )
@@ -707,7 +709,7 @@ def main(argv=None) -> int:
     except (_InputError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GaugeIncompatible, NotPositiveDefinite) as exc:
+    except (GaugeIncompatible, NotHermitian, NotPositiveDefinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GAUGE
     except SearchExhausted as exc:

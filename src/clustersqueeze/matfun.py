@@ -10,26 +10,20 @@ eigenpairs the caller already holds.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NotHermitian,
-    NotSymmetric,
-    NotUnitary,
-    SingularInput,
-)
+from .errors import NotSymmetric, NotUnitary, SingularInput
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-def as_complex_matrix(values, *, square: bool = True) -> np.ndarray:
-    """Coerce to a complex 2-D array, rejecting NaN/Inf entries."""
+def as_complex_matrix(values) -> np.ndarray:
+    """Coerce to a complex square matrix, rejecting NaN/Inf entries."""
     m = np.asarray(values, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
@@ -61,22 +55,6 @@ def realness_defect(m) -> float:
     return max_abs(np.asarray(m).imag)
 
 
-def is_symmetric(m, tol: float = 1e-9) -> bool:
-    return symmetry_defect(m) <= tol * max(1.0, max_abs(m))
-
-
-def is_hermitian(m, tol: float = 1e-9) -> bool:
-    return hermiticity_defect(m) <= tol * max(1.0, max_abs(m))
-
-
-def is_unitary(m, tol: float = 1e-9) -> bool:
-    return unitarity_defect(m) <= tol
-
-
-def is_real(m, tol: float = 1e-9) -> bool:
-    return realness_defect(m) <= tol * max(1.0, max_abs(m))
-
-
 def _spectral(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     """f(H) = Q diag(f(L)) Q^dagger from the eigenvectors Q of H and f(L)."""
     return (q * values[None, :]) @ q.conj().T
@@ -97,43 +75,6 @@ def phase_fixed_columns(q: np.ndarray) -> np.ndarray:
             pivot = col[idx[0]]
             q[:, j] = col * (pivot.conjugate() / abs(pivot))
     return q
-
-
-def hermitian_apply(
-    m,
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
-    """Evaluate a scalar function on a Hermitian matrix.
-
-    Computes ``Q f(L) Q^dagger`` from the eigendecomposition ``m = Q L
-    Q^dagger`` of a matrix that is Hermitian within the relative tolerance
-    (else :class:`NotHermitian`).  ``f`` may be a NumPy ufunc or a plain
-    scalar callable; it must be defined on every eigenvalue (e.g. ``log``
-    needs a positive spectrum), otherwise :class:`DomainError` is raised.
-    """
-    m = as_complex_matrix(m)
-    if not is_hermitian(m, tol.rtol):
-        raise NotHermitian(
-            f"hermiticity defect {hermiticity_defect(m):.3e} exceeds tolerance"
-        )
-    w, q = np.linalg.eigh((m + m.conj().T) / 2.0)
-    with np.errstate(all="ignore"):
-        try:
-            values = np.asarray(f(w), dtype=complex)
-            if values.shape != w.shape:
-                raise TypeError("scalar function did not broadcast")
-        except (TypeError, ValueError):
-            try:
-                values = np.asarray([complex(f(x)) for x in w], dtype=complex)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise DomainError(
-                    f"function undefined on an eigenvalue: {exc}"
-                ) from None
-    if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
-        bad = w[~np.isfinite(values.real) | ~np.isfinite(values.imag)]
-        raise DomainError(f"function is undefined at eigenvalue(s) {bad}")
-    return _spectral(q, values)
 
 
 def polar_decompose_symmetric(

@@ -83,15 +83,6 @@ class SweepPoint(NamedTuple):
     frobenius: float
 
 
-def swap_form(n: int) -> np.ndarray:
-    """2N x 2N block-swap matrix [[0, 1], [1, 0]] = T T^T; squares to 1."""
-    if n <= 0:
-        raise ValueError("mode count must be positive")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    return np.block([[zero, eye], [eye, zero]])
-
-
 def squeezing_generator(Z, z: float) -> np.ndarray:
     """Generator G of the mode-operator flow (see module docstring)."""
     zm = as_complex_matrix(Z)
@@ -119,14 +110,6 @@ def quadrature_flow(
     strengths = np.linalg.eigvalsh((zm.P + zm.P.conj().T) / 2.0)
     check_squeeze_budget(float(strengths[-1]), z, tol)
     return expm(quadrature_generator(zm.Z, z))
-
-
-def bogoliubov_matrix(
-    zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Full 2N x 2N Bogoliubov matrix B = T S T^-1 = [[X, Y], [Y*, X*]]."""
-    pair = bogoliubov_oracle(zm, z, tol)
-    return np.block([[pair.X, pair.Y], [pair.Y.conj(), pair.X.conj()]])
 
 
 def bogoliubov_oracle(
@@ -216,7 +199,6 @@ def convergence_sweep(
     gauge,
     z_values: Sequence[float],
     tol: Tolerances = DEFAULT_TOLERANCES,
-    cross_check: bool = True,
 ) -> list[SweepPoint]:
     """Closed-form covariance norms over an ascending list of scales.
 
@@ -242,7 +224,7 @@ def convergence_sweep(
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
         # Checked while this row's interaction is alive: no endpoint is kept.
-        if cross_check and z in (zs[0], zs[-1]):
+        if z in (zs[0], zs[-1]):
             gap = max_abs(closed.C - covariance_oracle(a, th, zm, z, tol).C)
             if gap > tol.oracle * (1.0 + closed.max_abs):
                 raise OracleMismatch(

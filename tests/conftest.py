@@ -51,6 +51,13 @@ def random_hermitian_pd(rng, n, shift=None):
     return h + (n if shift is None else shift) * np.eye(n)
 
 
+def hermitian_function(m, f):
+    """f(H) of a Hermitian matrix from its eigendecomposition."""
+    h = np.asarray(m, dtype=complex)
+    w, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (q * f(w)[None, :]) @ q.conj().T
+
+
 def random_compatible_gauge(rng, A, theta, strength_cap=3.0):
     """Random positive-definite gauge satisfying the reality condition.
 
@@ -72,6 +79,17 @@ def random_compatible_gauge(rng, A, theta, strength_cap=3.0):
     if top > strength_cap:
         p = p * (strength_cap / top) + 0.05 * eye
     return p
+
+
+def non_hermitian_compatible_gauge(A):
+    """(A + i)^-1 R (A - i)^-1 with R real and not symmetric.
+
+    Passes the reality condition at zero phases but is not Hermitian.
+    """
+    a = np.asarray(A, dtype=float)
+    eye = np.eye(a.shape[0])
+    r = eye + np.triu(np.ones_like(a), 1)
+    return np.linalg.solve(a + 1j * eye, r) @ np.linalg.inv(a - 1j * eye)
 
 
 def random_gauge(rng, kind, A, theta, z):

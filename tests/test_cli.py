@@ -21,6 +21,8 @@ from clustersqueeze.cli import (
     matrix_to_json,
 )
 
+from conftest import epr_adjacency, non_hermitian_compatible_gauge
+
 EPR_GRAPH = "2\n0 1 1.0\n"
 
 
@@ -338,32 +340,85 @@ class TestGaugeOption:
 
 
 class TestOneFactorizationPerRequest:
-    """A request factorizes the gauge factor P once and checks the gauge once."""
+    """A request factorizes the gauge factor P once and checks the gauge once.
+
+    The one ``eigvalsh`` of P left is the oracle's own z * lambda_max budget,
+    kept apart from the plan's ``eigh`` on purpose.
+    """
+
+    GRAPH = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"eigh": [], "eigvalsh": [], "gauges": []}
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _original=original, **kwargs):
+                calls[_name].append(np.array(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        validate_gauge = synthesis.validate_gauge
+
+        def counting_validate_gauge(A, theta, P, *args, **kwargs):
+            calls["gauges"].append(np.asarray(P, dtype=complex))
+            return validate_gauge(A, theta, P, *args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "validate_gauge", counting_validate_gauge)
+        return calls
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful"])
     @pytest.mark.parametrize("command", ["synthesize", "verify"])
     def test_counts(self, command, gauge, tmp_path, capsys, monkeypatch):
-        text = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
-        graph = write(tmp_path, "g.graph", text)
-        eigh_args, gauges = [], []
-        eigh, validate_gauge = np.linalg.eigh, synthesis.validate_gauge
-
-        def counting_eigh(a, *args, **kwargs):
-            eigh_args.append(np.array(a))
-            return eigh(a, *args, **kwargs)
-
-        def counting_validate_gauge(A, theta, P, *args, **kwargs):
-            gauges.append(np.asarray(P, dtype=complex))
-            return validate_gauge(A, theta, P, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(synthesis, "validate_gauge", counting_validate_gauge)
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        calls = self._count(monkeypatch)
         code, _, _ = run_cli([command, "--graph", graph, "--gauge", gauge, "-z", "0.9"], capsys)
         assert code == EXIT_OK
-        assert len(gauges) == 1
-        p = gauges[0]
+        assert len(calls["gauges"]) == 1
+        p = calls["gauges"][0]
         p_sym = (p + p.conj().T) / 2.0
-        assert sum(1 for a in eigh_args if np.array_equal(a, p_sym)) == 1
+        assert sum(1 for a in calls["eigh"] if np.array_equal(a, p_sym)) == 1
+        assert sum(1 for a in calls["eigvalsh"] if np.array_equal(a, p_sym)) == 1
+
+    def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch):
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        bundle = str(tmp_path / "b.json")
+        args = ["synthesize", "--graph", graph, "--gauge", "faithful", "--out", bundle]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        calls = self._count(monkeypatch)
+        assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
+        assert len(calls["gauges"]) == 1
+        assert calls["eigvalsh"] == []
+
+
+class TestMalformedCustomGauge:
+    """Gauges that pass the reality check but are not Hermitian positive
+    definite exit 3, whichever check rejects them."""
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (-np.eye(2), "min eigenvalue -1.000e+00"),
+            (np.zeros((2, 2)), "min eigenvalue 0.000e+00"),
+            (non_hermitian_compatible_gauge(epr_adjacency()), "not Hermitian"),
+        ],
+        ids=["minus_one", "zero", "non_hermitian"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["synthesize"], ["verify"], ["decompose"], ["sweep", "--z-range", "0.5:1.5:0.5"]],
+        ids=["synthesize", "verify", "decompose", "sweep"],
+    )
+    def test_exits_gauge(self, command, p, message, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        path = write(tmp_path, "p.json", json.dumps(matrix_to_json(p)))
+        code, out, err = run_cli(
+            [*command, "--graph", graph, "--gauge", f"custom:{path}"], capsys
+        )
+        assert code == cli.EXIT_GAUGE
+        assert out == ""
+        assert message in err
 
 
 class TestUsage:

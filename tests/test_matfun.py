@@ -4,78 +4,47 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
-    DomainError,
-    NotHermitian,
     NotSymmetric,
     NotUnitary,
     SingularInput,
-    hermitian_apply,
-    is_hermitian,
-    is_real,
-    is_symmetric,
-    is_unitary,
     polar_decompose_symmetric,
     takagi_symmetric_unitary,
 )
-from clustersqueeze.matfun import phase_fixed_columns, symmetric_unitary_angles
+from clustersqueeze.matfun import (
+    as_complex_matrix,
+    hermiticity_defect,
+    max_abs,
+    phase_fixed_columns,
+    realness_defect,
+    symmetric_unitary_angles,
+    symmetry_defect,
+    unitarity_defect,
+)
 
 from conftest import random_symmetric_unitary, random_unitary
+
+
+def _relative(defect, m, tol=1e-9):
+    return defect <= tol * max(1.0, max_abs(m))
 
 
 class TestPredicates:
     def test_symmetric_and_hermitian(self):
         m = np.array([[1.0, 2.0], [2.0, 3.0]])
-        assert is_symmetric(m) and is_hermitian(m)
+        assert _relative(symmetry_defect(m), m) and _relative(hermiticity_defect(m), m)
         c = np.array([[1.0, 1j], [-1j, 2.0]])
-        assert is_hermitian(c) and not is_symmetric(c)
+        assert _relative(hermiticity_defect(c), c)
+        assert not _relative(symmetry_defect(c), c)
 
     def test_unitary_and_real(self):
-        assert is_unitary(np.eye(3))
-        assert not is_unitary(2 * np.eye(3))
-        assert is_real(np.ones((2, 2)))
-        assert not is_real(1j * np.ones((2, 2)))
+        assert unitarity_defect(np.eye(3)) <= 1e-9
+        assert not unitarity_defect(2 * np.eye(3)) <= 1e-9
+        assert _relative(realness_defect(np.ones((2, 2))), np.ones((2, 2)))
+        assert not _relative(realness_defect(1j * np.ones((2, 2))), 1j * np.ones((2, 2)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            hermitian_apply(np.array([[np.nan, 0], [0, 1.0]]), np.exp)
-
-
-class TestHermitianApply:
-    def test_zero_exp_is_identity(self):
-        assert np.allclose(hermitian_apply(np.zeros((1, 1)), np.exp), np.eye(1))
-
-    def test_log_of_scaled_identity(self):
-        out = hermitian_apply(2.0 * np.eye(2), np.log)
-        assert np.allclose(out, np.log(2.0) * np.eye(2), atol=1e-12)
-
-    def test_cosh_of_swap(self):
-        # eigenvalues are +-1 and cosh is even, so the result is cosh(1) I
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = hermitian_apply(m, np.cosh)
-        assert np.allclose(out, np.cosh(1.0) * np.eye(2), atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_apply(np.array([[0.0, 1.0], [0.0, 0.0]]), np.exp)
-
-    def test_domain_error_on_log_of_nonpositive(self):
-        with pytest.raises(DomainError):
-            hermitian_apply(np.diag([1.0, -1.0]), np.log)
-
-    def test_plain_scalar_callable(self):
-        import math
-
-        out = hermitian_apply(np.diag([1.0, 4.0]), math.sqrt)
-        assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-12)
-
-    def test_exp_inverse_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = int(rng.integers(1, 9))
-            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            m = (m + m.conj().T) / 2.0
-            prod = hermitian_apply(m, np.exp) @ hermitian_apply(-m, np.exp)
-            assert np.max(np.abs(prod - np.eye(n))) <= 1e-9
+            as_complex_matrix(np.array([[np.nan, 0], [0, 1.0]]))
 
 
 class TestPolarDecomposition:

@@ -11,17 +11,14 @@ from clustersqueeze import (
     DomainError,
     InteractionMatrix,
     bogoliubov_from_interaction,
-    bogoliubov_matrix,
     bogoliubov_oracle,
     convergence_sweep,
     covariance_closed_form,
     covariance_from_pair,
     covariance_oracle,
     gauge_identity,
-    hermitian_apply,
     interaction_from_cluster,
     squeezing_generator,
-    swap_form,
     unitary_from_adjacency,
     validate_gauge,
 )
@@ -30,6 +27,7 @@ from clustersqueeze.oracle import quadrature_flow, quadrature_generator
 
 from conftest import (
     epr_adjacency,
+    hermitian_function,
     random_adjacency,
     random_gauge,
     random_hermitian_pd,
@@ -38,47 +36,26 @@ from conftest import (
 )
 
 
-class TestSwapForm:
-    def test_structure(self):
-        g = swap_form(3)
-        assert np.array_equal(g, g.T)
-        assert np.allclose(g @ g, np.eye(6))
-        assert np.array_equal(g[:3, 3:], np.eye(3))
-        assert np.array_equal(g[:3, :3], np.zeros((3, 3)))
-
-
 class TestBogoliubovOracle:
     def test_scalar_generator_and_blocks(self):
         g = squeezing_generator(1j * np.eye(1), 1.0)
         assert np.allclose(g, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
         zm = InteractionMatrix.from_matrix(1j * np.eye(1))
-        b = bogoliubov_matrix(zm, 1.0)
-        expected = np.array(
-            [[math.cosh(1.0), math.sinh(1.0)], [math.sinh(1.0), math.cosh(1.0)]]
-        )
-        assert np.max(np.abs(b - expected)) <= 1e-12
         pair = bogoliubov_oracle(zm, 1.0)
+        assert abs(pair.X[0, 0] - math.cosh(1.0)) <= 1e-12
+        assert abs(pair.Y[0, 0] - math.sinh(1.0)) <= 1e-12
         assert pair.X[0, 0] == pytest.approx(1.543081, abs=1e-6)
         assert pair.Y[0, 0] == pytest.approx(1.175201, abs=1e-6)
 
     def test_zero_scale_is_identity(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        assert np.allclose(bogoliubov_matrix(zm, 0.0), np.eye(4), atol=1e-15)
+        assert np.allclose(quadrature_flow(zm, 0.0), np.eye(4), atol=1e-15)
 
     def test_epr_blocks_at_scale_two(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
         pair = bogoliubov_oracle(zm, 2.0)
         assert np.max(np.abs(pair.X - math.cosh(2.0) * np.eye(2))) <= 1e-10
         assert np.max(np.abs(pair.Y - 1j * math.sinh(2.0) * epr_adjacency())) <= 1e-10
-
-    def test_conjugation_structure(self):
-        rng = np.random.default_rng(70)
-        a = random_adjacency(rng, 4)
-        th = random_phases(rng, 4)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th, 1.0))
-        b = bogoliubov_matrix(zm, 1.0)
-        assert np.max(np.abs(b[4:, :4] - b[:4, 4:].conj())) <= 1e-12
-        assert np.max(np.abs(b[4:, 4:] - b[:4, :4].conj())) <= 1e-12
 
     def test_matches_eigendecomposition_path(self):
         rng = np.random.default_rng(71)
@@ -101,14 +78,14 @@ class TestBogoliubovOracle:
         a = random_adjacency(rng, 3)
         zm = interaction_from_cluster(a, np.zeros(3), gauge_identity(3))
         for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (0.0, 1.7)):
-            b_sum = bogoliubov_matrix(zm, z1 + z2)
-            b_prod = bogoliubov_matrix(zm, z1) @ bogoliubov_matrix(zm, z2)
-            assert np.max(np.abs(b_sum - b_prod)) <= 1e-9
+            s_sum = quadrature_flow(zm, z1 + z2)
+            s_prod = quadrature_flow(zm, z1) @ quadrature_flow(zm, z2)
+            assert np.max(np.abs(s_sum - s_prod)) <= 1e-9
 
     def test_overflow_cap(self):
         zm = InteractionMatrix.from_matrix(20.0j * np.eye(1))
         with pytest.raises(DomainError):
-            bogoliubov_matrix(zm, 2.0)
+            bogoliubov_oracle(zm, 2.0)
 
 
 class TestQuadratureFlow:
@@ -231,8 +208,8 @@ class TestForcedGaugeViolation:
             p_bad = random_hermitian_pd(rng, n)
             assert not validate_gauge(a, th, p_bad).ok
             u = unitary_from_adjacency(a, th)
-            x = hermitian_apply(p_bad, lambda w: np.cosh(1.0 * w))
-            y = -1j * hermitian_apply(p_bad, lambda w: np.sinh(1.0 * w)) @ u
+            x = hermitian_function(p_bad, lambda w: np.cosh(1.0 * w))
+            y = -1j * hermitian_function(p_bad, lambda w: np.sinh(1.0 * w)) @ u
             rep = covariance_from_pair(a, th, BogoliubovPair(X=x, Y=y))
             worst = max(worst, rep.imag_residual)
         assert worst > 1e-6

@@ -9,6 +9,7 @@ from clustersqueeze import (
     DomainError,
     GaugeIncompatible,
     InteractionMatrix,
+    NotHermitian,
     NotPositiveDefinite,
     NotSymmetric,
     bogoliubov_from_interaction,
@@ -23,6 +24,7 @@ from clustersqueeze import (
 
 from conftest import (
     epr_adjacency,
+    non_hermitian_compatible_gauge,
     random_adjacency,
     random_compatible_gauge,
     random_gauge,
@@ -110,12 +112,21 @@ class TestValidateGauge:
         assert check.residual == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_requires_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
-            validate_gauge(epr_adjacency(), [0.0, 0.0], np.diag([1.0, -1.0]))
-        with pytest.raises(NotPositiveDefinite):
-            validate_gauge(
-                epr_adjacency(), [0.0, 0.0], np.array([[1.0, 1.0], [0.0, 1.0]])
-            )
+        # validate_gauge checks only the reality condition; the plan builder
+        # rejects compatible gauges that are not Hermitian positive definite
+        a = epr_adjacency()
+        eye = np.eye(2)
+        for p in (-eye, 0.0 * eye):
+            with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
+                interaction_from_cluster(a, [0.0, 0.0], p)
+        p = non_hermitian_compatible_gauge(a)
+        assert validate_gauge(a, [0.0, 0.0], p).ok
+        with pytest.raises(NotHermitian, match="not Hermitian"):
+            interaction_from_cluster(a, [0.0, 0.0], p)
+        # malformed and incompatible: the reality check, which runs first
+        for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])):
+            with pytest.raises(GaugeIncompatible):
+                interaction_from_cluster(a, [0.0, 0.0], bad)
 
     def test_biconditional_with_product_symmetry(self):
         # compatible and incompatible random gauges against the direct
