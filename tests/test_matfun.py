@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
+    InteractionMatrix,
+    NotHermitian,
     NotSymmetric,
     NotUnitary,
     SingularInput,
@@ -45,6 +47,17 @@ class TestPredicates:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             as_complex_matrix(np.array([[np.nan, 0], [0, 1.0]]))
+
+
+class TestHermitianApply:
+    # Functions of a Hermitian gauge factor are read off the eigh that
+    # InteractionMatrix.from_factors keeps; it is the one that rejects a
+    # non-Hermitian factor before factorizing it.
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert not _relative(hermiticity_defect(m), m)
+        with pytest.raises(NotHermitian, match="not Hermitian"):
+            InteractionMatrix.from_factors(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestPolarDecomposition:
