@@ -16,9 +16,10 @@ call of the C encoder and then re-indented.  Graph files use the text format
 described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
 
-Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors,
-3 rejected gauge (incompatible, not Hermitian or not positive definite),
-4 numerical failure, 5 exhausted phase search.
+Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
+(a gauge of the wrong size included), 3 rejected gauge (incompatible, not
+Hermitian, not positive definite or numerically singular), 4 numerical
+failure, 5 exhausted phase search.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from . import analysis, blochmessiah, oracle, synthesis
 from .errors import (
     ClusterSqueezeError,
+    DimensionMismatch,
     GaugeIncompatible,
     GraphFormatError,
     NotHermitian,
@@ -706,7 +708,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (_InputError, GraphFormatError) as exc:
+    except (_InputError, GraphFormatError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GaugeIncompatible, NotHermitian, NotPositiveDefinite) as exc:

@@ -7,9 +7,23 @@ The graph file format (UTF-8 text) is:
   indices and a real weight; ``i == j`` sets a self-loop,
 * lines starting with ``#`` are ignored,
 * a repeated unordered pair ``(i, j)`` is an error.
+
+:func:`parse_graph` reads the edge list with one call of numpy's text
+reader and checks whole columns.  That bulk path accepts a subset of what
+the per-line loop :func:`_parse_lines` accepts, and gives the same matrix
+bit for bit.  Text holding a line break other than ``\n`` and ``\r\n`` goes
+to the loop, since numpy's reader does not end a line there; so does every
+input the bulk path rejects (a token that numpy does not read as the
+column's type, a line without exactly three tokens, a trailing comment, a
+non-finite weight, an index out of range, a repeated pair, no edges), and
+the loop words the error with its line number.
 """
 
 from __future__ import annotations
+
+import io
+import re
+import warnings
 
 import numpy as np
 
@@ -73,8 +87,52 @@ def nullifier_map(A, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     return np.hstack([left, right])
 
 
+# Besides "\n", str.splitlines breaks lines at these; numpy's reader does
+# not end a line there, so text holding one goes to the loop.
+_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# A whole-line comment with the line break before it.
+_COMMENT_LINE = re.compile(r"\n[ \t]*#[^\n]*")
+_EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
 def parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Parse the graph file format into a symmetric adjacency matrix."""
+    """Parse the graph file format into a symmetric adjacency matrix.
+
+    The edge lines are parsed in bulk; on any failure the per-line loop
+    runs instead and raises the error (see the module docstring).
+    """
+    plain = text.replace("\r\n", "\n")
+    if any(c in plain for c in _LINE_BREAKS):
+        return _parse_lines(text, tol)
+    if "#" in plain:
+        plain = _COMMENT_LINE.sub("", "\n" + plain)
+    head, _, body = plain.lstrip(" \t\n").partition("\n")
+    try:
+        n = int(head)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. an edge list with no edges
+            edges = np.loadtxt(io.StringIO(body), dtype=_EDGE, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return _parse_lines(text, tol)
+    if n <= 0:
+        return _parse_lines(text, tol)
+    a = np.zeros((n, n))  # an n too large to allocate fails here as in the loop
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    keys = np.sort(lo * n + hi)
+    if not (
+        np.isfinite(w).all()
+        and lo.min() >= 0
+        and hi.max() < n
+        and (keys[1:] != keys[:-1]).all()
+    ):
+        return _parse_lines(text, tol)
+    a[i, j] = a[j, i] = w
+    return adjacency_matrix(a, tol)
+
+
+def _parse_lines(text: str, tol: Tolerances) -> np.ndarray:
+    """Line-by-line reader: the reference semantics and the error messages."""
     n: int | None = None
     a: np.ndarray | None = None
     seen: set[tuple[int, int]] = set()
@@ -138,10 +196,9 @@ def format_graph(A, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
     parse(format(A)) reproduces A exactly.
     """
     a = adjacency_matrix(A, tol)
-    n = a.shape[0]
-    lines = [str(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if a[i, j] != 0.0:
-                lines.append(f"{i} {j} {float(a[i, j])!r}")
+    rows, cols = np.nonzero(np.triu(a))
+    lines = [str(a.shape[0])] + [
+        f"{i} {j} {w!r}"
+        for i, j, w in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
+    ]
     return "\n".join(lines) + "\n"

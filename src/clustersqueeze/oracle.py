@@ -69,8 +69,9 @@ from .synthesis import (
     InteractionMatrix,
     check_squeeze_budget,
     covariance_closed_form,
-    interaction_from_cluster,
+    require_compatible_gauge,
     resolve_gauge,
+    unitary_from_adjacency,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -216,9 +217,12 @@ def convergence_sweep(
         raise ValueError("z values must be strictly ascending")
     a = adjacency_matrix(A, tol)
     th = phase_vector(theta, a.shape[0])
+    u = unitary_from_adjacency(a, th, tol)  # depends on the cluster alone
     rows = []
     for z in zs:
-        zm = interaction_from_cluster(a, th, resolve_gauge(gauge, a, th, z, tol), tol)
+        p = resolve_gauge(gauge, a, th, z, tol)
+        require_compatible_gauge(a, th, p, tol)
+        zm = InteractionMatrix.from_factors(p, u, tol)
         closed = covariance_closed_form(a, th, zm, z, tol)
         rows.append(
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)

@@ -36,7 +36,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     NotUnitary,
-    SingularInput,
 )
 from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
@@ -86,12 +85,12 @@ class InteractionMatrix:
         """Assemble Z = P U, checking both factors.
 
         This is the one place that checks the gauge factor on its own: P
-        must be Hermitian (else :class:`NotHermitian`), positive definite
-        (:class:`NotPositiveDefinite`) and not numerically singular
-        (:class:`SingularInput`), read off the same ``eigh`` that gives
-        ``strengths`` and ``modes``.  U must be symmetric unitary and P U
-        symmetric.  The reality condition tying P to a cluster is
-        :func:`validate_gauge`'s.
+        must be Hermitian (else :class:`NotHermitian`), and positive definite
+        and not numerically singular (else :class:`NotPositiveDefinite`: a
+        nearly singular P is a rejected gauge like an indefinite one), read
+        off the same ``eigh`` that gives ``strengths`` and ``modes``.  U
+        must be symmetric unitary and P U symmetric.  The reality condition
+        tying P to a cluster is :func:`validate_gauge`'s.
         """
         p = as_complex_matrix(P)
         u = as_complex_matrix(U)
@@ -105,7 +104,7 @@ class InteractionMatrix:
                 f"gauge factor has min eigenvalue {w[0]:.3e}"
             )
         if w[0] < tol.singular * w[-1]:
-            raise SingularInput("gauge factor is numerically singular")
+            raise NotPositiveDefinite("gauge factor is numerically singular")
         if unitarity_defect(u) > tol.rtol * u.shape[0]:
             raise NotUnitary("structure factor is not unitary")
         if symmetry_defect(u) > tol.rtol * max(1.0, max_abs(u)):
@@ -235,7 +234,7 @@ def validate_gauge(A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeCh
     th = phase_vector(theta, a.shape[0])
     p = as_complex_matrix(P)
     if p.shape[0] != a.shape[0]:
-        raise ValueError("gauge factor shape does not match the graph")
+        raise DimensionMismatch("gauge factor shape does not match the graph")
     eye = np.eye(a.shape[0])
     ph = np.exp(1j * th)
     test = (a + 1j * eye) @ (ph[:, None] * p * ph.conj()[None, :]) @ (a - 1j * eye)

@@ -2,14 +2,27 @@
 
 All randomness flows through explicitly seeded generators so every test is
 deterministic; tolerances in the assertions are the contract values, not
-calibrated slack.
+calibrated slack.  Hypothesis runs derandomized under the ``tier1``
+profile for the same reason.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
-from clustersqueeze import gauge_faithful, gauge_identity
+from clustersqueeze import (
+    DuplicateEdge,
+    IndexOutOfRange,
+    ParseError,
+    adjacency_matrix,
+    gauge_faithful,
+    gauge_identity,
+)
+from clustersqueeze.tolerances import DEFAULT_TOLERANCES, Tolerances
+
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("tier1")
 
 
 def random_adjacency(rng, n, weight=2.0, density=1.0, self_loops=True):
@@ -104,3 +117,84 @@ def random_gauge(rng, kind, A, theta, z):
 
 def epr_adjacency():
     return np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def reference_parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """The per-line graph reader as it was before the bulk path, verbatim."""
+    n: int | None = None
+    a: np.ndarray | None = None
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if n is None:
+            if len(tokens) != 1:
+                raise ParseError(
+                    f"line {lineno}: expected a single mode count, got {line!r}"
+                )
+            try:
+                n = int(tokens[0])
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: mode count {tokens[0]!r} is not an integer"
+                ) from None
+            if n <= 0:
+                raise ParseError(f"line {lineno}: mode count must be positive")
+            a = np.zeros((n, n))
+            continue
+        if len(tokens) != 3:
+            raise ParseError(
+                f"line {lineno}: expected 'i j w', got {line!r}"
+            )
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: node indices must be integers, got {line!r}"
+            ) from None
+        try:
+            w = float(tokens[2])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: weight {tokens[2]!r} is not a number"
+            ) from None
+        if not np.isfinite(w):
+            raise ParseError(f"line {lineno}: weight must be finite")
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexOutOfRange(
+                f"line {lineno}: node index out of range for {n} modes"
+            )
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise DuplicateEdge(f"line {lineno}: duplicate edge ({i}, {j})")
+        seen.add(key)
+        a[i, j] = w
+        a[j, i] = w
+    if n is None:
+        raise ParseError("empty graph file: missing mode count")
+    return adjacency_matrix(a, tol)
+
+
+def reference_format_graph(A, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
+    """The double-loop graph writer as it was before vectorization, verbatim."""
+    a = adjacency_matrix(A, tol)
+    n = a.shape[0]
+    lines = [str(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if a[i, j] != 0.0:
+                lines.append(f"{i} {j} {float(a[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def perfbench_graph_text(rng, n: int) -> str:
+    """Dense graph file as the benchmark writes it: uniform[-1, 1] weights
+    with self-loops, one ``i j repr(w)`` line per upper-triangle entry."""
+    a = np.triu(rng.uniform(-1.0, 1.0, (n, n)))
+    rows, cols = np.nonzero(a)
+    lines = [str(n)] + [
+        f"{i} {j} {float(a[i, j])!r}" for i, j in zip(rows.tolist(), cols.tolist())
+    ]
+    return "\n".join(lines) + "\n"

@@ -381,6 +381,22 @@ class TestOneFactorizationPerRequest:
         assert sum(1 for a in calls["eigh"] if np.array_equal(a, p_sym)) == 1
         assert sum(1 for a in calls["eigvalsh"] if np.array_equal(a, p_sym)) == 1
 
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    def test_sweep_solves_once(self, gauge, tmp_path, capsys, monkeypatch):
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        solves = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            solves.append(np.array(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        args = ["sweep", "--graph", graph, "--gauge", gauge, "--z-range", "0.5:1.5:0.5"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == EXIT_OK and len(out.splitlines()) == 4
+        assert len(solves) == 1
+
     def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
@@ -392,9 +408,26 @@ class TestOneFactorizationPerRequest:
         assert calls["eigvalsh"] == []
 
 
+def _nearly_singular_gauge(a):
+    """(A + i)^-1 S (A - i)^-1 with S = diag(1e-11, 1): compatible, positive
+    definite, eigenvalue ratio 1e-11 (between the positivity and the
+    singularity thresholds)."""
+    eye = np.eye(a.shape[0])
+    s = np.diag([1e-11, 1.0])
+    return np.linalg.solve(a + 1j * eye, s) @ np.linalg.inv(a - 1j * eye)
+
+
+GAUGE_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [["synthesize"], ["verify"], ["decompose"], ["sweep", "--z-range", "0.5:1.5:0.5"]],
+    ids=["synthesize", "verify", "decompose", "sweep"],
+)
+
+
 class TestMalformedCustomGauge:
     """Gauges that pass the reality check but are not Hermitian positive
-    definite exit 3, whichever check rejects them."""
+    definite exit 3, whichever check rejects them; a gauge of the wrong
+    size is an input error and exits 2."""
 
     @pytest.mark.parametrize(
         "p, message",
@@ -402,14 +435,11 @@ class TestMalformedCustomGauge:
             (-np.eye(2), "min eigenvalue -1.000e+00"),
             (np.zeros((2, 2)), "min eigenvalue 0.000e+00"),
             (non_hermitian_compatible_gauge(epr_adjacency()), "not Hermitian"),
+            (_nearly_singular_gauge(epr_adjacency()), "numerically singular"),
         ],
-        ids=["minus_one", "zero", "non_hermitian"],
+        ids=["minus_one", "zero", "non_hermitian", "nearly_singular"],
     )
-    @pytest.mark.parametrize(
-        "command",
-        [["synthesize"], ["verify"], ["decompose"], ["sweep", "--z-range", "0.5:1.5:0.5"]],
-        ids=["synthesize", "verify", "decompose", "sweep"],
-    )
+    @GAUGE_COMMANDS
     def test_exits_gauge(self, command, p, message, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         path = write(tmp_path, "p.json", json.dumps(matrix_to_json(p)))
@@ -419,6 +449,17 @@ class TestMalformedCustomGauge:
         assert code == cli.EXIT_GAUGE
         assert out == ""
         assert message in err
+
+    @GAUGE_COMMANDS
+    def test_wrong_size_exits_input(self, command, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        path = write(tmp_path, "p.json", json.dumps(matrix_to_json(np.eye(3))))
+        code, out, err = run_cli(
+            [*command, "--graph", graph, "--gauge", f"custom:{path}"], capsys
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "gauge factor shape does not match the graph" in err
 
 
 class TestUsage:
@@ -446,6 +487,16 @@ class TestUsage:
             ["synthesize", "--graph", graph, "--phases", phases], capsys
         )
         assert code == 2 and "expected 2 angles" in err
+
+    def test_bundle_phase_count_mismatch_exits_2(self, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = tmp_path / "b.json"
+        assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle)], capsys)[0] == 0
+        obj = json.loads(bundle.read_text(encoding="utf-8"))
+        obj["theta"] = [0.0]
+        bad = write(tmp_path, "bad.json", json.dumps(obj))
+        code, _, err = run_cli(["verify", "--interaction", bad], capsys)
+        assert code == 2 and "expected 2 phases, got 1" in err
 
     def test_conflicting_scale_flags_exit_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
