@@ -39,8 +39,8 @@ print(
     "\nsigma_min at zero phases for Z = -i:",
     regularity_margin(zm_awkward.U, [0.0]),
 )
-theta = find_regular_phases(zm_awkward.U)
-print("phase found by the deterministic search:", theta)
+theta, margin = find_regular_phases(zm_awkward.U)
+print("phase found by the deterministic search:", theta, "sigma_min:", margin)
 res = analyze_interaction(zm_awkward)
 print("recovered self-loop weight:", res.adjacency[0, 0])
 rebuilt = unitary_from_adjacency(res.adjacency, res.theta)

@@ -118,13 +118,14 @@ def find_regular_phases(
     U,
     seed: int = DEFAULT_PHASE_SEED,
     tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """First phase vector of the deterministic schedule that regularizes U.
 
     Accepts the first candidate with sigma_min above the acceptance
     threshold; if none qualifies the best candidate above the floor is
     returned, otherwise :class:`SearchExhausted` is raised (unreachable for
-    a numerically valid symmetric unitary).
+    a numerically valid symmetric unitary).  Returns the phases with their
+    sigma_min.
     """
     u = as_complex_matrix(U)
     n = u.shape[0]
@@ -133,12 +134,12 @@ def find_regular_phases(
     for candidate in _phase_schedule(n, seed):
         margin = regularity_margin(u, candidate)
         if margin >= tol.phase_accept:
-            return phase_vector(candidate)
+            return phase_vector(candidate), margin
         if margin > best_margin:
             best_margin = margin
             best_theta = candidate
     if best_theta is not None and best_margin >= tol.phase_floor:
-        return phase_vector(best_theta)
+        return phase_vector(best_theta), best_margin
     raise SearchExhausted(
         f"no candidate reached sigma_min {tol.phase_floor:.1e} "
         f"(best {best_margin:.3e}); input is not a valid symmetric unitary"
@@ -152,7 +153,7 @@ def k_matrix_form(U, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """
     u = as_complex_matrix(U)
     th = phase_vector(theta, u.shape[0])
-    q, angles = symmetric_unitary_angles(_rotated(u, th), tol)
+    q, angles, _ = symmetric_unitary_angles(_rotated(u, th), tol)
     return _spectral(q, angles)
 
 
@@ -199,8 +200,7 @@ def analyze_interaction(
         if input_margin >= tol.phase_accept:
             chosen, margin = th, input_margin
     if chosen is None:
-        chosen = find_regular_phases(u, seed, tol)
-        margin = regularity_margin(u, chosen)
+        chosen, margin = find_regular_phases(u, seed, tol)
     a = adjacency_from_unitary(u, chosen, tol)
     # P came with the interaction, not with the recovered cluster.
     require_compatible_gauge(a, chosen, zm.P, tol)

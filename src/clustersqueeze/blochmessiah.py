@@ -48,6 +48,9 @@ class BlochMessiahFactors:
     squeezing blocks are cosh(z D) and sinh(z D).  ``T`` diagonalizes the
     strength factor P and ``R`` is the balancing unitary; the factors are
     not unique, so consumers must check them through residuals only.
+    ``gap`` and ``spread`` are the smallest eigen-gap the reduction resolved
+    and the widest group it treated as degenerate (strengths and balancing
+    blocks, relative to their scale); they bound how well X and Y rebuild.
     """
 
     V: np.ndarray
@@ -56,6 +59,8 @@ class BlochMessiahFactors:
     R: np.ndarray
     T: np.ndarray
     z: float
+    gap: float
+    spread: float
 
     @property
     def n(self) -> int:
@@ -91,14 +96,16 @@ def bloch_messiah(
     n = zm.n
     balanced = -1j * v.conj().T @ zm.U @ v.conj()
     r = np.zeros((n, n), dtype=complex)
-    gap = tol.degeneracy * max(1.0, float(w[-1]))
-    for group in spectrum_clusters(w, gap):
+    groups, grouping = spectrum_clusters(w, max(1.0, float(w[-1])), tol)
+    for group in groups:
         idx = np.ix_(group, group)
-        r[idx] = takagi_symmetric_unitary(balanced[idx], tol)
+        r[idx], block = takagi_symmetric_unitary(balanced[idx], tol)
+        grouping = grouping.merge(block)
     v_factor = v @ r
     w_factor = -1j * zm.U @ v.conj() @ r.conj()
     return BlochMessiahFactors(
-        V=v_factor, W=w_factor, D=w, R=r, T=v.conj().T, z=float(z)
+        V=v_factor, W=w_factor, D=w, R=r, T=v.conj().T, z=float(z),
+        gap=grouping.gap, spread=grouping.spread,
     )
 
 

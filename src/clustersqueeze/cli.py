@@ -16,8 +16,13 @@ call of the C encoder and then re-indented.  Graph files use the text format
 described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
 
+Each check record holds ``name``, ``residual``, ``tolerance`` and
+``passed``; the tolerance is the budget that the request's
+:class:`~clustersqueeze.tolerances.ErrorModel` derives for that check, so no
+option sets it.
+
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
-(a gauge of the wrong size included), 3 rejected gauge (incompatible, not
+(a gauge of the wrong shape included), 3 rejected gauge (incompatible, not
 Hermitian, not positive definite or numerically singular), 4 numerical
 failure, 5 exhausted phase search.
 """
@@ -43,7 +48,7 @@ from .errors import (
 )
 from .graphs import adjacency_matrix, format_graph, parse_graph, phase_vector
 from .matfun import max_abs, symmetry_defect, unitarity_defect
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,14 +109,14 @@ def _load_json(path: str) -> dict:
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
 
 
-def load_interaction(path: str, tol: Tolerances) -> synthesis.InteractionMatrix:
+def load_interaction(path: str) -> synthesis.InteractionMatrix:
     """Read an interaction matrix from a matrix JSON file or a bundle."""
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise _InputError(f"{path}: expected a JSON object")
     if "Z" in obj and "re" not in obj:
         obj = obj["Z"]
-    return synthesis.InteractionMatrix.from_matrix(matrix_from_json(obj), tol)
+    return synthesis.InteractionMatrix.from_matrix(matrix_from_json(obj))
 
 
 def load_phases(spec: str, n: int) -> np.ndarray:
@@ -145,141 +150,93 @@ def _gauge_selector(spec: str):
     )
 
 
-def _load_gauge(spec: str, A, theta, z: float, tol: Tolerances):
+def _load_gauge(spec: str, A, theta, z: float):
     """Gauge name for the report and the concrete P at scale z."""
     selector = _gauge_selector(spec)
     name = selector if isinstance(selector, str) else "custom"
-    return name, synthesis.resolve_gauge(selector, A, theta, z, tol)
+    return name, synthesis.resolve_gauge(selector, A, theta, z)
 
 
 # --------------------------------------------------------------------------
-# check battery
+# check battery: rows (name, residual) judged by the request's ErrorModel
 
-def _check(name: str, residual: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "passed": bool(residual <= tolerance),
-    }
-
-
-def core_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> tuple[list[dict], dict]:
+def core_battery(A, theta, P, z, gauge_name: str) -> tuple[list[dict], dict]:
     """Invariant checks shared by synthesize and verify.
 
     Returns (checks, computed) where computed holds the freshly built
-    objects for serialization or deeper comparison.
+    objects for serialization or deeper comparison, and the error model
+    the checks were judged by.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     n = a.shape[0]
     eye = np.eye(n)
-    gauge = synthesis.require_compatible_gauge(a, theta, P, tol)
-    u = synthesis.unitary_from_adjacency(a, theta, tol)
-    zm = synthesis.InteractionMatrix.from_factors(P, u, tol)
-    pair = synthesis.bogoliubov_from_interaction(zm, z, tol)
-    closed = synthesis.covariance_closed_form(a, theta, zm, z, tol)
-    brute = oracle.covariance_oracle(a, theta, zm, z, tol)
-    spectrum = synthesis.squeezer_spectrum(zm, z, tol)
+    gauge = synthesis.require_compatible_gauge(a, theta, P)
+    u = synthesis.unitary_from_adjacency(a, theta)
+    zm = synthesis.InteractionMatrix.from_factors(P, u)
+    pair = synthesis.bogoliubov_from_interaction(zm, z)
+    closed = synthesis.covariance_closed_form(a, theta, zm, z)
+    brute = oracle.covariance_oracle(a, theta, zm, z)
+    spectrum = synthesis.squeezer_spectrum(zm, z)
+    model = ErrorModel.for_cluster(a, zm.strengths, z)
 
-    cov_scale = 1.0 + closed.max_abs
+    z_scale = max(1.0, max_abs(zm.Z))
     defect_one, defect_two = pair.defects()
-    checks = [
-        _check("gauge_condition", gauge.residual, tol.rtol),
-        _check(
-            "interaction_symmetric",
-            symmetry_defect(zm.Z) / max(1.0, max_abs(zm.Z)),
-            tol.interaction_symmetry,
-        ),
-        _check(
-            "polar_product",
-            max_abs(zm.P @ zm.U - zm.Z) / max(1.0, max_abs(zm.Z)),
-            tol.interaction_symmetry,
-        ),
-        _check("structure_unitary", unitarity_defect(zm.U), 1e-10 * n),
-        _check("structure_symmetric", symmetry_defect(zm.U), 1e-10),
-        _check("bogoliubov_unitary_defect", defect_one, tol.rtol),
-        _check("bogoliubov_symmetry_defect", defect_two, tol.rtol),
-        _check("covariance_real", closed.imag_residual, tol.rtol * cov_scale),
-        _check(
-            "covariance_psd",
-            max(0.0, -float(np.linalg.eigvalsh(closed.C)[0])),
-            tol.rtol * cov_scale,
-        ),
-        _check(
-            "covariance_factor",
-            max_abs(closed.C - closed.E @ closed.E.conj().T),
-            tol.rtol * cov_scale,
-        ),
-        _check(
-            "covariance_vs_oracle",
-            max_abs(closed.C - brute.C),
-            tol.oracle * cov_scale,
-        ),
+    decay = math.exp(-2.0 * z)
+    rows = [
+        ("gauge_condition", gauge.residual),
+        ("interaction_symmetric", symmetry_defect(zm.Z) / z_scale),
+        ("polar_product", max_abs(zm.P @ zm.U - zm.Z) / z_scale),
+        ("structure_unitary", unitarity_defect(zm.U)),
+        ("structure_symmetric", symmetry_defect(zm.U)),
+        ("bogoliubov_unitary_defect", defect_one),
+        ("bogoliubov_symmetry_defect", defect_two),
+        ("covariance_real", closed.imag_residual),
+        ("covariance_psd", max(0.0, -float(np.linalg.eigvalsh(closed.C)[0]))),
+        ("covariance_factor", max_abs(closed.C - closed.E @ closed.E.conj().T)),
+        ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
     ]
     if gauge_name == "faithful":
-        checks.append(
-            _check(
-                "faithful_gauge_identity",
-                max_abs(closed.C - math.exp(-2.0 * z) * eye),
-                tol.rtol,
-            )
-        )
+        rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
     if gauge_name == "identity":
-        checks.append(
-            _check(
-                "uniform_gauge_formula",
-                max_abs(closed.C - (a @ a + eye) * math.exp(-2.0 * z)),
-                tol.rtol,
-            )
-        )
-        if max_abs(a @ a - eye) <= tol.input_asymmetry:
-            checks.append(
-                _check(
-                    "self_inverse_value",
-                    max_abs(closed.C - 2.0 * math.exp(-2.0 * z) * eye),
-                    tol.rtol,
-                )
-            )
+        rows.append(("uniform_gauge_formula", max_abs(closed.C - (a @ a + eye) * decay)))
+        if max_abs(a @ a - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
+            rows.append(("self_inverse_value", max_abs(closed.C - 2.0 * decay * eye)))
     computed = {
         "zm": zm,
         "pair": pair,
         "closed": closed,
         "spectrum": spectrum,
+        "model": model,
     }
-    return checks, computed
+    return model.checks(rows), computed
 
 
-def deep_battery(A, theta, P, z, gauge_name: str, tol: Tolerances) -> tuple[list[dict], dict]:
+def _reduction_rows(zm, pair, factors) -> list[tuple[str, float]]:
+    """Bloch-Messiah rows of verify and decompose."""
+    x_rec, y_rec = factors.reconstruct()
+    return [
+        ("blochmessiah_x", max_abs(x_rec - pair.X)),
+        ("blochmessiah_y", max_abs(y_rec - pair.Y)),
+        ("interferometer_identity", max_abs(1j * factors.V @ factors.V.T - zm.U)),
+    ]
+
+
+def deep_battery(A, theta, P, z, gauge_name: str) -> tuple[list[dict], dict]:
     """Core battery plus interferometer-reduction checks (verify command).
 
-    Returns (checks, computed) with computed as in :func:`core_battery`.
+    Returns (checks, computed) with computed as in :func:`core_battery`; its
+    model now carries the grouping Bloch-Messiah resolved.
     """
-    checks, computed = core_battery(A, theta, P, z, gauge_name, tol)
+    checks, computed = core_battery(A, theta, P, z, gauge_name)
     zm = computed["zm"]
-    pair = computed["pair"]
-    factors = blochmessiah.bloch_messiah(zm, z, tol)
-    x_rec, y_rec = factors.reconstruct()
+    factors = blochmessiah.bloch_messiah(zm, z)
+    model = computed["model"] = computed["model"].with_reduction(factors)
     strengths = np.array([m.strength for m in computed["spectrum"]])
-    checks += [
-        _check("blochmessiah_x", max_abs(x_rec - pair.X), tol.oracle),
-        _check("blochmessiah_y", max_abs(y_rec - pair.Y), tol.oracle),
-        _check(
-            "interferometer_identity",
-            max_abs(1j * factors.V @ factors.V.T - zm.U),
-            tol.rtol,
-        ),
-        _check(
-            "cluster_condition",
-            blochmessiah.cluster_condition_residual(factors.V, A, theta, tol),
-            tol.oracle,
-        ),
-        _check(
-            "squeezer_match",
-            float(np.max(np.abs(np.sort(factors.D) - np.sort(strengths)))),
-            tol.rtol,
-        ),
+    rows = _reduction_rows(zm, computed["pair"], factors) + [
+        ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, A, theta)),
+        ("squeezer_match", float(np.max(np.abs(np.sort(factors.D) - np.sort(strengths))))),
     ]
-    return checks, computed
+    return checks + model.checks(rows), computed
 
 
 # --------------------------------------------------------------------------
@@ -345,14 +302,6 @@ def _summarize_checks(checks: list[dict]) -> list[str]:
 # --------------------------------------------------------------------------
 # commands
 
-def _tolerances(args) -> Tolerances:
-    if args.tol is not None:
-        if not (np.isfinite(args.tol) and args.tol > 0):
-            raise _InputError("--tol must be a positive number")
-        return DEFAULT_TOLERANCES.with_rtol(args.tol)
-    return DEFAULT_TOLERANCES
-
-
 def _z_list(args) -> list[float]:
     if args.z_range is not None:
         if args.z is not None:
@@ -379,13 +328,12 @@ def _z_list(args) -> list[float]:
 
 
 def cmd_synthesize(args) -> int:
-    tol = _tolerances(args)
-    a = parse_graph(_read_text(args.graph), tol)
+    a = parse_graph(_read_text(args.graph))
     n = a.shape[0]
     theta = load_phases(args.phases, n)
     z = _z_list(args)[0]
-    gauge_name, p = _load_gauge(args.gauge, a, theta, z, tol)
-    checks, computed = core_battery(a, theta, p, z, gauge_name, tol)
+    gauge_name, p = _load_gauge(args.gauge, a, theta, z)
+    checks, computed = core_battery(a, theta, p, z, gauge_name)
     zm = computed["zm"]
     pair = computed["pair"]
     closed = computed["closed"]
@@ -440,18 +388,15 @@ def _chopped(a: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerances(args)
-    zm = load_interaction(args.interaction, tol)
+    zm = load_interaction(args.interaction)
     if args.phases != "zero":
         theta = load_phases(args.phases, zm.n)
     else:
         theta = np.zeros(zm.n)
     z = _z_list(args)[0]
-    result = analysis.analyze_interaction(
-        zm, theta=theta, z=z, seed=args.seed, tol=tol
-    )
+    result = analysis.analyze_interaction(zm, theta=theta, z=z, seed=args.seed)
     margin_given = result.input_margin
-    searched = bool(margin_given < tol.phase_accept)
+    searched = bool(margin_given < DEFAULT_TOLERANCES.phase_accept)
     report = {
         "command": "analyze",
         "n": zm.n,
@@ -462,7 +407,7 @@ def cmd_analyze(args) -> int:
         "sigma_min": float(result.margin),
         "theta": [float(t) for t in result.theta],
         "adjacency": matrix_to_json(result.adjacency),
-        "graph_text": format_graph(_chopped(result.adjacency, 1e-10), tol),
+        "graph_text": format_graph(_chopped(result.adjacency, 1e-10)),
         "covariance_max_abs": result.covariance.max_abs,
         "C": matrix_to_json(result.covariance.C),
     }
@@ -483,34 +428,27 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _interaction_from_args(args, tol: Tolerances):
-    """Resolve Z either from --interaction or from graph + gauge flags."""
+def _interaction_from_args(args):
+    """Z either from --interaction or from graph + gauge flags, with the
+    error model of its route."""
     z = _z_list(args)[0]
     if args.interaction is not None:
-        return load_interaction(args.interaction, tol), z
+        zm = load_interaction(args.interaction)
+        return zm, z, ErrorModel.for_interaction(zm.strengths, z)
     if args.graph is None:
         raise _InputError("provide --interaction or --graph")
-    a = parse_graph(_read_text(args.graph), tol)
+    a = parse_graph(_read_text(args.graph))
     theta = load_phases(args.phases, a.shape[0])
-    _, p = _load_gauge(args.gauge, a, theta, z, tol)
-    return synthesis.interaction_from_cluster(a, theta, p, tol), z
+    _, p = _load_gauge(args.gauge, a, theta, z)
+    zm = synthesis.interaction_from_cluster(a, theta, p)
+    return zm, z, ErrorModel.for_cluster(a, zm.strengths, z)
 
 
 def cmd_decompose(args) -> int:
-    tol = _tolerances(args)
-    zm, z = _interaction_from_args(args, tol)
-    factors = blochmessiah.bloch_messiah(zm, z, tol)
-    pair = synthesis.bogoliubov_from_interaction(zm, z, tol)
-    x_rec, y_rec = factors.reconstruct()
-    checks = [
-        _check("blochmessiah_x", max_abs(x_rec - pair.X), tol.oracle),
-        _check("blochmessiah_y", max_abs(y_rec - pair.Y), tol.oracle),
-        _check(
-            "interferometer_identity",
-            max_abs(1j * factors.V @ factors.V.T - zm.U),
-            tol.rtol,
-        ),
-    ]
+    zm, z, model = _interaction_from_args(args)
+    factors = blochmessiah.bloch_messiah(zm, z)
+    pair = synthesis.bogoliubov_from_interaction(zm, z)
+    checks = model.with_reduction(factors).checks(_reduction_rows(zm, pair, factors))
     report = {
         "command": "decompose",
         "n": zm.n,
@@ -539,9 +477,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
     z = _z_list(args)[0]
-    bundle_checks: list[dict] = []
     if args.interaction is not None:
         bundle = _load_json(args.interaction)
         required = ("adjacency", "theta", "P", "z", "gauge")
@@ -550,37 +486,26 @@ def cmd_verify(args) -> int:
                 "verify needs a synthesize bundle with "
                 + ", ".join(required)
             )
-        a = adjacency_matrix(matrix_from_json(bundle["adjacency"]), tol)
+        a = adjacency_matrix(matrix_from_json(bundle["adjacency"]))
         theta = phase_vector(bundle["theta"], a.shape[0])
         p = matrix_from_json(bundle["P"])
         z = float(bundle["z"])
         gauge_name = str(bundle["gauge"])
-        checks, computed = deep_battery(a, theta, p, z, gauge_name, tol)
+        checks, computed = deep_battery(a, theta, p, z, gauge_name)
         zm, pair = computed["zm"], computed["pair"]
-        for key, fresh in (
-            ("Z", zm.Z),
-            ("U", zm.U),
-            ("X", pair.X),
-            ("Y", pair.Y),
-            ("C", computed["closed"].C),
-        ):
-            if key in bundle:
-                stored = matrix_from_json(bundle[key])
-                bundle_checks.append(
-                    _check(
-                        f"bundle_{key}_matches",
-                        max_abs(stored - fresh),
-                        tol.oracle * (1.0 + max_abs(fresh)),
-                    )
-                )
+        fresh = {"Z": zm.Z, "U": zm.U, "X": pair.X, "Y": pair.Y, "C": computed["closed"].C}
+        checks += computed["model"].checks(
+            (f"bundle_{key}_matches", max_abs(matrix_from_json(bundle[key]) - value))
+            for key, value in fresh.items()
+            if key in bundle
+        )
     else:
         if args.graph is None:
             raise _InputError("provide --interaction (bundle) or --graph")
-        a = parse_graph(_read_text(args.graph), tol)
+        a = parse_graph(_read_text(args.graph))
         theta = load_phases(args.phases, a.shape[0])
-        gauge_name, p = _load_gauge(args.gauge, a, theta, z, tol)
-        checks, _ = deep_battery(a, theta, p, z, gauge_name, tol)
-    checks += bundle_checks
+        gauge_name, p = _load_gauge(args.gauge, a, theta, z)
+        checks, _ = deep_battery(a, theta, p, z, gauge_name)
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
@@ -600,12 +525,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tol = _tolerances(args)
-    a = parse_graph(_read_text(args.graph), tol)
+    a = parse_graph(_read_text(args.graph))
     theta = load_phases(args.phases, a.shape[0])
     zs = _z_list(args)
     gauge_spec = args.gauge
-    rows = oracle.convergence_sweep(a, theta, _gauge_selector(gauge_spec), zs, tol)
+    rows = oracle.convergence_sweep(a, theta, _gauge_selector(gauge_spec), zs)
     if args.format == "json":
         report = {
             "command": "sweep",
@@ -641,7 +565,6 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt_default: str) -> None:
         default=fmt_default,
         help=f"output format (default {fmt_default})",
     )
-    sub.add_argument("--tol", type=float, default=None, help="override the algebraic tolerance")
     sub.add_argument(
         "--seed",
         type=int,

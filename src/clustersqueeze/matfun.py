@@ -10,7 +10,7 @@ eigenpairs the caller already holds.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,9 +111,19 @@ def polar_decompose_symmetric(
     return p, u
 
 
+class Grouping(NamedTuple):
+    """How a spectrum was split into degenerate groups, relative to its scale."""
+
+    gap: float  # smallest gap between groups: eigenvectors carry u / gap
+    spread: float  # widest group: treating it as degenerate is exact up to this
+
+    def merge(self, other: "Grouping") -> "Grouping":
+        return Grouping(min(self.gap, other.gap), max(self.spread, other.spread))
+
+
 def symmetric_unitary_angles(
     s, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Grouping]:
     """Joint real-orthogonal diagonalization of a symmetric unitary.
 
     For symmetric unitary S the real and imaginary parts commute, so a single
@@ -121,7 +131,8 @@ def symmetric_unitary_angles(
     diagonalized first; inside each degenerate eigenspace (gap below the
     degeneracy tolerance times ||S||) Im(S) is re-diagonalized, which fixes
     the exactly-degenerate cases produced by structured graphs.  Angles are
-    on the principal branch (-pi, pi], with -pi mapped to +pi.
+    on the principal branch (-pi, pi], with -pi mapped to +pi.  The
+    grouping of the spectrum of Re(S) is returned with them.
     """
     sm = as_complex_matrix(s)
     n = sm.shape[0]
@@ -136,8 +147,7 @@ def symmetric_unitary_angles(
     re = (sm.real + sm.real.T) / 2.0
     im = (sm.imag + sm.imag.T) / 2.0
     w, q = np.linalg.eigh(re)
-    gap = tol.degeneracy * max(1.0, float(np.linalg.norm(sm, 2)))
-    groups = spectrum_clusters(w, gap)
+    groups, grouping = spectrum_clusters(w, max(1.0, float(np.linalg.norm(sm, 2))), tol)
     for g in groups:
         if len(g) > 1:
             block = q[:, g].T @ im @ q[:, g]
@@ -146,29 +156,41 @@ def symmetric_unitary_angles(
     d = np.einsum("ij,ij->j", q, sm @ q)
     angles = np.angle(d)
     angles = np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles)
-    return q, angles
+    return q, angles, grouping
 
 
 def takagi_symmetric_unitary(
     s, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+) -> tuple[np.ndarray, Grouping]:
     """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
 
-    Built as R = Q e^{i L / 2} from :func:`symmetric_unitary_angles`; the
+    Built as R = Q e^{i L / 2} from :func:`symmetric_unitary_angles`, and
+    returned with the grouping of Re(S) that bounds its accuracy; the
     factorization is not unique, so callers must check it only through the
     residual ``R @ R.T - S``.
     """
-    q, angles = symmetric_unitary_angles(s, tol)
-    return q * np.exp(0.5j * angles)[None, :]
+    q, angles, grouping = symmetric_unitary_angles(s, tol)
+    return q * np.exp(0.5j * angles)[None, :], grouping
 
 
-def spectrum_clusters(values: Sequence[float], gap: float) -> list[list[int]]:
-    """Group indices of an ascending 1-D array into gap-separated clusters."""
+def spectrum_clusters(
+    values: Sequence[float], scale: float, tol: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[list[list[int]], Grouping]:
+    """Group indices of an ascending 1-D array into clusters.
+
+    Neighbours closer than the degeneracy tolerance times ``scale`` share a
+    cluster; the grouping is reported relative to ``scale``.
+    """
     groups: list[list[int]] = []
     start = 0
     n = len(values)
+    threshold = tol.degeneracy * scale
+    gap, spread = np.inf, 0.0
     for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > gap:
+        if i == n or values[i] - values[i - 1] > threshold:
             groups.append(list(range(start, i)))
+            spread = max(spread, float(values[i - 1] - values[start]))
+            if i < n:
+                gap = min(gap, float(values[i] - values[i - 1]))
             start = i
-    return groups
+    return groups, Grouping(gap / scale, spread / scale)

@@ -73,7 +73,7 @@ from .synthesis import (
     resolve_gauge,
     unitary_from_adjacency,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, ErrorModel, Tolerances
 
 
 class SweepPoint(NamedTuple):
@@ -183,8 +183,8 @@ def covariance_oracle(
     """Nullifier covariance from the exponentiated generator.
 
     For inputs where the structure factor of Z matches the cluster (A,
-    Theta), the result agrees with the closed form within the oracle
-    tolerance; otherwise the covariance does not decay with z.
+    Theta), the result agrees with the closed form within the budget of
+    :class:`ErrorModel`; otherwise the covariance does not decay with z.
     """
     a = adjacency_matrix(A, tol)
     if a.shape[0] != zm.n:
@@ -206,7 +206,8 @@ def convergence_sweep(
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
     gauge the max-entry norm decreases strictly in z.  The first and last
     rows are cross-checked against the brute-force path; disagreement
-    beyond the oracle tolerance raises :class:`OracleMismatch`.
+    beyond the budget of the battery's ``covariance_vs_oracle`` check
+    raises :class:`OracleMismatch`.
     """
     zs = [float(z) for z in z_values]
     if not zs:
@@ -230,7 +231,7 @@ def convergence_sweep(
         # Checked while this row's interaction is alive: no endpoint is kept.
         if z in (zs[0], zs[-1]):
             gap = max_abs(closed.C - covariance_oracle(a, th, zm, z, tol).C)
-            if gap > tol.oracle * (1.0 + closed.max_abs):
+            if gap > ErrorModel.for_cluster(a, zm.strengths, z).budget("covariance_vs_oracle"):
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "
                     f"{gap:.3e} at z = {z}"

@@ -232,9 +232,9 @@ def validate_gauge(A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeCh
     """
     a = adjacency_matrix(A, tol)
     th = phase_vector(theta, a.shape[0])
-    p = as_complex_matrix(P)
-    if p.shape[0] != a.shape[0]:
+    if np.shape(P) != a.shape:
         raise DimensionMismatch("gauge factor shape does not match the graph")
+    p = as_complex_matrix(P)
     eye = np.eye(a.shape[0])
     ph = np.exp(1j * th)
     test = (a + 1j * eye) @ (ph[:, None] * p * ph.conj()[None, :]) @ (a - 1j * eye)
@@ -357,7 +357,8 @@ def resolve_gauge(
     """Map a gauge selector to a concrete P.
 
     ``gauge`` is ``"identity"``, ``"faithful"`` or an explicit Hermitian
-    matrix; explicit matrices are validated where they are used.
+    matrix; explicit matrices are validated where they are used, starting
+    with their shape in :func:`validate_gauge`.
     """
     a = adjacency_matrix(A, tol)
     if isinstance(gauge, str):
@@ -366,4 +367,4 @@ def resolve_gauge(
         if gauge == "faithful":
             return gauge_faithful(a, theta, z, tol)
         raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
-    return as_complex_matrix(gauge)
+    return np.asarray(gauge, dtype=complex)

@@ -1,22 +1,31 @@
-"""Central tolerance configuration.
+"""Input thresholds and the error model that judges every check.
 
-Residual-style post-conditions throughout the library are checked against the
-fields of a single :class:`Tolerances` record so that matrix-exponential
-accuracy, algebraic identities and cross-path comparisons can be tuned
-independently but never drift apart between modules.
+The frozen :class:`Tolerances` record holds the thresholds that validate
+input and steer algorithms.  A check's verdict instead compares its residual
+with a budget c * u * N * magnitude (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002): u is the unit roundoff, N the mode count, the
+magnitude comes from numbers the request already holds (:class:`ErrorModel`),
+and c is 4 per rounded stage (a factorization, solve or N-term matrix
+product, each adding at most gamma_N ~ N u) between the inputs and the
+residual; the 4 covers complex arithmetic (sqrt(2) gamma_{N+2}, Lemma 3.5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
+
+#: Unit roundoff of IEEE double precision.
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
 class Tolerances:
     #: relative residual for algebraic identities (unitarity, symmetry, ...)
     rtol: float = 1e-9
-    #: max-entry agreement between the closed-form and brute-force covariance
-    oracle: float = 1e-8
     #: sigma_min / sigma_max below which a matrix counts as singular
     singular: float = 1e-10
     #: largest tolerated asymmetry of a raw adjacency input
@@ -40,9 +49,114 @@ class Tolerances:
     #: reject z * max(eig P) beyond this (cosh overflows double precision)
     z_cap: float = 30.0
 
-    def with_rtol(self, rtol: float) -> "Tolerances":
-        """Copy of the record with the algebraic tolerance replaced."""
-        return replace(self, rtol=float(rtol))
-
 
 DEFAULT_TOLERANCES = Tolerances()
+
+#: check name -> (magnitude, c); the rounded stages behind each c are
+#: counted for the faithful gauge, whose P takes three (A A, eigh, product).
+CHECKS = {
+    "gauge_condition": ("gauge", 20),  # P, two products
+    "interaction_symmetric": ("interaction", 20),  # P, U, P U
+    "polar_product": ("interaction", 4),  # P U again
+    "structure_unitary": ("structure", 8),  # solve, U U^dagger
+    "structure_symmetric": ("structure", 4),  # solve
+    "bogoliubov_unitary_defect": ("bogoliubov", 40),  # P, U, eigh, X, Y (2), two products
+    "bogoliubov_symmetry_defect": ("bogoliubov", 40),
+    "covariance_real": ("covariance", 28),  # P, eigh, e^{-zP}, E, E E^dagger
+    "covariance_factor": ("covariance", 32),  # and E E^dagger again
+    "covariance_psd": ("covariance", 32),  # and eigvalsh
+    "faithful_gauge_identity": ("covariance", 28),
+    "uniform_gauge_formula": ("covariance", 32),  # and A A
+    "self_inverse_value": ("covariance", 28),
+    "covariance_vs_oracle": ("oracle", 52),  # closed form, Z, expm (2), two products
+    "blochmessiah_x": ("reduction", 60),  # P, U, eigh, X/Y, balancing (2), Takagi (2), V, W (2), rebuild
+    "blochmessiah_y": ("reduction", 60),
+    "interferometer_identity": ("eigenvectors", 44),  # P, U, eigh, balancing, Takagi, V, V V^T
+    "cluster_condition": ("cluster", 48),  # as above, then two products with A
+    "squeezer_match": ("strength", 16),  # P, eigh
+    "bundle_Z_matches": ("interaction", 20),  # the stored result of the same stages
+    "bundle_U_matches": ("structure", 4),
+    "bundle_X_matches": ("blocks", 20),  # P, eigh, cosh(zP)
+    "bundle_Y_matches": ("blocks", 28),  # and U, sinh(zP) U
+    "bundle_C_matches": ("covariance", 28),
+}
+
+
+@dataclass(frozen=True)
+class ErrorModel:
+    """Magnitudes that scale the rounding error of one request's results.
+
+    ``kappa`` bounds how much the structure factor U amplifies rounding:
+    1 + ||A||_inf >= ||A + i||_2 when U is solved from a cluster, and the
+    condition number lambda_max / lambda_min of P when U comes from the
+    polar split of an interaction matrix.  ``gap`` and ``spread`` are the
+    grouping Bloch-Messiah resolved: its eigenvectors carry an error u / gap,
+    and a group treated as degenerate rebuilds X and Y only up to its spread.
+    """
+
+    n: int
+    z: float
+    lam_min: float
+    lam_max: float
+    kappa: float
+    gap: float = math.inf
+    spread: float = 0.0
+
+    @classmethod
+    def for_cluster(cls, a: np.ndarray, strengths, z: float) -> "ErrorModel":
+        a_norm = float(np.max(np.sum(np.abs(a), axis=1)))
+        return cls(a.shape[0], z, float(strengths[0]), float(strengths[-1]), 1.0 + a_norm)
+
+    @classmethod
+    def for_interaction(cls, strengths, z: float) -> "ErrorModel":
+        lo, hi = float(strengths[0]), float(strengths[-1])
+        return cls(len(strengths), z, lo, hi, hi / lo)
+
+    def with_reduction(self, factors) -> "ErrorModel":
+        """The model with the grouping of Bloch-Messiah ``factors``."""
+        return replace(self, gap=factors.gap, spread=factors.spread)
+
+    @cached_property
+    def magnitudes(self) -> dict[str, float]:
+        k, zl = self.kappa, self.z * self.lam_max
+        cosh = math.cosh(zl)
+        # Interferometer error in units of u N: u / gap from the resolved
+        # eigenvectors, and a degenerate group's spread, amplified by z for
+        # the strengths.
+        grouping = (1.0 + self.z * max(1.0, self.lam_max)) * self.spread
+        eigenvectors = k + 1.0 / self.gap + grouping / (UNIT_ROUNDOFF * self.n)
+        return {
+            "strength": self.lam_max,
+            "structure": k,
+            "interaction": k * self.lam_max,
+            # (A + i) P (A - i) against its largest entry, at least lambda_min
+            "gauge": k * k * self.lam_max / self.lam_min,
+            # X X^dagger and Y Y^dagger have entries up to cosh^2
+            "bogoliubov": k * cosh * cosh,
+            # X and Y; an error in P is amplified by z sinh
+            "blocks": (k + zl) * cosh,
+            # C = E E^dagger with ||E|| <= ||A + i|| e^{-z lambda_min}
+            "covariance": k * k * (1.0 + zl) * math.exp(-2.0 * self.z * self.lam_min),
+            # the oracle's M M^T: M, of size e^{-z lambda_min}, is formed from
+            # a flow of size e^{z lambda_max}; first and second order terms
+            "oracle": k * k * (
+                math.exp(self.z * (self.lam_max - self.lam_min))
+                + UNIT_ROUNDOFF * math.exp(2.0 * zl)
+            ),
+            "eigenvectors": eigenvectors,
+            "reduction": cosh * eigenvectors,
+            "cluster": k * eigenvectors,
+        }
+
+    def budget(self, name: str) -> float:
+        magnitude, c = CHECKS[name]
+        return c * UNIT_ROUNDOFF * self.n * self.magnitudes[magnitude]
+
+    def checks(self, rows) -> list[dict]:
+        """Report records of (name, residual) rows; ``tolerance`` is the budget."""
+        records = []
+        for name, residual in rows:
+            budget = self.budget(name)
+            records.append({"name": name, "residual": float(residual),
+                            "tolerance": budget, "passed": bool(residual <= budget)})
+        return records

@@ -166,7 +166,7 @@ def test_criterion_06_round_trip():
         beta = float(np.angle(np.linalg.eigvals(u)[0]))
         u_rot = np.exp(-2j * ((beta + np.pi / 2) / 2.0)) * u
         assert regularity_margin(u_rot, np.zeros(n)) < 1e-6
-        th = find_regular_phases(u_rot)
+        th, _ = find_regular_phases(u_rot)
         searches += 1
         back = adjacency_from_unitary(u_rot, th)
         rebuilt = unitary_from_adjacency(back, th)

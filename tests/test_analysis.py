@@ -68,34 +68,35 @@ class TestAdjacencyFromUnitary:
 
 class TestFindRegularPhases:
     def test_accepts_zero_immediately(self):
-        th = find_regular_phases(1j * np.eye(2))
+        th, margin = find_regular_phases(1j * np.eye(2))
         assert np.allclose(th, np.zeros(2))
-        assert regularity_margin(1j * np.eye(2), th) == pytest.approx(2.0)
+        assert margin == regularity_margin(1j * np.eye(2), th) == pytest.approx(2.0)
 
     def test_rejects_zero_when_singular(self):
         u = -1j * np.eye(1)
         assert regularity_margin(u, [0.0]) == pytest.approx(0.0, abs=1e-12)
-        th = find_regular_phases(u)
-        assert regularity_margin(u, th) >= 1e-6
+        th, margin = find_regular_phases(u)
+        assert margin == regularity_margin(u, th) >= 1e-6
 
     def test_epr_structure_factor_regular_at_zero(self):
         u = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        th = find_regular_phases(u)
+        th, _ = find_regular_phases(u)
         assert np.allclose(th, np.zeros(2))
         assert regularity_margin(u, th) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(52)
         u = random_symmetric_unitary(rng, 4)
-        assert np.array_equal(find_regular_phases(u, seed=7), find_regular_phases(u, seed=7))
+        (th1, margin1), (th2, margin2) = (find_regular_phases(u, seed=7) for _ in range(2))
+        assert np.array_equal(th1, th2) and margin1 == margin2
 
     def test_random_symmetric_unitaries_always_regularized(self):
         rng = np.random.default_rng(53)
         for _ in range(25):
             n = int(rng.integers(1, 8))
             u = random_symmetric_unitary(rng, n)
-            th = find_regular_phases(u)
-            assert regularity_margin(u, th) >= 1e-6
+            th, margin = find_regular_phases(u)
+            assert margin == regularity_margin(u, th) >= 1e-6
 
 
 class TestKMatrix:
@@ -235,7 +236,7 @@ class TestRotatedRoundTrip:
             shift = (beta + np.pi / 2) / 2.0
             u_rot = np.exp(-2j * shift) * u
             assert regularity_margin(u_rot, np.zeros(n)) < 1e-6
-            th = find_regular_phases(u_rot)
+            th, _ = find_regular_phases(u_rot)
             back = adjacency_from_unitary(u_rot, th)
             rebuilt = unitary_from_adjacency(back, th)
             assert np.max(np.abs(rebuilt - u_rot)) <= 1e-8

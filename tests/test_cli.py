@@ -397,6 +397,21 @@ class TestOneFactorizationPerRequest:
         assert code == EXIT_OK and len(out.splitlines()) == 4
         assert len(solves) == 1
 
+    def test_searching_analyze_reuses_the_search_margin(self, tmp_path, capsys, monkeypatch):
+        svds = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            svds.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(1))))
+        code, out, _ = run_cli(["analyze", "--interaction", path], capsys)
+        assert code == EXIT_OK and json.loads(out)["phase_search_used"] is True
+        # the input phases, two schedule candidates (zero, pi/16), the inverse
+        assert len(svds) == 4
+
     def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
@@ -453,13 +468,14 @@ class TestMalformedCustomGauge:
     @GAUGE_COMMANDS
     def test_wrong_size_exits_input(self, command, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
-        path = write(tmp_path, "p.json", json.dumps(matrix_to_json(np.eye(3))))
-        code, out, err = run_cli(
-            [*command, "--graph", graph, "--gauge", f"custom:{path}"], capsys
-        )
-        assert code == EXIT_INPUT
-        assert out == ""
-        assert "gauge factor shape does not match the graph" in err
+        for p in (np.eye(3), np.ones((2, 3))):
+            path = write(tmp_path, "p.json", json.dumps(matrix_to_json(p)))
+            code, out, err = run_cli(
+                [*command, "--graph", graph, "--gauge", f"custom:{path}"], capsys
+            )
+            assert code == EXIT_INPUT, p.shape
+            assert out == ""
+            assert "gauge factor shape does not match the graph" in err
 
 
 class TestUsage:
@@ -497,6 +513,16 @@ class TestUsage:
         bad = write(tmp_path, "bad.json", json.dumps(obj))
         code, _, err = run_cli(["verify", "--interaction", bad], capsys)
         assert code == 2 and "expected 2 phases, got 1" in err
+
+    def test_bundle_gauge_of_the_wrong_shape_exits_2(self, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = tmp_path / "b.json"
+        assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle)], capsys)[0] == 0
+        obj = json.loads(bundle.read_text(encoding="utf-8"))
+        obj["P"] = matrix_to_json(np.ones((2, 3)))
+        bad = write(tmp_path, "bad.json", json.dumps(obj))
+        code, _, err = run_cli(["verify", "--interaction", bad], capsys)
+        assert code == 2 and "gauge factor shape does not match the graph" in err
 
     def test_conflicting_scale_flags_exit_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)

@@ -1,9 +1,11 @@
 """Every public name has a user besides the tests."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import clustersqueeze
+from clustersqueeze.tolerances import Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,3 +50,15 @@ def test_no_test_only_public_names():
 
 def test_reference_implementations_are_public():
     assert set(REFERENCE_IMPLEMENTATIONS) <= set(clustersqueeze.__all__)
+
+
+def test_every_tolerance_is_read():
+    """A threshold whose uses all moved into the check table is not left behind."""
+    src = ROOT / "src" / "clustersqueeze"
+    texts = [f.read_text(encoding="utf-8") for f in src.glob("*.py") if f.name != "tolerances.py"]
+    unread = [
+        field.name
+        for field in dataclasses.fields(Tolerances)
+        if not any(re.search(rf"\b(tol|DEFAULT_TOLERANCES)\.{field.name}\b", text) for text in texts)
+    ]
+    assert unread == []
