@@ -40,7 +40,7 @@ from .synthesis import (
     covariance_closed_form,
     require_compatible_gauge,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 #: Seed of the pseudo-random tail of the phase-search schedule.
 DEFAULT_PHASE_SEED = 12345
@@ -73,9 +73,7 @@ def regularity_margin(U, theta) -> float:
     return float(np.linalg.svd(w + 1j * np.eye(u.shape[0]), compute_uv=False)[-1])
 
 
-def adjacency_from_unitary(
-    U, theta, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def adjacency_from_unitary(U, theta) -> np.ndarray:
     """Adjacency matrix of the cluster a symmetric unitary belongs to.
 
     Raises :class:`SingularPhasePoint` when the supplied phases leave the
@@ -89,14 +87,14 @@ def adjacency_from_unitary(
     eye = np.eye(u.shape[0])
     w = _rotated(u, th)
     sigma_min = float(np.linalg.svd(w + 1j * eye, compute_uv=False)[-1])
-    if sigma_min < tol.regular_min:
+    if sigma_min < DEFAULT_TOLERANCES.regular_min:
         raise SingularPhasePoint(
-            f"sigma_min = {sigma_min:.3e} below {tol.regular_min:.1e}; "
+            f"sigma_min = {sigma_min:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e}; "
             "these phases do not regularize the inverse"
         )
     a = -1j * np.linalg.solve(w + 1j * eye, w - 1j * eye)
     defect = realness_defect(a)
-    if defect > tol.realness * max(1.0, max_abs(a)):
+    if defect > DEFAULT_TOLERANCES.realness * max(1.0, max_abs(a)):
         raise NonRealResult(
             f"imaginary residual {defect:.3e}; input was not symmetric "
             "unitary to sufficient accuracy"
@@ -114,11 +112,7 @@ def _phase_schedule(n: int, seed: int) -> Iterator[np.ndarray]:
         yield rng.uniform(-np.pi, np.pi, n)
 
 
-def find_regular_phases(
-    U,
-    seed: int = DEFAULT_PHASE_SEED,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, float]:
+def find_regular_phases(U, seed: int = DEFAULT_PHASE_SEED) -> tuple[np.ndarray, float]:
     """First phase vector of the deterministic schedule that regularizes U.
 
     Accepts the first candidate with sigma_min above the acceptance
@@ -133,40 +127,40 @@ def find_regular_phases(
     best_margin = -1.0
     for candidate in _phase_schedule(n, seed):
         margin = regularity_margin(u, candidate)
-        if margin >= tol.phase_accept:
+        if margin >= DEFAULT_TOLERANCES.phase_accept:
             return phase_vector(candidate), margin
         if margin > best_margin:
             best_margin = margin
             best_theta = candidate
-    if best_theta is not None and best_margin >= tol.phase_floor:
+    if best_theta is not None and best_margin >= DEFAULT_TOLERANCES.phase_floor:
         return phase_vector(best_theta), best_margin
     raise SearchExhausted(
-        f"no candidate reached sigma_min {tol.phase_floor:.1e} "
+        f"no candidate reached sigma_min {DEFAULT_TOLERANCES.phase_floor:.1e} "
         f"(best {best_margin:.3e}); input is not a valid symmetric unitary"
     )
 
 
-def k_matrix_form(U, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def k_matrix_form(U, theta) -> np.ndarray:
     """Real symmetric angle matrix K with e^{i K} = e^{i Theta} U e^{i Theta}.
 
     Eigen-angles are on the principal branch (-pi, pi].
     """
     u = as_complex_matrix(U)
     th = phase_vector(theta, u.shape[0])
-    q, angles, _ = symmetric_unitary_angles(_rotated(u, th), tol)
+    q, angles = symmetric_unitary_angles(_rotated(u, th))
     return _spectral(q, angles)
 
 
-def adjacency_from_k(K, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def adjacency_from_k(K) -> np.ndarray:
     """Adjacency matrix -cos(K) (1 + sin(K))^{-1} of an angle matrix."""
     k = np.asarray(K, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("angle matrix must be square")
-    if symmetry_defect(k) > tol.rtol * max(1.0, max_abs(k)):
+    if symmetry_defect(k) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(k)):
         raise NotSymmetric("angle matrix must be real symmetric")
     w, q = np.linalg.eigh((k + k.T) / 2.0)
     denom = 1.0 + np.sin(w)
-    if float(np.min(np.abs(denom))) < tol.regular_min:
+    if float(np.min(np.abs(denom))) < DEFAULT_TOLERANCES.regular_min:
         raise SingularPhasePoint(
             "an eigen-angle of K sits at -pi/2, where the inverse relation "
             "is singular"
@@ -179,7 +173,6 @@ def analyze_interaction(
     theta=None,
     z: float = 1.0,
     seed: int = DEFAULT_PHASE_SEED,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ClusterRecovery:
     """Recover the cluster approximated by a squeezing interaction.
 
@@ -197,14 +190,14 @@ def analyze_interaction(
     if theta is not None:
         th = phase_vector(theta, zm.n)
         input_margin = regularity_margin(u, th)
-        if input_margin >= tol.phase_accept:
+        if input_margin >= DEFAULT_TOLERANCES.phase_accept:
             chosen, margin = th, input_margin
     if chosen is None:
-        chosen, margin = find_regular_phases(u, seed, tol)
-    a = adjacency_from_unitary(u, chosen, tol)
+        chosen, margin = find_regular_phases(u, seed)
+    a = adjacency_from_unitary(u, chosen)
     # P came with the interaction, not with the recovered cluster.
-    require_compatible_gauge(a, chosen, zm.P, tol)
-    report = covariance_closed_form(a, chosen, zm, z, tol)
+    require_compatible_gauge(a, chosen, zm.P)
+    report = covariance_closed_form(a, chosen, zm, z)
     return ClusterRecovery(
         theta=chosen,
         adjacency=a,

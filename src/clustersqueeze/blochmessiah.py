@@ -37,7 +37,7 @@ from .matfun import (
     takagi_symmetric_unitary,
 )
 from .synthesis import InteractionMatrix, check_squeeze_budget
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,7 @@ class BlochMessiahFactors:
         return x, y
 
 
-def bloch_messiah(
-    zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BlochMessiahFactors:
+def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
     """Reduce a squeezing transformation to squeezers plus interferometers.
 
     The balancing factorization is applied blockwise per degenerate group of
@@ -92,39 +90,51 @@ def bloch_messiah(
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
     w, v = zm.strengths, phase_fixed_columns(zm.modes)
-    check_squeeze_budget(float(w[-1]), z, tol)
+    check_squeeze_budget(float(w[-1]), z)
     n = zm.n
     balanced = -1j * v.conj().T @ zm.U @ v.conj()
     r = np.zeros((n, n), dtype=complex)
-    groups, grouping = spectrum_clusters(w, max(1.0, float(w[-1])), tol)
+    degeneracy = DEFAULT_TOLERANCES.degeneracy
+    scale = max(1.0, float(w[-1]))
+    groups = spectrum_clusters(w, degeneracy * scale)
+    gap, spread = _grouping(w, groups, scale)
     for group in groups:
         idx = np.ix_(group, group)
-        r[idx], block = takagi_symmetric_unitary(balanced[idx], tol)
-        grouping = grouping.merge(block)
+        r[idx] = takagi_symmetric_unitary(balanced[idx])
+        # The block's Re(S) has eigenvalues cos L, and R R^T = Q e^{i L} Q^T
+        # with Q real, so each column of R squares to e^{i L}.
+        cos = np.sort(np.sum(r[idx] * r[idx], axis=0).real)
+        block_gap, block_spread = _grouping(cos, spectrum_clusters(cos, degeneracy), 1.0)
+        gap, spread = min(gap, block_gap), max(spread, block_spread)
     v_factor = v @ r
     w_factor = -1j * zm.U @ v.conj() @ r.conj()
     return BlochMessiahFactors(
-        V=v_factor, W=w_factor, D=w, R=r, T=v.conj().T, z=float(z),
-        gap=grouping.gap, spread=grouping.spread,
+        V=v_factor, W=w_factor, D=w, R=r, T=v.conj().T, z=float(z), gap=gap, spread=spread
     )
 
 
-def canonical_cluster_interferometer(
-    A, theta, O, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def _grouping(values, groups, scale: float) -> tuple[float, float]:
+    """Smallest gap between and widest spread within ``groups`` of ascending
+    ``values``, relative to ``scale``."""
+    gaps = [values[g[0]] - values[g[0] - 1] for g in groups[1:]]
+    spread = max(values[g[-1]] - values[g[0]] for g in groups)
+    return float(min(gaps, default=math.inf)) / scale, float(spread) / scale
+
+
+def canonical_cluster_interferometer(A, theta, O) -> np.ndarray:
     """Interferometer V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O.
 
     O is a free real orthogonal seed; every choice yields a unitary V
     satisfying the cluster condition for (A, Theta).
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     o = np.asarray(O, dtype=float)
-    if np.iscomplexobj(O) and max_abs(np.asarray(O).imag) > tol.orthogonal:
+    if np.iscomplexobj(O) and max_abs(np.asarray(O).imag) > DEFAULT_TOLERANCES.orthogonal:
         raise NotOrthogonal("seed must be a real matrix")
     if o.shape != a.shape:
         raise ValueError("seed shape does not match the graph")
-    if max_abs(o @ o.T - np.eye(a.shape[0])) > tol.orthogonal:
+    if max_abs(o @ o.T - np.eye(a.shape[0])) > DEFAULT_TOLERANCES.orthogonal:
         raise NotOrthogonal(
             f"seed orthogonality defect {max_abs(o @ o.T - np.eye(a.shape[0])):.3e}"
         )
@@ -134,13 +144,13 @@ def canonical_cluster_interferometer(
     return np.exp(-1j * th)[:, None] * ((eye + 1j * a) @ inv_root @ o)
 
 
-def cluster_condition_residual(V, A, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def cluster_condition_residual(V, A, theta) -> float:
     """Max-entry modulus of (A + i 1) e^{i Theta} V + (A - i 1) e^{-i Theta} V*.
 
     Zero exactly when V is an interferometer generating the cluster (A,
     Theta); equivalently V_i = A V_r for e^{i Theta} V = V_r + i V_i.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     v = as_complex_matrix(V)
     if v.shape != a.shape:

@@ -168,24 +168,21 @@ def core_battery(A, theta, P, z, gauge_name: str) -> tuple[list[dict], dict]:
     the checks were judged by.
     """
     a = adjacency_matrix(A)
-    n = a.shape[0]
-    eye = np.eye(n)
-    gauge = synthesis.require_compatible_gauge(a, theta, P)
+    eye = np.eye(a.shape[0])
     u = synthesis.unitary_from_adjacency(a, theta)
-    zm = synthesis.InteractionMatrix.from_factors(P, u)
+    zm, gauge = synthesis.checked_interaction(a, theta, P, u)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     closed = synthesis.covariance_closed_form(a, theta, zm, z)
     brute = oracle.covariance_oracle(a, theta, zm, z)
     spectrum = synthesis.squeezer_spectrum(zm, z)
-    model = ErrorModel.for_cluster(a, zm.strengths, z)
+    model = ErrorModel.for_cluster(a, zm, z, gauge.scale)
 
-    z_scale = max(1.0, max_abs(zm.Z))
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)
     rows = [
         ("gauge_condition", gauge.residual),
-        ("interaction_symmetric", symmetry_defect(zm.Z) / z_scale),
-        ("polar_product", max_abs(zm.P @ zm.U - zm.Z) / z_scale),
+        ("interaction_symmetric", zm.asymmetry),
+        ("polar_product", max_abs(zm.P @ zm.U - zm.Z) / max(1.0, max_abs(zm.Z))),
         ("structure_unitary", unitarity_defect(zm.U)),
         ("structure_symmetric", symmetry_defect(zm.U)),
         ("bogoliubov_unitary_defect", defect_one),
@@ -441,7 +438,7 @@ def _interaction_from_args(args):
     theta = load_phases(args.phases, a.shape[0])
     _, p = _load_gauge(args.gauge, a, theta, z)
     zm = synthesis.interaction_from_cluster(a, theta, p)
-    return zm, z, ErrorModel.for_cluster(a, zm.strengths, z)
+    return zm, z, ErrorModel.for_cluster(a, zm, z)
 
 
 def cmd_decompose(args) -> int:

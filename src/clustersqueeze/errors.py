@@ -43,7 +43,7 @@ class DimensionMismatch(ClusterSqueezeError):
     pass
 
 
-class GaugeIncompatible(ClusterSqueezeError):
+class GaugeIncompatible(NotSymmetric):
     """The positive-definite gauge factor does not satisfy the reality
     condition, so the resulting interaction matrix would not be symmetric."""
 

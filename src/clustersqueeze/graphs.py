@@ -34,10 +34,10 @@ from .errors import (
     NotSymmetric,
     ParseError,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 
-def adjacency_matrix(values, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def adjacency_matrix(values) -> np.ndarray:
     """Validate and exactly symmetrize a real weighted adjacency matrix.
 
     Input asymmetry beyond the input tolerance is an error; below it the
@@ -50,7 +50,7 @@ def adjacency_matrix(values, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray
     if not np.all(np.isfinite(a)):
         raise ValueError("adjacency weights must be finite")
     defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if defect > tol.input_asymmetry * max(1.0, float(np.max(np.abs(a)))):
+    if defect > DEFAULT_TOLERANCES.input_asymmetry * max(1.0, float(np.max(np.abs(a)))):
         raise NotSymmetric(f"input asymmetry {defect:.3e} exceeds tolerance")
     return (a + a.T) / 2.0
 
@@ -70,7 +70,7 @@ def phase_vector(values, n: int | None = None) -> np.ndarray:
     return np.where(reduced == -np.pi, np.pi, reduced)
 
 
-def nullifier_map(A, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def nullifier_map(A, theta) -> np.ndarray:
     """N x 2N coefficient matrix of the nullifiers.
 
     Acting on the stacked mode-operator vector (b, b^dagger), row j gives the
@@ -78,7 +78,7 @@ def nullifier_map(A, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     state approximates the ideal cluster.  The left block is
     ``-(A + i 1) e^{i Theta}`` and the right block its entrywise conjugate.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     eye = np.eye(a.shape[0])
     phases = np.exp(1j * th)
@@ -95,7 +95,7 @@ _COMMENT_LINE = re.compile(r"\n[ \t]*#[^\n]*")
 _EDGE = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
-def parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def parse_graph(text: str) -> np.ndarray:
     """Parse the graph file format into a symmetric adjacency matrix.
 
     The edge lines are parsed in bulk; on any failure the per-line loop
@@ -103,7 +103,7 @@ def parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """
     plain = text.replace("\r\n", "\n")
     if any(c in plain for c in _LINE_BREAKS):
-        return _parse_lines(text, tol)
+        return _parse_lines(text)
     if "#" in plain:
         plain = _COMMENT_LINE.sub("", "\n" + plain)
     head, _, body = plain.lstrip(" \t\n").partition("\n")
@@ -113,9 +113,9 @@ def parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
             warnings.simplefilter("error")  # e.g. an edge list with no edges
             edges = np.loadtxt(io.StringIO(body), dtype=_EDGE, comments=None, ndmin=1)
     except (ValueError, Warning):
-        return _parse_lines(text, tol)
+        return _parse_lines(text)
     if n <= 0:
-        return _parse_lines(text, tol)
+        return _parse_lines(text)
     a = np.zeros((n, n))  # an n too large to allocate fails here as in the loop
     i, j, w = edges["i"], edges["j"], edges["w"]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -126,12 +126,12 @@ def parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
         and hi.max() < n
         and (keys[1:] != keys[:-1]).all()
     ):
-        return _parse_lines(text, tol)
+        return _parse_lines(text)
     a[i, j] = a[j, i] = w
-    return adjacency_matrix(a, tol)
+    return adjacency_matrix(a)
 
 
-def _parse_lines(text: str, tol: Tolerances) -> np.ndarray:
+def _parse_lines(text: str) -> np.ndarray:
     """Line-by-line reader: the reference semantics and the error messages."""
     n: int | None = None
     a: np.ndarray | None = None
@@ -186,16 +186,16 @@ def _parse_lines(text: str, tol: Tolerances) -> np.ndarray:
         a[j, i] = w
     if n is None:
         raise ParseError("empty graph file: missing mode count")
-    return adjacency_matrix(a, tol)
+    return adjacency_matrix(a)
 
 
-def format_graph(A, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
+def format_graph(A) -> str:
     """Serialize an adjacency matrix to the graph file format.
 
     Weights use the shortest representation that round-trips a double, so
     parse(format(A)) reproduces A exactly.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     rows, cols = np.nonzero(np.triu(a))
     lines = [str(a.shape[0])] + [
         f"{i} {j} {w!r}"

@@ -10,12 +10,12 @@ eigenpairs the caller already holds.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NotSymmetric, NotUnitary, SingularInput
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES
 
 
 def as_complex_matrix(values) -> np.ndarray:
@@ -77,9 +77,7 @@ def phase_fixed_columns(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def polar_decompose_symmetric(
-    z, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition Z = P U of a complex symmetric matrix.
 
     P = (Z Z^dagger)^(1/2) is Hermitian positive definite and U is unitary.
@@ -93,17 +91,17 @@ def polar_decompose_symmetric(
     """
     zm = as_complex_matrix(z)
     scale = max(1.0, max_abs(zm))
-    if symmetry_defect(zm) > tol.rtol * scale:
+    if symmetry_defect(zm) > DEFAULT_TOLERANCES.rtol * scale:
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(zm):.3e} exceeds tolerance"
         )
     gram = zm @ zm.conj().T
     w, q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     sigma = np.sqrt(np.clip(w, 0.0, None))
-    if sigma[-1] == 0.0 or sigma[0] < tol.singular * sigma[-1]:
+    if sigma[-1] == 0.0 or sigma[0] < DEFAULT_TOLERANCES.singular * sigma[-1]:
         raise SingularInput(
             f"sigma_min/sigma_max = {sigma[0]:.3e}/{sigma[-1]:.3e} below "
-            f"threshold {tol.singular:.1e}"
+            f"threshold {DEFAULT_TOLERANCES.singular:.1e}"
         )
     p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
@@ -111,19 +109,7 @@ def polar_decompose_symmetric(
     return p, u
 
 
-class Grouping(NamedTuple):
-    """How a spectrum was split into degenerate groups, relative to its scale."""
-
-    gap: float  # smallest gap between groups: eigenvectors carry u / gap
-    spread: float  # widest group: treating it as degenerate is exact up to this
-
-    def merge(self, other: "Grouping") -> "Grouping":
-        return Grouping(min(self.gap, other.gap), max(self.spread, other.spread))
-
-
-def symmetric_unitary_angles(
-    s, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray, Grouping]:
+def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
     """Joint real-orthogonal diagonalization of a symmetric unitary.
 
     For symmetric unitary S the real and imaginary parts commute, so a single
@@ -131,23 +117,23 @@ def symmetric_unitary_angles(
     diagonalized first; inside each degenerate eigenspace (gap below the
     degeneracy tolerance times ||S||) Im(S) is re-diagonalized, which fixes
     the exactly-degenerate cases produced by structured graphs.  Angles are
-    on the principal branch (-pi, pi], with -pi mapped to +pi.  The
-    grouping of the spectrum of Re(S) is returned with them.
+    on the principal branch (-pi, pi], with -pi mapped to +pi.
     """
     sm = as_complex_matrix(s)
     n = sm.shape[0]
-    if unitarity_defect(sm) > tol.rtol * n:
+    if unitarity_defect(sm) > DEFAULT_TOLERANCES.rtol * n:
         raise NotUnitary(
             f"unitarity defect {unitarity_defect(sm):.3e} exceeds tolerance"
         )
-    if symmetry_defect(sm) > tol.rtol * max(1.0, max_abs(sm)):
+    if symmetry_defect(sm) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
         )
     re = (sm.real + sm.real.T) / 2.0
     im = (sm.imag + sm.imag.T) / 2.0
     w, q = np.linalg.eigh(re)
-    groups, grouping = spectrum_clusters(w, max(1.0, float(np.linalg.norm(sm, 2))), tol)
+    gap = DEFAULT_TOLERANCES.degeneracy * max(1.0, float(np.linalg.norm(sm, 2)))
+    groups = spectrum_clusters(w, gap)
     for g in groups:
         if len(g) > 1:
             block = q[:, g].T @ im @ q[:, g]
@@ -156,41 +142,27 @@ def symmetric_unitary_angles(
     d = np.einsum("ij,ij->j", q, sm @ q)
     angles = np.angle(d)
     angles = np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles)
-    return q, angles, grouping
+    return q, angles
 
 
-def takagi_symmetric_unitary(
-    s, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, Grouping]:
+def takagi_symmetric_unitary(s) -> np.ndarray:
     """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
 
-    Built as R = Q e^{i L / 2} from :func:`symmetric_unitary_angles`, and
-    returned with the grouping of Re(S) that bounds its accuracy; the
+    Built as R = Q e^{i L / 2} from :func:`symmetric_unitary_angles`; the
     factorization is not unique, so callers must check it only through the
     residual ``R @ R.T - S``.
     """
-    q, angles, grouping = symmetric_unitary_angles(s, tol)
-    return q * np.exp(0.5j * angles)[None, :], grouping
+    q, angles = symmetric_unitary_angles(s)
+    return q * np.exp(0.5j * angles)[None, :]
 
 
-def spectrum_clusters(
-    values: Sequence[float], scale: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[list[list[int]], Grouping]:
-    """Group indices of an ascending 1-D array into clusters.
-
-    Neighbours closer than the degeneracy tolerance times ``scale`` share a
-    cluster; the grouping is reported relative to ``scale``.
-    """
+def spectrum_clusters(values: Sequence[float], gap: float) -> list[list[int]]:
+    """Group indices of an ascending 1-D array into gap-separated clusters."""
     groups: list[list[int]] = []
     start = 0
     n = len(values)
-    threshold = tol.degeneracy * scale
-    gap, spread = np.inf, 0.0
     for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > threshold:
+        if i == n or values[i] - values[i - 1] > gap:
             groups.append(list(range(start, i)))
-            spread = max(spread, float(values[i - 1] - values[start]))
-            if i < n:
-                gap = min(gap, float(values[i] - values[i - 1]))
             start = i
-    return groups, Grouping(gap / scale, spread / scale)
+    return groups

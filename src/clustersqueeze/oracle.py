@@ -68,12 +68,12 @@ from .synthesis import (
     CovarianceReport,
     InteractionMatrix,
     check_squeeze_budget,
+    checked_interaction,
     covariance_closed_form,
-    require_compatible_gauge,
     resolve_gauge,
     unitary_from_adjacency,
 )
-from .tolerances import DEFAULT_TOLERANCES, ErrorModel, Tolerances
+from .tolerances import ErrorModel
 
 
 class SweepPoint(NamedTuple):
@@ -104,24 +104,20 @@ def quadrature_generator(Z, z: float) -> np.ndarray:
     return np.block([[im, -re], [-re, -im]])
 
 
-def quadrature_flow(
-    zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def quadrature_flow(zm: InteractionMatrix, z: float) -> np.ndarray:
     """Real symplectic 2N x 2N flow S = exp(K) by scaling and squaring."""
     strengths = np.linalg.eigvalsh((zm.P + zm.P.conj().T) / 2.0)
-    check_squeeze_budget(float(strengths[-1]), z, tol)
+    check_squeeze_budget(float(strengths[-1]), z)
     return expm(quadrature_generator(zm.Z, z))
 
 
-def bogoliubov_oracle(
-    zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BogoliubovPair:
+def bogoliubov_oracle(zm: InteractionMatrix, z: float) -> BogoliubovPair:
     """Bogoliubov blocks read off the real flow S = exp(K).
 
     The lower block row of B is the entrywise conjugate of the upper one,
     so (X, Y) carry the whole matrix.
     """
-    s = quadrature_flow(zm, z, tol)
+    s = quadrature_flow(zm, z)
     n = zm.n
     sxx, sxp = s[:n, :n], s[:n, n:]
     spx, spp = s[n:, :n], s[n:, n:]
@@ -131,17 +127,15 @@ def bogoliubov_oracle(
     )
 
 
-def _covariance_from_flow(
-    A, theta, s: np.ndarray, tol: Tolerances
-) -> CovarianceReport:
-    a = adjacency_matrix(A, tol)
+def _covariance_from_flow(A, theta, s: np.ndarray) -> CovarianceReport:
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     n = a.shape[0]
     if s.shape != (2 * n, 2 * n):
         raise DimensionMismatch(
             f"Bogoliubov matrix shape {s.shape} does not match {n} modes"
         )
-    left = nullifier_map(a, th, tol)[:, :n]
+    left = nullifier_map(a, th)[:, :n]
     m = np.hstack([left.real, -left.imag]) @ s
     # Computed exactly as written; symmetrization happens only in reporting
     # and the discarded asymmetry is recorded as a residual.
@@ -158,9 +152,7 @@ def _covariance_from_flow(
     )
 
 
-def covariance_from_pair(
-    A, theta, pair: BogoliubovPair, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CovarianceReport:
+def covariance_from_pair(A, theta, pair: BogoliubovPair) -> CovarianceReport:
     """Covariance of the nullifiers under an explicit Bogoliubov pair.
 
     The pair is taken as given, without validating the commutation
@@ -174,33 +166,25 @@ def covariance_from_pair(
     s = np.block(
         [[(x + y).real, (y - x).imag], [(x + y).imag, (x - y).real]]
     )
-    return _covariance_from_flow(A, theta, s, tol)
+    return _covariance_from_flow(A, theta, s)
 
 
-def covariance_oracle(
-    A, theta, zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CovarianceReport:
+def covariance_oracle(A, theta, zm: InteractionMatrix, z: float) -> CovarianceReport:
     """Nullifier covariance from the exponentiated generator.
 
     For inputs where the structure factor of Z matches the cluster (A,
     Theta), the result agrees with the closed form within the budget of
     :class:`ErrorModel`; otherwise the covariance does not decay with z.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     if a.shape[0] != zm.n:
         raise DimensionMismatch(
             f"graph has {a.shape[0]} modes, interaction has {zm.n}"
         )
-    return _covariance_from_flow(a, theta, quadrature_flow(zm, z, tol), tol)
+    return _covariance_from_flow(a, theta, quadrature_flow(zm, z))
 
 
-def convergence_sweep(
-    A,
-    theta,
-    gauge,
-    z_values: Sequence[float],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> list[SweepPoint]:
+def convergence_sweep(A, theta, gauge, z_values: Sequence[float]) -> list[SweepPoint]:
     """Closed-form covariance norms over an ascending list of scales.
 
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
@@ -216,22 +200,21 @@ def convergence_sweep(
         raise ValueError("z values must be positive and finite")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
-    u = unitary_from_adjacency(a, th, tol)  # depends on the cluster alone
+    u = unitary_from_adjacency(a, th)  # depends on the cluster alone
     rows = []
     for z in zs:
-        p = resolve_gauge(gauge, a, th, z, tol)
-        require_compatible_gauge(a, th, p, tol)
-        zm = InteractionMatrix.from_factors(p, u, tol)
-        closed = covariance_closed_form(a, th, zm, z, tol)
+        p = resolve_gauge(gauge, a, th, z)
+        zm, _ = checked_interaction(a, th, p, u)
+        closed = covariance_closed_form(a, th, zm, z)
         rows.append(
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
         # Checked while this row's interaction is alive: no endpoint is kept.
         if z in (zs[0], zs[-1]):
-            gap = max_abs(closed.C - covariance_oracle(a, th, zm, z, tol).C)
-            if gap > ErrorModel.for_cluster(a, zm.strengths, z).budget("covariance_vs_oracle"):
+            gap = max_abs(closed.C - covariance_oracle(a, th, zm, z).C)
+            if gap > ErrorModel.for_cluster(a, zm, z).budget("covariance_vs_oracle"):
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "
                     f"{gap:.3e} at z = {z}"

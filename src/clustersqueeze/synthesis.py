@@ -47,7 +47,7 @@ from .matfun import (
     symmetry_defect,
     unitarity_defect,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,21 @@ class InteractionMatrix:
     def n(self) -> int:
         return self.Z.shape[0]
 
+    @property
+    def asymmetry(self) -> float:
+        """Relative asymmetry of Z; zero exactly when the gauge is compatible."""
+        return symmetry_defect(self.Z) / max(1.0, max_abs(self.Z))
+
     @classmethod
-    def from_matrix(cls, Z, tol: Tolerances = DEFAULT_TOLERANCES) -> "InteractionMatrix":
+    def from_matrix(cls, Z) -> "InteractionMatrix":
         """Polar-decompose a complex symmetric non-singular matrix."""
         zm = as_complex_matrix(Z)
-        p, u = polar_decompose_symmetric(zm, tol)
+        p, u = polar_decompose_symmetric(zm)
         w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
         return cls(Z=zm, P=p, U=u, strengths=w, modes=q)
 
     @classmethod
-    def from_factors(cls, P, U, tol: Tolerances = DEFAULT_TOLERANCES) -> "InteractionMatrix":
+    def from_factors(cls, P, U) -> "InteractionMatrix":
         """Assemble Z = P U, checking both factors.
 
         This is the one place that checks the gauge factor on its own: P
@@ -89,29 +94,30 @@ class InteractionMatrix:
         and not numerically singular (else :class:`NotPositiveDefinite`: a
         nearly singular P is a rejected gauge like an indefinite one), read
         off the same ``eigh`` that gives ``strengths`` and ``modes``.  U
-        must be symmetric unitary and P U symmetric.  The reality condition
-        tying P to a cluster is :func:`validate_gauge`'s.
+        must be symmetric unitary and P U symmetric (else
+        :class:`GaugeIncompatible`).  The reality condition tying P to a
+        cluster is :func:`validate_gauge`'s.
         """
         p = as_complex_matrix(P)
         u = as_complex_matrix(U)
         if p.shape != u.shape:
             raise ValueError("factor shapes differ")
-        if hermiticity_defect(p) > tol.rtol * max(1.0, max_abs(p)):
+        if hermiticity_defect(p) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(p)):
             raise NotHermitian("gauge factor is not Hermitian")
         w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
-        if w[0] <= tol.positive * max(1.0, w[-1]):
+        if w[0] <= DEFAULT_TOLERANCES.positive * max(1.0, w[-1]):
             raise NotPositiveDefinite(
                 f"gauge factor has min eigenvalue {w[0]:.3e}"
             )
-        if w[0] < tol.singular * w[-1]:
+        if w[0] < DEFAULT_TOLERANCES.singular * w[-1]:
             raise NotPositiveDefinite("gauge factor is numerically singular")
-        if unitarity_defect(u) > tol.rtol * u.shape[0]:
+        if unitarity_defect(u) > DEFAULT_TOLERANCES.rtol * u.shape[0]:
             raise NotUnitary("structure factor is not unitary")
-        if symmetry_defect(u) > tol.rtol * max(1.0, max_abs(u)):
+        if symmetry_defect(u) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(u)):
             raise NotSymmetric("structure factor is not symmetric")
         z = p @ u
-        if symmetry_defect(z) > tol.interaction_symmetry * max(1.0, max_abs(z)):
-            raise NotSymmetric(
+        if symmetry_defect(z) > DEFAULT_TOLERANCES.interaction_symmetry * max(1.0, max_abs(z)):
+            raise GaugeIncompatible(
                 "P U is not symmetric; the factors are not gauge-compatible"
             )
         return cls(Z=z, P=p, U=u, strengths=w, modes=q)
@@ -168,6 +174,7 @@ class CovarianceReport:
 class GaugeCheck(NamedTuple):
     ok: bool
     residual: float
+    scale: float  # largest entry of the test matrix, which residual is relative to
 
 
 class SqueezerMode(NamedTuple):
@@ -179,13 +186,13 @@ class SqueezerMode(NamedTuple):
     decibels: float      # 20 z strength / ln 10
 
 
-def unitary_from_adjacency(A, theta, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def unitary_from_adjacency(A, theta) -> np.ndarray:
     """Symmetric unitary structure factor of a cluster.
 
     (A + i 1) is invertible for every real symmetric A, so this is defined
     for all inputs of the right shape.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     eye = np.eye(a.shape[0])
     m = np.linalg.solve(a + 1j * eye, a - 1j * eye)
@@ -201,7 +208,7 @@ def gauge_identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def gauge_faithful(A, theta, z: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def gauge_faithful(A, theta, z: float) -> np.ndarray:
     """Gauge factor that makes the nullifier covariance exactly e^{-2z} 1.
 
     P = 1 + e^{-i Theta} ln(A^2 + 1) e^{i Theta} / (2 z); Hermitian with
@@ -209,7 +216,7 @@ def gauge_faithful(A, theta, z: float, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     eye = np.eye(a.shape[0])
     w, q = np.linalg.eigh(a @ a + eye)
@@ -219,7 +226,7 @@ def gauge_faithful(A, theta, z: float, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     return (p + p.conj().T) / 2.0
 
 
-def validate_gauge(A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeCheck:
+def validate_gauge(A, theta, P) -> GaugeCheck:
     """Check the reality condition tying a gauge factor to a cluster.
 
     P is compatible exactly when (A + i 1) e^{i Theta} P e^{-i Theta}
@@ -230,7 +237,7 @@ def validate_gauge(A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeCh
     :meth:`InteractionMatrix.from_factors` on the one eigendecomposition of
     P the plan keeps.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     if np.shape(P) != a.shape:
         raise DimensionMismatch("gauge factor shape does not match the graph")
@@ -241,44 +248,60 @@ def validate_gauge(A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES) -> GaugeCh
     scale = max_abs(test)
     # The test matrix vanishes only for P = 0, which is real.
     residual = max_abs(test.imag) / scale if scale else 0.0
-    return GaugeCheck(ok=bool(residual <= tol.rtol), residual=float(residual))
+    return GaugeCheck(
+        ok=bool(residual <= DEFAULT_TOLERANCES.rtol), residual=float(residual), scale=scale
+    )
 
 
-def require_compatible_gauge(
-    A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES
-) -> GaugeCheck:
+def require_compatible_gauge(A, theta, P) -> GaugeCheck:
     """:func:`validate_gauge`, raising :class:`GaugeIncompatible` on failure."""
-    check = validate_gauge(A, theta, P, tol)
+    check = validate_gauge(A, theta, P)
     if not check.ok:
         raise GaugeIncompatible(
-            f"gauge reality residual {check.residual:.3e} exceeds {tol.rtol:.1e}"
+            f"gauge reality residual {check.residual:.3e} exceeds {DEFAULT_TOLERANCES.rtol:.1e}"
         )
     return check
 
 
-def interaction_from_cluster(
-    A, theta, P, tol: Tolerances = DEFAULT_TOLERANCES
-) -> InteractionMatrix:
+def checked_interaction(a, theta, P, u) -> tuple[InteractionMatrix, GaugeCheck]:
+    """Plan Z = P U of the cluster (a, theta) with structure factor ``u``,
+    and the check of its gauge.
+
+    A reality residual above the input threshold is rejected before P is
+    factorized.  Then P must be compatible to within one rounded stage: the
+    ``gauge_condition`` and ``interaction_symmetric`` residuals must stay
+    within their :class:`ErrorModel` budgets, else :class:`GaugeIncompatible`.
+    So every accepted gauge passes those checks, and the rows built on P see
+    no incompatibility beyond the rounding they budget for.
+    """
+    check = require_compatible_gauge(a, theta, P)
+    zm = InteractionMatrix.from_factors(P, u)
+    model = ErrorModel.for_cluster(a, zm, 0.0, check.scale)  # budgets free of z
+    for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
+        if residual > model.budget(name):
+            raise GaugeIncompatible(
+                f"{name} residual {residual:.3e} exceeds its budget "
+                f"{model.budget(name):.1e}: P is compatible only above rounding"
+            )
+    return zm, check
+
+
+def interaction_from_cluster(A, theta, P) -> InteractionMatrix:
     """Interaction matrix Z = P U for a cluster and a compatible gauge."""
-    require_compatible_gauge(A, theta, P, tol)
-    u = unitary_from_adjacency(A, theta, tol)
-    return InteractionMatrix.from_factors(P, u, tol)
+    a = adjacency_matrix(A)
+    return checked_interaction(a, theta, P, unitary_from_adjacency(a, theta))[0]
 
 
-def check_squeeze_budget(
-    strength_max: float, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> None:
+def check_squeeze_budget(strength_max: float, z: float) -> None:
     """Reject z * lambda_max beyond the double-precision cosh budget."""
-    if z * strength_max > tol.z_cap:
+    if z * strength_max > DEFAULT_TOLERANCES.z_cap:
         raise DomainError(
             f"z * max squeezer strength = {z * strength_max:.2f} exceeds "
-            f"{tol.z_cap:.0f}; cosh would exhaust double precision"
+            f"{DEFAULT_TOLERANCES.z_cap:.0f}; cosh would exhaust double precision"
         )
 
 
-def bogoliubov_from_interaction(
-    zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BogoliubovPair:
+def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPair:
     """Bogoliubov blocks of the squeezing transformation at scale z >= 0.
 
     z = 0 is the identity transformation (X = 1, Y = 0) and is accepted as a
@@ -287,14 +310,14 @@ def bogoliubov_from_interaction(
     if not (np.isfinite(z) and z >= 0):
         raise ValueError("squeezing scale z must be non-negative and finite")
     w, q = zm.strengths, zm.modes
-    check_squeeze_budget(float(w[-1]), z, tol)
+    check_squeeze_budget(float(w[-1]), z)
     x = _spectral(q, np.cosh(z * w))
     y = -1j * _spectral(q, np.sinh(z * w)) @ zm.U
     return BogoliubovPair(X=x, Y=y)
 
 
 def covariance_closed_form(
-    A, theta, zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
+    A, theta, zm: InteractionMatrix, z: float
 ) -> CovarianceReport:
     """Closed-form nullifier covariance of the synthesized state.
 
@@ -307,7 +330,7 @@ def covariance_closed_form(
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
     if a.shape[0] != zm.n:
         raise DimensionMismatch(
@@ -327,9 +350,7 @@ def covariance_closed_form(
     )
 
 
-def squeezer_spectrum(
-    zm: InteractionMatrix, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[SqueezerMode]:
+def squeezer_spectrum(zm: InteractionMatrix, z: float) -> list[SqueezerMode]:
     """Per-mode squeezing recipe: eigenvalues of P with gains and decibels.
 
     The eigenvalues of P (singular values of Z) fix the strengths of the
@@ -339,7 +360,7 @@ def squeezer_spectrum(
     if not (np.isfinite(z) and z >= 0):
         raise ValueError("squeezing scale z must be non-negative and finite")
     w = zm.strengths
-    check_squeeze_budget(float(w[-1]), z, tol)
+    check_squeeze_budget(float(w[-1]), z)
     return [
         SqueezerMode(
             strength=float(lam),
@@ -351,20 +372,18 @@ def squeezer_spectrum(
     ]
 
 
-def resolve_gauge(
-    gauge, A, theta, z: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def resolve_gauge(gauge, A, theta, z: float) -> np.ndarray:
     """Map a gauge selector to a concrete P.
 
     ``gauge`` is ``"identity"``, ``"faithful"`` or an explicit Hermitian
     matrix; explicit matrices are validated where they are used, starting
     with their shape in :func:`validate_gauge`.
     """
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     if isinstance(gauge, str):
         if gauge == "identity":
             return gauge_identity(a.shape[0])
         if gauge == "faithful":
-            return gauge_faithful(a, theta, z, tol)
+            return gauge_faithful(a, theta, z)
         raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
     return np.asarray(gauge, dtype=complex)

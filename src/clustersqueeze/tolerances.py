@@ -8,6 +8,8 @@ magnitude comes from numbers the request already holds (:class:`ErrorModel`),
 and c is 4 per rounded stage (a factorization, solve or N-term matrix
 product, each adding at most gamma_N ~ N u) between the inputs and the
 residual; the 4 covers complex arithmetic (sqrt(2) gamma_{N+2}, Lemma 3.5).
+The budgets of the two gauge-compatibility checks also gate the input, so a
+gauge that passes the gate passes those checks.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ DEFAULT_TOLERANCES = Tolerances()
 
 #: check name -> (magnitude, c); the rounded stages behind each c are
 #: counted for the faithful gauge, whose P takes three (A A, eigh, product).
+#: The two compatibility rows also gate the input: a gauge is accepted only
+#: when compatible to within one rounded stage of P (c = 4), the error every
+#: later row already budgets for P.
 CHECKS = {
-    "gauge_condition": ("gauge", 20),  # P, two products
-    "interaction_symmetric": ("interaction", 20),  # P, U, P U
+    "gauge_condition": ("reality", 4),
+    "interaction_symmetric": ("asymmetry", 4),
     "polar_product": ("interaction", 4),  # P U again
     "structure_unitary": ("structure", 8),  # solve, U U^dagger
     "structure_symmetric": ("structure", 4),  # solve
@@ -89,9 +94,12 @@ class ErrorModel:
     ``kappa`` bounds how much the structure factor U amplifies rounding:
     1 + ||A||_inf >= ||A + i||_2 when U is solved from a cluster, and the
     condition number lambda_max / lambda_min of P when U comes from the
-    polar split of an interaction matrix.  ``gap`` and ``spread`` are the
-    grouping Bloch-Messiah resolved: its eigenvectors carry an error u / gap,
-    and a group treated as degenerate rebuilds X and Y only up to its spread.
+    polar split of an interaction matrix.  The two compatibility residuals
+    are relative to ``z_scale`` (max(1, max|Z|)) and ``test_scale`` (the
+    largest entry of the gauge's test matrix).  ``gap`` and ``spread`` are
+    the grouping Bloch-Messiah resolved: its eigenvectors carry an error
+    u / gap, and a group treated as degenerate rebuilds X and Y only up to
+    its spread.
     """
 
     n: int
@@ -99,13 +107,18 @@ class ErrorModel:
     lam_min: float
     lam_max: float
     kappa: float
+    z_scale: float = 1.0
+    test_scale: float = 1.0
     gap: float = math.inf
     spread: float = 0.0
 
     @classmethod
-    def for_cluster(cls, a: np.ndarray, strengths, z: float) -> "ErrorModel":
+    def for_cluster(cls, a: np.ndarray, zm, z: float, test_scale: float = 1.0) -> "ErrorModel":
+        """Model of the plan ``zm`` of the cluster ``a``."""
         a_norm = float(np.max(np.sum(np.abs(a), axis=1)))
-        return cls(a.shape[0], z, float(strengths[0]), float(strengths[-1]), 1.0 + a_norm)
+        lo, hi = float(zm.strengths[0]), float(zm.strengths[-1])
+        z_scale = max(1.0, float(np.max(np.abs(zm.Z))))
+        return cls(a.shape[0], z, lo, hi, 1.0 + a_norm, z_scale, test_scale)
 
     @classmethod
     def for_interaction(cls, strengths, z: float) -> "ErrorModel":
@@ -129,8 +142,11 @@ class ErrorModel:
             "strength": self.lam_max,
             "structure": k,
             "interaction": k * self.lam_max,
-            # (A + i) P (A - i) against its largest entry, at least lambda_min
-            "gauge": k * k * self.lam_max / self.lam_min,
+            # Im (A + i) e^{i Theta} P e^{-i Theta} (A - i), with ||A + i|| <= k
+            "reality": k * k * self.lam_max / self.test_scale,
+            # P U - (P U)^T: the product, and U's error k u N, which only the
+            # non-scalar part of P turns into asymmetry
+            "asymmetry": (self.lam_max + k * (self.lam_max - self.lam_min)) / self.z_scale,
             # X X^dagger and Y Y^dagger have entries up to cosh^2
             "bogoliubov": k * cosh * cosh,
             # X and Y; an error in P is amplified by z sinh
@@ -138,10 +154,11 @@ class ErrorModel:
             # C = E E^dagger with ||E|| <= ||A + i|| e^{-z lambda_min}
             "covariance": k * k * (1.0 + zl) * math.exp(-2.0 * self.z * self.lam_min),
             # the oracle's M M^T: M, of size e^{-z lambda_min}, is formed from
-            # a flow of size e^{z lambda_max}; first and second order terms
+            # a flow of size e^{z lambda_max}, whose error u N e^{z lambda_max}
+            # enters first and second order
             "oracle": k * k * (
                 math.exp(self.z * (self.lam_max - self.lam_min))
-                + UNIT_ROUNDOFF * math.exp(2.0 * zl)
+                + UNIT_ROUNDOFF * self.n * math.exp(2.0 * zl)
             ),
             "eigenvectors": eigenvectors,
             "reduction": cosh * eigenvectors,

@@ -19,7 +19,6 @@ from clustersqueeze import (
     gauge_faithful,
     gauge_identity,
 )
-from clustersqueeze.tolerances import DEFAULT_TOLERANCES, Tolerances
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("tier1")
@@ -119,7 +118,7 @@ def epr_adjacency():
     return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def reference_parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def reference_parse_graph(text: str) -> np.ndarray:
     """The per-line graph reader as it was before the bulk path, verbatim."""
     n: int | None = None
     a: np.ndarray | None = None
@@ -174,12 +173,12 @@ def reference_parse_graph(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np
         a[j, i] = w
     if n is None:
         raise ParseError("empty graph file: missing mode count")
-    return adjacency_matrix(a, tol)
+    return adjacency_matrix(a)
 
 
-def reference_format_graph(A, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
+def reference_format_graph(A) -> str:
     """The double-loop graph writer as it was before vectorization, verbatim."""
-    a = adjacency_matrix(A, tol)
+    a = adjacency_matrix(A)
     n = a.shape[0]
     lines = [str(n)]
     for i in range(n):

@@ -33,6 +33,9 @@ from clustersqueeze.tolerances import DEFAULT_TOLERANCES
 from conftest import perfbench_graph_text, random_compatible_gauge
 
 Z_CAP = DEFAULT_TOLERANCES.z_cap
+EPR = np.array([[0.0, 1.0], [1.0, 0.0]])
+PATH3 = parse_graph("3\n0 1 1.0\n1 2 0.5\n")
+RING6 = parse_graph("6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n")
 
 
 def run(args, out_path):
@@ -75,7 +78,7 @@ def assert_verifiable(tmp_path, a, theta, gauge, z, p=None):
     bundle = tmp_path / "bundle.json"
     code = main(["synthesize", *flags, "--out", str(bundle)])
     if gauge == "custom" and code == EXIT_GAUGE:
-        return  # rejected: the reality residual of this P exceeds the input threshold
+        return  # rejected: this P is compatible only above rounding
     assert code == EXIT_OK
     assert failing(json.loads(bundle.read_text(encoding="utf-8"))) == []
     for args in (["verify", "--interaction", str(bundle)], ["verify", *flags]):
@@ -128,6 +131,35 @@ class TestAcceptedImpliesVerifiable:
         z = headroom - (faithful_offset(a) if gauge == "faithful" else 0.0)
         assert_verifiable(tmp_path, a, theta, gauge, z)
 
+    @settings(max_examples=60)
+    @given(case=accepted_inputs(), digits=st.integers(10, 15), seed=st.integers(0, 2**32 - 1))
+    def test_perturbed_gauge_is_rejected_or_verifiable(self, case, digits, seed, tmp_path_factory):
+        """Any of the gauges above, moved Hermitian-wise in its ``digits``-th
+        significant digit and given as a custom gauge: synthesize either
+        rejects it (exit 3) or verify passes it."""
+        a, theta, gauge, z, p = case
+        if p is None:
+            p = gauge_identity(a.shape[0]) if gauge == "identity" else gauge_faithful(a, theta, z)
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
+        h = (h + h.conj().T) / (2.0 * np.max(np.abs(h)))
+        p = p + 10.0 ** -digits * np.max(np.abs(p)) * h
+        assert_verifiable(tmp_path_factory.mktemp("case"), a, theta, "custom", z, p)
+
+    @pytest.mark.parametrize("a", [PATH3, RING6], ids=["n3", "n6"])
+    def test_gauge_written_with_twelve_digits_is_rejected(self, a, tmp_path):
+        """A (non-scalar) faithful gauge stored with 12 significant digits is
+        compatible only to about 1e-12, far above rounding: synthesize,
+        verify, decompose --graph and sweep all reject it with exit 3."""
+        n = a.shape[0]
+        theta, z = np.linspace(-1.0, 1.0, n), 2.0
+        p = gauge_faithful(a, theta, z)
+        twelve = np.vectorize(lambda x: float(f"{x:.12g}"))
+        files = write_case(tmp_path, a, theta, twelve(p.real) + 1j * twelve(p.imag))
+        flags = cluster_flags(files, "custom", z)
+        for command in ("synthesize", "verify", "decompose", "sweep"):
+            assert main([command, *flags, "--out", str(tmp_path / "out")]) == EXIT_GAUGE, command
+
     def test_dense_graph_with_a_barely_resolved_takagi_gap(self, tmp_path):
         """N = 320 at the identity gauge: the balancing Takagi step resolves a
         Re(S) eigen-gap of 1.03e-8, just above the degeneracy threshold, so
@@ -154,8 +186,6 @@ class TestAcceptedImpliesVerifiable:
         assert_verifiable(tmp_path, a, theta, "faithful", z)
 
 
-EPR = np.array([[0.0, 1.0], [1.0, 0.0]])
-RING6 = parse_graph("6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n")
 POWER_CASES = pytest.mark.parametrize(
     "a, gauge",
     [(EPR, "identity"), (EPR, "faithful"), (RING6, "identity"), (RING6, "faithful")],

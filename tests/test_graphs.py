@@ -139,7 +139,7 @@ _NOISY_LINE = st.lists(
 _SKIPPED_LINE = st.sampled_from(["", "  ", "# c", " # 1 2", "\t#"])
 
 
-def _loop_forbidden(text, tol):
+def _loop_forbidden(text):
     raise AssertionError("fell back to the per-line loop")
 
 

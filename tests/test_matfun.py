@@ -127,21 +127,21 @@ class TestPolarDecomposition:
 
 class TestTakagi:
     def test_identity(self):
-        assert np.allclose(takagi_symmetric_unitary(np.eye(2))[0], np.eye(2))
+        assert np.allclose(takagi_symmetric_unitary(np.eye(2)), np.eye(2))
 
     def test_scalar_quarter_turn(self):
-        r, _ = takagi_symmetric_unitary(1j * np.eye(1))
+        r = takagi_symmetric_unitary(1j * np.eye(1))
         assert np.allclose(r, np.exp(1j * np.pi / 4) * np.eye(1), atol=1e-12)
 
     def test_negative_swap(self):
         s = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        r, _ = takagi_symmetric_unitary(s)
+        r = takagi_symmetric_unitary(s)
         assert np.max(np.abs(r @ r.T - s)) <= 1e-12
         assert np.max(np.abs(r @ r.conj().T - np.eye(2))) <= 1e-12
 
     def test_branch_at_pi(self):
         # eigen-angle exactly pi must use the +pi branch: R column i, not -i
-        r, _ = takagi_symmetric_unitary(-np.eye(1))
+        r = takagi_symmetric_unitary(-np.eye(1))
         assert np.allclose(r, 1j * np.eye(1), atol=1e-12)
 
     def test_rejects_non_unitary(self):
@@ -161,7 +161,7 @@ class TestTakagi:
         for _ in range(30):
             n = int(rng.integers(1, 9))
             s = random_symmetric_unitary(rng, n)
-            r, _ = takagi_symmetric_unitary(s)
+            r = takagi_symmetric_unitary(s)
             assert np.max(np.abs(r @ r.T - s)) <= 1e-9
             assert np.max(np.abs(r @ r.conj().T - np.eye(n))) <= 1e-9
 
@@ -172,7 +172,7 @@ class TestTakagi:
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             lam = rng.uniform(-np.pi, np.pi, n)
             s = (q * np.exp(1j * lam)[None, :]) @ q.T
-            r, _ = takagi_symmetric_unitary(s)
+            r = takagi_symmetric_unitary(s)
             assert np.max(np.abs(r @ r.T - s)) <= 1e-9
 
     def test_degenerate_structured_cases(self):
@@ -184,7 +184,7 @@ class TestTakagi:
             np.exp(0.3j) * np.eye(5),
         ):
             s = np.asarray(s, dtype=complex)
-            r, _ = takagi_symmetric_unitary(s)
+            r = takagi_symmetric_unitary(s)
             assert np.max(np.abs(r @ r.T - s)) <= 1e-9
 
     def test_star_graph_structure_factor(self):
@@ -196,7 +196,7 @@ class TestTakagi:
         a[1:, 0] = 1.0
         eye = np.eye(n)
         u = -1j * np.linalg.solve(a + 1j * eye, a - 1j * eye)
-        r, _ = takagi_symmetric_unitary(u)
+        r = takagi_symmetric_unitary(u)
         assert np.max(np.abs(r @ r.T - u)) <= 1e-9
 
 
@@ -217,7 +217,7 @@ class TestOrderedEigh:
     def test_angle_reconstruction(self):
         rng = np.random.default_rng(9)
         s = random_symmetric_unitary(rng, 6)
-        q, lam, _ = symmetric_unitary_angles(s)
+        q, lam = symmetric_unitary_angles(s)
         assert np.max(np.abs(q @ q.T - np.eye(6))) <= 1e-12
         assert np.all((lam > -np.pi) & (lam <= np.pi + 1e-12))
         assert np.max(np.abs((q * np.exp(1j * lam)[None, :]) @ q.T - s)) <= 1e-9

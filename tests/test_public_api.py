@@ -59,6 +59,6 @@ def test_every_tolerance_is_read():
     unread = [
         field.name
         for field in dataclasses.fields(Tolerances)
-        if not any(re.search(rf"\b(tol|DEFAULT_TOLERANCES)\.{field.name}\b", text) for text in texts)
+        if not any(re.search(rf"\bDEFAULT_TOLERANCES\.{field.name}\b", text) for text in texts)
     ]
     assert unread == []
