@@ -9,8 +9,6 @@ import numpy as np
 from clustersqueeze import (
     covariance_closed_form,
     covariance_oracle,
-    gauge_faithful,
-    gauge_identity,
     interaction_from_cluster,
     squeezer_spectrum,
 )
@@ -25,7 +23,7 @@ print("EPR cluster, z =", z)
 print("adjacency:\n", A)
 
 # --- trivial gauge: two equal squeezers -----------------------------------
-zm = interaction_from_cluster(A, theta, gauge_identity(2))
+zm = interaction_from_cluster(A, theta, "identity")
 print("\ninteraction matrix (trivial gauge):\n", zm.Z.real)
 
 report = covariance_closed_form(A, theta, zm, z)
@@ -38,8 +36,7 @@ for mode in squeezer_spectrum(zm, z):
     )
 
 # --- faithful gauge: covariance proportional to the identity ---------------
-P = gauge_faithful(A, theta, z)
-zm_faithful = interaction_from_cluster(A, theta, P)
+zm_faithful = interaction_from_cluster(A, theta, "faithful", z)
 report_faithful = covariance_closed_form(A, theta, zm_faithful, z)
 print("\nfaithful-gauge covariance:\n", report_faithful.C)
 print("expected e^{-2z} identity:", np.exp(-2 * z))

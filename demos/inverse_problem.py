@@ -10,6 +10,7 @@ import numpy as np
 
 from clustersqueeze import (
     InteractionMatrix,
+    adjacency_from_unitary,
     analyze_interaction,
     find_regular_phases,
     regularity_margin,
@@ -27,6 +28,8 @@ result = analyze_interaction(zm, z=1.0)
 print("recovered phases:", result.theta)
 print("recovered adjacency:\n", np.round(result.adjacency, 10))
 print("matches the path graph:", np.allclose(result.adjacency, A_path, atol=1e-8))
+# at known phases the inverse needs no search
+print("inverse at the synthesis phases:", np.allclose(adjacency_from_unitary(zm.U, np.zeros(3)), A_path, atol=1e-8))
 
 for z in (1.0, 2.0, 3.0):
     rep = analyze_interaction(zm, z=z).covariance

@@ -12,7 +12,6 @@ from clustersqueeze import (
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
     cluster_condition_residual,
-    gauge_faithful,
     interaction_from_cluster,
 )
 
@@ -25,8 +24,7 @@ for i in range(n):
 theta = np.zeros(n)
 z = 1.2
 
-P = gauge_faithful(A, theta, z)
-zm = interaction_from_cluster(A, theta, P)
+zm = interaction_from_cluster(A, theta, "faithful", z)
 factors = bloch_messiah(zm, z)
 
 print(f"weighted {n}-ring, faithful gauge, z = {z}")

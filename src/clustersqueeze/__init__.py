@@ -66,16 +66,14 @@ from .oracle import (
 )
 from .synthesis import (
     BogoliubovPair,
+    ClusterPlan,
     CovarianceReport,
     GaugeCheck,
     InteractionMatrix,
     SqueezerMode,
     bogoliubov_from_interaction,
     covariance_closed_form,
-    gauge_faithful,
-    gauge_identity,
     interaction_from_cluster,
-    resolve_gauge,
     squeezer_spectrum,
     unitary_from_adjacency,
     validate_gauge,
@@ -87,6 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochMessiahFactors",
     "BogoliubovPair",
+    "ClusterPlan",
     "ClusterRecovery",
     "ClusterSqueezeError",
     "CovarianceReport",
@@ -129,8 +128,6 @@ __all__ = [
     "covariance_oracle",
     "find_regular_phases",
     "format_graph",
-    "gauge_faithful",
-    "gauge_identity",
     "interaction_from_cluster",
     "k_matrix_form",
     "nullifier_map",
@@ -138,7 +135,6 @@ __all__ = [
     "phase_vector",
     "polar_decompose_symmetric",
     "regularity_margin",
-    "resolve_gauge",
     "squeezer_spectrum",
     "squeezing_generator",
     "takagi_symmetric_unitary",

@@ -84,14 +84,19 @@ def adjacency_from_unitary(U, theta) -> np.ndarray:
     """
     u = as_complex_matrix(U)
     th = phase_vector(theta, u.shape[0])
-    eye = np.eye(u.shape[0])
-    w = _rotated(u, th)
-    sigma_min = float(np.linalg.svd(w + 1j * eye, compute_uv=False)[-1])
+    sigma_min = regularity_margin(u, th)
     if sigma_min < DEFAULT_TOLERANCES.regular_min:
         raise SingularPhasePoint(
             f"sigma_min = {sigma_min:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e}; "
             "these phases do not regularize the inverse"
         )
+    return _adjacency_at(u, th)
+
+
+def _adjacency_at(u: np.ndarray, th: np.ndarray) -> np.ndarray:
+    # adjacency_from_unitary at phases whose margin reaches regular_min
+    eye = np.eye(u.shape[0])
+    w = _rotated(u, th)
     a = -1j * np.linalg.solve(w + 1j * eye, w - 1j * eye)
     defect = realness_defect(a)
     if defect > DEFAULT_TOLERANCES.realness * max(1.0, max_abs(a)):
@@ -194,7 +199,9 @@ def analyze_interaction(
             chosen, margin = th, input_margin
     if chosen is None:
         chosen, margin = find_regular_phases(u, seed)
-    a = adjacency_from_unitary(u, chosen)
+    # The margin reaches regular_min: phase_accept and the search's floor
+    # are both at least that.
+    a = _adjacency_at(u, chosen)
     # P came with the interaction, not with the recovered cluster.
     require_compatible_gauge(a, chosen, zm.P)
     report = covariance_closed_form(a, chosen, zm, z)

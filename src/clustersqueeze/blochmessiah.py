@@ -63,10 +63,6 @@ class BlochMessiahFactors:
     spread: float
 
     @property
-    def n(self) -> int:
-        return self.V.shape[0]
-
-    @property
     def decibels(self) -> np.ndarray:
         """Squeezing of each single-mode squeezer in dB."""
         return 20.0 * self.z * self.D / math.log(10.0)

@@ -8,6 +8,10 @@ Subcommands::
     verify       bundle or graph    ->  full invariant battery (exit 1 on fail)
     sweep        graph + z range    ->  CSV of covariance norms vs z
 
+A command rejects every flag it would ignore (exit 2): --interaction and
+--graph exclude each other, --phases and --gauge belong to the graph route,
+a bundle given to verify fixes z, and only sweep takes --z-range and csv.
+
 Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
 representation that round-trips a double.  JSON output is byte-identical to
@@ -139,48 +143,54 @@ def load_phases(spec: str, n: int) -> np.ndarray:
     return phase_vector(values, n)
 
 
-def _gauge_selector(spec: str):
-    """--gauge value: 'identity', 'faithful', or the matrix in custom:PATH."""
+def _load_gauge(spec: str | None):
+    """--gauge value (default identity): the name for the report and the
+    selector of :meth:`~clustersqueeze.synthesis.ClusterPlan.interaction`,
+    'identity', 'faithful' or the matrix in custom:PATH."""
+    spec = "identity" if spec is None else spec
     if spec in ("identity", "faithful"):
-        return spec
+        return spec, spec
     if spec.startswith("custom:"):
-        return matrix_from_json(_load_json(spec[len("custom:"):]))
+        return "custom", matrix_from_json(_load_json(spec[len("custom:"):]))
     raise _InputError(
         f"unknown gauge {spec!r}; use identity, faithful or custom:PATH"
     )
 
 
-def _load_gauge(spec: str, A, theta, z: float):
-    """Gauge name for the report and the concrete P at scale z."""
-    selector = _gauge_selector(spec)
-    name = selector if isinstance(selector, str) else "custom"
-    return name, synthesis.resolve_gauge(selector, A, theta, z)
+def _load_cluster(args):
+    """The plan of the cluster in --graph at --phases, and :func:`_load_gauge`
+    of --gauge."""
+    if args.graph is None:
+        raise _InputError("provide --interaction or --graph")
+    a = parse_graph(_read_text(args.graph))
+    theta = load_phases(args.phases or "zero", a.shape[0])
+    return (synthesis.ClusterPlan.of(a, theta), *_load_gauge(args.gauge))
 
 
 # --------------------------------------------------------------------------
 # check battery: rows (name, residual) judged by the request's ErrorModel
 
-def core_battery(A, theta, P, z, gauge_name: str) -> tuple[list[dict], dict]:
-    """Invariant checks shared by synthesize and verify.
+def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
+    """Invariant checks shared by synthesize and verify, for a ``gauge``
+    selector of the cluster plan; ``gauge_name`` picks the gauge's own rows.
 
     Returns (checks, computed) where computed holds the freshly built
-    objects for serialization or deeper comparison, and the error model
-    the checks were judged by.
+    objects for serialization or deeper comparison, and the error model the
+    checks were judged by.
     """
-    a = adjacency_matrix(A)
+    a, theta = cluster.A, cluster.theta
     eye = np.eye(a.shape[0])
-    u = synthesis.unitary_from_adjacency(a, theta)
-    zm, gauge = synthesis.checked_interaction(a, theta, P, u)
+    zm, check = cluster.interaction(gauge, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     closed = synthesis.covariance_closed_form(a, theta, zm, z)
     brute = oracle.covariance_oracle(a, theta, zm, z)
     spectrum = synthesis.squeezer_spectrum(zm, z)
-    model = ErrorModel.for_cluster(a, zm, z, gauge.scale)
+    model = ErrorModel.for_cluster(a, zm, z, check.scale)
 
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)
     rows = [
-        ("gauge_condition", gauge.residual),
+        ("gauge_condition", check.residual),
         ("interaction_symmetric", zm.asymmetry),
         ("polar_product", max_abs(zm.P @ zm.U - zm.Z) / max(1.0, max_abs(zm.Z))),
         ("structure_unitary", unitarity_defect(zm.U)),
@@ -198,13 +208,7 @@ def core_battery(A, theta, P, z, gauge_name: str) -> tuple[list[dict], dict]:
         rows.append(("uniform_gauge_formula", max_abs(closed.C - (a @ a + eye) * decay)))
         if max_abs(a @ a - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
             rows.append(("self_inverse_value", max_abs(closed.C - 2.0 * decay * eye)))
-    computed = {
-        "zm": zm,
-        "pair": pair,
-        "closed": closed,
-        "spectrum": spectrum,
-        "model": model,
-    }
+    computed = dict(zm=zm, pair=pair, closed=closed, spectrum=spectrum, model=model)
     return model.checks(rows), computed
 
 
@@ -218,20 +222,19 @@ def _reduction_rows(zm, pair, factors) -> list[tuple[str, float]]:
     ]
 
 
-def deep_battery(A, theta, P, z, gauge_name: str) -> tuple[list[dict], dict]:
+def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     """Core battery plus interferometer-reduction checks (verify command).
 
     Returns (checks, computed) with computed as in :func:`core_battery`; its
     model now carries the grouping Bloch-Messiah resolved.
     """
-    checks, computed = core_battery(A, theta, P, z, gauge_name)
+    checks, computed = core_battery(cluster, gauge, z, gauge_name)
     zm = computed["zm"]
     factors = blochmessiah.bloch_messiah(zm, z)
     model = computed["model"] = computed["model"].with_reduction(factors)
-    strengths = np.array([m.strength for m in computed["spectrum"]])
     rows = _reduction_rows(zm, computed["pair"], factors) + [
-        ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, A, theta)),
-        ("squeezer_match", float(np.max(np.abs(np.sort(factors.D) - np.sort(strengths))))),
+        ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster.A, cluster.theta)),
+        ("squeezer_match", float(np.max(np.abs(np.sort(factors.D) - np.sort(zm.strengths))))),
     ]
     return checks + model.checks(rows), computed
 
@@ -299,41 +302,49 @@ def _summarize_checks(checks: list[dict]) -> list[str]:
 # --------------------------------------------------------------------------
 # commands
 
-def _z_list(args) -> list[float]:
-    if args.z_range is not None:
-        if args.z is not None:
-            raise _InputError("use either -z or --z-range, not both")
-        parts = args.z_range.split(":")
-        if len(parts) != 3:
-            raise _InputError("--z-range expects START:STOP:STEP")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise _InputError("--z-range components must be numbers") from None
-        if step <= 0 or start <= 0 or stop < start:
-            raise _InputError("--z-range needs 0 < START <= STOP and STEP > 0")
-        values = []
-        z = start
-        while z <= stop + 1e-12:
-            values.append(round(z, 12))
-            z += step
-        return values
+def _z(args) -> float:
+    """-z value, 1.0 when absent."""
     z = 1.0 if args.z is None else args.z
     if not (np.isfinite(z) and z > 0):
         raise _InputError("-z must be positive and finite")
-    return [z]
+    return z
+
+
+def _z_range(args) -> list[float]:
+    """sweep's --z-range START:STOP:STEP, or the single -z value."""
+    if args.z_range is None:
+        return [_z(args)]
+    if args.z is not None:
+        raise _InputError("use either -z or --z-range, not both")
+    parts = args.z_range.split(":")
+    if len(parts) != 3:
+        raise _InputError("--z-range expects START:STOP:STEP")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise _InputError("--z-range components must be numbers") from None
+    if step <= 0 or start <= 0 or stop < start:
+        raise _InputError("--z-range needs 0 < START <= STOP and STEP > 0")
+    values, z = [], start
+    while z <= stop + 1e-12:
+        values.append(round(z, 12))
+        z += step
+    return values
+
+
+def _graph_only(args, *flags) -> None:
+    """Reject with --interaction the ``flags`` only the --graph route reads."""
+    given = [flag for flag in flags if getattr(args, flag.lstrip("-")) is not None]
+    if given:
+        raise _InputError(f"{' and '.join(given)} cannot be used with --interaction")
 
 
 def cmd_synthesize(args) -> int:
-    a = parse_graph(_read_text(args.graph))
-    n = a.shape[0]
-    theta = load_phases(args.phases, n)
-    z = _z_list(args)[0]
-    gauge_name, p = _load_gauge(args.gauge, a, theta, z)
-    checks, computed = core_battery(a, theta, p, z, gauge_name)
-    zm = computed["zm"]
-    pair = computed["pair"]
-    closed = computed["closed"]
+    cluster, gauge_name, gauge = _load_cluster(args)
+    a, theta, n = cluster.A, cluster.theta, cluster.A.shape[0]
+    z = _z(args)
+    checks, computed = core_battery(cluster, gauge, z, gauge_name)
+    zm, pair, closed = computed["zm"], computed["pair"], computed["closed"]
     bundle = {
         "command": "synthesize",
         "n": n,
@@ -386,11 +397,8 @@ def _chopped(a: np.ndarray, threshold: float) -> np.ndarray:
 
 def cmd_analyze(args) -> int:
     zm = load_interaction(args.interaction)
-    if args.phases != "zero":
-        theta = load_phases(args.phases, zm.n)
-    else:
-        theta = np.zeros(zm.n)
-    z = _z_list(args)[0]
+    theta = load_phases(args.phases, zm.n)
+    z = _z(args)
     result = analysis.analyze_interaction(zm, theta=theta, z=z, seed=args.seed)
     margin_given = result.input_margin
     searched = bool(margin_given < DEFAULT_TOLERANCES.phase_accept)
@@ -428,17 +436,14 @@ def cmd_analyze(args) -> int:
 def _interaction_from_args(args):
     """Z either from --interaction or from graph + gauge flags, with the
     error model of its route."""
-    z = _z_list(args)[0]
+    z = _z(args)
     if args.interaction is not None:
+        _graph_only(args, "--phases", "--gauge")
         zm = load_interaction(args.interaction)
         return zm, z, ErrorModel.for_interaction(zm.strengths, z)
-    if args.graph is None:
-        raise _InputError("provide --interaction or --graph")
-    a = parse_graph(_read_text(args.graph))
-    theta = load_phases(args.phases, a.shape[0])
-    _, p = _load_gauge(args.gauge, a, theta, z)
-    zm = synthesis.interaction_from_cluster(a, theta, p)
-    return zm, z, ErrorModel.for_cluster(a, zm, z)
+    cluster, _, gauge = _load_cluster(args)
+    zm, _ = cluster.interaction(gauge, z)
+    return zm, z, ErrorModel.for_cluster(cluster.A, zm, z)
 
 
 def cmd_decompose(args) -> int:
@@ -474,8 +479,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    z = _z_list(args)[0]
     if args.interaction is not None:
+        _graph_only(args, "--phases", "--gauge", "-z")  # the bundle fixes z
         bundle = _load_json(args.interaction)
         required = ("adjacency", "theta", "P", "z", "gauge")
         if not all(key in bundle for key in required):
@@ -484,11 +489,11 @@ def cmd_verify(args) -> int:
                 + ", ".join(required)
             )
         a = adjacency_matrix(matrix_from_json(bundle["adjacency"]))
-        theta = phase_vector(bundle["theta"], a.shape[0])
-        p = matrix_from_json(bundle["P"])
+        cluster = synthesis.ClusterPlan.of(a, phase_vector(bundle["theta"], a.shape[0]))
         z = float(bundle["z"])
-        gauge_name = str(bundle["gauge"])
-        checks, computed = deep_battery(a, theta, p, z, gauge_name)
+        # the stored P is checked and factorized like a custom gauge
+        p = matrix_from_json(bundle["P"])
+        checks, computed = deep_battery(cluster, p, z, str(bundle["gauge"]))
         zm, pair = computed["zm"], computed["pair"]
         fresh = {"Z": zm.Z, "U": zm.U, "X": pair.X, "Y": pair.Y, "C": computed["closed"].C}
         checks += computed["model"].checks(
@@ -497,12 +502,9 @@ def cmd_verify(args) -> int:
             if key in bundle
         )
     else:
-        if args.graph is None:
-            raise _InputError("provide --interaction (bundle) or --graph")
-        a = parse_graph(_read_text(args.graph))
-        theta = load_phases(args.phases, a.shape[0])
-        gauge_name, p = _load_gauge(args.gauge, a, theta, z)
-        checks, _ = deep_battery(a, theta, p, z, gauge_name)
+        z = _z(args)
+        cluster, gauge_name, gauge = _load_cluster(args)
+        checks, _ = deep_battery(cluster, gauge, z, gauge_name)
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
@@ -524,9 +526,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     a = parse_graph(_read_text(args.graph))
     theta = load_phases(args.phases, a.shape[0])
-    zs = _z_list(args)
+    zs = _z_range(args)
     gauge_spec = args.gauge
-    rows = oracle.convergence_sweep(a, theta, _gauge_selector(gauge_spec), zs)
+    rows = oracle.convergence_sweep(a, theta, _load_gauge(gauge_spec)[1], zs)
     if args.format == "json":
         report = {
             "command": "sweep",
@@ -554,13 +556,13 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser, *, fmt_default: str) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text")) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument(
         "--format",
-        choices=("json", "csv", "text"),
-        default=fmt_default,
-        help=f"output format (default {fmt_default})",
+        choices=formats,
+        default=formats[0],
+        help=f"output format (default {formats[0]})",
     )
     sub.add_argument(
         "--seed",
@@ -570,7 +572,21 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt_default: str) -> None:
         f"(default {analysis.DEFAULT_PHASE_SEED})",
     )
     sub.add_argument("-z", type=float, default=None, help="squeezing scale (default 1.0)")
-    sub.add_argument("--z-range", default=None, help="START:STOP:STEP ascending scales")
+
+
+def _add_cluster(sub: argparse.ArgumentParser, *, interaction: str | None = None) -> None:
+    """--graph, --phases and --gauge; with ``interaction`` help, --graph and
+    --interaction are exclusive routes and --phases and --gauge unset."""
+    if interaction is None:
+        sub.add_argument("--graph", required=True, help="graph file")
+        phases, gauge = "zero", "identity"
+    else:
+        route = sub.add_mutually_exclusive_group()
+        route.add_argument("--interaction", default=None, help=interaction)
+        route.add_argument("--graph", default=None, help="graph file (with --gauge)")
+        phases = gauge = None
+    sub.add_argument("--phases", default=phases, help="'zero' (default) or path to angles")
+    sub.add_argument("--gauge", default=gauge, help="identity (default)|faithful|custom:PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,39 +598,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_syn = sub.add_parser("synthesize", help="cluster -> interaction bundle")
-    p_syn.add_argument("--graph", required=True, help="graph file")
-    p_syn.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    p_syn.add_argument("--gauge", default="identity", help="identity|faithful|custom:PATH")
-    _add_common(p_syn, fmt_default="json")
+    _add_cluster(p_syn)
+    _add_common(p_syn)
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_ana = sub.add_parser("analyze", help="interaction -> cluster")
     p_ana.add_argument("--interaction", required=True, help="matrix JSON or bundle")
     p_ana.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    _add_common(p_ana, fmt_default="json")
+    _add_common(p_ana)
     p_ana.set_defaults(func=cmd_analyze)
 
     p_dec = sub.add_parser("decompose", help="interaction -> squeezers + interferometers")
-    p_dec.add_argument("--interaction", default=None, help="matrix JSON or bundle")
-    p_dec.add_argument("--graph", default=None, help="graph file (with --gauge)")
-    p_dec.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    p_dec.add_argument("--gauge", default="identity", help="identity|faithful|custom:PATH")
-    _add_common(p_dec, fmt_default="json")
+    _add_cluster(p_dec, interaction="matrix JSON or bundle")
+    _add_common(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run the full invariant battery")
-    p_ver.add_argument("--interaction", default=None, help="synthesize bundle")
-    p_ver.add_argument("--graph", default=None, help="graph file (with --gauge)")
-    p_ver.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    p_ver.add_argument("--gauge", default="identity", help="identity|faithful|custom:PATH")
-    _add_common(p_ver, fmt_default="json")
+    _add_cluster(p_ver, interaction="synthesize bundle (fixes the graph, phases, gauge and z)")
+    _add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_swp = sub.add_parser("sweep", help="covariance norms over ascending z")
-    p_swp.add_argument("--graph", required=True, help="graph file")
-    p_swp.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    p_swp.add_argument("--gauge", default="identity", help="identity|faithful|custom:PATH")
-    _add_common(p_swp, fmt_default="csv")
+    _add_cluster(p_swp)
+    _add_common(p_swp, formats=("csv", "json", "text"))
+    p_swp.add_argument("--z-range", default=None, help="START:STOP:STEP ascending scales")
     p_swp.set_defaults(func=cmd_sweep)
 
     return parser

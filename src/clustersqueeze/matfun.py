@@ -115,7 +115,7 @@ def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
     For symmetric unitary S the real and imaginary parts commute, so a single
     real orthogonal Q gives S = Q e^{i L} Q^T with real angles L.  Re(S) is
     diagonalized first; inside each degenerate eigenspace (gap below the
-    degeneracy tolerance times ||S||) Im(S) is re-diagonalized, which fixes
+    degeneracy tolerance) Im(S) is re-diagonalized, which fixes
     the exactly-degenerate cases produced by structured graphs.  Angles are
     on the principal branch (-pi, pi], with -pi mapped to +pi.
     """
@@ -132,8 +132,8 @@ def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
     re = (sm.real + sm.real.T) / 2.0
     im = (sm.imag + sm.imag.T) / 2.0
     w, q = np.linalg.eigh(re)
-    gap = DEFAULT_TOLERANCES.degeneracy * max(1.0, float(np.linalg.norm(sm, 2)))
-    groups = spectrum_clusters(w, gap)
+    # ||S||_2 = 1: S has just passed the unitarity check
+    groups = spectrum_clusters(w, DEFAULT_TOLERANCES.degeneracy)
     for g in groups:
         if len(g) > 1:
             block = q[:, g].T @ im @ q[:, g]

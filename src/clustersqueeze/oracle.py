@@ -65,13 +65,11 @@ from .graphs import adjacency_matrix, nullifier_map, phase_vector
 from .matfun import as_complex_matrix, max_abs, symmetry_defect
 from .synthesis import (
     BogoliubovPair,
+    ClusterPlan,
     CovarianceReport,
     InteractionMatrix,
     check_squeeze_budget,
-    checked_interaction,
     covariance_closed_form,
-    resolve_gauge,
-    unitary_from_adjacency,
 )
 from .tolerances import ErrorModel
 
@@ -188,10 +186,11 @@ def convergence_sweep(A, theta, gauge, z_values: Sequence[float]) -> list[SweepP
     """Closed-form covariance norms over an ascending list of scales.
 
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
-    gauge the max-entry norm decreases strictly in z.  The first and last
-    rows are cross-checked against the brute-force path; disagreement
-    beyond the budget of the battery's ``covariance_vs_oracle`` check
-    raises :class:`OracleMismatch`.
+    gauge the max-entry norm decreases strictly in z.  One cluster plan
+    serves every row; only the faithful gauge's plan depends on z.  The
+    first and last rows are cross-checked against the brute-force path;
+    disagreement beyond the budget of the battery's ``covariance_vs_oracle``
+    check raises :class:`OracleMismatch`.
     """
     zs = [float(z) for z in z_values]
     if not zs:
@@ -200,18 +199,17 @@ def convergence_sweep(A, theta, gauge, z_values: Sequence[float]) -> list[SweepP
         raise ValueError("z values must be positive and finite")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
-    u = unitary_from_adjacency(a, th)  # depends on the cluster alone
-    rows = []
+    cluster = ClusterPlan.of(A, theta)
+    a, th = cluster.A, cluster.theta
+    per_row = isinstance(gauge, str) and gauge == "faithful"
+    zm, rows = None, []
     for z in zs:
-        p = resolve_gauge(gauge, a, th, z)
-        zm, _ = checked_interaction(a, th, p, u)
+        if zm is None or per_row:
+            zm, _ = cluster.interaction(gauge, z)
         closed = covariance_closed_form(a, th, zm, z)
         rows.append(
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
-        # Checked while this row's interaction is alive: no endpoint is kept.
         if z in (zs[0], zs[-1]):
             gap = max_abs(closed.C - covariance_oracle(a, th, zm, z).C)
             if gap > ErrorModel.for_cluster(a, zm, z).budget("covariance_vs_oracle"):

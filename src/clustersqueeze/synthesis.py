@@ -15,9 +15,16 @@ and the closed-form nullifier covariance
 
 with E = (A + i 1) e^{i Theta} e^{-z P}.  The gauge factor is free up to the
 reality condition checked by :func:`validate_gauge`; the faithful choice
-makes C exactly e^{-2z} times the identity.  X, Y, C and the squeezer
-strengths all come from the one eigendecomposition of P that
-:class:`InteractionMatrix`, the synthesis plan, carries.
+makes C exactly e^{-2z} times the identity.
+
+Two plans carry the factorizations.  :class:`ClusterPlan` holds the one
+real eigendecomposition A = Q diag(lam) Q^T: with F = e^{-i Theta} Q,
+U = -i F diag((lam - i)/(lam + i)) F^T, and the faithful gauge is
+F diag(1 + ln(1 + lam^2) / (2z)) F^dagger, so U and the built-in gauges
+need no further factorization.  :class:`InteractionMatrix` holds Z = P U
+with the eigenpairs of P (read off the cluster plan for the built-in
+gauges, from one ``eigh`` for a custom P or a polar split of Z), and X, Y,
+C and the squeezer strengths all come from them.
 """
 
 from __future__ import annotations
@@ -89,12 +96,10 @@ class InteractionMatrix:
     def from_factors(cls, P, U) -> "InteractionMatrix":
         """Assemble Z = P U, checking both factors.
 
-        This is the one place that checks the gauge factor on its own: P
-        must be Hermitian (else :class:`NotHermitian`), and positive definite
-        and not numerically singular (else :class:`NotPositiveDefinite`: a
-        nearly singular P is a rejected gauge like an indefinite one), read
-        off the same ``eigh`` that gives ``strengths`` and ``modes``.  U
-        must be symmetric unitary and P U symmetric (else
+        P must be Hermitian (else :class:`NotHermitian`), and positive
+        definite and not numerically singular (:func:`_require_definite`),
+        read off the ``eigh`` that gives ``strengths`` and ``modes``.  U must
+        be symmetric unitary and P U symmetric (else
         :class:`GaugeIncompatible`).  The reality condition tying P to a
         cluster is :func:`validate_gauge`'s.
         """
@@ -105,12 +110,7 @@ class InteractionMatrix:
         if hermiticity_defect(p) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(p)):
             raise NotHermitian("gauge factor is not Hermitian")
         w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
-        if w[0] <= DEFAULT_TOLERANCES.positive * max(1.0, w[-1]):
-            raise NotPositiveDefinite(
-                f"gauge factor has min eigenvalue {w[0]:.3e}"
-            )
-        if w[0] < DEFAULT_TOLERANCES.singular * w[-1]:
-            raise NotPositiveDefinite("gauge factor is numerically singular")
+        _require_definite(w)
         if unitarity_defect(u) > DEFAULT_TOLERANCES.rtol * u.shape[0]:
             raise NotUnitary("structure factor is not unitary")
         if symmetry_defect(u) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(u)):
@@ -121,6 +121,14 @@ class InteractionMatrix:
                 "P U is not symmetric; the factors are not gauge-compatible"
             )
         return cls(Z=z, P=p, U=u, strengths=w, modes=q)
+
+
+def _require_definite(w: np.ndarray) -> None:
+    """Reject ascending gauge strengths that are not positive or numerically singular."""
+    if w[0] <= DEFAULT_TOLERANCES.positive * max(1.0, w[-1]):
+        raise NotPositiveDefinite(f"gauge factor has min eigenvalue {w[0]:.3e}")
+    if w[0] < DEFAULT_TOLERANCES.singular * w[-1]:
+        raise NotPositiveDefinite("gauge factor is numerically singular")
 
 
 @dataclass(frozen=True)
@@ -163,10 +171,6 @@ class CovarianceReport:
     asym_residual: float
 
     @property
-    def n(self) -> int:
-        return self.C.shape[0]
-
-    @property
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.C))
 
@@ -187,43 +191,76 @@ class SqueezerMode(NamedTuple):
 
 
 def unitary_from_adjacency(A, theta) -> np.ndarray:
-    """Symmetric unitary structure factor of a cluster.
-
-    (A + i 1) is invertible for every real symmetric A, so this is defined
-    for all inputs of the right shape.
-    """
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
-    eye = np.eye(a.shape[0])
-    m = np.linalg.solve(a + 1j * eye, a - 1j * eye)
-    ph = np.exp(-1j * th)
-    u = -1j * ph[:, None] * m * ph[None, :]
-    return (u + u.T) / 2.0
+    """Symmetric unitary structure factor of a cluster, defined for every
+    real symmetric A (A + i 1 is invertible)."""
+    return ClusterPlan.of(A, theta).U
 
 
-def gauge_identity(n: int) -> np.ndarray:
-    """Trivial gauge P = 1: equal squeezers, covariance (A^2 + 1) e^{-2z}."""
-    if n <= 0:
-        raise ValueError("mode count must be positive")
-    return np.eye(n, dtype=complex)
+@dataclass(frozen=True)
+class ClusterPlan:
+    """A checked cluster (A, Theta), as :meth:`of` builds it: the one real
+    eigendecomposition A = Q diag(eigenvalues) Q^T, the ``frame``
+    F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T."""
 
+    A: np.ndarray
+    theta: np.ndarray
+    eigenvalues: np.ndarray
+    frame: np.ndarray
+    U: np.ndarray
 
-def gauge_faithful(A, theta, z: float) -> np.ndarray:
-    """Gauge factor that makes the nullifier covariance exactly e^{-2z} 1.
+    @classmethod
+    def of(cls, A, theta) -> "ClusterPlan":
+        a = adjacency_matrix(A)
+        th = phase_vector(theta, a.shape[0])
+        lam, q = np.linalg.eigh(a)
+        f = np.exp(-1j * th)[:, None] * q
+        u = -1j * (f * ((lam - 1j) / (lam + 1j))[None, :]) @ f.T
+        return cls(A=a, theta=th, eigenvalues=lam, frame=f, U=(u + u.T) / 2.0)
 
-    P = 1 + e^{-i Theta} ln(A^2 + 1) e^{i Theta} / (2 z); Hermitian with
-    eigenvalues >= 1, and always compatible with the reality condition.
-    """
-    if not (np.isfinite(z) and z > 0):
-        raise ValueError("squeezing scale z must be positive and finite")
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
-    eye = np.eye(a.shape[0])
-    w, q = np.linalg.eigh(a @ a + eye)
-    log_gram = _spectral(q, np.log(w))
-    ph = np.exp(-1j * th)
-    p = eye + ph[:, None] * log_gram * ph.conj()[None, :] / (2.0 * z)
-    return (p + p.conj().T) / 2.0
+    def interaction(self, gauge, z: float | None = None) -> tuple[InteractionMatrix, GaugeCheck]:
+        """Plan Z = P U for a gauge, and the check of that gauge.
+
+        ``gauge`` is ``"identity"`` (P and its modes 1, so P and X stay
+        real), ``"faithful"`` (modes F, strengths 1 + ln(1 + lam^2) / (2 z)
+        ascending) or an explicit P, which
+        :meth:`InteractionMatrix.from_factors` factorizes after the reality
+        check.  Every gauge must be compatible to within one rounded stage:
+        a ``gauge_condition`` or ``interaction_symmetric`` residual above its
+        :class:`ErrorModel` budget raises :class:`GaugeIncompatible`, so the
+        rows built on P see no incompatibility beyond the rounding they
+        budget for.
+        """
+        if isinstance(gauge, str):
+            zm = self._builtin(gauge, z)
+            check = require_compatible_gauge(self.A, self.theta, zm.P)
+        else:
+            check = require_compatible_gauge(self.A, self.theta, gauge)
+            zm = InteractionMatrix.from_factors(gauge, self.U)
+        model = ErrorModel.for_cluster(self.A, zm, 0.0, check.scale)  # budgets free of z
+        for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
+            if residual > model.budget(name):
+                raise GaugeIncompatible(
+                    f"{name} residual {residual:.3e} exceeds its budget "
+                    f"{model.budget(name):.1e}: P is compatible only above rounding"
+                )
+        return zm, check
+
+    def _builtin(self, gauge: str, z: float | None) -> InteractionMatrix:
+        n = self.A.shape[0]
+        if gauge == "identity":
+            w, modes = np.ones(n), np.eye(n)
+        elif gauge == "faithful":
+            if z is None or not (np.isfinite(z) and z > 0):
+                raise ValueError("squeezing scale z must be positive and finite")
+            order = np.argsort(np.abs(self.eigenvalues), kind="stable")
+            lam = self.eigenvalues[order]
+            w, modes = 1.0 + np.log1p(lam * lam) / (2.0 * z), self.frame[:, order]
+        else:
+            raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
+        _require_definite(w)
+        p = _spectral(modes, w)
+        p = (p + p.conj().T) / 2.0
+        return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes)
 
 
 def validate_gauge(A, theta, P) -> GaugeCheck:
@@ -232,10 +269,8 @@ def validate_gauge(A, theta, P) -> GaugeCheck:
     P is compatible exactly when (A + i 1) e^{i Theta} P e^{-i Theta}
     (A - i 1) is a real matrix, which is equivalent to P U being symmetric.
     Returns the verdict together with the relative imaginary residual of the
-    test matrix.  Only this joint condition is checked here; Hermiticity,
-    positivity and singularity concern P alone and are checked by
-    :meth:`InteractionMatrix.from_factors` on the one eigendecomposition of
-    P the plan keeps.
+    test matrix.  Hermiticity, positivity and singularity concern P alone
+    and are checked where its eigenpairs are formed.
     """
     a = adjacency_matrix(A)
     th = phase_vector(theta, a.shape[0])
@@ -263,33 +298,10 @@ def require_compatible_gauge(A, theta, P) -> GaugeCheck:
     return check
 
 
-def checked_interaction(a, theta, P, u) -> tuple[InteractionMatrix, GaugeCheck]:
-    """Plan Z = P U of the cluster (a, theta) with structure factor ``u``,
-    and the check of its gauge.
-
-    A reality residual above the input threshold is rejected before P is
-    factorized.  Then P must be compatible to within one rounded stage: the
-    ``gauge_condition`` and ``interaction_symmetric`` residuals must stay
-    within their :class:`ErrorModel` budgets, else :class:`GaugeIncompatible`.
-    So every accepted gauge passes those checks, and the rows built on P see
-    no incompatibility beyond the rounding they budget for.
-    """
-    check = require_compatible_gauge(a, theta, P)
-    zm = InteractionMatrix.from_factors(P, u)
-    model = ErrorModel.for_cluster(a, zm, 0.0, check.scale)  # budgets free of z
-    for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
-        if residual > model.budget(name):
-            raise GaugeIncompatible(
-                f"{name} residual {residual:.3e} exceeds its budget "
-                f"{model.budget(name):.1e}: P is compatible only above rounding"
-            )
-    return zm, check
-
-
-def interaction_from_cluster(A, theta, P) -> InteractionMatrix:
-    """Interaction matrix Z = P U for a cluster and a compatible gauge."""
-    a = adjacency_matrix(A)
-    return checked_interaction(a, theta, P, unitary_from_adjacency(a, theta))[0]
+def interaction_from_cluster(A, theta, gauge, z: float | None = None) -> InteractionMatrix:
+    """Interaction matrix Z = P U for a cluster and a gauge, as
+    :meth:`ClusterPlan.interaction` builds and checks it."""
+    return ClusterPlan.of(A, theta).interaction(gauge, z)[0]
 
 
 def check_squeeze_budget(strength_max: float, z: float) -> None:
@@ -370,20 +382,3 @@ def squeezer_spectrum(zm: InteractionMatrix, z: float) -> list[SqueezerMode]:
         )
         for lam in w
     ]
-
-
-def resolve_gauge(gauge, A, theta, z: float) -> np.ndarray:
-    """Map a gauge selector to a concrete P.
-
-    ``gauge`` is ``"identity"``, ``"faithful"`` or an explicit Hermitian
-    matrix; explicit matrices are validated where they are used, starting
-    with their shape in :func:`validate_gauge`.
-    """
-    a = adjacency_matrix(A)
-    if isinstance(gauge, str):
-        if gauge == "identity":
-            return gauge_identity(a.shape[0])
-        if gauge == "faithful":
-            return gauge_faithful(a, theta, z)
-        raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
-    return np.asarray(gauge, dtype=complex)

@@ -54,8 +54,8 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-#: check name -> (magnitude, c); the rounded stages behind each c are
-#: counted for the faithful gauge, whose P takes three (A A, eigh, product).
+#: check name -> (magnitude, c); each c counts three rounded stages for P
+#: (A A, eigh, product); the cluster plan's faithful P takes two of them.
 #: The two compatibility rows also gate the input: a gauge is accepted only
 #: when compatible to within one rounded stage of P (c = 4), the error every
 #: later row already budgets for P.
@@ -63,8 +63,8 @@ CHECKS = {
     "gauge_condition": ("reality", 4),
     "interaction_symmetric": ("asymmetry", 4),
     "polar_product": ("interaction", 4),  # P U again
-    "structure_unitary": ("structure", 8),  # solve, U U^dagger
-    "structure_symmetric": ("structure", 4),  # solve
+    "structure_unitary": ("structure", 8),  # U (eigh of A, or solve), U U^dagger
+    "structure_symmetric": ("structure", 4),  # U
     "bogoliubov_unitary_defect": ("bogoliubov", 40),  # P, U, eigh, X, Y (2), two products
     "bogoliubov_symmetry_defect": ("bogoliubov", 40),
     "covariance_real": ("covariance", 28),  # P, eigh, e^{-zP}, E, E E^dagger
@@ -92,7 +92,7 @@ class ErrorModel:
     """Magnitudes that scale the rounding error of one request's results.
 
     ``kappa`` bounds how much the structure factor U amplifies rounding:
-    1 + ||A||_inf >= ||A + i||_2 when U is solved from a cluster, and the
+    1 + ||A||_inf >= ||A + i||_2 when U comes from a cluster, and the
     condition number lambda_max / lambda_min of P when U comes from the
     polar split of an interaction matrix.  The two compatibility residuals
     are relative to ``z_scale`` (max(1, max|Z|)) and ``test_scale`` (the

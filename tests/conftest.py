@@ -9,6 +9,8 @@ profile for the same reason.
 from __future__ import annotations
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from clustersqueeze import (
@@ -16,8 +18,8 @@ from clustersqueeze import (
     IndexOutOfRange,
     ParseError,
     adjacency_matrix,
-    gauge_faithful,
-    gauge_identity,
+    oracle,
+    phase_vector,
 )
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
@@ -104,14 +106,76 @@ def non_hermitian_compatible_gauge(A):
     return np.linalg.solve(a + 1j * eye, r) @ np.linalg.inv(a - 1j * eye)
 
 
-def random_gauge(rng, kind, A, theta, z):
-    """Gauge factor of the requested kind for a theorem-consistent instance."""
-    n = np.asarray(A).shape[0]
-    if kind == "identity":
-        return gauge_identity(n)
-    if kind == "faithful":
-        return gauge_faithful(A, theta, z)
+def random_gauge(rng, kind, A, theta):
+    """Gauge selector of the requested kind for a theorem-consistent
+    instance: the name of a built-in gauge, or a random compatible P."""
+    if kind in ("identity", "faithful"):
+        return kind
     return random_compatible_gauge(rng, A, theta)
+
+
+def reference_unitary_from_adjacency(A, theta):
+    """The structure factor by a complex solve, as it was before the
+    cluster plan, verbatim."""
+    a = adjacency_matrix(A)
+    th = phase_vector(theta, a.shape[0])
+    eye = np.eye(a.shape[0])
+    m = np.linalg.solve(a + 1j * eye, a - 1j * eye)
+    ph = np.exp(-1j * th)
+    u = -1j * ph[:, None] * m * ph[None, :]
+    return (u + u.T) / 2.0
+
+
+def reference_gauge_faithful(A, theta, z):
+    """The faithful gauge 1 + e^{-i Theta} ln(A^2 + 1) e^{i Theta} / (2 z)
+    through eigh(A A + 1), as it was before the cluster plan, verbatim."""
+    a = adjacency_matrix(A)
+    th = phase_vector(theta, a.shape[0])
+    eye = np.eye(a.shape[0])
+    w, q = np.linalg.eigh(a @ a + eye)
+    log_gram = (q * np.log(w)[None, :]) @ q.conj().T
+    ph = np.exp(-1j * th)
+    p = eye + ph[:, None] * log_gram * ph.conj()[None, :] / (2.0 * z)
+    return (p + p.conj().T) / 2.0
+
+
+FACTORIZATIONS = ("eigh", "eigvalsh", "solve", "svd", "norm2", "expm")
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Record the N x N factorizations of order >= 2 made while the test
+    runs: kernel name -> list of copied first arguments.
+
+    The kernels are those the benchmark's ``linalg.factorizations_per_request``
+    counts: ``numpy.linalg`` ``eigh``, ``eigvalsh``, ``solve`` and ``svd``,
+    ``norm(., 2)`` (an SVD, recorded as ``norm2``) and the oracle's
+    ``expm``.  ``calls.total()`` is their number.
+    """
+    calls = _Factorizations({name: [] for name in FACTORIZATIONS})
+
+    def counting(name, original, counted=lambda args, kwargs: True):
+        def wrapper(a, *args, **kwargs):
+            if np.ndim(a) >= 2 and np.shape(a)[-1] >= 2 and counted(args, kwargs):
+                calls[name].append(np.array(a))
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "norm", counting(
+        "norm2", np.linalg.norm, lambda args, kwargs: (args[0] if args else kwargs.get("ord")) == 2))
+    monkeypatch.setattr(oracle, "expm", counting("expm", scipy.linalg.expm))
+    return calls
+
+
+class _Factorizations(dict):
+    def total(self) -> int:
+        return sum(map(len, self.values()))
+
+    def of(self, name, matrix) -> int:
+        """Calls of ``name`` whose argument equals ``matrix``."""
+        return sum(1 for a in self[name] if np.array_equal(a, matrix))
 
 
 def epr_adjacency():

@@ -21,8 +21,6 @@ from clustersqueeze import (
     covariance_closed_form,
     covariance_oracle,
     find_regular_phases,
-    gauge_faithful,
-    gauge_identity,
     interaction_from_cluster,
     regularity_margin,
     unitary_from_adjacency,
@@ -58,8 +56,7 @@ def test_criterion_01_faithful_gauge_identity():
         a = random_adjacency(rng, n, weight=2.0)
         th = random_phases(rng, n)
         for z in (0.5, 1.0, 2.0):
-            p = gauge_faithful(a, th, z)
-            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p), z)
+            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, "faithful", z), z)
             worst = max(
                 worst, float(np.max(np.abs(rep.C - math.exp(-2.0 * z) * np.eye(n))))
             )
@@ -73,7 +70,7 @@ def test_criterion_01_faithful_gauge_identity():
 
 
 def test_criterion_02_self_inverse_case():
-    zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+    zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
     rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, 1.0)
     residual = float(np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))))
     _report(2, "self-inverse EPR value", residual <= 1e-10, f"residual {residual:.3e}")
@@ -87,7 +84,7 @@ def test_criterion_03_uniform_gauge_formula():
         a = random_adjacency(rng, n)
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.5))
-        zm = interaction_from_cluster(a, th, gauge_identity(n))
+        zm = interaction_from_cluster(a, th, "identity")
         rep = covariance_closed_form(a, th, zm, z)
         target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
         worst = max(worst, float(np.max(np.abs(rep.C - target))))
@@ -104,8 +101,8 @@ def test_criterion_04_oracle_equivalence():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 3.0))
         kind = ("identity", "faithful", "custom")[trial % 3]
-        p = random_gauge(rng, kind, a, th, z)
-        zm = interaction_from_cluster(a, th, p)
+        p = random_gauge(rng, kind, a, th)
+        zm = interaction_from_cluster(a, th, p, z)
         closed = covariance_closed_form(a, th, zm, z)
         brute = covariance_oracle(a, th, zm, z)
         worst = max(worst, float(np.max(np.abs(closed.C - brute.C))))
@@ -189,8 +186,8 @@ def test_criterion_07_bogoliubov_conditions():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.0, 2.5))
         kind = ("identity", "faithful", "custom")[trial % 3]
-        p = random_gauge(rng, kind, a, th, max(z, 0.3))
-        zm = interaction_from_cluster(a, th, p)
+        p = random_gauge(rng, kind, a, th)
+        zm = interaction_from_cluster(a, th, p, max(z, 0.3))
         for pair in (
             bogoliubov_from_interaction(zm, z),
             bogoliubov_oracle(zm, z),
@@ -216,7 +213,7 @@ def test_criterion_08_bloch_messiah():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.0))
         kind = ("identity", "faithful", "custom")[trial % 3]
-        zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th, z))
+        zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
         factors = bloch_messiah(zm, z)
         pair = bogoliubov_from_interaction(zm, z)
         x_rec, y_rec = factors.reconstruct()

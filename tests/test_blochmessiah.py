@@ -65,7 +65,7 @@ class TestBlochMessiah:
         rng = np.random.default_rng(60)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th, 1.0))
+        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
         factors = bloch_messiah(zm, 1.0)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
@@ -82,7 +82,7 @@ class TestBlochMessiah:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th, z))
+            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert rx <= 1e-8 and ry <= 1e-8
@@ -93,7 +93,7 @@ class TestBlochMessiah:
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
         z = 1.2
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th, z))
+        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
         factors = bloch_messiah(zm, z)
         strengths = np.array([m.strength for m in squeezer_spectrum(zm, z)])
         assert np.max(np.abs(np.sort(factors.D) - np.sort(strengths))) <= 1e-9
@@ -119,7 +119,7 @@ class TestBlochMessiah:
             th = random_phases(rng, n)
             z = 1.0
             kind = ("identity", "faithful")[trial % 2]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th, z))
+            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
             assert cluster_condition_residual(factors.V, a, th) <= 1e-8
 

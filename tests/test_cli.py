@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import SearchExhausted, cli, synthesis
+from clustersqueeze import SearchExhausted, cli, interaction_from_cluster, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -21,7 +21,7 @@ from clustersqueeze.cli import (
     matrix_to_json,
 )
 
-from conftest import epr_adjacency, non_hermitian_compatible_gauge
+from conftest import epr_adjacency, non_hermitian_compatible_gauge, random_compatible_gauge
 
 EPR_GRAPH = "2\n0 1 1.0\n"
 
@@ -340,86 +340,88 @@ class TestGaugeOption:
 
 
 class TestOneFactorizationPerRequest:
-    """A request factorizes the gauge factor P once and checks the gauge once.
+    """A graph request factorizes A once, and the built-in gauges read U, P
+    and the eigenpairs of P off that one real ``eigh``: no ``eigh`` of P and
+    no ``solve``.  A custom gauge adds its one ``eigh`` of P.
 
     The one ``eigvalsh`` of P left is the oracle's own z * lambda_max budget,
-    kept apart from the plan's ``eigh`` on purpose.
+    kept apart from the plan on purpose, and the other ``eigvalsh`` is the
+    covariance_psd row's.
     """
 
     GRAPH = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
+    A = parse_graph(GRAPH)
+
+    def _gauge(self, gauge, tmp_path):
+        """--gauge value and the selector of the plan."""
+        if gauge != "custom":
+            return gauge, gauge
+        p = random_compatible_gauge(np.random.default_rng(5), self.A, np.zeros(6))
+        return f"custom:{write(tmp_path, 'p.json', json.dumps(matrix_to_json(p)))}", p
 
     @staticmethod
-    def _count(monkeypatch):
-        calls = {"eigh": [], "eigvalsh": [], "gauges": []}
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counting(a, *args, _name=name, _original=original, **kwargs):
-                calls[_name].append(np.array(a))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+    def _count_gauge_checks(monkeypatch):
+        checked = []
         validate_gauge = synthesis.validate_gauge
 
-        def counting_validate_gauge(A, theta, P, *args, **kwargs):
-            calls["gauges"].append(np.asarray(P, dtype=complex))
-            return validate_gauge(A, theta, P, *args, **kwargs)
+        def counting_validate_gauge(A, theta, P):
+            checked.append(P)
+            return validate_gauge(A, theta, P)
 
         monkeypatch.setattr(synthesis, "validate_gauge", counting_validate_gauge)
-        return calls
+        return checked
 
-    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
     @pytest.mark.parametrize("command", ["synthesize", "verify"])
-    def test_counts(self, command, gauge, tmp_path, capsys, monkeypatch):
+    def test_counts(self, command, gauge, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
-        calls = self._count(monkeypatch)
-        code, _, _ = run_cli([command, "--graph", graph, "--gauge", gauge, "-z", "0.9"], capsys)
+        spec, selector = self._gauge(gauge, tmp_path)
+        p = interaction_from_cluster(self.A, np.zeros(6), selector, 0.9).P
+        checked = self._count_gauge_checks(monkeypatch)
+        calls = request.getfixturevalue("factorizations")  # counts from here, after p
+        code, _, _ = run_cli([command, "--graph", graph, "--gauge", spec, "-z", "0.9"], capsys)
         assert code == EXIT_OK
-        assert len(calls["gauges"]) == 1
-        p = calls["gauges"][0]
+        assert len(checked) == 1
+        assert calls.of("eigh", self.A) == 1
         p_sym = (p + p.conj().T) / 2.0
-        assert sum(1 for a in calls["eigh"] if np.array_equal(a, p_sym)) == 1
-        assert sum(1 for a in calls["eigvalsh"] if np.array_equal(a, p_sym)) == 1
+        assert calls.of("eigh", p_sym) == (gauge == "custom")
+        assert calls["solve"] == []
+        assert calls.of("eigvalsh", p_sym) == 1
+        # eigh(A), the oracle's eigvalsh(P) and expm, covariance_psd's
+        # eigvalsh(C); a custom P's eigh; the identity gauge's Bloch-Messiah
+        # Takagi step, an eigh of Re(-i U)
+        expected = 4 + (gauge == "custom") + (command == "verify" and gauge == "identity")
+        assert calls.total() == expected
 
-    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
-    def test_sweep_solves_once(self, gauge, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    def test_sweep_factorizes_the_graph_once(self, gauge, tmp_path, capsys, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
-        solves = []
-        solve = np.linalg.solve
-
-        def counting_solve(a, b):
-            solves.append(np.array(a))
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        args = ["sweep", "--graph", graph, "--gauge", gauge, "--z-range", "0.5:1.5:0.5"]
+        spec, _ = self._gauge(gauge, tmp_path)
+        calls = request.getfixturevalue("factorizations")
+        args = ["sweep", "--graph", graph, "--gauge", spec, "--z-range", "0.5:2.5:0.5"]
         code, out, _ = run_cli(args, capsys)
-        assert code == EXIT_OK and len(out.splitlines()) == 4
-        assert len(solves) == 1
+        assert code == EXIT_OK and len(out.splitlines()) == 6
+        assert calls.of("eigh", self.A) == 1 and calls["solve"] == []
+        # the oracle's eigvalsh and expm at the first and last rows
+        assert calls.total() == 5 + (gauge == "custom")
 
-    def test_searching_analyze_reuses_the_search_margin(self, tmp_path, capsys, monkeypatch):
-        svds = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            svds.append(np.array(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(1))))
+    def test_searching_analyze_reuses_the_search_margin(self, tmp_path, capsys, factorizations):
+        path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(2))))
         code, out, _ = run_cli(["analyze", "--interaction", path], capsys)
         assert code == EXIT_OK and json.loads(out)["phase_search_used"] is True
-        # the input phases, two schedule candidates (zero, pi/16), the inverse
-        assert len(svds) == 4
+        # the input phases and two schedule candidates (zero, pi/16); the
+        # inverse reuses the accepted candidate's margin
+        assert len(factorizations["svd"]) == 3
 
-    def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch):
+    def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
         args = ["synthesize", "--graph", graph, "--gauge", "faithful", "--out", bundle]
         assert run_cli(args, capsys)[0] == EXIT_OK
-        calls = self._count(monkeypatch)
+        checked = self._count_gauge_checks(monkeypatch)
+        calls = request.getfixturevalue("factorizations")
         assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
-        assert len(calls["gauges"]) == 1
+        assert len(checked) == 1
         assert calls["eigvalsh"] == []
 
 
@@ -523,6 +525,33 @@ class TestUsage:
         bad = write(tmp_path, "bad.json", json.dumps(obj))
         code, _, err = run_cli(["verify", "--interaction", bad], capsys)
         assert code == 2 and "gauge factor shape does not match the graph" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["verify", "--interaction", "{bundle}", "--graph", "{graph}", "--gauge", "faithful",
+              "--phases", "/nonexistent"], "not allowed with argument"),
+            (["decompose", "--interaction", "{bundle}", "--graph", "{graph}"], "not allowed with argument"),
+            (["verify", "--interaction", "{bundle}", "-z", "5"], "-z cannot be used with --interaction"),
+            (["verify", "--interaction", "{bundle}", "--gauge", "faithful"], "--gauge cannot be used"),
+            (["decompose", "--interaction", "{bundle}", "--phases", "zero"], "--phases cannot be used"),
+            (["verify", "--graph", "{graph}", "--z-range", "1:3:1"], "unrecognized arguments"),
+            (["synthesize", "--graph", "{graph}", "--z-range", "1:3:1"], "unrecognized arguments"),
+            (["synthesize", "--graph", "{graph}", "--format", "csv"], "invalid choice: 'csv'"),
+            (["decompose", "--graph", "{graph}", "--format", "csv"], "invalid choice: 'csv'"),
+        ],
+        ids=["interaction-and-graph", "decompose-both-routes", "bundle-z", "bundle-gauge",
+             "decompose-interaction-phases", "verify-z-range", "synthesize-z-range",
+             "synthesize-csv", "decompose-csv"],
+    )
+    def test_flags_the_command_would_ignore_exit_2(self, args, message, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = str(tmp_path / "b.json")
+        assert run_cli(["synthesize", "--graph", graph, "--out", bundle], capsys)[0] == EXIT_OK
+        args = [arg.format(graph=graph, bundle=bundle) for arg in args]
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert message in err
 
     def test_conflicting_scale_flags_exit_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)

@@ -21,8 +21,6 @@ from clustersqueeze import (
     BogoliubovPair,
     bloch_messiah,
     format_graph,
-    gauge_faithful,
-    gauge_identity,
     interaction_from_cluster,
     parse_graph,
     synthesis,
@@ -123,13 +121,28 @@ class TestAcceptedImpliesVerifiable:
         "n, headroom, gauge",
         [(8, 19.0, "identity"), (36, 24.0, "faithful"), (64, 29.4, "identity"), (64, 29.4, "faithful")],
     )
-    def test_benchmark_high_z_recipe(self, n, headroom, gauge, tmp_path):
-        """Dense uniform[-1, 1] weights at the benchmark's largest z * lambda_max."""
+    def test_benchmark_high_z_recipe(self, n, headroom, gauge, tmp_path, monkeypatch):
+        """Dense uniform[-1, 1] weights at the benchmark's largest z * lambda_max.
+
+        synthesize and verify --graph read the built-in gauge off the
+        cluster plan; verify --interaction reads the stored P back like a
+        custom gauge and rebuilds Z, X, Y and C from one eigh of it, so its
+        bundle rows compare two routes that differ by rounding.
+        """
+        factorized = []
+        from_factors = synthesis.InteractionMatrix.from_factors
+
+        def recording(cls, P, U):
+            factorized.append(P)
+            return from_factors(P, U)
+
+        monkeypatch.setattr(synthesis.InteractionMatrix, "from_factors", classmethod(recording))
         rng = np.random.default_rng(n)
         a = parse_graph(perfbench_graph_text(rng, n))
         theta = rng.uniform(-math.pi, math.pi, n)
         z = headroom - (faithful_offset(a) if gauge == "faithful" else 0.0)
         assert_verifiable(tmp_path, a, theta, gauge, z)
+        assert len(factorized) == 1
 
     @settings(max_examples=60)
     @given(case=accepted_inputs(), digits=st.integers(10, 15), seed=st.integers(0, 2**32 - 1))
@@ -139,7 +152,7 @@ class TestAcceptedImpliesVerifiable:
         rejects it (exit 3) or verify passes it."""
         a, theta, gauge, z, p = case
         if p is None:
-            p = gauge_identity(a.shape[0]) if gauge == "identity" else gauge_faithful(a, theta, z)
+            p = interaction_from_cluster(a, theta, gauge, z).P
         rng = np.random.default_rng(seed)
         h = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
         h = (h + h.conj().T) / (2.0 * np.max(np.abs(h)))
@@ -153,12 +166,22 @@ class TestAcceptedImpliesVerifiable:
         verify, decompose --graph and sweep all reject it with exit 3."""
         n = a.shape[0]
         theta, z = np.linspace(-1.0, 1.0, n), 2.0
-        p = gauge_faithful(a, theta, z)
+        p = interaction_from_cluster(a, theta, "faithful", z).P
         twelve = np.vectorize(lambda x: float(f"{x:.12g}"))
         files = write_case(tmp_path, a, theta, twelve(p.real) + 1j * twelve(p.imag))
         flags = cluster_flags(files, "custom", z)
         for command in ("synthesize", "verify", "decompose", "sweep"):
             assert main([command, *flags, "--out", str(tmp_path / "out")]) == EXIT_GAUGE, command
+
+    def test_faithful_gauge_of_a_heavy_pair_graph(self, tmp_path):
+        """Two disjoint edges, one of weight 2.2e3, at small z: a faithful P
+        formed by eigh(A A + 1) missed the interaction_symmetric budget by
+        a third and synthesize rejected its own gauge (exit 3); read off
+        eigh(A), it is accepted and verifiable."""
+        a = parse_graph("4\n0 0 -0.39181210530833477\n0 2 2186.3293060750702\n"
+                        "1 1 -0.14952991179871966\n1 3 1.76011278009042\n2 2 0.18182129357203358\n")
+        theta = np.array([1.4563875501688672, 0.21401461109623954, -2.8469768132570312, 0.9923368987664469])
+        assert_verifiable(tmp_path, a, theta, "faithful", 0.021096199728020848)
 
     def test_dense_graph_with_a_barely_resolved_takagi_gap(self, tmp_path):
         """N = 320 at the identity gauge: the balancing Takagi step resolves a
@@ -166,7 +189,7 @@ class TestAcceptedImpliesVerifiable:
         the interferometer carries an eigenvector error u / gap."""
         text = perfbench_graph_text(np.random.default_rng(342), 320)
         a = parse_graph(text)
-        zm = interaction_from_cluster(a, np.zeros(320), gauge_identity(320))
+        zm = interaction_from_cluster(a, np.zeros(320), "identity")
         assert bloch_messiah(zm, 1.0).gap < 1e-7
         graph = tmp_path / "g.graph"
         graph.write_text(text, encoding="utf-8")
@@ -181,7 +204,7 @@ class TestAcceptedImpliesVerifiable:
         spread, as in the benchmark's high-z bundles with isolated nodes."""
         a = parse_graph("3\n1 1 0.0001\n2 2 0.5\n")
         theta, z = np.array([0.3, -1.2, 2.0]), 4.0
-        zm = interaction_from_cluster(a, theta, gauge_faithful(a, theta, z))
+        zm = interaction_from_cluster(a, theta, "faithful", z)
         assert bloch_messiah(zm, z).spread > 0.0
         assert_verifiable(tmp_path, a, theta, "faithful", z)
 

@@ -16,7 +16,6 @@ from clustersqueeze import (
     covariance_closed_form,
     covariance_from_pair,
     covariance_oracle,
-    gauge_identity,
     interaction_from_cluster,
     squeezing_generator,
     unitary_from_adjacency,
@@ -65,7 +64,7 @@ class TestBogoliubovOracle:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th, z))
+            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
             direct = bogoliubov_from_interaction(zm, z)
             brute = bogoliubov_oracle(zm, z)
             assert np.max(np.abs(direct.X - brute.X)) <= 1e-8
@@ -76,7 +75,7 @@ class TestBogoliubovOracle:
     def test_one_parameter_group_property(self):
         rng = np.random.default_rng(72)
         a = random_adjacency(rng, 3)
-        zm = interaction_from_cluster(a, np.zeros(3), gauge_identity(3))
+        zm = interaction_from_cluster(a, np.zeros(3), "identity")
         for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (0.0, 1.7)):
             s_sum = quadrature_flow(zm, z1 + z2)
             s_prod = quadrature_flow(zm, z1) @ quadrature_flow(zm, z2)
@@ -111,7 +110,7 @@ class TestQuadratureFlow:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th, z))
+            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
             s = quadrature_flow(zm, z)
             zero = np.zeros((n, n))
             omega = np.block([[zero, np.eye(n)], [-np.eye(n), zero]])
@@ -122,7 +121,7 @@ class TestQuadratureFlow:
         rng = np.random.default_rng(93)
         a = random_adjacency(rng, 6)
         th = random_phases(rng, 6)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th, 1.2))
+        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
         expected = covariance_oracle(a, th, zm, 1.2).C
 
         def forbidden(*args, **kwargs):
@@ -162,8 +161,8 @@ class TestCovarianceOracle:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            p = random_gauge(rng, kind, a, th, z)
-            zm = interaction_from_cluster(a, th, p)
+            p = random_gauge(rng, kind, a, th)
+            zm = interaction_from_cluster(a, th, p, z)
             closed = covariance_closed_form(a, th, zm, z)
             brute = covariance_oracle(a, th, zm, z)
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
@@ -218,7 +217,7 @@ class TestForcedGaugeViolation:
         rng = np.random.default_rng(76)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th, 1.0))
+        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
         pair = bogoliubov_from_interaction(zm, 1.0)
         rep = covariance_from_pair(a, th, pair)
         assert rep.imag_residual <= 1e-9

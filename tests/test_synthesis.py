@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
+    ClusterPlan,
     DomainError,
     GaugeIncompatible,
     InteractionMatrix,
     NotHermitian,
     NotPositiveDefinite,
     NotSymmetric,
+    bloch_messiah,
     bogoliubov_from_interaction,
     covariance_closed_form,
-    gauge_faithful,
-    gauge_identity,
     interaction_from_cluster,
     squeezer_spectrum,
     unitary_from_adjacency,
     validate_gauge,
 )
+from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
     epr_adjacency,
@@ -30,6 +31,8 @@ from conftest import (
     random_gauge,
     random_hermitian_pd,
     random_phases,
+    reference_gauge_faithful,
+    reference_unitary_from_adjacency,
 )
 
 
@@ -55,10 +58,20 @@ class TestUnitaryFromAdjacency:
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-10
 
 
+def faithful(a, th, z):
+    """The faithful gauge of the cluster plan."""
+    return interaction_from_cluster(a, th, "faithful", z).P
+
+
 class TestGauges:
     def test_identity_gauge(self):
-        assert np.allclose(gauge_identity(1), [[1.0]])
-        assert np.allclose(gauge_identity(3), np.eye(3))
+        rng = np.random.default_rng(30)
+        for n in (1, 3):
+            zm = interaction_from_cluster(random_adjacency(rng, n), random_phases(rng, n), "identity")
+            # exactly real, so bundles carry no imaginary block for P or X
+            assert not np.iscomplexobj(zm.P) and np.array_equal(zm.P, np.eye(n))
+            assert np.array_equal(zm.strengths, np.ones(n)) and np.array_equal(zm.modes, np.eye(n))
+            assert not np.iscomplexobj(bogoliubov_from_interaction(zm, 0.7).X)
 
     def test_identity_gauge_always_compatible(self):
         rng = np.random.default_rng(32)
@@ -66,19 +79,19 @@ class TestGauges:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            check = validate_gauge(a, th, gauge_identity(n))
+            check = validate_gauge(a, th, np.eye(n))
             assert check.ok and check.residual <= 1e-12
 
     def test_faithful_gauge_trivial_graph(self):
-        p = gauge_faithful(np.zeros((3, 3)), [0.1, -0.2, 0.3], z=2.0)
+        p = faithful(np.zeros((3, 3)), [0.1, -0.2, 0.3], z=2.0)
         assert np.allclose(p, np.eye(3), atol=1e-12)
 
     def test_faithful_gauge_epr(self):
-        p = gauge_faithful(epr_adjacency(), [0.0, 0.0], z=1.0)
+        p = faithful(epr_adjacency(), [0.0, 0.0], z=1.0)
         assert np.allclose(p, (1.0 + math.log(2.0) / 2.0) * np.eye(2), atol=1e-12)
 
     def test_faithful_gauge_self_loop(self):
-        p = gauge_faithful(np.array([[1.0]]), [0.0], z=0.5)
+        p = faithful(np.array([[1.0]]), [0.0], z=0.5)
         assert np.allclose(p, [[1.0 + math.log(2.0)]], atol=1e-12)
 
     def test_faithful_gauge_properties(self):
@@ -88,7 +101,7 @@ class TestGauges:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.5))
-            p = gauge_faithful(a, th, z)
+            p = faithful(a, th, z)
             eigs = np.linalg.eigvalsh(p)
             assert eigs[0] >= 1.0 - 1e-12
             check = validate_gauge(a, th, p)
@@ -102,6 +115,54 @@ class TestGauges:
                 * (ph[:, None] * np.linalg.inv(a @ a + np.eye(n)) * ph.conj()[None, :])
             )
             assert np.max(np.abs(decay - target)) <= 1e-9
+
+
+class TestClusterPlan:
+    """The closed forms read off the one eigh(A), against the factorizations
+    they replace (the reference implementations in conftest)."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(1, 24))
+            a = random_adjacency(rng, n, weight=10.0 ** rng.uniform(-1.0, 3.0),
+                                 density=rng.uniform(0.2, 1.0))
+            yield a, random_phases(rng, n), float(10.0 ** rng.uniform(-1.0, 0.5))
+
+    def test_agrees_with_the_reference_factorizations(self):
+        for a, th, z in self.cases(44, 60):
+            cluster = ClusterPlan.of(a, th)
+            zm, check = cluster.interaction("faithful", z)
+            model = ErrorModel.for_cluster(cluster.A, zm, z, check.scale)
+            # U against the complex solve, as a stored U is judged
+            residual = np.max(np.abs(cluster.U - reference_unitary_from_adjacency(a, th)))
+            assert residual <= model.budget("bundle_U_matches")
+            # P against ln(A^2 + 1) by eigh; P enters Z = P U through a
+            # unitary, so it is judged as a stored Z is
+            residual = np.max(np.abs(zm.P - reference_gauge_faithful(a, th, z)))
+            assert residual <= model.budget("bundle_Z_matches")
+
+    def test_faithful_strengths_and_modes(self):
+        for a, th, z in self.cases(45, 20):
+            zm = interaction_from_cluster(a, th, "faithful", z)
+            assert np.all(np.diff(zm.strengths) >= 0.0)
+            lam = np.sort(np.abs(np.linalg.eigvalsh(a)))
+            assert np.allclose(zm.strengths, 1.0 + np.log1p(lam * lam) / (2.0 * z), rtol=1e-12)
+            # modes are eigenvectors of P
+            assert np.allclose(zm.P @ zm.modes, zm.modes * zm.strengths, atol=1e-12 * zm.strengths[-1])
+
+    def test_faithful_balancing_matrix_is_diagonal(self):
+        """In the frame F = e^{-i Theta} Q, -i T U T^T is diagonal up to the
+        rounding of U, so Bloch-Messiah's balancing mixes no modes."""
+        for a, th, z in self.cases(46, 20):
+            cluster = ClusterPlan.of(a, th)
+            zm, check = cluster.interaction("faithful", z)
+            factors = bloch_messiah(zm, z)
+            balanced = -1j * factors.T @ zm.U @ factors.T.T
+            off = balanced - np.diag(np.diag(balanced))
+            model = ErrorModel.for_cluster(cluster.A, zm, z, check.scale)
+            assert np.max(np.abs(off)) <= model.budget("bundle_U_matches")
 
 
 class TestValidateGauge:
@@ -151,16 +212,15 @@ class TestValidateGauge:
 
 class TestInteractionMatrix:
     def test_trivial_mode(self):
-        zm = interaction_from_cluster(np.zeros((1, 1)), [0.0], gauge_identity(1))
+        zm = interaction_from_cluster(np.zeros((1, 1)), [0.0], "identity")
         assert np.allclose(zm.Z, 1j)
 
     def test_epr_identity_gauge(self):
-        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
         assert np.allclose(zm.Z, -epr_adjacency(), atol=1e-12)
 
     def test_epr_faithful_gauge(self):
-        p = gauge_faithful(epr_adjacency(), [0.0, 0.0], z=1.0)
-        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], p)
+        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "faithful", 1.0)
         expected = -(1.0 + math.log(2.0) / 2.0) * epr_adjacency()
         assert np.allclose(zm.Z, expected, atol=1e-12)
 
@@ -197,7 +257,7 @@ class TestBogoliubov:
     def test_zero_scale_is_identity(self):
         rng = np.random.default_rng(37)
         a = random_adjacency(rng, 3)
-        zm = interaction_from_cluster(a, np.zeros(3), gauge_identity(3))
+        zm = interaction_from_cluster(a, np.zeros(3), "identity")
         pair = bogoliubov_from_interaction(zm, 0.0)
         assert np.allclose(pair.X, np.eye(3), atol=1e-12)
         assert np.allclose(pair.Y, np.zeros((3, 3)), atol=1e-12)
@@ -218,8 +278,8 @@ class TestBogoliubov:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            p = random_gauge(rng, kind, a, th, z)
-            zm = interaction_from_cluster(a, th, p)
+            p = random_gauge(rng, kind, a, th)
+            zm = interaction_from_cluster(a, th, p, z)
             pair = bogoliubov_from_interaction(zm, z)
             first, second = pair.defects()
             assert first <= 1e-9
@@ -233,7 +293,7 @@ class TestBogoliubov:
 
 class TestCovarianceClosedForm:
     def test_epr_identity_gauge(self):
-        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
         rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, z=1.0)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
@@ -241,12 +301,11 @@ class TestCovarianceClosedForm:
         rng = np.random.default_rng(39)
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
-        p = gauge_faithful(a, th, z=1.0)
-        rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p), z=1.0)
+        rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, "faithful", 1.0), z=1.0)
         assert np.max(np.abs(rep.C - math.exp(-2.0) * np.eye(5))) <= 1e-9
 
     def test_self_loop_identity_gauge(self):
-        zm = interaction_from_cluster(np.array([[1.0]]), [0.0], gauge_identity(1))
+        zm = interaction_from_cluster(np.array([[1.0]]), [0.0], "identity")
         rep = covariance_closed_form(np.array([[1.0]]), [0.0], zm, z=1.0)
         assert np.allclose(rep.C, [[2.0 * math.exp(-2.0)]], atol=1e-12)
 
@@ -257,7 +316,7 @@ class TestCovarianceClosedForm:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
-            zm = interaction_from_cluster(a, th, gauge_identity(n))
+            zm = interaction_from_cluster(a, th, "identity")
             rep = covariance_closed_form(a, th, zm, z)
             target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
             assert np.max(np.abs(rep.C - target)) <= 1e-9
@@ -269,8 +328,8 @@ class TestCovarianceClosedForm:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
-            p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th, z)
-            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p), z)
+            p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th)
+            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p, z), z)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
             assert rep.asym_residual <= 1e-9 * scale
@@ -286,14 +345,14 @@ class TestCovarianceClosedForm:
                 th = random_phases(rng, n)
                 norms = []
                 for z in (0.5, 1.0, 2.0):
-                    p = random_gauge(rng, gauge, a, th, z)
-                    zm = interaction_from_cluster(a, th, p)
+                    p = random_gauge(rng, gauge, a, th)
+                    zm = interaction_from_cluster(a, th, p, z)
                     norms.append(covariance_closed_form(a, th, zm, z).max_abs)
                 assert norms[0] > norms[1] > norms[2]
 
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
-            zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], gauge_identity(2))
+            zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
             covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, 0.0)
 
     def test_rejects_incompatible_gauge(self):
@@ -322,6 +381,6 @@ class TestSqueezerSpectrum:
     def test_identity_gauge_means_equal_squeezers(self):
         rng = np.random.default_rng(43)
         a = random_adjacency(rng, 4)
-        zm = interaction_from_cluster(a, np.zeros(4), gauge_identity(4))
+        zm = interaction_from_cluster(a, np.zeros(4), "identity")
         modes = squeezer_spectrum(zm, 1.3)
         assert np.allclose([m.strength for m in modes], 1.0, atol=1e-12)
