@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOrthogonal
+from .errors import NotOrthogonal, NotUnitary
 from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
+    _principal_angles,
     _spectral,
     as_complex_matrix,
     max_abs,
@@ -94,7 +95,17 @@ def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
     scale = max(1.0, float(w[-1]))
     groups = spectrum_clusters(w, degeneracy * scale)
     gap, spread = _grouping(w, groups, scale)
-    for group in groups:
+    singles = [g[0] for g in groups if len(g) == 1]
+    if singles:
+        # A 1 x 1 block s is its own Takagi factorization, R = e^{i arg(s)/2}
+        # on the angle branch of symmetric_unitary_angles; it resolves no
+        # eigen-gap and groups nothing, so gap and spread stay as they are.
+        s = balanced[singles, singles]
+        defect = np.abs(s * s.conj() - 1.0)
+        if np.max(defect) > DEFAULT_TOLERANCES.rtol:
+            raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tolerance")
+        r[singles, singles] = np.exp(0.5j * _principal_angles(s))
+    for group in (g for g in groups if len(g) > 1):
         idx = np.ix_(group, group)
         r[idx] = takagi_symmetric_unitary(balanced[idx])
         # The block's Re(S) has eigenvalues cos L, and R R^T = Q e^{i L} Q^T

@@ -10,7 +10,8 @@ Subcommands::
 
 A command rejects every flag it would ignore (exit 2): --interaction and
 --graph exclude each other, --phases and --gauge belong to the graph route,
-a bundle given to verify fixes z, and only sweep takes --z-range and csv.
+a bundle given to verify fixes z, only sweep takes --z-range and csv, and
+only synthesize and analyze take --seed.
 
 Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
@@ -556,7 +557,9 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text")) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text"), seed=False) -> None:
+    """--out, --format and -z; ``seed`` adds --seed, which only analyze's
+    phase search reads and synthesize records in its bundle."""
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument(
         "--format",
@@ -564,13 +567,14 @@ def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text")) -> No
         default=formats[0],
         help=f"output format (default {formats[0]})",
     )
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=analysis.DEFAULT_PHASE_SEED,
-        help="seed of the pseudo-random phase-search tail "
-        f"(default {analysis.DEFAULT_PHASE_SEED})",
-    )
+    if seed:
+        sub.add_argument(
+            "--seed",
+            type=int,
+            default=analysis.DEFAULT_PHASE_SEED,
+            help="seed of the pseudo-random phase-search tail "
+            f"(default {analysis.DEFAULT_PHASE_SEED})",
+        )
     sub.add_argument("-z", type=float, default=None, help="squeezing scale (default 1.0)")
 
 
@@ -599,13 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="cluster -> interaction bundle")
     _add_cluster(p_syn)
-    _add_common(p_syn)
+    _add_common(p_syn, seed=True)
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_ana = sub.add_parser("analyze", help="interaction -> cluster")
     p_ana.add_argument("--interaction", required=True, help="matrix JSON or bundle")
     p_ana.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    _add_common(p_ana)
+    _add_common(p_ana, seed=True)
     p_ana.set_defaults(func=cmd_analyze)
 
     p_dec = sub.add_parser("decompose", help="interaction -> squeezers + interferometers")

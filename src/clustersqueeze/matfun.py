@@ -140,9 +140,13 @@ def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
             _, v = np.linalg.eigh((block + block.T) / 2.0)
             q[:, g] = q[:, g] @ v
     d = np.einsum("ij,ij->j", q, sm @ q)
+    return q, _principal_angles(d)
+
+
+def _principal_angles(d: np.ndarray) -> np.ndarray:
+    """Arguments of unit-modulus values on (-pi, pi], with -pi mapped to +pi."""
     angles = np.angle(d)
-    angles = np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles)
-    return q, angles
+    return np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles)
 
 
 def takagi_symmetric_unitary(s) -> np.ndarray:

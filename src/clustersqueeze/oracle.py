@@ -35,8 +35,8 @@ The flow becomes S = T^-1 B T = exp(K) with the real generator
     K = T^-1 G T = z [[Im Z, -Re Z], [-Re Z, -Im Z]],
 
 so S is a real symplectic matrix (S Omega S^T = Omega for
-Omega = [[0, 1], [-1, 0]]) and ``expm`` runs in real arithmetic.  Since
-G_swap = T T^T and Q T = sqrt(2) [Re L, -Im L], the covariance is
+Omega = [[0, 1], [-1, 0]]).  Since G_swap = T T^T and
+Q T = sqrt(2) [Re L, -Im L], the covariance is
 
     C = M M^T,    M = [Re L, -Im L] S,
 
@@ -48,9 +48,15 @@ M_x M_p^T - M_p M_x^T, is the realness residual.  The blocks come back as
 X = ((S_xx + S_pp) + i (S_px - S_xp)) / 2 and
 Y = ((S_xx - S_pp) + i (S_px + S_xp)) / 2.
 
-The path never touches the eigenpairs of P that the interaction matrix
-carries for the closed form; the only spectral call is its own eigenvalue
-bound on z * lambda_max.
+Spectral flow.  The Hamiltonian sees only the symmetric part of Z, and for
+Z = Z^T the generator K is real symmetric.  K is therefore built from
+(Z + Z^T) / 2, and S = V diag(e^w) V^T follows from one ``eigh``
+K = V diag(w) V^T in real arithmetic.  The eigenvalues of K are
++-z sigma_k(Z), and the singular values of Z = P U are the eigenvalues of P,
+so the top one is the z * lambda_max that the squeeze budget bounds.
+
+The path reads only Z: never P, the eigenpairs of P that the interaction
+matrix carries for the closed form, or the cluster plan.
 """
 
 from __future__ import annotations
@@ -58,11 +64,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, OracleMismatch
 from .graphs import adjacency_matrix, nullifier_map, phase_vector
-from .matfun import as_complex_matrix, max_abs, symmetry_defect
+from .matfun import _spectral, as_complex_matrix, max_abs, symmetry_defect
 from .synthesis import (
     BogoliubovPair,
     ClusterPlan,
@@ -103,10 +108,10 @@ def quadrature_generator(Z, z: float) -> np.ndarray:
 
 
 def quadrature_flow(zm: InteractionMatrix, z: float) -> np.ndarray:
-    """Real symplectic 2N x 2N flow S = exp(K) by scaling and squaring."""
-    strengths = np.linalg.eigvalsh((zm.P + zm.P.conj().T) / 2.0)
-    check_squeeze_budget(float(strengths[-1]), z)
-    return expm(quadrature_generator(zm.Z, z))
+    """Real symplectic 2N x 2N flow S = exp(K) from one ``eigh`` of K."""
+    w, v = np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0, z))
+    check_squeeze_budget(float(w[-1]), 1.0)  # w[-1] is z * lambda_max
+    return _spectral(v, np.exp(w))
 
 
 def bogoliubov_oracle(zm: InteractionMatrix, z: float) -> BogoliubovPair:

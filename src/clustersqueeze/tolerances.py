@@ -73,7 +73,9 @@ CHECKS = {
     "faithful_gauge_identity": ("covariance", 28),
     "uniform_gauge_formula": ("covariance", 32),  # and A A
     "self_inverse_value": ("covariance", 28),
-    "covariance_vs_oracle": ("oracle", 52),  # closed form, Z, expm (2), two products
+    # closed form (7 stages), U and Z (2), and at order 2N (2 stages each):
+    # eigh of K, its rebuild V e^w V^T, L S and M M^T
+    "covariance_vs_oracle": ("oracle", 68),
     "blochmessiah_x": ("reduction", 60),  # P, U, eigh, X/Y, balancing (2), Takagi (2), V, W (2), rebuild
     "blochmessiah_y": ("reduction", 60),
     "interferometer_identity": ("eigenvectors", 44),  # P, U, eigh, balancing, Takagi, V, V V^T
@@ -155,7 +157,9 @@ class ErrorModel:
             "covariance": k * k * (1.0 + zl) * math.exp(-2.0 * self.z * self.lam_min),
             # the oracle's M M^T: M, of size e^{-z lambda_min}, is formed from
             # a flow of size e^{z lambda_max}, whose error u N e^{z lambda_max}
-            # enters first and second order
+            # enters first and second order.  The eigh's backward error dK
+            # (u N z lambda_max) adds no Frechet factor: it reaches M through
+            # L e^{(1-s)K}, which decays as e^{-(1-s) z lambda_min}
             "oracle": k * k * (
                 math.exp(self.z * (self.lam_max - self.lam_min))
                 + UNIT_ROUNDOFF * self.n * math.exp(2.0 * zl)

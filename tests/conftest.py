@@ -139,7 +139,13 @@ def reference_gauge_faithful(A, theta, z):
     return (p + p.conj().T) / 2.0
 
 
-FACTORIZATIONS = ("eigh", "eigvalsh", "solve", "svd", "norm2", "expm")
+def reference_quadrature_flow(Z, z):
+    """The quadrature flow exp(K) by scipy's scaling and squaring, as the
+    oracle computed it before the ``eigh`` of K."""
+    return scipy.linalg.expm(oracle.quadrature_generator(Z, z))
+
+
+FACTORIZATIONS = ("eigh", "eigvalsh", "solve", "svd", "norm2")
 
 
 @pytest.fixture
@@ -149,8 +155,8 @@ def factorizations(monkeypatch):
 
     The kernels are those the benchmark's ``linalg.factorizations_per_request``
     counts: ``numpy.linalg`` ``eigh``, ``eigvalsh``, ``solve`` and ``svd``,
-    ``norm(., 2)`` (an SVD, recorded as ``norm2``) and the oracle's
-    ``expm``.  ``calls.total()`` is their number.
+    and ``norm(., 2)`` (an SVD, recorded as ``norm2``).  ``calls.total()``
+    is their number.
     """
     calls = _Factorizations({name: [] for name in FACTORIZATIONS})
 
@@ -165,7 +171,6 @@ def factorizations(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "norm", counting(
         "norm2", np.linalg.norm, lambda args, kwargs: (args[0] if args else kwargs.get("ord")) == 2))
-    monkeypatch.setattr(oracle, "expm", counting("expm", scipy.linalg.expm))
     return calls
 
 

@@ -1,5 +1,6 @@
 """Tests for the interferometer reduction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from clustersqueeze import (
     InteractionMatrix,
     NotOrthogonal,
+    NotUnitary,
     bloch_messiah,
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
@@ -17,6 +19,7 @@ from clustersqueeze import (
     unitary_from_adjacency,
     unitary_from_interferometer,
 )
+from clustersqueeze.matfun import phase_fixed_columns, takagi_symmetric_unitary
 
 from conftest import (
     epr_adjacency,
@@ -110,6 +113,27 @@ class TestBlochMessiah:
         factors = bloch_messiah(zm, 1.0)
         rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
         assert max(rx, ry, ru) <= 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_single_groups_match_the_per_group_takagi(self, n):
+        # every faithful strength group is 1 x 1; the one vectorized step must
+        # give the balancing R that one Takagi call per group gives, bit for bit
+        rng = np.random.default_rng(64)
+        a = random_adjacency(rng, n)
+        zm = interaction_from_cluster(a, random_phases(rng, n), "faithful", 0.7)
+        v = phase_fixed_columns(zm.modes)
+        balanced = -1j * v.conj().T @ zm.U @ v.conj()
+        reference = np.zeros((n, n), dtype=complex)
+        for k in range(n):
+            reference[k:k + 1, k:k + 1] = takagi_symmetric_unitary(balanced[k:k + 1, k:k + 1])
+        factors = bloch_messiah(zm, 0.7)
+        assert np.array_equal(factors.R, reference)
+        assert factors.spread == 0.0
+
+    def test_non_unitary_single_group_is_rejected(self):
+        zm = interaction_from_cluster(epr_adjacency(), np.zeros(2), "faithful", 1.0)
+        with pytest.raises(NotUnitary):
+            bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U), 1.0)
 
     def test_cluster_condition_of_reduced_interferometer(self):
         rng = np.random.default_rng(63)

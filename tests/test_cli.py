@@ -344,9 +344,9 @@ class TestOneFactorizationPerRequest:
     and the eigenpairs of P off that one real ``eigh``: no ``eigh`` of P and
     no ``solve``.  A custom gauge adds its one ``eigh`` of P.
 
-    The one ``eigvalsh`` of P left is the oracle's own z * lambda_max budget,
-    kept apart from the plan on purpose, and the other ``eigvalsh`` is the
-    covariance_psd row's.
+    The oracle, kept apart from the plan on purpose, makes one ``eigh`` of
+    its 2N x 2N generator K and reads its z * lambda_max budget off it; the
+    one ``eigvalsh`` is the covariance_psd row's.
     """
 
     GRAPH = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
@@ -386,11 +386,12 @@ class TestOneFactorizationPerRequest:
         p_sym = (p + p.conj().T) / 2.0
         assert calls.of("eigh", p_sym) == (gauge == "custom")
         assert calls["solve"] == []
-        assert calls.of("eigvalsh", p_sym) == 1
-        # eigh(A), the oracle's eigvalsh(P) and expm, covariance_psd's
-        # eigvalsh(C); a custom P's eigh; the identity gauge's Bloch-Messiah
-        # Takagi step, an eigh of Re(-i U)
-        expected = 4 + (gauge == "custom") + (command == "verify" and gauge == "identity")
+        assert calls.of("eigvalsh", p_sym) == 0 and len(calls["eigvalsh"]) == 1
+        assert sum(1 for a in calls["eigh"] if a.shape == (12, 12)) == 1
+        # eigh(A), the oracle's eigh(K), covariance_psd's eigvalsh(C); a
+        # custom P's eigh; the identity gauge's Bloch-Messiah Takagi step, an
+        # eigh of Re(-i U)
+        expected = 3 + (gauge == "custom") + (command == "verify" and gauge == "identity")
         assert calls.total() == expected
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
@@ -402,8 +403,8 @@ class TestOneFactorizationPerRequest:
         code, out, _ = run_cli(args, capsys)
         assert code == EXIT_OK and len(out.splitlines()) == 6
         assert calls.of("eigh", self.A) == 1 and calls["solve"] == []
-        # the oracle's eigvalsh and expm at the first and last rows
-        assert calls.total() == 5 + (gauge == "custom")
+        # the oracle's eigh(K) at the first and last rows
+        assert calls.total() == 3 + (gauge == "custom")
 
     def test_searching_analyze_reuses_the_search_margin(self, tmp_path, capsys, factorizations):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(2))))
@@ -498,6 +499,15 @@ class TestUsage:
             math.exp(-2.0), abs=1e-10
         )
 
+    def test_seed_is_recorded_and_read(self, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = str(tmp_path / "b.json")
+        args = ["synthesize", "--graph", graph, "--seed", "7", "--out", bundle]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        assert json.loads(Path(bundle).read_text(encoding="utf-8"))["seed"] == 7
+        code, out, _ = run_cli(["analyze", "--interaction", bundle, "--seed", "7"], capsys)
+        assert code == EXIT_OK and json.loads(out)["seed"] == 7
+
     def test_wrong_phase_count_exits_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         phases = write(tmp_path, "phases.txt", "0.1\n")
@@ -539,10 +549,16 @@ class TestUsage:
             (["synthesize", "--graph", "{graph}", "--z-range", "1:3:1"], "unrecognized arguments"),
             (["synthesize", "--graph", "{graph}", "--format", "csv"], "invalid choice: 'csv'"),
             (["decompose", "--graph", "{graph}", "--format", "csv"], "invalid choice: 'csv'"),
+            (["verify", "--graph", "{graph}", "--seed", "99"], "unrecognized arguments"),
+            (["verify", "--interaction", "{bundle}", "--seed", "99"], "unrecognized arguments"),
+            (["decompose", "--graph", "{graph}", "--seed", "99"], "unrecognized arguments"),
+            (["sweep", "--graph", "{graph}", "--z-range", "1:3:1", "--seed", "99"],
+             "unrecognized arguments"),
         ],
         ids=["interaction-and-graph", "decompose-both-routes", "bundle-z", "bundle-gauge",
              "decompose-interaction-phases", "verify-z-range", "synthesize-z-range",
-             "synthesize-csv", "decompose-csv"],
+             "synthesize-csv", "decompose-csv", "verify-graph-seed", "verify-bundle-seed",
+             "decompose-seed", "sweep-seed"],
     )
     def test_flags_the_command_would_ignore_exit_2(self, args, message, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
@@ -640,19 +656,28 @@ class TestJsonWriter:
 
 class TestModuleEntryPoints:
     @staticmethod
-    def run_module(module, args):
+    def run_python(args):
         src = str(Path(clustersqueeze.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
         return subprocess.run(
-            [sys.executable, "-m", module, *args],
+            [sys.executable, *args],
             env=env,
             capture_output=True,
             text=True,
             timeout=120,
         )
+
+    def run_module(self, module, args):
+        return self.run_python(["-m", module, *args])
+
+    def test_cli_runs_without_scipy(self):
+        proc = self.run_python(
+            ["-c", "import sys, clustersqueeze.cli; print('scipy' in sys.modules)"]
+        )
+        assert proc.returncode == 0 and proc.stdout == "False\n"
 
     @pytest.mark.parametrize("module", ["clustersqueeze", "clustersqueeze.cli"])
     def test_missing_graph_exits_input(self, module, tmp_path):

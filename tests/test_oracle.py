@@ -1,6 +1,8 @@
 """Tests for the brute-force verification path."""
 
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from clustersqueeze import (
 )
 from clustersqueeze import oracle, synthesis
 from clustersqueeze.oracle import quadrature_flow, quadrature_generator
+from clustersqueeze.tolerances import DEFAULT_TOLERANCES
 
 from conftest import (
     epr_adjacency,
@@ -32,6 +35,7 @@ from conftest import (
     random_hermitian_pd,
     random_phases,
     random_symmetric_unitary,
+    reference_quadrature_flow,
 )
 
 
@@ -117,20 +121,56 @@ class TestQuadratureFlow:
             residual = np.max(np.abs(s @ omega @ s.T - omega))
             assert residual <= 1e-12 * np.linalg.norm(s, 2) ** 2
 
-    def test_oracle_does_not_use_eigendecomposition(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["identity", "faithful", "custom"])
+    def test_oracle_reads_only_z(self, kind, monkeypatch, request):
         rng = np.random.default_rng(93)
         a = random_adjacency(rng, 6)
         th = random_phases(rng, 6)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
+        zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), 1.2)
         expected = covariance_oracle(a, th, zm, 1.2).C
+        # only Z and n: reading P, strengths or modes raises AttributeError
+        # (NaN stand-ins would slip through a comparison such as the budget's)
+        blind = types.SimpleNamespace(Z=zm.Z, n=zm.n)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must not call this")
 
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(synthesis, "covariance_closed_form", forbidden)
         monkeypatch.setattr(oracle, "covariance_closed_form", forbidden)
-        assert np.array_equal(covariance_oracle(a, th, zm, 1.2).C, expected)
+        monkeypatch.setattr(synthesis.ClusterPlan, "of", forbidden)
+        monkeypatch.setattr(synthesis.ClusterPlan, "interaction", forbidden)
+        calls = request.getfixturevalue("factorizations")
+        assert np.array_equal(covariance_oracle(a, th, blind, 1.2).C, expected)
+        # one eigh, of the 12 x 12 generator, and nothing of order N
+        assert [c.shape for c in calls["eigh"]] == [(12, 12)] and calls.total() == 1
+
+    def test_flow_matches_scaling_and_squaring(self):
+        # random symmetric Z, z * lambda_max up to 29; both routes resolve S
+        # relative to its size e^{z lambda_max}
+        rng = np.random.default_rng(94)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            zz = (m + m.T) / 2.0
+            zl = float(rng.uniform(0.0, 29.0))
+            z = zl / float(np.linalg.svd(zz, compute_uv=False)[0])
+            s = quadrature_flow(InteractionMatrix.from_matrix(zz), z)
+            reference = reference_quadrature_flow(zz, z)
+            assert np.max(np.abs(s - reference)) <= DEFAULT_TOLERANCES.rtol * math.exp(zl)
+
+    def test_flow_depends_only_on_the_symmetric_part(self):
+        # entries on a dyadic grid keep Z = Z_s + D exact, so the symmetric
+        # part the flow sees is Z_s bit for bit
+        rng = np.random.default_rng(95)
+        for n in (1, 2, 5, 8):
+            grid = rng.integers(-16, 17, (2, n, n)) / 8.0
+            zs = grid[0] + grid[0].T + 1j * (grid[1] + grid[1].T) + 4.0 * np.eye(n)
+            d = rng.integers(-16, 17, (2, n, n)) / 8.0
+            d = (d[0] - d[0].T) + 1j * (d[1] - d[1].T)
+            zm = InteractionMatrix.from_matrix(zs)
+            s = quadrature_flow(zm, 0.3)
+            for z_full in (zs + d, (zs + d).T):
+                assert np.array_equal(quadrature_flow(dataclasses.replace(zm, Z=z_full), 0.3), s)
 
 
 class TestCovarianceOracle:
