@@ -7,9 +7,9 @@ structure factor is simply -A and every quantity can be checked by hand.
 import numpy as np
 
 from clustersqueeze import (
+    ClusterPlan,
     covariance_closed_form,
     covariance_oracle,
-    interaction_from_cluster,
     squeezer_spectrum,
 )
 
@@ -18,15 +18,16 @@ np.set_printoptions(precision=6, suppress=True)
 A = np.array([[0.0, 1.0], [1.0, 0.0]])
 theta = np.zeros(2)
 z = 1.0
+cluster = ClusterPlan.of(A, theta)  # checks (A, theta) once for every call below
 
 print("EPR cluster, z =", z)
 print("adjacency:\n", A)
 
 # --- trivial gauge: two equal squeezers -----------------------------------
-zm = interaction_from_cluster(A, theta, "identity")
+zm, _ = cluster.interaction("identity")
 print("\ninteraction matrix (trivial gauge):\n", zm.Z.real)
 
-report = covariance_closed_form(A, theta, zm, z)
+report = covariance_closed_form(cluster, zm, z)
 print("nullifier covariance:\n", report.C)
 print("expected 2 e^{-2z} on the diagonal:", 2 * np.exp(-2 * z))
 
@@ -36,12 +37,12 @@ for mode in squeezer_spectrum(zm, z):
     )
 
 # --- faithful gauge: covariance proportional to the identity ---------------
-zm_faithful = interaction_from_cluster(A, theta, "faithful", z)
-report_faithful = covariance_closed_form(A, theta, zm_faithful, z)
+zm_faithful, _ = cluster.interaction("faithful", z)
+report_faithful = covariance_closed_form(cluster, zm_faithful, z)
 print("\nfaithful-gauge covariance:\n", report_faithful.C)
 print("expected e^{-2z} identity:", np.exp(-2 * z))
 
 # --- cross-check against the brute-force path ------------------------------
-brute = covariance_oracle(A, theta, zm_faithful, z)
+brute = covariance_oracle(cluster, zm_faithful, z)
 gap = np.max(np.abs(brute.C - report_faithful.C))
 print(f"\nclosed form vs matrix-exponential oracle: max gap {gap:.2e}")

@@ -8,11 +8,11 @@ the canonical family parameterized by a real orthogonal seed.
 import numpy as np
 
 from clustersqueeze import (
+    ClusterPlan,
     bloch_messiah,
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
     cluster_condition_residual,
-    interaction_from_cluster,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -24,7 +24,8 @@ for i in range(n):
 theta = np.zeros(n)
 z = 1.2
 
-zm = interaction_from_cluster(A, theta, "faithful", z)
+cluster = ClusterPlan.of(A, theta)
+zm, _ = cluster.interaction("faithful", z)
 factors = bloch_messiah(zm, z)
 
 print(f"weighted {n}-ring, faithful gauge, z = {z}")
@@ -43,11 +44,11 @@ print(
 # the reduced interferometer is one member of the canonical family
 print(
     "cluster condition residual of V:",
-    cluster_condition_residual(factors.V, A, theta),
+    cluster_condition_residual(factors.V, cluster),
 )
 rng = np.random.default_rng(0)
 o, _ = np.linalg.qr(rng.normal(size=(n, n)))
-V_seeded = canonical_cluster_interferometer(A, theta, o)
+V_seeded = canonical_cluster_interferometer(cluster, o)
 print(
     "seeded canonical V gives the same structure factor:",
     np.max(np.abs(1j * V_seeded @ V_seeded.T - zm.U)),

@@ -73,7 +73,6 @@ from .synthesis import (
     SqueezerMode,
     bogoliubov_from_interaction,
     covariance_closed_form,
-    interaction_from_cluster,
     squeezer_spectrum,
     unitary_from_adjacency,
     validate_gauge,
@@ -128,7 +127,6 @@ __all__ = [
     "covariance_oracle",
     "find_regular_phases",
     "format_graph",
-    "interaction_from_cluster",
     "k_matrix_form",
     "nullifier_map",
     "parse_graph",

@@ -35,10 +35,11 @@ from .matfun import (
     symmetry_defect,
 )
 from .synthesis import (
+    ClusterPlan,
     CovarianceReport,
     InteractionMatrix,
     covariance_closed_form,
-    require_compatible_gauge,
+    validate_gauge,
 )
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -201,13 +202,13 @@ def analyze_interaction(
         chosen, margin = find_regular_phases(u, seed)
     # The margin reaches regular_min: phase_accept and the search's floor
     # are both at least that.
-    a = _adjacency_at(u, chosen)
+    cluster = ClusterPlan.of(_adjacency_at(u, chosen), chosen)
     # P came with the interaction, not with the recovered cluster.
-    require_compatible_gauge(a, chosen, zm.P)
-    report = covariance_closed_form(a, chosen, zm, z)
+    validate_gauge(cluster, zm.P)
+    report = covariance_closed_form(cluster, zm, z)
     return ClusterRecovery(
-        theta=chosen,
-        adjacency=a,
+        theta=cluster.theta,
+        adjacency=cluster.A,
         covariance=report,
         margin=margin,
         input_margin=input_margin,

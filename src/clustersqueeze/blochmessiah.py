@@ -27,17 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOrthogonal, NotUnitary
-from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
     _principal_angles,
-    _spectral,
     as_complex_matrix,
     max_abs,
     phase_fixed_columns,
     spectrum_clusters,
     takagi_symmetric_unitary,
 )
-from .synthesis import InteractionMatrix, check_squeeze_budget
+from .synthesis import ClusterPlan, InteractionMatrix, check_squeeze_budget
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -128,14 +126,14 @@ def _grouping(values, groups, scale: float) -> tuple[float, float]:
     return float(min(gaps, default=math.inf)) / scale, float(spread) / scale
 
 
-def canonical_cluster_interferometer(A, theta, O) -> np.ndarray:
+def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
     """Interferometer V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O.
 
     O is a free real orthogonal seed; every choice yields a unitary V
-    satisfying the cluster condition for (A, Theta).
+    satisfying the cluster condition for (A, Theta).  In the plan's frame
+    F = e^{-i Theta} Q: V = F diag((1 + i lam)/|1 + i lam|) F^T e^{i Theta} O.
     """
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
+    a = cluster.A
     o = np.asarray(O, dtype=float)
     if np.iscomplexobj(O) and max_abs(np.asarray(O).imag) > DEFAULT_TOLERANCES.orthogonal:
         raise NotOrthogonal("seed must be a real matrix")
@@ -145,25 +143,23 @@ def canonical_cluster_interferometer(A, theta, O) -> np.ndarray:
         raise NotOrthogonal(
             f"seed orthogonality defect {max_abs(o @ o.T - np.eye(a.shape[0])):.3e}"
         )
-    w, q = np.linalg.eigh(a)
-    inv_root = _spectral(q, 1.0 / np.sqrt(w * w + 1.0))
-    eye = np.eye(a.shape[0])
-    return np.exp(-1j * th)[:, None] * ((eye + 1j * a) @ inv_root @ o)
+    lam, f = cluster.eigenvalues, cluster.frame
+    rotation = (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
+    return (f * rotation[None, :]) @ (f.T @ (np.exp(1j * cluster.theta)[:, None] * o))
 
 
-def cluster_condition_residual(V, A, theta) -> float:
+def cluster_condition_residual(V, cluster: ClusterPlan) -> float:
     """Max-entry modulus of (A + i 1) e^{i Theta} V + (A - i 1) e^{-i Theta} V*.
 
     Zero exactly when V is an interferometer generating the cluster (A,
     Theta); equivalently V_i = A V_r for e^{i Theta} V = V_r + i V_i.
     """
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
+    a = cluster.A
     v = as_complex_matrix(V)
     if v.shape != a.shape:
         raise ValueError("interferometer shape does not match the graph")
     eye = np.eye(a.shape[0])
-    ph = np.exp(1j * th)
+    ph = np.exp(1j * cluster.theta)
     lhs = (a + 1j * eye) @ (ph[:, None] * v) + (a - 1j * eye) @ (
         ph.conj()[:, None] * v.conj()
     )

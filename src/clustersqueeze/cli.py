@@ -27,9 +27,9 @@ Each check record holds ``name``, ``residual``, ``tolerance`` and
 option sets it.
 
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
-(a gauge of the wrong shape included), 3 rejected gauge (incompatible, not
-Hermitian, not positive definite or numerically singular), 4 numerical
-failure, 5 exhausted phase search.
+(a malformed file or bundle field, or a gauge of the wrong shape), 3 rejected
+gauge (incompatible, not Hermitian, not positive definite or numerically
+singular), 4 numerical failure, 5 exhausted phase search.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
     NotPositiveDefinite,
     SearchExhausted,
 )
-from .graphs import adjacency_matrix, format_graph, parse_graph, phase_vector
+from .graphs import format_graph, parse_graph, phase_vector
 from .matfun import max_abs, symmetry_defect, unitarity_defect
 from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
@@ -114,6 +114,17 @@ def _load_json(path: str) -> dict:
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
 
 
+def _checked(what: str, build, *args):
+    """``build(*args)``, its input checks' ``ValueError`` an input error about
+    ``what``; library errors and ``LinAlgError`` stay numerical failures."""
+    try:
+        return build(*args)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise _InputError(f"{what}: {exc}") from None
+
+
 def load_interaction(path: str) -> synthesis.InteractionMatrix:
     """Read an interaction matrix from a matrix JSON file or a bundle."""
     obj = _load_json(path)
@@ -121,7 +132,7 @@ def load_interaction(path: str) -> synthesis.InteractionMatrix:
         raise _InputError(f"{path}: expected a JSON object")
     if "Z" in obj and "re" not in obj:
         obj = obj["Z"]
-    return synthesis.InteractionMatrix.from_matrix(matrix_from_json(obj))
+    return _checked(path, synthesis.InteractionMatrix.from_matrix, matrix_from_json(obj))
 
 
 def load_phases(spec: str, n: int) -> np.ndarray:
@@ -141,7 +152,7 @@ def load_phases(spec: str, n: int) -> np.ndarray:
             ) from None
     if len(values) != n:
         raise _InputError(f"{spec}: expected {n} angles, found {len(values)}")
-    return phase_vector(values, n)
+    return _checked(spec, phase_vector, values, n)
 
 
 def _load_gauge(spec: str | None):
@@ -179,14 +190,14 @@ def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     objects for serialization or deeper comparison, and the error model the
     checks were judged by.
     """
-    a, theta = cluster.A, cluster.theta
+    a = cluster.A
     eye = np.eye(a.shape[0])
     zm, check = cluster.interaction(gauge, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
-    closed = synthesis.covariance_closed_form(a, theta, zm, z)
-    brute = oracle.covariance_oracle(a, theta, zm, z)
+    closed = synthesis.covariance_closed_form(cluster, zm, z)
+    brute = oracle.covariance_oracle(cluster, zm, z)
     spectrum = synthesis.squeezer_spectrum(zm, z)
-    model = ErrorModel.for_cluster(a, zm, z, check.scale)
+    model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
 
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)
@@ -234,7 +245,7 @@ def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     factors = blochmessiah.bloch_messiah(zm, z)
     model = computed["model"] = computed["model"].with_reduction(factors)
     rows = _reduction_rows(zm, computed["pair"], factors) + [
-        ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster.A, cluster.theta)),
+        ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)),
         ("squeezer_match", float(np.max(np.abs(np.sort(factors.D) - np.sort(zm.strengths))))),
     ]
     return checks + model.checks(rows), computed
@@ -303,12 +314,19 @@ def _summarize_checks(checks: list[dict]) -> list[str]:
 # --------------------------------------------------------------------------
 # commands
 
+def _scale(value, what: str) -> float:
+    """A squeezing scale: a positive finite number, else an input error about ``what``."""
+    try:
+        if 0 < float(value) < math.inf:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise _InputError(f"{what} must be positive and finite")
+
+
 def _z(args) -> float:
     """-z value, 1.0 when absent."""
-    z = 1.0 if args.z is None else args.z
-    if not (np.isfinite(z) and z > 0):
-        raise _InputError("-z must be positive and finite")
-    return z
+    return _scale(1.0 if args.z is None else args.z, "-z")
 
 
 def _z_range(args) -> list[float]:
@@ -324,8 +342,10 @@ def _z_range(args) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _InputError("--z-range components must be numbers") from None
-    if step <= 0 or start <= 0 or stop < start:
-        raise _InputError("--z-range needs 0 < START <= STOP and STEP > 0")
+    if not (0 < start <= stop < math.inf and 0 < step < math.inf):
+        raise _InputError("--z-range needs finite 0 < START <= STOP and STEP > 0")
+    if round(start + step, 12) <= round(start, 12):  # values keep 12 decimals
+        raise _InputError("--z-range STEP is too small to advance START")
     values, z = [], start
     while z <= stop + 1e-12:
         values.append(round(z, 12))
@@ -444,7 +464,7 @@ def _interaction_from_args(args):
         return zm, z, ErrorModel.for_interaction(zm.strengths, z)
     cluster, _, gauge = _load_cluster(args)
     zm, _ = cluster.interaction(gauge, z)
-    return zm, z, ErrorModel.for_cluster(cluster.A, zm, z)
+    return zm, z, ErrorModel.for_cluster(cluster, zm, z)
 
 
 def cmd_decompose(args) -> int:
@@ -482,25 +502,26 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge", "-z")  # the bundle fixes z
-        bundle = _load_json(args.interaction)
+        path = args.interaction
+        bundle = _load_json(path)
         required = ("adjacency", "theta", "P", "z", "gauge")
-        if not all(key in bundle for key in required):
-            raise _InputError(
-                "verify needs a synthesize bundle with "
-                + ", ".join(required)
-            )
-        a = adjacency_matrix(matrix_from_json(bundle["adjacency"]))
-        cluster = synthesis.ClusterPlan.of(a, phase_vector(bundle["theta"], a.shape[0]))
-        z = float(bundle["z"])
+        if not (isinstance(bundle, dict) and all(key in bundle for key in required)):
+            raise _InputError("verify needs a synthesize bundle with " + ", ".join(required))
+        cluster = _checked(
+            path, synthesis.ClusterPlan.of, matrix_from_json(bundle["adjacency"]), bundle["theta"]
+        )
+        z = _scale(bundle["z"], f"{path}: z")
         # the stored P is checked and factorized like a custom gauge
         p = matrix_from_json(bundle["P"])
+        stored = {key: matrix_from_json(bundle[key]) for key in ("Z", "U", "X", "Y", "C") if key in bundle}
+        wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
+        if wrong:
+            raise _InputError(f"{path}: {', '.join(wrong)} not of shape {cluster.A.shape}")
         checks, computed = deep_battery(cluster, p, z, str(bundle["gauge"]))
         zm, pair = computed["zm"], computed["pair"]
         fresh = {"Z": zm.Z, "U": zm.U, "X": pair.X, "Y": pair.Y, "C": computed["closed"].C}
         checks += computed["model"].checks(
-            (f"bundle_{key}_matches", max_abs(matrix_from_json(bundle[key]) - value))
-            for key, value in fresh.items()
-            if key in bundle
+            (f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in stored.items()
         )
     else:
         z = _z(args)
@@ -525,15 +546,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    a = parse_graph(_read_text(args.graph))
-    theta = load_phases(args.phases, a.shape[0])
-    zs = _z_range(args)
-    gauge_spec = args.gauge
-    rows = oracle.convergence_sweep(a, theta, _load_gauge(gauge_spec)[1], zs)
+    cluster, _, gauge = _load_cluster(args)
+    rows = oracle.convergence_sweep(cluster, gauge, _z_range(args))
     if args.format == "json":
         report = {
             "command": "sweep",
-            "gauge": gauge_spec,
+            "gauge": args.gauge,
             "rows": [
                 {"z": r.z, "max_abs_C": r.max_abs, "frobenius_C": r.frobenius}
                 for r in rows
@@ -541,7 +559,7 @@ def cmd_sweep(args) -> int:
         }
         _emit(_dump_json(report), args.out)
     elif args.format == "text":
-        lines = [f"sweep: gauge {gauge_spec}"] + [
+        lines = [f"sweep: gauge {args.gauge}"] + [
             f"  z = {r.z!r}: max_abs {r.max_abs!r}, frobenius {r.frobenius!r}"
             for r in rows
         ]

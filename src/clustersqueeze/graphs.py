@@ -70,18 +70,17 @@ def phase_vector(values, n: int | None = None) -> np.ndarray:
     return np.where(reduced == -np.pi, np.pi, reduced)
 
 
-def nullifier_map(A, theta) -> np.ndarray:
-    """N x 2N coefficient matrix of the nullifiers.
+def nullifier_map(cluster) -> np.ndarray:
+    """N x 2N coefficient matrix of the nullifiers of a checked ``ClusterPlan``.
 
     Acting on the stacked mode-operator vector (b, b^dagger), row j gives the
     collective quadrature combination whose variance measures how well a
     state approximates the ideal cluster.  The left block is
     ``-(A + i 1) e^{i Theta}`` and the right block its entrywise conjugate.
     """
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
+    a = cluster.A
     eye = np.eye(a.shape[0])
-    phases = np.exp(1j * th)
+    phases = np.exp(1j * cluster.theta)
     left = -(a + 1j * eye) * phases[None, :]
     right = -(a - 1j * eye) * phases.conj()[None, :]
     return np.hstack([left, right])

@@ -77,12 +77,14 @@ def phase_fixed_columns(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Polar decomposition Z = P U of a complex symmetric matrix.
 
     P = (Z Z^dagger)^(1/2) is Hermitian positive definite and U is unitary.
     Symmetry of Z makes U symmetric as well and gives the commutation
-    P U = U conj(P) used throughout the squeezing algebra.
+    P U = U conj(P) used throughout the squeezing algebra.  Returns
+    (P, U, sigma, Q) with P = Q diag(sigma) Q^dagger, sigma ascending, from
+    the one ``eigh`` of Z Z^dagger.
 
     Raises :class:`NotSymmetric` for asymmetric input and
     :class:`SingularInput` when sigma_min / sigma_max falls below the
@@ -106,7 +108,7 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray]:
     p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
     u = _spectral(q, 1.0 / sigma) @ zm
-    return p, u
+    return p, u, sigma, q
 
 
 def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:

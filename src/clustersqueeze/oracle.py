@@ -55,8 +55,8 @@ K = V diag(w) V^T in real arithmetic.  The eigenvalues of K are
 +-z sigma_k(Z), and the singular values of Z = P U are the eigenvalues of P,
 so the top one is the z * lambda_max that the squeeze budget bounds.
 
-The path reads only Z: never P, the eigenpairs of P that the interaction
-matrix carries for the closed form, or the cluster plan.
+The path reads only Z and the cluster's A and Theta: never P, the eigenpairs
+of P that the closed form reads, or the cluster plan's eigh(A) and U.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, OracleMismatch
-from .graphs import adjacency_matrix, nullifier_map, phase_vector
+from .graphs import nullifier_map
 from .matfun import _spectral, as_complex_matrix, max_abs, symmetry_defect
 from .synthesis import (
     BogoliubovPair,
@@ -130,15 +130,13 @@ def bogoliubov_oracle(zm: InteractionMatrix, z: float) -> BogoliubovPair:
     )
 
 
-def _covariance_from_flow(A, theta, s: np.ndarray) -> CovarianceReport:
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
-    n = a.shape[0]
+def _covariance_from_flow(cluster: ClusterPlan, s: np.ndarray) -> CovarianceReport:
+    n = cluster.A.shape[0]
     if s.shape != (2 * n, 2 * n):
         raise DimensionMismatch(
             f"Bogoliubov matrix shape {s.shape} does not match {n} modes"
         )
-    left = nullifier_map(a, th)[:, :n]
+    left = nullifier_map(cluster)[:, :n]
     m = np.hstack([left.real, -left.imag]) @ s
     # Computed exactly as written; symmetrization happens only in reporting
     # and the discarded asymmetry is recorded as a residual.
@@ -155,7 +153,7 @@ def _covariance_from_flow(A, theta, s: np.ndarray) -> CovarianceReport:
     )
 
 
-def covariance_from_pair(A, theta, pair: BogoliubovPair) -> CovarianceReport:
+def covariance_from_pair(cluster: ClusterPlan, pair: BogoliubovPair) -> CovarianceReport:
     """Covariance of the nullifiers under an explicit Bogoliubov pair.
 
     The pair is taken as given, without validating the commutation
@@ -169,30 +167,28 @@ def covariance_from_pair(A, theta, pair: BogoliubovPair) -> CovarianceReport:
     s = np.block(
         [[(x + y).real, (y - x).imag], [(x + y).imag, (x - y).real]]
     )
-    return _covariance_from_flow(A, theta, s)
+    return _covariance_from_flow(cluster, s)
 
 
-def covariance_oracle(A, theta, zm: InteractionMatrix, z: float) -> CovarianceReport:
+def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix, z: float) -> CovarianceReport:
     """Nullifier covariance from the exponentiated generator.
 
     For inputs where the structure factor of Z matches the cluster (A,
     Theta), the result agrees with the closed form within the budget of
     :class:`ErrorModel`; otherwise the covariance does not decay with z.
     """
-    a = adjacency_matrix(A)
-    if a.shape[0] != zm.n:
-        raise DimensionMismatch(
-            f"graph has {a.shape[0]} modes, interaction has {zm.n}"
-        )
-    return _covariance_from_flow(a, theta, quadrature_flow(zm, z))
+    n = cluster.A.shape[0]
+    if n != zm.n:
+        raise DimensionMismatch(f"graph has {n} modes, interaction has {zm.n}")
+    return _covariance_from_flow(cluster, quadrature_flow(zm, z))
 
 
-def convergence_sweep(A, theta, gauge, z_values: Sequence[float]) -> list[SweepPoint]:
+def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) -> list[SweepPoint]:
     """Closed-form covariance norms over an ascending list of scales.
 
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
-    gauge the max-entry norm decreases strictly in z.  One cluster plan
-    serves every row; only the faithful gauge's plan depends on z.  The
+    gauge the max-entry norm decreases strictly in z.  The cluster plan
+    serves every row; only the faithful gauge's interaction depends on z.  The
     first and last rows are cross-checked against the brute-force path;
     disagreement beyond the budget of the battery's ``covariance_vs_oracle``
     check raises :class:`OracleMismatch`.
@@ -204,20 +200,18 @@ def convergence_sweep(A, theta, gauge, z_values: Sequence[float]) -> list[SweepP
         raise ValueError("z values must be positive and finite")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
-    cluster = ClusterPlan.of(A, theta)
-    a, th = cluster.A, cluster.theta
     per_row = isinstance(gauge, str) and gauge == "faithful"
     zm, rows = None, []
     for z in zs:
         if zm is None or per_row:
             zm, _ = cluster.interaction(gauge, z)
-        closed = covariance_closed_form(a, th, zm, z)
+        closed = covariance_closed_form(cluster, zm, z)
         rows.append(
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
         if z in (zs[0], zs[-1]):
-            gap = max_abs(closed.C - covariance_oracle(a, th, zm, z).C)
-            if gap > ErrorModel.for_cluster(a, zm, z).budget("covariance_vs_oracle"):
+            gap = max_abs(closed.C - covariance_oracle(cluster, zm, z).C)
+            if gap > ErrorModel.for_cluster(cluster, zm, z).budget("covariance_vs_oracle"):
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "
                     f"{gap:.3e} at z = {z}"

@@ -17,20 +17,21 @@ with E = (A + i 1) e^{i Theta} e^{-z P}.  The gauge factor is free up to the
 reality condition checked by :func:`validate_gauge`; the faithful choice
 makes C exactly e^{-2z} times the identity.
 
-Two plans carry the factorizations.  :class:`ClusterPlan` holds the one
-real eigendecomposition A = Q diag(lam) Q^T: with F = e^{-i Theta} Q,
-U = -i F diag((lam - i)/(lam + i)) F^T, and the faithful gauge is
-F diag(1 + ln(1 + lam^2) / (2z)) F^dagger, so U and the built-in gauges
-need no further factorization.  :class:`InteractionMatrix` holds Z = P U
-with the eigenpairs of P (read off the cluster plan for the built-in
-gauges, from one ``eigh`` for a custom P or a polar split of Z), and X, Y,
-C and the squeezer strengths all come from them.
+Two plans carry the factorizations.  :class:`ClusterPlan`, the checked
+cluster that every cluster-side function takes, holds the one real
+eigendecomposition A = Q diag(lam) Q^T, taken on first use: with
+F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T and the faithful
+gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no further
+factorization.  :class:`InteractionMatrix` holds Z = P U with the
+eigenpairs of P (from the cluster plan, one ``eigh`` of a custom P or a
+polar split of Z), and X, Y, C and the squeezer strengths come from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,10 +87,10 @@ class InteractionMatrix:
 
     @classmethod
     def from_matrix(cls, Z) -> "InteractionMatrix":
-        """Polar-decompose a complex symmetric non-singular matrix."""
+        """Polar-decompose a complex symmetric non-singular matrix; P's
+        eigenpairs come from the split's one ``eigh``."""
         zm = as_complex_matrix(Z)
-        p, u = polar_decompose_symmetric(zm)
-        w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
+        p, u, w, q = polar_decompose_symmetric(zm)
         return cls(Z=zm, P=p, U=u, strengths=w, modes=q)
 
     @classmethod
@@ -176,7 +177,6 @@ class CovarianceReport:
 
 
 class GaugeCheck(NamedTuple):
-    ok: bool
     residual: float
     scale: float  # largest entry of the test matrix, which residual is relative to
 
@@ -198,24 +198,31 @@ def unitary_from_adjacency(A, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """A checked cluster (A, Theta), as :meth:`of` builds it: the one real
-    eigendecomposition A = Q diag(eigenvalues) Q^T, the ``frame``
+    """A checked cluster (A, Theta), built by :meth:`of`.  On first use of
+    ``eigenvalues``, ``frame`` or ``U`` it takes A = Q diag(lam) Q^T once:
     F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T."""
 
     A: np.ndarray
     theta: np.ndarray
-    eigenvalues: np.ndarray
-    frame: np.ndarray
-    U: np.ndarray
 
     @classmethod
     def of(cls, A, theta) -> "ClusterPlan":
         a = adjacency_matrix(A)
-        th = phase_vector(theta, a.shape[0])
-        lam, q = np.linalg.eigh(a)
-        f = np.exp(-1j * th)[:, None] * q
+        return cls(A=a, theta=phase_vector(theta, a.shape[0]))
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        lam, q = np.linalg.eigh(self.A)
+        return lam, np.exp(-1j * self.theta)[:, None] * q
+
+    eigenvalues = property(lambda self: self._spectrum[0])
+    frame = property(lambda self: self._spectrum[1])
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        lam, f = self._spectrum
         u = -1j * (f * ((lam - 1j) / (lam + 1j))[None, :]) @ f.T
-        return cls(A=a, theta=th, eigenvalues=lam, frame=f, U=(u + u.T) / 2.0)
+        return (u + u.T) / 2.0
 
     def interaction(self, gauge, z: float | None = None) -> tuple[InteractionMatrix, GaugeCheck]:
         """Plan Z = P U for a gauge, and the check of that gauge.
@@ -232,11 +239,11 @@ class ClusterPlan:
         """
         if isinstance(gauge, str):
             zm = self._builtin(gauge, z)
-            check = require_compatible_gauge(self.A, self.theta, zm.P)
+            check = validate_gauge(self, zm.P)
         else:
-            check = require_compatible_gauge(self.A, self.theta, gauge)
+            check = validate_gauge(self, gauge)
             zm = InteractionMatrix.from_factors(gauge, self.U)
-        model = ErrorModel.for_cluster(self.A, zm, 0.0, check.scale)  # budgets free of z
+        model = ErrorModel.for_cluster(self, zm, 0.0, check.scale)  # budgets free of z
         for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
             if residual > model.budget(name):
                 raise GaugeIncompatible(
@@ -263,45 +270,31 @@ class ClusterPlan:
         return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes)
 
 
-def validate_gauge(A, theta, P) -> GaugeCheck:
+def validate_gauge(cluster: ClusterPlan, P) -> GaugeCheck:
     """Check the reality condition tying a gauge factor to a cluster.
 
     P is compatible exactly when (A + i 1) e^{i Theta} P e^{-i Theta}
     (A - i 1) is a real matrix, which is equivalent to P U being symmetric.
-    Returns the verdict together with the relative imaginary residual of the
-    test matrix.  Hermiticity, positivity and singularity concern P alone
-    and are checked where its eigenpairs are formed.
+    Returns the relative imaginary residual of that test matrix and its
+    largest entry; a residual above ``rtol`` raises
+    :class:`GaugeIncompatible`.  Hermiticity, positivity and singularity
+    concern P alone and are checked where its eigenpairs are formed.
     """
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
+    a = cluster.A
     if np.shape(P) != a.shape:
         raise DimensionMismatch("gauge factor shape does not match the graph")
     p = as_complex_matrix(P)
     eye = np.eye(a.shape[0])
-    ph = np.exp(1j * th)
+    ph = np.exp(1j * cluster.theta)
     test = (a + 1j * eye) @ (ph[:, None] * p * ph.conj()[None, :]) @ (a - 1j * eye)
     scale = max_abs(test)
     # The test matrix vanishes only for P = 0, which is real.
     residual = max_abs(test.imag) / scale if scale else 0.0
-    return GaugeCheck(
-        ok=bool(residual <= DEFAULT_TOLERANCES.rtol), residual=float(residual), scale=scale
-    )
-
-
-def require_compatible_gauge(A, theta, P) -> GaugeCheck:
-    """:func:`validate_gauge`, raising :class:`GaugeIncompatible` on failure."""
-    check = validate_gauge(A, theta, P)
-    if not check.ok:
+    if not residual <= DEFAULT_TOLERANCES.rtol:
         raise GaugeIncompatible(
-            f"gauge reality residual {check.residual:.3e} exceeds {DEFAULT_TOLERANCES.rtol:.1e}"
+            f"gauge reality residual {residual:.3e} exceeds {DEFAULT_TOLERANCES.rtol:.1e}"
         )
-    return check
-
-
-def interaction_from_cluster(A, theta, gauge, z: float | None = None) -> InteractionMatrix:
-    """Interaction matrix Z = P U for a cluster and a gauge, as
-    :meth:`ClusterPlan.interaction` builds and checks it."""
-    return ClusterPlan.of(A, theta).interaction(gauge, z)[0]
+    return GaugeCheck(residual=float(residual), scale=scale)
 
 
 def check_squeeze_budget(strength_max: float, z: float) -> None:
@@ -329,12 +322,12 @@ def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPa
 
 
 def covariance_closed_form(
-    A, theta, zm: InteractionMatrix, z: float
+    cluster: ClusterPlan, zm: InteractionMatrix, z: float
 ) -> CovarianceReport:
     """Closed-form nullifier covariance of the synthesized state.
 
-    ``zm`` is the interaction matrix of the cluster (A, Theta), as built by
-    :func:`interaction_from_cluster`, which checks the gauge; e^{-z P} comes
+    ``zm`` is the interaction matrix of the cluster, as built by
+    :meth:`ClusterPlan.interaction`, which checks the gauge; e^{-z P} comes
     from its eigenpairs.  Single code path for every gauge; the special
     cases (faithful gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z},
     self-inverse graphs 2 e^{-2z} 1) are consequences used as test oracles,
@@ -342,15 +335,12 @@ def covariance_closed_form(
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    a = adjacency_matrix(A)
-    th = phase_vector(theta, a.shape[0])
+    a = cluster.A
     if a.shape[0] != zm.n:
-        raise DimensionMismatch(
-            f"graph has {a.shape[0]} modes, interaction has {zm.n}"
-        )
+        raise DimensionMismatch(f"graph has {a.shape[0]} modes, interaction has {zm.n}")
     eye = np.eye(a.shape[0])
     decay = _spectral(zm.modes, np.exp(-z * zm.strengths))
-    e_factor = (a + 1j * eye) @ (np.exp(1j * th)[:, None] * decay)
+    e_factor = (a + 1j * eye) @ (np.exp(1j * cluster.theta)[:, None] * decay)
     raw = e_factor @ e_factor.conj().T
     c = (raw.real + raw.real.T) / 2.0
     return CovarianceReport(

@@ -94,7 +94,8 @@ class ErrorModel:
     """Magnitudes that scale the rounding error of one request's results.
 
     ``kappa`` bounds how much the structure factor U amplifies rounding:
-    1 + ||A||_inf >= ||A + i||_2 when U comes from a cluster, and the
+    1 + max|lam(A)| >= ||A + i||_2 = sqrt(1 + max|lam(A)|^2) when U comes
+    from a cluster, read off the cluster plan's eigenvalues, and the
     condition number lambda_max / lambda_min of P when U comes from the
     polar split of an interaction matrix.  The two compatibility residuals
     are relative to ``z_scale`` (max(1, max|Z|)) and ``test_scale`` (the
@@ -115,12 +116,12 @@ class ErrorModel:
     spread: float = 0.0
 
     @classmethod
-    def for_cluster(cls, a: np.ndarray, zm, z: float, test_scale: float = 1.0) -> "ErrorModel":
-        """Model of the plan ``zm`` of the cluster ``a``."""
-        a_norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    def for_cluster(cls, cluster, zm, z: float, test_scale: float = 1.0) -> "ErrorModel":
+        """Model of the plan ``zm`` of a :class:`~clustersqueeze.synthesis.ClusterPlan`."""
+        rho = float(np.max(np.abs(cluster.eigenvalues)))  # ||A||_2
         lo, hi = float(zm.strengths[0]), float(zm.strengths[-1])
         z_scale = max(1.0, float(np.max(np.abs(zm.Z))))
-        return cls(a.shape[0], z, lo, hi, 1.0 + a_norm, z_scale, test_scale)
+        return cls(cluster.A.shape[0], z, lo, hi, 1.0 + rho, z_scale, test_scale)
 
     @classmethod
     def for_interaction(cls, strengths, z: float) -> "ErrorModel":

@@ -8,6 +8,8 @@ profile for the same reason.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +20,7 @@ from clustersqueeze import (
     IndexOutOfRange,
     ParseError,
     adjacency_matrix,
+    graphs,
     oracle,
     phase_vector,
 )
@@ -171,6 +174,25 @@ def factorizations(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "norm", counting(
         "norm2", np.linalg.norm, lambda args, kwargs: (args[0] if args else kwargs.get("ord")) == 2))
+    return calls
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Record the adjacency matrices validated while the test runs: a copy
+    of the argument of every ``graphs.adjacency_matrix`` call, through each
+    module that binds the function."""
+    calls = []
+    original = graphs.adjacency_matrix
+
+    def counting(values):
+        calls.append(np.array(values))
+        return original(values)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "adjacency_matrix", None)
+        if name.partition(".")[0] == "clustersqueeze" and bound is original:
+            monkeypatch.setattr(module, "adjacency_matrix", counting)
     return calls
 
 

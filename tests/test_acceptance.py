@@ -11,6 +11,8 @@ import time
 import numpy as np
 
 from clustersqueeze import (
+    ClusterPlan,
+    GaugeIncompatible,
     InteractionMatrix,
     adjacency_from_unitary,
     bloch_messiah,
@@ -21,7 +23,6 @@ from clustersqueeze import (
     covariance_closed_form,
     covariance_oracle,
     find_regular_phases,
-    interaction_from_cluster,
     regularity_margin,
     unitary_from_adjacency,
     validate_gauge,
@@ -56,7 +57,8 @@ def test_criterion_01_faithful_gauge_identity():
         a = random_adjacency(rng, n, weight=2.0)
         th = random_phases(rng, n)
         for z in (0.5, 1.0, 2.0):
-            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, "faithful", z), z)
+            cluster = ClusterPlan.of(a, th)
+            rep = covariance_closed_form(cluster, cluster.interaction("faithful", z)[0], z)
             worst = max(
                 worst, float(np.max(np.abs(rep.C - math.exp(-2.0 * z) * np.eye(n))))
             )
@@ -70,8 +72,9 @@ def test_criterion_01_faithful_gauge_identity():
 
 
 def test_criterion_02_self_inverse_case():
-    zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
-    rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, 1.0)
+    cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
+    zm, _ = cluster.interaction("identity")
+    rep = covariance_closed_form(cluster, zm, 1.0)
     residual = float(np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))))
     _report(2, "self-inverse EPR value", residual <= 1e-10, f"residual {residual:.3e}")
 
@@ -84,8 +87,9 @@ def test_criterion_03_uniform_gauge_formula():
         a = random_adjacency(rng, n)
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.5))
-        zm = interaction_from_cluster(a, th, "identity")
-        rep = covariance_closed_form(a, th, zm, z)
+        cluster = ClusterPlan.of(a, th)
+        zm, _ = cluster.interaction("identity")
+        rep = covariance_closed_form(cluster, zm, z)
         target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
         worst = max(worst, float(np.max(np.abs(rep.C - target))))
     _report(3, "trivial-gauge formula", worst <= 1e-9, f"max residual {worst:.3e}")
@@ -102,9 +106,10 @@ def test_criterion_04_oracle_equivalence():
         z = float(rng.uniform(0.3, 3.0))
         kind = ("identity", "faithful", "custom")[trial % 3]
         p = random_gauge(rng, kind, a, th)
-        zm = interaction_from_cluster(a, th, p, z)
-        closed = covariance_closed_form(a, th, zm, z)
-        brute = covariance_oracle(a, th, zm, z)
+        cluster = ClusterPlan.of(a, th)
+        zm, _ = cluster.interaction(p, z)
+        closed = covariance_closed_form(cluster, zm, z)
+        brute = covariance_oracle(cluster, zm, z)
         worst = max(worst, float(np.max(np.abs(closed.C - brute.C))))
     elapsed = time.perf_counter() - start
     _report(
@@ -129,8 +134,9 @@ def test_criterion_05_theorem_necessity():
             continue
         checked += 1
         zm = InteractionMatrix.from_matrix(u_bad)
-        c3 = covariance_oracle(a, th, zm, 3.0).max_abs
-        c4 = covariance_oracle(a, th, zm, 4.0).max_abs
+        cluster = ClusterPlan.of(a, th)
+        c3 = covariance_oracle(cluster, zm, 3.0).max_abs
+        c4 = covariance_oracle(cluster, zm, 4.0).max_abs
         if not c4 > c3:
             ok = False
             detail = f"instance {checked}: {c4:.3e} <= {c3:.3e}"
@@ -187,7 +193,7 @@ def test_criterion_07_bogoliubov_conditions():
         z = float(rng.uniform(0.0, 2.5))
         kind = ("identity", "faithful", "custom")[trial % 3]
         p = random_gauge(rng, kind, a, th)
-        zm = interaction_from_cluster(a, th, p, max(z, 0.3))
+        zm = ClusterPlan.of(a, th).interaction(p, max(z, 0.3))[0]
         for pair in (
             bogoliubov_from_interaction(zm, z),
             bogoliubov_oracle(zm, z),
@@ -213,7 +219,7 @@ def test_criterion_08_bloch_messiah():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.0))
         kind = ("identity", "faithful", "custom")[trial % 3]
-        zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
+        zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
         factors = bloch_messiah(zm, z)
         pair = bogoliubov_from_interaction(zm, z)
         x_rec, y_rec = factors.reconstruct()
@@ -227,7 +233,7 @@ def test_criterion_08_bloch_messiah():
         )
         for _ in range(20):
             o = random_orthogonal(rng, n)
-            v = canonical_cluster_interferometer(a, th, o)
+            v = canonical_cluster_interferometer(ClusterPlan.of(a, th), o)
             rotated = np.exp(1j * th)[:, None] * v
             worst_appendix = max(
                 worst_appendix,
@@ -263,13 +269,17 @@ def test_criterion_09_gauge_condition_biconditional():
                 p = random_compatible_gauge(rng, a, th)
             else:
                 p = random_hermitian_pd(rng, n)
-            verdict = validate_gauge(a, th, p).ok
-            prod = p @ unitary_from_adjacency(a, th)
+            cluster = ClusterPlan.of(a, th)
+            prod = p @ cluster.U
             direct = float(np.max(np.abs(prod - prod.T))) <= 1e-9 * max(
                 1.0, float(np.max(np.abs(prod)))
             )
-            if verdict != direct:
-                disagreements += 1
+            try:
+                validate_gauge(cluster, p)
+            except GaugeIncompatible:
+                disagreements += direct
+            else:
+                disagreements += not direct
     _report(
         9,
         "reality condition biconditional",
@@ -279,7 +289,7 @@ def test_criterion_09_gauge_condition_biconditional():
 
 
 def test_criterion_10_convergence_sweep():
-    rows = convergence_sweep(epr_adjacency(), [0.0, 0.0], "identity", [1.0, 2.0, 3.0])
+    rows = convergence_sweep(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), "identity", [1.0, 2.0, 3.0])
     rendered = [f"{row.max_abs:.6f}" for row in rows]
     expected = ["0.270671", "0.036631", "0.004958"]
     rel = max(

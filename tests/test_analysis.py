@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
+    ClusterPlan,
     InteractionMatrix,
     NonRealResult,
     SingularPhasePoint,
@@ -11,7 +12,6 @@ from clustersqueeze import (
     adjacency_from_unitary,
     analyze_interaction,
     find_regular_phases,
-    interaction_from_cluster,
     k_matrix_form,
     regularity_margin,
     unitary_from_adjacency,
@@ -191,7 +191,7 @@ class TestAnalyzeInteraction:
         recovered = []
         for _ in range(6):
             p = random_compatible_gauge(rng, a, th)
-            zm = interaction_from_cluster(a, th, p)
+            zm = ClusterPlan.of(a, th).interaction(p)[0]
             res = analyze_interaction(zm, theta=th)
             recovered.append(res.adjacency)
         for r in recovered[1:]:

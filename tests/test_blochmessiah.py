@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
+    ClusterPlan,
     InteractionMatrix,
     NotOrthogonal,
     NotUnitary,
@@ -14,7 +15,6 @@ from clustersqueeze import (
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
     cluster_condition_residual,
-    interaction_from_cluster,
     squeezer_spectrum,
     unitary_from_adjacency,
     unitary_from_interferometer,
@@ -68,7 +68,7 @@ class TestBlochMessiah:
         rng = np.random.default_rng(60)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
+        zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, "custom", a, th))[0]
         factors = bloch_messiah(zm, 1.0)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
@@ -85,7 +85,7 @@ class TestBlochMessiah:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
+            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
             factors = bloch_messiah(zm, z)
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert rx <= 1e-8 and ry <= 1e-8
@@ -96,7 +96,7 @@ class TestBlochMessiah:
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
         z = 1.2
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
+        zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, "custom", a, th))[0]
         factors = bloch_messiah(zm, z)
         strengths = np.array([m.strength for m in squeezer_spectrum(zm, z)])
         assert np.max(np.abs(np.sort(factors.D) - np.sort(strengths))) <= 1e-9
@@ -120,7 +120,7 @@ class TestBlochMessiah:
         # give the balancing R that one Takagi call per group gives, bit for bit
         rng = np.random.default_rng(64)
         a = random_adjacency(rng, n)
-        zm = interaction_from_cluster(a, random_phases(rng, n), "faithful", 0.7)
+        zm = ClusterPlan.of(a, random_phases(rng, n)).interaction("faithful", 0.7)[0]
         v = phase_fixed_columns(zm.modes)
         balanced = -1j * v.conj().T @ zm.U @ v.conj()
         reference = np.zeros((n, n), dtype=complex)
@@ -131,7 +131,7 @@ class TestBlochMessiah:
         assert factors.spread == 0.0
 
     def test_non_unitary_single_group_is_rejected(self):
-        zm = interaction_from_cluster(epr_adjacency(), np.zeros(2), "faithful", 1.0)
+        zm = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)[0]
         with pytest.raises(NotUnitary):
             bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U), 1.0)
 
@@ -143,34 +143,33 @@ class TestBlochMessiah:
             th = random_phases(rng, n)
             z = 1.0
             kind = ("identity", "faithful")[trial % 2]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
+            cluster = ClusterPlan.of(a, th)
+            zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
-            assert cluster_condition_residual(factors.V, a, th) <= 1e-8
+            assert cluster_condition_residual(factors.V, cluster) <= 1e-8
 
 
 class TestCanonicalInterferometer:
     def test_trivial_graph(self):
-        v = canonical_cluster_interferometer(np.zeros((2, 2)), np.zeros(2), np.eye(2))
+        v = canonical_cluster_interferometer(ClusterPlan.of(np.zeros((2, 2)), np.zeros(2)), np.eye(2))
         assert np.allclose(v, np.eye(2), atol=1e-12)
 
     def test_epr_case(self):
-        v = canonical_cluster_interferometer(epr_adjacency(), np.zeros(2), np.eye(2))
+        v = canonical_cluster_interferometer(ClusterPlan.of(epr_adjacency(), np.zeros(2)), np.eye(2))
         expected = (np.eye(2) + 1j * epr_adjacency()) / np.sqrt(2.0)
         assert np.allclose(v, expected, atol=1e-12)
 
     def test_scalar_with_phase_and_sign_seed(self):
-        v = canonical_cluster_interferometer(
-            np.array([[1.0]]), [np.pi / 3], np.array([[-1.0]])
-        )
+        cluster = ClusterPlan.of(np.array([[1.0]]), [np.pi / 3])
+        v = canonical_cluster_interferometer(cluster, np.array([[-1.0]]))
         expected = -np.exp(-1j * np.pi / 3) * (1.0 + 1j) / np.sqrt(2.0)
         assert np.allclose(v, [[expected]], atol=1e-12)
         assert abs(abs(v[0, 0]) - 1.0) <= 1e-12
 
     def test_rejects_non_orthogonal_seed(self):
+        cluster = ClusterPlan.of(epr_adjacency(), np.zeros(2))
         with pytest.raises(NotOrthogonal):
-            canonical_cluster_interferometer(
-                epr_adjacency(), np.zeros(2), np.array([[1.0, 1.0], [0.0, 1.0]])
-            )
+            canonical_cluster_interferometer(cluster, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_appendix_conditions(self):
         rng = np.random.default_rng(64)
@@ -179,7 +178,7 @@ class TestCanonicalInterferometer:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             o = random_orthogonal(rng, n)
-            v = canonical_cluster_interferometer(a, th, o)
+            v = canonical_cluster_interferometer(ClusterPlan.of(a, th), o)
             eye = np.eye(n)
             assert np.max(np.abs(v @ v.conj().T - eye)) <= 1e-9
             rotated = np.exp(1j * th)[:, None] * v
@@ -195,12 +194,13 @@ class TestClusterCondition:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            v = canonical_cluster_interferometer(a, th, random_orthogonal(rng, n))
-            assert cluster_condition_residual(v, a, th) <= 1e-9
+            cluster = ClusterPlan.of(a, th)
+            v = canonical_cluster_interferometer(cluster, random_orthogonal(rng, n))
+            assert cluster_condition_residual(v, cluster) <= 1e-9
 
     def test_identity_is_not_an_epr_interferometer(self):
         # direct arithmetic: (A + i) + (A - i) = 2A, max entry 2
-        residual = cluster_condition_residual(np.eye(2), epr_adjacency(), np.zeros(2))
+        residual = cluster_condition_residual(np.eye(2), ClusterPlan.of(epr_adjacency(), np.zeros(2)))
         assert residual > 0.5
         assert residual == pytest.approx(2.0, rel=1e-12)
 
@@ -215,7 +215,7 @@ class TestUnitaryFromInterferometer:
         assert np.allclose(u, -epr_adjacency(), atol=1e-12)
 
     def test_self_loop_matches_forward(self):
-        v = canonical_cluster_interferometer(np.array([[1.0]]), [0.0], np.eye(1))
+        v = canonical_cluster_interferometer(ClusterPlan.of(np.array([[1.0]]), [0.0]), np.eye(1))
         u = unitary_from_interferometer(v)
         assert np.allclose(u, [[-1.0]], atol=1e-12)
         assert np.allclose(u, unitary_from_adjacency(np.array([[1.0]]), [0.0]), atol=1e-12)
@@ -226,8 +226,8 @@ class TestUnitaryFromInterferometer:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            target = unitary_from_adjacency(a, th)
+            cluster = ClusterPlan.of(a, th)
             for _ in range(20):
                 o = random_orthogonal(rng, n)
-                v = canonical_cluster_interferometer(a, th, o)
-                assert np.max(np.abs(unitary_from_interferometer(v) - target)) <= 1e-9
+                v = canonical_cluster_interferometer(cluster, o)
+                assert np.max(np.abs(unitary_from_interferometer(v) - cluster.U)) <= 1e-9

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import SearchExhausted, cli, interaction_from_cluster, parse_graph, synthesis
+from clustersqueeze import ClusterPlan, SearchExhausted, analysis, cli, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -314,6 +314,12 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("z_range", ["nan:1:0.5", "1:inf:1", "1:2:1e-20", "1e20:2e20:1"])
+    def test_non_finite_or_stalling_range_exits_2(self, z_range, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        code, out, err = run_cli(["sweep", "--graph", graph, "--z-range", z_range], capsys)
+        assert code == EXIT_INPUT and out == "" and "--z-range" in err
+
     def test_deterministic(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         args = ["sweep", "--graph", graph, "--z-range", "0.5:2.5:0.5"]
@@ -364,11 +370,12 @@ class TestOneFactorizationPerRequest:
         checked = []
         validate_gauge = synthesis.validate_gauge
 
-        def counting_validate_gauge(A, theta, P):
+        def counting_validate_gauge(cluster, P):
             checked.append(P)
-            return validate_gauge(A, theta, P)
+            return validate_gauge(cluster, P)
 
-        monkeypatch.setattr(synthesis, "validate_gauge", counting_validate_gauge)
+        for module in (synthesis, analysis):
+            monkeypatch.setattr(module, "validate_gauge", counting_validate_gauge)
         return checked
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
@@ -376,7 +383,7 @@ class TestOneFactorizationPerRequest:
     def test_counts(self, command, gauge, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         spec, selector = self._gauge(gauge, tmp_path)
-        p = interaction_from_cluster(self.A, np.zeros(6), selector, 0.9).P
+        p = ClusterPlan.of(self.A, np.zeros(6)).interaction(selector, 0.9)[0].P
         checked = self._count_gauge_checks(monkeypatch)
         calls = request.getfixturevalue("factorizations")  # counts from here, after p
         code, _, _ = run_cli([command, "--graph", graph, "--gauge", spec, "-z", "0.9"], capsys)
@@ -414,6 +421,28 @@ class TestOneFactorizationPerRequest:
         # inverse reuses the accepted candidate's margin
         assert len(factorizations["svd"]) == 3
 
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    def test_interaction_route_counts(self, gauge, tmp_path, capsys, request):
+        """The polar split's eigh of Z Z^dagger gives the eigenpairs of P.
+        analyze then measures the input phases (svd) and inverts (solve);
+        decompose adds the identity gauge's Takagi eigh of Re(-i U)."""
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        bundle = str(tmp_path / "b.json")
+        args = ["synthesize", "--graph", graph, "--gauge", gauge, "--out", bundle]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        z_product = matrix_from_json(json.loads(Path(bundle).read_text(encoding="utf-8"))["Z"])
+        gram = z_product @ z_product.conj().T
+        calls = request.getfixturevalue("factorizations")
+        assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
+        assert calls.of("eigh", (gram + gram.conj().T) / 2.0) == 1
+        assert len(calls["eigh"]) == 1 and len(calls["svd"]) == 1 and len(calls["solve"]) == 1
+        assert calls.total() == 3
+        for kernel in calls.values():
+            kernel.clear()
+        assert run_cli(["decompose", "--interaction", bundle], capsys)[0] == EXIT_OK
+        assert calls.of("eigh", (gram + gram.conj().T) / 2.0) == 1
+        assert calls.total() == 1 + (gauge == "identity")
+
     def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
@@ -424,6 +453,36 @@ class TestOneFactorizationPerRequest:
         assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
         assert len(checked) == 1
         assert calls["eigvalsh"] == []
+
+
+class TestOneValidationPerRequest:
+    """(A, Theta) is validated once per request, where the cluster plan is
+    built.  The graph parser validates the matrix it builds, and analyze's
+    graph text validates the recovered matrix in ``format_graph``."""
+
+    GRAPH = TestOneFactorizationPerRequest.GRAPH
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    @pytest.mark.parametrize(
+        "command", [["synthesize"], ["verify"], ["decompose"], ["sweep", "--z-range", "0.5:2.5:0.5"]],
+        ids=["synthesize", "verify", "decompose", "sweep"],
+    )
+    def test_graph_route(self, command, gauge, tmp_path, capsys, validations):
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        code, _, _ = run_cli([*command, "--graph", graph, "--gauge", gauge], capsys)
+        assert code == EXIT_OK
+        assert len(validations) == 2  # parser and plan
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    @pytest.mark.parametrize("command, expected", [("verify", 1), ("analyze", 2), ("decompose", 0)])
+    def test_interaction_route(self, command, expected, gauge, tmp_path, capsys, request):
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        bundle = str(tmp_path / "b.json")
+        args = ["synthesize", "--graph", graph, "--gauge", gauge, "--out", bundle]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        validations = request.getfixturevalue("validations")
+        assert run_cli([command, "--interaction", bundle], capsys)[0] == EXIT_OK
+        assert len(validations) == expected
 
 
 def _nearly_singular_gauge(a):
@@ -479,6 +538,51 @@ class TestMalformedCustomGauge:
             assert code == EXIT_INPUT, p.shape
             assert out == ""
             assert "gauge factor shape does not match the graph" in err
+
+
+NOT_SQUARE = matrix_to_json(np.ones((2, 3)))
+
+
+class TestMalformedInput:
+    """Input that fails validation exits 2 with a message naming the file;
+    exit 4 stays for numerical failures (a singular Z, z beyond z_cap)."""
+
+    # case -> (command, bundle field or None for a phase file, value, message)
+    CASES = {
+        "synthesize-phases-nan": ("synthesize", None, None, "phase angles must be finite"),
+        "analyze-phases-nan": ("analyze", None, None, "phase angles must be finite"),
+        "bundle-theta-nan": ("verify", "theta", [0.0, math.nan], "phase angles must be finite"),
+        "bundle-z-negative": ("verify", "z", -1, "z must be positive and finite"),
+        "bundle-z-text": ("verify", "z", "x", "z must be positive and finite"),
+        "bundle-adjacency-not-square": ("verify", "adjacency", NOT_SQUARE, "adjacency matrix must be square"),
+        "verify-bundle-Z-not-square": ("verify", "Z", NOT_SQUARE, "Z not of shape (2, 2)"),
+        "analyze-bundle-Z-not-square": ("analyze", "Z", NOT_SQUARE, "matrix must be square"),
+        "decompose-bundle-Z-not-square": ("decompose", "Z", NOT_SQUARE, "matrix must be square"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exits_input(self, case, tmp_path, capsys):
+        command, field, value, message = self.CASES[case]
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = tmp_path / "b.json"
+        assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle)], capsys)[0] == EXIT_OK
+        if field is None:
+            bad = write(tmp_path, "phases.txt", "0.1\nnan\n")
+            route = ["--graph", graph] if command == "synthesize" else ["--interaction", str(bundle)]
+            args = [command, *route, "--phases", bad]
+        else:
+            obj = json.loads(bundle.read_text(encoding="utf-8"))
+            obj[field] = value
+            bad = write(tmp_path, "bad.json", json.dumps(obj))
+            args = [command, "--interaction", bad]
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: {bad}") and message in err
+
+    def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
+        path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))
+        code, _, err = run_cli(["analyze", "--interaction", path], capsys)
+        assert code == cli.EXIT_NUMERICAL and "sigma_min/sigma_max" in err
 
 
 class TestUsage:

@@ -19,9 +19,9 @@ from hypothesis.extra.numpy import arrays
 
 from clustersqueeze import (
     BogoliubovPair,
+    ClusterPlan,
     bloch_messiah,
     format_graph,
-    interaction_from_cluster,
     parse_graph,
     synthesis,
 )
@@ -152,7 +152,7 @@ class TestAcceptedImpliesVerifiable:
         rejects it (exit 3) or verify passes it."""
         a, theta, gauge, z, p = case
         if p is None:
-            p = interaction_from_cluster(a, theta, gauge, z).P
+            p = ClusterPlan.of(a, theta).interaction(gauge, z)[0].P
         rng = np.random.default_rng(seed)
         h = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
         h = (h + h.conj().T) / (2.0 * np.max(np.abs(h)))
@@ -166,7 +166,7 @@ class TestAcceptedImpliesVerifiable:
         verify, decompose --graph and sweep all reject it with exit 3."""
         n = a.shape[0]
         theta, z = np.linspace(-1.0, 1.0, n), 2.0
-        p = interaction_from_cluster(a, theta, "faithful", z).P
+        p = ClusterPlan.of(a, theta).interaction("faithful", z)[0].P
         twelve = np.vectorize(lambda x: float(f"{x:.12g}"))
         files = write_case(tmp_path, a, theta, twelve(p.real) + 1j * twelve(p.imag))
         flags = cluster_flags(files, "custom", z)
@@ -189,7 +189,7 @@ class TestAcceptedImpliesVerifiable:
         the interferometer carries an eigenvector error u / gap."""
         text = perfbench_graph_text(np.random.default_rng(342), 320)
         a = parse_graph(text)
-        zm = interaction_from_cluster(a, np.zeros(320), "identity")
+        zm = ClusterPlan.of(a, np.zeros(320)).interaction("identity")[0]
         assert bloch_messiah(zm, 1.0).gap < 1e-7
         graph = tmp_path / "g.graph"
         graph.write_text(text, encoding="utf-8")
@@ -204,7 +204,7 @@ class TestAcceptedImpliesVerifiable:
         spread, as in the benchmark's high-z bundles with isolated nodes."""
         a = parse_graph("3\n1 1 0.0001\n2 2 0.5\n")
         theta, z = np.array([0.3, -1.2, 2.0]), 4.0
-        zm = interaction_from_cluster(a, theta, "faithful", z)
+        zm = ClusterPlan.of(a, theta).interaction("faithful", z)[0]
         assert bloch_messiah(zm, z).spread > 0.0
         assert_verifiable(tmp_path, a, theta, "faithful", z)
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clustersqueeze import (
+    ClusterPlan,
     DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
@@ -274,19 +275,19 @@ class TestRoundTrip:
 
 class TestNullifierMap:
     def test_single_mode_zero_graph(self):
-        q = nullifier_map(np.zeros((1, 1)), [0.0])
+        q = nullifier_map(ClusterPlan.of(np.zeros((1, 1)), [0.0]))
         assert np.allclose(q, [[-1j, 1j]], atol=1e-15)
 
     def test_unit_edge_blocks(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        q = nullifier_map(a, [0.0, 0.0])
+        q = nullifier_map(ClusterPlan.of(a, [0.0, 0.0]))
         left = -np.array([[1j, 1.0], [1.0, 1j]])
         right = -np.array([[-1j, 1.0], [1.0, -1j]])
         assert np.allclose(q[:, :2], left, atol=1e-15)
         assert np.allclose(q[:, 2:], right, atol=1e-15)
 
     def test_quarter_phase(self):
-        q = nullifier_map(np.zeros((1, 1)), [np.pi / 2])
+        q = nullifier_map(ClusterPlan.of(np.zeros((1, 1)), [np.pi / 2]))
         assert np.allclose(q, [[1.0, 1.0]], atol=1e-15)
 
     def test_right_block_is_conjugate_of_left(self):
@@ -295,9 +296,9 @@ class TestNullifierMap:
             n = int(rng.integers(1, 9))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            q = nullifier_map(a, th)
+            q = nullifier_map(ClusterPlan.of(a, th))
             assert np.max(np.abs(q[:, n:] - q[:, :n].conj())) <= 1e-15
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            nullifier_map(np.zeros((2, 2)), [0.0])
+            nullifier_map(ClusterPlan.of(np.zeros((2, 2)), [0.0]))

@@ -62,18 +62,18 @@ class TestHermitianApply:
 
 class TestPolarDecomposition:
     def test_unit_modulus_diagonal(self):
-        p, u = polar_decompose_symmetric(1j * np.eye(2))
+        p, u, _, _ = polar_decompose_symmetric(1j * np.eye(2))
         assert np.allclose(p, np.eye(2), atol=1e-12)
         assert np.allclose(u, 1j * np.eye(2), atol=1e-12)
 
     def test_diagonal_case(self):
-        p, u = polar_decompose_symmetric(np.diag([2.0, 3.0j]))
+        p, u, _, _ = polar_decompose_symmetric(np.diag([2.0, 3.0j]))
         assert np.allclose(p, np.diag([2.0, 3.0]), atol=1e-12)
         assert np.allclose(u, np.diag([1.0, 1.0j]), atol=1e-12)
 
     def test_scaled_swap_against_svd(self):
         z = -2.0 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        p, u = polar_decompose_symmetric(z)
+        p, u, _, _ = polar_decompose_symmetric(z)
         # independent oracle: P and U from the SVD of Z
         w, s, vh = np.linalg.svd(z)
         p_svd = (w * s[None, :]) @ w.conj().T
@@ -103,7 +103,7 @@ class TestPolarDecomposition:
             if np.linalg.svd(z, compute_uv=False)[-1] < 1e-3:
                 continue
             done += 1
-            p, u = polar_decompose_symmetric(z)
+            p, u, sigma, q = polar_decompose_symmetric(z)
             scale = max(1.0, np.max(np.abs(z)))
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-9
             assert np.max(np.abs(u - u.T)) <= 1e-9 * scale
@@ -112,6 +112,9 @@ class TestPolarDecomposition:
             assert np.max(np.abs(p @ u - z)) <= 1e-9 * scale
             # symmetry of Z forces the strength factor to commute across U
             assert np.max(np.abs(p @ u - u @ p.conj())) <= 1e-9 * scale
+            # the eigenpairs of P, ascending, from the same eigh
+            assert np.all(np.diff(sigma) >= 0)
+            assert np.max(np.abs(p @ q - q * sigma[None, :])) <= 1e-9 * scale
 
     def test_svd_oracle_random(self):
         rng = np.random.default_rng(6)
@@ -119,8 +122,9 @@ class TestPolarDecomposition:
             n = int(rng.integers(2, 7))
             z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             z = z + z.T + np.eye(n)
-            p, u = polar_decompose_symmetric(z)
+            p, u, sigma, _ = polar_decompose_symmetric(z)
             w, s, vh = np.linalg.svd(z)
+            assert np.allclose(sigma, s[::-1], atol=1e-9)
             assert np.allclose(p, (w * s[None, :]) @ w.conj().T, atol=1e-9)
             assert np.allclose(u, w @ vh, atol=1e-8)
 

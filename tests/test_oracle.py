@@ -9,7 +9,9 @@ import pytest
 
 from clustersqueeze import (
     BogoliubovPair,
+    ClusterPlan,
     DimensionMismatch,
+    GaugeIncompatible,
     DomainError,
     InteractionMatrix,
     bogoliubov_from_interaction,
@@ -18,7 +20,6 @@ from clustersqueeze import (
     covariance_closed_form,
     covariance_from_pair,
     covariance_oracle,
-    interaction_from_cluster,
     squeezing_generator,
     unitary_from_adjacency,
     validate_gauge,
@@ -68,7 +69,7 @@ class TestBogoliubovOracle:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
+            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
             direct = bogoliubov_from_interaction(zm, z)
             brute = bogoliubov_oracle(zm, z)
             assert np.max(np.abs(direct.X - brute.X)) <= 1e-8
@@ -79,7 +80,7 @@ class TestBogoliubovOracle:
     def test_one_parameter_group_property(self):
         rng = np.random.default_rng(72)
         a = random_adjacency(rng, 3)
-        zm = interaction_from_cluster(a, np.zeros(3), "identity")
+        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")[0]
         for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (0.0, 1.7)):
             s_sum = quadrature_flow(zm, z1 + z2)
             s_prod = quadrature_flow(zm, z1) @ quadrature_flow(zm, z2)
@@ -114,7 +115,7 @@ class TestQuadratureFlow:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), z)
+            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
             s = quadrature_flow(zm, z)
             zero = np.zeros((n, n))
             omega = np.block([[zero, np.eye(n)], [-np.eye(n), zero]])
@@ -126,11 +127,13 @@ class TestQuadratureFlow:
         rng = np.random.default_rng(93)
         a = random_adjacency(rng, 6)
         th = random_phases(rng, 6)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, kind, a, th), 1.2)
-        expected = covariance_oracle(a, th, zm, 1.2).C
+        cluster = ClusterPlan.of(a, th)
+        zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), 1.2)
+        expected = covariance_oracle(cluster, zm, 1.2).C
         # only Z and n: reading P, strengths or modes raises AttributeError
         # (NaN stand-ins would slip through a comparison such as the budget's)
         blind = types.SimpleNamespace(Z=zm.Z, n=zm.n)
+        fresh = ClusterPlan.of(a, th)  # its eigh(A) has not run
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must not call this")
@@ -139,8 +142,11 @@ class TestQuadratureFlow:
         monkeypatch.setattr(oracle, "covariance_closed_form", forbidden)
         monkeypatch.setattr(synthesis.ClusterPlan, "of", forbidden)
         monkeypatch.setattr(synthesis.ClusterPlan, "interaction", forbidden)
+        # of the plan, only A and theta: its eigendecomposition and U raise
+        for name in ("eigenvalues", "frame", "U"):
+            monkeypatch.setattr(synthesis.ClusterPlan, name, property(forbidden))
         calls = request.getfixturevalue("factorizations")
-        assert np.array_equal(covariance_oracle(a, th, blind, 1.2).C, expected)
+        assert np.array_equal(covariance_oracle(fresh, blind, 1.2).C, expected)
         # one eigh, of the 12 x 12 generator, and nothing of order N
         assert [c.shape for c in calls["eigh"]] == [(12, 12)] and calls.total() == 1
 
@@ -176,21 +182,21 @@ class TestQuadratureFlow:
 class TestCovarianceOracle:
     def test_single_free_mode(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(1))
-        rep = covariance_oracle(np.zeros((1, 1)), [0.0], zm, 1.0)
+        rep = covariance_oracle(ClusterPlan.of(np.zeros((1, 1)), [0.0]), zm, 1.0)
         assert rep.C[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-10)
 
     def test_epr_self_inverse_value(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        rep = covariance_oracle(epr_adjacency(), [0.0, 0.0], zm, 1.0)
+        rep = covariance_oracle(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), zm, 1.0)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_mismatched_interaction_grows(self):
         # a squeezing interaction for the wrong graph does not squeeze the
         # nullifiers: the covariance grows with z
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        a = np.zeros((2, 2))
-        rep1 = covariance_oracle(a, [0.0, 0.0], zm, 1.0)
-        rep2 = covariance_oracle(a, [0.0, 0.0], zm, 2.0)
+        cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
+        rep1 = covariance_oracle(cluster, zm, 1.0)
+        rep2 = covariance_oracle(cluster, zm, 2.0)
         assert rep2.max_abs > rep1.max_abs
 
     def test_agrees_with_closed_form(self):
@@ -202,9 +208,10 @@ class TestCovarianceOracle:
             z = float(rng.uniform(0.3, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
             p = random_gauge(rng, kind, a, th)
-            zm = interaction_from_cluster(a, th, p, z)
-            closed = covariance_closed_form(a, th, zm, z)
-            brute = covariance_oracle(a, th, zm, z)
+            cluster = ClusterPlan.of(a, th)
+            zm, _ = cluster.interaction(p, z)
+            closed = covariance_closed_form(cluster, zm, z)
+            brute = covariance_oracle(cluster, zm, z)
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
             assert np.max(np.abs(brute.C - brute.E @ brute.E.conj().T)) <= 1e-8
             assert brute.imag_residual <= 1e-9
@@ -213,7 +220,7 @@ class TestCovarianceOracle:
     def test_dimension_mismatch(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(2))
         with pytest.raises(DimensionMismatch):
-            covariance_oracle(np.zeros((3, 3)), np.zeros(3), zm, 1.0)
+            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm, 1.0)
 
     def test_necessity_direction(self):
         # structure factors not matching the cluster leave the covariance
@@ -229,8 +236,9 @@ class TestCovarianceOracle:
                 continue
             checked += 1
             zm = InteractionMatrix.from_matrix(u_bad)
-            r3 = covariance_oracle(a, th, zm, 3.0)
-            r4 = covariance_oracle(a, th, zm, 4.0)
+            cluster = ClusterPlan.of(a, th)
+            r3 = covariance_oracle(cluster, zm, 3.0)
+            r4 = covariance_oracle(cluster, zm, 4.0)
             assert r4.max_abs > r3.max_abs
 
 
@@ -245,11 +253,12 @@ class TestForcedGaugeViolation:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             p_bad = random_hermitian_pd(rng, n)
-            assert not validate_gauge(a, th, p_bad).ok
-            u = unitary_from_adjacency(a, th)
+            cluster = ClusterPlan.of(a, th)
+            with pytest.raises(GaugeIncompatible):
+                validate_gauge(cluster, p_bad)
             x = hermitian_function(p_bad, lambda w: np.cosh(1.0 * w))
-            y = -1j * hermitian_function(p_bad, lambda w: np.sinh(1.0 * w)) @ u
-            rep = covariance_from_pair(a, th, BogoliubovPair(X=x, Y=y))
+            y = -1j * hermitian_function(p_bad, lambda w: np.sinh(1.0 * w)) @ cluster.U
+            rep = covariance_from_pair(cluster, BogoliubovPair(X=x, Y=y))
             worst = max(worst, rep.imag_residual)
         assert worst > 1e-6
 
@@ -257,17 +266,16 @@ class TestForcedGaugeViolation:
         rng = np.random.default_rng(76)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
-        zm = interaction_from_cluster(a, th, random_gauge(rng, "custom", a, th))
+        cluster = ClusterPlan.of(a, th)
+        zm, _ = cluster.interaction(random_gauge(rng, "custom", a, th))
         pair = bogoliubov_from_interaction(zm, 1.0)
-        rep = covariance_from_pair(a, th, pair)
+        rep = covariance_from_pair(cluster, pair)
         assert rep.imag_residual <= 1e-9
 
 
 class TestConvergenceSweep:
     def test_epr_identity_gauge_values(self):
-        rows = convergence_sweep(
-            epr_adjacency(), [0.0, 0.0], "identity", [1.0, 2.0, 3.0]
-        )
+        rows = convergence_sweep(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), "identity", [1.0, 2.0, 3.0])
         expected = [2.0 * math.exp(-2.0 * z) for z in (1.0, 2.0, 3.0)]
         for row, value in zip(rows, expected):
             assert row.max_abs == pytest.approx(value, abs=1e-12)
@@ -280,12 +288,12 @@ class TestConvergenceSweep:
     def test_faithful_gauge_values(self):
         rng = np.random.default_rng(77)
         a = random_adjacency(rng, 4)
-        rows = convergence_sweep(a, np.zeros(4), "faithful", [1.0, 2.0])
+        rows = convergence_sweep(ClusterPlan.of(a, np.zeros(4)), "faithful", [1.0, 2.0])
         assert rows[0].max_abs == pytest.approx(math.exp(-2.0), abs=1e-10)
         assert rows[1].max_abs == pytest.approx(math.exp(-4.0), abs=1e-10)
 
     def test_single_point_sweep(self):
-        rows = convergence_sweep(epr_adjacency(), [0.0, 0.0], "identity", [1.5])
+        rows = convergence_sweep(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), "identity", [1.5])
         assert len(rows) == 1
         assert rows[0].z == 1.5
 
@@ -293,14 +301,12 @@ class TestConvergenceSweep:
         rng = np.random.default_rng(78)
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
-        rows = convergence_sweep(a, th, "identity", [0.5, 1.0, 1.5, 2.0, 3.0])
+        rows = convergence_sweep(ClusterPlan.of(a, th), "identity", [0.5, 1.0, 1.5, 2.0, 3.0])
         norms = [row.max_abs for row in rows]
         assert all(x > y for x, y in zip(norms, norms[1:]))
 
     def test_rejects_unsorted_or_empty(self):
-        with pytest.raises(ValueError):
-            convergence_sweep(epr_adjacency(), [0.0, 0.0], "identity", [2.0, 1.0])
-        with pytest.raises(ValueError):
-            convergence_sweep(epr_adjacency(), [0.0, 0.0], "identity", [])
-        with pytest.raises(ValueError):
-            convergence_sweep(epr_adjacency(), [0.0, 0.0], "identity", [-1.0, 1.0])
+        cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
+        for zs in ([2.0, 1.0], [], [-1.0, 1.0]):
+            with pytest.raises(ValueError):
+                convergence_sweep(cluster, "identity", zs)

@@ -16,7 +16,6 @@ from clustersqueeze import (
     bloch_messiah,
     bogoliubov_from_interaction,
     covariance_closed_form,
-    interaction_from_cluster,
     squeezer_spectrum,
     unitary_from_adjacency,
     validate_gauge,
@@ -60,14 +59,14 @@ class TestUnitaryFromAdjacency:
 
 def faithful(a, th, z):
     """The faithful gauge of the cluster plan."""
-    return interaction_from_cluster(a, th, "faithful", z).P
+    return ClusterPlan.of(a, th).interaction("faithful", z)[0].P
 
 
 class TestGauges:
     def test_identity_gauge(self):
         rng = np.random.default_rng(30)
         for n in (1, 3):
-            zm = interaction_from_cluster(random_adjacency(rng, n), random_phases(rng, n), "identity")
+            zm = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n)).interaction("identity")[0]
             # exactly real, so bundles carry no imaginary block for P or X
             assert not np.iscomplexobj(zm.P) and np.array_equal(zm.P, np.eye(n))
             assert np.array_equal(zm.strengths, np.ones(n)) and np.array_equal(zm.modes, np.eye(n))
@@ -79,8 +78,7 @@ class TestGauges:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            check = validate_gauge(a, th, np.eye(n))
-            assert check.ok and check.residual <= 1e-12
+            assert validate_gauge(ClusterPlan.of(a, th), np.eye(n)).residual <= 1e-12
 
     def test_faithful_gauge_trivial_graph(self):
         p = faithful(np.zeros((3, 3)), [0.1, -0.2, 0.3], z=2.0)
@@ -104,8 +102,7 @@ class TestGauges:
             p = faithful(a, th, z)
             eigs = np.linalg.eigvalsh(p)
             assert eigs[0] >= 1.0 - 1e-12
-            check = validate_gauge(a, th, p)
-            assert check.ok
+            validate_gauge(ClusterPlan.of(a, th), p)  # raises if incompatible
             # e^{-2zP} collapses to e^{-2z} e^{-iT}(A^2+1)^{-1} e^{iT}
             w, q = np.linalg.eigh(p)
             decay = (q * np.exp(-2 * z * w)[None, :]) @ q.conj().T
@@ -134,7 +131,7 @@ class TestClusterPlan:
         for a, th, z in self.cases(44, 60):
             cluster = ClusterPlan.of(a, th)
             zm, check = cluster.interaction("faithful", z)
-            model = ErrorModel.for_cluster(cluster.A, zm, z, check.scale)
+            model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
             # U against the complex solve, as a stored U is judged
             residual = np.max(np.abs(cluster.U - reference_unitary_from_adjacency(a, th)))
             assert residual <= model.budget("bundle_U_matches")
@@ -145,7 +142,7 @@ class TestClusterPlan:
 
     def test_faithful_strengths_and_modes(self):
         for a, th, z in self.cases(45, 20):
-            zm = interaction_from_cluster(a, th, "faithful", z)
+            zm, _ = ClusterPlan.of(a, th).interaction("faithful", z)
             assert np.all(np.diff(zm.strengths) >= 0.0)
             lam = np.sort(np.abs(np.linalg.eigvalsh(a)))
             assert np.allclose(zm.strengths, 1.0 + np.log1p(lam * lam) / (2.0 * z), rtol=1e-12)
@@ -161,33 +158,32 @@ class TestClusterPlan:
             factors = bloch_messiah(zm, z)
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             off = balanced - np.diag(np.diag(balanced))
-            model = ErrorModel.for_cluster(cluster.A, zm, z, check.scale)
+            model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
             assert np.max(np.abs(off)) <= model.budget("bundle_U_matches")
 
 
 class TestValidateGauge:
     def test_diag_gauge_incompatible_on_epr(self):
-        check = validate_gauge(epr_adjacency(), [0.0, 0.0], np.diag([1.0, 2.0]))
-        assert not check.ok
         # test matrix is [[3, -i], [i, 3]]: residual 1/3
-        assert check.residual == pytest.approx(1.0 / 3.0, rel=1e-12)
+        with pytest.raises(GaugeIncompatible, match=r"gauge reality residual 3\.333e-01 exceeds 1\.0e-09"):
+            validate_gauge(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), np.diag([1.0, 2.0]))
 
     def test_requires_positive_definite(self):
         # validate_gauge checks only the reality condition; the plan builder
         # rejects compatible gauges that are not Hermitian positive definite
-        a = epr_adjacency()
+        cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
         eye = np.eye(2)
         for p in (-eye, 0.0 * eye):
             with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
-                interaction_from_cluster(a, [0.0, 0.0], p)
-        p = non_hermitian_compatible_gauge(a)
-        assert validate_gauge(a, [0.0, 0.0], p).ok
+                cluster.interaction(p)
+        p = non_hermitian_compatible_gauge(cluster.A)
+        validate_gauge(cluster, p)  # compatible
         with pytest.raises(NotHermitian, match="not Hermitian"):
-            interaction_from_cluster(a, [0.0, 0.0], p)
+            cluster.interaction(p)
         # malformed and incompatible: the reality check, which runs first
         for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])):
-            with pytest.raises(GaugeIncompatible):
-                interaction_from_cluster(a, [0.0, 0.0], bad)
+            with pytest.raises(GaugeIncompatible, match="gauge reality residual"):
+                cluster.interaction(bad)
 
     def test_biconditional_with_product_symmetry(self):
         # compatible and incompatible random gauges against the direct
@@ -197,43 +193,46 @@ class TestValidateGauge:
             n = int(rng.integers(2, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            u = unitary_from_adjacency(a, th)
+            cluster = ClusterPlan.of(a, th)
             if trial % 2 == 0:
                 p = random_compatible_gauge(rng, a, th)
             else:
                 p = random_hermitian_pd(rng, n)
-            check = validate_gauge(a, th, p)
-            prod = p @ u
+            prod = p @ cluster.U
             sym = np.max(np.abs(prod - prod.T)) <= 1e-9 * max(
                 1.0, np.max(np.abs(prod))
             )
-            assert check.ok == sym
+            if sym:
+                validate_gauge(cluster, p)
+            else:
+                with pytest.raises(GaugeIncompatible):
+                    validate_gauge(cluster, p)
 
 
 class TestInteractionMatrix:
     def test_trivial_mode(self):
-        zm = interaction_from_cluster(np.zeros((1, 1)), [0.0], "identity")
+        zm = ClusterPlan.of(np.zeros((1, 1)), [0.0]).interaction("identity")[0]
         assert np.allclose(zm.Z, 1j)
 
     def test_epr_identity_gauge(self):
-        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
+        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("identity")[0]
         assert np.allclose(zm.Z, -epr_adjacency(), atol=1e-12)
 
     def test_epr_faithful_gauge(self):
-        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "faithful", 1.0)
+        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("faithful", 1.0)[0]
         expected = -(1.0 + math.log(2.0) / 2.0) * epr_adjacency()
         assert np.allclose(zm.Z, expected, atol=1e-12)
 
     def test_incompatible_gauge_raises(self):
         with pytest.raises(GaugeIncompatible):
-            interaction_from_cluster(epr_adjacency(), [0.0, 0.0], np.diag([1.0, 2.0]))
+            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))
 
     def test_from_matrix_round_trips_factors(self):
         rng = np.random.default_rng(35)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         p = random_compatible_gauge(rng, a, th)
-        zm = interaction_from_cluster(a, th, p)
+        zm, _ = ClusterPlan.of(a, th).interaction(p)
         back = InteractionMatrix.from_matrix(zm.Z)
         assert np.max(np.abs(back.P - zm.P)) <= 1e-8
         assert np.max(np.abs(back.U - zm.U)) <= 1e-8
@@ -257,7 +256,7 @@ class TestBogoliubov:
     def test_zero_scale_is_identity(self):
         rng = np.random.default_rng(37)
         a = random_adjacency(rng, 3)
-        zm = interaction_from_cluster(a, np.zeros(3), "identity")
+        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")[0]
         pair = bogoliubov_from_interaction(zm, 0.0)
         assert np.allclose(pair.X, np.eye(3), atol=1e-12)
         assert np.allclose(pair.Y, np.zeros((3, 3)), atol=1e-12)
@@ -279,7 +278,7 @@ class TestBogoliubov:
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
             p = random_gauge(rng, kind, a, th)
-            zm = interaction_from_cluster(a, th, p, z)
+            zm = ClusterPlan.of(a, th).interaction(p, z)[0]
             pair = bogoliubov_from_interaction(zm, z)
             first, second = pair.defects()
             assert first <= 1e-9
@@ -293,20 +292,23 @@ class TestBogoliubov:
 
 class TestCovarianceClosedForm:
     def test_epr_identity_gauge(self):
-        zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
-        rep = covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, z=1.0)
+        cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
+        zm, _ = cluster.interaction("identity")
+        rep = covariance_closed_form(cluster, zm, z=1.0)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_faithful_gauge_scalar_value(self):
         rng = np.random.default_rng(39)
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
-        rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, "faithful", 1.0), z=1.0)
+        cluster = ClusterPlan.of(a, th)
+        rep = covariance_closed_form(cluster, cluster.interaction("faithful", 1.0)[0], z=1.0)
         assert np.max(np.abs(rep.C - math.exp(-2.0) * np.eye(5))) <= 1e-9
 
     def test_self_loop_identity_gauge(self):
-        zm = interaction_from_cluster(np.array([[1.0]]), [0.0], "identity")
-        rep = covariance_closed_form(np.array([[1.0]]), [0.0], zm, z=1.0)
+        cluster = ClusterPlan.of(np.array([[1.0]]), [0.0])
+        zm, _ = cluster.interaction("identity")
+        rep = covariance_closed_form(cluster, zm, z=1.0)
         assert np.allclose(rep.C, [[2.0 * math.exp(-2.0)]], atol=1e-12)
 
     def test_uniform_gauge_formula(self):
@@ -316,8 +318,9 @@ class TestCovarianceClosedForm:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
-            zm = interaction_from_cluster(a, th, "identity")
-            rep = covariance_closed_form(a, th, zm, z)
+            cluster = ClusterPlan.of(a, th)
+            zm, _ = cluster.interaction("identity")
+            rep = covariance_closed_form(cluster, zm, z)
             target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
             assert np.max(np.abs(rep.C - target)) <= 1e-9
 
@@ -329,7 +332,8 @@ class TestCovarianceClosedForm:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th)
-            rep = covariance_closed_form(a, th, interaction_from_cluster(a, th, p, z), z)
+            cluster = ClusterPlan.of(a, th)
+            rep = covariance_closed_form(cluster, cluster.interaction(p, z)[0], z)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
             assert rep.asym_residual <= 1e-9 * scale
@@ -343,22 +347,24 @@ class TestCovarianceClosedForm:
                 n = int(rng.integers(2, 8))
                 a = random_adjacency(rng, n)
                 th = random_phases(rng, n)
+                cluster = ClusterPlan.of(a, th)
                 norms = []
                 for z in (0.5, 1.0, 2.0):
                     p = random_gauge(rng, gauge, a, th)
-                    zm = interaction_from_cluster(a, th, p, z)
-                    norms.append(covariance_closed_form(a, th, zm, z).max_abs)
+                    zm, _ = cluster.interaction(p, z)
+                    norms.append(covariance_closed_form(cluster, zm, z).max_abs)
                 assert norms[0] > norms[1] > norms[2]
 
     def test_rejects_zero_scale(self):
+        cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
+        zm, _ = cluster.interaction("identity")
         with pytest.raises(ValueError):
-            zm = interaction_from_cluster(epr_adjacency(), [0.0, 0.0], "identity")
-            covariance_closed_form(epr_adjacency(), [0.0, 0.0], zm, 0.0)
+            covariance_closed_form(cluster, zm, 0.0)
 
     def test_rejects_incompatible_gauge(self):
         # the closed form takes a plan; the plan builder rejects the gauge
         with pytest.raises(GaugeIncompatible):
-            interaction_from_cluster(epr_adjacency(), [0.0, 0.0], np.diag([1.0, 2.0]))
+            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))
 
 
 class TestSqueezerSpectrum:
@@ -381,6 +387,6 @@ class TestSqueezerSpectrum:
     def test_identity_gauge_means_equal_squeezers(self):
         rng = np.random.default_rng(43)
         a = random_adjacency(rng, 4)
-        zm = interaction_from_cluster(a, np.zeros(4), "identity")
+        zm = ClusterPlan.of(a, np.zeros(4)).interaction("identity")[0]
         modes = squeezer_spectrum(zm, 1.3)
         assert np.allclose([m.strength for m in modes], 1.0, atol=1e-12)
