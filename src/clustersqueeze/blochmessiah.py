@@ -87,8 +87,12 @@ def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
     w, v = zm.strengths, phase_fixed_columns(zm.modes)
     check_squeeze_budget(float(w[-1]), z)
     n = zm.n
-    balanced = -1j * v.conj().T @ zm.U @ v.conj()
+    # -i T U T^T is block-diagonal, so only its diagonal blocks are formed,
+    # from U conj(T^dagger), which W reuses
+    uv = zm.U @ v.conj()
     r = np.zeros((n, n), dtype=complex)
+    v_factor = np.empty_like(v, dtype=complex)
+    w_factor = np.empty_like(uv)
     degeneracy = DEFAULT_TOLERANCES.degeneracy
     scale = max(1.0, float(w[-1]))
     groups = spectrum_clusters(w, degeneracy * scale)
@@ -98,21 +102,24 @@ def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
         # A 1 x 1 block s is its own Takagi factorization, R = e^{i arg(s)/2}
         # on the angle branch of symmetric_unitary_angles; it resolves no
         # eigen-gap and groups nothing, so gap and spread stay as they are.
-        s = balanced[singles, singles]
+        s = (-1j * np.sum(v.conj() * uv, axis=0))[singles]  # diagonal of -i T U T^T
         defect = np.abs(s * s.conj() - 1.0)
         if np.max(defect) > DEFAULT_TOLERANCES.rtol:
             raise NotUnitary(f"unitarity defect {np.max(defect):.3e} exceeds tolerance")
-        r[singles, singles] = np.exp(0.5j * _principal_angles(s))
-    for group in (g for g in groups if len(g) > 1):
-        idx = np.ix_(group, group)
-        r[idx] = takagi_symmetric_unitary(balanced[idx])
+        r_singles = np.exp(0.5j * _principal_angles(s))
+        r[singles, singles] = r_singles
+        v_factor[:, singles] = v[:, singles] * r_singles[None, :]
+        w_factor[:, singles] = -1j * uv[:, singles] * r_singles.conj()[None, :]
+    for group in (slice(g[0], g[-1] + 1) for g in groups if len(g) > 1):
+        block = takagi_symmetric_unitary(-1j * v[:, group].conj().T @ uv[:, group])
+        r[group, group] = block
+        v_factor[:, group] = v[:, group] @ block
+        w_factor[:, group] = -1j * uv[:, group] @ block.conj()
         # The block's Re(S) has eigenvalues cos L, and R R^T = Q e^{i L} Q^T
         # with Q real, so each column of R squares to e^{i L}.
-        cos = np.sort(np.sum(r[idx] * r[idx], axis=0).real)
+        cos = np.sort(np.sum(block * block, axis=0).real)
         block_gap, block_spread = _grouping(cos, spectrum_clusters(cos, degeneracy), 1.0)
         gap, spread = min(gap, block_gap), max(spread, block_spread)
-    v_factor = v @ r
-    w_factor = -1j * zm.U @ v.conj() @ r.conj()
     return BlochMessiahFactors(
         V=v_factor, W=w_factor, D=w, R=r, T=v.conj().T, z=float(z), gap=gap, spread=spread
     )
@@ -158,12 +165,10 @@ def cluster_condition_residual(V, cluster: ClusterPlan) -> float:
     v = as_complex_matrix(V)
     if v.shape != a.shape:
         raise ValueError("interferometer shape does not match the graph")
-    eye = np.eye(a.shape[0])
-    ph = np.exp(1j * cluster.theta)
-    lhs = (a + 1j * eye) @ (ph[:, None] * v) + (a - 1j * eye) @ (
-        ph.conj()[:, None] * v.conj()
-    )
-    return max_abs(lhs)
+    # with M = e^{i Theta} V the sum is (A + i) M + (A - i) conj(M), which is
+    # 2 (A Re M - Im M): real, from one real product
+    m = np.exp(1j * cluster.theta)[:, None] * v
+    return max_abs(2.0 * (a @ m.real - m.imag))
 
 
 def unitary_from_interferometer(V) -> np.ndarray:

@@ -83,20 +83,25 @@ def matrix_to_json(m) -> dict:
     return out
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def matrix_from_json(obj, path: str | None = None) -> np.ndarray:
+    """The matrix of a JSON object; a malformed object or a NaN or infinite
+    entry is an input error, naming ``path`` when given."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        if re.shape != (rows, cols):
-            raise ValueError(f"'re' block has shape {re.shape}, not ({rows}, {cols})")
+        m = np.asarray(obj["re"], dtype=float)
+        if m.shape != (rows, cols):
+            raise ValueError(f"'re' block has shape {m.shape}, not ({rows}, {cols})")
         if "im" in obj:
             im = np.asarray(obj["im"], dtype=float)
             if im.shape != (rows, cols):
                 raise ValueError("'im' block shape mismatch")
-            return re + 1j * im
-        return re
+            m = m + 1j * im
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix entries must be finite")
+        return m
     except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"malformed matrix object: {exc}") from None
+        where = f"{path}: " if path else ""
+        raise _InputError(f"{where}malformed matrix object: {exc}") from None
 
 
 def _read_text(path: str) -> str:
@@ -132,7 +137,7 @@ def load_interaction(path: str) -> synthesis.InteractionMatrix:
         raise _InputError(f"{path}: expected a JSON object")
     if "Z" in obj and "re" not in obj:
         obj = obj["Z"]
-    return _checked(path, synthesis.InteractionMatrix.from_matrix, matrix_from_json(obj))
+    return _checked(path, synthesis.InteractionMatrix.from_matrix, matrix_from_json(obj, path))
 
 
 def load_phases(spec: str, n: int) -> np.ndarray:
@@ -163,7 +168,8 @@ def _load_gauge(spec: str | None):
     if spec in ("identity", "faithful"):
         return spec, spec
     if spec.startswith("custom:"):
-        return "custom", matrix_from_json(_load_json(spec[len("custom:"):]))
+        path = spec[len("custom:"):]
+        return "custom", matrix_from_json(_load_json(path), path)
     raise _InputError(
         f"unknown gauge {spec!r}; use identity, faithful or custom:PATH"
     )
@@ -195,9 +201,9 @@ def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     zm, check = cluster.interaction(gauge, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     closed = synthesis.covariance_closed_form(cluster, zm, z)
-    brute = oracle.covariance_oracle(cluster, zm, z)
-    spectrum = synthesis.squeezer_spectrum(zm, z)
     model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
+    brute = oracle.covariance_oracle(cluster, zm, z, model.budget("oracle_overlap"))
+    spectrum = synthesis.squeezer_spectrum(zm, z)
 
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)
@@ -213,6 +219,7 @@ def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
         ("covariance_psd", max(0.0, -float(np.linalg.eigvalsh(closed.C)[0]))),
         ("covariance_factor", max_abs(closed.C - closed.E @ closed.E.conj().T)),
         ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
+        ("oracle_overlap", brute.overlap),
     ]
     if gauge_name == "faithful":
         rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
@@ -508,12 +515,12 @@ def cmd_verify(args) -> int:
         if not (isinstance(bundle, dict) and all(key in bundle for key in required)):
             raise _InputError("verify needs a synthesize bundle with " + ", ".join(required))
         cluster = _checked(
-            path, synthesis.ClusterPlan.of, matrix_from_json(bundle["adjacency"]), bundle["theta"]
+            path, synthesis.ClusterPlan.of, matrix_from_json(bundle["adjacency"], path), bundle["theta"]
         )
         z = _scale(bundle["z"], f"{path}: z")
         # the stored P is checked and factorized like a custom gauge
-        p = matrix_from_json(bundle["P"])
-        stored = {key: matrix_from_json(bundle[key]) for key in ("Z", "U", "X", "Y", "C") if key in bundle}
+        p = matrix_from_json(bundle["P"], path)
+        stored = {key: matrix_from_json(bundle[key], path) for key in ("Z", "U", "X", "Y", "C") if key in bundle}
         wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
         if wrong:
             raise _InputError(f"{path}: {', '.join(wrong)} not of shape {cluster.A.shape}")

@@ -55,6 +55,13 @@ def realness_defect(m) -> float:
     return max_abs(np.asarray(m).imag)
 
 
+def _real_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m for a real a and a complex m as one real product: the float view
+    of m holds its real and imaginary parts in alternate columns."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return (a @ m.view(float)).view(complex)
+
+
 def _spectral(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     """f(H) = Q diag(f(L)) Q^dagger from the eigenvectors Q of H and f(L)."""
     return (q * values[None, :]) @ q.conj().T

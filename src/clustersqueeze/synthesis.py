@@ -47,6 +47,7 @@ from .errors import (
 )
 from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
+    _real_product,
     _spectral,
     as_complex_matrix,
     hermiticity_defect,
@@ -88,10 +89,9 @@ class InteractionMatrix:
     @classmethod
     def from_matrix(cls, Z) -> "InteractionMatrix":
         """Polar-decompose a complex symmetric non-singular matrix; P's
-        eigenpairs come from the split's one ``eigh``."""
-        zm = as_complex_matrix(Z)
-        p, u, w, q = polar_decompose_symmetric(zm)
-        return cls(Z=zm, P=p, U=u, strengths=w, modes=q)
+        eigenpairs come from the split's one ``eigh``, which also checks Z."""
+        p, u, w, q = polar_decompose_symmetric(Z)
+        return cls(Z=np.asarray(Z, dtype=complex), P=p, U=u, strengths=w, modes=q)
 
     @classmethod
     def from_factors(cls, P, U) -> "InteractionMatrix":
@@ -151,8 +151,8 @@ class BogoliubovPair:
         """
         eye = np.eye(self.n)
         first = max_abs(self.X @ self.X.conj().T - self.Y @ self.Y.conj().T - eye)
-        second = max_abs(self.X @ self.Y.T - self.Y @ self.X.T)
-        return first, second
+        xy = self.X @ self.Y.T  # and Y X^T is its transpose
+        return first, max_abs(xy - xy.T)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,8 @@ def unitary_from_adjacency(A, theta) -> np.ndarray:
 class ClusterPlan:
     """A checked cluster (A, Theta), built by :meth:`of`.  On first use of
     ``eigenvalues``, ``frame`` or ``U`` it takes A = Q diag(lam) Q^T once:
-    F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T."""
+    F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T, whose
+    product is formed with the real Q and the phases applied entrywise."""
 
     A: np.ndarray
     theta: np.ndarray
@@ -212,16 +213,24 @@ class ClusterPlan:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        lam, q = np.linalg.eigh(self.A)
-        return lam, np.exp(-1j * self.theta)[:, None] * q
+        return np.linalg.eigh(self.A)
 
     eigenvalues = property(lambda self: self._spectrum[0])
-    frame = property(lambda self: self._spectrum[1])
+
+    @cached_property
+    def _phases(self) -> np.ndarray:
+        return np.exp(-1j * self.theta)
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        return self._phases[:, None] * self._spectrum[1]
 
     @cached_property
     def U(self) -> np.ndarray:
-        lam, f = self._spectrum
-        u = -1j * (f * ((lam - 1j) / (lam + 1j))[None, :]) @ f.T
+        lam, q = self._spectrum
+        ph = self._phases
+        core = _real_product(q, ((lam - 1j) / (lam + 1j))[:, None] * q.T)
+        u = -1j * ph[:, None] * core * ph[None, :]
         return (u + u.T) / 2.0
 
     def interaction(self, gauge, z: float | None = None) -> tuple[InteractionMatrix, GaugeCheck]:
@@ -256,16 +265,18 @@ class ClusterPlan:
         n = self.A.shape[0]
         if gauge == "identity":
             w, modes = np.ones(n), np.eye(n)
+            p = np.eye(n)
         elif gauge == "faithful":
             if z is None or not (np.isfinite(z) and z > 0):
                 raise ValueError("squeezing scale z must be positive and finite")
             order = np.argsort(np.abs(self.eigenvalues), kind="stable")
-            lam = self.eigenvalues[order]
+            lam, q = self.eigenvalues[order], self._spectrum[1][:, order]
             w, modes = 1.0 + np.log1p(lam * lam) / (2.0 * z), self.frame[:, order]
+            # F diag(w) F^dagger, with the real Q diag(w) Q^T between the phases
+            p = self._phases[:, None] * ((q * w[None, :]) @ q.T) * self._phases.conj()[None, :]
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
         _require_definite(w)
-        p = _spectral(modes, w)
         p = (p + p.conj().T) / 2.0
         return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes)
 
@@ -284,9 +295,12 @@ def validate_gauge(cluster: ClusterPlan, P) -> GaugeCheck:
     if np.shape(P) != a.shape:
         raise DimensionMismatch("gauge factor shape does not match the graph")
     p = as_complex_matrix(P)
-    eye = np.eye(a.shape[0])
     ph = np.exp(1j * cluster.theta)
-    test = (a + 1j * eye) @ (ph[:, None] * p * ph.conj()[None, :]) @ (a - 1j * eye)
+    b = ph[:, None] * p * ph.conj()[None, :]
+    # (A + i) B (A - i) in real products with the symmetric A:
+    # B (A - i) = (A B^T)^T - i B
+    right = _real_product(a, b.T).T - 1j * b
+    test = _real_product(a, right) + 1j * right
     scale = max_abs(test)
     # The test matrix vanishes only for P = 0, which is real.
     residual = max_abs(test.imag) / scale if scale else 0.0
@@ -338,9 +352,8 @@ def covariance_closed_form(
     a = cluster.A
     if a.shape[0] != zm.n:
         raise DimensionMismatch(f"graph has {a.shape[0]} modes, interaction has {zm.n}")
-    eye = np.eye(a.shape[0])
-    decay = _spectral(zm.modes, np.exp(-z * zm.strengths))
-    e_factor = (a + 1j * eye) @ (np.exp(1j * cluster.theta)[:, None] * decay)
+    rotated = np.exp(1j * cluster.theta)[:, None] * _spectral(zm.modes, np.exp(-z * zm.strengths))
+    e_factor = _real_product(a, rotated) + 1j * rotated  # (A + i 1) e^{i Theta} e^{-z P}
     raw = e_factor @ e_factor.conj().T
     c = (raw.real + raw.real.T) / 2.0
     return CovarianceReport(

@@ -73,9 +73,10 @@ CHECKS = {
     "faithful_gauge_identity": ("covariance", 28),
     "uniform_gauge_formula": ("covariance", 32),  # and A A
     "self_inverse_value": ("covariance", 28),
-    # closed form (7 stages), U and Z (2), and at order 2N (2 stages each):
-    # eigh of K, its rebuild V e^w V^T, L S and M M^T
-    "covariance_vs_oracle": ("oracle", 68),
+    # closed form (7 stages), U and Z (2), eigh of K and G = [Re L, -Im L] V
+    # (order 2N, 2 stages each), H H^T
+    "covariance_vs_oracle": ("oracle", 56),
+    "oracle_overlap": ("overlap", 24),  # U and Z (2), eigh of K and G (order 2N)
     "blochmessiah_x": ("reduction", 60),  # P, U, eigh, X/Y, balancing (2), Takagi (2), V, W (2), rebuild
     "blochmessiah_y": ("reduction", 60),
     "interferometer_identity": ("eigenvectors", 44),  # P, U, eigh, balancing, Takagi, V, V V^T
@@ -156,15 +157,20 @@ class ErrorModel:
             "blocks": (k + zl) * cosh,
             # C = E E^dagger with ||E|| <= ||A + i|| e^{-z lambda_min}
             "covariance": k * k * (1.0 + zl) * math.exp(-2.0 * self.z * self.lam_min),
-            # the oracle's M M^T: M, of size e^{-z lambda_min}, is formed from
-            # a flow of size e^{z lambda_max}, whose error u N e^{z lambda_max}
-            # enters first and second order.  The eigh's backward error dK
-            # (u N z lambda_max) adds no Frechet factor: it reaches M through
-            # L e^{(1-s)K}, which decays as e^{-(1-s) z lambda_min}
-            "oracle": k * k * (
-                math.exp(self.z * (self.lam_max - self.lam_min))
-                + UNIT_ROUNDOFF * self.n * math.exp(2.0 * zl)
-            ),
+            # the oracle's C = G_- e^{2 w_-} G_-^T from the squeezed half of
+            # K = V diag(w) V^T, G = [Re L, -Im L] V, ||G_-|| <= k.  A
+            # perturbation dK moves C by at most k^2 2 e^{-2 z lambda_min} ||dK||
+            # (e^{2w} has slope <= 2 e^{-2 z lambda_min} on w <= -z lambda_min,
+            # and G_+ = 0 cancels the terms that cross into the anti-squeezed
+            # half): dK is the eigh's (u N z lambda_max) and z dZ from U's
+            # error, dZ ~ u N k lambda_max; G and H H^T add u N k^2 each
+            "oracle": k * k * (1.0 + k * zl) * math.exp(-2.0 * self.z * self.lam_min),
+            # G_+ = [Re L, -Im L] V_+ vanishes for a compatible Z; rounding
+            # tilts the squeezed subspace by ||dK|| / (2 z lambda_min), the
+            # gap between +-z sigma(Z), and G_- (<= k) turns the tilt into
+            # G_+.  dK: the eigh's u N z lambda_max and z dZ, U's error
+            # u N k lambda_max; the product G adds u N k.  z cancels
+            "overlap": k * (1.0 + k * self.lam_max / self.lam_min),
             "eigenvectors": eigenvectors,
             "reduction": cosh * eigenvectors,
             "cluster": k * eigenvectors,

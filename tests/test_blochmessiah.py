@@ -117,15 +117,16 @@ class TestBlochMessiah:
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_single_groups_match_the_per_group_takagi(self, n):
         # every faithful strength group is 1 x 1; the one vectorized step must
-        # give the balancing R that one Takagi call per group gives, bit for bit
+        # give the balancing R that one Takagi call per group gives, bit for
+        # bit, from the diagonal entries of -i T U T^T that bloch_messiah forms
         rng = np.random.default_rng(64)
         a = random_adjacency(rng, n)
         zm = ClusterPlan.of(a, random_phases(rng, n)).interaction("faithful", 0.7)[0]
         v = phase_fixed_columns(zm.modes)
-        balanced = -1j * v.conj().T @ zm.U @ v.conj()
+        balanced = -1j * np.sum(v.conj() * (zm.U @ v.conj()), axis=0)
         reference = np.zeros((n, n), dtype=complex)
         for k in range(n):
-            reference[k:k + 1, k:k + 1] = takagi_symmetric_unitary(balanced[k:k + 1, k:k + 1])
+            reference[k:k + 1, k:k + 1] = takagi_symmetric_unitary(balanced[k].reshape(1, 1))
         factors = bloch_messiah(zm, 0.7)
         assert np.array_equal(factors.R, reference)
         assert factors.spread == 0.0

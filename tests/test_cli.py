@@ -352,7 +352,9 @@ class TestOneFactorizationPerRequest:
 
     The oracle, kept apart from the plan on purpose, makes one ``eigh`` of
     its 2N x 2N generator K and reads its z * lambda_max budget off it; the
-    one ``eigvalsh`` is the covariance_psd row's.
+    one ``eigvalsh`` is the covariance_psd row's.  A sweep factorizes K once
+    when Z does not depend on z (identity and custom gauges) and once per
+    checked row, the first and the last, for the faithful gauge.
     """
 
     GRAPH = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
@@ -410,8 +412,10 @@ class TestOneFactorizationPerRequest:
         code, out, _ = run_cli(args, capsys)
         assert code == EXIT_OK and len(out.splitlines()) == 6
         assert calls.of("eigh", self.A) == 1 and calls["solve"] == []
-        # the oracle's eigh(K) at the first and last rows
-        assert calls.total() == 3 + (gauge == "custom")
+        oracle_eighs = sum(1 for a in calls["eigh"] if a.shape == (12, 12))
+        assert oracle_eighs == (2 if gauge == "faithful" else 1)
+        # eigh(A), the oracle's eigh(K) and a custom P's eigh
+        assert calls.total() == 1 + oracle_eighs + (gauge == "custom")
 
     def test_searching_analyze_reuses_the_search_margin(self, tmp_path, capsys, factorizations):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(2))))
@@ -541,6 +545,7 @@ class TestMalformedCustomGauge:
 
 
 NOT_SQUARE = matrix_to_json(np.ones((2, 3)))
+NAN_P = matrix_to_json(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
 
 class TestMalformedInput:
@@ -558,6 +563,7 @@ class TestMalformedInput:
         "verify-bundle-Z-not-square": ("verify", "Z", NOT_SQUARE, "Z not of shape (2, 2)"),
         "analyze-bundle-Z-not-square": ("analyze", "Z", NOT_SQUARE, "matrix must be square"),
         "decompose-bundle-Z-not-square": ("decompose", "Z", NOT_SQUARE, "matrix must be square"),
+        "bundle-P-nan": ("verify", "P", NAN_P, "matrix entries must be finite"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -578,6 +584,15 @@ class TestMalformedInput:
         code, out, err = run_cli(args, capsys)
         assert code == EXIT_INPUT and out == ""
         assert err.startswith(f"error: {bad}") and message in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @GAUGE_COMMANDS
+    def test_non_finite_custom_gauge_exits_input(self, command, bad, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        path = write(tmp_path, "p.json", json.dumps(matrix_to_json(np.array([[1.0, 0.0], [0.0, bad]]))))
+        code, out, err = run_cli([*command, "--graph", graph, "--gauge", f"custom:{path}"], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: {path}") and "matrix entries must be finite" in err
 
     def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))

@@ -8,6 +8,7 @@ power tests show that the derived budgets still reject defects far below
 the old fixed tolerances.
 """
 
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,7 @@ from clustersqueeze import (
     ClusterPlan,
     bloch_messiah,
     format_graph,
+    oracle,
     parse_graph,
     synthesis,
 )
@@ -242,6 +244,21 @@ class TestPower:
         code, report = run(["verify", *power_case(tmp_path, a, gauge)], tmp_path / "r.json")
         assert code == EXIT_CHECK_FAILED
         assert "bogoliubov_unitary_defect" in failing(report)
+
+    @POWER_CASES
+    def test_oracle_covariance_off_by_1e8_fails(self, a, gauge, tmp_path, monkeypatch):
+        """The squeezed-half oracle resolves C relative to its own size, so a
+        1e-8 relative change of the oracle's C fails covariance_vs_oracle
+        even at z * lambda_max = 25."""
+        exact = oracle.covariance_oracle
+
+        def scaled(*args, **kwargs):
+            report = exact(*args, **kwargs)
+            return dataclasses.replace(report, C=report.C * (1.0 + 1e-8))
+
+        monkeypatch.setattr(oracle, "covariance_oracle", scaled)
+        code, report = run(["verify", *power_case(tmp_path, a, gauge)], tmp_path / "r.json")
+        assert code == EXIT_CHECK_FAILED and failing(report) == ["covariance_vs_oracle"]
 
     @POWER_CASES
     def test_bundle_x_off_in_the_tenth_digit_fails(self, a, gauge, tmp_path):

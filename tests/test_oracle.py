@@ -26,11 +26,12 @@ from clustersqueeze import (
 )
 from clustersqueeze import oracle, synthesis
 from clustersqueeze.oracle import quadrature_flow, quadrature_generator
-from clustersqueeze.tolerances import DEFAULT_TOLERANCES
+from clustersqueeze.tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 from conftest import (
     epr_adjacency,
     hermitian_function,
+    overlap_budget,
     random_adjacency,
     random_gauge,
     random_hermitian_pd,
@@ -129,7 +130,8 @@ class TestQuadratureFlow:
         th = random_phases(rng, 6)
         cluster = ClusterPlan.of(a, th)
         zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), 1.2)
-        expected = covariance_oracle(cluster, zm, 1.2).C
+        budget = overlap_budget(cluster, zm, 1.2)
+        expected = covariance_oracle(cluster, zm, 1.2, budget).C
         # only Z and n: reading P, strengths or modes raises AttributeError
         # (NaN stand-ins would slip through a comparison such as the budget's)
         blind = types.SimpleNamespace(Z=zm.Z, n=zm.n)
@@ -146,9 +148,26 @@ class TestQuadratureFlow:
         for name in ("eigenvalues", "frame", "U"):
             monkeypatch.setattr(synthesis.ClusterPlan, name, property(forbidden))
         calls = request.getfixturevalue("factorizations")
-        assert np.array_equal(covariance_oracle(fresh, blind, 1.2).C, expected)
+        assert np.array_equal(covariance_oracle(fresh, blind, 1.2, budget).C, expected)
         # one eigh, of the 12 x 12 generator, and nothing of order N
         assert [c.shape for c in calls["eigh"]] == [(12, 12)] and calls.total() == 1
+
+    def test_oracle_forms_no_flow(self, monkeypatch):
+        # the squeezed half comes from K's eigenpairs: neither S = exp(K) nor
+        # any other function of K is rebuilt at order 2N
+        rng = np.random.default_rng(96)
+        a = random_adjacency(rng, 5)
+        cluster = ClusterPlan.of(a, random_phases(rng, 5))
+        zm, _ = cluster.interaction("faithful", 1.3)
+        expected = covariance_oracle(cluster, zm, 1.3, overlap_budget(cluster, zm, 1.3)).C
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not rebuild a function of K")
+
+        monkeypatch.setattr(oracle, "quadrature_flow", forbidden)
+        monkeypatch.setattr(oracle, "_spectral", forbidden)
+        rep = covariance_oracle(cluster, zm, 1.3, overlap_budget(cluster, zm, 1.3))
+        assert np.array_equal(rep.C, expected) and rep.E.shape == (5, 5)
 
     def test_flow_matches_scaling_and_squaring(self):
         # random symmetric Z, z * lambda_max up to 29; both routes resolve S
@@ -182,12 +201,14 @@ class TestQuadratureFlow:
 class TestCovarianceOracle:
     def test_single_free_mode(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(1))
-        rep = covariance_oracle(ClusterPlan.of(np.zeros((1, 1)), [0.0]), zm, 1.0)
+        cluster = ClusterPlan.of(np.zeros((1, 1)), [0.0])
+        rep = covariance_oracle(cluster, zm, 1.0, overlap_budget(cluster, zm, 1.0))
         assert rep.C[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-10)
 
     def test_epr_self_inverse_value(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        rep = covariance_oracle(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), zm, 1.0)
+        cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
+        rep = covariance_oracle(cluster, zm, 1.0, overlap_budget(cluster, zm, 1.0))
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_mismatched_interaction_grows(self):
@@ -195,8 +216,8 @@ class TestCovarianceOracle:
         # nullifiers: the covariance grows with z
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
         cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
-        rep1 = covariance_oracle(cluster, zm, 1.0)
-        rep2 = covariance_oracle(cluster, zm, 2.0)
+        rep1 = covariance_oracle(cluster, zm, 1.0, overlap_budget(cluster, zm, 1.0))
+        rep2 = covariance_oracle(cluster, zm, 2.0, overlap_budget(cluster, zm, 2.0))
         assert rep2.max_abs > rep1.max_abs
 
     def test_agrees_with_closed_form(self):
@@ -211,7 +232,8 @@ class TestCovarianceOracle:
             cluster = ClusterPlan.of(a, th)
             zm, _ = cluster.interaction(p, z)
             closed = covariance_closed_form(cluster, zm, z)
-            brute = covariance_oracle(cluster, zm, z)
+            brute = covariance_oracle(cluster, zm, z, overlap_budget(cluster, zm, z))
+            assert brute.overlap <= overlap_budget(cluster, zm, z)
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
             assert np.max(np.abs(brute.C - brute.E @ brute.E.conj().T)) <= 1e-8
             assert brute.imag_residual <= 1e-9
@@ -220,7 +242,7 @@ class TestCovarianceOracle:
     def test_dimension_mismatch(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(2))
         with pytest.raises(DimensionMismatch):
-            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm, 1.0)
+            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm, 1.0, 0.0)
 
     def test_necessity_direction(self):
         # structure factors not matching the cluster leave the covariance
@@ -237,9 +259,51 @@ class TestCovarianceOracle:
             checked += 1
             zm = InteractionMatrix.from_matrix(u_bad)
             cluster = ClusterPlan.of(a, th)
-            r3 = covariance_oracle(cluster, zm, 3.0)
-            r4 = covariance_oracle(cluster, zm, 4.0)
+            r3 = covariance_oracle(cluster, zm, 3.0, overlap_budget(cluster, zm, 3.0))
+            r4 = covariance_oracle(cluster, zm, 4.0, overlap_budget(cluster, zm, 4.0))
+            assert r3.overlap > 1e3 * overlap_budget(cluster, zm, 3.0)
             assert r4.max_abs > r3.max_abs
+
+
+class TestOracleBudgetsAgainstMpmath:
+    """The squeezed-half oracle against C = L e^{-2 z P} L^dagger evaluated
+    in 40 digits from the same P: its error stays within the
+    ``covariance_vs_oracle`` budget and its overlap within the
+    ``oracle_overlap`` budget up to z * lambda_max = 29."""
+
+    @staticmethod
+    def exact_covariance(cluster, p, z):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            n = cluster.A.shape[0]
+            pm = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in p])
+            w, q = mp.eighe((pm + pm.H) / 2)
+            decay = q * mp.diag([mp.exp(-2 * z * x) for x in w]) * q.H
+            left = mp.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    phase = mp.expj(mp.mpf(float(cluster.theta[j])))
+                    left[i, j] = (mp.mpf(float(cluster.A[i, j])) + (1j if i == j else 0)) * phase
+            c = left * decay * left.H
+            return np.array([[float(mp.re(c[i, j])) for j in range(n)] for i in range(n)])
+
+    @pytest.mark.parametrize("a", [epr_adjacency(), np.array([[0.3, 1.0, 0.0], [1.0, 0.0, -0.5], [0.0, -0.5, 0.0]])],
+                             ids=["epr", "path3"])
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    @pytest.mark.parametrize("zl", [5.0, 25.0, 29.0])
+    def test_within_budget(self, a, gauge, zl):
+        n = a.shape[0]
+        cluster = ClusterPlan.of(a, np.linspace(-1.0, 1.0, n))
+        rho = float(np.max(np.abs(cluster.eigenvalues)))
+        z = zl - (0.5 * math.log1p(rho * rho) if gauge == "faithful" else 0.0)
+        zm, _ = cluster.interaction(gauge, z)
+        model = ErrorModel.for_cluster(cluster, zm, z)
+        brute = covariance_oracle(cluster, zm, z, model.budget("oracle_overlap"))
+        exact = self.exact_covariance(cluster, zm.P, z)
+        assert brute.overlap <= model.budget("oracle_overlap")
+        assert np.max(np.abs(brute.C - exact)) <= model.budget("covariance_vs_oracle")
+        # the budget resolves C far below 1e-8 of its size
+        assert model.budget("covariance_vs_oracle") <= 1e-10 * np.max(np.abs(exact))
 
 
 class TestForcedGaugeViolation:
