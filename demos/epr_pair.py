@@ -12,7 +12,6 @@ from clustersqueeze import (
     covariance_oracle,
     squeezer_spectrum,
 )
-from clustersqueeze.tolerances import ErrorModel
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -46,9 +45,7 @@ print("expected e^{-2z} identity:", np.exp(-2 * z))
 # --- cross-check against the brute-force path ------------------------------
 # the oracle leaves out the anti-squeezed half when its overlap with the
 # nullifiers is within the rounding budget
-model = ErrorModel.for_cluster(cluster, zm_faithful, z)
-brute = covariance_oracle(cluster, zm_faithful, z, model.budget("oracle_overlap"))
+brute = covariance_oracle(cluster, zm_faithful, z)
 gap = np.max(np.abs(brute.C - report_faithful.C))
-print(f"\nclosed form vs brute-force oracle: max gap {gap:.2e} "
-      f"(budget {model.budget('covariance_vs_oracle'):.1e}), "
+print(f"\nclosed form vs brute-force oracle: max gap {gap:.2e}, "
       f"overlap {brute.overlap:.1e}")

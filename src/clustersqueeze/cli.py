@@ -202,7 +202,7 @@ def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     closed = synthesis.covariance_closed_form(cluster, zm, z)
     model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
-    brute = oracle.covariance_oracle(cluster, zm, z, model.budget("oracle_overlap"))
+    brute = oracle.covariance_oracle(cluster, zm, z)
     spectrum = synthesis.squeezer_spectrum(zm, z)
 
     defect_one, defect_two = pair.defects()

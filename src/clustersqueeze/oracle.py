@@ -61,7 +61,9 @@ because V is orthogonal.  When Z's structure factor matches the cluster the
 nullifiers have no component along the anti-squeezed half (w > 0, the last N
 columns G_+), so C = H H^T with H = G_- diag(e^{w_-}) from the squeezed
 columns alone.  The overlap max|G_+| is reported and checked against its
-rounding budget; above that budget the anti-squeezed half is kept, so a
+rounding budget.  The oracle compares it with the same ``oracle_overlap``
+budget of a model built from its own data (the eigenvalues +-sigma(Z) of K and
+an A-only bound on ||A + i||); above it the anti-squeezed half is kept, so a
 mismatched Z still shows its growing covariance.  Dropping the half removes
 the terms of size u e^{2 z lambda_max} that a flow of size e^{z lambda_max}
 would leave in C.  K is factorized at z = 1 and its eigenvalues scaled by z,
@@ -96,7 +98,9 @@ from .tolerances import ErrorModel
 class OracleReport(CovarianceReport):
     """Brute-force covariance with ``overlap``, the largest entry of G_+.
 
-    ``E`` is the real factor H of C = H H^T, so ``imag_residual`` is zero.
+    ``E`` is the real factor H of C = H H^T: N x N when the anti-squeezed
+    half is left out, N x 2N when it is kept.  H is real, so
+    ``imag_residual`` is zero.
     """
 
     overlap: float
@@ -198,13 +202,23 @@ def covariance_from_pair(cluster: ClusterPlan, pair: BogoliubovPair) -> Covarian
     return _covariance_from_flow(cluster, s)
 
 
-def _unit_spectrum(cluster: ClusterPlan, zm: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
+class _Spectrum(NamedTuple):
+    """K's eigenvalues w at z = 1, the columns of G that C keeps, and the
+    overlap max|G_+|."""
+
+    w: np.ndarray
+    g: np.ndarray
+    overlap: float
+
+
+def _unit_spectrum(cluster: ClusterPlan, zm: InteractionMatrix) -> _Spectrum:
     """Eigenvalues w of K at z = 1 and the nullifiers G = [Re L, -Im L] V
-    in its eigenbasis.
+    in its eigenbasis, without the anti-squeezed half G_+ when its largest
+    entry is within the oracle's own ``oracle_overlap`` budget.
 
     With L = -(A + i 1) e^{i Theta}, c = cos Theta and s = sin Theta on the
     rows of V = [V_x; V_p], G = A (s V_p - c V_x) + (s V_x + c V_p): one real
-    product with A.
+    product with A.  Neither the overlap nor its budget depends on z.
     """
     n = cluster.A.shape[0]
     if n != zm.n:
@@ -212,20 +226,20 @@ def _unit_spectrum(cluster: ClusterPlan, zm: InteractionMatrix) -> tuple[np.ndar
     w, v = _generator_eigh(zm, 1.0)
     c, s = np.cos(cluster.theta)[:, None], np.sin(cluster.theta)[:, None]
     vx, vp = v[:n], v[n:]
-    return w, cluster.A @ (s * vp - c * vx) + (s * vx + c * vp)
+    g = cluster.A @ (s * vp - c * vx) + (s * vx + c * vp)
+    overlap = max_abs(g[:, n:])
+    if overlap <= ErrorModel.for_generator(cluster.A, w).budget("oracle_overlap"):
+        g = g[:, :n]
+    return _Spectrum(w, g, overlap)
 
 
-def _squeezed_covariance(w: np.ndarray, g: np.ndarray, z: float, overlap_budget: float) -> OracleReport:
-    """C = H H^T at scale z from :func:`_unit_spectrum`; H = G_- e^{z w_-},
-    with the anti-squeezed half G_+ e^{z w_+} appended when max|G_+| exceeds
-    ``overlap_budget``."""
+def _oracle_from_spectrum(spectrum: _Spectrum, z: float) -> OracleReport:
+    """C = H H^T at scale z with H = G e^{z w} over the kept columns."""
     if not (np.isfinite(z) and z >= 0):
         raise ValueError("squeezing scale z must be non-negative and finite")
+    w, g, overlap = spectrum
     check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
-    n = g.shape[0]
-    overlap = max_abs(g[:, n:])
-    kept = 2 * n if overlap > overlap_budget else n
-    h = g[:, :kept] * np.exp(z * w[:kept])[None, :]
+    h = g * np.exp(z * w[: g.shape[1]])[None, :]
     raw = h @ h.T
     c = (raw + raw.T) / 2.0
     return OracleReport(
@@ -238,20 +252,17 @@ def _squeezed_covariance(w: np.ndarray, g: np.ndarray, z: float, overlap_budget:
     )
 
 
-def covariance_oracle(
-    cluster: ClusterPlan, zm: InteractionMatrix, z: float, overlap_budget: float
-) -> OracleReport:
+def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix, z: float) -> OracleReport:
     """Nullifier covariance from the eigendecomposition of the generator.
 
-    ``overlap_budget`` is the rounding budget of the overlap max|G_+| (the
-    ``oracle_overlap`` row of :class:`ErrorModel`): within it the
-    anti-squeezed half is rounding and is left out of C.  For inputs where
-    the structure factor of Z matches the cluster (A, Theta), the result
-    agrees with the closed form within the budget of :class:`ErrorModel`;
-    otherwise the overlap exceeds its budget and the covariance does not
-    decay with z.
+    The anti-squeezed half is left out of C when the overlap max|G_+| is
+    within its rounding budget, which the oracle derives from Z and A alone.
+    For inputs where the structure factor of Z matches the cluster
+    (A, Theta), the result agrees with the closed form within the budget of
+    :class:`ErrorModel`; otherwise the overlap exceeds its budget and the
+    covariance does not decay with z.
     """
-    return _squeezed_covariance(*_unit_spectrum(cluster, zm), z, overlap_budget)
+    return _oracle_from_spectrum(_unit_spectrum(cluster, zm), z)
 
 
 def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) -> list[SweepPoint]:
@@ -283,12 +294,10 @@ def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) ->
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
         if z in (zs[0], zs[-1]):
-            model = ErrorModel.for_cluster(cluster, zm, z)
             if spectrum is None:
                 spectrum = _unit_spectrum(cluster, zm)
-            brute = _squeezed_covariance(*spectrum, z, model.budget("oracle_overlap"))
-            gap = max_abs(closed.C - brute.C)
-            if gap > model.budget("covariance_vs_oracle"):
+            gap = max_abs(closed.C - _oracle_from_spectrum(spectrum, z).C)
+            if gap > ErrorModel.for_cluster(cluster, zm, z).budget("covariance_vs_oracle"):
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "
                     f"{gap:.3e} at z = {z}"

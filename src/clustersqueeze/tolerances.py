@@ -125,6 +125,23 @@ class ErrorModel:
         return cls(cluster.A.shape[0], z, lo, hi, 1.0 + rho, z_scale, test_scale)
 
     @classmethod
+    def for_generator(cls, A, w) -> "ErrorModel":
+        """Model the brute-force oracle builds from its own data, for its
+        ``oracle_overlap`` threshold.
+
+        ``w`` holds the eigenvalues +-sigma(Z) of the quadrature generator
+        at z = 1, and sigma(Z) = lambda(P), so lam_min = w[N] and
+        lam_max = w[-1]; kappa = 1 + ||A||_inf >= 1 + max|lam(A)| needs only
+        A.  The overlap magnitude does not depend on z (z = 0 keeps the
+        others finite) and grows with kappa, so the threshold is no tighter
+        than the row's budget under :meth:`for_cluster`, up to the rounding
+        of w.
+        """
+        n = len(w) // 2
+        kappa = 1.0 + float(np.max(np.sum(np.abs(A), axis=1)))
+        return cls(n, 0.0, float(w[n]), float(w[-1]), kappa)
+
+    @classmethod
     def for_interaction(cls, strengths, z: float) -> "ErrorModel":
         lo, hi = float(strengths[0]), float(strengths[-1])
         return cls(len(strengths), z, lo, hi, hi / lo)

@@ -24,7 +24,6 @@ from clustersqueeze import (
     oracle,
     phase_vector,
 )
-from clustersqueeze.tolerances import ErrorModel
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("tier1")
@@ -141,11 +140,6 @@ def reference_gauge_faithful(A, theta, z):
     ph = np.exp(-1j * th)
     p = eye + ph[:, None] * log_gram * ph.conj()[None, :] / (2.0 * z)
     return (p + p.conj().T) / 2.0
-
-
-def overlap_budget(cluster, zm, z):
-    """The ``oracle_overlap`` budget that the check battery hands the oracle."""
-    return ErrorModel.for_cluster(cluster, zm, z).budget("oracle_overlap")
 
 
 def reference_quadrature_flow(Z, z):

@@ -30,7 +30,6 @@ from clustersqueeze import (
 
 from conftest import (
     epr_adjacency,
-    overlap_budget,
     random_adjacency,
     random_compatible_gauge,
     random_gauge,
@@ -110,7 +109,7 @@ def test_criterion_04_oracle_equivalence():
         cluster = ClusterPlan.of(a, th)
         zm, _ = cluster.interaction(p, z)
         closed = covariance_closed_form(cluster, zm, z)
-        brute = covariance_oracle(cluster, zm, z, overlap_budget(cluster, zm, z))
+        brute = covariance_oracle(cluster, zm, z)
         worst = max(worst, float(np.max(np.abs(closed.C - brute.C))))
     elapsed = time.perf_counter() - start
     _report(
@@ -136,8 +135,8 @@ def test_criterion_05_theorem_necessity():
         checked += 1
         zm = InteractionMatrix.from_matrix(u_bad)
         cluster = ClusterPlan.of(a, th)
-        c3 = covariance_oracle(cluster, zm, 3.0, overlap_budget(cluster, zm, 3.0)).max_abs
-        c4 = covariance_oracle(cluster, zm, 4.0, overlap_budget(cluster, zm, 4.0)).max_abs
+        c3 = covariance_oracle(cluster, zm, 3.0).max_abs
+        c4 = covariance_oracle(cluster, zm, 4.0).max_abs
         if not c4 > c3:
             ok = False
             detail = f"instance {checked}: {c4:.3e} <= {c3:.3e}"

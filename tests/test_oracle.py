@@ -31,7 +31,6 @@ from clustersqueeze.tolerances import DEFAULT_TOLERANCES, ErrorModel
 from conftest import (
     epr_adjacency,
     hermitian_function,
-    overlap_budget,
     random_adjacency,
     random_gauge,
     random_hermitian_pd,
@@ -130,10 +129,10 @@ class TestQuadratureFlow:
         th = random_phases(rng, 6)
         cluster = ClusterPlan.of(a, th)
         zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), 1.2)
-        budget = overlap_budget(cluster, zm, 1.2)
-        expected = covariance_oracle(cluster, zm, 1.2, budget).C
+        expected = covariance_oracle(cluster, zm, 1.2).C
         # only Z and n: reading P, strengths or modes raises AttributeError
-        # (NaN stand-ins would slip through a comparison such as the budget's)
+        # (NaN stand-ins would slip through a comparison such as the
+        # overlap's with its budget)
         blind = types.SimpleNamespace(Z=zm.Z, n=zm.n)
         fresh = ClusterPlan.of(a, th)  # its eigh(A) has not run
 
@@ -148,7 +147,7 @@ class TestQuadratureFlow:
         for name in ("eigenvalues", "frame", "U"):
             monkeypatch.setattr(synthesis.ClusterPlan, name, property(forbidden))
         calls = request.getfixturevalue("factorizations")
-        assert np.array_equal(covariance_oracle(fresh, blind, 1.2, budget).C, expected)
+        assert np.array_equal(covariance_oracle(fresh, blind, 1.2).C, expected)
         # one eigh, of the 12 x 12 generator, and nothing of order N
         assert [c.shape for c in calls["eigh"]] == [(12, 12)] and calls.total() == 1
 
@@ -159,14 +158,14 @@ class TestQuadratureFlow:
         a = random_adjacency(rng, 5)
         cluster = ClusterPlan.of(a, random_phases(rng, 5))
         zm, _ = cluster.interaction("faithful", 1.3)
-        expected = covariance_oracle(cluster, zm, 1.3, overlap_budget(cluster, zm, 1.3)).C
+        expected = covariance_oracle(cluster, zm, 1.3).C
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle must not rebuild a function of K")
 
         monkeypatch.setattr(oracle, "quadrature_flow", forbidden)
         monkeypatch.setattr(oracle, "_spectral", forbidden)
-        rep = covariance_oracle(cluster, zm, 1.3, overlap_budget(cluster, zm, 1.3))
+        rep = covariance_oracle(cluster, zm, 1.3)
         assert np.array_equal(rep.C, expected) and rep.E.shape == (5, 5)
 
     def test_flow_matches_scaling_and_squaring(self):
@@ -202,13 +201,13 @@ class TestCovarianceOracle:
     def test_single_free_mode(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(1))
         cluster = ClusterPlan.of(np.zeros((1, 1)), [0.0])
-        rep = covariance_oracle(cluster, zm, 1.0, overlap_budget(cluster, zm, 1.0))
+        rep = covariance_oracle(cluster, zm, 1.0)
         assert rep.C[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-10)
 
     def test_epr_self_inverse_value(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-        rep = covariance_oracle(cluster, zm, 1.0, overlap_budget(cluster, zm, 1.0))
+        rep = covariance_oracle(cluster, zm, 1.0)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_mismatched_interaction_grows(self):
@@ -216,8 +215,8 @@ class TestCovarianceOracle:
         # nullifiers: the covariance grows with z
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
         cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
-        rep1 = covariance_oracle(cluster, zm, 1.0, overlap_budget(cluster, zm, 1.0))
-        rep2 = covariance_oracle(cluster, zm, 2.0, overlap_budget(cluster, zm, 2.0))
+        rep1 = covariance_oracle(cluster, zm, 1.0)
+        rep2 = covariance_oracle(cluster, zm, 2.0)
         assert rep2.max_abs > rep1.max_abs
 
     def test_agrees_with_closed_form(self):
@@ -232,17 +231,35 @@ class TestCovarianceOracle:
             cluster = ClusterPlan.of(a, th)
             zm, _ = cluster.interaction(p, z)
             closed = covariance_closed_form(cluster, zm, z)
-            brute = covariance_oracle(cluster, zm, z, overlap_budget(cluster, zm, z))
-            assert brute.overlap <= overlap_budget(cluster, zm, z)
+            brute = covariance_oracle(cluster, zm, z)
+            assert brute.overlap <= ErrorModel.for_cluster(cluster, zm, z).budget("oracle_overlap")
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
-            assert np.max(np.abs(brute.C - brute.E @ brute.E.conj().T)) <= 1e-8
-            assert brute.imag_residual <= 1e-9
+            # the anti-squeezed half is left out: H is the real N x N factor
+            assert brute.E.shape == (n, n) and not np.iscomplexobj(brute.E)
+            assert np.max(np.abs(brute.C - brute.E @ brute.E.T)) <= 1e-8
             assert brute.asym_residual <= 1e-9 * (1.0 + brute.max_abs)
+
+    def test_own_overlap_budget_covers_the_row(self):
+        # the threshold the oracle derives from K's eigenvalues and ||A||_inf
+        # is no tighter than the oracle_overlap budget the battery judges by
+        rng = np.random.default_rng(76)
+        for trial in range(30):
+            n = int(rng.integers(1, 7))
+            a = epr_adjacency() if trial == 0 else random_adjacency(rng, n)
+            th = random_phases(rng, a.shape[0])
+            z = float(rng.uniform(0.3, 3.0))
+            kind = ("identity", "faithful", "custom")[trial % 3]
+            cluster = ClusterPlan.of(a, th)
+            zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
+            w, _ = np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0, 1.0))
+            own = ErrorModel.for_generator(cluster.A, w).budget("oracle_overlap")
+            row = ErrorModel.for_cluster(cluster, zm, z).budget("oracle_overlap")
+            assert own >= row * (1.0 - 1e-9)
 
     def test_dimension_mismatch(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(2))
         with pytest.raises(DimensionMismatch):
-            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm, 1.0, 0.0)
+            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm, 1.0)
 
     def test_necessity_direction(self):
         # structure factors not matching the cluster leave the covariance
@@ -259,9 +276,10 @@ class TestCovarianceOracle:
             checked += 1
             zm = InteractionMatrix.from_matrix(u_bad)
             cluster = ClusterPlan.of(a, th)
-            r3 = covariance_oracle(cluster, zm, 3.0, overlap_budget(cluster, zm, 3.0))
-            r4 = covariance_oracle(cluster, zm, 4.0, overlap_budget(cluster, zm, 4.0))
-            assert r3.overlap > 1e3 * overlap_budget(cluster, zm, 3.0)
+            r3 = covariance_oracle(cluster, zm, 3.0)
+            r4 = covariance_oracle(cluster, zm, 4.0)
+            assert r3.overlap > 1e3 * ErrorModel.for_cluster(cluster, zm, 3.0).budget("oracle_overlap")
+            assert r3.E.shape == (n, 2 * n)  # the anti-squeezed half is kept
             assert r4.max_abs > r3.max_abs
 
 
@@ -298,7 +316,7 @@ class TestOracleBudgetsAgainstMpmath:
         z = zl - (0.5 * math.log1p(rho * rho) if gauge == "faithful" else 0.0)
         zm, _ = cluster.interaction(gauge, z)
         model = ErrorModel.for_cluster(cluster, zm, z)
-        brute = covariance_oracle(cluster, zm, z, model.budget("oracle_overlap"))
+        brute = covariance_oracle(cluster, zm, z)
         exact = self.exact_covariance(cluster, zm.P, z)
         assert brute.overlap <= model.budget("oracle_overlap")
         assert np.max(np.abs(brute.C - exact)) <= model.budget("covariance_vs_oracle")
