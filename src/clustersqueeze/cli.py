@@ -52,7 +52,7 @@ from .errors import (
     SearchExhausted,
 )
 from .graphs import format_graph, parse_graph, phase_vector
-from .matfun import max_abs, symmetry_defect, unitarity_defect
+from .matfun import max_abs, unitarity_defect
 from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 EXIT_OK = 0
@@ -203,31 +203,27 @@ def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     closed = synthesis.covariance_closed_form(cluster, zm, z)
     model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
     brute = oracle.covariance_oracle(cluster, zm, z)
-    spectrum = synthesis.squeezer_spectrum(zm, z)
 
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)
     rows = [
         ("gauge_condition", check.residual),
         ("interaction_symmetric", zm.asymmetry),
-        ("polar_product", max_abs(zm.P @ zm.U - zm.Z) / max(1.0, max_abs(zm.Z))),
         ("structure_unitary", unitarity_defect(zm.U)),
-        ("structure_symmetric", symmetry_defect(zm.U)),
         ("bogoliubov_unitary_defect", defect_one),
         ("bogoliubov_symmetry_defect", defect_two),
         ("covariance_real", closed.imag_residual),
-        ("covariance_psd", max(0.0, -float(np.linalg.eigvalsh(closed.C)[0]))),
-        ("covariance_factor", max_abs(closed.C - closed.E @ closed.E.conj().T)),
         ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
         ("oracle_overlap", brute.overlap),
     ]
     if gauge_name == "faithful":
         rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
     if gauge_name == "identity":
-        rows.append(("uniform_gauge_formula", max_abs(closed.C - (a @ a + eye) * decay)))
-        if max_abs(a @ a - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
+        square = a @ a
+        rows.append(("uniform_gauge_formula", max_abs(closed.C - (square + eye) * decay)))
+        if max_abs(square - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
             rows.append(("self_inverse_value", max_abs(closed.C - 2.0 * decay * eye)))
-    computed = dict(zm=zm, pair=pair, closed=closed, spectrum=spectrum, model=model)
+    computed = dict(zm=zm, pair=pair, closed=closed, model=model)
     return model.checks(rows), computed
 
 
@@ -253,7 +249,6 @@ def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     model = computed["model"] = computed["model"].with_reduction(factors)
     rows = _reduction_rows(zm, computed["pair"], factors) + [
         ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)),
-        ("squeezer_match", float(np.max(np.abs(np.sort(factors.D) - np.sort(zm.strengths))))),
     ]
     return checks + model.checks(rows), computed
 
@@ -373,6 +368,7 @@ def cmd_synthesize(args) -> int:
     z = _z(args)
     checks, computed = core_battery(cluster, gauge, z, gauge_name)
     zm, pair, closed = computed["zm"], computed["pair"], computed["closed"]
+    spectrum = synthesis.squeezer_spectrum(zm, z)
     bundle = {
         "command": "synthesize",
         "n": n,
@@ -396,7 +392,7 @@ def cmd_synthesize(args) -> int:
                 "sinh_factor": m.sinh_factor,
                 "decibels": m.decibels,
             }
-            for m in computed["spectrum"]
+            for m in spectrum
         ],
         "checks": checks,
     }
@@ -406,7 +402,7 @@ def cmd_synthesize(args) -> int:
             f"covariance max-entry: {closed.max_abs!r}",
             "squeezers (strength, dB): "
             + ", ".join(
-                f"({m.strength:.6g}, {m.decibels:.6g})" for m in computed["spectrum"]
+                f"({m.strength:.6g}, {m.decibels:.6g})" for m in spectrum
             ),
             "checks:",
             *_summarize_checks(checks),

@@ -170,8 +170,6 @@ def _covariance_from_flow(cluster: ClusterPlan, s: np.ndarray) -> CovarianceRepo
         )
     left = nullifier_map(cluster)[:, :n]
     m = np.hstack([left.real, -left.imag]) @ s
-    # Computed exactly as written; symmetrization happens only in reporting
-    # and the discarded asymmetry is recorded as a residual.
     raw = m @ m.T
     mx, mp = m[:, :n], m[:, n:]
     cross = mx @ mp.T
@@ -181,7 +179,6 @@ def _covariance_from_flow(cluster: ClusterPlan, s: np.ndarray) -> CovarianceRepo
         E=-mx + 1j * mp,
         max_abs=max_abs(c),
         imag_residual=symmetry_defect(cross),
-        asym_residual=symmetry_defect(raw),
     )
 
 
@@ -247,7 +244,6 @@ def _oracle_from_spectrum(spectrum: _Spectrum, z: float) -> OracleReport:
         E=h,
         max_abs=max_abs(c),
         imag_residual=0.0,
-        asym_residual=symmetry_defect(raw),
         overlap=overlap,
     )
 

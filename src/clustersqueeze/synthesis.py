@@ -160,16 +160,14 @@ class CovarianceReport:
     """Nullifier covariance C with its factor E and numerical residuals.
 
     ``C`` is the real symmetric covariance as reported; ``E`` satisfies
-    C = E E^dagger up to ``imag_residual`` (the largest imaginary entry of
-    E E^dagger, the realness defect of the covariance) and
-    ``asym_residual`` (asymmetry of the raw product before symmetrization).
+    C = E E^dagger up to ``imag_residual``, the largest imaginary entry of
+    E E^dagger and the realness defect of the covariance.
     """
 
     C: np.ndarray
     E: np.ndarray
     max_abs: float
     imag_residual: float
-    asym_residual: float
 
     @property
     def frobenius(self) -> float:
@@ -361,7 +359,6 @@ def covariance_closed_form(
         E=e_factor,
         max_abs=max_abs(c),
         imag_residual=max_abs(raw.imag),
-        asym_residual=symmetry_defect(raw),
     )
 
 

@@ -351,10 +351,10 @@ class TestOneFactorizationPerRequest:
     no ``solve``.  A custom gauge adds its one ``eigh`` of P.
 
     The oracle, kept apart from the plan on purpose, makes one ``eigh`` of
-    its 2N x 2N generator K and reads its z * lambda_max budget off it; the
-    one ``eigvalsh`` is the covariance_psd row's.  A sweep factorizes K once
-    when Z does not depend on z (identity and custom gauges) and once per
-    checked row, the first and the last, for the faithful gauge.
+    its 2N x 2N generator K and reads its z * lambda_max budget off it; no
+    row takes an ``eigvalsh``.  A sweep factorizes K once when Z does not
+    depend on z (identity and custom gauges) and once per checked row, the
+    first and the last, for the faithful gauge.
     """
 
     GRAPH = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
@@ -395,12 +395,11 @@ class TestOneFactorizationPerRequest:
         p_sym = (p + p.conj().T) / 2.0
         assert calls.of("eigh", p_sym) == (gauge == "custom")
         assert calls["solve"] == []
-        assert calls.of("eigvalsh", p_sym) == 0 and len(calls["eigvalsh"]) == 1
+        assert calls["eigvalsh"] == []
         assert sum(1 for a in calls["eigh"] if a.shape == (12, 12)) == 1
-        # eigh(A), the oracle's eigh(K), covariance_psd's eigvalsh(C); a
-        # custom P's eigh; the identity gauge's Bloch-Messiah Takagi step, an
-        # eigh of Re(-i U)
-        expected = 3 + (gauge == "custom") + (command == "verify" and gauge == "identity")
+        # eigh(A) and the oracle's eigh(K); a custom P's eigh; the identity
+        # gauge's Bloch-Messiah Takagi step, an eigh of Re(-i U)
+        expected = 2 + (gauge == "custom") + (command == "verify" and gauge == "identity")
         assert calls.total() == expected
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])

@@ -1,11 +1,13 @@
 """Every public name has a user besides the tests."""
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
 import clustersqueeze
-from clustersqueeze.tolerances import Tolerances
+from clustersqueeze import cli
+from clustersqueeze.tolerances import CHECKS, ErrorModel, Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +64,21 @@ def test_every_tolerance_is_read():
         if not any(re.search(rf"\bDEFAULT_TOLERANCES\.{field.name}\b", text) for text in texts)
     ]
     assert unread == []
+
+
+def test_every_check_row_is_reported_and_every_magnitude_read(tmp_path, capsys):
+    """A row deleted from the batteries takes its table entry with it, and a
+    magnitude goes with the last row that reads it.  Verifying a bundle of
+    the self-inverse EPR graph (identity gauge) and the graph itself
+    (faithful gauge) reports every row once."""
+    graph = tmp_path / "epr.graph"
+    graph.write_text("2\n0 1 1.0\n", encoding="utf-8")
+    bundle = str(tmp_path / "bundle.json")
+    assert cli.main(["synthesize", "--graph", str(graph), "--out", bundle]) == 0
+    reported = set()
+    for argv in (["--interaction", bundle], ["--graph", str(graph), "--gauge", "faithful"]):
+        assert cli.main(["verify", *argv]) == 0
+        reported |= {check["name"] for check in json.loads(capsys.readouterr().out)["checks"]}
+    assert reported == set(CHECKS)
+    model = ErrorModel(n=2, z=1.0, lam_min=1.0, lam_max=2.0, kappa=2.0)
+    assert set(model.magnitudes) == {magnitude for magnitude, _ in CHECKS.values()}

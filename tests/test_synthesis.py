@@ -336,7 +336,6 @@ class TestCovarianceClosedForm:
             rep = covariance_closed_form(cluster, cluster.interaction(p, z)[0], z)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
-            assert rep.asym_residual <= 1e-9 * scale
             assert np.max(np.abs(rep.C - rep.E @ rep.E.conj().T)) <= 1e-9 * scale
             assert np.linalg.eigvalsh(rep.C)[0] >= -1e-9 * scale
 
