@@ -170,10 +170,9 @@ def _covariance_from_flow(cluster: ClusterPlan, s: np.ndarray) -> CovarianceRepo
         )
     left = nullifier_map(cluster)[:, :n]
     m = np.hstack([left.real, -left.imag]) @ s
-    raw = m @ m.T
+    c = m @ m.T  # one same-buffer product (BLAS syrk): exactly symmetric
     mx, mp = m[:, :n], m[:, n:]
     cross = mx @ mp.T
-    c = (raw + raw.T) / 2.0
     return CovarianceReport(
         C=c,
         E=-mx + 1j * mp,
@@ -237,8 +236,7 @@ def _oracle_from_spectrum(spectrum: _Spectrum, z: float) -> OracleReport:
     w, g, overlap = spectrum
     check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
     h = g * np.exp(z * w[: g.shape[1]])[None, :]
-    raw = h @ h.T
-    c = (raw + raw.T) / 2.0
+    c = h @ h.T  # one same-buffer product (BLAS syrk): exactly symmetric
     return OracleReport(
         C=c,
         E=h,

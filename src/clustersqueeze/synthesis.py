@@ -23,8 +23,10 @@ eigendecomposition A = Q diag(lam) Q^T, taken on first use: with
 F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T and the faithful
 gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no further
 factorization.  :class:`InteractionMatrix` holds Z = P U with the
-eigenpairs of P (from the cluster plan, one ``eigh`` of a custom P or a
-polar split of Z), and X, Y, C and the squeezer strengths come from them.
+eigenpairs of P, and X, Y, C and the squeezer strengths come from them.
+The cluster plan builds it for every gauge, reading a custom P's eigenpairs
+off one ``eigh`` of its Hermitian part; the polar split of Z builds it
+when only Z is given.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .errors import (
     GaugeIncompatible,
     NotHermitian,
     NotPositiveDefinite,
-    NotSymmetric,
-    NotUnitary,
 )
 from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
@@ -54,7 +54,6 @@ from .matfun import (
     max_abs,
     polar_decompose_symmetric,
     symmetry_defect,
-    unitarity_defect,
 )
 from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
@@ -67,8 +66,8 @@ class InteractionMatrix:
     symmetric unitary (the cluster structure).  ``strengths`` (ascending)
     and ``modes`` (column eigenvectors) are the eigenpairs of P, computed
     once here and read by every consumer.  Build instances through
-    :meth:`from_matrix` or :meth:`from_factors`, which enforce the
-    invariants.
+    :meth:`from_matrix` or :meth:`ClusterPlan.interaction`, which enforce
+    the invariants.
     """
 
     Z: np.ndarray
@@ -92,44 +91,6 @@ class InteractionMatrix:
         eigenpairs come from the split's one ``eigh``, which also checks Z."""
         p, u, w, q = polar_decompose_symmetric(Z)
         return cls(Z=np.asarray(Z, dtype=complex), P=p, U=u, strengths=w, modes=q)
-
-    @classmethod
-    def from_factors(cls, P, U) -> "InteractionMatrix":
-        """Assemble Z = P U, checking both factors.
-
-        P must be Hermitian (else :class:`NotHermitian`), and positive
-        definite and not numerically singular (:func:`_require_definite`),
-        read off the ``eigh`` that gives ``strengths`` and ``modes``.  U must
-        be symmetric unitary and P U symmetric (else
-        :class:`GaugeIncompatible`).  The reality condition tying P to a
-        cluster is :func:`validate_gauge`'s.
-        """
-        p = as_complex_matrix(P)
-        u = as_complex_matrix(U)
-        if p.shape != u.shape:
-            raise ValueError("factor shapes differ")
-        if hermiticity_defect(p) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(p)):
-            raise NotHermitian("gauge factor is not Hermitian")
-        w, q = np.linalg.eigh((p + p.conj().T) / 2.0)
-        _require_definite(w)
-        if unitarity_defect(u) > DEFAULT_TOLERANCES.rtol * u.shape[0]:
-            raise NotUnitary("structure factor is not unitary")
-        if symmetry_defect(u) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(u)):
-            raise NotSymmetric("structure factor is not symmetric")
-        z = p @ u
-        if symmetry_defect(z) > DEFAULT_TOLERANCES.interaction_symmetry * max(1.0, max_abs(z)):
-            raise GaugeIncompatible(
-                "P U is not symmetric; the factors are not gauge-compatible"
-            )
-        return cls(Z=z, P=p, U=u, strengths=w, modes=q)
-
-
-def _require_definite(w: np.ndarray) -> None:
-    """Reject ascending gauge strengths that are not positive or numerically singular."""
-    if w[0] <= DEFAULT_TOLERANCES.positive * max(1.0, w[-1]):
-        raise NotPositiveDefinite(f"gauge factor has min eigenvalue {w[0]:.3e}")
-    if w[0] < DEFAULT_TOLERANCES.singular * w[-1]:
-        raise NotPositiveDefinite("gauge factor is numerically singular")
 
 
 @dataclass(frozen=True)
@@ -236,20 +197,19 @@ class ClusterPlan:
 
         ``gauge`` is ``"identity"`` (P and its modes 1, so P and X stay
         real), ``"faithful"`` (modes F, strengths 1 + ln(1 + lam^2) / (2 z)
-        ascending) or an explicit P, which
-        :meth:`InteractionMatrix.from_factors` factorizes after the reality
-        check.  Every gauge must be compatible to within one rounded stage:
-        a ``gauge_condition`` or ``interaction_symmetric`` residual above its
+        ascending) or an explicit P.  One builder plans every gauge and
+        checks what concerns P alone first: an explicit P's shape
+        (:class:`DimensionMismatch`), finiteness and Hermiticity
+        (:class:`NotHermitian`), then for every gauge positivity and
+        singularity (:class:`NotPositiveDefinite`).  One gate then judges
+        compatibility: :func:`validate_gauge`'s reality check, and a
+        ``gauge_condition`` or ``interaction_symmetric`` residual above its
         :class:`ErrorModel` budget raises :class:`GaugeIncompatible`, so the
         rows built on P see no incompatibility beyond the rounding they
         budget for.
         """
-        if isinstance(gauge, str):
-            zm = self._builtin(gauge, z)
-            check = validate_gauge(self, zm.P)
-        else:
-            check = validate_gauge(self, gauge)
-            zm = InteractionMatrix.from_factors(gauge, self.U)
+        zm = self._plan(gauge, z)
+        check = validate_gauge(self, zm.P)
         model = ErrorModel.for_cluster(self, zm, 0.0, check.scale)  # budgets free of z
         for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
             if residual > model.budget(name):
@@ -259,9 +219,18 @@ class ClusterPlan:
                 )
         return zm, check
 
-    def _builtin(self, gauge: str, z: float | None) -> InteractionMatrix:
+    def _plan(self, gauge, z: float | None) -> InteractionMatrix:
+        """Z = P U with P Hermitian and its eigenpairs, for any gauge."""
         n = self.A.shape[0]
-        if gauge == "identity":
+        if not isinstance(gauge, str):
+            if np.shape(gauge) != self.A.shape:
+                raise DimensionMismatch("gauge factor shape does not match the graph")
+            p = as_complex_matrix(gauge)
+            if hermiticity_defect(p) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(p)):
+                raise NotHermitian("gauge factor is not Hermitian")
+            p = (p + p.conj().T) / 2.0
+            w, modes = np.linalg.eigh(p)
+        elif gauge == "identity":
             w, modes = np.ones(n), np.eye(n)
             p = np.eye(n)
         elif gauge == "faithful":
@@ -272,10 +241,13 @@ class ClusterPlan:
             w, modes = 1.0 + np.log1p(lam * lam) / (2.0 * z), self.frame[:, order]
             # F diag(w) F^dagger, with the real Q diag(w) Q^T between the phases
             p = self._phases[:, None] * ((q * w[None, :]) @ q.T) * self._phases.conj()[None, :]
+            p = (p + p.conj().T) / 2.0
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
-        _require_definite(w)
-        p = (p + p.conj().T) / 2.0
+        if w[0] <= DEFAULT_TOLERANCES.positive * max(1.0, w[-1]):
+            raise NotPositiveDefinite(f"gauge factor has min eigenvalue {w[0]:.3e}")
+        if w[0] < DEFAULT_TOLERANCES.singular * w[-1]:
+            raise NotPositiveDefinite("gauge factor is numerically singular")
         return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes)
 
 

@@ -32,8 +32,6 @@ class Tolerances:
     singular: float = 1e-10
     #: largest tolerated asymmetry of a raw adjacency input
     input_asymmetry: float = 1e-12
-    #: relative symmetry residual required of an interaction matrix
-    interaction_symmetry: float = 1e-10
     #: sigma_min at which a phase vector is accepted during the search
     phase_accept: float = 1e-6
     #: smallest sigma_min the search may fall back to before giving up

@@ -105,11 +105,10 @@ class TestBlochMessiah:
         )
 
     def test_degenerate_strengths_with_colliding_angles(self):
-        # distinct squeezer strengths whose structure factor is scalar: the
-        # blockwise balancing must not mix the strength eigenspaces
-        p = np.diag([1.0, 2.0]).astype(complex)
-        u = 1j * np.eye(2)
-        zm = InteractionMatrix.from_factors(p, u)
+        # distinct squeezer strengths whose structure factor is scalar (two
+        # free modes, U = i 1): the blockwise balancing must not mix the
+        # strength eigenspaces
+        zm = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))[0]
         factors = bloch_messiah(zm, 1.0)
         rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
         assert max(rx, ry, ru) <= 1e-9

@@ -143,7 +143,7 @@ class Case:
         argv = ["verify", *self.argv]
         with monkeypatch.context() as patch:
             if stage == "plan":
-                patch.setattr(synthesis.ClusterPlan, "_builtin", faulted(synthesis.ClusterPlan._builtin))
+                patch.setattr(synthesis.ClusterPlan, "_plan", faulted(synthesis.ClusterPlan._plan))
             elif stage in ("pair", "closed"):
                 build = {"pair": "bogoliubov_from_interaction", "closed": "covariance_closed_form"}[stage]
                 patch.setattr(synthesis, build, faulted(getattr(synthesis, build)))

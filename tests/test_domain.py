@@ -132,13 +132,14 @@ class TestAcceptedImpliesVerifiable:
         bundle rows compare two routes that differ by rounding.
         """
         factorized = []
-        from_factors = synthesis.InteractionMatrix.from_factors
+        plan = synthesis.ClusterPlan._plan
 
-        def recording(cls, P, U):
-            factorized.append(P)
-            return from_factors(P, U)
+        def recording(cluster, gauge, z):
+            if not isinstance(gauge, str):
+                factorized.append(gauge)
+            return plan(cluster, gauge, z)
 
-        monkeypatch.setattr(synthesis.InteractionMatrix, "from_factors", classmethod(recording))
+        monkeypatch.setattr(synthesis.ClusterPlan, "_plan", recording)
         rng = np.random.default_rng(n)
         a = parse_graph(perfbench_graph_text(rng, n))
         theta = rng.uniform(-math.pi, math.pi, n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
-    InteractionMatrix,
+    ClusterPlan,
     NotHermitian,
     NotSymmetric,
     NotUnitary,
@@ -50,14 +50,15 @@ class TestPredicates:
 
 
 class TestHermitianApply:
-    # Functions of a Hermitian gauge factor are read off the eigh that
-    # InteractionMatrix.from_factors keeps; it is the one that rejects a
-    # non-Hermitian factor before factorizing it.
+    # Functions of a Hermitian gauge factor are read off the eigh that the
+    # cluster plan keeps; it is the one that rejects a non-Hermitian factor
+    # before factorizing it.
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert not _relative(hermiticity_defect(m), m)
+        cluster = ClusterPlan.of(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0])
         with pytest.raises(NotHermitian, match="not Hermitian"):
-            InteractionMatrix.from_factors(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
+            cluster.interaction(m)
 
 
 class TestPolarDecomposition:

@@ -255,6 +255,21 @@ class TestCovarianceOracle:
             row = ErrorModel.for_cluster(cluster, zm, z).budget("oracle_overlap")
             assert own >= row * (1.0 - 1e-9)
 
+    @pytest.mark.parametrize("n", [1, 8, 64])
+    def test_covariance_is_exactly_symmetric(self, n):
+        # C is one same-buffer product H H^T or M M^T, exactly symmetric
+        # without a symmetrization, whether H keeps N columns or all 2N
+        rng = np.random.default_rng(77)
+        cluster = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n))
+        matched, _ = cluster.interaction("faithful", 1.3)
+        mismatched = InteractionMatrix.from_matrix(random_symmetric_unitary(rng, n))
+        for zm, columns in ((matched, n), (mismatched, 2 * n)):
+            rep = covariance_oracle(cluster, zm, 1.3)
+            assert rep.E.shape == (n, columns)
+            assert np.array_equal(rep.C, rep.C.T)
+        rep = covariance_from_pair(cluster, bogoliubov_from_interaction(matched, 1.3))
+        assert np.array_equal(rep.C, rep.C.T)
+
     def test_dimension_mismatch(self):
         zm = InteractionMatrix.from_matrix(1j * np.eye(2))
         with pytest.raises(DimensionMismatch):

@@ -12,7 +12,6 @@ from clustersqueeze import (
     InteractionMatrix,
     NotHermitian,
     NotPositiveDefinite,
-    NotSymmetric,
     bloch_messiah,
     bogoliubov_from_interaction,
     covariance_closed_form,
@@ -180,10 +179,23 @@ class TestValidateGauge:
         validate_gauge(cluster, p)  # compatible
         with pytest.raises(NotHermitian, match="not Hermitian"):
             cluster.interaction(p)
-        # malformed and incompatible: the reality check, which runs first
-        for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])):
-            with pytest.raises(GaugeIncompatible, match="gauge reality residual"):
-                cluster.interaction(bad)
+        # malformed and incompatible: P's own checks run before the reality check
+        with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
+            cluster.interaction(np.diag([1.0, -1.0]))
+        with pytest.raises(NotHermitian, match="not Hermitian"):
+            cluster.interaction(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_custom_gauge_is_planned_from_its_hermitian_part(self):
+        # an anti-Hermitian part within rtol passes the Hermiticity check;
+        # Z, P and the eigenpairs then all come from the one Hermitian P
+        rng = np.random.default_rng(37)
+        a, th = random_adjacency(rng, 5), random_phases(rng, 5)
+        skew = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        p = random_compatible_gauge(rng, a, th) + 1e-15 * (skew - skew.conj().T)
+        zm, _ = ClusterPlan.of(a, th).interaction(p)
+        assert np.array_equal(zm.P, zm.P.conj().T)
+        assert np.array_equal(zm.Z, zm.P @ zm.U)
+        assert np.array_equal(zm.strengths, np.linalg.eigh(zm.P)[0])
 
     def test_biconditional_with_product_symmetry(self):
         # compatible and incompatible random gauges against the direct
@@ -236,14 +248,6 @@ class TestInteractionMatrix:
         back = InteractionMatrix.from_matrix(zm.Z)
         assert np.max(np.abs(back.P - zm.P)) <= 1e-8
         assert np.max(np.abs(back.U - zm.U)) <= 1e-8
-
-    def test_from_factors_rejects_asymmetric_product(self):
-        rng = np.random.default_rng(36)
-        a = random_adjacency(rng, 3)
-        u = unitary_from_adjacency(a, np.zeros(3))
-        p = random_hermitian_pd(rng, 3)
-        with pytest.raises(NotSymmetric):
-            InteractionMatrix.from_factors(p, u)
 
 
 class TestBogoliubov:
