@@ -17,7 +17,10 @@ Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
 representation that round-trips a double.  JSON output is byte-identical to
 ``json.dumps(obj, indent=2)``; each flat list of numbers is formatted by one
-call of the C encoder and then re-indented.  Graph files use the text format
+call of the C encoder and then re-indented.  Reports hold their matrices as
+arrays, and the writer streams them one matrix at a time: it turns an array
+into lists and text only when it reaches it and writes that text with one
+``write`` before the next matrix.  Graph files use the text format
 described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
 
@@ -27,7 +30,8 @@ Each check record holds ``name``, ``residual``, ``tolerance`` and
 option sets it.
 
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
-(a malformed file or bundle field, or a gauge of the wrong shape), 3 rejected
+(a malformed file or bundle field, a gauge of the wrong shape, or an --out
+that cannot be opened or written), 3 rejected
 gauge (incompatible, not Hermitian, not positive definite or numerically
 singular), 4 numerical failure, 5 exhausted phase search.
 """
@@ -35,6 +39,7 @@ singular), 4 numerical failure, 5 exhausted phase search.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -256,38 +261,59 @@ def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
 # --------------------------------------------------------------------------
 # output helpers
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The file ``out_path`` opened for writing, or stdout; an ``OSError``
+    opening or writing the file is an input error."""
+    if not out_path:
+        yield sys.stdout
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+    except OSError as exc:
+        raise _InputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
-def _dump_json(obj: dict) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, for string-keyed objects.
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
+
+
+def _emit_json(obj, out_path: str | None) -> None:
+    """Write ``json.dumps(ref, indent=2) + "\\n"`` byte for byte to ``out_path``
+    or stdout, where ``ref`` is ``obj`` (string-keyed) with each 2-D array
+    replaced by its :func:`matrix_to_json` object.
 
     The pure-Python encoder that ``indent`` selects formats every number in
-    Python; here a list holding only floats and ints is encoded by one call
-    of the C encoder (same ``float.__repr__``, same ``NaN``/``Infinity``)
-    and its ``", "`` separators are turned into indented line breaks.
+    Python; here a list of numbers is encoded by one call of the C encoder
+    (same ``float.__repr__``, same ``NaN``/``Infinity``) and its ``", "``
+    separators are turned into indented line breaks.  An array becomes its
+    matrix object only when the walk reaches it, and the matrix's text goes
+    out with one ``write``, so at most one matrix is held as lists and text.
     """
     chunks: list[str] = []
-    _write_json(obj, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    with _output(out_path) as fh:
+        _write_json(obj, "\n", chunks, fh)
+        chunks.append("\n")
+        fh.write("".join(chunks))
 
 
-def _write_json(obj, newline: str, chunks: list[str]) -> None:
-    """Append ``obj`` laid out as ``indent=2`` does; ``newline`` ends in its indent."""
+def _write_json(obj, newline: str, chunks: list[str], fh) -> None:
+    """Append ``obj`` laid out as ``indent=2`` does; ``newline`` ends in its
+    indent.  An array's text is written to ``fh`` with the chunks before it."""
     inner = newline + "  "
+    if isinstance(obj, np.ndarray):
+        _write_matrix(obj, newline, chunks)
+        fh.write("".join(chunks))
+        chunks.clear()
+        return
     if isinstance(obj, dict) and obj:
         brackets = "{}"
         items = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
     elif isinstance(obj, (list, tuple)) and obj:
         if set(map(type, obj)) <= {float, int}:
-            flat = json.dumps(obj)
-            chunks.append("[" + inner + flat[1:-1].replace(", ", "," + inner) + newline + "]")
+            chunks.append(_numbers_text(obj, newline))
             return
         brackets = "[]"
         items = [("", value) for value in obj]
@@ -297,9 +323,34 @@ def _write_json(obj, newline: str, chunks: list[str]) -> None:
     separator = brackets[0] + inner
     for prefix, value in items:
         chunks.append(separator + prefix)
-        _write_json(value, inner, chunks)
+        _write_json(value, inner, chunks, fh)
         separator = "," + inner
     chunks.append(newline + brackets[1])
+
+
+def _numbers_text(numbers: list, newline: str) -> str:
+    """A list of floats and ints laid out as ``indent=2`` does."""
+    if not numbers:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{json.dumps(numbers)[1:-1].replace(', ', ',' + inner)}{newline}]"
+
+
+def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
+    """Append :func:`matrix_to_json` of ``a`` laid out as ``indent=2`` does;
+    its rows hold only floats, so each is formatted without a type scan."""
+    obj = matrix_to_json(a)
+    inner, row = newline + "  ", newline + "    "
+    chunks.append(f'{{{inner}"rows": {obj["rows"]},{inner}"cols": {obj["cols"]}')
+    for key in ("re", "im"):
+        if key in obj:
+            chunks.append(f',{inner}"{key}": ')
+            separator = "[" + row
+            for values in obj[key]:
+                chunks.append(separator + _numbers_text(values, row))
+                separator = "," + row
+            chunks.append(inner + "]" if obj[key] else "[]")
+    chunks.append(newline + "}")
 
 
 def _summarize_checks(checks: list[dict]) -> list[str]:
@@ -376,14 +427,14 @@ def cmd_synthesize(args) -> int:
         "gauge": gauge_name,
         "seed": args.seed,
         "theta": [float(t) for t in theta],
-        "adjacency": matrix_to_json(a),
-        "Z": matrix_to_json(zm.Z),
-        "P": matrix_to_json(zm.P),
-        "U": matrix_to_json(zm.U),
-        "X": matrix_to_json(pair.X),
-        "Y": matrix_to_json(pair.Y),
-        "C": matrix_to_json(closed.C),
-        "E": matrix_to_json(closed.E),
+        "adjacency": a,
+        "Z": zm.Z,
+        "P": zm.P,
+        "U": zm.U,
+        "X": pair.X,
+        "Y": pair.Y,
+        "C": closed.C,
+        "E": closed.E,
         "covariance_max_abs": closed.max_abs,
         "squeezers": [
             {
@@ -409,7 +460,7 @@ def cmd_synthesize(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump_json(bundle), args.out)
+        _emit_json(bundle, args.out)
     return EXIT_OK
 
 
@@ -435,10 +486,10 @@ def cmd_analyze(args) -> int:
         "sigma_min_at_input_phases": float(margin_given),
         "sigma_min": float(result.margin),
         "theta": [float(t) for t in result.theta],
-        "adjacency": matrix_to_json(result.adjacency),
+        "adjacency": result.adjacency,
         "graph_text": format_graph(_chopped(result.adjacency, 1e-10)),
         "covariance_max_abs": result.covariance.max_abs,
-        "C": matrix_to_json(result.covariance.C),
+        "C": result.covariance.C,
     }
     if args.format == "text":
         lines = [
@@ -453,7 +504,7 @@ def cmd_analyze(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump_json(report), args.out)
+        _emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -479,10 +530,10 @@ def cmd_decompose(args) -> int:
         "command": "decompose",
         "n": zm.n,
         "z": z,
-        "V": matrix_to_json(factors.V),
-        "W": matrix_to_json(factors.W),
-        "R": matrix_to_json(factors.R),
-        "T": matrix_to_json(factors.T),
+        "V": factors.V,
+        "W": factors.W,
+        "R": factors.R,
+        "T": factors.T,
         "D": [float(d) for d in factors.D],
         "zD": [float(z * d) for d in factors.D],
         "decibels": [float(db) for db in factors.decibels],
@@ -498,7 +549,7 @@ def cmd_decompose(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump_json(report), args.out)
+        _emit_json(report, args.out)
     return EXIT_OK
 
 
@@ -544,7 +595,7 @@ def cmd_verify(args) -> int:
         ]
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_dump_json(report), args.out)
+        _emit_json(report, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -560,7 +611,7 @@ def cmd_sweep(args) -> int:
                 for r in rows
             ],
         }
-        _emit(_dump_json(report), args.out)
+        _emit_json(report, args.out)
     elif args.format == "text":
         lines = [f"sweep: gauge {args.gauge}"] + [
             f"  z = {r.z!r}: max_abs {r.max_abs!r}, frobenius {r.frobenius!r}"

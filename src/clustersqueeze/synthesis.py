@@ -209,7 +209,7 @@ class ClusterPlan:
         budget for.
         """
         zm = self._plan(gauge, z)
-        check = validate_gauge(self, zm.P)
+        check = _reality_check(self, zm.P)
         model = ErrorModel.for_cluster(self, zm, 0.0, check.scale)  # budgets free of z
         for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
             if residual > model.budget(name):
@@ -261,10 +261,14 @@ def validate_gauge(cluster: ClusterPlan, P) -> GaugeCheck:
     :class:`GaugeIncompatible`.  Hermiticity, positivity and singularity
     concern P alone and are checked where its eigenpairs are formed.
     """
-    a = cluster.A
-    if np.shape(P) != a.shape:
+    if np.shape(P) != cluster.A.shape:
         raise DimensionMismatch("gauge factor shape does not match the graph")
-    p = as_complex_matrix(P)
+    return _reality_check(cluster, as_complex_matrix(P))
+
+
+def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
+    """:func:`validate_gauge` of a finite P of the cluster's shape."""
+    a = cluster.A
     ph = np.exp(1j * cluster.theta)
     b = ph[:, None] * p * ph.conj()[None, :]
     # (A + i) B (A - i) in real products with the symmetric A:

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,7 @@ from clustersqueeze import ClusterPlan, SearchExhausted, analysis, cli, parse_gr
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
-    _dump_json,
+    _emit_json,
     main,
     matrix_from_json,
     matrix_to_json,
@@ -369,15 +373,15 @@ class TestOneFactorizationPerRequest:
 
     @staticmethod
     def _count_gauge_checks(monkeypatch):
+        """Reality checks, made by the plan's gate and by ``validate_gauge``."""
         checked = []
-        validate_gauge = synthesis.validate_gauge
+        reality_check = synthesis._reality_check
 
-        def counting_validate_gauge(cluster, P):
+        def counting_reality_check(cluster, P):
             checked.append(P)
-            return validate_gauge(cluster, P)
+            return reality_check(cluster, P)
 
-        for module in (synthesis, analysis):
-            monkeypatch.setattr(module, "validate_gauge", counting_validate_gauge)
+        monkeypatch.setattr(synthesis, "_reality_check", counting_reality_check)
         return checked
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
@@ -599,6 +603,31 @@ class TestMalformedInput:
         assert code == cli.EXIT_NUMERICAL and "sigma_min/sigma_max" in err
 
 
+class TestUnwritableOutput:
+    """An --out that cannot be opened or written is an input error (exit 2),
+    reported after the request's work, and a rejected request writes no file."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["synthesize"], ["verify"], ["sweep", "--z-range", "0.5:1.5:0.5"], ["decompose", "--format", "text"]],
+        ids=["synthesize-json", "verify-json", "sweep-csv", "decompose-text"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_exits_input(self, command, target, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+        reason = os.strerror(errno.ENOENT if target == "missing-dir" else errno.EISDIR)
+        code, stdout, err = run_cli([*command, "--graph", graph, "--out", str(out)], capsys)
+        assert code == EXIT_INPUT and stdout == ""
+        assert err == f"error: cannot write {out}: {reason}\n"
+
+    def test_rejected_request_writes_no_file(self, tmp_path, capsys):
+        graph = write(tmp_path, "bad.graph", "2\n0 1 1.0\n1 0 1.0\n")
+        out = tmp_path / "x.json"
+        assert run_cli(["synthesize", "--graph", graph, "--out", str(out)], capsys)[0] == EXIT_INPUT
+        assert not out.exists()
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -705,22 +734,50 @@ def _random_graph(rng, n):
     return f"{n}\n" + "".join(lines)
 
 
+def _reference(obj):
+    """``obj`` with each array replaced by its matrix object, as the writer reads it."""
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    if isinstance(obj, dict):
+        return {key: _reference(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference(value) for value in obj]
+    return obj
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
 class TestJsonWriter:
-    """The CLI's JSON writer is byte-identical to ``json.dumps(obj, indent=2)``."""
+    """The CLI's JSON writer is byte-identical to ``json.dumps(obj, indent=2)``
+    of the report with its arrays as matrix objects."""
 
     @staticmethod
-    def assert_reference(obj):
-        assert _dump_json(obj) == json.dumps(obj, indent=2) + "\n"
+    def emitted(obj) -> _CountingStream:
+        stream = _CountingStream()
+        with contextlib.redirect_stdout(stream):
+            _emit_json(obj, None)
+        return stream
+
+    def assert_reference(self, obj):
+        assert self.emitted(obj).getvalue() == json.dumps(_reference(obj), indent=2) + "\n"
 
     @pytest.mark.parametrize("case", ["epr", "ring12", "random7"])
     def test_every_subcommand_output(self, case, tmp_path, capsys, monkeypatch):
         emitted = []
 
-        def recording(obj):
+        def recording(obj, out_path):
             emitted.append(obj)
-            return _dump_json(obj)
+            _emit_json(obj, out_path)
 
-        monkeypatch.setattr(cli, "_dump_json", recording)
+        monkeypatch.setattr(cli, "_emit_json", recording)
         rng = np.random.default_rng(7)
         graph_text = {"epr": EPR_GRAPH, "ring12": _ring_graph(12),
                       "random7": _random_graph(rng, 7)}[case]
@@ -731,8 +788,8 @@ class TestJsonWriter:
                 f"{t!r}\n" for t in rng.uniform(-np.pi, np.pi, 7).tolist()))
             flags += ["--phases", phases, "--gauge", "faithful"]
         bundle = str(tmp_path / "bundle.json")
+        assert run_cli(["synthesize", *flags, "--out", bundle], capsys)[0] == EXIT_OK
         runs = [
-            ["synthesize", *flags, "--out", bundle],
             ["synthesize", *flags],
             ["analyze", "--interaction", bundle, "-z", "0.7"],
             ["decompose", *flags],
@@ -742,19 +799,23 @@ class TestJsonWriter:
             ["sweep", *flags[:2], *flags[4:], "--z-range", "0.5:1.5:0.5",
              "--format", "json"],
         ]
+        out_path = tmp_path / "out.json"
         for args in runs:
-            code, out, _ = run_cli(args, capsys)
+            emitted.clear()
+            code, to_file, _ = run_cli([*args, "--out", str(out_path)], capsys)
+            assert code == EXIT_OK and to_file == "", args
+            code, to_stdout, _ = run_cli(args, capsys)
             assert code == EXIT_OK, args
-            if "--out" not in args:
-                assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert len(emitted) == len(runs)
-        for obj in emitted:
-            self.assert_reference(obj)
+            assert len(emitted) == 2
+            expected = json.dumps(_reference(emitted[0]), indent=2) + "\n"
+            assert out_path.read_text(encoding="utf-8") == expected, args
+            assert to_stdout == expected, args
 
     def test_special_floats(self):
         values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
                   1.7976931348623157e308, -2.5e-308, 0.1]
         self.assert_reference({"row": values, "matrix": [values, values[::-1]],
+                               "array": np.array([values, values[::-1]]),
                                "scalars": {"nan": math.nan, "inf": -math.inf}})
 
     def test_mixed_and_empty_containers(self):
@@ -770,6 +831,40 @@ class TestJsonWriter:
         })
         for obj in ([], {}, [[]], [1, 2], 3.5, "s, t", None, True):
             self.assert_reference(obj)
+
+    def test_arrays_are_written_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)),
+                  np.eye(2, dtype=complex), np.array([[1, -2]]), np.zeros((0, 3)),
+                  np.zeros((2, 0)), np.array([[1.0 + 0.0j]])]
+        report = {"first": arrays[0], "nested": [{"m": arrays[1]}, arrays[2:]], "last": 1.5}
+        self.assert_reference(report)
+        assert self.emitted(report).writes == len(arrays) + 1  # one per matrix, one for the tail
+
+    def test_bundle_write_allocates_less_than_its_output(self, tmp_path, capsys, monkeypatch):
+        """Once the battery has built the recipe, writing its bundle holds at
+        most one matrix as lists and text at a time, not the whole bundle."""
+        graph = write(tmp_path, "g.graph", _random_graph(np.random.default_rng(5), 96))
+        bundle = tmp_path / "bundle.json"
+        held = []
+
+        def battery(*args):
+            result = core_battery(*args)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        core_battery = cli.core_battery
+        monkeypatch.setattr(cli, "core_battery", battery)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(["synthesize", "--graph", graph, "--gauge", "faithful",
+                                  "--out", str(bundle)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and len(held) == 1
+        assert peak - held[0] < bundle.stat().st_size
 
 
 class TestModuleEntryPoints:
