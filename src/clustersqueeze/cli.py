@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    synthesize   graph + gauge + z  ->  bundle {Z, P, U, X, Y, C, spectrum}
+    synthesize   graph + gauge + z  ->  bundle {adjacency, theta, Z, P, U, X, Y,
+                                                C, E, squeezers, checks}
     analyze      interaction matrix ->  phases + adjacency + covariance
     decompose    interaction or graph -> squeezers + interferometers
     verify       bundle or graph    ->  full invariant battery (exit 1 on fail)
@@ -23,6 +24,11 @@ into lists and text only when it reaches it and writes that text with one
 ``write`` before the next matrix.  Graph files use the text format
 described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
+
+Each command returns its exit code and one report dict, and :func:`main`
+writes that report: as JSON by the streaming writer, or as the text or CSV
+lines that one renderer reads off the report, so every number printed is the
+number the JSON carries.
 
 Each check record holds ``name``, ``residual``, ``tolerance`` and
 ``passed``; the tolerance is the budget that the request's
@@ -125,13 +131,14 @@ def _load_json(path: str) -> dict:
 
 
 def _checked(what: str, build, *args):
-    """``build(*args)``, its input checks' ``ValueError`` an input error about
-    ``what``; library errors and ``LinAlgError`` stay numerical failures."""
+    """``build(*args)``, its input checks' ``ValueError`` and a ``TypeError``
+    from a field of the wrong JSON type an input error about ``what``;
+    library errors and ``LinAlgError`` stay numerical failures."""
     try:
         return build(*args)
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _InputError(f"{what}: {exc}") from None
 
 
@@ -353,15 +360,54 @@ def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
     chunks.append(newline + "}")
 
 
-def _summarize_checks(checks: list[dict]) -> list[str]:
-    lines = []
-    for c in checks:
+def _render(r: dict, fmt: str) -> str:
+    """The text or CSV of a command's report ``r``, read from the report
+    alone: the lines of its (command, format), then one line per check."""
+    match r["command"], fmt:
+        case "synthesize", "text":
+            squeezers = (f"({m['strength']:.6g}, {m['decibels']:.6g})" for m in r["squeezers"])
+            lines = [
+                f"synthesize: {r['n']} modes, gauge {r['gauge']}, z = {r['z']}",
+                f"covariance max-entry: {r['covariance_max_abs']!r}",
+                "squeezers (strength, dB): " + ", ".join(squeezers),
+                "checks:",
+            ]
+        case "analyze", "text":
+            lines = [
+                f"analyze: {r['n']} modes, z = {r['z']}",
+                f"phase search used: {r['phase_search_used']} "
+                f"(sigma_min at input phases {r['sigma_min_at_input_phases']:.3e})",
+                f"chosen phases: {[round(t, 6) for t in r['theta']]}",
+                f"sigma_min: {r['sigma_min']!r}",
+                "recovered graph:",
+                r["graph_text"].rstrip("\n"),
+                f"covariance max-entry at z = {r['z']}: {r['covariance_max_abs']!r}",
+            ]
+        case "decompose", "text":
+            lines = [
+                f"decompose: {r['n']} modes, z = {r['z']}",
+                "squeezer strengths: " + ", ".join(f"{d:.6g}" for d in r["D"]),
+                "squeezing (dB): " + ", ".join(f"{d:.6g}" for d in r["decibels"]),
+                "checks:",
+            ]
+        case "verify", "text":
+            lines = [f"verify: z = {r['z']}: {'all checks passed' if r['passed'] else 'FAILURES'}"]
+        case "sweep", "text":
+            lines = [f"sweep: gauge {r['gauge']}"] + [
+                f"  z = {row['z']!r}: max_abs {row['max_abs_C']!r}, frobenius {row['frobenius_C']!r}"
+                for row in r["rows"]
+            ]
+        case "sweep", "csv":
+            lines = ["z,max_abs_C,frobenius_C"] + [
+                f"{row['z']!r},{row['max_abs_C']!r},{row['frobenius_C']!r}" for row in r["rows"]
+            ]
+    for c in r.get("checks", ()):
         status = "pass" if c["passed"] else "FAIL"
         lines.append(
             f"  [{status}] {c['name']}: residual {c['residual']:.3e} "
             f"(tolerance {c['tolerance']:.1e})"
         )
-    return lines
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -413,21 +459,19 @@ def _graph_only(args, *flags) -> None:
         raise _InputError(f"{' and '.join(given)} cannot be used with --interaction")
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
-    a, theta, n = cluster.A, cluster.theta, cluster.A.shape[0]
     z = _z(args)
     checks, computed = core_battery(cluster, gauge, z, gauge_name)
     zm, pair, closed = computed["zm"], computed["pair"], computed["closed"]
-    spectrum = synthesis.squeezer_spectrum(zm, z)
-    bundle = {
+    return EXIT_OK, {
         "command": "synthesize",
-        "n": n,
+        "n": cluster.A.shape[0],
         "z": z,
         "gauge": gauge_name,
         "seed": args.seed,
-        "theta": [float(t) for t in theta],
-        "adjacency": a,
+        "theta": [float(t) for t in cluster.theta],
+        "adjacency": cluster.A,
         "Z": zm.Z,
         "P": zm.P,
         "U": zm.U,
@@ -436,32 +480,9 @@ def cmd_synthesize(args) -> int:
         "C": closed.C,
         "E": closed.E,
         "covariance_max_abs": closed.max_abs,
-        "squeezers": [
-            {
-                "strength": m.strength,
-                "cosh_factor": m.cosh_factor,
-                "sinh_factor": m.sinh_factor,
-                "decibels": m.decibels,
-            }
-            for m in spectrum
-        ],
+        "squeezers": [m._asdict() for m in synthesis.squeezer_spectrum(zm, z)],
         "checks": checks,
     }
-    if args.format == "text":
-        lines = [
-            f"synthesize: {n} modes, gauge {gauge_name}, z = {z}",
-            f"covariance max-entry: {closed.max_abs!r}",
-            "squeezers (strength, dB): "
-            + ", ".join(
-                f"({m.strength:.6g}, {m.decibels:.6g})" for m in spectrum
-            ),
-            "checks:",
-            *_summarize_checks(checks),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_json(bundle, args.out)
-    return EXIT_OK
 
 
 def _chopped(a: np.ndarray, threshold: float) -> np.ndarray:
@@ -470,20 +491,18 @@ def _chopped(a: np.ndarray, threshold: float) -> np.ndarray:
     return np.where(np.abs(a) < cut, 0.0, a)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict]:
     zm = load_interaction(args.interaction)
     theta = load_phases(args.phases, zm.n)
     z = _z(args)
     result = analysis.analyze_interaction(zm, theta=theta, z=z, seed=args.seed)
-    margin_given = result.input_margin
-    searched = bool(margin_given < DEFAULT_TOLERANCES.phase_accept)
-    report = {
+    return EXIT_OK, {
         "command": "analyze",
         "n": zm.n,
         "z": z,
         "seed": args.seed,
-        "phase_search_used": searched,
-        "sigma_min_at_input_phases": float(margin_given),
+        "phase_search_used": bool(result.input_margin < DEFAULT_TOLERANCES.phase_accept),
+        "sigma_min_at_input_phases": float(result.input_margin),
         "sigma_min": float(result.margin),
         "theta": [float(t) for t in result.theta],
         "adjacency": result.adjacency,
@@ -491,21 +510,6 @@ def cmd_analyze(args) -> int:
         "covariance_max_abs": result.covariance.max_abs,
         "C": result.covariance.C,
     }
-    if args.format == "text":
-        lines = [
-            f"analyze: {zm.n} modes, z = {z}",
-            f"phase search used: {searched} "
-            f"(sigma_min at input phases {margin_given:.3e})",
-            f"chosen phases: {[round(float(t), 6) for t in result.theta]}",
-            f"sigma_min: {result.margin!r}",
-            "recovered graph:",
-            report["graph_text"].rstrip("\n"),
-            f"covariance max-entry at z = {z}: {result.covariance.max_abs!r}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_json(report, args.out)
-    return EXIT_OK
 
 
 def _interaction_from_args(args):
@@ -521,12 +525,12 @@ def _interaction_from_args(args):
     return zm, z, ErrorModel.for_cluster(cluster, zm, z)
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[int, dict]:
     zm, z, model = _interaction_from_args(args)
     factors = blochmessiah.bloch_messiah(zm, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     checks = model.with_reduction(factors).checks(_reduction_rows(zm, pair, factors))
-    report = {
+    return EXIT_OK, {
         "command": "decompose",
         "n": zm.n,
         "z": z,
@@ -539,21 +543,9 @@ def cmd_decompose(args) -> int:
         "decibels": [float(db) for db in factors.decibels],
         "checks": checks,
     }
-    if args.format == "text":
-        lines = [
-            f"decompose: {zm.n} modes, z = {z}",
-            "squeezer strengths: " + ", ".join(f"{d:.6g}" for d in factors.D),
-            "squeezing (dB): " + ", ".join(f"{d:.6g}" for d in factors.decibels),
-            "checks:",
-            *_summarize_checks(checks),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_json(report, args.out)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge", "-z")  # the bundle fixes z
         path = args.interaction
@@ -582,48 +574,18 @@ def cmd_verify(args) -> int:
         cluster, gauge_name, gauge = _load_cluster(args)
         checks, _ = deep_battery(cluster, gauge, z, gauge_name)
     passed = all(c["passed"] for c in checks)
-    report = {
-        "command": "verify",
-        "z": z,
-        "passed": passed,
-        "checks": checks,
-    }
-    if args.format == "text":
-        lines = [
-            f"verify: z = {z}: {'all checks passed' if passed else 'FAILURES'}",
-            *_summarize_checks(checks),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit_json(report, args.out)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    report = {"command": "verify", "z": z, "passed": passed, "checks": checks}
+    return (EXIT_OK if passed else EXIT_CHECK_FAILED), report
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, dict]:
     cluster, _, gauge = _load_cluster(args)
     rows = oracle.convergence_sweep(cluster, gauge, _z_range(args))
-    if args.format == "json":
-        report = {
-            "command": "sweep",
-            "gauge": args.gauge,
-            "rows": [
-                {"z": r.z, "max_abs_C": r.max_abs, "frobenius_C": r.frobenius}
-                for r in rows
-            ],
-        }
-        _emit_json(report, args.out)
-    elif args.format == "text":
-        lines = [f"sweep: gauge {args.gauge}"] + [
-            f"  z = {r.z!r}: max_abs {r.max_abs!r}, frobenius {r.frobenius!r}"
-            for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = ["z,max_abs_C,frobenius_C"] + [
-            f"{r.z!r},{r.max_abs!r},{r.frobenius!r}" for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, {
+        "command": "sweep",
+        "gauge": args.gauge,
+        "rows": [{"z": r.z, "max_abs_C": r.max_abs, "frobenius_C": r.frobenius} for r in rows],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -710,7 +672,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        if args.format == "json":
+            _emit_json(report, args.out)
+        else:
+            _emit(_render(report, args.format), args.out)
+        return code
     except (_InputError, GraphFormatError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

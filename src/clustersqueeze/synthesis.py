@@ -202,20 +202,19 @@ class ClusterPlan:
         (:class:`DimensionMismatch`), finiteness and Hermiticity
         (:class:`NotHermitian`), then for every gauge positivity and
         singularity (:class:`NotPositiveDefinite`).  One gate then judges
-        compatibility: :func:`validate_gauge`'s reality check, and a
-        ``gauge_condition`` or ``interaction_symmetric`` residual above its
-        :class:`ErrorModel` budget raises :class:`GaugeIncompatible`, so the
-        rows built on P see no incompatibility beyond the rounding they
-        budget for.
+        compatibility: a reality (``gauge_condition``) or
+        ``interaction_symmetric`` residual above its :class:`ErrorModel`
+        budget raises :class:`GaugeIncompatible`, so the rows built on P see
+        no incompatibility beyond the rounding they budget for.
         """
         zm = self._plan(gauge, z)
         check = _reality_check(self, zm.P)
         model = ErrorModel.for_cluster(self, zm, 0.0, check.scale)  # budgets free of z
         for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
-            if residual > model.budget(name):
+            if not residual <= model.budget(name):
                 raise GaugeIncompatible(
                     f"{name} residual {residual:.3e} exceeds its budget "
-                    f"{model.budget(name):.1e}: P is compatible only above rounding"
+                    f"{model.budget(name):.1e}: P fails the reality condition beyond rounding"
                 )
         return zm, check
 
@@ -244,10 +243,11 @@ class ClusterPlan:
             p = (p + p.conj().T) / 2.0
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
-        if w[0] <= DEFAULT_TOLERANCES.positive * max(1.0, w[-1]):
-            raise NotPositiveDefinite(f"gauge factor has min eigenvalue {w[0]:.3e}")
-        if w[0] < DEFAULT_TOLERANCES.singular * w[-1]:
-            raise NotPositiveDefinite("gauge factor is numerically singular")
+        if not w[0] > DEFAULT_TOLERANCES.singular * w[-1]:
+            raise NotPositiveDefinite(
+                f"gauge factor has min eigenvalue {w[0]:.3e}: not positive definite "
+                "or numerically singular"
+            )
         return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes)
 
 
@@ -263,11 +263,18 @@ def validate_gauge(cluster: ClusterPlan, P) -> GaugeCheck:
     """
     if np.shape(P) != cluster.A.shape:
         raise DimensionMismatch("gauge factor shape does not match the graph")
-    return _reality_check(cluster, as_complex_matrix(P))
+    check = _reality_check(cluster, as_complex_matrix(P))
+    if not check.residual <= DEFAULT_TOLERANCES.rtol:
+        raise GaugeIncompatible(
+            f"gauge reality residual {check.residual:.3e} exceeds {DEFAULT_TOLERANCES.rtol:.1e}"
+        )
+    return check
 
 
 def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
-    """:func:`validate_gauge` of a finite P of the cluster's shape."""
+    """The residual and scale of :func:`validate_gauge` for a finite P of
+    the cluster's shape, without its verdict: the plan's gate judges the
+    residual by its budget."""
     a = cluster.A
     ph = np.exp(1j * cluster.theta)
     b = ph[:, None] * p * ph.conj()[None, :]
@@ -278,10 +285,6 @@ def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
     scale = max_abs(test)
     # The test matrix vanishes only for P = 0, which is real.
     residual = max_abs(test.imag) / scale if scale else 0.0
-    if not residual <= DEFAULT_TOLERANCES.rtol:
-        raise GaugeIncompatible(
-            f"gauge reality residual {residual:.3e} exceeds {DEFAULT_TOLERANCES.rtol:.1e}"
-        )
     return GaugeCheck(residual=float(residual), scale=scale)
 
 

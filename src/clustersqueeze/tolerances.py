@@ -27,8 +27,11 @@ UNIT_ROUNDOFF = 2.0 ** -53
 @dataclass(frozen=True)
 class Tolerances:
     #: relative residual for algebraic identities (unitarity, symmetry, ...)
+    #: and for the public gauge reality predicate ``validate_gauge``
     rtol: float = 1e-9
-    #: sigma_min / sigma_max below which a matrix counts as singular
+    #: sigma_min / sigma_max below which a matrix counts as singular; a gauge
+    #: factor's lambda_min must exceed it times lambda_max, which also makes
+    #: the gauge positive definite
     singular: float = 1e-10
     #: largest tolerated asymmetry of a raw adjacency input
     input_asymmetry: float = 1e-12
@@ -42,8 +45,6 @@ class Tolerances:
     realness: float = 1e-8
     #: eigenvalue gap below which spectra are treated as degenerate
     degeneracy: float = 1e-8
-    #: relative eigenvalue floor for positive definiteness
-    positive: float = 1e-12
     #: residual of O @ O.T - 1 allowed for a real orthogonal seed
     orthogonal: float = 1e-12
     #: reject z * max(eig P) beyond this (cosh overflows double precision)

@@ -42,6 +42,16 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def _ring_graph(n):
+    return f"{n}\n" + "".join(f"{i} {(i + 1) % n} 1.0\n" for i in range(n))
+
+
+def _random_graph(rng, n):
+    lines = [f"{i} {j} {rng.uniform(-1.5, 1.5)!r}\n"
+             for i in range(n) for j in range(i, n) if rng.uniform() < 0.6]
+    return f"{n}\n" + "".join(lines)
+
+
 class TestMatrixJson:
     def test_real_matrix_omits_imaginary_block(self):
         obj = matrix_to_json(np.eye(2))
@@ -332,6 +342,79 @@ class TestSweep:
         assert out1 == out2
 
 
+EPR_CORE_CHECKS = """\
+  [pass] gauge_condition: residual 0.000e+00 (tolerance 1.8e-15)
+  [pass] interaction_symmetric: residual 0.000e+00 (tolerance 8.9e-16)
+  [pass] structure_unitary: residual 4.441e-16 (tolerance 3.6e-15)
+  [pass] bogoliubov_unitary_defect: residual 6.661e-16 (tolerance 3.2e-14)
+  [pass] bogoliubov_symmetry_defect: residual 0.000e+00 (tolerance 3.2e-14)
+  [pass] covariance_real: residual 3.216e-19 (tolerance 9.0e-15)
+  [pass] covariance_vs_oracle: residual 2.776e-16 (tolerance 2.6e-14)
+  [pass] oracle_overlap: residual 2.220e-16 (tolerance 3.2e-14)
+  [pass] uniform_gauge_formula: residual 0.000e+00 (tolerance 1.0e-14)
+  [pass] self_inverse_value: residual 0.000e+00 (tolerance 9.0e-15)
+"""
+EPR_REDUCTION_CHECKS = """\
+  [pass] blochmessiah_x: residual 4.445e-16 (tolerance 3.6e-14)
+  [pass] blochmessiah_y: residual 2.226e-16 (tolerance 3.6e-14)
+  [pass] interferometer_identity: residual 2.232e-16 (tolerance 2.0e-14)
+"""
+
+
+class TestTextOutput:
+    """The exact text and CSV of every command on EPR at z = 0.8 with the
+    identity gauge."""
+
+    EXPECTED = {
+        "synthesize": """\
+synthesize: 2 modes, gauge identity, z = 0.8
+covariance max-entry: 0.40379303598931077
+squeezers (strength, dB): (1, 6.94871), (1, 6.94871)
+checks:
+""" + EPR_CORE_CHECKS,
+        "analyze": """\
+analyze: 2 modes, z = 0.8
+phase search used: False (sigma_min at input phases 1.414e+00)
+chosen phases: [0.0, 0.0]
+sigma_min: 1.414213562373095
+recovered graph:
+2
+0 1 1.0
+covariance max-entry at z = 0.8: 0.403793035989311
+""",
+        "decompose": """\
+decompose: 2 modes, z = 0.8
+squeezer strengths: 1, 1
+squeezing (dB): 6.94871, 6.94871
+checks:
+""" + EPR_REDUCTION_CHECKS,
+        "verify": "verify: z = 0.8: all checks passed\n" + EPR_CORE_CHECKS + EPR_REDUCTION_CHECKS
+        + "  [pass] cluster_condition: residual 2.220e-16 (tolerance 4.3e-14)\n",
+        "sweep-text": """\
+sweep: gauge identity
+  z = 0.4: max_abs 0.8986579282344432, frobenius 1.270894230043257
+  z = 0.8: max_abs 0.40379303598931077, frobenius 0.5710495878878905
+""",
+        "sweep-csv": """\
+z,max_abs_C,frobenius_C
+0.4,0.8986579282344432,1.270894230043257
+0.8,0.40379303598931077,0.5710495878878905
+""",
+    }
+
+    @pytest.mark.parametrize("case", EXPECTED)
+    def test_exact_output(self, case, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = str(tmp_path / "bundle.json")
+        assert run_cli(["synthesize", "--graph", graph, "-z", "0.8", "--out", bundle], capsys)[0] == EXIT_OK
+        args = {
+            "analyze": ["analyze", "--interaction", bundle, "-z", "0.8", "--format", "text"],
+            "sweep-text": ["sweep", "--graph", graph, "--z-range", "0.4:0.8:0.4", "--format", "text"],
+            "sweep-csv": ["sweep", "--graph", graph, "--z-range", "0.4:0.8:0.4", "--format", "csv"],
+        }.get(case, [case, "--graph", graph, "-z", "0.8", "--format", "text"])
+        assert run_cli(args, capsys) == (EXIT_OK, self.EXPECTED[case], "")
+
+
 class TestGaugeOption:
     @pytest.mark.parametrize("command", ["synthesize", "verify", "sweep"])
     def test_unknown_gauge_exits_2(self, command, tmp_path, capsys):
@@ -547,6 +630,20 @@ class TestMalformedCustomGauge:
             assert "gauge factor shape does not match the graph" in err
 
 
+@pytest.mark.parametrize("z", ["1", "29"])
+@pytest.mark.parametrize("graph_text", [EPR_GRAPH, _ring_graph(12), _random_graph(np.random.default_rng(30), 30)],
+                         ids=["epr", "ring12", "random30"])
+def test_tiny_uniform_gauge_is_accepted(graph_text, z, tmp_path, capsys):
+    """A uniform gauge 1e-13 * 1 is positive definite and perfectly
+    conditioned: it synthesizes, verifies and sweeps."""
+    graph = write(tmp_path, "g.graph", graph_text)
+    n = int(graph_text.split()[0])
+    path = write(tmp_path, "p.json", json.dumps(matrix_to_json(1e-13 * np.eye(n))))
+    for command in ("synthesize", "verify", "sweep"):
+        code, _, err = run_cli([command, "--graph", graph, "--gauge", f"custom:{path}", "-z", z], capsys)
+        assert code == EXIT_OK and err == "", command
+
+
 NOT_SQUARE = matrix_to_json(np.ones((2, 3)))
 NAN_P = matrix_to_json(np.array([[1.0, math.nan], [math.nan, 1.0]]))
 
@@ -560,6 +657,7 @@ class TestMalformedInput:
         "synthesize-phases-nan": ("synthesize", None, None, "phase angles must be finite"),
         "analyze-phases-nan": ("analyze", None, None, "phase angles must be finite"),
         "bundle-theta-nan": ("verify", "theta", [0.0, math.nan], "phase angles must be finite"),
+        "bundle-theta-object": ("verify", "theta", {"a": 1}, "not 'dict'"),
         "bundle-z-negative": ("verify", "z", -1, "z must be positive and finite"),
         "bundle-z-text": ("verify", "z", "x", "z must be positive and finite"),
         "bundle-adjacency-not-square": ("verify", "adjacency", NOT_SQUARE, "adjacency matrix must be square"),
@@ -722,16 +820,6 @@ class TestUsage:
             ["sweep", "--graph", graph, "-z", "1", "--z-range", "1:2:1"], capsys
         )
         assert code == 2 and "not both" in err
-
-
-def _ring_graph(n):
-    return f"{n}\n" + "".join(f"{i} {(i + 1) % n} 1.0\n" for i in range(n))
-
-
-def _random_graph(rng, n):
-    lines = [f"{i} {j} {rng.uniform(-1.5, 1.5)!r}\n"
-             for i in range(n) for j in range(i, n) if rng.uniform() < 0.6]
-    return f"{n}\n" + "".join(lines)
 
 
 def _reference(obj):

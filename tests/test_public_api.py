@@ -1,6 +1,8 @@
 """Every public name has a user besides the tests."""
 
+import ast
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -82,3 +84,22 @@ def test_every_check_row_is_reported_and_every_magnitude_read(tmp_path, capsys):
     assert reported == set(CHECKS)
     model = ErrorModel(n=2, z=1.0, lam_min=1.0, lam_max=2.0, kappa=2.0)
     assert set(model.magnitudes) == {magnitude for magnitude, _ in CHECKS.values()}
+
+
+def test_commands_return_reports_and_main_writes_them():
+    """No command reads --format or --out or writes output itself: each
+    returns its report, and ``main`` renders and writes every one."""
+    tree = ast.parse(inspect.getsource(cli))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert {c.name for c in commands} == {
+        "cmd_synthesize", "cmd_analyze", "cmd_decompose", "cmd_verify", "cmd_sweep"}
+    offending = [
+        (command.name, ast.unparse(node))
+        for command in commands
+        for node in ast.walk(command)
+        if (isinstance(node, ast.Attribute) and node.attr in ("format", "out")
+            and isinstance(node.value, ast.Name) and node.value.id == "args")
+        or (isinstance(node, ast.Name) and node.id in ("_emit", "_emit_json"))
+    ]
+    assert offending == []
