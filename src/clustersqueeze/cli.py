@@ -25,6 +25,16 @@ into lists and text only when it reaches it and writes that text with one
 described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
 line (``#`` comments allowed).
 
+A bundle is read for the fields its route needs: Z (or a bare matrix's
+``rows``, ``cols``, ``re`` and ``im``) for analyze and decompose, and all
+but ``E``, ``squeezers`` and ``checks`` for verify.  In the layout the writer
+produces, each top-level field is one ``"key": value`` member at indent 2;
+the needed values are decoded, and every other one is only validated by
+the same JSON scanner with its floats left unconverted.  Text in any other
+layout, invalid JSON, or an object with a repeated key goes to
+``json.loads`` whole, so values, error messages and exit codes are those of
+decoding the whole file.
+
 Each command returns its exit code and one report dict, and :func:`main`
 writes that report: as JSON by the streaming writer, or as the text or CSV
 lines that one renderer reads off the report, so every number printed is the
@@ -48,6 +58,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -123,11 +134,64 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, fields=None) -> dict:
+    """The JSON value in ``path``.  Given ``fields``, an object laid out as
+    :func:`_emit_json` writes it is read by :func:`_top_level_fields`, which
+    decodes only those fields; any other text goes to ``json.loads``, so
+    errors are worded as for the whole text."""
+    text = _read_text(path)
+    if fields is not None:
+        obj = _top_level_fields(text, fields)
+        if obj is not None:
+            return obj
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
+
+
+_TOP_KEY = re.compile(r'\n  "([A-Za-z_][A-Za-z0-9_]*)": ')
+# Accepts and rejects what ``json.loads`` does, with the same scanner, but
+# turns each float into the length of its text: converting a float the
+# scanner accepted cannot fail, and it is most of the cost of a matrix.
+_VALIDATOR = json.JSONDecoder(parse_float=len)
+
+
+def _top_level_fields(text: str, fields) -> dict | None:
+    """The object in ``text`` with only ``fields`` decoded, when ``text`` is
+    laid out as :func:`_emit_json` writes an object; otherwise None.
+
+    A dict is returned only when ``json.loads(text)`` would succeed with the
+    same keys and equal values for ``fields``; every other field holds None.
+    Each member must be one ``"key": value`` at indent 2, and each value must
+    decode whole: a field in ``fields`` by ``json.loads``, any other by
+    :data:`_VALIDATOR`.  Anything else gives None: a repeated key, a byte
+    order mark, a member not so laid out (CRLF line ends included), text
+    after the closing brace or a value that does not decode.
+    """
+    if not (text.startswith('{\n  "') and text.endswith("\n}\n")):
+        return None
+    out: dict = {}
+    start, end = 1, len(text) - 3
+    while start >= 0:
+        key = _TOP_KEY.match(text, start)
+        if key is None or key[1] in out:
+            return None
+        start = text.find('\n  "', key.end())
+        stop = end if start < 0 else start - 1
+        if start >= 0 and text[stop] != ",":
+            return None
+        value = text[key.end():stop]
+        try:
+            if key[1] in fields:
+                out[key[1]] = json.loads(value)
+            elif _VALIDATOR.raw_decode(value)[1] == len(value):
+                out[key[1]] = None
+            else:
+                return None
+        except (ValueError, RecursionError):
+            return None
+    return out
 
 
 def _checked(what: str, build, *args):
@@ -144,7 +208,7 @@ def _checked(what: str, build, *args):
 
 def load_interaction(path: str) -> synthesis.InteractionMatrix:
     """Read an interaction matrix from a matrix JSON file or a bundle."""
-    obj = _load_json(path)
+    obj = _load_json(path, ("Z", "rows", "cols", "re", "im"))
     if not isinstance(obj, dict):
         raise _InputError(f"{path}: expected a JSON object")
     if "Z" in obj and "re" not in obj:
@@ -549,8 +613,8 @@ def cmd_verify(args) -> tuple[int, dict]:
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge", "-z")  # the bundle fixes z
         path = args.interaction
-        bundle = _load_json(path)
-        required = ("adjacency", "theta", "P", "z", "gauge")
+        required, matrices = ("adjacency", "theta", "P", "z", "gauge"), ("Z", "U", "X", "Y", "C")
+        bundle = _load_json(path, required + matrices)
         if not (isinstance(bundle, dict) and all(key in bundle for key in required)):
             raise _InputError("verify needs a synthesize bundle with " + ", ".join(required))
         cluster = _checked(
@@ -559,7 +623,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         z = _scale(bundle["z"], f"{path}: z")
         # the stored P is checked and factorized like a custom gauge
         p = matrix_from_json(bundle["P"], path)
-        stored = {key: matrix_from_json(bundle[key], path) for key in ("Z", "U", "X", "Y", "C") if key in bundle}
+        stored = {key: matrix_from_json(bundle[key], path) for key in matrices if key in bundle}
         wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
         if wrong:
             raise _InputError(f"{path}: {', '.join(wrong)} not of shape {cluster.A.shape}")
@@ -579,11 +643,11 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 def cmd_sweep(args) -> tuple[int, dict]:
-    cluster, _, gauge = _load_cluster(args)
+    cluster, gauge_name, gauge = _load_cluster(args)
     rows = oracle.convergence_sweep(cluster, gauge, _z_range(args))
     return EXIT_OK, {
         "command": "sweep",
-        "gauge": args.gauge,
+        "gauge": gauge_name,
         "rows": [{"z": r.z, "max_abs_C": r.max_abs, "frobenius_C": r.frobenius} for r in rows],
     }
 

@@ -152,7 +152,7 @@ class Case:
             elif stage == "bundle":
                 stored = cli.matrix_from_json(self.bundle[name])
                 bundle = {**self.bundle, name: cli.matrix_to_json(fault(stored, delta, shape, rng))}
-                patch.setattr(cli, "_load_json", lambda path: bundle)
+                patch.setattr(cli, "_load_json", lambda path, fields=None: bundle)
                 argv = ["verify", "--interaction", "bundle.json"]
             code = cli.main([*argv, "--out", self.report])
         if code == cli.EXIT_GAUGE:

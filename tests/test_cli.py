@@ -431,6 +431,19 @@ class TestGaugeOption:
         assert code_custom == code_identity == EXIT_OK
         assert custom == identity and len(custom.splitlines()) == 4
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_sweep_names_a_custom_gauge_however_its_path_is_spelled(self, fmt, tmp_path, capsys, monkeypatch):
+        graph = write(tmp_path, "g.graph", "3\n0 1 0.7\n1 2 -1.2\n0 0 0.3\n")
+        eye = write(tmp_path, "eye.json", json.dumps(matrix_to_json(np.eye(3))))
+        monkeypatch.chdir(tmp_path)
+        base = ["sweep", "--graph", graph, "--z-range", "0.5:1.5:0.5", "--format", fmt]
+        relative = run_cli([*base, "--gauge", "custom:eye.json"], capsys)
+        assert relative == run_cli([*base, "--gauge", f"custom:{eye}"], capsys)
+        code, out, _ = relative
+        assert code == EXIT_OK
+        assert (json.loads(out)["gauge"] if fmt == "json" else out.splitlines()[0]) == (
+            "custom" if fmt == "json" else "sweep: gauge custom")
+
 
 class TestOneFactorizationPerRequest:
     """A graph request factorizes A once, and the built-in gauges read U, P
@@ -668,23 +681,36 @@ class TestMalformedInput:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_exits_input(self, case, tmp_path, capsys):
+    def test_exits_input(self, case, tmp_path, capsys, monkeypatch):
+        """A tampered bundle gives the same message in compact JSON, which is
+        decoded whole, and in the writer's indent=2 layout, which the bundle
+        fast path reads."""
         command, field, value, message = self.CASES[case]
+        read, fast = cli._top_level_fields, []
+        monkeypatch.setattr(cli, "_top_level_fields", lambda text, fields: fast.append(read(text, fields)) or fast[-1])
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         bundle = tmp_path / "b.json"
         assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle)], capsys)[0] == EXIT_OK
         if field is None:
             bad = write(tmp_path, "phases.txt", "0.1\nnan\n")
             route = ["--graph", graph] if command == "synthesize" else ["--interaction", str(bundle)]
-            args = [command, *route, "--phases", bad]
+            runs = [(bad, [command, *route, "--phases", bad], command != "synthesize")]
         else:
             obj = json.loads(bundle.read_text(encoding="utf-8"))
             obj[field] = value
-            bad = write(tmp_path, "bad.json", json.dumps(obj))
-            args = [command, "--interaction", bad]
-        code, out, err = run_cli(args, capsys)
-        assert code == EXIT_INPUT and out == ""
-        assert err.startswith(f"error: {bad}") and message in err
+            runs = []
+            for text, read_fast in ((json.dumps(obj), False), (json.dumps(obj, indent=2) + "\n", True)):
+                bad = write(tmp_path, f"bad-{read_fast}.json", text)
+                runs.append((bad, [command, "--interaction", bad], read_fast))
+        errors = set()
+        for bad, args, read_fast in runs:
+            fast.clear()
+            code, out, err = run_cli(args, capsys)
+            assert code == EXIT_INPUT and out == ""
+            assert err.startswith(f"error: {bad}") and message in err
+            assert [r is not None for r in fast] == ([read_fast] if command != "synthesize" else [])
+            errors.add(err.replace(bad, "BUNDLE"))
+        assert len(errors) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @GAUGE_COMMANDS
