@@ -18,12 +18,15 @@ Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
 representation that round-trips a double.  JSON output is byte-identical to
 ``json.dumps(obj, indent=2)``; each flat list of numbers is formatted by one
-call of the C encoder and then re-indented.  Reports hold their matrices as
-arrays, and the writer streams them one matrix at a time: it turns an array
-into lists and text only when it reaches it and writes that text with one
-``write`` before the next matrix.  Graph files use the text format
-described in :mod:`clustersqueeze.graphs`; phase files hold one angle per
-line (``#`` comments allowed).
+call of the C encoder, whose item separator already holds the list's indent.
+A square block whose entries equal their transposes bit for bit (the
+adjacency, U and C, and with the identity gauge every block but E) formats
+only its upper triangle and copies each lower entry's text from its mirror
+image.  Reports hold their matrices as arrays, and the writer streams them
+one matrix at a time: it turns an array into lists and text only when it
+reaches it and writes that text with one ``write`` before the next matrix.
+Graph files use the text format described in :mod:`clustersqueeze.graphs`;
+phase files hold one angle per line (``#`` comments allowed).
 
 A bundle is read for the fields its route needs: Z (or a bare matrix's
 ``rows``, ``cols``, ``re`` and ``im``) for analyze and decompose, and all
@@ -92,16 +95,20 @@ class _InputError(Exception):
 # --------------------------------------------------------------------------
 # serialization
 
+def _blocks(a: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The float blocks of a matrix object: ``re``, then ``im`` unless every
+    entry is real."""
+    blocks = [("re", np.real(a).astype(float, copy=False))]
+    if np.iscomplexobj(a) and a.imag.any():
+        blocks.append(("im", a.imag.astype(float, copy=False)))
+    return blocks
+
+
 def matrix_to_json(m) -> dict:
     """Complex-matrix JSON object; 'im' omitted when all entries are real."""
     a = np.asarray(m)
-    out = {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": np.real(a).astype(float, copy=False).tolist(),
-    }
-    if np.iscomplexobj(a) and float(np.max(np.abs(a.imag))) != 0.0:
-        out["im"] = a.imag.astype(float, copy=False).tolist()
+    out = {"rows": int(a.shape[0]), "cols": int(a.shape[1])}
+    out.update((key, block.tolist()) for key, block in _blocks(a))
     return out
 
 
@@ -138,7 +145,9 @@ def _load_json(path: str, fields=None) -> dict:
     """The JSON value in ``path``.  Given ``fields``, an object laid out as
     :func:`_emit_json` writes it is read by :func:`_top_level_fields`, which
     decodes only those fields; any other text goes to ``json.loads``, so
-    errors are worded as for the whole text."""
+    errors are worded as for the whole text.  Text the decoder cannot turn
+    into values (an integer past Python's digit limit, or nesting past the
+    recursion limit) is an input error too."""
     text = _read_text(path)
     if fields is not None:
         obj = _top_level_fields(text, fields)
@@ -148,9 +157,12 @@ def _load_json(path: str, fields=None) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
+    except (ValueError, RecursionError) as exc:
+        raise _InputError(f"{path}: cannot decode JSON ({exc})") from None
 
 
 _TOP_KEY = re.compile(r'\n  "([A-Za-z_][A-Za-z0-9_]*)": ')
+_DECODER = json.JSONDecoder()
 # Accepts and rejects what ``json.loads`` does, with the same scanner, but
 # turns each float into the length of its text: converting a float the
 # scanner accepted cannot fail, and it is most of the cost of a matrix.
@@ -163,34 +175,32 @@ def _top_level_fields(text: str, fields) -> dict | None:
 
     A dict is returned only when ``json.loads(text)`` would succeed with the
     same keys and equal values for ``fields``; every other field holds None.
-    Each member must be one ``"key": value`` at indent 2, and each value must
-    decode whole: a field in ``fields`` by ``json.loads``, any other by
-    :data:`_VALIDATOR`.  Anything else gives None: a repeated key, a byte
-    order mark, a member not so laid out (CRLF line ends included), text
-    after the closing brace or a value that does not decode.
+    Each member must be one ``"key": value`` at indent 2, decoded where it
+    stands: a field in ``fields`` by :data:`_DECODER`, any other by
+    :data:`_VALIDATOR`.  The value must end right at the ``,`` before the
+    next member or at the closing ``\\n}\\n``.  Anything else gives None: a
+    repeated key, a byte order mark, a member not so laid out (CRLF line
+    ends and whitespace after a value included), text after the closing
+    brace or a value that does not decode.
     """
     if not (text.startswith('{\n  "') and text.endswith("\n}\n")):
         return None
     out: dict = {}
     start, end = 1, len(text) - 3
-    while start >= 0:
+    while start != end + 1:
         key = _TOP_KEY.match(text, start)
         if key is None or key[1] in out:
             return None
-        start = text.find('\n  "', key.end())
-        stop = end if start < 0 else start - 1
-        if start >= 0 and text[stop] != ",":
-            return None
-        value = text[key.end():stop]
         try:
             if key[1] in fields:
-                out[key[1]] = json.loads(value)
-            elif _VALIDATOR.raw_decode(value)[1] == len(value):
-                out[key[1]] = None
+                out[key[1]], stop = _DECODER.raw_decode(text, key.end())
             else:
-                return None
+                out[key[1]], stop = None, _VALIDATOR.raw_decode(text, key.end())[1]
         except (ValueError, RecursionError):
             return None
+        if stop != end and text[stop] != ",":
+            return None
+        start = stop + 1
     return out
 
 
@@ -358,10 +368,12 @@ def _emit_json(obj, out_path: str | None) -> None:
 
     The pure-Python encoder that ``indent`` selects formats every number in
     Python; here a list of numbers is encoded by one call of the C encoder
-    (same ``float.__repr__``, same ``NaN``/``Infinity``) and its ``", "``
-    separators are turned into indented line breaks.  An array becomes its
-    matrix object only when the walk reaches it, and the matrix's text goes
-    out with one ``write``, so at most one matrix is held as lists and text.
+    (same ``float.__repr__``, same ``NaN``/``Infinity``) built with the
+    list's line break and indent as its item separator, so its text needs no
+    further pass.  A bitwise-symmetric matrix block formats each distinct
+    number once (see :func:`_row_items`).  An array's rows are turned into
+    lists and text only when the walk reaches it, and the matrix's text goes
+    out with one ``write``, so at most one matrix is held as text.
     """
     chunks: list[str] = []
     with _output(out_path) as fh:
@@ -404,24 +416,48 @@ def _numbers_text(numbers: list, newline: str) -> str:
     if not numbers:
         return "[]"
     inner = newline + "  "
-    return f"[{inner}{json.dumps(numbers)[1:-1].replace(', ', ',' + inner)}{newline}]"
+    encoder = json.JSONEncoder(separators=("," + inner, ": "))
+    return f"[{inner}{encoder.encode(numbers)[1:-1]}{newline}]"
 
 
 def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
-    """Append :func:`matrix_to_json` of ``a`` laid out as ``indent=2`` does;
-    its rows hold only floats, so each is formatted without a type scan."""
-    obj = matrix_to_json(a)
-    inner, row = newline + "  ", newline + "    "
-    chunks.append(f'{{{inner}"rows": {obj["rows"]},{inner}"cols": {obj["cols"]}')
-    for key in ("re", "im"):
-        if key in obj:
-            chunks.append(f',{inner}"{key}": ')
-            separator = "[" + row
-            for values in obj[key]:
-                chunks.append(separator + _numbers_text(values, row))
-                separator = "," + row
-            chunks.append(inner + "]" if obj[key] else "[]")
+    """Append :func:`matrix_to_json` of ``a`` laid out as ``indent=2`` does."""
+    inner, row, entry = newline + "  ", newline + "    ", newline + "      "
+    rows, cols = a.shape
+    chunks.append(f'{{{inner}"rows": {rows},{inner}"cols": {cols}')
+    for key, block in _blocks(a):
+        chunks.append(f',{inner}"{key}": ')
+        separator = "[" + row
+        for items in _row_items(block, entry):
+            chunks.append(f"{separator}[{entry}{items}{row}]" if cols else separator + "[]")
+            separator = "," + row
+        chunks.append(inner + "]" if rows else "[]")
     chunks.append(newline + "}")
+
+
+def _row_items(block: np.ndarray, indent: str):
+    """The text of each row of ``block`` between its brackets, entries joined
+    by ``"," + indent``, as the C encoder formats them.
+
+    The encoder's item separator holds the indent, so a row is one
+    ``encode`` call.  A square block whose entries equal their transposes bit
+    for bit (so their texts are equal too; ``==`` would also pair 0.0 with
+    -0.0) formats only its upper triangle: each entry below the diagonal
+    takes the text of its mirror image.
+    """
+    separator = "," + indent
+    encoder = json.JSONEncoder(separators=(separator, ": "))
+    bits = block.view(np.uint64)
+    if block.shape[0] != block.shape[1] or not np.array_equal(bits, bits.T):
+        for values in block:
+            yield encoder.encode(values.tolist())[1:-1]
+        return
+    upper: list[list[str]] = []  # row j's texts of entries (j, j), (j, j + 1), ...
+    for i, values in enumerate(block):
+        texts = encoder.encode(values[i:].tolist())[1:-1].split(separator)
+        lower = [above[i - j] for j, above in enumerate(upper)]
+        upper.append(texts)
+        yield separator.join(lower + texts)
 
 
 def _render(r: dict, fmt: str) -> str:

@@ -132,8 +132,8 @@ def _duplicate_z(text):
 
 
 # case -> (mutation of a writer-layout bundle, whether the fast path answers);
-# every case it declines but "duplicate-Z", "crlf" and "not-an-object" is
-# invalid JSON
+# every case it declines but "duplicate-Z", "crlf", "not-an-object",
+# "space-before-comma" and "nested-too-deep" is invalid JSON
 SKIPPED_FIELD_CASES = {
     "leading-zero": (_replace_first_e_number("03"), False),
     "leading-zero-fraction": (_replace_first_e_number("-03.25"), False),
@@ -144,6 +144,8 @@ SKIPPED_FIELD_CASES = {
     "over-digit-limit": (_replace_first_e_number("1" * 5000), False),
     "count-over-digit-limit": (_e_rows("1" * 5000), False),
     "text-after-a-scalar": (lambda text: text.replace('"synthesize",', '"synthesize" 1,', 1), False),
+    "space-before-comma": (lambda text: text.replace('"synthesize",', '"synthesize" ,', 1), False),
+    "nested-too-deep": (_replace_first_e_number("[" * 5000 + "]" * 5000), False),
     "nan": (_replace_first_e_number("NaN"), True),
     "infinity": (_replace_first_e_number("-Infinity"), True),
     "trailing-comma": (_edit_first_e_row_end(",\n      ]"), False),

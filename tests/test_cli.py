@@ -721,6 +721,27 @@ class TestMalformedInput:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith(f"error: {path}") and "matrix entries must be finite" in err
 
+    # case -> (file text, words of the decoder's message)
+    UNDECODABLE = {
+        "integer-over-digit-limit": ('{"rows": 1' + "0" * 5000 + "}", "(4300 digits)"),
+        "nesting-too-deep": ("[" * 200_000, "maximum recursion depth"),
+    }
+
+    @pytest.mark.parametrize("route", ["verify", "analyze", "decompose", "custom-gauge"])
+    @pytest.mark.parametrize("case", UNDECODABLE)
+    def test_undecodable_json_exits_input(self, case, route, tmp_path, capsys):
+        """Valid JSON that Python cannot decode is an input error naming the
+        file, not a numerical failure (exit 4) or a traceback (exit 1)."""
+        text, message = self.UNDECODABLE[case]
+        path = write(tmp_path, "bad.json", text)
+        if route == "custom-gauge":
+            args = ["synthesize", "--graph", write(tmp_path, "epr.graph", EPR_GRAPH), "--gauge", f"custom:{path}"]
+        else:
+            args = [route, "--interaction", path]
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith(f"error: {path}: cannot decode JSON (") and message in err
+
     def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))
         code, _, err = run_cli(["analyze", "--interaction", path], capsys)
@@ -883,7 +904,7 @@ class TestJsonWriter:
     def assert_reference(self, obj):
         assert self.emitted(obj).getvalue() == json.dumps(_reference(obj), indent=2) + "\n"
 
-    @pytest.mark.parametrize("case", ["epr", "ring12", "random7"])
+    @pytest.mark.parametrize("case", ["epr", "ring12", "random7", "random7-identity"])
     def test_every_subcommand_output(self, case, tmp_path, capsys, monkeypatch):
         emitted = []
 
@@ -893,14 +914,13 @@ class TestJsonWriter:
 
         monkeypatch.setattr(cli, "_emit_json", recording)
         rng = np.random.default_rng(7)
-        graph_text = {"epr": EPR_GRAPH, "ring12": _ring_graph(12),
-                      "random7": _random_graph(rng, 7)}[case]
+        graph_text = {"epr": EPR_GRAPH, "ring12": _ring_graph(12)}.get(case) or _random_graph(rng, 7)
         graph = write(tmp_path, "g.graph", graph_text)
         flags = ["--graph", graph, "-z", "0.7"]
-        if case == "random7":
+        if case.startswith("random7"):
             phases = write(tmp_path, "th.txt", "".join(
                 f"{t!r}\n" for t in rng.uniform(-np.pi, np.pi, 7).tolist()))
-            flags += ["--phases", phases, "--gauge", "faithful"]
+            flags += ["--phases", phases, "--gauge", "identity" if case.endswith("identity") else "faithful"]
         bundle = str(tmp_path / "bundle.json")
         assert run_cli(["synthesize", *flags, "--out", bundle], capsys)[0] == EXIT_OK
         runs = [
@@ -955,9 +975,70 @@ class TestJsonWriter:
         self.assert_reference(report)
         assert self.emitted(report).writes == len(arrays) + 1  # one per matrix, one for the tail
 
+    @staticmethod
+    def symmetric_blocks():
+        """name -> matrix: blocks symmetric bit for bit, and near misses."""
+        rng = np.random.default_rng(17)
+        m = rng.normal(size=(5, 5))
+        real = m + m.T
+        signed_zero, ulp = real.copy(), real.copy()
+        signed_zero[1, 3], signed_zero[3, 1] = 0.0, -0.0
+        ulp[4, 0] = np.nextafter(ulp[0, 4], math.inf)
+        m = rng.normal(size=(5, 5))
+
+        def complex_(im):  # real + 1j * im would turn -0.0 into 0.0
+            out = real.astype(complex)
+            out.imag = im
+            return out
+
+        return {
+            "real": real,
+            "complex": complex_(m + m.T),
+            "re-only": complex_(m),
+            "signed-zero": signed_zero,
+            "one-ulp": ulp,
+            "signed-zero-im": complex_(signed_zero),
+            "one-ulp-im": complex_(ulp),
+            "special": np.array([[math.nan, math.inf, -0.0], [math.inf, 5e-324, 1e16], [-0.0, 1e16, -math.inf]]),
+            "1x1": np.array([[complex(-0.0, 2.5)]]),
+            "0x0": np.zeros((0, 0), dtype=complex),
+            "0x4": np.zeros((0, 4)),
+            "3x0": np.zeros((3, 0)),
+            "non-square": real[:2],
+        }
+
+    def test_symmetric_blocks(self):
+        """Mirrored or not, each block's text is that of ``json.dumps``."""
+        blocks = self.symmetric_blocks()
+        self.assert_reference(blocks)
+        for array in blocks.values():
+            self.assert_reference(array)
+
+    def test_only_bitwise_symmetric_blocks_are_mirrored(self, monkeypatch):
+        """A block symmetric bit for bit formats its upper triangle alone; a
+        0.0 facing -0.0, or one ulp of asymmetry, formats every entry."""
+        encoded = []
+
+        class Counting(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(len(o))
+                return super().encode(o)
+
+        monkeypatch.setattr(json, "JSONEncoder", Counting)
+        # numbers encoded per block: 15 for a mirrored 5x5 one, 25 for a full one
+        expected = {"real": 15, "complex": 15 + 15, "re-only": 15 + 25, "signed-zero": 25,
+                    "one-ulp": 25, "signed-zero-im": 15 + 25, "one-ulp-im": 15 + 25,
+                    "non-square": 10, "special": 6}
+        blocks = self.symmetric_blocks()
+        for name, count in expected.items():
+            encoded.clear()
+            self.emitted(blocks[name])
+            assert sum(encoded) == count, name
+
     def test_bundle_write_allocates_less_than_its_output(self, tmp_path, capsys, monkeypatch):
         """Once the battery has built the recipe, writing its bundle holds at
-        most one matrix as lists and text at a time, not the whole bundle."""
+        most one matrix as lists and text at a time, not the whole bundle;
+        with the identity gauge every block is mirrored."""
         graph = write(tmp_path, "g.graph", _random_graph(np.random.default_rng(5), 96))
         bundle = tmp_path / "bundle.json"
         held = []
@@ -970,15 +1051,17 @@ class TestJsonWriter:
 
         core_battery = cli.core_battery
         monkeypatch.setattr(cli, "core_battery", battery)
-        tracemalloc.start()
-        try:
-            code, _, _ = run_cli(["synthesize", "--graph", graph, "--gauge", "faithful",
-                                  "--out", str(bundle)], capsys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == EXIT_OK and len(held) == 1
-        assert peak - held[0] < bundle.stat().st_size
+        for gauge in ("faithful", "identity"):
+            held.clear()
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(["synthesize", "--graph", graph, "--gauge", gauge,
+                                      "--out", str(bundle)], capsys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK and len(held) == 1, gauge
+            assert peak - held[0] < bundle.stat().st_size, gauge
 
 
 class TestModuleEntryPoints:

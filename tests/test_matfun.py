@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clustersqueeze import (
     ClusterPlan,
@@ -218,6 +220,33 @@ class TestOrderedEigh:
             col = q[:, j]
             first = col[np.abs(col) > 1e-8][0]
             assert abs(first.imag) <= 1e-12 and first.real > 0
+
+    @given(
+        rows=st.integers(1, 7),
+        complex_=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        columns=st.lists(st.tuples(st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1.0, 1e8]), st.integers(0, 7)),
+                         min_size=1, max_size=7),
+    )
+    def test_phase_fixing_matches_the_per_column_reference(self, rows, complex_, seed, columns):
+        """Bit for bit, on columns scaled to zero, tiny or large, with their
+        leading entries cleared so the pivot is not always the first one."""
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(rows, len(columns)))
+        if complex_:
+            q = q + 1j * rng.normal(size=q.shape)
+        for j, (scale, cleared) in enumerate(columns):
+            q[:, j] *= scale
+            q[:cleared, j] = 0.0
+        reference = q.copy()
+        for j in range(q.shape[1]):
+            col = reference[:, j]
+            idx = np.nonzero(np.abs(col) > 1e-8 * max(1.0, max_abs(col)))[0]
+            if idx.size:
+                pivot = col[idx[0]]
+                reference[:, j] = col * (pivot.conjugate() / abs(pivot))
+        got = phase_fixed_columns(q)
+        assert got.dtype == reference.dtype and got.tobytes() == reference.tobytes()
 
     def test_angle_reconstruction(self):
         rng = np.random.default_rng(9)
