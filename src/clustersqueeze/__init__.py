@@ -11,11 +11,9 @@ matrix-exponential path.
 from .analysis import (
     DEFAULT_PHASE_SEED,
     ClusterRecovery,
-    adjacency_from_k,
     adjacency_from_unitary,
     analyze_interaction,
     find_regular_phases,
-    k_matrix_form,
     regularity_margin,
 )
 from .blochmessiah import (
@@ -23,7 +21,6 @@ from .blochmessiah import (
     bloch_messiah,
     canonical_cluster_interferometer,
     cluster_condition_residual,
-    unitary_from_interferometer,
 )
 from .errors import (
     ClusterSqueezeError,
@@ -48,7 +45,6 @@ from .errors import (
 from .graphs import (
     adjacency_matrix,
     format_graph,
-    nullifier_map,
     parse_graph,
     phase_vector,
 )
@@ -58,11 +54,8 @@ from .matfun import (
 )
 from .oracle import (
     SweepPoint,
-    bogoliubov_oracle,
     convergence_sweep,
-    covariance_from_pair,
     covariance_oracle,
-    squeezing_generator,
 )
 from .synthesis import (
     BogoliubovPair,
@@ -112,31 +105,24 @@ __all__ = [
     "SqueezerMode",
     "SweepPoint",
     "Tolerances",
-    "adjacency_from_k",
     "adjacency_from_unitary",
     "adjacency_matrix",
     "analyze_interaction",
     "bloch_messiah",
     "bogoliubov_from_interaction",
-    "bogoliubov_oracle",
     "canonical_cluster_interferometer",
     "cluster_condition_residual",
     "convergence_sweep",
     "covariance_closed_form",
-    "covariance_from_pair",
     "covariance_oracle",
     "find_regular_phases",
     "format_graph",
-    "k_matrix_form",
-    "nullifier_map",
     "parse_graph",
     "phase_vector",
     "polar_decompose_symmetric",
     "regularity_margin",
     "squeezer_spectrum",
-    "squeezing_generator",
     "takagi_symmetric_unitary",
     "unitary_from_adjacency",
-    "unitary_from_interferometer",
     "validate_gauge",
 ]

@@ -6,8 +6,7 @@ non-singular.  Writing W = e^{i Theta} U e^{i Theta}, the adjacency matrix is
 
     A = -i (W + i 1)^{-1} (W - i 1),
 
-which is real symmetric exactly when U is symmetric unitary.  Equivalently
-W = e^{i K} with K real symmetric and A = -cos(K) / (1 + sin(K)).
+which is real symmetric exactly when U is symmetric unitary.
 
 A phase vector that regularizes any symmetric unitary always exists; the
 search here is deterministic so repeated runs give identical output.
@@ -19,21 +18,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NonRealResult,
-    NotSymmetric,
-    SearchExhausted,
-    SingularPhasePoint,
-)
+from .errors import NonRealResult, SearchExhausted, SingularPhasePoint
 from .graphs import phase_vector
-from .matfun import (
-    _spectral,
-    as_complex_matrix,
-    max_abs,
-    realness_defect,
-    symmetric_unitary_angles,
-    symmetry_defect,
-)
+from .matfun import as_complex_matrix, max_abs, realness_defect
 from .synthesis import (
     ClusterPlan,
     CovarianceReport,
@@ -144,34 +131,6 @@ def find_regular_phases(U, seed: int = DEFAULT_PHASE_SEED) -> tuple[np.ndarray, 
         f"no candidate reached sigma_min {DEFAULT_TOLERANCES.phase_floor:.1e} "
         f"(best {best_margin:.3e}); input is not a valid symmetric unitary"
     )
-
-
-def k_matrix_form(U, theta) -> np.ndarray:
-    """Real symmetric angle matrix K with e^{i K} = e^{i Theta} U e^{i Theta}.
-
-    Eigen-angles are on the principal branch (-pi, pi].
-    """
-    u = as_complex_matrix(U)
-    th = phase_vector(theta, u.shape[0])
-    q, angles = symmetric_unitary_angles(_rotated(u, th))
-    return _spectral(q, angles)
-
-
-def adjacency_from_k(K) -> np.ndarray:
-    """Adjacency matrix -cos(K) (1 + sin(K))^{-1} of an angle matrix."""
-    k = np.asarray(K, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("angle matrix must be square")
-    if symmetry_defect(k) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(k)):
-        raise NotSymmetric("angle matrix must be real symmetric")
-    w, q = np.linalg.eigh((k + k.T) / 2.0)
-    denom = 1.0 + np.sin(w)
-    if float(np.min(np.abs(denom))) < DEFAULT_TOLERANCES.regular_min:
-        raise SingularPhasePoint(
-            "an eigen-angle of K sits at -pi/2, where the inverse relation "
-            "is singular"
-        )
-    return _spectral(q, -np.cos(w) / denom)
 
 
 def analyze_interaction(

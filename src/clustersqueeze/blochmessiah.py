@@ -11,7 +11,8 @@ balancing unitary R obtained from the Autonne-Takagi factorization of
     V = T^dagger R,    W = -i U T^T conj(R),    D = eigenvalues of P.
 
 The structure factor is recovered from the interferometer alone through
-U = i V V^T, which holds for every admissible choice of the factors.
+U = i V V^T, which holds for every admissible choice of the factors;
+``verify`` checks it as the ``interferometer_identity`` row.
 
 A unitary V describes a cluster with adjacency A (at phases Theta) exactly
 when (A + i 1) e^{i Theta} V + (A - i 1) e^{-i Theta} conj(V) = 0; writing
@@ -170,13 +171,3 @@ def cluster_condition_residual(V, cluster: ClusterPlan) -> float:
     m = np.exp(1j * cluster.theta)[:, None] * v
     return max_abs(2.0 * (a @ m.real - m.imag))
 
-
-def unitary_from_interferometer(V) -> np.ndarray:
-    """Structure factor U = i V V^T of a general Gaussian transformation.
-
-    Invariant under V -> V O for real orthogonal O, so it is well defined on
-    the whole orbit of admissible interferometers.
-    """
-    v = as_complex_matrix(V)
-    u = 1j * v @ v.T
-    return (u + u.T) / 2.0

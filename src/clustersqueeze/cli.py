@@ -104,14 +104,6 @@ def _blocks(a: np.ndarray) -> list[tuple[str, np.ndarray]]:
     return blocks
 
 
-def matrix_to_json(m) -> dict:
-    """Complex-matrix JSON object; 'im' omitted when all entries are real."""
-    a = np.asarray(m)
-    out = {"rows": int(a.shape[0]), "cols": int(a.shape[1])}
-    out.update((key, block.tolist()) for key, block in _blocks(a))
-    return out
-
-
 def matrix_from_json(obj, path: str | None = None) -> np.ndarray:
     """The matrix of a JSON object; a malformed object or a NaN or infinite
     entry is an input error, naming ``path`` when given."""
@@ -364,7 +356,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _emit_json(obj, out_path: str | None) -> None:
     """Write ``json.dumps(ref, indent=2) + "\\n"`` byte for byte to ``out_path``
     or stdout, where ``ref`` is ``obj`` (string-keyed) with each 2-D array
-    replaced by its :func:`matrix_to_json` object.
+    replaced by its matrix object: ``rows``, ``cols``, the ``re`` block and,
+    unless every entry is real, the ``im`` block (see :func:`_blocks`).
 
     The pure-Python encoder that ``indent`` selects formats every number in
     Python; here a list of numbers is encoded by one call of the C encoder
@@ -421,7 +414,8 @@ def _numbers_text(numbers: list, newline: str) -> str:
 
 
 def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
-    """Append :func:`matrix_to_json` of ``a`` laid out as ``indent=2`` does."""
+    """Append the matrix object of ``a`` (``rows``, ``cols`` and its
+    :func:`_blocks` as lists of rows) laid out as ``indent=2`` does."""
     inner, row, entry = newline + "  ", newline + "    ", newline + "      "
     rows, cols = a.shape
     chunks.append(f'{{{inner}"rows": {rows},{inner}"cols": {cols}')
@@ -545,10 +539,11 @@ def _z_range(args) -> list[float]:
         raise _InputError("--z-range needs finite 0 < START <= STOP and STEP > 0")
     if round(start + step, 12) <= round(start, 12):  # values keep 12 decimals
         raise _InputError("--z-range STEP is too small to advance START")
-    values, z = [], start
-    while z <= stop + 1e-12:
-        values.append(round(z, 12))
-        z += step
+    # each z_k from k: summing STEP drifts and can drop STOP
+    last = math.floor((stop - start + 1e-12) / step)
+    values = [round(start + k * step, 12) for k in range(last + 1)]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise _InputError("--z-range STEP is too small to advance z at 12 decimals")
     return values
 
 

@@ -1,4 +1,4 @@
-"""Cluster model: weighted adjacency matrices, local phases, nullifier map.
+"""Cluster model: weighted adjacency matrices and local phases.
 
 The graph file format (UTF-8 text) is:
 
@@ -68,22 +68,6 @@ def phase_vector(values, n: int | None = None) -> np.ndarray:
         )
     reduced = np.mod(theta + np.pi, 2.0 * np.pi) - np.pi
     return np.where(reduced == -np.pi, np.pi, reduced)
-
-
-def nullifier_map(cluster) -> np.ndarray:
-    """N x 2N coefficient matrix of the nullifiers of a checked ``ClusterPlan``.
-
-    Acting on the stacked mode-operator vector (b, b^dagger), row j gives the
-    collective quadrature combination whose variance measures how well a
-    state approximates the ideal cluster.  The left block is
-    ``-(A + i 1) e^{i Theta}`` and the right block its entrywise conjugate.
-    """
-    a = cluster.A
-    eye = np.eye(a.shape[0])
-    phases = np.exp(1j * cluster.theta)
-    left = -(a + 1j * eye) * phases[None, :]
-    right = -(a - 1j * eye) * phases.conj()[None, :]
-    return np.hstack([left, right])
 
 
 # Besides "\n", str.splitlines breaks lines at these; numpy's reader does

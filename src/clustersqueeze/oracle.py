@@ -1,9 +1,9 @@
 """Brute-force verification path for the nullifier covariance.
 
 Independent of the eigendecomposition-based synthesis route, this module
-exponentiates the generator of the mode-operator flow, written as a real
-2N x 2N matrix in the quadrature basis, and evaluates the covariance from
-first principles.
+takes the generator of the mode-operator flow, written as a real 2N x 2N
+matrix in the quadrature basis, and evaluates the covariance from first
+principles through its eigendecomposition.
 
 Generator derivation.  The squeezing unitary is
 
@@ -40,13 +40,7 @@ Q T = sqrt(2) [Re L, -Im L], the covariance is
 
     C = M M^T,    M = [Re L, -Im L] S,
 
-with no complex product at all.  The left block of Q B is M_x - i M_p, so the
-factor E = (A + i 1) e^{i Theta} X + (A - i 1) e^{-i Theta} conj(Y) equals
--M_x + i M_p and C = E E^dagger whenever the pair (X, Y) obeys the
-bosonic-commutation conditions; the imaginary part of E E^dagger,
-M_x M_p^T - M_p M_x^T, is the realness residual.  The blocks come back as
-X = ((S_xx + S_pp) + i (S_px - S_xp)) / 2 and
-Y = ((S_xx - S_pp) + i (S_px + S_xp)) / 2.
+with no complex product at all.
 
 Spectral flow.  The Hamiltonian sees only the symmetric part of Z, and for
 Z = Z^T the generator K is real symmetric.  K is therefore built from
@@ -81,10 +75,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, OracleMismatch
-from .graphs import nullifier_map
-from .matfun import _spectral, as_complex_matrix, max_abs, symmetry_defect
+from .matfun import as_complex_matrix, max_abs
 from .synthesis import (
-    BogoliubovPair,
     ClusterPlan,
     CovarianceReport,
     InteractionMatrix,
@@ -114,16 +106,6 @@ class SweepPoint(NamedTuple):
     frobenius: float
 
 
-def squeezing_generator(Z, z: float) -> np.ndarray:
-    """Generator G of the mode-operator flow (see module docstring)."""
-    zm = as_complex_matrix(Z)
-    if not (np.isfinite(z) and z >= 0):
-        raise ValueError("squeezing scale z must be non-negative and finite")
-    n = zm.shape[0]
-    zero = np.zeros((n, n), dtype=complex)
-    return np.block([[zero, -1j * z * zm], [1j * z * zm.conj(), zero]])
-
-
 def quadrature_generator(Z, z: float) -> np.ndarray:
     """Real generator K = T^-1 G T of the quadrature flow, built blockwise."""
     zm = as_complex_matrix(Z)
@@ -137,65 +119,6 @@ def quadrature_generator(Z, z: float) -> np.ndarray:
 def _generator_eigh(zm: InteractionMatrix, z: float) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) with K = V diag(w) V^T for the symmetric part of Z, w ascending."""
     return np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0, z))
-
-
-def quadrature_flow(zm: InteractionMatrix, z: float) -> np.ndarray:
-    """Real symplectic 2N x 2N flow S = exp(K) from one ``eigh`` of K."""
-    w, v = _generator_eigh(zm, z)
-    check_squeeze_budget(float(w[-1]), 1.0)  # w[-1] is z * lambda_max
-    return _spectral(v, np.exp(w))
-
-
-def bogoliubov_oracle(zm: InteractionMatrix, z: float) -> BogoliubovPair:
-    """Bogoliubov blocks read off the real flow S = exp(K).
-
-    The lower block row of B is the entrywise conjugate of the upper one,
-    so (X, Y) carry the whole matrix.
-    """
-    s = quadrature_flow(zm, z)
-    n = zm.n
-    sxx, sxp = s[:n, :n], s[:n, n:]
-    spx, spp = s[n:, :n], s[n:, n:]
-    return BogoliubovPair(
-        X=0.5 * ((sxx + spp) + 1j * (spx - sxp)),
-        Y=0.5 * ((sxx - spp) + 1j * (spx + sxp)),
-    )
-
-
-def _covariance_from_flow(cluster: ClusterPlan, s: np.ndarray) -> CovarianceReport:
-    n = cluster.A.shape[0]
-    if s.shape != (2 * n, 2 * n):
-        raise DimensionMismatch(
-            f"Bogoliubov matrix shape {s.shape} does not match {n} modes"
-        )
-    left = nullifier_map(cluster)[:, :n]
-    m = np.hstack([left.real, -left.imag]) @ s
-    c = m @ m.T  # one same-buffer product (BLAS syrk): exactly symmetric
-    mx, mp = m[:, :n], m[:, n:]
-    cross = mx @ mp.T
-    return CovarianceReport(
-        C=c,
-        E=-mx + 1j * mp,
-        max_abs=max_abs(c),
-        imag_residual=symmetry_defect(cross),
-    )
-
-
-def covariance_from_pair(cluster: ClusterPlan, pair: BogoliubovPair) -> CovarianceReport:
-    """Covariance of the nullifiers under an explicit Bogoliubov pair.
-
-    The pair is taken as given, without validating the commutation
-    conditions: feeding a pair built from a gauge factor violating the
-    reality condition makes ``imag_residual`` blow up, which is exactly the
-    diagnostic this entry point exists for.  Any pair of the
-    [[X, Y], [Y*, X*]] form has a real quadrature flow, so nothing is lost
-    by going through S.
-    """
-    x, y = pair.X, pair.Y
-    s = np.block(
-        [[(x + y).real, (y - x).imag], [(x + y).imag, (x - y).real]]
-    )
-    return _covariance_from_flow(cluster, s)
 
 
 class _Spectrum(NamedTuple):

@@ -16,14 +16,29 @@ import scipy.linalg
 from hypothesis import settings
 
 from clustersqueeze import (
+    BogoliubovPair,
+    CovarianceReport,
+    DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
+    NotSymmetric,
     ParseError,
+    SingularPhasePoint,
     adjacency_matrix,
+    analysis,
     graphs,
     oracle,
     phase_vector,
 )
+from clustersqueeze.matfun import (
+    _spectral,
+    as_complex_matrix,
+    max_abs,
+    symmetric_unitary_angles,
+    symmetry_defect,
+)
+from clustersqueeze.synthesis import check_squeeze_budget
+from clustersqueeze.tolerances import DEFAULT_TOLERANCES
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("tier1")
@@ -146,6 +161,142 @@ def reference_quadrature_flow(Z, z):
     """The quadrature flow exp(K) by scipy's scaling and squaring, as the
     oracle computed it before the ``eigh`` of K."""
     return scipy.linalg.expm(oracle.quadrature_generator(Z, z))
+
+
+# Second routes to the library's results.  The library neither calls nor
+# exports them; tests compare its derivations and results against them.
+
+def squeezing_generator(Z, z):
+    """Generator G = [[0, -i z Z], [i z conj(Z), 0]] of the mode-operator
+    flow B = exp(G), the matrix the oracle's real generator K = T^-1 G T
+    derives from (see :mod:`clustersqueeze.oracle`)."""
+    zm = as_complex_matrix(Z)
+    if not (np.isfinite(z) and z >= 0):
+        raise ValueError("squeezing scale z must be non-negative and finite")
+    n = zm.shape[0]
+    zero = np.zeros((n, n), dtype=complex)
+    return np.block([[zero, -1j * z * zm], [1j * z * zm.conj(), zero]])
+
+
+def quadrature_flow(zm, z):
+    """Real symplectic 2N x 2N flow S = exp(K) = V diag(e^w) V^T from the
+    oracle's one ``eigh`` of K."""
+    w, v = oracle._generator_eigh(zm, z)
+    check_squeeze_budget(float(w[-1]), 1.0)  # w[-1] is z * lambda_max
+    return _spectral(v, np.exp(w))
+
+
+def bogoliubov_oracle(zm, z):
+    """Bogoliubov blocks read off the real flow S = exp(K):
+    X = ((S_xx + S_pp) + i (S_px - S_xp)) / 2 and
+    Y = ((S_xx - S_pp) + i (S_px + S_xp)) / 2.
+
+    The lower block row of B is the entrywise conjugate of the upper one,
+    so (X, Y) carry the whole matrix.
+    """
+    s = quadrature_flow(zm, z)
+    n = zm.n
+    sxx, sxp = s[:n, :n], s[:n, n:]
+    spx, spp = s[n:, :n], s[n:, n:]
+    return BogoliubovPair(
+        X=0.5 * ((sxx + spp) + 1j * (spx - sxp)),
+        Y=0.5 * ((sxx - spp) + 1j * (spx + sxp)),
+    )
+
+
+def nullifier_map(cluster):
+    """N x 2N coefficient matrix Q = [L, conj(L)], L = -(A + i 1) e^{i Theta},
+    of the nullifiers of a ``ClusterPlan``, acting on the stacked
+    mode-operator vector (b, b^dagger)."""
+    a = cluster.A
+    eye = np.eye(a.shape[0])
+    phases = np.exp(1j * cluster.theta)
+    left = -(a + 1j * eye) * phases[None, :]
+    right = -(a - 1j * eye) * phases.conj()[None, :]
+    return np.hstack([left, right])
+
+
+def covariance_from_pair(cluster, pair):
+    """Covariance C = M M^T, M = [Re L, -Im L] S, of the nullifiers under an
+    explicit Bogoliubov pair, through its real quadrature flow S.
+
+    The pair is taken as given, without validating the commutation
+    conditions: a pair built from a gauge factor violating the reality
+    condition makes ``imag_residual`` blow up.  Any pair of the
+    [[X, Y], [Y*, X*]] form has a real quadrature flow, so nothing is lost by
+    going through S.  The left block of Q B is
+    M_x - i M_p, so E = (A + i 1) e^{i Theta} X + (A - i 1) e^{-i Theta}
+    conj(Y) equals -M_x + i M_p and C = E E^dagger whenever (X, Y) obey the
+    bosonic-commutation conditions; the imaginary part of E E^dagger,
+    M_x M_p^T - M_p M_x^T, is the realness residual.
+    """
+    x, y = pair.X, pair.Y
+    s = np.block(
+        [[(x + y).real, (y - x).imag], [(x + y).imag, (x - y).real]]
+    )
+    n = cluster.A.shape[0]
+    if s.shape != (2 * n, 2 * n):
+        raise DimensionMismatch(
+            f"Bogoliubov matrix shape {s.shape} does not match {n} modes"
+        )
+    left = nullifier_map(cluster)[:, :n]
+    m = np.hstack([left.real, -left.imag]) @ s
+    c = m @ m.T  # one same-buffer product (BLAS syrk): exactly symmetric
+    mx, mp = m[:, :n], m[:, n:]
+    cross = mx @ mp.T
+    return CovarianceReport(
+        C=c,
+        E=-mx + 1j * mp,
+        max_abs=max_abs(c),
+        imag_residual=symmetry_defect(cross),
+    )
+
+
+def k_matrix_form(U, theta):
+    """Real symmetric angle matrix K with e^{i K} = e^{i Theta} U e^{i Theta},
+    eigen-angles on the principal branch (-pi, pi]."""
+    u = as_complex_matrix(U)
+    th = phase_vector(theta, u.shape[0])
+    q, angles = symmetric_unitary_angles(analysis._rotated(u, th))
+    return _spectral(q, angles)
+
+
+def adjacency_from_k(K):
+    """Adjacency matrix A = -cos(K) (1 + sin(K))^{-1} of an angle matrix: the
+    angle-matrix route from U to A."""
+    k = np.asarray(K, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError("angle matrix must be square")
+    if symmetry_defect(k) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(k)):
+        raise NotSymmetric("angle matrix must be real symmetric")
+    w, q = np.linalg.eigh((k + k.T) / 2.0)
+    denom = 1.0 + np.sin(w)
+    if float(np.min(np.abs(denom))) < DEFAULT_TOLERANCES.regular_min:
+        raise SingularPhasePoint(
+            "an eigen-angle of K sits at -pi/2, where the inverse relation "
+            "is singular"
+        )
+    return _spectral(q, -np.cos(w) / denom)
+
+
+def unitary_from_interferometer(V):
+    """Structure factor U = i V V^T of a general Gaussian transformation,
+    invariant under V -> V O for real orthogonal O."""
+    v = as_complex_matrix(V)
+    u = 1j * v @ v.T
+    return (u + u.T) / 2.0
+
+
+def matrix_to_json(m) -> dict:
+    """The matrix object of the JSON reports and bundles: ``rows``, ``cols``,
+    the ``re`` block and, unless every entry is real, the ``im`` block, each
+    a list of rows."""
+    a = np.asarray(m)
+    out = {"rows": int(a.shape[0]), "cols": int(a.shape[1]),
+           "re": np.real(a).astype(float).tolist()}
+    if np.iscomplexobj(a) and a.imag.any():
+        out["im"] = a.imag.astype(float).tolist()
+    return out
 
 
 FACTORIZATIONS = ("eigh", "eigvalsh", "solve", "svd", "norm2")

@@ -17,7 +17,6 @@ from clustersqueeze import (
     adjacency_from_unitary,
     bloch_messiah,
     bogoliubov_from_interaction,
-    bogoliubov_oracle,
     canonical_cluster_interferometer,
     convergence_sweep,
     covariance_closed_form,
@@ -29,6 +28,7 @@ from clustersqueeze import (
 )
 
 from conftest import (
+    bogoliubov_oracle,
     epr_adjacency,
     random_adjacency,
     random_compatible_gauge,

@@ -8,17 +8,17 @@ from clustersqueeze import (
     InteractionMatrix,
     NonRealResult,
     SingularPhasePoint,
-    adjacency_from_k,
     adjacency_from_unitary,
     analyze_interaction,
     find_regular_phases,
-    k_matrix_form,
     regularity_margin,
     unitary_from_adjacency,
 )
 
 from conftest import (
+    adjacency_from_k,
     epr_adjacency,
+    k_matrix_form,
     random_adjacency,
     random_compatible_gauge,
     random_phases,

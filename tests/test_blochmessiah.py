@@ -17,7 +17,6 @@ from clustersqueeze import (
     cluster_condition_residual,
     squeezer_spectrum,
     unitary_from_adjacency,
-    unitary_from_interferometer,
 )
 from clustersqueeze.matfun import phase_fixed_columns, takagi_symmetric_unitary
 
@@ -27,6 +26,7 @@ from conftest import (
     random_gauge,
     random_orthogonal,
     random_phases,
+    unitary_from_interferometer,
 )
 
 

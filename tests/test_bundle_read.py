@@ -16,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clustersqueeze import cli, format_graph
-from clustersqueeze.cli import EXIT_OK, main, matrix_to_json
+from clustersqueeze.cli import EXIT_OK, main
 
-from conftest import random_adjacency, random_phases
+from conftest import matrix_to_json, random_adjacency, random_phases
 
 INTERACTION_FIELDS = ("Z", "rows", "cols", "re", "im")
 VERIFY_FIELDS = ("adjacency", "theta", "P", "z", "gauge", "Z", "U", "X", "Y", "C")

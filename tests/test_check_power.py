@@ -32,6 +32,8 @@ from clustersqueeze.graphs import format_graph
 from clustersqueeze.matfun import max_abs
 from clustersqueeze.tolerances import CHECKS
 
+from conftest import matrix_to_json
+
 GATE_ROWS = ("gauge_condition", "interaction_symmetric")
 
 #: row -> (stage, object, shape of R, relative fault that flips the verdict
@@ -151,7 +153,7 @@ class Case:
                 patch.setattr(blochmessiah, "bloch_messiah", faulted(blochmessiah.bloch_messiah))
             elif stage == "bundle":
                 stored = cli.matrix_from_json(self.bundle[name])
-                bundle = {**self.bundle, name: cli.matrix_to_json(fault(stored, delta, shape, rng))}
+                bundle = {**self.bundle, name: matrix_to_json(fault(stored, delta, shape, rng))}
                 patch.setattr(cli, "_load_json", lambda path, fields=None: bundle)
                 argv = ["verify", "--interaction", "bundle.json"]
             code = cli.main([*argv, "--out", self.report])

@@ -22,10 +22,14 @@ from clustersqueeze.cli import (
     _emit_json,
     main,
     matrix_from_json,
-    matrix_to_json,
 )
 
-from conftest import epr_adjacency, non_hermitian_compatible_gauge, random_compatible_gauge
+from conftest import (
+    epr_adjacency,
+    matrix_to_json,
+    non_hermitian_compatible_gauge,
+    random_compatible_gauge,
+)
 
 EPR_GRAPH = "2\n0 1 1.0\n"
 
@@ -321,6 +325,19 @@ class TestSweep:
         rows = json.loads(out)["rows"]
         assert [r["z"] for r in rows] == [1.0, 2.0]
 
+    def test_z_range_values_do_not_drift(self, tmp_path, capsys):
+        # z_k = round(START + k STEP, 12): adding STEP 2,899 times drifts by
+        # 2e-12 and drops STOP
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        code, out, _ = run_cli(
+            ["sweep", "--graph", graph, "--z-range", "0.01:29:0.01", "--format", "json"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        zs = [r["z"] for r in json.loads(out)["rows"]]
+        assert zs == [round(0.01 + k * 0.01, 12) for k in range(2900)]
+        assert zs[-1] == 29.0
+
     def test_bad_range_exits_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         code, _, err = run_cli(
@@ -328,7 +345,8 @@ class TestSweep:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("z_range", ["nan:1:0.5", "1:inf:1", "1:2:1e-20", "1e20:2e20:1"])
+    @pytest.mark.parametrize(
+        "z_range", ["nan:1:0.5", "1:inf:1", "1:2:1e-20", "1e20:2e20:1", "1:1.000000000003:6e-13"])
     def test_non_finite_or_stalling_range_exits_2(self, z_range, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         code, out, err = run_cli(["sweep", "--graph", graph, "--z-range", z_range], capsys)

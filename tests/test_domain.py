@@ -27,10 +27,10 @@ from clustersqueeze import (
     parse_graph,
     synthesis,
 )
-from clustersqueeze.cli import EXIT_CHECK_FAILED, EXIT_GAUGE, EXIT_OK, main, matrix_to_json
+from clustersqueeze.cli import EXIT_CHECK_FAILED, EXIT_GAUGE, EXIT_OK, main
 from clustersqueeze.tolerances import DEFAULT_TOLERANCES
 
-from conftest import perfbench_graph_text, random_compatible_gauge
+from conftest import matrix_to_json, perfbench_graph_text, random_compatible_gauge
 
 Z_CAP = DEFAULT_TOLERANCES.z_cap
 EPR = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -16,13 +16,13 @@ from clustersqueeze import (
     ParseError,
     adjacency_matrix,
     format_graph,
-    nullifier_map,
     parse_graph,
     phase_vector,
 )
 from clustersqueeze import graphs
 
 from conftest import (
+    nullifier_map,
     perfbench_graph_text,
     random_adjacency,
     random_phases,

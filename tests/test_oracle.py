@@ -15,20 +15,19 @@ from clustersqueeze import (
     DomainError,
     InteractionMatrix,
     bogoliubov_from_interaction,
-    bogoliubov_oracle,
     convergence_sweep,
     covariance_closed_form,
-    covariance_from_pair,
     covariance_oracle,
-    squeezing_generator,
     unitary_from_adjacency,
     validate_gauge,
 )
 from clustersqueeze import oracle, synthesis
-from clustersqueeze.oracle import quadrature_flow, quadrature_generator
+from clustersqueeze.oracle import quadrature_generator
 from clustersqueeze.tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 from conftest import (
+    bogoliubov_oracle,
+    covariance_from_pair,
     epr_adjacency,
     hermitian_function,
     random_adjacency,
@@ -36,7 +35,9 @@ from conftest import (
     random_hermitian_pd,
     random_phases,
     random_symmetric_unitary,
+    quadrature_flow,
     reference_quadrature_flow,
+    squeezing_generator,
 )
 
 
@@ -153,20 +154,33 @@ class TestQuadratureFlow:
 
     def test_oracle_forms_no_flow(self, monkeypatch):
         # the squeezed half comes from K's eigenpairs: neither S = exp(K) nor
-        # any other function of K is rebuilt at order 2N
+        # any other function of K is rebuilt at order 2N.  The eigenvectors V
+        # of K come back as a marked array, every array computed from them is
+        # marked too and records its shape, and none of them is 2N x 2N.
         rng = np.random.default_rng(96)
         a = random_adjacency(rng, 5)
         cluster = ClusterPlan.of(a, random_phases(rng, 5))
         zm, _ = cluster.interaction("faithful", 1.3)
         expected = covariance_oracle(cluster, zm, 1.3).C
+        shapes = []
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the oracle must not rebuild a function of K")
+        class FromEigenvectors(np.ndarray):
+            def __array_finalize__(self, obj):
+                shapes.append(self.shape)
 
-        monkeypatch.setattr(oracle, "quadrature_flow", forbidden)
-        monkeypatch.setattr(oracle, "_spectral", forbidden)
+        eigh = np.linalg.eigh
+
+        def marking(k, *args, **kwargs):
+            w, v = eigh(k, *args, **kwargs)
+            marked = v.view(FromEigenvectors)
+            shapes.clear()  # V itself is 2N x 2N
+            return w, marked
+
+        monkeypatch.setattr(np.linalg, "eigh", marking)
         rep = covariance_oracle(cluster, zm, 1.3)
         assert np.array_equal(rep.C, expected) and rep.E.shape == (5, 5)
+        assert (5, 10) in shapes  # G = [Re L, -Im L] V is derived from V
+        assert (10, 10) not in shapes
 
     def test_flow_matches_scaling_and_squaring(self):
         # random symmetric Z, z * lambda_max up to 29; both routes resolve S

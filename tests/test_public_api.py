@@ -12,48 +12,40 @@ from clustersqueeze import cli
 from clustersqueeze.tolerances import CHECKS, ErrorModel, Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# Public reference implementations: the library does not call them, and
-# tests compare the derivations and the library's results against them.
-REFERENCE_IMPLEMENTATIONS = {
-    "squeezing_generator": "mode-basis generator G that the real quadrature generator K derives from",
-    "bogoliubov_oracle": "X and Y read off the brute-force flow, against the closed-form blocks",
-    "covariance_from_pair": "covariance of an explicit pair, which shows the reality condition is necessary",
-    "k_matrix_form": "angle-matrix form K of a structure factor, the alternative route to A",
-    "adjacency_from_k": "A = -cos(K) / (1 + sin(K)), against adjacency_from_unitary",
-    "unitary_from_interferometer": "U = i V V^T, the interferometer identity of the decomposition",
-}
+LIBRARY = sorted(f for f in (ROOT / "src" / "clustersqueeze").glob("*.py") if f.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def _sources():
-    src = ROOT / "src" / "clustersqueeze"
-    files = [f for f in src.glob("*.py") if f.name != "__init__.py"]
-    files += sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
-    return [f.read_text(encoding="utf-8") for f in files]
+def _trees(paths):
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
 
 
-def _used_outside_tests(name, texts):
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-    return any(
-        word.search(line) and not own.match(line)
-        for text in texts
-        for line in text.splitlines()
-    )
+def _code_references():
+    """Every name that code in the library (but ``__init__.py``) or the
+    demos reads, as a ``Name`` or an ``Attribute``: docstrings, comments and
+    imports are no use, nor is a reference inside the definition it names."""
+    used = set()
+    for _, tree in _trees(LIBRARY + DEMOS):
+        for top in tree.body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            used |= names - {getattr(top, "name", None)}
+    return used
 
 
 def test_no_test_only_public_names():
-    texts = _sources()
-    unused = [
-        name
-        for name in clustersqueeze.__all__
-        if name not in REFERENCE_IMPLEMENTATIONS and not _used_outside_tests(name, texts)
-    ]
-    assert unused == []
-
-
-def test_reference_implementations_are_public():
-    assert set(REFERENCE_IMPLEMENTATIONS) <= set(clustersqueeze.__all__)
+    """Every public module-level function and class of every library
+    module, and every name the package exports, has a code use besides the
+    tests."""
+    used = _code_references()
+    public = {
+        f"{path.stem}.{node.name}": node.name
+        for path, tree in _trees(LIBRARY)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    public.update((f"clustersqueeze.{name}", name) for name in clustersqueeze.__all__)
+    assert sorted(where for where, name in public.items() if name not in used) == []
 
 
 def test_every_tolerance_is_read():
