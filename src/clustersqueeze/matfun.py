@@ -93,7 +93,9 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     Symmetry of Z makes U symmetric as well and gives the commutation
     P U = U conj(P) used throughout the squeezing algebra.  Returns
     (P, U, sigma, Q) with P = Q diag(sigma) Q^dagger, sigma ascending, from
-    the one ``eigh`` of Z Z^dagger.
+    the one SVD Z = Q diag(sigma) V^dagger, and U = Q V^dagger.  The SVD
+    keeps U unitary to rounding whatever cond(P) is; the eigenvectors of
+    Z Z^dagger would square it (Higham, *Functions of Matrices*, 2008, ch. 8).
 
     Raises :class:`NotSymmetric` for asymmetric input and
     :class:`SingularInput` when sigma_min / sigma_max falls below the
@@ -106,9 +108,8 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(zm):.3e} exceeds tolerance"
         )
-    gram = zm @ zm.conj().T
-    w, q = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    sigma = np.sqrt(np.clip(w, 0.0, None))
+    w, s, vh = np.linalg.svd(zm)
+    sigma, q = s[::-1], w[:, ::-1]
     if sigma[-1] == 0.0 or sigma[0] < DEFAULT_TOLERANCES.singular * sigma[-1]:
         raise SingularInput(
             f"sigma_min/sigma_max = {sigma[0]:.3e}/{sigma[-1]:.3e} below "
@@ -116,8 +117,7 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         )
     p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
-    u = _spectral(q, 1.0 / sigma) @ zm
-    return p, u, sigma, q
+    return p, w @ vh, sigma, q
 
 
 def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:

@@ -88,7 +88,7 @@ class InteractionMatrix:
     @classmethod
     def from_matrix(cls, Z) -> "InteractionMatrix":
         """Polar-decompose a complex symmetric non-singular matrix; P's
-        eigenpairs come from the split's one ``eigh``, which also checks Z."""
+        eigenpairs come from the split's one SVD, which also checks Z."""
         p, u, w, q = polar_decompose_symmetric(Z)
         return cls(Z=np.asarray(Z, dtype=complex), P=p, U=u, strengths=w, modes=q)
 

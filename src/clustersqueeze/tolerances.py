@@ -62,7 +62,7 @@ DEFAULT_TOLERANCES = Tolerances()
 CHECKS = {
     "gauge_condition": ("reality", 4),
     "interaction_symmetric": ("asymmetry", 4),
-    "structure_unitary": ("structure", 8),  # U (eigh of A, or solve), U U^dagger
+    "structure_unitary": ("structure", 12),  # eigh of A, Q diag Q^T, U U^dagger
     "bogoliubov_unitary_defect": ("bogoliubov", 40),  # P, U, eigh, X, Y (2), two products
     "bogoliubov_symmetry_defect": ("bogoliubov", 40),
     "covariance_real": ("covariance", 28),  # P, eigh, e^{-zP}, E, E E^dagger

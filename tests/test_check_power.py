@@ -30,7 +30,7 @@ import pytest
 from clustersqueeze import blochmessiah, cli, synthesis
 from clustersqueeze.graphs import format_graph
 from clustersqueeze.matfun import max_abs
-from clustersqueeze.tolerances import CHECKS
+from clustersqueeze.tolerances import CHECKS, DEFAULT_TOLERANCES
 
 from conftest import matrix_to_json
 
@@ -202,3 +202,33 @@ def test_fault_without_its_own_row_is_caught(what, cases, monkeypatch):
         code, rows = case.verify(monkeypatch, stage, name, shape, delta)
         failed = {row for row, passed in rows.items() if not passed}
         assert code == cli.EXIT_CHECK_FAILED and failed & catchers, case.id
+
+
+def test_faulted_structure_factor_of_single_groups_fails_a_reduction_row(cases, monkeypatch):
+    """decompose --interaction on a faithful case, whose strength groups
+    are all 1 x 1, with a 1e-8 relative fault in the U of the polar split:
+    a reduction row of the report fails.  Bloch-Messiah balances a 1 x 1
+    group by the phase of its entry alone and does not gate the entry's
+    modulus; the rows judge the factors it builds from the faulted U.  At
+    N = 64 and z lambda_max = 25 the rows' 1 / gap term lets this fault
+    pass."""
+    case = next(case for case in cases if case.id == "8-faithful-1")
+    bundle = case.bundle
+    split = synthesis.InteractionMatrix.from_matrix
+    strengths = split(cli.matrix_from_json(bundle["Z"])).strengths
+    assert np.min(np.diff(strengths)) > DEFAULT_TOLERANCES.degeneracy * strengths[-1]
+    rng = np.random.default_rng(2020)
+
+    def faulted(Z):
+        zm = split(Z)
+        return dataclasses.replace(zm, U=fault(zm.U, 1e-8, "symmetric", rng))
+
+    z = case.argv[case.argv.index("-z") + 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_load_json", lambda path, fields=None: bundle)
+        patch.setattr(synthesis.InteractionMatrix, "from_matrix", staticmethod(faulted))
+        code = cli.main(["decompose", "--interaction", "bundle.json", "-z", z, "--out", case.report])
+    assert code == cli.EXIT_OK
+    with open(case.report, encoding="utf-8") as fh:
+        failed = {c["name"] for c in json.load(fh)["checks"] if not c["passed"]}
+    assert failed & {"blochmessiah_x", "blochmessiah_y", "interferometer_identity"}

@@ -363,7 +363,7 @@ class TestSweep:
 EPR_CORE_CHECKS = """\
   [pass] gauge_condition: residual 0.000e+00 (tolerance 1.8e-15)
   [pass] interaction_symmetric: residual 0.000e+00 (tolerance 8.9e-16)
-  [pass] structure_unitary: residual 4.441e-16 (tolerance 3.6e-15)
+  [pass] structure_unitary: residual 4.441e-16 (tolerance 5.3e-15)
   [pass] bogoliubov_unitary_defect: residual 6.661e-16 (tolerance 3.2e-14)
   [pass] bogoliubov_symmetry_defect: residual 0.000e+00 (tolerance 3.2e-14)
   [pass] covariance_real: residual 3.216e-19 (tolerance 9.0e-15)
@@ -538,30 +538,31 @@ class TestOneFactorizationPerRequest:
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(2))))
         code, out, _ = run_cli(["analyze", "--interaction", path], capsys)
         assert code == EXIT_OK and json.loads(out)["phase_search_used"] is True
-        # the input phases and two schedule candidates (zero, pi/16); the
-        # inverse reuses the accepted candidate's margin
-        assert len(factorizations["svd"]) == 3
+        # the polar split's svd of Z, then the input phases and two schedule
+        # candidates (zero, pi/16); the inverse reuses the accepted
+        # candidate's margin
+        assert factorizations.of("svd", -1j * np.eye(2)) == 1
+        assert len(factorizations["svd"]) == 1 + 3
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful"])
     def test_interaction_route_counts(self, gauge, tmp_path, capsys, request):
-        """The polar split's eigh of Z Z^dagger gives the eigenpairs of P.
-        analyze then measures the input phases (svd) and inverts (solve);
-        decompose adds the identity gauge's Takagi eigh of Re(-i U)."""
+        """The polar split's svd of Z gives the eigenpairs of P.  analyze
+        then measures the input phases (svd) and inverts (solve); decompose
+        adds the identity gauge's Takagi eigh of Re(-i U)."""
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
         args = ["synthesize", "--graph", graph, "--gauge", gauge, "--out", bundle]
         assert run_cli(args, capsys)[0] == EXIT_OK
         z_product = matrix_from_json(json.loads(Path(bundle).read_text(encoding="utf-8"))["Z"])
-        gram = z_product @ z_product.conj().T
         calls = request.getfixturevalue("factorizations")
         assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
-        assert calls.of("eigh", (gram + gram.conj().T) / 2.0) == 1
-        assert len(calls["eigh"]) == 1 and len(calls["svd"]) == 1 and len(calls["solve"]) == 1
+        assert calls.of("svd", z_product) == 1
+        assert calls["eigh"] == [] and len(calls["svd"]) == 2 and len(calls["solve"]) == 1
         assert calls.total() == 3
         for kernel in calls.values():
             kernel.clear()
         assert run_cli(["decompose", "--interaction", bundle], capsys)[0] == EXIT_OK
-        assert calls.of("eigh", (gram + gram.conj().T) / 2.0) == 1
+        assert calls.of("svd", z_product) == 1
         assert calls.total() == 1 + (gauge == "identity")
 
     def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch, request):

@@ -3,9 +3,10 @@
 Every input ``synthesize`` accepts (N from 1 to 8, weights up to 1e4, any
 phases, the identity, faithful or a random compatible gauge, z * lambda_max
 up to ``z_cap``) must pass ``verify`` on the graph route and on the bundle
-route.  Fixed cases cover the inputs the benchmark once failed on, and the
-power tests show that the derived budgets still reject defects far below
-the old fixed tolerances.
+route, and its bundle must pass ``decompose --interaction`` and be inverted
+by ``analyze --interaction``.  Fixed cases cover the inputs the benchmark
+once failed on, and the power tests show that the derived budgets still
+reject defects far below the old fixed tolerances.
 """
 
 import dataclasses
@@ -72,7 +73,8 @@ def failing(report):
 
 
 def assert_verifiable(tmp_path, a, theta, gauge, z, p=None):
-    """synthesize accepts, its checks pass, and verify passes on both routes."""
+    """synthesize accepts, its checks pass, verify passes on both routes,
+    decompose passes on the bundle and analyze inverts it."""
     files = write_case(tmp_path, a, theta, p)
     flags = cluster_flags(files, gauge, z)
     bundle = tmp_path / "bundle.json"
@@ -85,6 +87,10 @@ def assert_verifiable(tmp_path, a, theta, gauge, z, p=None):
         code, report = run(args, tmp_path / "report.json")
         assert failing(report) == [], args[1]
         assert code == EXIT_OK and report["passed"] is True
+    inverse = ["--interaction", str(bundle), "-z", repr(z), "--out", str(tmp_path / "inverse.json")]
+    assert main(["decompose", *inverse]) == EXIT_OK
+    assert failing(json.loads((tmp_path / "inverse.json").read_text(encoding="utf-8"))) == []
+    assert main(["analyze", *inverse]) == EXIT_OK
 
 
 @st.composite
@@ -210,6 +216,31 @@ class TestAcceptedImpliesVerifiable:
         zm = ClusterPlan.of(a, theta).interaction("faithful", z)[0]
         assert bloch_messiah(zm, z).spread > 0.0
         assert_verifiable(tmp_path, a, theta, "faithful", z)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["3\n0 1 1e3\n1 2 1e3\n", "3\n0 1 1e6\n1 2 1e6\n",
+         "8\n" + "".join(f"0 {j} 1e6\n" for j in range(1, 8))],
+        ids=["path-1e3", "path-1e6", "star-1e6"],
+    )
+    def test_ill_conditioned_faithful_gauge_inverts(self, text, tmp_path):
+        """Heavy weights at z = 1e-3 give a faithful P of condition number
+        up to 1.4e4.  A polar split through eigh(Z Z^dagger) squared it: U
+        lost unitarity to about 3e-8, decompose --interaction exited 4 on
+        every case and analyze --interaction on the path of weights 1e6,
+        while verify passed the same bundles."""
+        a = parse_graph(text)
+        assert_verifiable(tmp_path, a, np.zeros(a.shape[0]), "faithful", 1e-3)
+
+    def test_structure_unitary_budget_counts_three_stages(self, tmp_path):
+        """U U^dagger - 1 rounds through eigh(A), Q diag Q^T and U U^dagger.
+        On this graph of weights ~1e-3 its residual 3.1e-15 exceeded a
+        budget that counted two stages (2.7e-15)."""
+        a = parse_graph("3\n0 0 -0.0005509214307907606\n0 1 0.0008296651732623069\n"
+                        "0 2 1.7435316714980554e-05\n1 1 0.0001401807338223031\n"
+                        "1 2 0.00046046177181329465\n2 2 -0.0009265407754964137\n")
+        theta = np.array([0.6863721252545192, 0.7600627771309614, -0.4773298310218941])
+        assert_verifiable(tmp_path, a, theta, "identity", 0.1)
 
 
 POWER_CASES = pytest.mark.parametrize(
