@@ -26,7 +26,7 @@ z = 1.2
 
 cluster = ClusterPlan.of(A, theta)
 zm, _ = cluster.interaction("faithful", z)
-factors = bloch_messiah(zm, z)
+factors = bloch_messiah(zm, z, cluster)  # read off the plan's frame
 
 print(f"weighted {n}-ring, faithful gauge, z = {z}")
 print("squeezer strengths:", factors.D)

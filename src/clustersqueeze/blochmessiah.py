@@ -1,23 +1,27 @@
 """Interferometer reduction of a multi-mode squeezing transformation.
 
-Any Bogoliubov pair factorizes as X = V cosh(z D) W^dagger and
-Y = V sinh(z D) W^T with V, W unitary and D the diagonal of squeezer
+Any Bogoliubov pair factorizes as X = V cosh(z D) V^dagger and
+Y = V sinh(z D) V^T with V unitary and D the diagonal of squeezer
 strengths.  For a squeezing transformation with interaction matrix Z = P U
 the factors follow from the eigendecomposition P = T^dagger D T, which the
 interaction matrix already carries (``strengths``, ``modes``), and a
 balancing unitary R obtained from the Autonne-Takagi factorization of
 -i T U T^T:
 
-    V = T^dagger R,    W = -i U T^T conj(R),    D = eigenvalues of P.
+    V = T^dagger R,    D = eigenvalues of P.
 
 The structure factor is recovered from the interferometer alone through
 U = i V V^T, which holds for every admissible choice of the factors;
-``verify`` checks it as the ``interferometer_identity`` row.
+``verify`` checks it as the ``interferometer_identity`` row.  It makes the
+second interferometer -i U T^T conj(R) equal to V, so V is the only one.
 
 A unitary V describes a cluster with adjacency A (at phases Theta) exactly
 when (A + i 1) e^{i Theta} V + (A - i 1) e^{-i Theta} conj(V) = 0; writing
 e^{i Theta} V = V_r + i V_i this is V_i = A V_r.  All solutions are
-V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O with O real orthogonal.
+V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O with O real orthogonal.  For
+the built-in gauges P is diagonal in the cluster plan's frame
+F = e^{-i Theta} Q, so T = F^dagger and R = diag((1 + i lam)/sqrt(1 + lam^2))
+give the member O = Q without a factorization beyond the plan's.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ class BlochMessiahFactors:
     """
 
     V: np.ndarray
-    W: np.ndarray
     D: np.ndarray
     R: np.ndarray
     T: np.ndarray
@@ -69,31 +72,43 @@ class BlochMessiahFactors:
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Bogoliubov blocks (X, Y) rebuilt from the factors."""
-        x = (self.V * np.cosh(self.z * self.D)[None, :]) @ self.W.conj().T
-        y = (self.V * np.sinh(self.z * self.D)[None, :]) @ self.W.T
+        x = (self.V * np.cosh(self.z * self.D)[None, :]) @ self.V.conj().T
+        y = (self.V * np.sinh(self.z * self.D)[None, :]) @ self.V.T
         return x, y
 
 
-def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
+def bloch_messiah(
+    zm: InteractionMatrix, z: float, cluster: ClusterPlan | None = None
+) -> BlochMessiahFactors:
     """Reduce a squeezing transformation to squeezers plus interferometers.
 
-    The balancing factorization is applied blockwise per degenerate group of
-    squeezer strengths: -i T U T^T commutes with D for a symmetric Z, so it
-    is block-diagonal in T's basis, and a blockwise R is guaranteed to
-    commute with cosh(z D) even when eigenvalues of the structure factor
-    coincide across distinct strengths.
+    ``cluster`` is the plan whose built-in gauge planned ``zm``: its frame,
+    in the order of the strengths, gives T = F^dagger and the diagonal
+    R = diag((1 + i lam)/sqrt(1 + lam^2)), which resolve no group.  Without
+    it (a custom gauge, or Z alone) the balancing factorization is applied
+    blockwise per degenerate group of squeezer strengths: -i T U T^T
+    commutes with D for a symmetric Z, so it is block-diagonal in T's basis,
+    and a blockwise R is guaranteed to commute with cosh(z D) even when
+    eigenvalues of the structure factor coincide across distinct strengths.
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    w, v = zm.strengths, phase_fixed_columns(zm.modes)
+    w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
+    if cluster is not None:
+        lam, f = cluster.by_magnitude[0], cluster.frame
+        rotation = (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
+        return BlochMessiahFactors(
+            V=f * rotation[None, :], D=w, R=np.diag(rotation), T=f.conj().T,
+            z=float(z), gap=math.inf, spread=0.0,
+        )
+    v = phase_fixed_columns(zm.modes)
     n = zm.n
     # -i T U T^T is block-diagonal, so only its diagonal blocks are formed,
-    # from U conj(T^dagger), which W reuses
+    # from U conj(T^dagger)
     uv = zm.U @ v.conj()
     r = np.zeros((n, n), dtype=complex)
     v_factor = np.empty_like(v, dtype=complex)
-    w_factor = np.empty_like(uv)
     degeneracy = DEFAULT_TOLERANCES.degeneracy
     scale = max(1.0, float(w[-1]))
     groups = spectrum_clusters(w, degeneracy * scale)
@@ -107,20 +122,16 @@ def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
         r_singles = np.exp(0.5j * _principal_angles(s))
         r[singles, singles] = r_singles
         v_factor[:, singles] = v[:, singles] * r_singles[None, :]
-        w_factor[:, singles] = -1j * uv[:, singles] * r_singles.conj()[None, :]
     for group in (slice(g[0], g[-1] + 1) for g in groups if len(g) > 1):
         block = takagi_symmetric_unitary(-1j * v[:, group].conj().T @ uv[:, group])
         r[group, group] = block
         v_factor[:, group] = v[:, group] @ block
-        w_factor[:, group] = -1j * uv[:, group] @ block.conj()
         # The block's Re(S) has eigenvalues cos L, and R R^T = Q e^{i L} Q^T
         # with Q real, so each column of R squares to e^{i L}.
         cos = np.sort(np.sum(block * block, axis=0).real)
         block_gap, block_spread = _grouping(cos, spectrum_clusters(cos, degeneracy), 1.0)
         gap, spread = min(gap, block_gap), max(spread, block_spread)
-    return BlochMessiahFactors(
-        V=v_factor, W=w_factor, D=w, R=r, T=v.conj().T, z=float(z), gap=gap, spread=spread
-    )
+    return BlochMessiahFactors(V=v_factor, D=w, R=r, T=v.conj().T, z=float(z), gap=gap, spread=spread)
 
 
 def _grouping(values, groups, scale: float) -> tuple[float, float]:
@@ -148,7 +159,7 @@ def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
         raise NotOrthogonal(
             f"seed orthogonality defect {max_abs(o @ o.T - np.eye(a.shape[0])):.3e}"
         )
-    lam, f = cluster.eigenvalues, cluster.frame
+    lam, f = cluster.by_magnitude[0], cluster.frame
     rotation = (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
     return (f * rotation[None, :]) @ (f.T @ (np.exp(1j * cluster.theta)[:, None] * o))
 

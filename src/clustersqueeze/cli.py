@@ -5,7 +5,9 @@ Subcommands::
     synthesize   graph + gauge + z  ->  bundle {adjacency, theta, Z, P, U, X, Y,
                                                 C, E, squeezers, checks}
     analyze      interaction matrix ->  phases + adjacency + covariance
-    decompose    interaction or graph -> squeezers + interferometers
+    decompose    interaction or graph -> {V, R, T, D, zD, decibels, checks}:
+                                          squeezers D and the interferometer V
+                                          (X = V cosh(zD) V^dagger)
     verify       bundle or graph    ->  full invariant battery (exit 1 on fail)
     sweep        graph + z range    ->  CSV of covariance norms vs z
 
@@ -315,6 +317,13 @@ def _reduction_rows(zm, pair, factors) -> list[tuple[str, float]]:
     ]
 
 
+def _built_in(cluster, gauge):
+    """The plan Bloch-Messiah reads its factors off: ``cluster`` for a
+    built-in gauge (a name), None for a custom P, which takes the generic
+    Takagi path."""
+    return cluster if isinstance(gauge, str) else None
+
+
 def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     """Core battery plus interferometer-reduction checks (verify command).
 
@@ -323,7 +332,7 @@ def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     """
     checks, computed = core_battery(cluster, gauge, z, gauge_name)
     zm = computed["zm"]
-    factors = blochmessiah.bloch_messiah(zm, z)
+    factors = blochmessiah.bloch_messiah(zm, z, _built_in(cluster, gauge))
     model = computed["model"] = computed["model"].with_reduction(factors)
     rows = _reduction_rows(zm, computed["pair"], factors) + [
         ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)),
@@ -607,22 +616,17 @@ def cmd_analyze(args) -> tuple[int, dict]:
     }
 
 
-def _interaction_from_args(args):
-    """Z either from --interaction or from graph + gauge flags, with the
-    error model of its route."""
+def cmd_decompose(args) -> tuple[int, dict]:
     z = _z(args)
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge")
         zm = load_interaction(args.interaction)
-        return zm, z, ErrorModel.for_interaction(zm.strengths, z)
-    cluster, _, gauge = _load_cluster(args)
-    zm, _ = cluster.interaction(gauge, z)
-    return zm, z, ErrorModel.for_cluster(cluster, zm, z)
-
-
-def cmd_decompose(args) -> tuple[int, dict]:
-    zm, z, model = _interaction_from_args(args)
-    factors = blochmessiah.bloch_messiah(zm, z)
+        model, plan = ErrorModel.for_interaction(zm.strengths, z), None
+    else:
+        cluster, _, gauge = _load_cluster(args)
+        zm, _ = cluster.interaction(gauge, z)
+        model, plan = ErrorModel.for_cluster(cluster, zm, z), _built_in(cluster, gauge)
+    factors = blochmessiah.bloch_messiah(zm, z, plan)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     checks = model.with_reduction(factors).checks(_reduction_rows(zm, pair, factors))
     return EXIT_OK, {
@@ -630,7 +634,6 @@ def cmd_decompose(args) -> tuple[int, dict]:
         "n": zm.n,
         "z": z,
         "V": factors.V,
-        "W": factors.W,
         "R": factors.R,
         "T": factors.T,
         "D": [float(d) for d in factors.D],
@@ -741,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ana, seed=True)
     p_ana.set_defaults(func=cmd_analyze)
 
-    p_dec = sub.add_parser("decompose", help="interaction -> squeezers + interferometers")
+    p_dec = sub.add_parser("decompose", help="interaction -> squeezers + interferometer")
     _add_cluster(p_dec, interaction="matrix JSON or bundle")
     _add_common(p_dec)
     p_dec.set_defaults(func=cmd_decompose)

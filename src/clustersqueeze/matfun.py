@@ -56,8 +56,10 @@ def realness_defect(m) -> float:
 
 
 def _real_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a @ m for a real a and a complex m as one real product: the float view
-    of m holds its real and imaginary parts in alternate columns."""
+    """a @ m for a complex m; a real a makes it one real product: the float
+    view of m holds its real and imaginary parts in alternate columns."""
+    if np.iscomplexobj(a):
+        return a @ m
     m = np.ascontiguousarray(m, dtype=complex)
     return (a @ m.view(float)).view(complex)
 

@@ -112,7 +112,7 @@ class BogoliubovPair:
         """
         eye = np.eye(self.n)
         first = max_abs(self.X @ self.X.conj().T - self.Y @ self.Y.conj().T - eye)
-        xy = self.X @ self.Y.T  # and Y X^T is its transpose
+        xy = _real_product(self.X, self.Y.T)  # and Y X^T is its transpose
         return first, max_abs(xy - xy.T)
 
 
@@ -181,8 +181,16 @@ class ClusterPlan:
         return np.exp(-1j * self.theta)
 
     @cached_property
+    def by_magnitude(self) -> tuple[np.ndarray, np.ndarray]:
+        """lam and Q in ascending |lam| (stable order): the order of the
+        faithful strengths and of the Bloch-Messiah factors read off the plan."""
+        order = np.argsort(np.abs(self.eigenvalues), kind="stable")
+        return self.eigenvalues[order], self._spectrum[1][:, order]
+
+    @cached_property
     def frame(self) -> np.ndarray:
-        return self._phases[:, None] * self._spectrum[1]
+        """F = e^{-i Theta} Q, its columns in the order of ``by_magnitude``."""
+        return self._phases[:, None] * self.by_magnitude[1]
 
     @cached_property
     def U(self) -> np.ndarray:
@@ -235,9 +243,8 @@ class ClusterPlan:
         elif gauge == "faithful":
             if z is None or not (np.isfinite(z) and z > 0):
                 raise ValueError("squeezing scale z must be positive and finite")
-            order = np.argsort(np.abs(self.eigenvalues), kind="stable")
-            lam, q = self.eigenvalues[order], self._spectrum[1][:, order]
-            w, modes = 1.0 + np.log1p(lam * lam) / (2.0 * z), self.frame[:, order]
+            lam, q = self.by_magnitude
+            w, modes = 1.0 + np.log1p(lam * lam) / (2.0 * z), self.frame
             # F diag(w) F^dagger, with the real Q diag(w) Q^T between the phases
             p = self._phases[:, None] * ((q * w[None, :]) @ q.T) * self._phases.conj()[None, :]
             p = (p + p.conj().T) / 2.0
@@ -308,7 +315,9 @@ def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPa
     w, q = zm.strengths, zm.modes
     check_squeeze_budget(float(w[-1]), z)
     x = _spectral(q, np.cosh(z * w))
-    y = -1j * _spectral(q, np.sinh(z * w)) @ zm.U
+    sinh = _spectral(q, np.sinh(z * w))
+    # -i sinh(zP) U; a real sinh(zP) takes the -i into U and one real product
+    y = (-1j * sinh) @ zm.U if np.iscomplexobj(sinh) else _real_product(sinh, -1j * zm.U)
     return BogoliubovPair(X=x, Y=y)
 
 

@@ -73,7 +73,9 @@ CHECKS = {
     # (order 2N, 2 stages each), H H^T
     "covariance_vs_oracle": ("oracle", 56),
     "oracle_overlap": ("overlap", 24),  # U and Z (2), eigh of K and G (order 2N)
-    "blochmessiah_x": ("reduction", 60),  # P, U, eigh, X/Y, balancing (2), Takagi (2), V, W (2), rebuild
+    # P, U, eigh, X/Y, balancing (2), Takagi (2), V, V again as V^dagger or
+    # V^T (2), rebuild; the plan's closed form has gap = inf and spread = 0
+    "blochmessiah_x": ("reduction", 60),
     "blochmessiah_y": ("reduction", 60),
     "interferometer_identity": ("eigenvectors", 44),  # P, U, eigh, balancing, Takagi, V, V V^T
     "cluster_condition": ("cluster", 48),  # as above, then two products with A
@@ -98,7 +100,7 @@ class ErrorModel:
     largest entry of the gauge's test matrix).  ``gap`` and ``spread`` are
     the grouping Bloch-Messiah resolved: its eigenvectors carry an error
     u / gap, and a group treated as degenerate rebuilds X and Y only up to
-    its spread.
+    its spread.  Factors read off the cluster plan resolve none.
     """
 
     n: int

@@ -72,7 +72,9 @@ class TestBlochMessiah:
         factors = bloch_messiah(zm, 1.0)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
-        assert np.max(np.abs(factors.W @ factors.W.conj().T - eye)) <= 1e-9
+        # the second interferometer -i U T^T conj(R) is V itself
+        second = -1j * zm.U @ factors.T.T @ factors.R.conj()
+        assert np.max(np.abs(second - factors.V)) <= 1e-9
         assert np.max(np.abs(factors.R @ factors.R.conj().T - eye)) <= 1e-9
         balanced = -1j * factors.T @ zm.U @ factors.T.T
         assert np.max(np.abs(factors.R @ factors.R.T - balanced)) <= 1e-9
@@ -147,6 +149,43 @@ class TestBlochMessiah:
             zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-8
+
+
+class TestFactorsOffThePlan:
+    """With the cluster plan of a built-in gauge, T = F^dagger in the order
+    of the strengths, R is diagonal and V is the canonical interferometer
+    with O = Q in that order; no group is resolved."""
+
+    GRAPHS = {
+        "random": None,
+        "epr": epr_adjacency(),
+        "empty": np.zeros((3, 3)),
+        "ring": np.roll(np.eye(6), 1, axis=0) + np.roll(np.eye(6), -1, axis=0),
+    }
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    def test_v_is_the_canonical_interferometer(self, gauge, graph):
+        rng = np.random.default_rng(67)
+        for _ in range(8):
+            a = self.GRAPHS[graph]
+            a = random_adjacency(rng, int(rng.integers(1, 9))) if a is None else a
+            n = a.shape[0]
+            cluster = ClusterPlan.of(a, random_phases(rng, n))
+            z = float(rng.uniform(0.3, 2.0))
+            zm = cluster.interaction(gauge, z)[0]
+            factors = bloch_messiah(zm, z, cluster)
+            canonical = canonical_cluster_interferometer(cluster, cluster.by_magnitude[1])
+            assert np.max(np.abs(factors.V - canonical)) <= 1e-13
+            assert np.array_equal(factors.D, zm.strengths)
+            assert factors.gap == math.inf and factors.spread == 0.0
+            assert np.array_equal(factors.R, np.diag(np.diag(factors.R)))
+            assert np.max(np.abs(factors.T.conj().T @ factors.R - factors.V)) <= 1e-14
+            balanced = -1j * factors.T @ zm.U @ factors.T.T
+            assert np.max(np.abs(factors.R @ factors.R.T - balanced)) <= 1e-13
+            rx, ry, ru = _reconstruction_residuals(zm, z, factors)
+            assert max(rx, ry, ru) <= 1e-13 * math.cosh(z * zm.strengths[-1])
+            assert cluster_condition_residual(factors.V, cluster) <= 1e-13
 
 
 class TestCanonicalInterferometer:

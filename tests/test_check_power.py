@@ -6,10 +6,10 @@ with R a seeded random matrix of entries in [-1, 1] (complex where X is)
 that keeps the structure the later stages assume: a Hermitian P, a symmetric
 U, Z or C.  X is replaced where it is built: in the cluster plan (P, Z, U
 and the eigenpairs of P, before the gauge gate), the Bogoliubov pair, the
-closed-form covariance, the Bloch-Messiah factors or a stored bundle field.
-The faulted request then reports the row failed (exit 1), except for the
-two rows that share their budget with the gauge gate: their fault is a
-rejection (exit 3).
+closed-form covariance, the Bloch-Messiah factors, the plan's eigenvectors
+as those factors read them, or a stored bundle field.  The faulted request
+then reports the row failed (exit 1), except for the two rows that share
+their budget with the gauge gate: their fault is a rejection (exit 3).
 
 ``POWER`` is the table of those faults.  Cases are N in {8, 64}, the two
 built-in gauges and z lambda_max in {1, 25}, on a dense random graph of
@@ -38,9 +38,9 @@ GATE_ROWS = ("gauge_condition", "interaction_symmetric")
 
 #: row -> (stage, object, shape of R, relative fault that flips the verdict
 #: in every case).  Each fault is one decade above the smallest that did so
-#: when measured, so that another BLAS does not undo the flip.  The
-#: Bloch-Messiah rows need the largest faults: their budgets carry the
-#: 1 / gap term of the resolved eigenvectors.
+#: when measured, so that another BLAS does not undo the flip.  The graph
+#: route reads the Bloch-Messiah factors off the cluster plan, which
+#: resolves no eigen-gap, so their rows carry no 1 / gap term.
 POWER = {
     "gauge_condition": ("plan", "P", "hermitian", 1e-12),
     "interaction_symmetric": ("plan", "Z", "antisymmetric", 1e-12),
@@ -53,10 +53,10 @@ POWER = {
     "faithful_gauge_identity": ("closed", "C", "symmetric", 1e-9),
     "uniform_gauge_formula": ("closed", "C", "symmetric", 1e-9),
     "self_inverse_value": ("closed", "C", "symmetric", 1e-9),
-    "blochmessiah_x": ("factors", "W", "general", 1e-5),
-    "blochmessiah_y": ("factors", "W", "general", 1e-5),
-    "interferometer_identity": ("factors", "V", "general", 1e-5),
-    "cluster_condition": ("factors", "V", "general", 1e-5),
+    "blochmessiah_x": ("factors", "V", "general", 1e-11),
+    "blochmessiah_y": ("factors", "V", "general", 1e-10),
+    "interferometer_identity": ("factors", "V", "general", 1e-11),
+    "cluster_condition": ("factors", "V", "general", 1e-11),
     "bundle_Z_matches": ("bundle", "Z", "general", 1e-11),
     "bundle_U_matches": ("bundle", "U", "general", 1e-12),
     "bundle_X_matches": ("bundle", "X", "general", 1e-10),
@@ -67,12 +67,15 @@ POWER = {
 #: Faults no row of their own guards since the rows that compared the
 #: construction with itself are gone: (stage, object, shape, fault, the rows
 #: of which at least one fails).  A tampered C is covariance_vs_oracle's
-#: fault above, and a tampered stored C bundle_C_matches'.
+#: fault above, and a tampered stored C bundle_C_matches'.  Q is the
+#: plan's eigenvector matrix as the Bloch-Messiah factors read it: V is
+#: built from it and checked against A alone by cluster_condition.
 UNGUARDED = {
     "Z != P U": ("plan", "Z", "symmetric", 1e-10, {"covariance_vs_oracle", "oracle_overlap"}),
     "strengths": ("plan", "strengths", "general", 1e-10,
                   {"covariance_vs_oracle", "faithful_gauge_identity", "uniform_gauge_formula"}),
-    "D": ("factors", "D", "general", 1e-6, {"blochmessiah_x", "blochmessiah_y"}),
+    "D": ("factors", "D", "general", 1e-10, {"blochmessiah_x", "blochmessiah_y"}),
+    "Q": ("frame", "Q", "general", 1e-11, {"cluster_condition"}),
 }
 
 
@@ -142,6 +145,14 @@ class Case:
                 return dataclasses.replace(built, **{name: fault(getattr(built, name), delta, shape, rng)})
             return build_faulted
 
+        def faulted_frame(build):
+            def build_faulted(zm, z, cluster):
+                lam, q = cluster.by_magnitude
+                plan = synthesis.ClusterPlan(cluster.A, cluster.theta)
+                plan.__dict__["by_magnitude"] = (lam, fault(q, delta, shape, rng))
+                return build(zm, z, plan)
+            return build_faulted
+
         argv = ["verify", *self.argv]
         with monkeypatch.context() as patch:
             if stage == "plan":
@@ -151,6 +162,8 @@ class Case:
                 patch.setattr(synthesis, build, faulted(getattr(synthesis, build)))
             elif stage == "factors":
                 patch.setattr(blochmessiah, "bloch_messiah", faulted(blochmessiah.bloch_messiah))
+            elif stage == "frame":
+                patch.setattr(blochmessiah, "bloch_messiah", faulted_frame(blochmessiah.bloch_messiah))
             elif stage == "bundle":
                 stored = cli.matrix_from_json(self.bundle[name])
                 bundle = {**self.bundle, name: matrix_to_json(fault(stored, delta, shape, rng))}

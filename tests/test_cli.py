@@ -373,9 +373,9 @@ EPR_CORE_CHECKS = """\
   [pass] self_inverse_value: residual 0.000e+00 (tolerance 9.0e-15)
 """
 EPR_REDUCTION_CHECKS = """\
-  [pass] blochmessiah_x: residual 4.445e-16 (tolerance 3.6e-14)
-  [pass] blochmessiah_y: residual 2.226e-16 (tolerance 3.6e-14)
-  [pass] interferometer_identity: residual 2.232e-16 (tolerance 2.0e-14)
+  [pass] blochmessiah_x: residual 4.456e-16 (tolerance 3.6e-14)
+  [pass] blochmessiah_y: residual 2.221e-16 (tolerance 3.6e-14)
+  [pass] interferometer_identity: residual 2.220e-16 (tolerance 2.0e-14)
 """
 
 
@@ -407,7 +407,7 @@ squeezing (dB): 6.94871, 6.94871
 checks:
 """ + EPR_REDUCTION_CHECKS,
         "verify": "verify: z = 0.8: all checks passed\n" + EPR_CORE_CHECKS + EPR_REDUCTION_CHECKS
-        + "  [pass] cluster_condition: residual 2.220e-16 (tolerance 4.3e-14)\n",
+        + "  [pass] cluster_condition: residual 0.000e+00 (tolerance 4.3e-14)\n",
         "sweep-text": """\
 sweep: gauge identity
   z = 0.4: max_abs 0.8986579282344432, frobenius 1.270894230043257
@@ -515,9 +515,9 @@ class TestOneFactorizationPerRequest:
         assert calls["solve"] == []
         assert calls["eigvalsh"] == []
         assert sum(1 for a in calls["eigh"] if a.shape == (12, 12)) == 1
-        # eigh(A) and the oracle's eigh(K); a custom P's eigh; the identity
-        # gauge's Bloch-Messiah Takagi step, an eigh of Re(-i U)
-        expected = 2 + (gauge == "custom") + (command == "verify" and gauge == "identity")
+        # eigh(A) and the oracle's eigh(K); a custom P's eigh.  Bloch-Messiah
+        # reads a built-in gauge's factors off eigh(A)
+        expected = 2 + (gauge == "custom")
         assert calls.total() == expected
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
@@ -533,6 +533,16 @@ class TestOneFactorizationPerRequest:
         assert oracle_eighs == (2 if gauge == "faithful" else 1)
         # eigh(A), the oracle's eigh(K) and a custom P's eigh
         assert calls.total() == 1 + oracle_eighs + (gauge == "custom")
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    def test_graph_decompose_factorizes_the_graph_only(self, gauge, tmp_path, capsys, request):
+        """decompose --graph reads a built-in gauge's Bloch-Messiah factors
+        off the plan, so eigh(A) is its only factorization."""
+        graph = write(tmp_path, "g.graph", self.GRAPH)
+        calls = request.getfixturevalue("factorizations")
+        code, _, _ = run_cli(["decompose", "--graph", graph, "--gauge", gauge, "-z", "0.9"], capsys)
+        assert code == EXIT_OK
+        assert calls.of("eigh", self.A) == 1 and calls.total() == 1
 
     def test_searching_analyze_reuses_the_search_margin(self, tmp_path, capsys, factorizations):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(2))))
