@@ -18,9 +18,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NonRealResult, SearchExhausted, SingularPhasePoint
+from .errors import SearchExhausted, SingularPhasePoint
 from .graphs import phase_vector
-from .matfun import as_complex_matrix, max_abs, realness_defect
+from .matfun import as_complex_matrix, cayley_real
 from .synthesis import (
     ClusterPlan,
     CovarianceReport,
@@ -78,21 +78,7 @@ def adjacency_from_unitary(U, theta) -> np.ndarray:
             f"sigma_min = {sigma_min:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e}; "
             "these phases do not regularize the inverse"
         )
-    return _adjacency_at(u, th)
-
-
-def _adjacency_at(u: np.ndarray, th: np.ndarray) -> np.ndarray:
-    # adjacency_from_unitary at phases whose margin reaches regular_min
-    eye = np.eye(u.shape[0])
-    w = _rotated(u, th)
-    a = -1j * np.linalg.solve(w + 1j * eye, w - 1j * eye)
-    defect = realness_defect(a)
-    if defect > DEFAULT_TOLERANCES.realness * max(1.0, max_abs(a)):
-        raise NonRealResult(
-            f"imaginary residual {defect:.3e}; input was not symmetric "
-            "unitary to sufficient accuracy"
-        )
-    return (a.real + a.real.T) / 2.0
+    return cayley_real(_rotated(u, th))
 
 
 def _phase_schedule(n: int, seed: int) -> Iterator[np.ndarray]:
@@ -161,7 +147,7 @@ def analyze_interaction(
         chosen, margin = find_regular_phases(u, seed)
     # The margin reaches regular_min: phase_accept and the search's floor
     # are both at least that.
-    cluster = ClusterPlan.of(_adjacency_at(u, chosen), chosen)
+    cluster = ClusterPlan.of(cayley_real(_rotated(u, chosen)), chosen)
     # P came with the interaction, not with the recovered cluster.
     validate_gauge(cluster, zm.P)
     report = covariance_closed_form(cluster, zm, z)

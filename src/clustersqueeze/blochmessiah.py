@@ -6,7 +6,7 @@ strengths.  For a squeezing transformation with interaction matrix Z = P U
 the factors follow from the eigendecomposition P = T^dagger D T, which the
 interaction matrix already carries (``strengths``, ``modes``), and a
 balancing unitary R obtained from the Autonne-Takagi factorization of
--i T U T^T:
+-i T U T^T, one Cayley map per group of equal strengths:
 
     V = T^dagger R,    D = eigenvalues of P.
 
@@ -33,11 +33,10 @@ import numpy as np
 
 from .errors import NotOrthogonal
 from .matfun import (
-    _principal_angles,
     as_complex_matrix,
+    half_phase,
     max_abs,
     phase_fixed_columns,
-    spectrum_clusters,
     takagi_symmetric_unitary,
 )
 from .synthesis import ClusterPlan, InteractionMatrix, check_squeeze_budget
@@ -52,9 +51,10 @@ class BlochMessiahFactors:
     squeezing blocks are cosh(z D) and sinh(z D).  ``T`` diagonalizes the
     strength factor P and ``R`` is the balancing unitary; the factors are
     not unique, so consumers must check them through residuals only.
-    ``gap`` and ``spread`` are the smallest eigen-gap the reduction resolved
-    and the widest group it treated as degenerate (strengths and balancing
-    blocks, relative to their scale); they bound how well X and Y rebuild.
+    ``gap`` is the smallest gap between groups of strengths, or the Cayley
+    margin 2 sin(pi / 4 n_g) of the Takagi of a group of n_g > 1 modes if
+    smaller, and ``spread`` the widest group treated as degenerate (strengths
+    relative to their scale); they bound how well X and Y rebuild.
     """
 
     V: np.ndarray
@@ -109,37 +109,26 @@ def bloch_messiah(
     uv = zm.U @ v.conj()
     r = np.zeros((n, n), dtype=complex)
     v_factor = np.empty_like(v, dtype=complex)
-    degeneracy = DEFAULT_TOLERANCES.degeneracy
     scale = max(1.0, float(w[-1]))
-    groups = spectrum_clusters(w, degeneracy * scale)
-    gap, spread = _grouping(w, groups, scale)
+    cuts = np.flatnonzero(np.diff(w) > DEFAULT_TOLERANCES.degeneracy * scale) + 1
+    groups = np.split(np.arange(n), cuts)
+    gap = float(np.min(np.diff(w)[cuts - 1], initial=math.inf)) / scale
+    spread = float(max(w[g[-1]] - w[g[0]] for g in groups)) / scale
     singles = [g[0] for g in groups if len(g) == 1]
     if singles:
-        # A 1 x 1 block s is its own Takagi factorization, R = e^{i arg(s)/2}
-        # on the angle branch of symmetric_unitary_angles; it resolves no
-        # eigen-gap and groups nothing, so gap and spread stay as they are.
+        # A 1 x 1 block s is its own Takagi factorization, R = e^{i arg(s)/2},
+        # taken for all of them at once; it resolves nothing.
         s = (-1j * np.sum(v.conj() * uv, axis=0))[singles]  # diagonal of -i T U T^T
-        r_singles = np.exp(0.5j * _principal_angles(s))
+        r_singles = half_phase(s)
         r[singles, singles] = r_singles
         v_factor[:, singles] = v[:, singles] * r_singles[None, :]
-    for group in (slice(g[0], g[-1] + 1) for g in groups if len(g) > 1):
+    for g in (g for g in groups if len(g) > 1):
+        group = slice(g[0], g[-1] + 1)
         block = takagi_symmetric_unitary(-1j * v[:, group].conj().T @ uv[:, group])
         r[group, group] = block
         v_factor[:, group] = v[:, group] @ block
-        # The block's Re(S) has eigenvalues cos L, and R R^T = Q e^{i L} Q^T
-        # with Q real, so each column of R squares to e^{i L}.
-        cos = np.sort(np.sum(block * block, axis=0).real)
-        block_gap, block_spread = _grouping(cos, spectrum_clusters(cos, degeneracy), 1.0)
-        gap, spread = min(gap, block_gap), max(spread, block_spread)
+        gap = min(gap, 2.0 * math.sin(math.pi / (4 * len(g))))  # the Takagi's Cayley margin
     return BlochMessiahFactors(V=v_factor, D=w, R=r, T=v.conj().T, z=float(z), gap=gap, spread=spread)
-
-
-def _grouping(values, groups, scale: float) -> tuple[float, float]:
-    """Smallest gap between and widest spread within ``groups`` of ascending
-    ``values``, relative to ``scale``."""
-    gaps = [values[g[0]] - values[g[0] - 1] for g in groups[1:]]
-    spread = max(values[g[-1]] - values[g[0]] for g in groups)
-    return float(min(gaps, default=math.inf)) / scale, float(spread) / scale
 
 
 def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:

@@ -279,10 +279,11 @@ def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     a = cluster.A
     eye = np.eye(a.shape[0])
     zm, check = cluster.interaction(gauge, z)
+    # the oracle's order-2N eigh first, while X, Y, C and E are not yet held
+    brute = oracle.covariance_oracle(cluster, zm, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     closed = synthesis.covariance_closed_form(cluster, zm, z)
     model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
-    brute = oracle.covariance_oracle(cluster, zm, z)
 
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)

@@ -1,20 +1,19 @@
 """Dense complex-matrix kernels.
 
-Everything else in the library is built on the three operations here:
+Everything else in the library is built on the four operations here:
 functions of Hermitian matrices through the eigendecomposition, the polar
-decomposition Z = P U of a complex symmetric matrix, and the Autonne-Takagi
-factorization S = R R^T of a symmetric unitary.  Every function f(H) of a
-Hermitian matrix is evaluated by one kernel, :func:`_spectral`, from
-eigenpairs the caller already holds.
+decomposition Z = P U of a complex symmetric matrix, the Cayley map of a
+symmetric unitary to a real symmetric matrix, and the Autonne-Takagi
+factorization S = R R^T of a symmetric unitary, taken through that map.
+Every function f(H) of a Hermitian matrix is evaluated by one kernel,
+:func:`_spectral`, from eigenpairs the caller already holds.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import NotSymmetric, NotUnitary, SingularInput
+from .errors import NonRealResult, NotSymmetric, NotUnitary, SingularInput
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -122,15 +121,47 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return p, w @ vh, sigma, q
 
 
-def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
-    """Joint real-orthogonal diagonalization of a symmetric unitary.
+def half_phase(s) -> np.ndarray:
+    """e^{i arg(s) / 2} with arg on (-pi, pi] and -pi mapped to +pi: the
+    Autonne-Takagi factor of each 1 x 1 symmetric unitary s."""
+    angles = np.angle(s)
+    return np.exp(0.5j * np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles))
 
-    For symmetric unitary S the real and imaginary parts commute, so a single
-    real orthogonal Q gives S = Q e^{i L} Q^T with real angles L.  Re(S) is
-    diagonalized first; inside each degenerate eigenspace (gap below the
-    degeneracy tolerance) Im(S) is re-diagonalized, which fixes
-    the exactly-degenerate cases produced by structured graphs.  Angles are
-    on the principal branch (-pi, pi], with -pi mapped to +pi.
+
+def cayley_real(w: np.ndarray) -> np.ndarray:
+    """Real symmetric K = -i (W + i 1)^{-1} (W - i 1) of a symmetric unitary W
+    whose W + i the caller keeps regular.
+
+    Raises :class:`NonRealResult` when K carries an imaginary residual above
+    tolerance, which signals that W was not symmetric unitary to sufficient
+    accuracy.
+    """
+    eye = np.eye(w.shape[0])
+    k = -1j * np.linalg.solve(w + 1j * eye, w - 1j * eye)
+    defect = realness_defect(k)
+    if defect > DEFAULT_TOLERANCES.realness * max(1.0, max_abs(k)):
+        raise NonRealResult(
+            f"imaginary residual {defect:.3e}; input was not symmetric "
+            "unitary to sufficient accuracy"
+        )
+    return (k.real + k.real.T) / 2.0
+
+
+def takagi_symmetric_unitary(s) -> np.ndarray:
+    """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
+
+    A 1 x 1 S gives R = :func:`half_phase` (S).  Otherwise Re S has the
+    eigenvalues cos L of the eigen-angles L of S; alpha turns the midpoint of
+    the widest gap between the angles +-arccos(cos L) onto pi, so that
+    sigma_min(e^{i alpha} S + 1) >= 2 sin(pi / 4n).  W = i e^{i alpha} S has
+    the real symmetric :func:`cayley_real` K = Q diag(k) Q^T, and
+
+        R = e^{-i alpha / 2} Q diag((1 + i k) / sqrt(1 + k^2)).
+
+    R R^T is a function of K and R's unitarity needs only Q^T Q = 1, so no
+    eigen-gap enters.  Each column is signed so its first entry of modulus
+    above 1e-8 has its phase on (-pi/2, pi/2].  R is not unique; callers
+    check it only through the residual ``R @ R.T - S``.
     """
     sm = as_complex_matrix(s)
     n = sm.shape[0]
@@ -142,44 +173,14 @@ def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
         )
-    re = (sm.real + sm.real.T) / 2.0
-    im = (sm.imag + sm.imag.T) / 2.0
-    w, q = np.linalg.eigh(re)
-    # ||S||_2 = 1: S has just passed the unitarity check
-    groups = spectrum_clusters(w, DEFAULT_TOLERANCES.degeneracy)
-    for g in groups:
-        if len(g) > 1:
-            block = q[:, g].T @ im @ q[:, g]
-            _, v = np.linalg.eigh((block + block.T) / 2.0)
-            q[:, g] = q[:, g] @ v
-    d = np.einsum("ij,ij->j", q, sm @ q)
-    return q, _principal_angles(d)
-
-
-def _principal_angles(d: np.ndarray) -> np.ndarray:
-    """Arguments of unit-modulus values on (-pi, pi], with -pi mapped to +pi."""
-    angles = np.angle(d)
-    return np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles)
-
-
-def takagi_symmetric_unitary(s) -> np.ndarray:
-    """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
-
-    Built as R = Q e^{i L / 2} from :func:`symmetric_unitary_angles`; the
-    factorization is not unique, so callers must check it only through the
-    residual ``R @ R.T - S``.
-    """
-    q, angles = symmetric_unitary_angles(s)
-    return q * np.exp(0.5j * angles)[None, :]
-
-
-def spectrum_clusters(values: Sequence[float], gap: float) -> list[list[int]]:
-    """Group indices of an ascending 1-D array into gap-separated clusters."""
-    groups: list[list[int]] = []
-    start = 0
-    n = len(values)
-    for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > gap:
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
+    if n == 1:
+        return half_phase(sm)
+    arc = np.arccos(np.clip(np.linalg.eigvalsh(sm.real), -1.0, 1.0))
+    angles = np.sort(np.concatenate([arc, -arc]))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    alpha = np.pi - (angles[widest] + gaps[widest] / 2.0)
+    k, q = np.linalg.eigh(cayley_real(1j * np.exp(1j * alpha) * sm))
+    r = q * (np.exp(-0.5j * alpha) * (1.0 + 1j * k) / np.sqrt(1.0 + k * k))[None, :]
+    pivot = r[np.argmax(np.abs(r) > 1e-8, axis=0), np.arange(n)]
+    return np.where((pivot.real < 0.0) | ((pivot.real == 0.0) & (pivot.imag < 0.0)), -r, r)

@@ -206,13 +206,15 @@ def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) ->
         if zm is None or per_row:
             zm, _ = cluster.interaction(gauge, z)
             spectrum = None
+        checked = z in (zs[0], zs[-1])
+        if checked and spectrum is None:
+            # the order-2N eigh before the closed form's C and E are held
+            spectrum = _unit_spectrum(cluster, zm)
         closed = covariance_closed_form(cluster, zm, z)
         rows.append(
             SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
         )
-        if z in (zs[0], zs[-1]):
-            if spectrum is None:
-                spectrum = _unit_spectrum(cluster, zm)
+        if checked:
             gap = max_abs(closed.C - _oracle_from_spectrum(spectrum, z).C)
             if gap > ErrorModel.for_cluster(cluster, zm, z).budget("covariance_vs_oracle"):
                 raise OracleMismatch(

@@ -73,8 +73,9 @@ CHECKS = {
     # (order 2N, 2 stages each), H H^T
     "covariance_vs_oracle": ("oracle", 56),
     "oracle_overlap": ("overlap", 24),  # U and Z (2), eigh of K and G (order 2N)
-    # P, U, eigh, X/Y, balancing (2), Takagi (2), V, V again as V^dagger or
-    # V^T (2), rebuild; the plan's closed form has gap = inf and spread = 0
+    # P, U, eigh, X/Y, balancing (2), Takagi (2: Cayley solve, eigh of K), V,
+    # V again as V^dagger or V^T (2), rebuild; the plan's closed form has
+    # gap = inf and spread = 0
     "blochmessiah_x": ("reduction", 60),
     "blochmessiah_y": ("reduction", 60),
     "interferometer_identity": ("eigenvectors", 44),  # P, U, eigh, balancing, Takagi, V, V V^T
@@ -98,9 +99,14 @@ class ErrorModel:
     polar split of an interaction matrix.  The two compatibility residuals
     are relative to ``z_scale`` (max(1, max|Z|)) and ``test_scale`` (the
     largest entry of the gauge's test matrix).  ``gap`` and ``spread`` are
-    the grouping Bloch-Messiah resolved: its eigenvectors carry an error
-    u / gap, and a group treated as degenerate rebuilds X and Y only up to
-    its spread.  Factors read off the cluster plan resolve none.
+    the grouping Bloch-Messiah resolved.  The modes of P carry an error
+    u / gap between groups of strengths, and a group treated as degenerate
+    rebuilds X and Y only up to its spread.  The Takagi of a group of n_g
+    modes rounds K by u N ||K||, ||K|| <= cot(pi / 4 n_g), and the Cayley
+    map (divided differences at most 2) takes that into R R^T as at most one
+    stage of c over its margin 2 sin(pi / 4 n_g), which ``gap`` then holds.
+    No term depends on the basis inside a group.  Factors read off the
+    cluster plan resolve none.
     """
 
     n: int
@@ -151,9 +157,9 @@ class ErrorModel:
     def magnitudes(self) -> dict[str, float]:
         k, zl = self.kappa, self.z * self.lam_max
         cosh = math.cosh(zl)
-        # Interferometer error in units of u N: u / gap from the resolved
-        # eigenvectors, and a degenerate group's spread, amplified by z for
-        # the strengths.
+        # Interferometer error in units of u N: u / gap from the modes and
+        # the Takagi's Cayley margin, and a degenerate group's spread,
+        # amplified by z for the strengths.
         grouping = (1.0 + self.z * max(1.0, self.lam_max)) * self.spread
         eigenvectors = k + 1.0 / self.gap + grouping / (UNIT_ROUNDOFF * self.n)
         return {

@@ -22,6 +22,7 @@ from clustersqueeze import (
     DuplicateEdge,
     IndexOutOfRange,
     NotSymmetric,
+    NotUnitary,
     ParseError,
     SingularPhasePoint,
     adjacency_matrix,
@@ -34,8 +35,8 @@ from clustersqueeze.matfun import (
     _spectral,
     as_complex_matrix,
     max_abs,
-    symmetric_unitary_angles,
     symmetry_defect,
+    unitarity_defect,
 )
 from clustersqueeze.synthesis import check_squeeze_budget
 from clustersqueeze.tolerances import DEFAULT_TOLERANCES
@@ -250,6 +251,39 @@ def covariance_from_pair(cluster, pair):
         max_abs=max_abs(c),
         imag_residual=symmetry_defect(cross),
     )
+
+
+def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
+    """Joint real-orthogonal diagonalization of a symmetric unitary: the
+    angle route to S = Q e^{i L} Q^T.
+
+    For symmetric unitary S the real and imaginary parts commute, so a single
+    real orthogonal Q gives S = Q e^{i L} Q^T with real angles L.  Re(S) is
+    diagonalized first; inside each degenerate eigenspace (gap below the
+    degeneracy tolerance) Im(S) is re-diagonalized, which fixes
+    the exactly-degenerate cases produced by structured graphs.  Angles are
+    on the principal branch (-pi, pi], with -pi mapped to +pi.
+    """
+    sm = as_complex_matrix(s)
+    n = sm.shape[0]
+    if unitarity_defect(sm) > DEFAULT_TOLERANCES.rtol * n:
+        raise NotUnitary(
+            f"unitarity defect {unitarity_defect(sm):.3e} exceeds tolerance"
+        )
+    if symmetry_defect(sm) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
+        raise NotSymmetric(
+            f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
+        )
+    re = (sm.real + sm.real.T) / 2.0
+    im = (sm.imag + sm.imag.T) / 2.0
+    w, q = np.linalg.eigh(re)
+    for g in np.split(np.arange(n), np.flatnonzero(np.diff(w) > DEFAULT_TOLERANCES.degeneracy) + 1):
+        if len(g) > 1:
+            block = q[:, g].T @ im @ q[:, g]
+            _, v = np.linalg.eigh((block + block.T) / 2.0)
+            q[:, g] = q[:, g] @ v
+    angles = np.angle(np.einsum("ij,ij->j", q, sm @ q))
+    return q, np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles)
 
 
 def k_matrix_form(U, theta):

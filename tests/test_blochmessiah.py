@@ -14,11 +14,13 @@ from clustersqueeze import (
     bloch_messiah,
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
+    cli,
     cluster_condition_residual,
     squeezer_spectrum,
     unitary_from_adjacency,
 )
 from clustersqueeze.matfun import phase_fixed_columns, takagi_symmetric_unitary
+from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
     epr_adjacency,
@@ -26,6 +28,7 @@ from conftest import (
     random_gauge,
     random_orthogonal,
     random_phases,
+    random_unitary,
     unitary_from_interferometer,
 )
 
@@ -149,6 +152,36 @@ class TestBlochMessiah:
             zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-8
+
+
+class TestBudgetsDoNotDependOnTheModeBasis:
+    """On the interaction route the identity gauge's strengths form one
+    degenerate group, inside which the modes of P are any unitary basis.
+    T U T^T is no similarity transform, so the spectrum of the balancing
+    matrix changes with that basis; the reduction budgets must not."""
+
+    ROWS = ("blochmessiah_x", "blochmessiah_y", "interferometer_identity", "cluster_condition")
+
+    def test_twelve_ring_in_six_bases(self):
+        n, z = 12, 1.0
+        a = np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0)
+        cluster = ClusterPlan.of(a, np.zeros(n))
+        zm = InteractionMatrix.from_matrix(cluster.interaction("identity", z)[0].Z)
+        assert zm.strengths[-1] - zm.strengths[0] < 1e-12
+        pair = bogoliubov_from_interaction(zm, z)
+        rng = np.random.default_rng(2022)
+        budgets = []
+        for modes in [zm.modes] + [zm.modes @ random_unitary(rng, n) for _ in range(5)]:
+            factors = bloch_messiah(dataclasses.replace(zm, modes=modes), z)
+            model = ErrorModel.for_interaction(zm.strengths, z).with_reduction(factors)
+            rows = cli._reduction_rows(zm, pair, factors) + [
+                ("cluster_condition", cluster_condition_residual(factors.V, cluster)),
+            ]
+            records = model.checks(rows)
+            assert [r["name"] for r in records] == list(self.ROWS)
+            assert all(r["passed"] for r in records), records
+            budgets.append([r["tolerance"] for r in records])
+        assert all(b == budgets[0] for b in budgets), budgets
 
 
 class TestFactorsOffThePlan:

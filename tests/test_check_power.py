@@ -6,10 +6,11 @@ with R a seeded random matrix of entries in [-1, 1] (complex where X is)
 that keeps the structure the later stages assume: a Hermitian P, a symmetric
 U, Z or C.  X is replaced where it is built: in the cluster plan (P, Z, U
 and the eigenpairs of P, before the gauge gate), the Bogoliubov pair, the
-closed-form covariance, the Bloch-Messiah factors, the plan's eigenvectors
-as those factors read them, or a stored bundle field.  The faulted request
-then reports the row failed (exit 1), except for the two rows that share
-their budget with the gauge gate: their fault is a rejection (exit 3).
+closed-form covariance, the Bloch-Messiah factors (on either route), the
+plan's eigenvectors as those factors read them, or a stored bundle field.
+The faulted request then reports the row failed (exit 1), except for the
+two rows that share their budget with the gauge gate: their fault is a
+rejection (exit 3).
 
 ``POWER`` is the table of those faults.  Cases are N in {8, 64}, the two
 built-in gauges and z lambda_max in {1, 25}, on a dense random graph of
@@ -62,6 +63,18 @@ POWER = {
     "bundle_X_matches": ("bundle", "X", "general", 1e-10),
     "bundle_Y_matches": ("bundle", "Y", "general", 1e-10),
     "bundle_C_matches": ("bundle", "C", "general", 1e-9),
+}
+
+#: The reduction rows on the bundle route (``verify --interaction``), with V
+#: faulted as above, on the identity-gauge cases: their one strength group
+#: takes the Cayley Takagi path, whose budget carries the margin
+#: 2 sin(pi / 4 N) and no eigen-gap of the balancing matrix.  Faults set by
+#: the rule above.
+INTERACTION_POWER = {
+    "blochmessiah_x": 1e-10,
+    "blochmessiah_y": 1e-9,
+    "interferometer_identity": 1e-10,
+    "cluster_condition": 1e-9,
 }
 
 #: Faults no row of their own guards since the rows that compared the
@@ -136,7 +149,7 @@ class Case:
 
     def verify(self, monkeypatch, stage=None, name=None, shape="general", delta=0.0):
         """Exit code and {row: passed} of verify with object ``name`` built at
-        ``stage`` faulted by ``delta``; the bundle stage verifies the bundle."""
+        ``stage`` faulted by ``delta``; the bundle stages verify the bundle."""
         rng = np.random.default_rng(2020)
 
         def faulted(build):
@@ -154,19 +167,21 @@ class Case:
             return build_faulted
 
         argv = ["verify", *self.argv]
+        bundle = self.bundle if stage == "bundle factors" else None
         with monkeypatch.context() as patch:
             if stage == "plan":
                 patch.setattr(synthesis.ClusterPlan, "_plan", faulted(synthesis.ClusterPlan._plan))
             elif stage in ("pair", "closed"):
                 build = {"pair": "bogoliubov_from_interaction", "closed": "covariance_closed_form"}[stage]
                 patch.setattr(synthesis, build, faulted(getattr(synthesis, build)))
-            elif stage == "factors":
+            elif stage in ("factors", "bundle factors"):
                 patch.setattr(blochmessiah, "bloch_messiah", faulted(blochmessiah.bloch_messiah))
             elif stage == "frame":
                 patch.setattr(blochmessiah, "bloch_messiah", faulted_frame(blochmessiah.bloch_messiah))
             elif stage == "bundle":
                 stored = cli.matrix_from_json(self.bundle[name])
                 bundle = {**self.bundle, name: matrix_to_json(fault(stored, delta, shape, rng))}
+            if bundle is not None:
                 patch.setattr(cli, "_load_json", lambda path, fields=None: bundle)
                 argv = ["verify", "--interaction", "bundle.json"]
             code = cli.main([*argv, "--out", self.report])
@@ -206,6 +221,13 @@ def test_fault_flips_the_row(row, cases, monkeypatch, capsys):
             assert code == cli.EXIT_GAUGE and f"error: {row} residual" in capsys.readouterr().err, case.id
         else:
             assert code == cli.EXIT_CHECK_FAILED and rows[row] is False, case.id
+
+
+@pytest.mark.parametrize("row", INTERACTION_POWER)
+def test_fault_of_the_takagi_factors_flips_the_row(row, cases, monkeypatch):
+    for case in (case for case in cases if case.gauge == "identity"):
+        code, rows = case.verify(monkeypatch, "bundle factors", "V", "general", INTERACTION_POWER[row])
+        assert code == cli.EXIT_CHECK_FAILED and rows[row] is False, case.id
 
 
 @pytest.mark.parametrize("what", UNGUARDED)

@@ -558,7 +558,8 @@ class TestOneFactorizationPerRequest:
     def test_interaction_route_counts(self, gauge, tmp_path, capsys, request):
         """The polar split's svd of Z gives the eigenpairs of P.  analyze
         then measures the input phases (svd) and inverts (solve); decompose
-        adds the identity gauge's Takagi eigh of Re(-i U)."""
+        adds the identity gauge's Cayley Takagi of its one strength group:
+        eigvalsh of Re(-i U), the solve of the Cayley map and eigh of K."""
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
         args = ["synthesize", "--graph", graph, "--gauge", gauge, "--out", bundle]
@@ -573,7 +574,9 @@ class TestOneFactorizationPerRequest:
             kernel.clear()
         assert run_cli(["decompose", "--interaction", bundle], capsys)[0] == EXIT_OK
         assert calls.of("svd", z_product) == 1
-        assert calls.total() == 1 + (gauge == "identity")
+        takagi = [len(calls[kernel]) for kernel in ("eigvalsh", "solve", "eigh")]
+        assert takagi == ([1, 1, 1] if gauge == "identity" else [0, 0, 0])
+        assert calls.total() == 1 + sum(takagi)
 
     def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)

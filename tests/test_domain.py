@@ -193,18 +193,24 @@ class TestAcceptedImpliesVerifiable:
         assert_verifiable(tmp_path, a, theta, "faithful", 0.021096199728020848)
 
     def test_dense_graph_with_a_barely_resolved_takagi_gap(self, tmp_path):
-        """N = 320 at the identity gauge: the balancing Takagi step resolves a
-        Re(S) eigen-gap of 1.03e-8, just above the degeneracy threshold, so
-        the interferometer carries an eigenvector error u / gap."""
+        """N = 320 at the identity gauge, on the bundle route, whose one
+        strength group takes the Takagi path.  Diagonalizing Re(S) there
+        resolved an eigen-gap of 1.03e-8, just above the degeneracy
+        threshold, so the interferometer carried an eigenvector error
+        u / gap (reduction residuals up to 4.5e-10).  The Cayley Takagi
+        resolves no eigen-gap of S: the budget's gap is its margin
+        2 sin(pi / 1280), and the residuals stay at rounding."""
         text = perfbench_graph_text(np.random.default_rng(342), 320)
-        a = parse_graph(text)
-        zm = ClusterPlan.of(a, np.zeros(320)).interaction("identity")[0]
-        assert bloch_messiah(zm, 1.0).gap < 1e-7
-        graph = tmp_path / "g.graph"
+        cluster = ClusterPlan.of(parse_graph(text), np.zeros(320))
+        zm = cluster.interaction(np.eye(320))[0]
+        assert bloch_messiah(zm, 1.0).gap == 2.0 * math.sin(math.pi / 1280)
+        graph, bundle = tmp_path / "g.graph", tmp_path / "b.json"
         graph.write_text(text, encoding="utf-8")
-        code, report = run(["verify", "--graph", str(graph), "-z", "1.0"], tmp_path / "r.json")
+        assert main(["synthesize", "--graph", str(graph), "--out", str(bundle)]) == EXIT_OK
+        code, report = run(["verify", "--interaction", str(bundle)], tmp_path / "r.json")
         assert code == EXIT_OK and failing(report) == []
-
+        reduction = ("blochmessiah_x", "blochmessiah_y", "interferometer_identity", "cluster_condition")
+        assert max(c["residual"] for c in report["checks"] if c["name"] in reduction) < 1e-12
 
     def test_strengths_closer_than_the_degeneracy_threshold(self, tmp_path):
         """An isolated node and a self-loop of weight 1e-4 give faithful

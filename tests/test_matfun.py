@@ -20,12 +20,11 @@ from clustersqueeze.matfun import (
     max_abs,
     phase_fixed_columns,
     realness_defect,
-    symmetric_unitary_angles,
     symmetry_defect,
     unitarity_defect,
 )
 
-from conftest import random_symmetric_unitary, random_unitary
+from conftest import random_symmetric_unitary, random_unitary, symmetric_unitary_angles
 
 
 def _relative(defect, m, tol=1e-9):
