@@ -43,7 +43,7 @@ print(
     regularity_margin(zm_awkward.U, [0.0]),
 )
 theta, margin = find_regular_phases(zm_awkward.U)
-print("phase found by the deterministic search:", theta, "sigma_min:", margin)
+print("phase chosen in closed form:", theta, "sigma_min:", margin)
 res = analyze_interaction(zm_awkward)
 print("recovered self-loop weight:", res.adjacency[0, 0])
 rebuilt = unitary_from_adjacency(res.adjacency, res.theta)

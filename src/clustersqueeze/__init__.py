@@ -9,7 +9,6 @@ matrix-exponential path.
 """
 
 from .analysis import (
-    DEFAULT_PHASE_SEED,
     ClusterRecovery,
     adjacency_from_unitary,
     analyze_interaction,
@@ -38,7 +37,6 @@ from .errors import (
     NotUnitary,
     OracleMismatch,
     ParseError,
-    SearchExhausted,
     SingularInput,
     SingularPhasePoint,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "ClusterRecovery",
     "ClusterSqueezeError",
     "CovarianceReport",
-    "DEFAULT_PHASE_SEED",
     "DEFAULT_TOLERANCES",
     "DimensionMismatch",
     "DomainError",
@@ -99,7 +96,6 @@ __all__ = [
     "NotUnitary",
     "OracleMismatch",
     "ParseError",
-    "SearchExhausted",
     "SingularInput",
     "SingularPhasePoint",
     "SqueezerMode",

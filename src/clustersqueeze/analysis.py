@@ -8,19 +8,23 @@ non-singular.  Writing W = e^{i Theta} U e^{i Theta}, the adjacency matrix is
 
 which is real symmetric exactly when U is symmetric unitary.
 
-A phase vector that regularizes any symmetric unitary always exists; the
-search here is deterministic so repeated runs give identical output.
+Equal phases c regularize every symmetric unitary in closed form: with
+alpha = :func:`~clustersqueeze.matfun.regularizing_angle` (U) and
+c = alpha / 2 + pi / 4, W = e^{2ic} U = i e^{i alpha} U and
+sigma_min(W + i) = sigma_min(e^{i alpha} U + 1) >= 2 sin(pi / 4N).  That W is
+the one the Autonne-Takagi factorization maps to its real K, so the
+recovered A is that K.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SearchExhausted, SingularPhasePoint
+from .errors import SingularPhasePoint
 from .graphs import phase_vector
-from .matfun import as_complex_matrix, cayley_real
+from .matfun import as_complex_matrix, cayley_real, regularizing_angle
 from .synthesis import (
     ClusterPlan,
     CovarianceReport,
@@ -30,22 +34,19 @@ from .synthesis import (
 )
 from .tolerances import DEFAULT_TOLERANCES
 
-#: Seed of the pseudo-random tail of the phase-search schedule.
-DEFAULT_PHASE_SEED = 12345
-
 
 class ClusterRecovery(NamedTuple):
     """Cluster recovered from an interaction matrix at one phase choice.
 
     ``margin`` is sigma_min at the chosen phases, ``input_margin`` at the
-    supplied ones (None when no phases were supplied).
+    supplied ones.
     """
 
     theta: np.ndarray
     adjacency: np.ndarray
     covariance: CovarianceReport
     margin: float
-    input_margin: float | None
+    input_margin: float
 
 
 def _rotated(U: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -81,72 +82,42 @@ def adjacency_from_unitary(U, theta) -> np.ndarray:
     return cayley_real(_rotated(u, th))
 
 
-def _phase_schedule(n: int, seed: int) -> Iterator[np.ndarray]:
-    """Deterministic candidates: zero, 16 uniform global angles, 64 random."""
-    yield np.zeros(n)
-    for k in range(1, 17):
-        yield np.full(n, np.pi * k / 16.0)
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        yield rng.uniform(-np.pi, np.pi, n)
+def find_regular_phases(U) -> tuple[np.ndarray, float]:
+    """Equal phases c = alpha / 2 + pi / 4 that regularize U, with their
+    sigma_min, from one ``eigvalsh`` and one SVD (see the module docstring).
 
-
-def find_regular_phases(U, seed: int = DEFAULT_PHASE_SEED) -> tuple[np.ndarray, float]:
-    """First phase vector of the deterministic schedule that regularizes U.
-
-    Accepts the first candidate with sigma_min above the acceptance
-    threshold; if none qualifies the best candidate above the floor is
-    returned, otherwise :class:`SearchExhausted` is raised (unreachable for
-    a numerically valid symmetric unitary).  Returns the phases with their
-    sigma_min.
+    sigma_min >= 2 sin(pi / 4N) for a symmetric unitary U; a value below
+    ``regular_min`` means U is not one, and raises
+    :class:`SingularPhasePoint`.
     """
     u = as_complex_matrix(U)
-    n = u.shape[0]
-    best_theta: np.ndarray | None = None
-    best_margin = -1.0
-    for candidate in _phase_schedule(n, seed):
-        margin = regularity_margin(u, candidate)
-        if margin >= DEFAULT_TOLERANCES.phase_accept:
-            return phase_vector(candidate), margin
-        if margin > best_margin:
-            best_margin = margin
-            best_theta = candidate
-    if best_theta is not None and best_margin >= DEFAULT_TOLERANCES.phase_floor:
-        return phase_vector(best_theta), best_margin
-    raise SearchExhausted(
-        f"no candidate reached sigma_min {DEFAULT_TOLERANCES.phase_floor:.1e} "
-        f"(best {best_margin:.3e}); input is not a valid symmetric unitary"
-    )
+    theta = phase_vector(np.full(u.shape[0], regularizing_angle(u) / 2.0 + np.pi / 4.0))
+    margin = regularity_margin(u, theta)
+    if margin < DEFAULT_TOLERANCES.regular_min:
+        raise SingularPhasePoint(
+            f"sigma_min = {margin:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e} at "
+            "the regularizing angle; input is not a valid symmetric unitary"
+        )
+    return theta, margin
 
 
-def analyze_interaction(
-    zm: InteractionMatrix,
-    theta=None,
-    z: float = 1.0,
-    seed: int = DEFAULT_PHASE_SEED,
-) -> ClusterRecovery:
+def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> ClusterRecovery:
     """Recover the cluster approximated by a squeezing interaction.
 
-    Uses the supplied phases when they regularize the structure factor,
-    otherwise runs the deterministic search.  The gauge factor only rescales
-    the squeezers, so the recovered adjacency depends on U alone; the
-    returned covariance is that of the recovered cluster's nullifiers under
-    Z at scale z.  When several phase vectors are regular each defines a
-    valid cluster of the class; the first one found is returned, no ranking
-    is attempted.
+    Uses the supplied phases (zeros by default) when they regularize the
+    structure factor, otherwise those of :func:`find_regular_phases`.  The
+    gauge factor only rescales the squeezers, so the recovered adjacency
+    depends on U alone; the returned covariance is that of the recovered
+    cluster's nullifiers under Z at scale z.  Every regular phase vector
+    defines a valid cluster of the class; no ranking is attempted.
     """
     u = zm.U
-    chosen: np.ndarray | None = None
-    input_margin: float | None = None
-    if theta is not None:
-        th = phase_vector(theta, zm.n)
-        input_margin = regularity_margin(u, th)
-        if input_margin >= DEFAULT_TOLERANCES.phase_accept:
-            chosen, margin = th, input_margin
-    if chosen is None:
-        chosen, margin = find_regular_phases(u, seed)
-    # The margin reaches regular_min: phase_accept and the search's floor
-    # are both at least that.
+    chosen = phase_vector(np.zeros(zm.n) if theta is None else theta, zm.n)
+    margin = input_margin = regularity_margin(u, chosen)
+    if input_margin < DEFAULT_TOLERANCES.phase_accept:
+        chosen, margin = find_regular_phases(u)
+    # Either margin reaches regular_min: phase_accept is above it, and
+    # find_regular_phases raises below it.
     cluster = ClusterPlan.of(cayley_real(_rotated(u, chosen)), chosen)
     # P came with the interaction, not with the recovered cluster.
     validate_gauge(cluster, zm.P)

@@ -13,8 +13,7 @@ Subcommands::
 
 A command rejects every flag it would ignore (exit 2): --interaction and
 --graph exclude each other, --phases and --gauge belong to the graph route,
-a bundle given to verify fixes z, only sweep takes --z-range and csv, and
-only synthesize and analyze take --seed.
+a bundle given to verify fixes z, and only sweep takes --z-range and csv.
 
 Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
@@ -54,7 +53,8 @@ Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
 (a malformed file or bundle field, a gauge of the wrong shape, or an --out
 that cannot be opened or written), 3 rejected
 gauge (incompatible, not Hermitian, not positive definite or numerically
-singular), 4 numerical failure, 5 exhausted phase search.
+singular), 4 numerical failure (a singular interaction matrix, z beyond
+z_cap, or a structure factor that no phases regularize).
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from .errors import (
     GraphFormatError,
     NotHermitian,
     NotPositiveDefinite,
-    SearchExhausted,
 )
 from .graphs import format_graph, parse_graph, phase_vector
 from .matfun import max_abs, unitarity_defect
@@ -87,7 +86,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_GAUGE = 3
 EXIT_NUMERICAL = 4
-EXIT_SEARCH = 5
 
 
 class _InputError(Exception):
@@ -550,7 +548,10 @@ def _z_range(args) -> list[float]:
     if round(start + step, 12) <= round(start, 12):  # values keep 12 decimals
         raise _InputError("--z-range STEP is too small to advance START")
     # each z_k from k: summing STEP drifts and can drop STOP
-    last = math.floor((stop - start + 1e-12) / step)
+    steps = (stop - start + 1e-12) / step
+    if steps == math.inf:
+        raise _InputError("--z-range spans more steps than a float can count")
+    last = math.floor(steps)
     values = [round(start + k * step, 12) for k in range(last + 1)]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise _InputError("--z-range STEP is too small to advance z at 12 decimals")
@@ -574,7 +575,6 @@ def cmd_synthesize(args) -> tuple[int, dict]:
         "n": cluster.A.shape[0],
         "z": z,
         "gauge": gauge_name,
-        "seed": args.seed,
         "theta": [float(t) for t in cluster.theta],
         "adjacency": cluster.A,
         "Z": zm.Z,
@@ -600,12 +600,11 @@ def cmd_analyze(args) -> tuple[int, dict]:
     zm = load_interaction(args.interaction)
     theta = load_phases(args.phases, zm.n)
     z = _z(args)
-    result = analysis.analyze_interaction(zm, theta=theta, z=z, seed=args.seed)
+    result = analysis.analyze_interaction(zm, theta=theta, z=z)
     return EXIT_OK, {
         "command": "analyze",
         "n": zm.n,
         "z": z,
-        "seed": args.seed,
         "phase_search_used": bool(result.input_margin < DEFAULT_TOLERANCES.phase_accept),
         "sigma_min_at_input_phases": float(result.input_margin),
         "sigma_min": float(result.margin),
@@ -690,9 +689,8 @@ def cmd_sweep(args) -> tuple[int, dict]:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text"), seed=False) -> None:
-    """--out, --format and -z; ``seed`` adds --seed, which only analyze's
-    phase search reads and synthesize records in its bundle."""
+def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text")) -> None:
+    """--out, --format and -z."""
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument(
         "--format",
@@ -700,14 +698,6 @@ def _add_common(sub: argparse.ArgumentParser, *, formats=("json", "text"), seed=
         default=formats[0],
         help=f"output format (default {formats[0]})",
     )
-    if seed:
-        sub.add_argument(
-            "--seed",
-            type=int,
-            default=analysis.DEFAULT_PHASE_SEED,
-            help="seed of the pseudo-random phase-search tail "
-            f"(default {analysis.DEFAULT_PHASE_SEED})",
-        )
     sub.add_argument("-z", type=float, default=None, help="squeezing scale (default 1.0)")
 
 
@@ -736,13 +726,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="cluster -> interaction bundle")
     _add_cluster(p_syn)
-    _add_common(p_syn, seed=True)
+    _add_common(p_syn)
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_ana = sub.add_parser("analyze", help="interaction -> cluster")
     p_ana.add_argument("--interaction", required=True, help="matrix JSON or bundle")
     p_ana.add_argument("--phases", default="zero", help="'zero' or path to angles")
-    _add_common(p_ana, seed=True)
+    _add_common(p_ana)
     p_ana.set_defaults(func=cmd_analyze)
 
     p_dec = sub.add_parser("decompose", help="interaction -> squeezers + interferometer")
@@ -783,9 +773,6 @@ def main(argv=None) -> int:
     except (GaugeIncompatible, NotHermitian, NotPositiveDefinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GAUGE
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
     except (ClusterSqueezeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -58,10 +58,6 @@ class NonRealResult(ClusterSqueezeError):
     tolerance, signalling an invalid input."""
 
 
-class SearchExhausted(ClusterSqueezeError):
-    """The deterministic phase-search schedule found no regular phase vector."""
-
-
 class GraphFormatError(ClusterSqueezeError):
     """Base class for graph-file format violations."""
 

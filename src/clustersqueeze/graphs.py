@@ -15,8 +15,9 @@ bit for bit.  Text holding a line break other than ``\n`` and ``\r\n`` goes
 to the loop, since numpy's reader does not end a line there; so does every
 input the bulk path rejects (a token that numpy does not read as the
 column's type, a line without exactly three tokens, a trailing comment, a
-non-finite weight, an index out of range, a repeated pair, no edges), and
-the loop words the error with its line number.
+non-finite weight, an index out of range, a repeated pair, no edges, a
+mode count too large to allocate), and the loop words the error with its
+line number.
 """
 
 from __future__ import annotations
@@ -99,7 +100,10 @@ def parse_graph(text: str) -> np.ndarray:
         return _parse_lines(text)
     if n <= 0:
         return _parse_lines(text)
-    a = np.zeros((n, n))  # an n too large to allocate fails here as in the loop
+    try:
+        a = np.zeros((n, n))
+    except (MemoryError, ValueError):  # numpy refuses before touching memory
+        return _parse_lines(text)
     i, j, w = edges["i"], edges["j"], edges["w"]
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     keys = np.sort(lo * n + hi)
@@ -137,7 +141,12 @@ def _parse_lines(text: str) -> np.ndarray:
                 ) from None
             if n <= 0:
                 raise ParseError(f"line {lineno}: mode count must be positive")
-            a = np.zeros((n, n))
+            try:
+                a = np.zeros((n, n))
+            except (MemoryError, ValueError) as exc:
+                raise ParseError(
+                    f"line {lineno}: mode count {n} is too large ({exc})"
+                ) from None
             continue
         if len(tokens) != 3:
             raise ParseError(

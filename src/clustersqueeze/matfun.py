@@ -3,8 +3,10 @@
 Everything else in the library is built on the four operations here:
 functions of Hermitian matrices through the eigendecomposition, the polar
 decomposition Z = P U of a complex symmetric matrix, the Cayley map of a
-symmetric unitary to a real symmetric matrix, and the Autonne-Takagi
-factorization S = R R^T of a symmetric unitary, taken through that map.
+symmetric unitary to a real symmetric matrix, kept regular by one global
+phase read off the spectrum of Re S (:func:`regularizing_angle`), and the
+Autonne-Takagi factorization S = R R^T of a symmetric unitary, taken through
+that map.  ``analyze`` chooses its phases with the same angle.
 Every function f(H) of a Hermitian matrix is evaluated by one kernel,
 :func:`_spectral`, from eigenpairs the caller already holds.
 """
@@ -147,14 +149,29 @@ def cayley_real(w: np.ndarray) -> np.ndarray:
     return (k.real + k.real.T) / 2.0
 
 
+def regularizing_angle(s: np.ndarray) -> float:
+    """alpha with sigma_min(e^{i alpha} S + 1) >= 2 sin(pi / 4n) for a
+    symmetric unitary S of order n, from one ``eigvalsh``.
+
+    Re S is Hermitian with the eigenvalues cos L of the eigen-angles L of S,
+    so the 2n angles +-arccos(cos L) hold every eigen-angle.  Their widest
+    gap is at least pi / n wide; alpha turns its midpoint onto pi, which
+    leaves every eigenvalue of e^{i alpha} S at least pi / 2n from -1.
+    """
+    arc = np.arccos(np.clip(np.linalg.eigvalsh(s.real), -1.0, 1.0))
+    angles = np.sort(np.concatenate([arc, -arc]))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    return float(np.pi - (angles[widest] + gaps[widest] / 2.0))
+
+
 def takagi_symmetric_unitary(s) -> np.ndarray:
     """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
 
-    A 1 x 1 S gives R = :func:`half_phase` (S).  Otherwise Re S has the
-    eigenvalues cos L of the eigen-angles L of S; alpha turns the midpoint of
-    the widest gap between the angles +-arccos(cos L) onto pi, so that
-    sigma_min(e^{i alpha} S + 1) >= 2 sin(pi / 4n).  W = i e^{i alpha} S has
-    the real symmetric :func:`cayley_real` K = Q diag(k) Q^T, and
+    A 1 x 1 S gives R = :func:`half_phase` (S).  Otherwise alpha =
+    :func:`regularizing_angle` (S) keeps sigma_min(e^{i alpha} S + 1) >=
+    2 sin(pi / 4n), and W = i e^{i alpha} S has the real symmetric
+    :func:`cayley_real` K = Q diag(k) Q^T, and
 
         R = e^{-i alpha / 2} Q diag((1 + i k) / sqrt(1 + k^2)).
 
@@ -175,11 +192,7 @@ def takagi_symmetric_unitary(s) -> np.ndarray:
         )
     if n == 1:
         return half_phase(sm)
-    arc = np.arccos(np.clip(np.linalg.eigvalsh(sm.real), -1.0, 1.0))
-    angles = np.sort(np.concatenate([arc, -arc]))
-    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    widest = int(np.argmax(gaps))
-    alpha = np.pi - (angles[widest] + gaps[widest] / 2.0)
+    alpha = regularizing_angle(sm)
     k, q = np.linalg.eigh(cayley_real(1j * np.exp(1j * alpha) * sm))
     r = q * (np.exp(-0.5j * alpha) * (1.0 + 1j * k) / np.sqrt(1.0 + k * k))[None, :]
     pivot = r[np.argmax(np.abs(r) > 1e-8, axis=0), np.arange(n)]

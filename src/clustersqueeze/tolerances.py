@@ -35,11 +35,11 @@ class Tolerances:
     singular: float = 1e-10
     #: largest tolerated asymmetry of a raw adjacency input
     input_asymmetry: float = 1e-12
-    #: sigma_min at which a phase vector is accepted during the search
+    #: sigma_min at which analyze keeps the supplied phases; below it the
+    #: closed-form phases of ``find_regular_phases`` replace them
     phase_accept: float = 1e-6
-    #: smallest sigma_min the search may fall back to before giving up
-    phase_floor: float = 1e-8
-    #: sigma_min required of the inverse relation when phases are supplied
+    #: sigma_min required of the inverse relation at any phases, supplied
+    #: or closed-form
     regular_min: float = 1e-8
     #: imaginary residual allowed in a recovered adjacency matrix
     realness: float = 1e-8

@@ -14,6 +14,7 @@ from clustersqueeze import (
     regularity_margin,
     unitary_from_adjacency,
 )
+from clustersqueeze.matfun import cayley_real, regularizing_angle
 
 from conftest import (
     adjacency_from_k,
@@ -21,9 +22,14 @@ from conftest import (
     k_matrix_form,
     random_adjacency,
     random_compatible_gauge,
+    random_orthogonal,
     random_phases,
     random_symmetric_unitary,
 )
+
+#: Eigen-angles at which W + i is singular for zero phases and for each
+#: global phase pi k / 16, k = 1..16: L = -pi/2 - 2c.
+GLOBAL_TEST_POINTS = -np.pi / 2 - np.pi * np.arange(16) / 8
 
 
 class TestAdjacencyFromUnitary:
@@ -67,10 +73,13 @@ class TestAdjacencyFromUnitary:
 
 
 class TestFindRegularPhases:
-    def test_accepts_zero_immediately(self):
+    def test_identity_multiple_takes_the_closed_form_angle(self):
+        # Re(i 1) = 0: the angles +-pi/2 centre the widest gap on 0, so
+        # alpha = pi, c = 3 pi / 4 and W = e^{2ic} i 1 = 1
         th, margin = find_regular_phases(1j * np.eye(2))
-        assert np.allclose(th, np.zeros(2))
-        assert margin == regularity_margin(1j * np.eye(2), th) == pytest.approx(2.0)
+        assert np.allclose(th, np.full(2, 3 * np.pi / 4))
+        assert margin == regularity_margin(1j * np.eye(2), th) == pytest.approx(np.sqrt(2.0))
+        assert np.allclose(adjacency_from_unitary(1j * np.eye(2), th), -np.eye(2), atol=1e-12)
 
     def test_rejects_zero_when_singular(self):
         u = -1j * np.eye(1)
@@ -79,16 +88,47 @@ class TestFindRegularPhases:
         assert margin == regularity_margin(u, th) >= 1e-6
 
     def test_epr_structure_factor_regular_at_zero(self):
+        # zero phases regularize it, so analyze keeps them; the closed form
+        # picks c = pi, where W = U and the recovered cluster is the same
         u = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        th, _ = find_regular_phases(u)
-        assert np.allclose(th, np.zeros(2))
-        assert regularity_margin(u, th) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert regularity_margin(u, np.zeros(2)) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        th, margin = find_regular_phases(u)
+        assert np.allclose(th, np.full(2, np.pi))
+        assert margin == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert np.allclose(adjacency_from_unitary(u, th), epr_adjacency(), atol=1e-12)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(52)
         u = random_symmetric_unitary(rng, 4)
-        (th1, margin1), (th2, margin2) = (find_regular_phases(u, seed=7) for _ in range(2))
+        (th1, margin1), (th2, margin2) = (find_regular_phases(u) for _ in range(2))
         assert np.array_equal(th1, th2) and margin1 == margin2
+
+    def test_not_symmetric_unitary_is_singular(self):
+        # a real rotation: Re U misstates its angles +-pi/2 as 0 and pi, and
+        # the angle that would clear those turns +-i onto -1
+        with pytest.raises(SingularPhasePoint, match="not a valid symmetric unitary"):
+            find_regular_phases(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("placed", [False, True], ids=["random-spectra", "on-global-test-points"])
+    def test_closed_form_phases(self, placed):
+        """Equal phases, sigma_min >= 2 sin(pi / 4N) and A = the K that the
+        Takagi's Cayley map forms, on random spectra and on spectra holding
+        every point singular for the zero and the 16 global phases."""
+        rng = np.random.default_rng(60 + placed)
+        for _ in range(60):
+            n = int(rng.integers(16 if placed else 1, 65))
+            angles = rng.uniform(-np.pi, np.pi, n)
+            if placed:
+                angles[:16] = GLOBAL_TEST_POINTS
+            o = random_orthogonal(rng, n)
+            u = (o * np.exp(1j * angles)[None, :]) @ o.T
+            u = (u + u.T) / 2.0
+            th, margin = find_regular_phases(u)
+            assert np.all(th == th[0])
+            assert margin == regularity_margin(u, th)
+            assert margin >= 2.0 * np.sin(np.pi / (4 * n)) * (1.0 - 1e-9)
+            k = cayley_real(1j * np.exp(1j * regularizing_angle(u)) * u)
+            assert np.max(np.abs(adjacency_from_unitary(u, th) - k)) <= 1e-13 * n * max(1.0, np.max(np.abs(k)))
 
     def test_random_symmetric_unitaries_always_regularized(self):
         rng = np.random.default_rng(53)

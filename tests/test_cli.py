@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import ClusterPlan, SearchExhausted, analysis, cli, parse_graph, synthesis
+from clustersqueeze import ClusterPlan, analysis, cli, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -198,17 +199,15 @@ class TestAnalyze:
         recovered = json.loads(out)["graph_text"]
         assert recovered == EPR_GRAPH
 
-    def test_search_exhausted_exits_5(self, tmp_path, capsys, monkeypatch):
-        import clustersqueeze.analysis as analysis_mod
-
-        def exhausted(*args, **kwargs):
-            raise SearchExhausted("forced for the exit-code test")
-
-        monkeypatch.setattr(analysis_mod, "find_regular_phases", exhausted)
+    def test_unregularized_structure_factor_exits_4(self, tmp_path, capsys, monkeypatch):
+        # an angle that leaves W + i singular, as Re U gives for a U that is
+        # not symmetric unitary: alpha = -pi/2 makes c = 0, singular for -i
+        monkeypatch.setattr(analysis, "regularizing_angle", lambda u: -np.pi / 2)
         z_obj = matrix_to_json(-1j * np.eye(1))
         z_path = write(tmp_path, "z.json", json.dumps(z_obj))
-        code, _, err = run_cli(["analyze", "--interaction", z_path], capsys)
-        assert code == 5 and "forced" in err
+        code, out, err = run_cli(["analyze", "--interaction", z_path], capsys)
+        assert code == cli.EXIT_NUMERICAL and out == ""
+        assert "not a valid symmetric unitary" in err
 
 
 class TestDecompose:
@@ -346,7 +345,8 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "z_range", ["nan:1:0.5", "1:inf:1", "1:2:1e-20", "1e20:2e20:1", "1:1.000000000003:6e-13"])
+        "z_range", ["nan:1:0.5", "1:inf:1", "1:2:1e-20", "1e20:2e20:1", "1:1.000000000003:6e-13",
+                    "1:1e308:1e-11"])
     def test_non_finite_or_stalling_range_exits_2(self, z_range, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         code, out, err = run_cli(["sweep", "--graph", graph, "--z-range", z_range], capsys)
@@ -548,11 +548,13 @@ class TestOneFactorizationPerRequest:
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(-1j * np.eye(2))))
         code, out, _ = run_cli(["analyze", "--interaction", path], capsys)
         assert code == EXIT_OK and json.loads(out)["phase_search_used"] is True
-        # the polar split's svd of Z, then the input phases and two schedule
-        # candidates (zero, pi/16); the inverse reuses the accepted
-        # candidate's margin
+        # the polar split's svd of Z, then the input phases' svd, the
+        # regularizing angle's eigvalsh and its phases' svd; the inverse
+        # reuses that margin and makes the Cayley map's one solve
         assert factorizations.of("svd", -1j * np.eye(2)) == 1
-        assert len(factorizations["svd"]) == 1 + 3
+        assert len(factorizations["svd"]) == 1 + 2
+        assert len(factorizations["eigvalsh"]) == len(factorizations["solve"]) == 1
+        assert factorizations.total() == 5
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful"])
     def test_interaction_route_counts(self, gauge, tmp_path, capsys, request):
@@ -774,6 +776,17 @@ class TestMalformedInput:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith(f"error: {path}: cannot decode JSON (") and message in err
 
+    @pytest.mark.parametrize(
+        "text", ["100000000\n0 1 1.0\n", "100000000\n", "10000000000\n0 1 1.0\n"],
+        ids=["bulk-path", "line-path", "past-numpy-size-limit"])
+    def test_mode_count_too_large_to_allocate_exits_input(self, text, tmp_path, capsys):
+        """numpy refuses the N x N request (71 PiB at N = 1e8) before it
+        touches memory: a parse error, not a traceback (exit 1)."""
+        graph = write(tmp_path, "big.graph", text)
+        code, out, err = run_cli(["verify", "--graph", graph], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: line 1: mode count 1") and "too large" in err
+
     def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))
         code, _, err = run_cli(["analyze", "--interaction", path], capsys)
@@ -823,15 +836,6 @@ class TestUsage:
             math.exp(-2.0), abs=1e-10
         )
 
-    def test_seed_is_recorded_and_read(self, tmp_path, capsys):
-        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
-        bundle = str(tmp_path / "b.json")
-        args = ["synthesize", "--graph", graph, "--seed", "7", "--out", bundle]
-        assert run_cli(args, capsys)[0] == EXIT_OK
-        assert json.loads(Path(bundle).read_text(encoding="utf-8"))["seed"] == 7
-        code, out, _ = run_cli(["analyze", "--interaction", bundle, "--seed", "7"], capsys)
-        assert code == EXIT_OK and json.loads(out)["seed"] == 7
-
     def test_wrong_phase_count_exits_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         phases = write(tmp_path, "phases.txt", "0.1\n")
@@ -878,11 +882,13 @@ class TestUsage:
             (["decompose", "--graph", "{graph}", "--seed", "99"], "unrecognized arguments"),
             (["sweep", "--graph", "{graph}", "--z-range", "1:3:1", "--seed", "99"],
              "unrecognized arguments"),
+            (["synthesize", "--graph", "{graph}", "--seed", "99"], "unrecognized arguments"),
+            (["analyze", "--interaction", "{bundle}", "--seed", "99"], "unrecognized arguments"),
         ],
         ids=["interaction-and-graph", "decompose-both-routes", "bundle-z", "bundle-gauge",
              "decompose-interaction-phases", "verify-z-range", "synthesize-z-range",
              "synthesize-csv", "decompose-csv", "verify-graph-seed", "verify-bundle-seed",
-             "decompose-seed", "sweep-seed"],
+             "decompose-seed", "sweep-seed", "synthesize-seed", "analyze-seed"],
     )
     def test_flags_the_command_would_ignore_exit_2(self, args, message, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
@@ -892,6 +898,16 @@ class TestUsage:
         code, out, err = run_cli(args, capsys)
         assert code == EXIT_INPUT and out == ""
         assert message in err
+
+    def test_documented_exit_codes_match_the_constants(self):
+        """The codes the ``cli`` docstring and the README's exit-code
+        paragraph list are exactly the ``EXIT_*`` values."""
+        constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        docstring = cli.__doc__.partition("Exit codes:")[2]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.partition("Exit codes:")[2].partition("\n\n")[0]
+        assert {int(code) for code in re.findall(r"(?:^|,)\s*(\d) [a-z]", docstring)} == constants
+        assert {int(code) for code in re.findall(r"`(\d)`", paragraph)} == constants
 
     def test_conflicting_scale_flags_exit_2(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
