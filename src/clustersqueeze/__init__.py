@@ -4,8 +4,8 @@ For any real symmetric adjacency matrix the library constructs the
 multi-mode squeezing transformation whose output state approximates the
 corresponding cluster state, computes the nullifier covariance in closed
 form, reduces the transformation to single-mode squeezers plus
-interferometers, and verifies every result against a brute-force
-matrix-exponential path.
+interferometers, and verifies every result against a brute-force path
+from one eigendecomposition of the flow's generator.
 """
 
 from .analysis import (
@@ -14,6 +14,7 @@ from .analysis import (
     analyze_interaction,
     find_regular_phases,
     regularity_margin,
+    takagi_symmetric_unitary,
 )
 from .blochmessiah import (
     BlochMessiahFactors,
@@ -46,10 +47,7 @@ from .graphs import (
     parse_graph,
     phase_vector,
 )
-from .matfun import (
-    polar_decompose_symmetric,
-    takagi_symmetric_unitary,
-)
+from .matfun import polar_decompose_symmetric
 from .oracle import (
     SweepPoint,
     convergence_sweep,

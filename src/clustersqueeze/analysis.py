@@ -11,9 +11,11 @@ which is real symmetric exactly when U is symmetric unitary.
 Equal phases c regularize every symmetric unitary in closed form: with
 alpha = :func:`~clustersqueeze.matfun.regularizing_angle` (U) and
 c = alpha / 2 + pi / 4, W = e^{2ic} U = i e^{i alpha} U and
-sigma_min(W + i) = sigma_min(e^{i alpha} U + 1) >= 2 sin(pi / 4N).  That W is
-the one the Autonne-Takagi factorization maps to its real K, so the
-recovered A is that K.
+sigma_min(W + i) = sigma_min(e^{i alpha} U + 1) >= 2 sin(pi / 4N).
+
+The cluster recovered from a symmetric unitary S gives its Autonne-Takagi
+factor: the plan's canonical interferometer V = F diag(rotation) has
+S = i V V^T, so R = e^{i pi / 4} V, and no eigen-gap of S enters R R^T.
 """
 
 from __future__ import annotations
@@ -22,9 +24,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularPhasePoint
+from .errors import NotSymmetric, NotUnitary, SingularPhasePoint
 from .graphs import phase_vector
-from .matfun import as_complex_matrix, cayley_real, regularizing_angle
+from .matfun import (
+    as_complex_matrix,
+    cayley_real,
+    half_phase,
+    max_abs,
+    regularizing_angle,
+    symmetry_defect,
+    unitarity_defect,
+)
 from .synthesis import (
     ClusterPlan,
     CovarianceReport,
@@ -62,6 +72,24 @@ def regularity_margin(U, theta) -> float:
     return float(np.linalg.svd(w + 1j * np.eye(u.shape[0]), compute_uv=False)[-1])
 
 
+def _regular(u: np.ndarray, theta: np.ndarray, why: str) -> float:
+    """sigma_min at Theta, which must reach ``regular_min``; ``why`` ends the error."""
+    margin = regularity_margin(u, theta)
+    if margin < DEFAULT_TOLERANCES.regular_min:
+        raise SingularPhasePoint(f"sigma_min = {margin:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e}{why}")
+    return margin
+
+
+def _equal_phases(u: np.ndarray) -> np.ndarray:
+    """The equal phases c = alpha / 2 + pi / 4 of the module docstring."""
+    return phase_vector(np.full(u.shape[0], regularizing_angle(u) / 2.0 + np.pi / 4.0))
+
+
+def _recovered_plan(u: np.ndarray, theta: np.ndarray) -> ClusterPlan:
+    """Plan of the cluster U encodes at regular phases, from cayley_real's exactly symmetric A."""
+    return ClusterPlan(cayley_real(_rotated(u, theta)), theta)
+
+
 def adjacency_from_unitary(U, theta) -> np.ndarray:
     """Adjacency matrix of the cluster a symmetric unitary belongs to.
 
@@ -73,32 +101,39 @@ def adjacency_from_unitary(U, theta) -> np.ndarray:
     """
     u = as_complex_matrix(U)
     th = phase_vector(theta, u.shape[0])
-    sigma_min = regularity_margin(u, th)
-    if sigma_min < DEFAULT_TOLERANCES.regular_min:
-        raise SingularPhasePoint(
-            f"sigma_min = {sigma_min:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e}; "
-            "these phases do not regularize the inverse"
-        )
-    return cayley_real(_rotated(u, th))
+    _regular(u, th, "; these phases do not regularize the inverse")
+    return _recovered_plan(u, th).A
 
 
 def find_regular_phases(U) -> tuple[np.ndarray, float]:
     """Equal phases c = alpha / 2 + pi / 4 that regularize U, with their
-    sigma_min, from one ``eigvalsh`` and one SVD (see the module docstring).
-
-    sigma_min >= 2 sin(pi / 4N) for a symmetric unitary U; a value below
-    ``regular_min`` means U is not one, and raises
-    :class:`SingularPhasePoint`.
-    """
+    sigma_min, from one ``eigvalsh`` and one SVD (see the module docstring);
+    a sigma_min below ``regular_min`` means U is not symmetric unitary, and
+    raises :class:`SingularPhasePoint`."""
     u = as_complex_matrix(U)
-    theta = phase_vector(np.full(u.shape[0], regularizing_angle(u) / 2.0 + np.pi / 4.0))
-    margin = regularity_margin(u, theta)
-    if margin < DEFAULT_TOLERANCES.regular_min:
-        raise SingularPhasePoint(
-            f"sigma_min = {margin:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e} at "
-            "the regularizing angle; input is not a valid symmetric unitary"
-        )
-    return theta, margin
+    theta = _equal_phases(u)
+    return theta, _regular(u, theta, " at the regularizing angle; input is not a valid symmetric unitary")
+
+
+def takagi_symmetric_unitary(s) -> np.ndarray:
+    """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
+
+    A 1 x 1 S gives R = half_phase(S), a larger one R = e^{i pi / 4} F
+    diag(rotation) of the cluster S encodes at the equal phases, its columns
+    in ascending |lam|.  R is not unique; callers check only R R^T - S.
+    """
+    sm = as_complex_matrix(s)
+    n = sm.shape[0]
+    defect = unitarity_defect(sm)
+    if defect > DEFAULT_TOLERANCES.rtol * n:
+        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tolerance")
+    defect = symmetry_defect(sm)
+    if defect > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
+        raise NotSymmetric(f"symmetry defect {defect:.3e} exceeds tolerance")
+    if n == 1:
+        return half_phase(sm)
+    plan = _recovered_plan(sm, _equal_phases(sm))
+    return np.exp(0.25j * np.pi) * plan.frame * plan.rotation[None, :]
 
 
 def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> ClusterRecovery:
@@ -118,7 +153,7 @@ def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> Cl
         chosen, margin = find_regular_phases(u)
     # Either margin reaches regular_min: phase_accept is above it, and
     # find_regular_phases raises below it.
-    cluster = ClusterPlan.of(cayley_real(_rotated(u, chosen)), chosen)
+    cluster = _recovered_plan(u, chosen)
     # P came with the interaction, not with the recovered cluster.
     validate_gauge(cluster, zm.P)
     report = covariance_closed_form(cluster, zm, z)

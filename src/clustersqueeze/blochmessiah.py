@@ -6,7 +6,7 @@ strengths.  For a squeezing transformation with interaction matrix Z = P U
 the factors follow from the eigendecomposition P = T^dagger D T, which the
 interaction matrix already carries (``strengths``, ``modes``), and a
 balancing unitary R obtained from the Autonne-Takagi factorization of
--i T U T^T, one Cayley map per group of equal strengths:
+-i T U T^T, one per group of equal strengths:
 
     V = T^dagger R,    D = eigenvalues of P.
 
@@ -20,8 +20,8 @@ when (A + i 1) e^{i Theta} V + (A - i 1) e^{-i Theta} conj(V) = 0; writing
 e^{i Theta} V = V_r + i V_i this is V_i = A V_r.  All solutions are
 V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O with O real orthogonal.  For
 the built-in gauges P is diagonal in the cluster plan's frame
-F = e^{-i Theta} Q, so T = F^dagger and R = diag((1 + i lam)/sqrt(1 + lam^2))
-give the member O = Q without a factorization beyond the plan's.
+F = e^{-i Theta} Q, so T = F^dagger and R = diag(``rotation``) give the
+member O = Q; otherwise each group's R is read off the plan its block encodes.
 """
 
 from __future__ import annotations
@@ -31,14 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import takagi_symmetric_unitary
 from .errors import NotOrthogonal
-from .matfun import (
-    as_complex_matrix,
-    half_phase,
-    max_abs,
-    phase_fixed_columns,
-    takagi_symmetric_unitary,
-)
+from .matfun import as_complex_matrix, half_phase, max_abs, phase_fixed_columns
 from .synthesis import ClusterPlan, InteractionMatrix, check_squeeze_budget
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -82,9 +77,9 @@ def bloch_messiah(
 ) -> BlochMessiahFactors:
     """Reduce a squeezing transformation to squeezers plus interferometers.
 
-    ``cluster`` is the plan whose built-in gauge planned ``zm``: its frame,
-    in the order of the strengths, gives T = F^dagger and the diagonal
-    R = diag((1 + i lam)/sqrt(1 + lam^2)), which resolve no group.  Without
+    ``cluster`` is the plan whose built-in gauge planned ``zm``: its frame
+    and rotation, in the order of the strengths, give T = F^dagger and the
+    diagonal R = diag(rotation), which resolve no group.  Without
     it (a custom gauge, or Z alone) the balancing factorization is applied
     blockwise per degenerate group of squeezer strengths: -i T U T^T
     commutes with D for a symmetric Z, so it is block-diagonal in T's basis,
@@ -96,8 +91,7 @@ def bloch_messiah(
     w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
     if cluster is not None:
-        lam, f = cluster.by_magnitude[0], cluster.frame
-        rotation = (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
+        f, rotation = cluster.frame, cluster.rotation
         return BlochMessiahFactors(
             V=f * rotation[None, :], D=w, R=np.diag(rotation), T=f.conj().T,
             z=float(z), gap=math.inf, spread=0.0,
@@ -139,18 +133,17 @@ def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
     F = e^{-i Theta} Q: V = F diag((1 + i lam)/|1 + i lam|) F^T e^{i Theta} O.
     """
     a = cluster.A
-    o = np.asarray(O, dtype=float)
-    if np.iscomplexobj(O) and max_abs(np.asarray(O).imag) > DEFAULT_TOLERANCES.orthogonal:
+    seed = np.asarray(O)
+    if np.iscomplexobj(seed) and max_abs(seed.imag) > DEFAULT_TOLERANCES.orthogonal:
         raise NotOrthogonal("seed must be a real matrix")
+    o = np.asarray(seed.real, dtype=float)
     if o.shape != a.shape:
         raise ValueError("seed shape does not match the graph")
-    if max_abs(o @ o.T - np.eye(a.shape[0])) > DEFAULT_TOLERANCES.orthogonal:
-        raise NotOrthogonal(
-            f"seed orthogonality defect {max_abs(o @ o.T - np.eye(a.shape[0])):.3e}"
-        )
-    lam, f = cluster.by_magnitude[0], cluster.frame
-    rotation = (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
-    return (f * rotation[None, :]) @ (f.T @ (np.exp(1j * cluster.theta)[:, None] * o))
+    defect = max_abs(o @ o.T - np.eye(a.shape[0]))
+    if defect > DEFAULT_TOLERANCES.orthogonal:
+        raise NotOrthogonal(f"seed orthogonality defect {defect:.3e}")
+    f = cluster.frame
+    return (f * cluster.rotation[None, :]) @ (f.T @ (np.exp(1j * cluster.theta)[:, None] * o))
 
 
 def cluster_condition_residual(V, cluster: ClusterPlan) -> float:

@@ -396,8 +396,9 @@ def _write_json(obj, newline: str, chunks: list[str], fh) -> None:
         brackets = "{}"
         items = [(json.dumps(key) + ": ", value) for key, value in obj.items()]
     elif isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= {float, int}:
-            chunks.append(_numbers_text(obj, newline))
+        if set(map(type, obj)) <= {float, int}:  # one encoder call; its separator holds the indent
+            encoder = json.JSONEncoder(separators=("," + inner, ": "))
+            chunks.append(f"[{inner}{encoder.encode(obj)[1:-1]}{newline}]")
             return
         brackets = "[]"
         items = [("", value) for value in obj]
@@ -410,15 +411,6 @@ def _write_json(obj, newline: str, chunks: list[str], fh) -> None:
         _write_json(value, inner, chunks, fh)
         separator = "," + inner
     chunks.append(newline + brackets[1])
-
-
-def _numbers_text(numbers: list, newline: str) -> str:
-    """A list of floats and ints laid out as ``indent=2`` does."""
-    if not numbers:
-        return "[]"
-    inner = newline + "  "
-    encoder = json.JSONEncoder(separators=("," + inner, ": "))
-    return f"[{inner}{encoder.encode(numbers)[1:-1]}{newline}]"
 
 
 def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
@@ -530,7 +522,24 @@ def _z(args) -> float:
     return _scale(1.0 if args.z is None else args.z, "-z")
 
 
-def _z_range(args) -> list[float]:
+class _ZRange:
+    """--z-range's z_k = round(START + k STEP, 12), k = 0..last, each formed
+    when read, so the sweep checks the last z before the others exist."""
+
+    def __init__(self, start: float, step: float, last: int):
+        self._start, self._step, self._k = start, step, range(last + 1)
+
+    def __getitem__(self, k: int) -> float:
+        return round(self._start + self._k[k] * self._step, 12)
+
+    def __iter__(self):
+        values = [self[k] for k in self._k]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise _InputError("--z-range STEP is too small to advance z at 12 decimals")
+        return iter(values)
+
+
+def _z_range(args) -> list[float] | _ZRange:
     """sweep's --z-range START:STOP:STEP, or the single -z value."""
     if args.z_range is None:
         return [_z(args)]
@@ -551,11 +560,7 @@ def _z_range(args) -> list[float]:
     steps = (stop - start + 1e-12) / step
     if steps == math.inf:
         raise _InputError("--z-range spans more steps than a float can count")
-    last = math.floor(steps)
-    values = [round(start + k * step, 12) for k in range(last + 1)]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise _InputError("--z-range STEP is too small to advance z at 12 decimals")
-    return values
+    return _ZRange(start, step, math.floor(steps))
 
 
 def _graph_only(args, *flags) -> None:

@@ -5,27 +5,23 @@ class ClusterSqueezeError(Exception):
     """Base class for all library-specific errors."""
 
 
-class MatrixCheckError(ClusterSqueezeError):
-    """A matrix failed a structural precondition."""
-
-
-class NotSymmetric(MatrixCheckError):
+class NotSymmetric(ClusterSqueezeError):
     pass
 
 
-class NotHermitian(MatrixCheckError):
+class NotHermitian(ClusterSqueezeError):
     pass
 
 
-class NotUnitary(MatrixCheckError):
+class NotUnitary(ClusterSqueezeError):
     pass
 
 
-class NotOrthogonal(MatrixCheckError):
+class NotOrthogonal(ClusterSqueezeError):
     pass
 
 
-class NotPositiveDefinite(MatrixCheckError):
+class NotPositiveDefinite(ClusterSqueezeError):
     pass
 
 

@@ -1,21 +1,17 @@
 """Dense complex-matrix kernels.
 
-Everything else in the library is built on the four operations here:
-functions of Hermitian matrices through the eigendecomposition, the polar
-decomposition Z = P U of a complex symmetric matrix, the Cayley map of a
-symmetric unitary to a real symmetric matrix, kept regular by one global
-phase read off the spectrum of Re S (:func:`regularizing_angle`), and the
-Autonne-Takagi factorization S = R R^T of a symmetric unitary, taken through
-that map.  ``analyze`` chooses its phases with the same angle.
-Every function f(H) of a Hermitian matrix is evaluated by one kernel,
-:func:`_spectral`, from eigenpairs the caller already holds.
+The library is built on three operations: functions f(H) of Hermitian
+matrices, all by one kernel (:func:`_spectral`) from eigenpairs the caller
+holds; the polar decomposition Z = P U of a complex symmetric matrix; and
+the Cayley map of a symmetric unitary to a real symmetric matrix, kept
+regular by one phase read off the spectrum of Re S (:func:`regularizing_angle`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonRealResult, NotSymmetric, NotUnitary, SingularInput
+from .errors import NonRealResult, NotSymmetric, SingularInput
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -163,37 +159,3 @@ def regularizing_angle(s: np.ndarray) -> float:
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
     widest = int(np.argmax(gaps))
     return float(np.pi - (angles[widest] + gaps[widest] / 2.0))
-
-
-def takagi_symmetric_unitary(s) -> np.ndarray:
-    """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
-
-    A 1 x 1 S gives R = :func:`half_phase` (S).  Otherwise alpha =
-    :func:`regularizing_angle` (S) keeps sigma_min(e^{i alpha} S + 1) >=
-    2 sin(pi / 4n), and W = i e^{i alpha} S has the real symmetric
-    :func:`cayley_real` K = Q diag(k) Q^T, and
-
-        R = e^{-i alpha / 2} Q diag((1 + i k) / sqrt(1 + k^2)).
-
-    R R^T is a function of K and R's unitarity needs only Q^T Q = 1, so no
-    eigen-gap enters.  Each column is signed so its first entry of modulus
-    above 1e-8 has its phase on (-pi/2, pi/2].  R is not unique; callers
-    check it only through the residual ``R @ R.T - S``.
-    """
-    sm = as_complex_matrix(s)
-    n = sm.shape[0]
-    if unitarity_defect(sm) > DEFAULT_TOLERANCES.rtol * n:
-        raise NotUnitary(
-            f"unitarity defect {unitarity_defect(sm):.3e} exceeds tolerance"
-        )
-    if symmetry_defect(sm) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
-        raise NotSymmetric(
-            f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
-        )
-    if n == 1:
-        return half_phase(sm)
-    alpha = regularizing_angle(sm)
-    k, q = np.linalg.eigh(cayley_real(1j * np.exp(1j * alpha) * sm))
-    r = q * (np.exp(-0.5j * alpha) * (1.0 + 1j * k) / np.sqrt(1.0 + k * k))[None, :]
-    pivot = r[np.argmax(np.abs(r) > 1e-8, axis=0), np.arange(n)]
-    return np.where((pivot.real < 0.0) | ((pivot.real == 0.0) & (pivot.imag < 0.0)), -r, r)

@@ -191,22 +191,27 @@ def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) ->
     first and last rows are cross-checked against the brute-force path, which
     factorizes K once when Z does not depend on z and once per checked row
     for the faithful gauge; disagreement beyond the budget of the battery's
-    ``covariance_vs_oracle`` check raises :class:`OracleMismatch`.
+    ``covariance_vs_oracle`` check raises :class:`OracleMismatch`.  The last z,
+    where z lambda_max is largest, is checked against ``z_cap`` before any other.
     """
+    try:
+        z_last = float(z_values[-1])
+    except IndexError:
+        raise ValueError("z_values must be non-empty") from None
+    last, _ = cluster.interaction(gauge, z_last)
+    check_squeeze_budget(float(last.strengths[-1]), z_last)
     zs = [float(z) for z in z_values]
-    if not zs:
-        raise ValueError("z_values must be non-empty")
     if any(not (np.isfinite(z) and z > 0) for z in zs):
         raise ValueError("z values must be positive and finite")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
     per_row = isinstance(gauge, str) and gauge == "faithful"
-    zm, spectrum, rows = None, None, []
+    zm, spectrum, rows = last, None, []
     for z in zs:
-        if zm is None or per_row:
-            zm, _ = cluster.interaction(gauge, z)
+        if per_row:
+            zm = last if z == z_last else cluster.interaction(gauge, z)[0]
             spectrum = None
-        checked = z in (zs[0], zs[-1])
+        checked = z in (zs[0], z_last)
         if checked and spectrum is None:
             # the order-2N eigh before the closed form's C and E are held
             spectrum = _unit_spectrum(cluster, zm)

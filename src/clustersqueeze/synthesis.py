@@ -157,10 +157,9 @@ def unitary_from_adjacency(A, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """A checked cluster (A, Theta), built by :meth:`of`.  On first use of
-    ``eigenvalues``, ``frame`` or ``U`` it takes A = Q diag(lam) Q^T once:
-    F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T, whose
-    product is formed with the real Q and the phases applied entrywise."""
+    """A checked cluster (A, Theta), built by :meth:`of` or from an exactly
+    symmetric A.  Its properties take A = Q diag(lam) Q^T once, on first use:
+    F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T."""
 
     A: np.ndarray
     theta: np.ndarray
@@ -191,6 +190,12 @@ class ClusterPlan:
     def frame(self) -> np.ndarray:
         """F = e^{-i Theta} Q, its columns in the order of ``by_magnitude``."""
         return self._phases[:, None] * self.by_magnitude[1]
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """(1 + i lam) / |1 + i lam|; F diag(rotation) is the canonical interferometer."""
+        lam = self.by_magnitude[0]
+        return (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
 
     @cached_property
     def U(self) -> np.ndarray:

@@ -12,6 +12,7 @@ from clustersqueeze import (
     analyze_interaction,
     find_regular_phases,
     regularity_margin,
+    takagi_symmetric_unitary,
     unitary_from_adjacency,
 )
 from clustersqueeze.matfun import cayley_real, regularizing_angle
@@ -280,3 +281,41 @@ class TestRotatedRoundTrip:
             back = adjacency_from_unitary(u_rot, th)
             rebuilt = unitary_from_adjacency(back, th)
             assert np.max(np.abs(rebuilt - u_rot)) <= 1e-8
+
+
+def _takagi_inputs(kind):
+    """The symmetric unitaries of order >= 2 that ``TestTakagi`` factors."""
+    if kind == "random":
+        rng = np.random.default_rng(12)
+        return [random_symmetric_unitary(rng, int(rng.integers(2, 9))) for _ in range(30)]
+    if kind == "angles":
+        rng = np.random.default_rng(13)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            cases.append((q * np.exp(1j * rng.uniform(-np.pi, np.pi, n))[None, :]) @ q.T)
+        return cases
+    star = np.zeros((5, 5))
+    star[0, 1:] = star[1:, 0] = 1.0
+    return [np.asarray(s, dtype=complex) for s in (
+        np.eye(2), [[0.0, -1.0], [-1.0, 0.0]], 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),
+        -1j * np.eye(4), np.diag([1j, 1j, 1.0]), np.exp(0.3j) * np.eye(5),
+        -1j * np.linalg.solve(star + 1j * np.eye(5), star - 1j * np.eye(5)),
+    )]
+
+
+class TestTakagiReadsTheRecoveredCluster:
+    @pytest.mark.parametrize("kind", ["random", "angles", "structured"])
+    def test_factor_is_the_canonical_interferometer(self, kind):
+        """R = e^{i pi/4} F diag(rotation) of the cluster recovered at the
+        equal phases, bit for bit, with its columns in ascending |lam|."""
+        for s in _takagi_inputs(kind):
+            theta = find_regular_phases(s)[0]
+            plan = ClusterPlan.of(adjacency_from_unitary(s, theta), theta)
+            r = takagi_symmetric_unitary(s)
+            assert np.array_equal(r, np.exp(0.25j * np.pi) * plan.frame * plan.rotation[None, :])
+            # e^{-i pi/4} e^{i Theta} R = Q diag((1 + i lam) / sqrt(1 + lam^2)):
+            # its real columns have norms 1 / sqrt(1 + lam^2), which fall as |lam| rises
+            real_norms = np.linalg.norm((np.exp(1j * (theta - np.pi / 4))[:, None] * r).real, axis=0)
+            assert np.all(np.diff(real_norms) <= 1e-12)

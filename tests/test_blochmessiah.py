@@ -17,9 +17,10 @@ from clustersqueeze import (
     cli,
     cluster_condition_residual,
     squeezer_spectrum,
+    takagi_symmetric_unitary,
     unitary_from_adjacency,
 )
-from clustersqueeze.matfun import phase_fixed_columns, takagi_symmetric_unitary
+from clustersqueeze.matfun import phase_fixed_columns
 from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (

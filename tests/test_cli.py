@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import ClusterPlan, analysis, cli, parse_graph, synthesis
+from clustersqueeze import ClusterPlan, analysis, cli, oracle, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -346,11 +346,26 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "z_range", ["nan:1:0.5", "1:inf:1", "1:2:1e-20", "1e20:2e20:1", "1:1.000000000003:6e-13",
-                    "1:1e308:1e-11"])
+                    "1:1e308:1e-11", "1:2", "1:x:1"])
     def test_non_finite_or_stalling_range_exits_2(self, z_range, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         code, out, err = run_cli(["sweep", "--graph", graph, "--z-range", z_range], capsys)
         assert code == EXIT_INPUT and out == "" and "--z-range" in err
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    def test_range_past_z_cap_computes_no_row(self, gauge, tmp_path, capsys, monkeypatch):
+        """z lambda_max rises with z, so the last z is checked first: no
+        closed form is computed and no z but the last is formed.  A range
+        whose grid could never be built exits as fast."""
+        closed_forms = []
+        closed_form = oracle.covariance_closed_form
+        monkeypatch.setattr(oracle, "covariance_closed_form", lambda *a: closed_forms.append(a) or closed_form(*a))
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        for z_range in ("1:40:1", "1:1e300:1"):
+            args = ["sweep", "--graph", graph, "--gauge", gauge, "--z-range", z_range]
+            code, out, err = run_cli(args, capsys)
+            assert code == cli.EXIT_NUMERICAL and out == "" and "exceeds 30" in err
+            assert closed_forms == []
 
     def test_deterministic(self, tmp_path, capsys):
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
@@ -611,7 +626,7 @@ class TestOneValidationPerRequest:
         assert len(validations) == 2  # parser and plan
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful"])
-    @pytest.mark.parametrize("command, expected", [("verify", 1), ("analyze", 2), ("decompose", 0)])
+    @pytest.mark.parametrize("command, expected", [("verify", 1), ("analyze", 1), ("decompose", 0)])
     def test_interaction_route(self, command, expected, gauge, tmp_path, capsys, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
@@ -699,10 +714,11 @@ class TestMalformedInput:
     """Input that fails validation exits 2 with a message naming the file;
     exit 4 stays for numerical failures (a singular Z, z beyond z_cap)."""
 
-    # case -> (command, bundle field or None for a phase file, value, message)
+    # case -> (command, bundle field or None for a phase file, value or the
+    # phase file's text, message)
     CASES = {
-        "synthesize-phases-nan": ("synthesize", None, None, "phase angles must be finite"),
-        "analyze-phases-nan": ("analyze", None, None, "phase angles must be finite"),
+        "synthesize-phases-nan": ("synthesize", None, "0.1\nnan\n", "phase angles must be finite"),
+        "analyze-phases-nan": ("analyze", None, "0.1\nnan\n", "phase angles must be finite"),
         "bundle-theta-nan": ("verify", "theta", [0.0, math.nan], "phase angles must be finite"),
         "bundle-theta-object": ("verify", "theta", {"a": 1}, "not 'dict'"),
         "bundle-z-negative": ("verify", "z", -1, "z must be positive and finite"),
@@ -712,6 +728,11 @@ class TestMalformedInput:
         "analyze-bundle-Z-not-square": ("analyze", "Z", NOT_SQUARE, "matrix must be square"),
         "decompose-bundle-Z-not-square": ("decompose", "Z", NOT_SQUARE, "matrix must be square"),
         "bundle-P-nan": ("verify", "P", NAN_P, "matrix entries must be finite"),
+        "bundle-Z-re-shape": ("analyze", "Z", {"rows": 2, "cols": 2, "re": [[1.0, 0.0]]},
+                              "'re' block has shape (1, 2), not (2, 2)"),
+        "bundle-Z-im-shape": ("analyze", "Z", {"rows": 2, "cols": 2, "re": np.eye(2).tolist(), "im": [[1.0]]},
+                              "'im' block shape mismatch"),
+        "synthesize-phases-not-an-angle": ("synthesize", None, "0.1\nx\n", "line 2: 'x' is not an angle"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -726,7 +747,7 @@ class TestMalformedInput:
         bundle = tmp_path / "b.json"
         assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle)], capsys)[0] == EXIT_OK
         if field is None:
-            bad = write(tmp_path, "phases.txt", "0.1\nnan\n")
+            bad = write(tmp_path, "phases.txt", value)
             route = ["--graph", graph] if command == "synthesize" else ["--interaction", str(bundle)]
             runs = [(bad, [command, *route, "--phases", bad], command != "synthesize")]
         else:

@@ -1,14 +1,27 @@
-"""Every public name has a user besides the tests."""
+"""Every public name has a user besides the tests, the modules keep their
+layers, and the public functions reject bad input with typed errors."""
 
 import ast
 import dataclasses
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import clustersqueeze
-from clustersqueeze import cli
+from clustersqueeze import (
+    ClusterPlan,
+    NotOrthogonal,
+    bloch_messiah,
+    bogoliubov_from_interaction,
+    canonical_cluster_interferometer,
+    cli,
+    squeezer_spectrum,
+)
 from clustersqueeze.tolerances import CHECKS, ErrorModel, Tolerances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +108,58 @@ def test_commands_return_reports_and_main_writes_them():
         or (isinstance(node, ast.Name) and node.id in ("_emit", "_emit_json"))
     ]
     assert offending == []
+
+
+def _package_imports(path):
+    """The package modules a library module imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module.partition(".")[0]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            found |= {n.split(".")[1] for n in names if n and n.startswith("clustersqueeze.")}
+    return found
+
+
+def test_module_layering():
+    """The kernels stand below the physics, the forward synthesis below the
+    inverse routes and the oracle, and only ``__main__`` reaches the CLI."""
+    imports = {path.stem: _package_imports(path) for path in LIBRARY}
+    assert imports["matfun"] <= {"errors", "tolerances"}
+    assert imports["graphs"] <= {"errors", "tolerances"}
+    assert not imports["synthesis"] & {"analysis", "blochmessiah", "oracle", "cli"}
+    assert sorted(stem for stem, names in imports.items() if "cli" in names) == ["__main__"]
+
+
+def _plan():
+    return ClusterPlan.of(np.zeros((2, 2)), np.zeros(2))
+
+
+def _interaction():
+    return _plan().interaction("identity")[0]
+
+
+# case -> (call, typed error, message)
+LIBRARY_INPUT_ERRORS = {
+    "bloch-messiah-zero-z": (lambda: bloch_messiah(_interaction(), 0.0), ValueError,
+                             "squeezing scale z must be positive and finite"),
+    "bogoliubov-negative-z": (lambda: bogoliubov_from_interaction(_interaction(), -1.0), ValueError,
+                              "squeezing scale z must be non-negative and finite"),
+    "squeezer-spectrum-nan-z": (lambda: squeezer_spectrum(_interaction(), math.nan), ValueError,
+                                "squeezing scale z must be non-negative and finite"),
+    "faithful-plan-without-z": (lambda: _plan().interaction("faithful"), ValueError,
+                                "squeezing scale z must be positive and finite"),
+    "unknown-gauge": (lambda: _plan().interaction("uniform"), ValueError, "unknown gauge 'uniform'"),
+    "complex-seed": (lambda: canonical_cluster_interferometer(_plan(), 1j * np.eye(2)), NotOrthogonal,
+                     "seed must be a real matrix"),
+    "seed-shape": (lambda: canonical_cluster_interferometer(_plan(), np.eye(3)), ValueError,
+                   "seed shape does not match the graph"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_INPUT_ERRORS)
+def test_library_input_errors_raise_their_typed_error(case):
+    call, error, message = LIBRARY_INPUT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
