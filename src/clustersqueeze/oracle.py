@@ -69,7 +69,7 @@ of P that the closed form reads, or the cluster plan's eigh(A) and U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,8 +80,9 @@ from .synthesis import (
     ClusterPlan,
     CovarianceReport,
     InteractionMatrix,
+    _frame_covariance,
+    _nullifier_frame,
     check_squeeze_budget,
-    covariance_closed_form,
 )
 from .tolerances import ErrorModel
 
@@ -90,12 +91,12 @@ from .tolerances import ErrorModel
 class OracleReport(CovarianceReport):
     """Brute-force covariance with ``overlap``, the largest entry of G_+.
 
-    ``E`` is the real factor H of C = H H^T: N x N when the anti-squeezed
-    half is left out, N x 2N when it is kept.  H is real, so
-    ``imag_residual`` is zero.
+    ``H`` (and ``E``, the same array) is the real factor of C = H H^T: N x N
+    when the anti-squeezed half is left out, N x 2N when it is kept.  H is
+    real, so ``imag_residual`` is zero.
     """
 
-    overlap: float
+    overlap: float = field(kw_only=True)
 
 
 class SweepPoint(NamedTuple):
@@ -160,13 +161,7 @@ def _oracle_from_spectrum(spectrum: _Spectrum, z: float) -> OracleReport:
     check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
     h = g * np.exp(z * w[: g.shape[1]])[None, :]
     c = h @ h.T  # one same-buffer product (BLAS syrk): exactly symmetric
-    return OracleReport(
-        C=c,
-        E=h,
-        max_abs=max_abs(c),
-        imag_residual=0.0,
-        overlap=overlap,
-    )
+    return OracleReport(C=c, H=h, max_abs=max_abs(c), overlap=overlap)
 
 
 def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix, z: float) -> OracleReport:
@@ -186,13 +181,17 @@ def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) ->
     """Closed-form covariance norms over an ascending list of scales.
 
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
-    gauge the max-entry norm decreases strictly in z.  The cluster plan
-    serves every row; only the faithful gauge's interaction depends on z.  The
-    first and last rows are cross-checked against the brute-force path, which
-    factorizes K once when Z does not depend on z and once per checked row
-    for the faithful gauge; disagreement beyond the budget of the battery's
-    ``covariance_vs_oracle`` check raises :class:`OracleMismatch`.  The last z,
-    where z lambda_max is largest, is checked against ``z_cap`` before any other.
+    gauge the max-entry norm decreases strictly in z.  The last z, where
+    z lambda_max is largest, is checked against ``z_cap`` before any other.
+    The modes of every gauge are z-free, so the nullifier frame M is formed
+    once and each row costs one Gram product C = H H^dagger, H = M e^{-z w};
+    only the faithful strengths depend on z, and the rows read them off the
+    cluster plan.  The first and last rows are cross-checked against the
+    brute-force path: only they build the gauge plan (P, Z and its gate)
+    and the oracle, which factorizes K once when Z does not depend on z and
+    once per end row for the faithful gauge.  Disagreement beyond the budget
+    of the battery's ``covariance_vs_oracle`` check raises
+    :class:`OracleMismatch`.
     """
     try:
         z_last = float(z_values[-1])
@@ -205,25 +204,43 @@ def convergence_sweep(cluster: ClusterPlan, gauge, z_values: Sequence[float]) ->
         raise ValueError("z values must be positive and finite")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
-    per_row = isinstance(gauge, str) and gauge == "faithful"
-    zm, spectrum, rows = last, None, []
-    for z in zs:
-        if per_row:
+    faithful = isinstance(gauge, str) and gauge == "faithful"
+    ends = list(dict.fromkeys((zs[0], z_last)))
+    # The end rows' oracle covariances come first, so that the order-2N eigh
+    # runs before the frame or any row's C is held; only their C stay.
+    if faithful:  # Z depends on z: each end row plans its own gauge and K
+        oracles = {}
+        for z in ends:
             zm = last if z == z_last else cluster.interaction(gauge, z)[0]
-            spectrum = None
-        checked = z in (zs[0], z_last)
-        if checked and spectrum is None:
-            # the order-2N eigh before the closed form's C and E are held
-            spectrum = _unit_spectrum(cluster, zm)
-        closed = covariance_closed_form(cluster, zm, z)
-        rows.append(
-            SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius)
-        )
-        if checked:
-            gap = max_abs(closed.C - _oracle_from_spectrum(spectrum, z).C)
-            if gap > ErrorModel.for_cluster(cluster, zm, z).budget("covariance_vs_oracle"):
+            oracles |= _oracle_rows(cluster, zm, [z])
+    else:
+        oracles = _oracle_rows(cluster, last, ends)
+    frame, rows = _nullifier_frame(cluster, last.modes), []
+    for z in zs:
+        strengths = cluster.faithful_strengths(z) if faithful else last.strengths
+        closed = _frame_covariance(frame, strengths, z)
+        rows.append(SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius))
+        if z in oracles:
+            brute, budget = oracles[z]
+            gap = max_abs(closed.C - brute)
+            if gap > budget:
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "
                     f"{gap:.3e} at z = {z}"
                 )
     return rows
+
+
+def _oracle_rows(
+    cluster: ClusterPlan, zm: InteractionMatrix, zs: Sequence[float]
+) -> dict[float, tuple[np.ndarray, float]]:
+    """The oracle's C of one plan at each z of ``zs``, with the row's
+    ``covariance_vs_oracle`` budget: one eigh of K serves them all."""
+    spectrum = _unit_spectrum(cluster, zm)
+    return {
+        z: (
+            _oracle_from_spectrum(spectrum, z).C,
+            ErrorModel.for_cluster(cluster, zm, z).budget("covariance_vs_oracle"),
+        )
+        for z in zs
+    }

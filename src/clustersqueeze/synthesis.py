@@ -17,6 +17,13 @@ with E = (A + i 1) e^{i Theta} e^{-z P}.  The gauge factor is free up to the
 reality condition checked by :func:`validate_gauge`; the faithful choice
 makes C exactly e^{-2z} times the identity.
 
+With P = Q_P diag(w) Q_P^dagger the covariance is taken in the nullifier
+frame M = (A + i 1) e^{i Theta} Q_P, one real product with A: H = M e^{-z w}
+scales its columns and C = H H^dagger, because Q_P^dagger Q_P = 1.  E = H
+Q_P^dagger is formed only when a report reads it.  M does not depend on z
+(the modes of every gauge are z-free), so a sweep forms it once and pays one
+Gram product per row.
+
 Two plans carry the factorizations.  :class:`ClusterPlan`, the checked
 cluster that every cluster-side function takes, holds the one real
 eigendecomposition A = Q diag(lam) Q^T, taken on first use: with
@@ -118,21 +125,34 @@ class BogoliubovPair:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Nullifier covariance C with its factor E and numerical residuals.
+    """Nullifier covariance C = H H^dagger with its factor.
 
-    ``C`` is the real symmetric covariance as reported; ``E`` satisfies
-    C = E E^dagger up to ``imag_residual``, the largest imaginary entry of
-    E E^dagger and the realness defect of the covariance.
+    ``C`` is the real symmetric covariance as reported, ``max_abs`` its
+    largest entry.  ``H`` is the factor in the eigenbasis ``modes`` of P,
+    so E = H Q_P^dagger; without ``modes``, H is E itself.  E and
+    ``imag_residual``, the largest imaginary entry of H H^dagger and thus
+    the realness defect of the covariance, are formed on first read.
     """
 
     C: np.ndarray
-    E: np.ndarray
+    H: np.ndarray
     max_abs: float
-    imag_residual: float
+    modes: np.ndarray | None = None
 
     @property
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.C))
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        return self.H if self.modes is None else self.H @ self.modes.conj().T
+
+    @cached_property
+    def imag_residual(self) -> float:
+        if not np.iscomplexobj(self.H):
+            return 0.0
+        cross = self.H.imag @ self.H.real.T  # Im H H^dagger = cross - cross^T
+        return symmetry_defect(cross)
 
 
 class GaugeCheck(NamedTuple):
@@ -231,6 +251,14 @@ class ClusterPlan:
                 )
         return zm, check
 
+    def faithful_strengths(self, z: float | None) -> np.ndarray:
+        """1 + ln(1 + lam^2) / (2 z) in the order of ``by_magnitude``: the
+        faithful gauge's strengths, the only ones that depend on z."""
+        if z is None or not (np.isfinite(z) and z > 0):
+            raise ValueError("squeezing scale z must be positive and finite")
+        lam = self.by_magnitude[0]
+        return 1.0 + np.log1p(lam * lam) / (2.0 * z)
+
     def _plan(self, gauge, z: float | None) -> InteractionMatrix:
         """Z = P U with P Hermitian and its eigenpairs, for any gauge."""
         n = self.A.shape[0]
@@ -246,10 +274,7 @@ class ClusterPlan:
             w, modes = np.ones(n), np.eye(n)
             p = np.eye(n)
         elif gauge == "faithful":
-            if z is None or not (np.isfinite(z) and z > 0):
-                raise ValueError("squeezing scale z must be positive and finite")
-            lam, q = self.by_magnitude
-            w, modes = 1.0 + np.log1p(lam * lam) / (2.0 * z), self.frame
+            w, modes, q = self.faithful_strengths(z), self.frame, self.by_magnitude[1]
             # F diag(w) F^dagger, with the real Q diag(w) Q^T between the phases
             p = self._phases[:, None] * ((q * w[None, :]) @ q.T) * self._phases.conj()[None, :]
             p = (p + p.conj().T) / 2.0
@@ -332,27 +357,36 @@ def covariance_closed_form(
     """Closed-form nullifier covariance of the synthesized state.
 
     ``zm`` is the interaction matrix of the cluster, as built by
-    :meth:`ClusterPlan.interaction`, which checks the gauge; e^{-z P} comes
-    from its eigenpairs.  Single code path for every gauge; the special
-    cases (faithful gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z},
-    self-inverse graphs 2 e^{-2z} 1) are consequences used as test oracles,
-    not branches.
+    :meth:`ClusterPlan.interaction`, which checks the gauge.  C = H H^dagger
+    with H = M e^{-z w} from the nullifier frame M = (A + i 1) e^{i Theta}
+    Q_P of P's eigenpairs (w, Q_P); E = H Q_P^dagger is formed on first
+    read.  Single code path for every gauge; the special cases (faithful
+    gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z}, self-inverse graphs
+    2 e^{-2z} 1) are consequences used as test oracles, not branches.
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    a = cluster.A
-    if a.shape[0] != zm.n:
-        raise DimensionMismatch(f"graph has {a.shape[0]} modes, interaction has {zm.n}")
-    rotated = np.exp(1j * cluster.theta)[:, None] * _spectral(zm.modes, np.exp(-z * zm.strengths))
-    e_factor = _real_product(a, rotated) + 1j * rotated  # (A + i 1) e^{i Theta} e^{-z P}
-    raw = e_factor @ e_factor.conj().T
-    c = (raw.real + raw.real.T) / 2.0
-    return CovarianceReport(
-        C=c,
-        E=e_factor,
-        max_abs=max_abs(c),
-        imag_residual=max_abs(raw.imag),
-    )
+    if cluster.A.shape[0] != zm.n:
+        raise DimensionMismatch(f"graph has {cluster.A.shape[0]} modes, interaction has {zm.n}")
+    return _frame_covariance(_nullifier_frame(cluster, zm.modes), zm.strengths, z, zm.modes)
+
+
+def _nullifier_frame(cluster: ClusterPlan, modes: np.ndarray) -> np.ndarray:
+    """M = (A + i 1) e^{i Theta} Q_P: one real product with A."""
+    rotated = np.exp(1j * cluster.theta)[:, None] * modes
+    return _real_product(cluster.A, rotated) + 1j * rotated
+
+
+def _frame_covariance(
+    frame: np.ndarray, strengths: np.ndarray, z: float, modes: np.ndarray | None = None
+) -> CovarianceReport:
+    """C = H H^dagger with H = M e^{-z w}, for the frame M of ``modes``."""
+    h = frame * np.exp(-z * strengths)[None, :]
+    # Re H H^dagger from the float view [Re H, Im H] (columns interleaved):
+    # one same-buffer product (BLAS syrk), exactly symmetric
+    real = np.ascontiguousarray(h).view(float)
+    c = real @ real.T
+    return CovarianceReport(C=c, H=h, max_abs=max_abs(c), modes=modes)
 
 
 def squeezer_spectrum(zm: InteractionMatrix, z: float) -> list[SqueezerMode]:

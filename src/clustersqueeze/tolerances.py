@@ -65,12 +65,14 @@ CHECKS = {
     "structure_unitary": ("structure", 12),  # eigh of A, Q diag Q^T, U U^dagger
     "bogoliubov_unitary_defect": ("bogoliubov", 40),  # P, U, eigh, X, Y (2), two products
     "bogoliubov_symmetry_defect": ("bogoliubov", 40),
-    "covariance_real": ("covariance", 28),  # P, eigh, e^{-zP}, E, E E^dagger
+    # P, eigh, the frame M = (A + i) e^{i Theta} Q_P, H H^dagger, and one
+    # stage to spare
+    "covariance_real": ("covariance", 28),
     "faithful_gauge_identity": ("covariance", 28),
     "uniform_gauge_formula": ("covariance", 32),  # and A A
     "self_inverse_value": ("covariance", 28),
-    # closed form (7 stages), U and Z (2), eigh of K and G = [Re L, -Im L] V
-    # (order 2N, 2 stages each), H H^T
+    # closed form (7 stages as above), U and Z (2), eigh of K
+    # and G = [Re L, -Im L] V (order 2N, 2 stages each), H H^T
     "covariance_vs_oracle": ("oracle", 56),
     "oracle_overlap": ("overlap", 24),  # U and Z (2), eigh of K and G (order 2N)
     # P, U, eigh, X/Y, balancing (2), Takagi (2: Cayley solve, eigh of K), V,
@@ -174,7 +176,7 @@ class ErrorModel:
             "bogoliubov": k * cosh * cosh,
             # X and Y; an error in P is amplified by z sinh
             "blocks": (k + zl) * cosh,
-            # C = E E^dagger with ||E|| <= ||A + i|| e^{-z lambda_min}
+            # C = H H^dagger with ||H|| = ||E|| <= ||A + i|| e^{-z lambda_min}
             "covariance": k * k * (1.0 + zl) * math.exp(-2.0 * self.z * self.lam_min),
             # the oracle's C = G_- e^{2 w_-} G_-^T from the squeezed half of
             # K = V diag(w) V^T, G = [Re L, -Im L] V, ||G_-|| <= k.  A

@@ -228,8 +228,9 @@ def covariance_from_pair(cluster, pair):
     going through S.  The left block of Q B is
     M_x - i M_p, so E = (A + i 1) e^{i Theta} X + (A - i 1) e^{-i Theta}
     conj(Y) equals -M_x + i M_p and C = E E^dagger whenever (X, Y) obey the
-    bosonic-commutation conditions; the imaginary part of E E^dagger,
-    M_x M_p^T - M_p M_x^T, is the realness residual.
+    bosonic-commutation conditions; the report's E is that factor, and the
+    imaginary part of E E^dagger, M_x M_p^T - M_p M_x^T, is its realness
+    residual.
     """
     x, y = pair.X, pair.Y
     s = np.block(
@@ -244,13 +245,7 @@ def covariance_from_pair(cluster, pair):
     m = np.hstack([left.real, -left.imag]) @ s
     c = m @ m.T  # one same-buffer product (BLAS syrk): exactly symmetric
     mx, mp = m[:, :n], m[:, n:]
-    cross = mx @ mp.T
-    return CovarianceReport(
-        C=c,
-        E=-mx + 1j * mp,
-        max_abs=max_abs(c),
-        imag_residual=symmetry_defect(cross),
-    )
+    return CovarianceReport(C=c, H=-mx + 1j * mp, max_abs=max_abs(c))
 
 
 def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:

@@ -358,8 +358,8 @@ class TestSweep:
         closed form is computed and no z but the last is formed.  A range
         whose grid could never be built exits as fast."""
         closed_forms = []
-        closed_form = oracle.covariance_closed_form
-        monkeypatch.setattr(oracle, "covariance_closed_form", lambda *a: closed_forms.append(a) or closed_form(*a))
+        closed_form = oracle._frame_covariance  # each closed-form row of the sweep
+        monkeypatch.setattr(oracle, "_frame_covariance", lambda *a: closed_forms.append(a) or closed_form(*a))
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         for z_range in ("1:40:1", "1:1e300:1"):
             args = ["sweep", "--graph", graph, "--gauge", gauge, "--z-range", z_range]
@@ -381,7 +381,7 @@ EPR_CORE_CHECKS = """\
   [pass] structure_unitary: residual 4.441e-16 (tolerance 5.3e-15)
   [pass] bogoliubov_unitary_defect: residual 6.661e-16 (tolerance 3.2e-14)
   [pass] bogoliubov_symmetry_defect: residual 0.000e+00 (tolerance 3.2e-14)
-  [pass] covariance_real: residual 3.216e-19 (tolerance 9.0e-15)
+  [pass] covariance_real: residual 0.000e+00 (tolerance 9.0e-15)
   [pass] covariance_vs_oracle: residual 2.776e-16 (tolerance 2.6e-14)
   [pass] oracle_overlap: residual 2.220e-16 (tolerance 3.2e-14)
   [pass] uniform_gauge_formula: residual 0.000e+00 (tolerance 1.0e-14)
@@ -487,7 +487,7 @@ class TestOneFactorizationPerRequest:
     its 2N x 2N generator K and reads its z * lambda_max budget off it; no
     row takes an ``eigvalsh``.  A sweep factorizes K once when Z does not
     depend on z (identity and custom gauges) and once per checked row, the
-    first and the last, for the faithful gauge.
+    first and the last, for the faithful gauge; it gates the gauge as often.
     """
 
     GRAPH = "6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n"
@@ -536,13 +536,18 @@ class TestOneFactorizationPerRequest:
         assert calls.total() == expected
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
-    def test_sweep_factorizes_the_graph_once(self, gauge, tmp_path, capsys, request):
+    def test_sweep_factorizes_the_graph_once(self, gauge, tmp_path, capsys, monkeypatch, request):
+        """Only the end rows, which the oracle reads, build the gauge plan
+        and its gate; the three rows between read their strengths off the
+        cluster plan."""
         graph = write(tmp_path, "g.graph", self.GRAPH)
         spec, _ = self._gauge(gauge, tmp_path)
+        checked = self._count_gauge_checks(monkeypatch)
         calls = request.getfixturevalue("factorizations")
         args = ["sweep", "--graph", graph, "--gauge", spec, "--z-range", "0.5:2.5:0.5"]
         code, out, _ = run_cli(args, capsys)
         assert code == EXIT_OK and len(out.splitlines()) == 6
+        assert len(checked) == (2 if gauge == "faithful" else 1)
         assert calls.of("eigh", self.A) == 1 and calls["solve"] == []
         oracle_eighs = sum(1 for a in calls["eigh"] if a.shape == (12, 12))
         assert oracle_eighs == (2 if gauge == "faithful" else 1)

@@ -141,7 +141,7 @@ class TestQuadratureFlow:
             raise AssertionError("the oracle must not call this")
 
         monkeypatch.setattr(synthesis, "covariance_closed_form", forbidden)
-        monkeypatch.setattr(oracle, "covariance_closed_form", forbidden)
+        monkeypatch.setattr(oracle, "_frame_covariance", forbidden)  # the sweep's closed-form rows
         monkeypatch.setattr(synthesis.ClusterPlan, "of", forbidden)
         monkeypatch.setattr(synthesis.ClusterPlan, "interaction", forbidden)
         # of the plan, only A and theta: its eigendecomposition and U raise
@@ -414,6 +414,28 @@ class TestConvergenceSweep:
         rows = convergence_sweep(ClusterPlan.of(a, th), "identity", [0.5, 1.0, 1.5, 2.0, 3.0])
         norms = [row.max_abs for row in rows]
         assert all(x > y for x, y in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("kind", ["identity", "faithful", "custom"])
+    def test_every_row_is_the_closed_form(self, kind):
+        """The rows between the checked ends share one frame and read their
+        strengths off the cluster plan; each is the closed form of that
+        row's own gauge plan."""
+        rng = np.random.default_rng(97)
+        n = 7
+        a = random_adjacency(rng, n)
+        th = random_phases(rng, n)
+        gauge = random_gauge(rng, kind, a, th)
+        zs = [0.2 + 0.075 * k for k in range(24)]
+        rows = convergence_sweep(ClusterPlan.of(a, th), gauge, zs)
+        assert [row.z for row in rows] == zs
+        cluster = ClusterPlan.of(a, th)
+        for row in rows:
+            zm = cluster.interaction(gauge, row.z)[0]
+            closed = covariance_closed_form(cluster, zm, row.z)
+            budget = ErrorModel.for_cluster(cluster, zm, row.z).budget("bundle_C_matches")
+            assert abs(row.max_abs - closed.max_abs) <= budget
+            # | ||C||_F - ||C'||_F | <= ||C - C'||_F <= n max|C - C'|
+            assert abs(row.frobenius - closed.frobenius) <= n * budget
 
     def test_rejects_unsorted_or_empty(self):
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])

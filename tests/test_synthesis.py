@@ -23,6 +23,7 @@ from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
     epr_adjacency,
+    hermitian_function,
     non_hermitian_compatible_gauge,
     random_adjacency,
     random_compatible_gauge,
@@ -337,10 +338,16 @@ class TestCovarianceClosedForm:
             z = float(rng.uniform(0.3, 2.0))
             p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th)
             cluster = ClusterPlan.of(a, th)
-            rep = covariance_closed_form(cluster, cluster.interaction(p, z)[0], z)
+            zm = cluster.interaction(p, z)[0]
+            rep = covariance_closed_form(cluster, zm, z)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
-            assert np.max(np.abs(rep.C - rep.E @ rep.E.conj().T)) <= 1e-9 * scale
+            # E = (A + i) e^{i Theta} e^{-z P} from a dense e^{-z P}, and C = E E^dagger
+            decay = hermitian_function(zm.P, lambda w: np.exp(-z * w))
+            expected = (a + 1j * np.eye(n)) @ (np.exp(1j * th)[:, None] * decay)
+            assert np.max(np.abs(rep.E - expected)) <= 1e-9 * (1.0 + np.max(np.abs(expected)))
+            budget = ErrorModel.for_cluster(cluster, zm, z).budget("covariance_real")
+            assert np.max(np.abs(rep.C - rep.E @ rep.E.conj().T)) <= budget
             assert np.linalg.eigvalsh(rep.C)[0] >= -1e-9 * scale
 
     def test_monotone_convergence(self):
