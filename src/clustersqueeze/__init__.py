@@ -14,7 +14,6 @@ from .analysis import (
     analyze_interaction,
     find_regular_phases,
     regularity_margin,
-    takagi_symmetric_unitary,
 )
 from .blochmessiah import (
     BlochMessiahFactors,
@@ -35,7 +34,6 @@ from .errors import (
     NotOrthogonal,
     NotPositiveDefinite,
     NotSymmetric,
-    NotUnitary,
     OracleMismatch,
     ParseError,
     SingularInput,
@@ -91,7 +89,6 @@ __all__ = [
     "NotOrthogonal",
     "NotPositiveDefinite",
     "NotSymmetric",
-    "NotUnitary",
     "OracleMismatch",
     "ParseError",
     "SingularInput",
@@ -116,7 +113,6 @@ __all__ = [
     "polar_decompose_symmetric",
     "regularity_margin",
     "squeezer_spectrum",
-    "takagi_symmetric_unitary",
     "unitary_from_adjacency",
     "validate_gauge",
 ]

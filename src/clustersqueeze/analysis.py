@@ -13,9 +13,9 @@ alpha = :func:`~clustersqueeze.matfun.regularizing_angle` (U) and
 c = alpha / 2 + pi / 4, W = e^{2ic} U = i e^{i alpha} U and
 sigma_min(W + i) = sigma_min(e^{i alpha} U + 1) >= 2 sin(pi / 4N).
 
-The cluster recovered from a symmetric unitary S gives its Autonne-Takagi
-factor: the plan's canonical interferometer V = F diag(rotation) has
-S = i V V^T, so R = e^{i pi / 4} V, and no eigen-gap of S enters R R^T.
+The cluster recovered at the equal phases is also the plan that
+:func:`~clustersqueeze.blochmessiah.bloch_messiah` reads its factors off
+when only Z is given: its canonical interferometer W has U = i W W^T.
 """
 
 from __future__ import annotations
@@ -24,17 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotSymmetric, NotUnitary, SingularPhasePoint
+from .errors import SingularPhasePoint
 from .graphs import phase_vector
-from .matfun import (
-    as_complex_matrix,
-    cayley_real,
-    half_phase,
-    max_abs,
-    regularizing_angle,
-    symmetry_defect,
-    unitarity_defect,
-)
+from .matfun import as_complex_matrix, cayley_real, regularizing_angle
 from .synthesis import (
     ClusterPlan,
     CovarianceReport,
@@ -113,27 +105,6 @@ def find_regular_phases(U) -> tuple[np.ndarray, float]:
     u = as_complex_matrix(U)
     theta = _equal_phases(u)
     return theta, _regular(u, theta, " at the regularizing angle; input is not a valid symmetric unitary")
-
-
-def takagi_symmetric_unitary(s) -> np.ndarray:
-    """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
-
-    A 1 x 1 S gives R = half_phase(S), a larger one R = e^{i pi / 4} F
-    diag(rotation) of the cluster S encodes at the equal phases, its columns
-    in ascending |lam|.  R is not unique; callers check only R R^T - S.
-    """
-    sm = as_complex_matrix(s)
-    n = sm.shape[0]
-    defect = unitarity_defect(sm)
-    if defect > DEFAULT_TOLERANCES.rtol * n:
-        raise NotUnitary(f"unitarity defect {defect:.3e} exceeds tolerance")
-    defect = symmetry_defect(sm)
-    if defect > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
-        raise NotSymmetric(f"symmetry defect {defect:.3e} exceeds tolerance")
-    if n == 1:
-        return half_phase(sm)
-    plan = _recovered_plan(sm, _equal_phases(sm))
-    return np.exp(0.25j * np.pi) * plan.frame * plan.rotation[None, :]
 
 
 def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> ClusterRecovery:

@@ -3,25 +3,28 @@
 Any Bogoliubov pair factorizes as X = V cosh(z D) V^dagger and
 Y = V sinh(z D) V^T with V unitary and D the diagonal of squeezer
 strengths.  For a squeezing transformation with interaction matrix Z = P U
-the factors follow from the eigendecomposition P = T^dagger D T, which the
-interaction matrix already carries (``strengths``, ``modes``), and a
-balancing unitary R obtained from the Autonne-Takagi factorization of
--i T U T^T, one per group of equal strengths:
+the factors are read off the cluster (A, Theta) that U encodes.  Its plan's
+canonical interferometer W = F diag(rotation), F = e^{-i Theta} Q, has
+U = i W W^T, and a compatible P is W S_W W^dagger with S_W real symmetric,
+so one real eigendecomposition S_W = O diag(D) O^T gives
 
-    V = T^dagger R,    D = eigenvalues of P.
+    V = W O,    D = the strengths,    R = diag(rotation),
+
+and T with P = T^dagger diag(D) T and V = T^dagger R.  The built-in gauges
+are O = 1 (T = F^dagger); a custom P's modes are W O already.  No
+Takagi factorization, grouping of equal strengths or eigen-gap enters.
+Given Z alone, the cluster is the one ``analyze`` recovers from U at its
+equal phases.
 
 The structure factor is recovered from the interferometer alone through
-U = i V V^T, which holds for every admissible choice of the factors;
-``verify`` checks it as the ``interferometer_identity`` row.  It makes the
-second interferometer -i U T^T conj(R) equal to V, so V is the only one.
+U = i V V^T, which holds for every real orthogonal O; ``verify`` checks it
+as the ``interferometer_identity`` row.
 
 A unitary V describes a cluster with adjacency A (at phases Theta) exactly
 when (A + i 1) e^{i Theta} V + (A - i 1) e^{-i Theta} conj(V) = 0; writing
 e^{i Theta} V = V_r + i V_i this is V_i = A V_r.  All solutions are
-V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O with O real orthogonal.  For
-the built-in gauges P is diagonal in the cluster plan's frame
-F = e^{-i Theta} Q, so T = F^dagger and R = diag(``rotation``) give the
-member O = Q; otherwise each group's R is read off the plan its block encodes.
+V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O with O real orthogonal, and
+W O is the member with seed Q O.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import takagi_symmetric_unitary
+from .analysis import _equal_phases, _recovered_plan
 from .errors import NotOrthogonal
-from .matfun import as_complex_matrix, half_phase, max_abs, phase_fixed_columns
+from .matfun import as_complex_matrix, max_abs
 from .synthesis import ClusterPlan, InteractionMatrix, check_squeeze_budget
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -46,10 +49,6 @@ class BlochMessiahFactors:
     squeezing blocks are cosh(z D) and sinh(z D).  ``T`` diagonalizes the
     strength factor P and ``R`` is the balancing unitary; the factors are
     not unique, so consumers must check them through residuals only.
-    ``gap`` is the smallest gap between groups of strengths, or the Cayley
-    margin 2 sin(pi / 4 n_g) of the Takagi of a group of n_g > 1 modes if
-    smaller, and ``spread`` the widest group treated as degenerate (strengths
-    relative to their scale); they bound how well X and Y rebuild.
     """
 
     V: np.ndarray
@@ -57,8 +56,6 @@ class BlochMessiahFactors:
     R: np.ndarray
     T: np.ndarray
     z: float
-    gap: float
-    spread: float
 
     @property
     def decibels(self) -> np.ndarray:
@@ -77,52 +74,26 @@ def bloch_messiah(
 ) -> BlochMessiahFactors:
     """Reduce a squeezing transformation to squeezers plus interferometers.
 
-    ``cluster`` is the plan whose built-in gauge planned ``zm``: its frame
-    and rotation, in the order of the strengths, give T = F^dagger and the
-    diagonal R = diag(rotation), which resolve no group.  Without
-    it (a custom gauge, or Z alone) the balancing factorization is applied
-    blockwise per degenerate group of squeezer strengths: -i T U T^T
-    commutes with D for a symmetric Z, so it is block-diagonal in T's basis,
-    and a blockwise R is guaranteed to commute with cosh(z D) even when
-    eigenvalues of the structure factor coincide across distinct strengths.
+    ``cluster`` is the plan that built ``zm``: V is its interferometer W
+    for a built-in gauge and the modes W O of a custom P.  Without it (Z
+    alone) the plan recovered from U at the equal phases gives V = W O from
+    its S_W; D stays the strengths of ``zm``.
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
     w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
-    if cluster is not None:
-        f, rotation = cluster.frame, cluster.rotation
-        return BlochMessiahFactors(
-            V=f * rotation[None, :], D=w, R=np.diag(rotation), T=f.conj().T,
-            z=float(z), gap=math.inf, spread=0.0,
-        )
-    v = phase_fixed_columns(zm.modes)
-    n = zm.n
-    # -i T U T^T is block-diagonal, so only its diagonal blocks are formed,
-    # from U conj(T^dagger)
-    uv = zm.U @ v.conj()
-    r = np.zeros((n, n), dtype=complex)
-    v_factor = np.empty_like(v, dtype=complex)
-    scale = max(1.0, float(w[-1]))
-    cuts = np.flatnonzero(np.diff(w) > DEFAULT_TOLERANCES.degeneracy * scale) + 1
-    groups = np.split(np.arange(n), cuts)
-    gap = float(np.min(np.diff(w)[cuts - 1], initial=math.inf)) / scale
-    spread = float(max(w[g[-1]] - w[g[0]] for g in groups)) / scale
-    singles = [g[0] for g in groups if len(g) == 1]
-    if singles:
-        # A 1 x 1 block s is its own Takagi factorization, R = e^{i arg(s)/2},
-        # taken for all of them at once; it resolves nothing.
-        s = (-1j * np.sum(v.conj() * uv, axis=0))[singles]  # diagonal of -i T U T^T
-        r_singles = half_phase(s)
-        r[singles, singles] = r_singles
-        v_factor[:, singles] = v[:, singles] * r_singles[None, :]
-    for g in (g for g in groups if len(g) > 1):
-        group = slice(g[0], g[-1] + 1)
-        block = takagi_symmetric_unitary(-1j * v[:, group].conj().T @ uv[:, group])
-        r[group, group] = block
-        v_factor[:, group] = v[:, group] @ block
-        gap = min(gap, 2.0 * math.sin(math.pi / (4 * len(g))))  # the Takagi's Cayley margin
-    return BlochMessiahFactors(V=v_factor, D=w, R=r, T=v.conj().T, z=float(z), gap=gap, spread=spread)
+    if cluster is None:
+        cluster = _recovered_plan(zm.U, _equal_phases(zm.U))
+        v = cluster.eigenpairs(zm.P)[1]
+    else:
+        v = zm.interferometer
+    rotation = cluster.rotation
+    if v is None:  # a built-in gauge: P is diagonal in F, O = 1
+        v, t = cluster.interferometer, cluster.frame.conj().T
+    else:
+        t = rotation[:, None] * v.conj().T
+    return BlochMessiahFactors(V=v, D=w, R=np.diag(rotation), T=t, z=float(z))
 
 
 def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
@@ -142,8 +113,7 @@ def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
     defect = max_abs(o @ o.T - np.eye(a.shape[0]))
     if defect > DEFAULT_TOLERANCES.orthogonal:
         raise NotOrthogonal(f"seed orthogonality defect {defect:.3e}")
-    f = cluster.frame
-    return (f * cluster.rotation[None, :]) @ (f.T @ (np.exp(1j * cluster.theta)[:, None] * o))
+    return cluster.interferometer @ (cluster.frame.T @ (np.exp(1j * cluster.theta)[:, None] * o))
 
 
 def cluster_condition_residual(V, cluster: ClusterPlan) -> float:

@@ -316,27 +316,18 @@ def _reduction_rows(zm, pair, factors) -> list[tuple[str, float]]:
     ]
 
 
-def _built_in(cluster, gauge):
-    """The plan Bloch-Messiah reads its factors off: ``cluster`` for a
-    built-in gauge (a name), None for a custom P, which takes the generic
-    Takagi path."""
-    return cluster if isinstance(gauge, str) else None
-
-
 def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
     """Core battery plus interferometer-reduction checks (verify command).
 
-    Returns (checks, computed) with computed as in :func:`core_battery`; its
-    model now carries the grouping Bloch-Messiah resolved.
+    Returns (checks, computed) with computed as in :func:`core_battery`.
     """
     checks, computed = core_battery(cluster, gauge, z, gauge_name)
     zm = computed["zm"]
-    factors = blochmessiah.bloch_messiah(zm, z, _built_in(cluster, gauge))
-    model = computed["model"] = computed["model"].with_reduction(factors)
+    factors = blochmessiah.bloch_messiah(zm, z, cluster)
     rows = _reduction_rows(zm, computed["pair"], factors) + [
         ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)),
     ]
-    return checks + model.checks(rows), computed
+    return checks + computed["model"].checks(rows), computed
 
 
 # --------------------------------------------------------------------------
@@ -626,14 +617,14 @@ def cmd_decompose(args) -> tuple[int, dict]:
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge")
         zm = load_interaction(args.interaction)
-        model, plan = ErrorModel.for_interaction(zm.strengths, z), None
+        model, cluster = ErrorModel.for_interaction(zm.strengths, z), None
     else:
         cluster, _, gauge = _load_cluster(args)
         zm, _ = cluster.interaction(gauge, z)
-        model, plan = ErrorModel.for_cluster(cluster, zm, z), _built_in(cluster, gauge)
-    factors = blochmessiah.bloch_messiah(zm, z, plan)
+        model = ErrorModel.for_cluster(cluster, zm, z)
+    factors = blochmessiah.bloch_messiah(zm, z, cluster)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
-    checks = model.with_reduction(factors).checks(_reduction_rows(zm, pair, factors))
+    checks = model.checks(_reduction_rows(zm, pair, factors))
     return EXIT_OK, {
         "command": "decompose",
         "n": zm.n,

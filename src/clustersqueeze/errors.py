@@ -13,10 +13,6 @@ class NotHermitian(ClusterSqueezeError):
     pass
 
 
-class NotUnitary(ClusterSqueezeError):
-    pass
-
-
 class NotOrthogonal(ClusterSqueezeError):
     pass
 

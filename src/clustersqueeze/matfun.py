@@ -66,25 +66,6 @@ def _spectral(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (q * values[None, :]) @ q.conj().T
 
 
-def phase_fixed_columns(q: np.ndarray) -> np.ndarray:
-    """Copy of an eigenvector matrix with a deterministic phase per column.
-
-    Each column is rescaled so its first component of non-negligible modulus
-    is real and positive.  Contracts downstream remain residual-based; the
-    fixed phase only stabilizes output for repeated runs.
-    """
-    q = q.copy()
-    modulus = np.abs(q)
-    above = modulus > 1e-8 * modulus.max(axis=0, initial=1.0)
-    first = above.argmax(axis=0)
-    # One in-place scaling per column, as the column-by-column form scaled
-    # them; the tests pin the result to that form bit for bit.
-    for j in np.flatnonzero(above.any(axis=0)):
-        pivot = q[first[j], j]
-        q[:, j] *= pivot.conjugate() / abs(pivot)
-    return q
-
-
 def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Polar decomposition Z = P U of a complex symmetric matrix.
 
@@ -117,13 +98,6 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
     return p, w @ vh, sigma, q
-
-
-def half_phase(s) -> np.ndarray:
-    """e^{i arg(s) / 2} with arg on (-pi, pi] and -pi mapped to +pi: the
-    Autonne-Takagi factor of each 1 x 1 symmetric unitary s."""
-    angles = np.angle(s)
-    return np.exp(0.5j * np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles))
 
 
 def cayley_real(w: np.ndarray) -> np.ndarray:

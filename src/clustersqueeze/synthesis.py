@@ -31,9 +31,12 @@ F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T and the faithful
 gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no further
 factorization.  :class:`InteractionMatrix` holds Z = P U with the
 eigenpairs of P, and X, Y, C and the squeezer strengths come from them.
-The cluster plan builds it for every gauge, reading a custom P's eigenpairs
-off one ``eigh`` of its Hermitian part; the polar split of Z builds it
-when only Z is given.
+The cluster plan builds it for every gauge; the polar split of Z builds it
+when only Z is given.  In the plan's canonical interferometer
+W = F diag((1 + i lam) / |1 + i lam|), U = i W W^T, and every compatible
+gauge is P = W S_W W^dagger with S_W real symmetric positive definite.  A
+custom P's eigenpairs come from one real ``eigh`` of S_W = O diag(w) O^T:
+its modes are W O, and the built-in gauges are the case O = 1.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ class InteractionMatrix:
     U: np.ndarray
     strengths: np.ndarray
     modes: np.ndarray
+    #: the modes W O of a custom P, which are also its Bloch-Messiah
+    #: interferometer; None for the built-in gauges (O = 1) and the polar split
+    interferometer: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -218,6 +224,26 @@ class ClusterPlan:
         return (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
 
     @cached_property
+    def interferometer(self) -> np.ndarray:
+        """W = F diag(rotation), the canonical interferometer with O = Q."""
+        return self.frame * self.rotation[None, :]
+
+    def eigenpairs(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Strengths w and modes W O of a Hermitian P compatible with the
+        cluster, from one real eigh(Re S_W) = O diag(w) O^T, S_W = W^dagger P W.
+
+        With G = diag(sqrt(1 + lam^2)), the gauge gate's test matrix
+        (A + i) e^{i Theta} P e^{-i Theta} (A - i) is Q G S_W G Q^T, and
+        G >= 1, so Im S_W is no larger in the 2-norm than the imaginary
+        part the gate judges: Re S_W drops nothing the gate does not bound.
+        """
+        w_frame = self.interferometer
+        s = w_frame.conj().T @ (p @ w_frame)
+        w, o = np.linalg.eigh(s.real)
+        # W O = (O^T W^T)^T, one real product with O
+        return w, _real_product(o.T, w_frame.T).T
+
+    @cached_property
     def U(self) -> np.ndarray:
         lam, q = self._spectrum
         ph = self._phases
@@ -230,12 +256,14 @@ class ClusterPlan:
 
         ``gauge`` is ``"identity"`` (P and its modes 1, so P and X stay
         real), ``"faithful"`` (modes F, strengths 1 + ln(1 + lam^2) / (2 z)
-        ascending) or an explicit P.  One builder plans every gauge and
-        checks what concerns P alone first: an explicit P's shape
-        (:class:`DimensionMismatch`), finiteness and Hermiticity
-        (:class:`NotHermitian`), then for every gauge positivity and
-        singularity (:class:`NotPositiveDefinite`).  One gate then judges
-        compatibility: a reality (``gauge_condition``) or
+        ascending) or an explicit P (modes W O, see :meth:`eigenpairs`).
+        One builder plans every gauge and checks what concerns P first: an
+        explicit P's shape (:class:`DimensionMismatch`), finiteness and
+        Hermiticity (:class:`NotHermitian`), then for every gauge
+        positivity and singularity of the strengths
+        (:class:`NotPositiveDefinite`); an explicit P's strengths are those
+        of Re S_W, which are P's to rounding whenever the gate passes.  One gate
+        then judges compatibility: a reality (``gauge_condition``) or
         ``interaction_symmetric`` residual above its :class:`ErrorModel`
         budget raises :class:`GaugeIncompatible`, so the rows built on P see
         no incompatibility beyond the rounding they budget for.
@@ -262,6 +290,7 @@ class ClusterPlan:
     def _plan(self, gauge, z: float | None) -> InteractionMatrix:
         """Z = P U with P Hermitian and its eigenpairs, for any gauge."""
         n = self.A.shape[0]
+        interferometer = None
         if not isinstance(gauge, str):
             if np.shape(gauge) != self.A.shape:
                 raise DimensionMismatch("gauge factor shape does not match the graph")
@@ -269,7 +298,8 @@ class ClusterPlan:
             if hermiticity_defect(p) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(p)):
                 raise NotHermitian("gauge factor is not Hermitian")
             p = (p + p.conj().T) / 2.0
-            w, modes = np.linalg.eigh(p)
+            w, modes = self.eigenpairs(p)
+            interferometer = modes
         elif gauge == "identity":
             w, modes = np.ones(n), np.eye(n)
             p = np.eye(n)
@@ -285,7 +315,8 @@ class ClusterPlan:
                 f"gauge factor has min eigenvalue {w[0]:.3e}: not positive definite "
                 "or numerically singular"
             )
-        return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes)
+        return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes,
+                                 interferometer=interferometer)
 
 
 def validate_gauge(cluster: ClusterPlan, P) -> GaugeCheck:

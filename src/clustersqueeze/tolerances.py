@@ -9,13 +9,15 @@ and c is 4 per rounded stage (a factorization, solve or N-term matrix
 product, each adding at most gamma_N ~ N u) between the inputs and the
 residual; the 4 covers complex arithmetic (sqrt(2) gamma_{N+2}, Lemma 3.5).
 The budgets of the two gauge-compatibility checks also gate the input, so a
-gauge that passes the gate passes those checks.
+gauge that passes the gate passes those checks.  The Bloch-Messiah factors
+come from a cluster plan's real eigendecomposition for every gauge, so no
+budget holds an eigen-gap or a spread of near-equal strengths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,8 +45,6 @@ class Tolerances:
     regular_min: float = 1e-8
     #: imaginary residual allowed in a recovered adjacency matrix
     realness: float = 1e-8
-    #: eigenvalue gap below which spectra are treated as degenerate
-    degeneracy: float = 1e-8
     #: residual of O @ O.T - 1 allowed for a real orthogonal seed
     orthogonal: float = 1e-12
     #: reject z * max(eig P) beyond this (cosh overflows double precision)
@@ -75,13 +75,15 @@ CHECKS = {
     # and G = [Re L, -Im L] V (order 2N, 2 stages each), H H^T
     "covariance_vs_oracle": ("oracle", 56),
     "oracle_overlap": ("overlap", 24),  # U and Z (2), eigh of K and G (order 2N)
-    # P, U, eigh, X/Y, balancing (2), Takagi (2: Cayley solve, eigh of K), V,
-    # V again as V^dagger or V^T (2), rebuild; the plan's closed form has
-    # gap = inf and spread = 0
+    # The reduction rows count the longest route, Z alone: the polar split
+    # (SVD, P, U: 3), the recovered plan (Cayley solve, eigh of A': 2), S_W
+    # (2), eigh of Re S_W, V = W O; then X/Y (2), V again as V^dagger or V^T
+    # (2), the rebuild and one stage to spare.  A cluster plan's route has
+    # fewer stages before V (eigh of A, U, and a custom P's S_W and eigh)
     "blochmessiah_x": ("reduction", 60),
     "blochmessiah_y": ("reduction", 60),
-    "interferometer_identity": ("eigenvectors", 44),  # P, U, eigh, balancing, Takagi, V, V V^T
-    "cluster_condition": ("cluster", 48),  # as above, then two products with A
+    "interferometer_identity": ("eigenvectors", 44),  # the 9 stages to V, V V^T, one spare
+    "cluster_condition": ("cluster", 48),  # the 9 stages to V, two products with A, one spare
     "bundle_Z_matches": ("interaction", 20),  # the stored result of the same stages
     "bundle_U_matches": ("structure", 4),
     "bundle_X_matches": ("blocks", 20),  # P, eigh, cosh(zP)
@@ -100,15 +102,13 @@ class ErrorModel:
     condition number lambda_max / lambda_min of P when U comes from the
     polar split of an interaction matrix.  The two compatibility residuals
     are relative to ``z_scale`` (max(1, max|Z|)) and ``test_scale`` (the
-    largest entry of the gauge's test matrix).  ``gap`` and ``spread`` are
-    the grouping Bloch-Messiah resolved.  The modes of P carry an error
-    u / gap between groups of strengths, and a group treated as degenerate
-    rebuilds X and Y only up to its spread.  The Takagi of a group of n_g
-    modes rounds K by u N ||K||, ||K|| <= cot(pi / 4 n_g), and the Cayley
-    map (divided differences at most 2) takes that into R R^T as at most one
-    stage of c over its margin 2 sin(pi / 4 n_g), which ``gap`` then holds.
-    No term depends on the basis inside a group.  Factors read off the
-    cluster plan resolve none.
+    largest entry of the gauge's test matrix).  ``margin`` is inf when the
+    Bloch-Messiah factors come from the cluster plan that built X and Y.
+    From Z alone they come from the plan recovered from U at the equal
+    phases, whose Cayley map amplifies U's rounding by at most
+    1 / sigma_min(W + i) <= 1 / margin, margin = 2 sin(pi / 4N); X and Y
+    still come from the polar split's modes.  No term depends on an
+    eigen-gap or on the basis inside a group of equal strengths.
     """
 
     n: int
@@ -118,8 +118,7 @@ class ErrorModel:
     kappa: float
     z_scale: float = 1.0
     test_scale: float = 1.0
-    gap: float = math.inf
-    spread: float = 0.0
+    margin: float = math.inf
 
     @classmethod
     def for_cluster(cls, cluster, zm, z: float, test_scale: float = 1.0) -> "ErrorModel":
@@ -148,22 +147,24 @@ class ErrorModel:
 
     @classmethod
     def for_interaction(cls, strengths, z: float) -> "ErrorModel":
-        lo, hi = float(strengths[0]), float(strengths[-1])
-        return cls(len(strengths), z, lo, hi, hi / lo)
-
-    def with_reduction(self, factors) -> "ErrorModel":
-        """The model with the grouping of Bloch-Messiah ``factors``."""
-        return replace(self, gap=factors.gap, spread=factors.spread)
+        """Model of Z alone: its polar split's strengths and the margin of
+        the plan recovered from its U."""
+        n, lo, hi = len(strengths), float(strengths[0]), float(strengths[-1])
+        return cls(n, z, lo, hi, hi / lo, margin=2.0 * math.sin(math.pi / (4 * n)))
 
     @cached_property
     def magnitudes(self) -> dict[str, float]:
         k, zl = self.kappa, self.z * self.lam_max
         cosh = math.cosh(zl)
-        # Interferometer error in units of u N: u / gap from the modes and
-        # the Takagi's Cayley margin, and a degenerate group's spread,
-        # amplified by z for the strengths.
-        grouping = (1.0 + self.z * max(1.0, self.lam_max)) * self.spread
-        eigenvectors = k + 1.0 / self.gap + grouping / (UNIT_ROUNDOFF * self.n)
+        # Interferometer error in units of u N: U's, and the recovered
+        # plan's Cayley round trip
+        eigenvectors = k + 1.0 / self.margin
+        # From Z alone, X and Y, and V, rest on two representations of P,
+        # u N lambda_max (1 + eigenvectors) apart (S_W drops an imaginary
+        # part up to P's asymmetry against the recovered U); the divided
+        # differences of cosh(z .) and sinh(z .), at most z cosh(z lambda_max),
+        # carry that into X and Y.  No gap enters.
+        mixed = 0.0 if math.isinf(self.margin) else zl * (1.0 + eigenvectors)
         return {
             "structure": k,
             "interaction": k * self.lam_max,
@@ -193,7 +194,7 @@ class ErrorModel:
             # u N k lambda_max; the product G adds u N k.  z cancels
             "overlap": k * (1.0 + k * self.lam_max / self.lam_min),
             "eigenvectors": eigenvectors,
-            "reduction": cosh * eigenvectors,
+            "reduction": cosh * (eigenvectors + mixed),
             "cluster": k * eigenvectors,
         }
 

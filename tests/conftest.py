@@ -17,12 +17,12 @@ from hypothesis import settings
 
 from clustersqueeze import (
     BogoliubovPair,
+    ClusterSqueezeError,
     CovarianceReport,
     DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
     NotSymmetric,
-    NotUnitary,
     ParseError,
     SingularPhasePoint,
     adjacency_matrix,
@@ -248,6 +248,52 @@ def covariance_from_pair(cluster, pair):
     return CovarianceReport(C=c, H=-mx + 1j * mp, max_abs=max_abs(c))
 
 
+class NotUnitary(ClusterSqueezeError):
+    """A symmetric unitary reference below got a matrix that is not unitary."""
+
+
+#: eigenvalue gap below which ``symmetric_unitary_angles`` treats Re(S) as
+#: degenerate
+DEGENERACY = 1e-8
+
+
+def _symmetric_unitary(s) -> np.ndarray:
+    """S as a complex matrix, checked unitary (``rtol`` N) and symmetric
+    (``rtol`` max(1, max|S|))."""
+    sm = as_complex_matrix(s)
+    n = sm.shape[0]
+    if unitarity_defect(sm) > DEFAULT_TOLERANCES.rtol * n:
+        raise NotUnitary(
+            f"unitarity defect {unitarity_defect(sm):.3e} exceeds tolerance"
+        )
+    if symmetry_defect(sm) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
+        raise NotSymmetric(
+            f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
+        )
+    return sm
+
+
+def half_phase(s) -> np.ndarray:
+    """e^{i arg(s) / 2} with arg on (-pi, pi] and -pi mapped to +pi: the
+    Autonne-Takagi factor of each 1 x 1 symmetric unitary s."""
+    angles = np.angle(s)
+    return np.exp(0.5j * np.where(angles < -np.pi + 1e-12, angles + 2.0 * np.pi, angles))
+
+
+def takagi_symmetric_unitary(s) -> np.ndarray:
+    """Autonne-Takagi factor R of a symmetric unitary: R unitary, R R^T = S.
+
+    A 1 x 1 S gives R = half_phase(S), a larger one R = e^{i pi / 4} F
+    diag(rotation) of the cluster S encodes at the equal phases, its columns
+    in ascending |lam|.  R is not unique; callers check only R R^T - S.
+    """
+    sm = _symmetric_unitary(s)
+    if sm.shape[0] == 1:
+        return half_phase(sm)
+    plan = analysis._recovered_plan(sm, analysis._equal_phases(sm))
+    return np.exp(0.25j * np.pi) * plan.frame * plan.rotation[None, :]
+
+
 def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
     """Joint real-orthogonal diagonalization of a symmetric unitary: the
     angle route to S = Q e^{i L} Q^T.
@@ -259,20 +305,12 @@ def symmetric_unitary_angles(s) -> tuple[np.ndarray, np.ndarray]:
     the exactly-degenerate cases produced by structured graphs.  Angles are
     on the principal branch (-pi, pi], with -pi mapped to +pi.
     """
-    sm = as_complex_matrix(s)
+    sm = _symmetric_unitary(s)
     n = sm.shape[0]
-    if unitarity_defect(sm) > DEFAULT_TOLERANCES.rtol * n:
-        raise NotUnitary(
-            f"unitarity defect {unitarity_defect(sm):.3e} exceeds tolerance"
-        )
-    if symmetry_defect(sm) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
-        raise NotSymmetric(
-            f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
-        )
     re = (sm.real + sm.real.T) / 2.0
     im = (sm.imag + sm.imag.T) / 2.0
     w, q = np.linalg.eigh(re)
-    for g in np.split(np.arange(n), np.flatnonzero(np.diff(w) > DEFAULT_TOLERANCES.degeneracy) + 1):
+    for g in np.split(np.arange(n), np.flatnonzero(np.diff(w) > DEGENERACY) + 1):
         if len(g) > 1:
             block = q[:, g].T @ im @ q[:, g]
             _, v = np.linalg.eigh((block + block.T) / 2.0)

@@ -219,8 +219,9 @@ def test_criterion_08_bloch_messiah():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.0))
         kind = ("identity", "faithful", "custom")[trial % 3]
-        zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
-        factors = bloch_messiah(zm, z)
+        cluster = ClusterPlan.of(a, th)
+        zm = cluster.interaction(random_gauge(rng, kind, a, th), z)[0]
+        factors = bloch_messiah(zm, z, cluster)
         pair = bogoliubov_from_interaction(zm, z)
         x_rec, y_rec = factors.reconstruct()
         worst_rec = max(

@@ -12,7 +12,6 @@ from clustersqueeze import (
     analyze_interaction,
     find_regular_phases,
     regularity_margin,
-    takagi_symmetric_unitary,
     unitary_from_adjacency,
 )
 from clustersqueeze.matfun import cayley_real, regularizing_angle
@@ -26,6 +25,7 @@ from conftest import (
     random_orthogonal,
     random_phases,
     random_symmetric_unitary,
+    takagi_symmetric_unitary,
 )
 
 #: Eigen-angles at which W + i is singular for zero phases and for each

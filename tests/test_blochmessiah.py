@@ -9,22 +9,21 @@ import pytest
 from clustersqueeze import (
     ClusterPlan,
     InteractionMatrix,
+    NonRealResult,
     NotOrthogonal,
-    NotUnitary,
     bloch_messiah,
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
     cli,
     cluster_condition_residual,
     squeezer_spectrum,
-    takagi_symmetric_unitary,
     unitary_from_adjacency,
 )
-from clustersqueeze.matfun import phase_fixed_columns
 from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
     epr_adjacency,
+    half_phase,
     random_adjacency,
     random_gauge,
     random_orthogonal,
@@ -72,8 +71,9 @@ class TestBlochMessiah:
         rng = np.random.default_rng(60)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
-        zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, "custom", a, th))[0]
-        factors = bloch_messiah(zm, 1.0)
+        cluster = ClusterPlan.of(a, th)
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th))[0]
+        factors = bloch_messiah(zm, 1.0, cluster)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
         # the second interferometer -i U T^T conj(R) is V itself
@@ -91,8 +91,9 @@ class TestBlochMessiah:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
-            factors = bloch_messiah(zm, z)
+            cluster = ClusterPlan.of(a, th)
+            zm = cluster.interaction(random_gauge(rng, kind, a, th), z)[0]
+            factors = bloch_messiah(zm, z, cluster)
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert rx <= 1e-8 and ry <= 1e-8
             assert ru <= 1e-9
@@ -102,8 +103,9 @@ class TestBlochMessiah:
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
         z = 1.2
-        zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, "custom", a, th))[0]
-        factors = bloch_messiah(zm, z)
+        cluster = ClusterPlan.of(a, th)
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th))[0]
+        factors = bloch_messiah(zm, z, cluster)
         strengths = np.array([m.strength for m in squeezer_spectrum(zm, z)])
         assert np.max(np.abs(np.sort(factors.D) - np.sort(strengths))) <= 1e-9
         assert np.allclose(
@@ -112,33 +114,32 @@ class TestBlochMessiah:
 
     def test_degenerate_strengths_with_colliding_angles(self):
         # distinct squeezer strengths whose structure factor is scalar (two
-        # free modes, U = i 1): the blockwise balancing must not mix the
-        # strength eigenspaces
-        zm = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))[0]
-        factors = bloch_messiah(zm, 1.0)
+        # free modes, U = i 1): the factors must not mix the strength
+        # eigenspaces
+        cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
+        zm = cluster.interaction(np.diag([1.0, 2.0]))[0]
+        factors = bloch_messiah(zm, 1.0, cluster)
         rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
         assert max(rx, ry, ru) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_single_groups_match_the_per_group_takagi(self, n):
-        # every faithful strength group is 1 x 1; the one vectorized step must
-        # give the balancing R that one Takagi call per group gives, bit for
-        # bit, from the diagonal entries of -i T U T^T that bloch_messiah forms
+        # every faithful strength group is 1 x 1, and -i T U T^T is diagonal
+        # in the plan's frame: R = diag(rotation) is the Takagi factor of each
+        # diagonal entry, e^{i arg / 2}, to rounding
         rng = np.random.default_rng(64)
         a = random_adjacency(rng, n)
-        zm = ClusterPlan.of(a, random_phases(rng, n)).interaction("faithful", 0.7)[0]
-        v = phase_fixed_columns(zm.modes)
-        balanced = -1j * np.sum(v.conj() * (zm.U @ v.conj()), axis=0)
-        reference = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            reference[k:k + 1, k:k + 1] = takagi_symmetric_unitary(balanced[k].reshape(1, 1))
-        factors = bloch_messiah(zm, 0.7)
-        assert np.array_equal(factors.R, reference)
-        assert factors.spread == 0.0
+        cluster = ClusterPlan.of(a, random_phases(rng, n))
+        zm = cluster.interaction("faithful", 0.7)[0]
+        factors = bloch_messiah(zm, 0.7, cluster)
+        balanced = np.diag(-1j * factors.T @ zm.U @ factors.T.T)
+        assert np.max(np.abs(factors.R - np.diag(half_phase(balanced)))) <= 1e-13
 
     def test_non_unitary_single_group_is_rejected(self):
+        # from Z alone the factors come from the cluster recovered from U,
+        # whose Cayley map rejects a U that is not unitary
         zm = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)[0]
-        with pytest.raises(NotUnitary):
+        with pytest.raises(NonRealResult):
             bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U), 1.0)
 
     def test_cluster_condition_of_reduced_interferometer(self):
@@ -148,18 +149,18 @@ class TestBlochMessiah:
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
             z = 1.0
-            kind = ("identity", "faithful")[trial % 2]
+            kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
             zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm, z, cluster)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-8
 
 
 class TestBudgetsDoNotDependOnTheModeBasis:
     """On the interaction route the identity gauge's strengths form one
     degenerate group, inside which the modes of P are any unitary basis.
-    T U T^T is no similarity transform, so the spectrum of the balancing
-    matrix changes with that basis; the reduction budgets must not."""
+    The factors come from the cluster recovered from U, and neither they
+    nor the reduction budgets depend on that basis."""
 
     ROWS = ("blochmessiah_x", "blochmessiah_y", "interferometer_identity", "cluster_condition")
 
@@ -171,10 +172,11 @@ class TestBudgetsDoNotDependOnTheModeBasis:
         assert zm.strengths[-1] - zm.strengths[0] < 1e-12
         pair = bogoliubov_from_interaction(zm, z)
         rng = np.random.default_rng(2022)
-        budgets = []
+        budgets, reference = [], bloch_messiah(zm, z)
         for modes in [zm.modes] + [zm.modes @ random_unitary(rng, n) for _ in range(5)]:
             factors = bloch_messiah(dataclasses.replace(zm, modes=modes), z)
-            model = ErrorModel.for_interaction(zm.strengths, z).with_reduction(factors)
+            assert np.array_equal(factors.V, reference.V)
+            model = ErrorModel.for_interaction(zm.strengths, z)
             rows = cli._reduction_rows(zm, pair, factors) + [
                 ("cluster_condition", cluster_condition_residual(factors.V, cluster)),
             ]
@@ -188,7 +190,8 @@ class TestBudgetsDoNotDependOnTheModeBasis:
 class TestFactorsOffThePlan:
     """With the cluster plan of a built-in gauge, T = F^dagger in the order
     of the strengths, R is diagonal and V is the canonical interferometer
-    with O = Q in that order; no group is resolved."""
+    with O = Q in that order; with a custom gauge, V = W O for the O that
+    diagonalizes S_W = W^dagger P W."""
 
     GRAPHS = {
         "random": None,
@@ -212,13 +215,35 @@ class TestFactorsOffThePlan:
             canonical = canonical_cluster_interferometer(cluster, cluster.by_magnitude[1])
             assert np.max(np.abs(factors.V - canonical)) <= 1e-13
             assert np.array_equal(factors.D, zm.strengths)
-            assert factors.gap == math.inf and factors.spread == 0.0
             assert np.array_equal(factors.R, np.diag(np.diag(factors.R)))
             assert np.max(np.abs(factors.T.conj().T @ factors.R - factors.V)) <= 1e-14
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             assert np.max(np.abs(factors.R @ factors.R.T - balanced)) <= 1e-13
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert max(rx, ry, ru) <= 1e-13 * math.cosh(z * zm.strengths[-1])
+            assert cluster_condition_residual(factors.V, cluster) <= 1e-13
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_custom_gauge_v_is_w_times_a_real_orthogonal(self, graph):
+        rng = np.random.default_rng(68)
+        for _ in range(8):
+            a = self.GRAPHS[graph]
+            a = random_adjacency(rng, int(rng.integers(1, 9))) if a is None else a
+            n = a.shape[0]
+            cluster = ClusterPlan.of(a, random_phases(rng, n))
+            z = float(rng.uniform(0.3, 2.0))
+            zm = cluster.interaction(random_gauge(rng, "custom", a, cluster.theta), z)[0]
+            factors = bloch_messiah(zm, z, cluster)
+            assert factors.V is zm.modes and np.array_equal(factors.D, zm.strengths)
+            o = cluster.interferometer.conj().T @ factors.V
+            assert np.max(np.abs(o.imag)) <= 1e-13
+            assert np.max(np.abs(o.real @ o.real.T - np.eye(n))) <= 1e-13
+            assert np.array_equal(factors.R, np.diag(cluster.rotation))
+            assert np.max(np.abs(factors.T.conj().T @ factors.R - factors.V)) <= 1e-14
+            scale = zm.strengths[-1]
+            assert np.max(np.abs(factors.T.conj().T @ np.diag(factors.D) @ factors.T - zm.P)) <= 1e-13 * scale
+            rx, ry, ru = _reconstruction_residuals(zm, z, factors)
+            assert rx == 0.0 and max(ry, ru) <= 1e-13 * math.cosh(z * scale)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-13
 
 

@@ -15,7 +15,9 @@ rejection (exit 3).
 ``POWER`` is the table of those faults.  Cases are N in {8, 64}, the two
 built-in gauges and z lambda_max in {1, 25}, on a dense random graph of
 spectral radius 1 with random phases; ``self_inverse_value`` needs A A = 1
-and runs on a perfect matching.
+and runs on a perfect matching.  The Bloch-Messiah rows are also pinned on
+the bundle route (``INTERACTION_POWER``) and for a custom gauge on both
+routes (``CUSTOM_POWER``).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import pytest
 from clustersqueeze import blochmessiah, cli, synthesis
 from clustersqueeze.graphs import format_graph
 from clustersqueeze.matfun import max_abs
-from clustersqueeze.tolerances import CHECKS, DEFAULT_TOLERANCES
+from clustersqueeze.tolerances import CHECKS
 
-from conftest import matrix_to_json
+from conftest import matrix_to_json, random_compatible_gauge
 
 GATE_ROWS = ("gauge_condition", "interaction_symmetric")
 
@@ -66,15 +68,26 @@ POWER = {
 }
 
 #: The reduction rows on the bundle route (``verify --interaction``), with V
-#: faulted as above, on the identity-gauge cases: their one strength group
-#: takes the Cayley Takagi path, whose budget carries the margin
-#: 2 sin(pi / 4 N) and no eigen-gap of the balancing matrix.  Faults set by
-#: the rule above.
+#: faulted as above, on every built-in case.  The stored P is planned as a
+#: custom gauge, whose modes W O are V, so the budgets carry no eigen-gap,
+#: as on the graph route.  Faults set by the rule above.
 INTERACTION_POWER = {
+    "blochmessiah_x": 1e-11,
+    "blochmessiah_y": 1e-11,
+    "interferometer_identity": 1e-11,
+    "cluster_condition": 1e-11,
+}
+
+#: The same rows for a custom gauge (``random_compatible_gauge``, strengths
+#: from 0.05 to 3.05) at N in {8, 64} and z lambda_max in {1, 25}, on the
+#: graph route and the bundle route alike.  Only the strongest mode's
+#: column of V is amplified by cosh(z lambda_max), hence the decade over
+#: the built-in gauges for X and Y.  Faults set by the rule above.
+CUSTOM_POWER = {
     "blochmessiah_x": 1e-10,
-    "blochmessiah_y": 1e-9,
-    "interferometer_identity": 1e-10,
-    "cluster_condition": 1e-9,
+    "blochmessiah_y": 1e-10,
+    "interferometer_identity": 1e-11,
+    "cluster_condition": 1e-11,
 }
 
 #: Faults no row of their own guards since the rows that compared the
@@ -119,18 +132,24 @@ class Case:
             a = rng.uniform(-1.0, 1.0, (n, n))
             a = (a + a.T) / 2.0
             a /= np.max(np.abs(np.linalg.eigvalsh(a)))
-        # with spectral radius 1, lambda_max is 1 for the identity gauge and
-        # 1 + ln(2) / (2 z) for the faithful one
-        z = zl if gauge == "identity" else zl - math.log(2.0) / 2.0
         stem = tmp_path / f"{n}-{gauge}-{zl:g}{'-self-inverse' if self_inverse else ''}"
         graph, phases = stem.with_suffix(".graph"), stem.with_suffix(".phases")
         graph.write_text(format_graph(a), encoding="utf-8")
         theta = rng.uniform(-math.pi, math.pi, n).tolist()
         phases.write_text("".join(f"{t!r}\n" for t in theta), encoding="utf-8")
+        # with spectral radius 1, lambda_max is 1 for the identity gauge and
+        # 1 + ln(2) / (2 z) for the faithful one
+        z = zl if gauge == "identity" else zl - math.log(2.0) / 2.0
+        spec = gauge
+        if gauge == "custom":
+            p = random_compatible_gauge(rng, a, theta)
+            z = zl / float(np.linalg.eigvalsh(p)[-1])
+            spec = f"custom:{stem.with_suffix('.gauge.json')}"
+            stem.with_suffix(".gauge.json").write_text(json.dumps(matrix_to_json(p)), encoding="utf-8")
         self.id = stem.name
         self.gauge = gauge
         self.self_inverse = self_inverse
-        self.argv = ["--graph", str(graph), "--phases", str(phases), "--gauge", gauge, "-z", repr(z)]
+        self.argv = ["--graph", str(graph), "--phases", str(phases), "--gauge", spec, "-z", repr(z)]
         self.report = str(stem.with_suffix(".report.json"))
 
     @functools.cached_property
@@ -192,6 +211,12 @@ class Case:
 
 
 @pytest.fixture(scope="module")
+def custom_cases(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("power-custom")
+    return [Case(tmp, n, "custom", zl) for n in (8, 64) for zl in (1.0, 25.0)]
+
+
+@pytest.fixture(scope="module")
 def cases(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("power")
     built = [Case(tmp, n, gauge, zl) for n in (8, 64) for gauge in ("identity", "faithful") for zl in (1.0, 25.0)]
@@ -225,8 +250,25 @@ def test_fault_flips_the_row(row, cases, monkeypatch, capsys):
 
 @pytest.mark.parametrize("row", INTERACTION_POWER)
 def test_fault_of_the_takagi_factors_flips_the_row(row, cases, monkeypatch):
-    for case in (case for case in cases if case.gauge == "identity"):
+    """V is the Autonne-Takagi factor of -i U: U = i V V^T."""
+    for case in cases:
         code, rows = case.verify(monkeypatch, "bundle factors", "V", "general", INTERACTION_POWER[row])
+        assert code == cli.EXIT_CHECK_FAILED and rows[row] is False, case.id
+
+
+def test_unfaulted_custom_cases_pass(custom_cases, monkeypatch):
+    for case in custom_cases:
+        for stage in (None, "bundle"):
+            code, rows = case.verify(monkeypatch, stage, "C")
+            assert code == 0 and all(rows.values()), case.id
+            assert set(CUSTOM_POWER) <= set(rows), case.id
+
+
+@pytest.mark.parametrize("stage", ["factors", "bundle factors"])
+@pytest.mark.parametrize("row", CUSTOM_POWER)
+def test_fault_of_the_custom_gauge_factors_flips_the_row(row, stage, custom_cases, monkeypatch):
+    for case in custom_cases:
+        code, rows = case.verify(monkeypatch, stage, "V", "general", CUSTOM_POWER[row])
         assert code == cli.EXIT_CHECK_FAILED and rows[row] is False, case.id
 
 
@@ -239,31 +281,33 @@ def test_fault_without_its_own_row_is_caught(what, cases, monkeypatch):
         assert code == cli.EXIT_CHECK_FAILED and failed & catchers, case.id
 
 
-def test_faulted_structure_factor_of_single_groups_fails_a_reduction_row(cases, monkeypatch):
-    """decompose --interaction on a faithful case, whose strength groups
-    are all 1 x 1, with a 1e-8 relative fault in the U of the polar split:
-    a reduction row of the report fails.  Bloch-Messiah balances a 1 x 1
-    group by the phase of its entry alone and does not gate the entry's
-    modulus; the rows judge the factors it builds from the faulted U.  At
-    N = 64 and z lambda_max = 25 the rows' 1 / gap term lets this fault
-    pass."""
-    case = next(case for case in cases if case.id == "8-faithful-1")
-    bundle = case.bundle
+def test_faulted_structure_factor_of_single_groups_fails_a_reduction_row(cases, monkeypatch, capsys):
+    """decompose --interaction on the faithful cases, whose strength groups
+    are all 1 x 1, with a relative fault in the U of the polar split.  The
+    factors come from the cluster recovered from U: a 1e-8 fault leaves its
+    Cayley map with an imaginary residual, which rejects the request (exit
+    4), and a 1e-10 fault passes that map and fails a reduction row.  The
+    rows carry no 1 / gap term, so this holds at N = 64 and
+    z lambda_max = 25 too."""
     split = synthesis.InteractionMatrix.from_matrix
-    strengths = split(cli.matrix_from_json(bundle["Z"])).strengths
-    assert np.min(np.diff(strengths)) > DEFAULT_TOLERANCES.degeneracy * strengths[-1]
-    rng = np.random.default_rng(2020)
+    for case in (case for case in cases if case.gauge == "faithful"):
+        bundle = case.bundle
+        z = case.argv[case.argv.index("-z") + 1]
+        for delta in (1e-8, 1e-10):
+            rng = np.random.default_rng(2020)
 
-    def faulted(Z):
-        zm = split(Z)
-        return dataclasses.replace(zm, U=fault(zm.U, 1e-8, "symmetric", rng))
+            def faulted(Z):
+                zm = split(Z)
+                return dataclasses.replace(zm, U=fault(zm.U, delta, "symmetric", rng))
 
-    z = case.argv[case.argv.index("-z") + 1]
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_load_json", lambda path, fields=None: bundle)
-        patch.setattr(synthesis.InteractionMatrix, "from_matrix", staticmethod(faulted))
-        code = cli.main(["decompose", "--interaction", "bundle.json", "-z", z, "--out", case.report])
-    assert code == cli.EXIT_OK
-    with open(case.report, encoding="utf-8") as fh:
-        failed = {c["name"] for c in json.load(fh)["checks"] if not c["passed"]}
-    assert failed & {"blochmessiah_x", "blochmessiah_y", "interferometer_identity"}
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_load_json", lambda path, fields=None: bundle)
+                patch.setattr(synthesis.InteractionMatrix, "from_matrix", staticmethod(faulted))
+                code = cli.main(["decompose", "--interaction", "bundle.json", "-z", z, "--out", case.report])
+            if delta == 1e-8:
+                assert code == cli.EXIT_NUMERICAL and "imaginary residual" in capsys.readouterr().err, case.id
+                continue
+            assert code == cli.EXIT_OK, case.id
+            with open(case.report, encoding="utf-8") as fh:
+                failed = {c["name"] for c in json.load(fh)["checks"] if not c["passed"]}
+            assert failed & {"blochmessiah_x", "blochmessiah_y", "interferometer_identity"}, case.id

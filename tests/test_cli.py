@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import ClusterPlan, analysis, cli, oracle, parse_graph, synthesis
+from clustersqueeze import ClusterPlan, analysis, cli, format_graph, oracle, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -24,6 +24,7 @@ from clustersqueeze.cli import (
     main,
     matrix_from_json,
 )
+from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
     epr_adjacency,
@@ -456,13 +457,24 @@ class TestGaugeOption:
         assert code == EXIT_INPUT and "unknown gauge 'bogus'" in err
 
     def test_sweep_custom_unit_gauge_matches_identity(self, tmp_path, capsys):
-        graph = write(tmp_path, "g.graph", "3\n0 1 0.7\n1 2 -1.2\n0 0 0.3\n")
+        """A custom P = 1 takes its modes W O off the plan's frame, the
+        identity gauge the modes 1: the two C agree within the budget of a
+        covariance rebuilt through the same stages."""
+        text = "3\n0 1 0.7\n1 2 -1.2\n0 0 0.3\n"
+        graph = write(tmp_path, "g.graph", text)
         eye = write(tmp_path, "eye.json", json.dumps(matrix_to_json(np.eye(3))))
         base = ["sweep", "--graph", graph, "--z-range", "0.5:1.5:0.5"]
         code_custom, custom, _ = run_cli([*base, "--gauge", f"custom:{eye}"], capsys)
         code_identity, identity, _ = run_cli([*base, "--gauge", "identity"], capsys)
         assert code_custom == code_identity == EXIT_OK
-        assert custom == identity and len(custom.splitlines()) == 4
+        assert len(custom.splitlines()) == len(identity.splitlines()) == 4
+        cluster = ClusterPlan.of(parse_graph(text), np.zeros(3))
+        for mine, theirs in zip(custom.splitlines()[1:], identity.splitlines()[1:]):
+            (z, *norms), (z_identity, *expected) = (map(float, row.split(",")) for row in (mine, theirs))
+            model = ErrorModel.for_cluster(cluster, cluster.interaction("identity", z)[0], z)
+            assert z == z_identity
+            # a Frobenius norm moves by at most N = 3 times max|dC|
+            assert max(abs(a - b) for a, b in zip(norms, expected)) <= 3 * model.budget("bundle_C_matches")
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_sweep_names_a_custom_gauge_however_its_path_is_spelled(self, fmt, tmp_path, capsys, monkeypatch):
@@ -481,7 +493,8 @@ class TestGaugeOption:
 class TestOneFactorizationPerRequest:
     """A graph request factorizes A once, and the built-in gauges read U, P
     and the eigenpairs of P off that one real ``eigh``: no ``eigh`` of P and
-    no ``solve``.  A custom gauge adds its one ``eigh`` of P.
+    no ``solve``.  A custom gauge adds one real ``eigh`` of Re S_W,
+    S_W = W^dagger P W in the plan's frame W, and no complex one.
 
     The oracle, kept apart from the plan on purpose, makes one ``eigh`` of
     its 2N x 2N generator K and reads its z * lambda_max budget off it; no
@@ -518,20 +531,22 @@ class TestOneFactorizationPerRequest:
     def test_counts(self, command, gauge, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
         spec, selector = self._gauge(gauge, tmp_path)
-        p = ClusterPlan.of(self.A, np.zeros(6)).interaction(selector, 0.9)[0].P
+        plan = ClusterPlan.of(self.A, np.zeros(6))
+        p, w = plan.interaction(selector, 0.9)[0].P, plan.interferometer
         checked = self._count_gauge_checks(monkeypatch)
-        calls = request.getfixturevalue("factorizations")  # counts from here, after p
+        calls = request.getfixturevalue("factorizations")  # counts from here, after p and w
         code, _, _ = run_cli([command, "--graph", graph, "--gauge", spec, "-z", "0.9"], capsys)
         assert code == EXIT_OK
         assert len(checked) == 1
         assert calls.of("eigh", self.A) == 1
-        p_sym = (p + p.conj().T) / 2.0
-        assert calls.of("eigh", p_sym) == (gauge == "custom")
+        s_w = (w.conj().T @ ((p + p.conj().T) / 2.0 @ w)).real
+        assert calls.of("eigh", s_w) == (gauge == "custom")
+        assert not any(np.iscomplexobj(a) for a in calls["eigh"])
         assert calls["solve"] == []
         assert calls["eigvalsh"] == []
         assert sum(1 for a in calls["eigh"] if a.shape == (12, 12)) == 1
-        # eigh(A) and the oracle's eigh(K); a custom P's eigh.  Bloch-Messiah
-        # reads a built-in gauge's factors off eigh(A)
+        # eigh(A) and the oracle's eigh(K); a custom P's eigh of Re S_W.
+        # Bloch-Messiah reads every gauge's factors off those
         expected = 2 + (gauge == "custom")
         assert calls.total() == expected
 
@@ -551,7 +566,7 @@ class TestOneFactorizationPerRequest:
         assert calls.of("eigh", self.A) == 1 and calls["solve"] == []
         oracle_eighs = sum(1 for a in calls["eigh"] if a.shape == (12, 12))
         assert oracle_eighs == (2 if gauge == "faithful" else 1)
-        # eigh(A), the oracle's eigh(K) and a custom P's eigh
+        # eigh(A), the oracle's eigh(K) and a custom P's eigh of Re S_W
         assert calls.total() == 1 + oracle_eighs + (gauge == "custom")
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful"])
@@ -580,8 +595,9 @@ class TestOneFactorizationPerRequest:
     def test_interaction_route_counts(self, gauge, tmp_path, capsys, request):
         """The polar split's svd of Z gives the eigenpairs of P.  analyze
         then measures the input phases (svd) and inverts (solve); decompose
-        adds the identity gauge's Cayley Takagi of its one strength group:
-        eigvalsh of Re(-i U), the solve of the Cayley map and eigh of K."""
+        recovers the cluster at the equal phases for every gauge (eigvalsh
+        of Re U, the solve of the Cayley map and eigh of A') and reads the
+        factors off one real eigh of Re S_W."""
         graph = write(tmp_path, "g.graph", self.GRAPH)
         bundle = str(tmp_path / "b.json")
         args = ["synthesize", "--graph", graph, "--gauge", gauge, "--out", bundle]
@@ -596,9 +612,9 @@ class TestOneFactorizationPerRequest:
             kernel.clear()
         assert run_cli(["decompose", "--interaction", bundle], capsys)[0] == EXIT_OK
         assert calls.of("svd", z_product) == 1
-        takagi = [len(calls[kernel]) for kernel in ("eigvalsh", "solve", "eigh")]
-        assert takagi == ([1, 1, 1] if gauge == "identity" else [0, 0, 0])
-        assert calls.total() == 1 + sum(takagi)
+        assert [len(calls[kernel]) for kernel in ("svd", "eigvalsh", "solve", "eigh")] == [1, 1, 1, 2]
+        assert not any(np.iscomplexobj(a) for a in calls["eigh"])
+        assert calls.total() == 5
 
     def test_analyze_makes_no_eigvalsh(self, tmp_path, capsys, monkeypatch, request):
         graph = write(tmp_path, "g.graph", self.GRAPH)
@@ -610,6 +626,55 @@ class TestOneFactorizationPerRequest:
         assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
         assert len(checked) == 1
         assert calls["eigvalsh"] == []
+
+
+class TestFactorizationsPerCommand:
+    """Every ``numpy.linalg`` ``eigh``, ``eigvalsh``, ``svd``, ``solve`` and
+    ``inv`` each command makes at N = 24, per gauge, on the graph route and
+    on the gauge's synthesize bundle.
+
+    The graph route factorizes A once (and the oracle's K for verify); a
+    custom P adds one real ``eigh`` of Re S_W.  ``verify --interaction``
+    plans the stored P like a custom gauge.  ``decompose --interaction``
+    makes the polar split's SVD, then recovers the cluster at the equal
+    phases (``eigvalsh``, the Cayley ``solve``, ``eigh`` of A') and reads the
+    factors off one real ``eigh`` of Re S_W, whatever the gauge.
+    """
+
+    COUNTS = {
+        ("verify", "graph"): {"identity": {"eigh": 2}, "faithful": {"eigh": 2}, "custom": {"eigh": 3}},
+        ("decompose", "graph"): {"identity": {"eigh": 1}, "faithful": {"eigh": 1}, "custom": {"eigh": 2}},
+        ("verify", "interaction"): dict.fromkeys(("identity", "faithful", "custom"), {"eigh": 3}),
+        ("decompose", "interaction"): dict.fromkeys(
+            ("identity", "faithful", "custom"), {"svd": 1, "eigvalsh": 1, "solve": 1, "eigh": 2}),
+    }
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    @pytest.mark.parametrize("command, route", list(COUNTS))
+    def test_count(self, command, route, gauge, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(24)
+        a = rng.uniform(-1.0, 1.0, (24, 24))
+        a = (a + a.T) / 2.0
+        theta = rng.uniform(-math.pi, math.pi, 24)
+        spec = gauge
+        if gauge == "custom":
+            p = random_compatible_gauge(rng, a, theta)
+            spec = f"custom:{write(tmp_path, 'p.json', json.dumps(matrix_to_json(p)))}"
+        flags = ["--graph", write(tmp_path, "g.graph", format_graph(a)),
+                 "--phases", write(tmp_path, "g.phases", "".join(f"{t!r}\n" for t in theta.tolist())),
+                 "--gauge", spec, "-z", "0.8"]
+        if route == "interaction":
+            bundle = str(tmp_path / "b.json")
+            assert run_cli(["synthesize", *flags, "--out", bundle], capsys)[0] == EXIT_OK
+            flags = ["--interaction", bundle] + (["-z", "0.8"] if command == "decompose" else [])
+        calls = {}
+        for name in ("eigh", "eigvalsh", "svd", "solve", "inv"):
+            def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert run_cli([command, *flags], capsys)[0] == EXIT_OK
+        assert calls == self.COUNTS[command, route][gauge]
 
 
 class TestOneValidationPerRequest:

@@ -22,7 +22,6 @@ from hypothesis.extra.numpy import arrays
 from clustersqueeze import (
     BogoliubovPair,
     ClusterPlan,
-    bloch_messiah,
     format_graph,
     oracle,
     parse_graph,
@@ -193,17 +192,14 @@ class TestAcceptedImpliesVerifiable:
         assert_verifiable(tmp_path, a, theta, "faithful", 0.021096199728020848)
 
     def test_dense_graph_with_a_barely_resolved_takagi_gap(self, tmp_path):
-        """N = 320 at the identity gauge, on the bundle route, whose one
-        strength group takes the Takagi path.  Diagonalizing Re(S) there
-        resolved an eigen-gap of 1.03e-8, just above the degeneracy
-        threshold, so the interferometer carried an eigenvector error
-        u / gap (reduction residuals up to 4.5e-10).  The Cayley Takagi
-        resolves no eigen-gap of S: the budget's gap is its margin
-        2 sin(pi / 1280), and the residuals stay at rounding."""
+        """N = 320 at the identity gauge, on the bundle route.  A Takagi
+        factorization of its one strength group through the eigenvectors
+        of Re(S) resolved an eigen-gap of 1.03e-8 there, so the
+        interferometer carried an eigenvector error u / gap (reduction
+        residuals up to 4.5e-10).  The factors now come from the cluster
+        plan's frame, which resolves no eigen-gap, and the residuals stay
+        at rounding."""
         text = perfbench_graph_text(np.random.default_rng(342), 320)
-        cluster = ClusterPlan.of(parse_graph(text), np.zeros(320))
-        zm = cluster.interaction(np.eye(320))[0]
-        assert bloch_messiah(zm, 1.0).gap == 2.0 * math.sin(math.pi / 1280)
         graph, bundle = tmp_path / "g.graph", tmp_path / "b.json"
         graph.write_text(text, encoding="utf-8")
         assert main(["synthesize", "--graph", str(graph), "--out", str(bundle)]) == EXIT_OK
@@ -214,13 +210,14 @@ class TestAcceptedImpliesVerifiable:
 
     def test_strengths_closer_than_the_degeneracy_threshold(self, tmp_path):
         """An isolated node and a self-loop of weight 1e-4 give faithful
-        strengths 1 and 1 + ln(1 + 1e-8) / (2 z), which Bloch-Messiah groups
-        as degenerate; the factors then rebuild X only up to z times that
-        spread, as in the benchmark's high-z bundles with isolated nodes."""
+        strengths 1 and 1 + ln(1 + 1e-8) / (2 z), closer than 1e-8, as in
+        the benchmark's high-z bundles with isolated nodes.  A grouping of
+        equal strengths rebuilt X there only up to z times their spread;
+        the factors off the plan's frame group nothing."""
         a = parse_graph("3\n1 1 0.0001\n2 2 0.5\n")
         theta, z = np.array([0.3, -1.2, 2.0]), 4.0
-        zm = ClusterPlan.of(a, theta).interaction("faithful", z)[0]
-        assert bloch_messiah(zm, z).spread > 0.0
+        strengths = ClusterPlan.of(a, theta).interaction("faithful", z)[0].strengths
+        assert 0.0 < strengths[1] - strengths[0] < 1e-8
         assert_verifiable(tmp_path, a, theta, "faithful", z)
 
     @pytest.mark.parametrize(

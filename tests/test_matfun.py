@@ -2,29 +2,30 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from clustersqueeze import (
     ClusterPlan,
     NotHermitian,
     NotSymmetric,
-    NotUnitary,
     SingularInput,
     polar_decompose_symmetric,
-    takagi_symmetric_unitary,
 )
 from clustersqueeze.matfun import (
     as_complex_matrix,
     hermiticity_defect,
     max_abs,
-    phase_fixed_columns,
     realness_defect,
     symmetry_defect,
     unitarity_defect,
 )
 
-from conftest import random_symmetric_unitary, random_unitary, symmetric_unitary_angles
+from conftest import (
+    NotUnitary,
+    random_symmetric_unitary,
+    random_unitary,
+    symmetric_unitary_angles,
+    takagi_symmetric_unitary,
+)
 
 
 def _relative(defect, m, tol=1e-9):
@@ -207,46 +208,6 @@ class TestTakagi:
 
 
 class TestOrderedEigh:
-    def test_ascending_and_deterministic_phase(self):
-        rng = np.random.default_rng(4)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        m = (m + m.conj().T) / 2.0
-        w, q = np.linalg.eigh(m)
-        q = phase_fixed_columns(q)
-        assert np.all(np.diff(w) >= 0)
-        assert np.max(np.abs((q * w[None, :]) @ q.conj().T - m)) <= 1e-9
-        for j in range(5):
-            col = q[:, j]
-            first = col[np.abs(col) > 1e-8][0]
-            assert abs(first.imag) <= 1e-12 and first.real > 0
-
-    @given(
-        rows=st.integers(1, 7),
-        complex_=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        columns=st.lists(st.tuples(st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1.0, 1e8]), st.integers(0, 7)),
-                         min_size=1, max_size=7),
-    )
-    def test_phase_fixing_matches_the_per_column_reference(self, rows, complex_, seed, columns):
-        """Bit for bit, on columns scaled to zero, tiny or large, with their
-        leading entries cleared so the pivot is not always the first one."""
-        rng = np.random.default_rng(seed)
-        q = rng.normal(size=(rows, len(columns)))
-        if complex_:
-            q = q + 1j * rng.normal(size=q.shape)
-        for j, (scale, cleared) in enumerate(columns):
-            q[:, j] *= scale
-            q[:cleared, j] = 0.0
-        reference = q.copy()
-        for j in range(q.shape[1]):
-            col = reference[:, j]
-            idx = np.nonzero(np.abs(col) > 1e-8 * max(1.0, max_abs(col)))[0]
-            if idx.size:
-                pivot = col[idx[0]]
-                reference[:, j] = col * (pivot.conjugate() / abs(pivot))
-        got = phase_fixed_columns(q)
-        assert got.dtype == reference.dtype and got.tobytes() == reference.tobytes()
-
     def test_angle_reconstruction(self):
         rng = np.random.default_rng(9)
         s = random_symmetric_unitary(rng, 6)

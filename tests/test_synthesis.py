@@ -155,7 +155,7 @@ class TestClusterPlan:
         for a, th, z in self.cases(46, 20):
             cluster = ClusterPlan.of(a, th)
             zm, check = cluster.interaction("faithful", z)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm, z, cluster)
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             off = balanced - np.diag(np.diag(balanced))
             model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
@@ -193,10 +193,12 @@ class TestValidateGauge:
         a, th = random_adjacency(rng, 5), random_phases(rng, 5)
         skew = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         p = random_compatible_gauge(rng, a, th) + 1e-15 * (skew - skew.conj().T)
-        zm, _ = ClusterPlan.of(a, th).interaction(p)
+        cluster = ClusterPlan.of(a, th)
+        zm, _ = cluster.interaction(p)
         assert np.array_equal(zm.P, zm.P.conj().T)
         assert np.array_equal(zm.Z, zm.P @ zm.U)
-        assert np.array_equal(zm.strengths, np.linalg.eigh(zm.P)[0])
+        strengths, modes = cluster.eigenpairs(zm.P)
+        assert np.array_equal(zm.strengths, strengths) and np.array_equal(zm.modes, modes)
 
     def test_biconditional_with_product_symmetry(self):
         # compatible and incompatible random gauges against the direct
