@@ -41,7 +41,7 @@ class ClusterRecovery(NamedTuple):
     """Cluster recovered from an interaction matrix at one phase choice.
 
     ``margin`` is sigma_min at the chosen phases, ``input_margin`` at the
-    supplied ones.
+    supplied ones, which ``phases_replaced`` says the chosen ones replaced.
     """
 
     theta: np.ndarray
@@ -49,6 +49,7 @@ class ClusterRecovery(NamedTuple):
     covariance: CovarianceReport
     margin: float
     input_margin: float
+    phases_replaced: bool
 
 
 def _rotated(U: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -120,7 +121,7 @@ def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> Cl
     u = zm.U
     chosen = phase_vector(np.zeros(zm.n) if theta is None else theta, zm.n)
     margin = input_margin = regularity_margin(u, chosen)
-    if input_margin < DEFAULT_TOLERANCES.phase_accept:
+    if replaced := input_margin < DEFAULT_TOLERANCES.phase_accept:
         chosen, margin = find_regular_phases(u)
     # Either margin reaches regular_min: phase_accept is above it, and
     # find_regular_phases raises below it.
@@ -134,4 +135,5 @@ def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> Cl
         covariance=report,
         margin=margin,
         input_margin=input_margin,
+        phases_replaced=replaced,
     )

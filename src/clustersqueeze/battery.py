@@ -1,0 +1,99 @@
+"""The check battery: every residual a request reports, with its verdict.
+
+A check is a row (name, residual) judged by the request's
+:class:`~clustersqueeze.tolerances.ErrorModel`, that of the cluster plan or,
+for Z alone, of its polar split.  Each check record holds ``name``,
+``residual``, ``tolerance`` and ``passed``; the tolerance is the budget the
+model derives for that check, so no option sets it.  The library is called
+through its module attributes, so the rows judge what those names are bound to.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from . import blochmessiah, oracle, synthesis
+from .matfun import max_abs, unitarity_defect
+from .tolerances import DEFAULT_TOLERANCES, ErrorModel
+
+
+class Checked(NamedTuple):
+    """Check records, the model that judged them and the recipe they judge:
+    the plan ``zm``, its ``pair`` and, for a cluster, the ``closed`` form."""
+
+    checks: list[dict]
+    model: ErrorModel
+    zm: synthesis.InteractionMatrix
+    pair: synthesis.BogoliubovPair
+    closed: synthesis.CovarianceReport | None = None
+
+
+def synthesize(cluster, gauge, z: float, gauge_name: str) -> Checked:
+    """Core rows of the recipe of a ``gauge`` selector of the cluster plan;
+    ``gauge_name`` ("identity", "faithful" or any other) picks the gauge's
+    own rows."""
+    a = cluster.A
+    eye = np.eye(a.shape[0])
+    zm, check = cluster.interaction(gauge, z)
+    # the oracle's order-2N eigh first, while X, Y, C and E are not yet held
+    brute = oracle.covariance_oracle(cluster, zm, z)
+    pair = synthesis.bogoliubov_from_interaction(zm, z)
+    closed = synthesis.covariance_closed_form(cluster, zm, z)
+    model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
+    defect_one, defect_two = pair.defects()
+    decay = math.exp(-2.0 * z)
+    rows = [
+        ("gauge_condition", check.residual),
+        ("interaction_symmetric", zm.asymmetry),
+        ("structure_unitary", unitarity_defect(zm.U)),
+        ("bogoliubov_unitary_defect", defect_one),
+        ("bogoliubov_symmetry_defect", defect_two),
+        ("covariance_real", closed.imag_residual),
+        ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
+        ("oracle_overlap", brute.overlap),
+    ]
+    if gauge_name == "faithful":
+        rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
+    if gauge_name == "identity":
+        square = a @ a
+        rows.append(("uniform_gauge_formula", max_abs(closed.C - (square + eye) * decay)))
+        if max_abs(square - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
+            rows.append(("self_inverse_value", max_abs(closed.C - 2.0 * decay * eye)))
+    return Checked(model.checks(rows), model, zm, pair, closed)
+
+
+def verify(cluster, gauge, z: float, gauge_name: str, stored=None) -> Checked:
+    """:func:`synthesize`'s rows, then the reduction's and the cluster
+    condition's; ``stored`` maps some of the names Z, U, X, Y and C to a
+    bundle's matrices, and each is checked against its fresh value."""
+    core = synthesize(cluster, gauge, z, gauge_name)
+    zm, pair = core.zm, core.pair
+    factors, rows = _reduction(zm, pair, z, cluster)
+    rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)))
+    fresh = {"Z": zm.Z, "U": zm.U, "X": pair.X, "Y": pair.Y, "C": core.closed.C}
+    rows += [(f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in (stored or {}).items()]
+    return core._replace(checks=core.checks + core.model.checks(rows))
+
+
+def decompose(zm, z: float, cluster=None) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:
+    """The Bloch-Messiah factors of ``zm`` and their reduction rows, judged
+    by the model of the ``cluster`` that planned ``zm`` or of Z alone."""
+    model = (ErrorModel.for_interaction(zm.strengths, z) if cluster is None
+             else ErrorModel.for_cluster(cluster, zm, z))
+    pair = synthesis.bogoliubov_from_interaction(zm, z)
+    factors, rows = _reduction(zm, pair, z, cluster)
+    return Checked(model.checks(rows), model, zm, pair), factors
+
+
+def _reduction(zm, pair, z: float, cluster):
+    """Bloch-Messiah factors and the rows that rebuild X, Y and U from them."""
+    factors = blochmessiah.bloch_messiah(zm, z, cluster)
+    x_rec, y_rec = factors.reconstruct()
+    return factors, [
+        ("blochmessiah_x", max_abs(x_rec - pair.X)),
+        ("blochmessiah_y", max_abs(y_rec - pair.Y)),
+        ("interferometer_identity", max_abs(1j * factors.V @ factors.V.T - zm.U)),
+    ]

@@ -74,20 +74,19 @@ def bloch_messiah(
 ) -> BlochMessiahFactors:
     """Reduce a squeezing transformation to squeezers plus interferometers.
 
-    ``cluster`` is the plan that built ``zm``: V is its interferometer W
-    for a built-in gauge and the modes W O of a custom P.  Without it (Z
-    alone) the plan recovered from U at the equal phases gives V = W O from
-    its S_W; D stays the strengths of ``zm``.
+    When ``cluster`` built ``zm`` (they share U), V is its interferometer W
+    for a built-in gauge and the modes W O of a custom P; any other ``zm``
+    reads V = W O off the S_W of ``cluster`` or, for Z alone, of the plan
+    recovered from U at the equal phases.  D stays the strengths of ``zm``.
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
     w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
+    planned = cluster is not None and zm.U is cluster.U
     if cluster is None:
         cluster = _recovered_plan(zm.U, _equal_phases(zm.U))
-        v = cluster.eigenpairs(zm.P)[1]
-    else:
-        v = zm.interferometer
+    v = zm.interferometer if planned else cluster.eigenpairs(zm.P)[1]
     rotation = cluster.rotation
     if v is None:  # a built-in gauge: P is diagonal in F, O = 1
         v, t = cluster.interferometer, cluster.frame.conj().T

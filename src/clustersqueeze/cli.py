@@ -42,12 +42,7 @@ decoding the whole file.
 Each command returns its exit code and one report dict, and :func:`main`
 writes that report: as JSON by the streaming writer, or as the text or CSV
 lines that one renderer reads off the report, so every number printed is the
-number the JSON carries.
-
-Each check record holds ``name``, ``residual``, ``tolerance`` and
-``passed``; the tolerance is the budget that the request's
-:class:`~clustersqueeze.tolerances.ErrorModel` derives for that check, so no
-option sets it.
+number the JSON carries.  Its checks come from :mod:`clustersqueeze.battery`.
 
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
 (a malformed file or bundle field, a gauge of the wrong shape, or an --out
@@ -68,7 +63,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, blochmessiah, oracle, synthesis
+from . import analysis, battery, oracle, synthesis
 from .errors import (
     ClusterSqueezeError,
     DimensionMismatch,
@@ -78,8 +73,6 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .graphs import format_graph, parse_graph, phase_vector
-from .matfun import max_abs, unitarity_defect
-from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -261,73 +254,6 @@ def _load_cluster(args):
     a = parse_graph(_read_text(args.graph))
     theta = load_phases(args.phases or "zero", a.shape[0])
     return (synthesis.ClusterPlan.of(a, theta), *_load_gauge(args.gauge))
-
-
-# --------------------------------------------------------------------------
-# check battery: rows (name, residual) judged by the request's ErrorModel
-
-def core_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
-    """Invariant checks shared by synthesize and verify, for a ``gauge``
-    selector of the cluster plan; ``gauge_name`` picks the gauge's own rows.
-
-    Returns (checks, computed) where computed holds the freshly built
-    objects for serialization or deeper comparison, and the error model the
-    checks were judged by.
-    """
-    a = cluster.A
-    eye = np.eye(a.shape[0])
-    zm, check = cluster.interaction(gauge, z)
-    # the oracle's order-2N eigh first, while X, Y, C and E are not yet held
-    brute = oracle.covariance_oracle(cluster, zm, z)
-    pair = synthesis.bogoliubov_from_interaction(zm, z)
-    closed = synthesis.covariance_closed_form(cluster, zm, z)
-    model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
-
-    defect_one, defect_two = pair.defects()
-    decay = math.exp(-2.0 * z)
-    rows = [
-        ("gauge_condition", check.residual),
-        ("interaction_symmetric", zm.asymmetry),
-        ("structure_unitary", unitarity_defect(zm.U)),
-        ("bogoliubov_unitary_defect", defect_one),
-        ("bogoliubov_symmetry_defect", defect_two),
-        ("covariance_real", closed.imag_residual),
-        ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
-        ("oracle_overlap", brute.overlap),
-    ]
-    if gauge_name == "faithful":
-        rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
-    if gauge_name == "identity":
-        square = a @ a
-        rows.append(("uniform_gauge_formula", max_abs(closed.C - (square + eye) * decay)))
-        if max_abs(square - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
-            rows.append(("self_inverse_value", max_abs(closed.C - 2.0 * decay * eye)))
-    computed = dict(zm=zm, pair=pair, closed=closed, model=model)
-    return model.checks(rows), computed
-
-
-def _reduction_rows(zm, pair, factors) -> list[tuple[str, float]]:
-    """Bloch-Messiah rows of verify and decompose."""
-    x_rec, y_rec = factors.reconstruct()
-    return [
-        ("blochmessiah_x", max_abs(x_rec - pair.X)),
-        ("blochmessiah_y", max_abs(y_rec - pair.Y)),
-        ("interferometer_identity", max_abs(1j * factors.V @ factors.V.T - zm.U)),
-    ]
-
-
-def deep_battery(cluster, gauge, z, gauge_name: str) -> tuple[list[dict], dict]:
-    """Core battery plus interferometer-reduction checks (verify command).
-
-    Returns (checks, computed) with computed as in :func:`core_battery`.
-    """
-    checks, computed = core_battery(cluster, gauge, z, gauge_name)
-    zm = computed["zm"]
-    factors = blochmessiah.bloch_messiah(zm, z, cluster)
-    rows = _reduction_rows(zm, computed["pair"], factors) + [
-        ("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)),
-    ]
-    return checks + computed["model"].checks(rows), computed
 
 
 # --------------------------------------------------------------------------
@@ -564,8 +490,7 @@ def _graph_only(args, *flags) -> None:
 def cmd_synthesize(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
     z = _z(args)
-    checks, computed = core_battery(cluster, gauge, z, gauge_name)
-    zm, pair, closed = computed["zm"], computed["pair"], computed["closed"]
+    checks, _, zm, pair, closed = battery.synthesize(cluster, gauge, z, gauge_name)
     return EXIT_OK, {
         "command": "synthesize",
         "n": cluster.A.shape[0],
@@ -601,7 +526,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
         "command": "analyze",
         "n": zm.n,
         "z": z,
-        "phase_search_used": bool(result.input_margin < DEFAULT_TOLERANCES.phase_accept),
+        "phase_search_used": result.phases_replaced,
         "sigma_min_at_input_phases": float(result.input_margin),
         "sigma_min": float(result.margin),
         "theta": [float(t) for t in result.theta],
@@ -616,18 +541,13 @@ def cmd_decompose(args) -> tuple[int, dict]:
     z = _z(args)
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge")
-        zm = load_interaction(args.interaction)
-        model, cluster = ErrorModel.for_interaction(zm.strengths, z), None
+        checked, factors = battery.decompose(load_interaction(args.interaction), z)
     else:
         cluster, _, gauge = _load_cluster(args)
-        zm, _ = cluster.interaction(gauge, z)
-        model = ErrorModel.for_cluster(cluster, zm, z)
-    factors = blochmessiah.bloch_messiah(zm, z, cluster)
-    pair = synthesis.bogoliubov_from_interaction(zm, z)
-    checks = model.checks(_reduction_rows(zm, pair, factors))
+        checked, factors = battery.decompose(cluster.interaction(gauge, z)[0], z, cluster)
     return EXIT_OK, {
         "command": "decompose",
-        "n": zm.n,
+        "n": checked.zm.n,
         "z": z,
         "V": factors.V,
         "R": factors.R,
@@ -635,7 +555,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
         "D": [float(d) for d in factors.D],
         "zD": [float(z * d) for d in factors.D],
         "decibels": [float(db) for db in factors.decibels],
-        "checks": checks,
+        "checks": checked.checks,
     }
 
 
@@ -657,16 +577,11 @@ def cmd_verify(args) -> tuple[int, dict]:
         wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
         if wrong:
             raise _InputError(f"{path}: {', '.join(wrong)} not of shape {cluster.A.shape}")
-        checks, computed = deep_battery(cluster, p, z, str(bundle["gauge"]))
-        zm, pair = computed["zm"], computed["pair"]
-        fresh = {"Z": zm.Z, "U": zm.U, "X": pair.X, "Y": pair.Y, "C": computed["closed"].C}
-        checks += computed["model"].checks(
-            (f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in stored.items()
-        )
+        checks = battery.verify(cluster, p, z, str(bundle["gauge"]), stored).checks
     else:
         z = _z(args)
         cluster, gauge_name, gauge = _load_cluster(args)
-        checks, _ = deep_battery(cluster, gauge, z, gauge_name)
+        checks = battery.verify(cluster, gauge, z, gauge_name).checks
     passed = all(c["passed"] for c in checks)
     report = {"command": "verify", "z": z, "passed": passed, "checks": checks}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), report

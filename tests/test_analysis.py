@@ -213,6 +213,7 @@ class TestAnalyzeInteraction:
         res = analyze_interaction(zm)
         assert np.allclose(res.theta, np.zeros(2))
         assert np.allclose(res.adjacency, epr_adjacency(), atol=1e-10)
+        assert res.phases_replaced is False
 
     def test_gauge_rescaling_leaves_cluster_unchanged(self):
         z0 = -1.346574 * epr_adjacency().astype(complex)
@@ -257,6 +258,7 @@ class TestAnalyzeInteraction:
     def test_falls_back_to_search_for_singular_phases(self):
         zm = InteractionMatrix.from_matrix(-1j * np.eye(1))
         res = analyze_interaction(zm, theta=[0.0])
+        assert res.phases_replaced is True
         assert res.margin >= 1e-6
         assert not np.allclose(res.theta, [0.0])
         rebuilt = unitary_from_adjacency(res.adjacency, res.theta)

@@ -13,8 +13,8 @@ from clustersqueeze import (
     NotOrthogonal,
     bloch_messiah,
     bogoliubov_from_interaction,
+    battery,
     canonical_cluster_interferometer,
-    cli,
     cluster_condition_residual,
     squeezer_spectrum,
     unitary_from_adjacency,
@@ -25,6 +25,7 @@ from conftest import (
     epr_adjacency,
     half_phase,
     random_adjacency,
+    random_compatible_gauge,
     random_gauge,
     random_orthogonal,
     random_phases,
@@ -174,12 +175,10 @@ class TestBudgetsDoNotDependOnTheModeBasis:
         rng = np.random.default_rng(2022)
         budgets, reference = [], bloch_messiah(zm, z)
         for modes in [zm.modes] + [zm.modes @ random_unitary(rng, n) for _ in range(5)]:
-            factors = bloch_messiah(dataclasses.replace(zm, modes=modes), z)
+            factors, rows = battery._reduction(dataclasses.replace(zm, modes=modes), pair, z, None)
             assert np.array_equal(factors.V, reference.V)
             model = ErrorModel.for_interaction(zm.strengths, z)
-            rows = cli._reduction_rows(zm, pair, factors) + [
-                ("cluster_condition", cluster_condition_residual(factors.V, cluster)),
-            ]
+            rows.append(("cluster_condition", cluster_condition_residual(factors.V, cluster)))
             records = model.checks(rows)
             assert [r["name"] for r in records] == list(self.ROWS)
             assert all(r["passed"] for r in records), records
@@ -245,6 +244,25 @@ class TestFactorsOffThePlan:
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert rx == 0.0 and max(ry, ru) <= 1e-13 * math.cosh(z * scale)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-13
+
+    def test_a_plan_the_cluster_did_not_build_reads_its_own_modes(self):
+        """The polar split of a custom gauge's Z, given with the cluster
+        that Z came from, is no plan of that cluster (its U is not the
+        plan's): V = W O comes off the cluster's S_W for the split's P, not
+        off the canonical interferometer, and rebuilds X and Y within their
+        budgets."""
+        rng = np.random.default_rng(6)
+        a = random_adjacency(rng, 6)
+        cluster = ClusterPlan.of(a, random_phases(rng, 6))
+        z = 1.0
+        planned = cluster.interaction(random_compatible_gauge(rng, a, cluster.theta), z)[0]
+        zm = InteractionMatrix.from_matrix(planned.Z)
+        assert zm.interferometer is None and zm.U is not cluster.U
+        factors = bloch_messiah(zm, z, cluster)
+        assert np.max(np.abs(factors.V - cluster.eigenpairs(zm.P)[1])) == 0.0
+        rx, ry, _ = _reconstruction_residuals(zm, z, factors)
+        model = ErrorModel.for_cluster(cluster, zm, z)
+        assert rx <= model.budget("blochmessiah_x") and ry <= model.budget("blochmessiah_y"), (rx, ry)
 
 
 class TestCanonicalInterferometer:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import ClusterPlan, analysis, cli, format_graph, oracle, parse_graph, synthesis
+from clustersqueeze import ClusterPlan, analysis, battery, cli, format_graph, oracle, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -1182,14 +1182,14 @@ class TestJsonWriter:
         bundle = tmp_path / "bundle.json"
         held = []
 
-        def battery(*args):
-            result = core_battery(*args)
+        def checked(*args):
+            result = synthesize(*args)
             held.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
             return result
 
-        core_battery = cli.core_battery
-        monkeypatch.setattr(cli, "core_battery", battery)
+        synthesize = battery.synthesize
+        monkeypatch.setattr(battery, "synthesize", checked)
         for gauge in ("faithful", "identity"):
             held.clear()
             tracemalloc.start()

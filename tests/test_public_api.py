@@ -124,12 +124,28 @@ def _package_imports(path):
 
 def test_module_layering():
     """The kernels stand below the physics, the forward synthesis below the
-    inverse routes and the oracle, and only ``__main__`` reaches the CLI."""
+    inverse routes and the oracle, only ``__main__`` reaches the CLI, and
+    the CLI reaches the error model, the kernels and the factors only
+    through the battery."""
     imports = {path.stem: _package_imports(path) for path in LIBRARY}
     assert imports["matfun"] <= {"errors", "tolerances"}
     assert imports["graphs"] <= {"errors", "tolerances"}
     assert not imports["synthesis"] & {"analysis", "blochmessiah", "oracle", "cli"}
     assert sorted(stem for stem, names in imports.items() if "cli" in names) == ["__main__"]
+    assert not imports["cli"] & {"tolerances", "matfun", "blochmessiah"}
+    assert "cli" not in imports["battery"]
+
+
+def test_only_the_battery_judges_checks():
+    """Every check record of a report comes from one place: no library
+    module but ``battery`` calls ``ErrorModel.checks``."""
+    callers = {
+        path.stem
+        for path, tree in _trees(LIBRARY)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "checks"
+    }
+    assert callers == {"battery"}
 
 
 def _plan():
