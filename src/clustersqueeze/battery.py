@@ -6,6 +6,11 @@ for Z alone, of its polar split.  Each check record holds ``name``,
 ``residual``, ``tolerance`` and ``passed``; the tolerance is the budget the
 model derives for that check, so no option sets it.  The library is called
 through its module attributes, so the rows judge what those names are bound to.
+
+Every row judges the recipe as computed: Z = P U, X = cosh(zP) and
+Y = -i sinh(zP) U.  A bundle publishes them with the structure the physics
+fixes (:func:`structured`), and ``verify`` compares a stored bundle with
+that structured form of its fresh recipe.
 """
 
 from __future__ import annotations
@@ -68,14 +73,46 @@ def synthesize(cluster, gauge, z: float, gauge_name: str) -> Checked:
 def verify(cluster, gauge, z: float, gauge_name: str, stored=None) -> Checked:
     """:func:`synthesize`'s rows, then the reduction's and the cluster
     condition's; ``stored`` maps some of the names Z, U, X, Y and C to a
-    bundle's matrices, and each is checked against its fresh value."""
+    bundle's matrices, and each is checked against its fresh value, Z, X
+    and Y in their :func:`structured` form."""
     core = synthesize(cluster, gauge, z, gauge_name)
     zm, pair = core.zm, core.pair
     factors, rows = _reduction(zm, pair, z, cluster)
     rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)))
-    fresh = {"Z": zm.Z, "U": zm.U, "X": pair.X, "Y": pair.Y, "C": core.closed.C}
-    rows += [(f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in (stored or {}).items()]
+    if stored:
+        fresh = {"U": zm.U, "C": core.closed.C, **structured(zm, pair)}
+        rows += [(f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in stored.items()]
     return core._replace(checks=core.checks + core.model.checks(rows))
+
+
+def structured(zm, pair) -> dict[str, np.ndarray]:
+    """Z and Y as their symmetric parts and X as its Hermitian part, as a
+    bundle publishes them.
+
+    The products P U, Q cosh(zw) Q^dagger and -i sinh(zP) U are symmetric or
+    Hermitian only to rounding.  These parts are so exactly, since
+    a + b = b + a and a - b = -(b - a) in floating point: each entry below
+    the diagonal has the bits of its mirror image, or of its negation in
+    the imaginary part of X unless both are zero.  So a writer may format
+    one triangle of each.  A matrix that already equals its mirror image in
+    value is its own part and is returned as it is, so its bits stay, a 0.0
+    facing a -0.0 included (two nodes with no edge between them can give
+    one).
+
+    The part dropped from Z is its antisymmetric part, which the squeezing
+    Hamiltonian and the oracle never see and which ``interaction_symmetric``
+    bounds; those dropped from X and Y are the rounding of their products,
+    at most about 2 u N cosh(z lambda_max), under a tenth of the
+    ``bundle_X_matches`` and ``bundle_Y_matches`` budgets, so a bundle that
+    stores the raw products verifies too.  P, U and C are exact already.
+    """
+    parts = {}
+    for key, m, mirror in (("Z", zm.Z, zm.Z.T), ("X", pair.X, pair.X.conj().T), ("Y", pair.Y, pair.Y.T)):
+        if not np.array_equal(m, mirror):
+            m = m + mirror
+            m *= 0.5  # in place: no second full-size copy is held
+        parts[key] = m
+    return parts
 
 
 def decompose(zm, z: float, cluster=None) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:

@@ -20,12 +20,20 @@ Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 representation that round-trips a double.  JSON output is byte-identical to
 ``json.dumps(obj, indent=2)``; each flat list of numbers is formatted by one
 call of the C encoder, whose item separator already holds the list's indent.
-A square block whose entries equal their transposes bit for bit (the
-adjacency, U and C, and with the identity gauge every block but E) formats
+A square block whose entries equal their transposes bit for bit formats
 only its upper triangle and copies each lower entry's text from its mirror
-image.  Reports hold their matrices as arrays, and the writer streams them
-one matrix at a time: it turns an array into lists and text only when it
-reaches it and writes that text with one ``write`` before the next matrix.
+image; one whose entries below the diagonal are their mirror images negated
+bit for bit (the ``im`` block of a Hermitian matrix) copies that text with
+its sign flipped.  Every block of a synthesize bundle but E's is so
+structured: P, U, C and the adjacency are exact, and the bundle holds Z and
+Y as their symmetric parts and X as its Hermitian part
+(:func:`clustersqueeze.battery.structured`).  Z's symmetric part is all the
+squeezing Hamiltonian sees; the antisymmetric part dropped is bounded by
+``interaction_symmetric``, and the parts dropped from X and Y are the
+rounding of their products, well inside the bundle rows' budgets.  Reports
+hold their matrices as arrays, and the writer streams them one matrix at a
+time: it turns an array into lists and text only when it reaches it and
+writes that text with one ``write`` before the next matrix.
 Graph files use the text format described in :mod:`clustersqueeze.graphs`;
 phase files hold one angle per line (``#`` comments allowed).
 
@@ -288,10 +296,11 @@ def _emit_json(obj, out_path: str | None) -> None:
     Python; here a list of numbers is encoded by one call of the C encoder
     (same ``float.__repr__``, same ``NaN``/``Infinity``) built with the
     list's line break and indent as its item separator, so its text needs no
-    further pass.  A bitwise-symmetric matrix block formats each distinct
-    number once (see :func:`_row_items`).  An array's rows are turned into
-    lists and text only when the walk reaches it, and the matrix's text goes
-    out with one ``write``, so at most one matrix is held as text.
+    further pass.  A matrix block symmetric bit for bit, or antisymmetric
+    below its diagonal, formats one triangle (see :func:`_row_items`).  An
+    array's rows are turned into lists and text only when the walk reaches
+    it, and the matrix's text goes out with one ``write``, so at most one
+    matrix is held as text.
     """
     chunks: list[str] = []
     with _output(out_path) as fh:
@@ -346,20 +355,48 @@ def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
     chunks.append(newline + "}")
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _mirror(block: np.ndarray) -> str | None:
+    """How a ``block``'s entries below the diagonal follow from their mirror
+    images bit for bit: ``""`` when the block equals its transpose, ``"-"``
+    when each is its mirror image with the sign bit flipped, else None.
+
+    Bits, not ``==``: 0.0 and -0.0 compare equal but print differently.  The
+    first column is compared first, so an unstructured block is turned down
+    before the whole of it is read.
+    """
+    n = block.shape[0]
+    if n != block.shape[1]:
+        return None
+    if n < 2:
+        return ""
+    bits = block.view(np.uint64)
+    flip = bits[1, 0] ^ bits[0, 1]
+    if flip not in (0, _SIGN_BIT) or not np.all(bits[1:, 0] ^ bits[0, 1:] == flip):
+        return None
+    # the diagonal matches itself, never with its sign bit flipped
+    if np.count_nonzero(bits ^ bits.T == flip) != n * n - (n if flip else 0):
+        return None
+    return "-" if flip else ""
+
+
 def _row_items(block: np.ndarray, indent: str):
     """The text of each row of ``block`` between its brackets, entries joined
     by ``"," + indent``, as the C encoder formats them.
 
     The encoder's item separator holds the indent, so a row is one
-    ``encode`` call.  A square block whose entries equal their transposes bit
-    for bit (so their texts are equal too; ``==`` would also pair 0.0 with
-    -0.0) formats only its upper triangle: each entry below the diagonal
-    takes the text of its mirror image.
+    ``encode`` call.  A square block that :func:`_mirror` finds symmetric or
+    antisymmetric bit for bit below the diagonal formats only its upper
+    triangle: each entry below the diagonal takes the text of its mirror
+    image, or that text with its sign flipped (the text of -x is that of x
+    with a ``-`` added or removed; NaN prints without a sign).
     """
     separator = "," + indent
     encoder = json.JSONEncoder(separators=(separator, ": "))
-    bits = block.view(np.uint64)
-    if block.shape[0] != block.shape[1] or not np.array_equal(bits, bits.T):
+    sign = _mirror(block)
+    if sign is None:
         for values in block:
             yield encoder.encode(values.tolist())[1:-1]
         return
@@ -367,6 +404,8 @@ def _row_items(block: np.ndarray, indent: str):
     for i, values in enumerate(block):
         texts = encoder.encode(values[i:].tolist())[1:-1].split(separator)
         lower = [above[i - j] for j, above in enumerate(upper)]
+        if sign:
+            lower = [t[1:] if t[0] == "-" else t if t == "NaN" else "-" + t for t in lower]
         upper.append(texts)
         yield separator.join(lower + texts)
 
@@ -491,6 +530,7 @@ def cmd_synthesize(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
     z = _z(args)
     checks, _, zm, pair, closed = battery.synthesize(cluster, gauge, z, gauge_name)
+    published = battery.structured(zm, pair)
     return EXIT_OK, {
         "command": "synthesize",
         "n": cluster.A.shape[0],
@@ -498,11 +538,11 @@ def cmd_synthesize(args) -> tuple[int, dict]:
         "gauge": gauge_name,
         "theta": [float(t) for t in cluster.theta],
         "adjacency": cluster.A,
-        "Z": zm.Z,
+        "Z": published["Z"],
         "P": zm.P,
         "U": zm.U,
-        "X": pair.X,
-        "Y": pair.Y,
+        "X": published["X"],
+        "Y": published["Y"],
         "C": closed.C,
         "E": closed.E,
         "covariance_max_abs": closed.max_abs,

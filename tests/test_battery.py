@@ -3,6 +3,7 @@
 on the graph's synthesize bundle."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from clustersqueeze import ClusterPlan, battery, cli, format_graph
 
 from conftest import matrix_to_json, random_adjacency, random_compatible_gauge, random_phases
 
+GAUGES = pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+BUNDLE_ROWS = [f"bundle_{key}_matches" for key in ("Z", "U", "X", "Y", "C")]
 
-@pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
-def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
+
+def synthesized(gauge, tmp_path):
+    """A graph at random phases, the ``gauge`` selector, the CLI flags that
+    name them and the path of their synthesize bundle."""
     rng = np.random.default_rng(8)
     a = random_adjacency(rng, 8)
     theta = random_phases(rng, 8)
@@ -29,22 +34,81 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
     flags = ["--graph", str(graph), "--phases", str(phases), "--gauge", spec, "-z", repr(z)]
     bundle_path = str(tmp_path / "bundle.json")
     assert cli.main(["synthesize", *flags, "--out", bundle_path]) == cli.EXIT_OK
+    return ClusterPlan.of(a, theta), selector, z, flags, bundle_path
+
+
+def stored_matrices(bundle: dict) -> dict:
+    return {key: cli.matrix_from_json(bundle[key]) for key in ("Z", "U", "X", "Y", "C")}
+
+
+@GAUGES
+def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
+    cluster, selector, z, flags, bundle_path = synthesized(gauge, tmp_path)
 
     def reported(argv):
         assert cli.main(["verify", *argv]) == cli.EXIT_OK
         return json.loads(capsys.readouterr().out)["checks"]
 
-    cluster = ClusterPlan.of(a, theta)
     checked = battery.verify(cluster, selector, z, gauge)
     assert checked.checks == reported(flags)
     assert all(c["passed"] for c in checked.checks)
 
     with open(bundle_path, encoding="utf-8") as fh:
         bundle = json.load(fh)
-    stored = {key: cli.matrix_from_json(bundle[key]) for key in ("Z", "U", "X", "Y", "C")}
+    stored = stored_matrices(bundle)
     from_bundle = battery.verify(
         ClusterPlan.of(cli.matrix_from_json(bundle["adjacency"]), bundle["theta"]),
         cli.matrix_from_json(bundle["P"]), bundle["z"], bundle["gauge"], stored,
     )
     assert from_bundle.checks == reported(["--interaction", bundle_path])
-    assert [c["name"] for c in from_bundle.checks[-5:]] == [f"bundle_{key}_matches" for key in stored]
+    assert [c["name"] for c in from_bundle.checks[-5:]] == BUNDLE_ROWS
+
+
+@GAUGES
+def test_a_fresh_bundle_matches_its_recipe_exactly(gauge, tmp_path):
+    """The bundle rows compare a stored matrix with the structured form of
+    the same computation, so an honest bundle reads 0.0 on all five."""
+    cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
+    with open(bundle_path, encoding="utf-8") as fh:
+        stored = stored_matrices(json.load(fh))
+    checks = battery.verify(cluster, selector, z, gauge, stored).checks[-5:]
+    assert [(c["name"], c["residual"]) for c in checks] == [(name, 0.0) for name in BUNDLE_ROWS]
+
+
+@GAUGES
+def test_a_bundle_of_the_raw_products_verifies(gauge, tmp_path, capsys):
+    """A bundle that stores the raw P U, X and Y, as bundles did before
+    Z, X and Y were published structured, passes ``verify --interaction``:
+    the parts the structured form drops lie within the bundle rows' budgets."""
+    cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
+    raw = battery.synthesize(cluster, selector, z, gauge)
+    raw = {"Z": raw.zm.Z, "X": raw.pair.X, "Y": raw.pair.Y}
+    with open(bundle_path, encoding="utf-8") as fh:
+        bundle = json.load(fh)
+    published = stored_matrices(bundle)
+    assert gauge == "identity" or not all(np.array_equal(raw[key], published[key]) for key in raw)
+    bundle.update((key, matrix_to_json(m)) for key, m in raw.items())
+    with open(bundle_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(bundle, indent=2) + "\n")
+    assert cli.main(["verify", "--interaction", bundle_path]) == cli.EXIT_OK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert all(checks[f"bundle_{key}_matches"]["passed"] for key in raw)
+
+
+def test_a_matrix_equal_to_its_mirror_image_keeps_its_bits():
+    """A product that already equals its mirror image in value is published
+    as computed, so a 0.0 facing a -0.0 keeps its sign and an identity
+    bundle keeps the bytes of its raw products; any other is replaced by
+    its symmetric or Hermitian part."""
+    z = np.array([[0.8, -0.0], [0.0, -0.8]]) + 0.6j
+    x = np.array([[1.5, 0.25j], [-0.25j, 1.5]])
+    y = np.array([[0.5j, 1e-17], [0.0, -0.5j]])
+    parts = battery.structured(SimpleNamespace(Z=z), SimpleNamespace(X=x, Y=y))
+    assert parts["Z"] is z and parts["X"] is x
+    assert np.array_equal(parts["Y"], np.array([[0.5j, 5e-18], [5e-18, -0.5j]]))
+
+    # an isolated node and a self-loop, at random phases: Z = U is diagonal
+    cluster = ClusterPlan.of(np.diag([0.0, 0.12803108577163247]), [0.46643233359121483, 2.807322639145519])
+    raw = battery.synthesize(cluster, "identity", 1.0110575814690477, "identity")
+    parts = battery.structured(raw.zm, raw.pair)
+    assert parts["Z"] is raw.zm.Z and parts["X"] is raw.pair.X and parts["Y"] is raw.pair.Y

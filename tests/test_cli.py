@@ -30,7 +30,9 @@ from conftest import (
     epr_adjacency,
     matrix_to_json,
     non_hermitian_compatible_gauge,
+    random_adjacency,
     random_compatible_gauge,
+    random_phases,
 )
 
 EPR_GRAPH = "2\n0 1 1.0\n"
@@ -1124,6 +1126,13 @@ class TestJsonWriter:
         signed_zero[1, 3], signed_zero[3, 1] = 0.0, -0.0
         ulp[4, 0] = np.nextafter(ulp[0, 4], math.inf)
         m = rng.normal(size=(5, 5))
+        anti = m - m.T  # the im block of a Hermitian matrix
+        zero, signed_zero_anti, diagonal, ulp_anti = anti.copy(), anti.copy(), anti.copy(), anti.copy()
+        zero[1, 3], zero[3, 1] = 0.0, 0.0
+        signed_zero_anti[1, 3], signed_zero_anti[3, 1] = 0.0, -0.0
+        diagonal[np.diag_indices(5)] = rng.normal(size=5)
+        ulp_anti[4, 0] = np.nextafter(-ulp_anti[0, 4], math.inf)
+        special = np.array([[0.0, math.nan, math.inf], [-math.nan, 1.5, -1e16], [-math.inf, 1e16, -0.0]])
 
         def complex_(im):  # real + 1j * im would turn -0.0 into 0.0
             out = real.astype(complex)
@@ -1139,6 +1148,12 @@ class TestJsonWriter:
             "signed-zero-im": complex_(signed_zero),
             "one-ulp-im": complex_(ulp),
             "special": np.array([[math.nan, math.inf, -0.0], [math.inf, 5e-324, 1e16], [-0.0, 1e16, -math.inf]]),
+            "hermitian": complex_(anti),
+            "zero-facing-zero-im": complex_(zero),
+            "zero-facing-minus-zero-im": complex_(signed_zero_anti),
+            "diagonal-im": complex_(diagonal),
+            "one-ulp-antisymmetric-im": complex_(ulp_anti),
+            "antisymmetric-special": special,
             "1x1": np.array([[complex(-0.0, 2.5)]]),
             "0x0": np.zeros((0, 0), dtype=complex),
             "0x4": np.zeros((0, 4)),
@@ -1154,8 +1169,10 @@ class TestJsonWriter:
             self.assert_reference(array)
 
     def test_only_bitwise_symmetric_blocks_are_mirrored(self, monkeypatch):
-        """A block symmetric bit for bit formats its upper triangle alone; a
-        0.0 facing -0.0, or one ulp of asymmetry, formats every entry."""
+        """A block symmetric bit for bit, or antisymmetric bit for bit below
+        its diagonal, formats its upper triangle alone; a 0.0 facing -0.0 in
+        a symmetric block, a 0.0 facing 0.0 in an antisymmetric one, or one
+        ulp off either structure formats every entry."""
         encoded = []
 
         class Counting(json.JSONEncoder):
@@ -1167,12 +1184,65 @@ class TestJsonWriter:
         # numbers encoded per block: 15 for a mirrored 5x5 one, 25 for a full one
         expected = {"real": 15, "complex": 15 + 15, "re-only": 15 + 25, "signed-zero": 25,
                     "one-ulp": 25, "signed-zero-im": 15 + 25, "one-ulp-im": 15 + 25,
-                    "non-square": 10, "special": 6}
+                    "non-square": 10, "special": 6, "hermitian": 15 + 15,
+                    "zero-facing-zero-im": 15 + 25, "zero-facing-minus-zero-im": 15 + 15,
+                    "diagonal-im": 15 + 15, "one-ulp-antisymmetric-im": 15 + 25,
+                    "antisymmetric-special": 6}
         blocks = self.symmetric_blocks()
         for name, count in expected.items():
             encoded.clear()
             self.emitted(blocks[name])
             assert sum(encoded) == count, name
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    def test_every_bundle_block_but_e_is_one_triangle(self, gauge, tmp_path, capsys, monkeypatch):
+        """At random phases a synthesize bundle holds Z and Y symmetric and
+        P and X Hermitian bit for bit: the real blocks and the im blocks of
+        Z and Y equal their transposes, and the im blocks of P and X are
+        their negated transposes below the diagonal.  So the writer formats
+        one triangle of every block but E's."""
+        n = 9
+        rng = np.random.default_rng(29)
+        a = random_adjacency(rng, n)
+        theta = random_phases(rng, n)
+        graph, phases = write(tmp_path, "g.graph", format_graph(a)), write(
+            tmp_path, "th.txt", "".join(f"{t!r}\n" for t in theta.tolist()))
+        spec = gauge
+        if gauge == "custom":
+            p = random_compatible_gauge(rng, a, theta)
+            spec = "custom:" + write(tmp_path, "p.json", json.dumps(matrix_to_json(p)))
+        reports = []
+        monkeypatch.setattr(cli, "_emit_json", lambda obj, out_path: reports.append(obj))
+        argv = ["synthesize", "--graph", graph, "--phases", phases, "--gauge", spec, "-z", "0.7"]
+        assert run_cli(argv, capsys)[0] == EXIT_OK
+        bundle = reports[0]
+
+        sign = np.uint64(1 << 63)
+        for key in ("adjacency", "Z", "P", "U", "X", "Y", "C"):
+            m = bundle[key]
+            re, im = np.real(m).view(np.uint64), np.imag(m).view(np.uint64)
+            assert np.array_equal(re, re.T), key
+            if key in ("P", "X"):
+                assert gauge == "identity" or np.imag(m).any(), key
+                if np.imag(m).any():
+                    assert np.array_equal(np.tril(im, -1), np.tril(im.T ^ sign, -1)), key
+            else:
+                assert np.array_equal(im, im.T), key
+
+        encoded = []
+
+        class Counting(json.JSONEncoder):
+            def encode(self, o):
+                encoded.append(len(o))
+                return super().encode(o)
+
+        monkeypatch.setattr(json, "JSONEncoder", Counting)
+        for key in ("adjacency", "Z", "P", "U", "X", "Y", "C", "E"):
+            m = bundle[key]
+            blocks = 2 if np.iscomplexobj(m) and m.imag.any() else 1
+            encoded.clear()
+            self.emitted(m)
+            assert sum(encoded) == blocks * (n * n if key == "E" else n * (n + 1) // 2), key
 
     def test_bundle_write_allocates_less_than_its_output(self, tmp_path, capsys, monkeypatch):
         """Once the battery has built the recipe, writing its bundle holds at
