@@ -15,6 +15,7 @@ from .analysis import (
     find_regular_phases,
     regularity_margin,
 )
+from .battery import SweepPoint, convergence_sweep
 from .blochmessiah import (
     BlochMessiahFactors,
     bloch_messiah,
@@ -46,11 +47,7 @@ from .graphs import (
     phase_vector,
 )
 from .matfun import polar_decompose_symmetric
-from .oracle import (
-    SweepPoint,
-    convergence_sweep,
-    covariance_oracle,
-)
+from .oracle import covariance_oracle
 from .synthesis import (
     BogoliubovPair,
     ClusterPlan,

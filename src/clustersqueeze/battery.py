@@ -11,16 +11,22 @@ Every row judges the recipe as computed: Z = P U, X = cosh(zP) and
 Y = -i sinh(zP) U.  A bundle publishes them with the structure the physics
 fixes (:func:`structured`), and ``verify`` compares a stored bundle with
 that structured form of its fresh recipe.
+
+The battery also holds the verdict of a convergence sweep
+(:func:`convergence_sweep`): its end rows are judged by the same
+``covariance_vs_oracle`` comparison as a request's, so the closed form is
+judged against the oracle in this module alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import blochmessiah, oracle, synthesis
+from .errors import OracleMismatch
 from .matfun import max_abs, unitarity_defect
 from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
@@ -34,6 +40,14 @@ class Checked(NamedTuple):
     zm: synthesis.InteractionMatrix
     pair: synthesis.BogoliubovPair
     closed: synthesis.CovarianceReport | None = None
+
+
+class SweepPoint(NamedTuple):
+    """One row of a convergence sweep."""
+
+    z: float
+    max_abs: float
+    frobenius: float
 
 
 def synthesize(cluster, gauge, z: float, gauge_name: str) -> Checked:
@@ -134,3 +148,57 @@ def _reduction(zm, pair, z: float, cluster):
         ("blochmessiah_y", max_abs(y_rec - pair.Y)),
         ("interferometer_identity", max_abs(1j * factors.V @ factors.V.T - zm.U)),
     ]
+
+
+def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPoint]:
+    """Closed-form covariance norms over an ascending list of scales.
+
+    Realizes the infinite-squeezing limit as a finite sweep: for a valid
+    gauge the max-entry norm decreases strictly in z.  The last z, where
+    z lambda_max is largest, is checked against ``z_cap`` before any other.
+    The modes of every gauge are z-free, so the nullifier frame M is formed
+    once and each row costs one Gram product C = H H^dagger, H = M e^{-z w};
+    only the faithful strengths depend on z, and the rows read them off the
+    cluster plan.  The first and last rows are cross-checked against the
+    brute-force path: only they build the gauge plan (P, Z and its gate)
+    and the oracle, which factorizes K once when Z does not depend on z and
+    once per end row for the faithful gauge.  A failed
+    ``covariance_vs_oracle`` record raises :class:`OracleMismatch`.
+    """
+    try:
+        z_last = float(z_values[-1])
+    except IndexError:
+        raise ValueError("z_values must be non-empty") from None
+    last, _ = cluster.interaction(gauge, z_last)
+    synthesis.check_squeeze_budget(float(last.strengths[-1]), z_last)
+    zs = [float(z) for z in z_values]
+    if any(not (np.isfinite(z) and z > 0) for z in zs):
+        raise ValueError("z values must be positive and finite")
+    if any(b <= a for a, b in zip(zs, zs[1:])):
+        raise ValueError("z values must be strictly ascending")
+    faithful = isinstance(gauge, str) and gauge == "faithful"
+    ends = list(dict.fromkeys((zs[0], z_last)))
+    # The end rows' oracle covariances come first, so that the order-2N eigh
+    # runs before the frame or any row's C is held; only their C stay.
+    if faithful:  # Z depends on z: each end row plans its own gauge and K
+        groups = ((last if z == z_last else cluster.interaction(gauge, z)[0], [z]) for z in ends)
+    else:  # one eigh of K serves both ends
+        groups = [(last, ends)]
+    oracles = {}
+    for zm, at in groups:
+        oracles |= {z: (brute.C, ErrorModel.for_cluster(cluster, zm, z))
+                    for z, brute in zip(at, oracle._covariance_oracles(cluster, zm, at))}
+    frame, rows = synthesis._nullifier_frame(cluster, last.modes), []
+    for z in zs:
+        strengths = cluster.faithful_strengths(z) if faithful else last.strengths
+        closed = synthesis._frame_covariance(frame, strengths, z)
+        rows.append(SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius))
+        if z in oracles:
+            brute, model = oracles[z]
+            [check] = model.checks([("covariance_vs_oracle", max_abs(closed.C - brute))])
+            if not check["passed"]:
+                raise OracleMismatch(
+                    f"closed-form and brute-force covariances differ by "
+                    f"{check['residual']:.3e} at z = {z}"
+                )
+    return rows

@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import _equal_phases, _recovered_plan
 from .errors import NotOrthogonal
-from .matfun import as_complex_matrix, max_abs
+from .matfun import _spectral, as_complex_matrix, max_abs
 from .synthesis import ClusterPlan, InteractionMatrix, check_squeeze_budget
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -64,7 +64,7 @@ class BlochMessiahFactors:
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Bogoliubov blocks (X, Y) rebuilt from the factors."""
-        x = (self.V * np.cosh(self.z * self.D)[None, :]) @ self.V.conj().T
+        x = _spectral(self.V, np.cosh(self.z * self.D))
         y = (self.V * np.sinh(self.z * self.D)[None, :]) @ self.V.T
         return x, y
 

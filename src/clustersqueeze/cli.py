@@ -71,7 +71,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, battery, oracle, synthesis
+from . import analysis, battery, synthesis
 from .errors import (
     ClusterSqueezeError,
     DimensionMismatch,
@@ -629,7 +629,7 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 def cmd_sweep(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
-    rows = oracle.convergence_sweep(cluster, gauge, _z_range(args))
+    rows = battery.convergence_sweep(cluster, gauge, _z_range(args))
     return EXIT_OK, {
         "command": "sweep",
         "gauge": gauge_name,

@@ -306,7 +306,7 @@ class ClusterPlan:
         elif gauge == "faithful":
             w, modes, q = self.faithful_strengths(z), self.frame, self.by_magnitude[1]
             # F diag(w) F^dagger, with the real Q diag(w) Q^T between the phases
-            p = self._phases[:, None] * ((q * w[None, :]) @ q.T) * self._phases.conj()[None, :]
+            p = self._phases[:, None] * _spectral(q, w) * self._phases.conj()[None, :]
             p = (p + p.conj().T) / 2.0
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")

@@ -2,13 +2,15 @@
 ``verify`` reports: the same records, bit for bit, on the graph route and
 on the graph's synthesize bundle."""
 
+import dataclasses
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from clustersqueeze import ClusterPlan, battery, cli, format_graph
+from clustersqueeze import ClusterPlan, OracleMismatch, battery, cli, format_graph, oracle
 
 from conftest import matrix_to_json, random_adjacency, random_compatible_gauge, random_phases
 
@@ -112,3 +114,32 @@ def test_a_matrix_equal_to_its_mirror_image_keeps_its_bits():
     raw = battery.synthesize(cluster, "identity", 1.0110575814690477, "identity")
     parts = battery.structured(raw.zm, raw.pair)
     assert parts["Z"] is raw.zm.Z and parts["X"] is raw.pair.X and parts["Y"] is raw.pair.Y
+
+
+SWEEP = [0.5, 0.9, 1.3, 1.7]
+
+
+@pytest.mark.parametrize("gauge", ["identity", "faithful"])
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_a_sweep_whose_oracle_is_off_by_1e8_at_an_end_row_fails(gauge, end, tmp_path, capsys, monkeypatch):
+    """The sweep judges its end rows against the oracle: a 1e-8 relative
+    change of the oracle's C at either end raises :class:`OracleMismatch`,
+    and ``sweep`` exits 4 with nothing on stdout."""
+    cluster, selector, _, flags, _ = synthesized(gauge, tmp_path)
+    assert [row.z for row in battery.convergence_sweep(cluster, selector, SWEEP)] == SWEEP
+    faulty = SWEEP[0] if end == "first" else SWEEP[-1]
+    exact = oracle._covariance_oracles
+
+    def scaled(cluster, zm, zs):
+        return [dataclasses.replace(report, C=report.C * (1.0 + 1e-8)) if z == faulty else report
+                for z, report in zip(zs, exact(cluster, zm, zs))]
+
+    monkeypatch.setattr(oracle, "_covariance_oracles", scaled)
+    message = rf"closed-form and brute-force covariances differ by \S+ at z = {re.escape(repr(faulty))}"
+    with pytest.raises(OracleMismatch, match=f"^{message}$"):
+        battery.convergence_sweep(cluster, selector, SWEEP)
+    capsys.readouterr()
+    argv = ["sweep", *flags[:6], "--z-range", "0.5:1.7:0.4"]
+    assert cli.main(argv) == cli.EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == "" and re.search(message, err)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import clustersqueeze
-from clustersqueeze import ClusterPlan, analysis, battery, cli, format_graph, oracle, parse_graph, synthesis
+from clustersqueeze import ClusterPlan, analysis, battery, cli, format_graph, parse_graph, synthesis
 from clustersqueeze.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -361,8 +361,8 @@ class TestSweep:
         closed form is computed and no z but the last is formed.  A range
         whose grid could never be built exits as fast."""
         closed_forms = []
-        closed_form = oracle._frame_covariance  # each closed-form row of the sweep
-        monkeypatch.setattr(oracle, "_frame_covariance", lambda *a: closed_forms.append(a) or closed_form(*a))
+        closed_form = synthesis._frame_covariance  # each closed-form row of the sweep
+        monkeypatch.setattr(synthesis, "_frame_covariance", lambda *a: closed_forms.append(a) or closed_form(*a))
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         for z_range in ("1:40:1", "1:1e300:1"):
             args = ["sweep", "--graph", graph, "--gauge", gauge, "--z-range", z_range]

@@ -21,7 +21,7 @@ from clustersqueeze import (
     unitary_from_adjacency,
     validate_gauge,
 )
-from clustersqueeze import oracle, synthesis
+from clustersqueeze import synthesis
 from clustersqueeze.oracle import quadrature_generator
 from clustersqueeze.tolerances import DEFAULT_TOLERANCES, ErrorModel
 
@@ -141,7 +141,6 @@ class TestQuadratureFlow:
             raise AssertionError("the oracle must not call this")
 
         monkeypatch.setattr(synthesis, "covariance_closed_form", forbidden)
-        monkeypatch.setattr(oracle, "_frame_covariance", forbidden)  # the sweep's closed-form rows
         monkeypatch.setattr(synthesis.ClusterPlan, "of", forbidden)
         monkeypatch.setattr(synthesis.ClusterPlan, "interaction", forbidden)
         # of the plan, only A and theta: its eigendecomposition and U raise

@@ -3,6 +3,7 @@ layers, and the public functions reject bad input with typed errors."""
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import json
 import math
@@ -133,7 +134,53 @@ def test_module_layering():
     assert not imports["synthesis"] & {"analysis", "blochmessiah", "oracle", "cli"}
     assert sorted(stem for stem, names in imports.items() if "cli" in names) == ["__main__"]
     assert not imports["cli"] & {"tolerances", "matfun", "blochmessiah"}
+    assert "oracle" not in imports["cli"]
     assert "cli" not in imports["battery"]
+
+
+def test_the_oracle_reads_only_z_and_the_clusters_a_and_theta():
+    """The brute-force path is independent of the closed form by its module
+    boundary: from ``synthesis`` it imports the plan and report types and
+    the squeeze budget only, of a cluster plan it reads A and theta, of an
+    interaction Z and n, and no eigenpair or product of either plan."""
+    tree = ast.parse((ROOT / "src" / "clustersqueeze" / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "synthesis":
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "synthesis" not in ast.unparse(node)
+    assert imported <= {"ClusterPlan", "CovarianceReport", "InteractionMatrix", "check_squeeze_budget"}
+    read = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            read.setdefault(node.value.id, set()).add(node.attr)
+    assert read["cluster"] <= {"A", "theta"} and read["zm"] <= {"Z", "n"}
+    forbidden = {"strengths", "modes", "P", "U", "eigenvalues", "frame", "interferometer", "interaction"}
+    assert set().union(*read.values()) & forbidden == set()
+
+
+def test_the_benchmark_hooks_name_existing_functions():
+    """The traced benchmark run wraps the CLI's file helpers and its ``json``
+    binding by name, wraps every function of the modules it lists, and its
+    worker calls ``cli.main`` and package functions.  A library name they
+    use that goes away breaks only the traced run, which the default
+    untraced run does not exercise."""
+    used, imported, modules = set(), set(), ()
+    for name in ("tracing.py", "worker.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cli":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "clustersqueeze":
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MODULES":
+                modules = ast.literal_eval(node.value)
+    assert {"_read_text", "_emit", "json", "main"} <= used
+    assert {"cli", "unitary_from_adjacency"} <= imported
+    assert sorted(name for name in used if not hasattr(cli, name)) == []
+    assert sorted(name for name in imported if not hasattr(clustersqueeze, name)) == []
+    assert modules and all(importlib.util.find_spec(f"clustersqueeze.{short}") for short in modules)
 
 
 def test_only_the_battery_judges_checks():
