@@ -59,7 +59,6 @@ from .synthesis import (
     covariance_closed_form,
     squeezer_spectrum,
     unitary_from_adjacency,
-    validate_gauge,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -111,5 +110,4 @@ __all__ = [
     "regularity_margin",
     "squeezer_spectrum",
     "unitary_from_adjacency",
-    "validate_gauge",
 ]

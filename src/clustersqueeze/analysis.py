@@ -27,13 +27,7 @@ import numpy as np
 from .errors import SingularPhasePoint
 from .graphs import phase_vector
 from .matfun import as_complex_matrix, cayley_real, regularizing_angle
-from .synthesis import (
-    ClusterPlan,
-    CovarianceReport,
-    InteractionMatrix,
-    covariance_closed_form,
-    validate_gauge,
-)
+from .synthesis import ClusterPlan, CovarianceReport, InteractionMatrix, covariance_closed_form
 from .tolerances import DEFAULT_TOLERANCES
 
 
@@ -124,10 +118,9 @@ def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> Cl
     if replaced := input_margin < DEFAULT_TOLERANCES.phase_accept:
         chosen, margin = find_regular_phases(u)
     # Either margin reaches regular_min: phase_accept is above it, and
-    # find_regular_phases raises below it.
+    # find_regular_phases raises below it.  The cluster comes from U, so P,
+    # whose P U is Z's symmetric part, is compatible with it by construction.
     cluster = _recovered_plan(u, chosen)
-    # P came with the interaction, not with the recovered cluster.
-    validate_gauge(cluster, zm.P)
     report = covariance_closed_form(cluster, zm, z)
     return ClusterRecovery(
         theta=cluster.theta,

@@ -10,7 +10,8 @@ through its module attributes, so the rows judge what those names are bound to.
 Every row judges the recipe as computed: Z = P U, X = cosh(zP) and
 Y = -i sinh(zP) U.  A bundle publishes them with the structure the physics
 fixes (:func:`structured`), and ``verify`` compares a stored bundle with
-that structured form of its fresh recipe.
+that structured form of its fresh recipe.  A gauge selector that names a
+built-in gauge adds that gauge's rows; a matrix is a custom P.
 
 The battery also holds the verdict of a convergence sweep
 (:func:`convergence_sweep`): its end rows are judged by the same
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import blochmessiah, oracle, synthesis
 from .errors import OracleMismatch
-from .matfun import max_abs, unitarity_defect
+from .matfun import _symmetric_part, max_abs, unitarity_defect
 from .tolerances import DEFAULT_TOLERANCES, ErrorModel
 
 
@@ -50,10 +51,9 @@ class SweepPoint(NamedTuple):
     frobenius: float
 
 
-def synthesize(cluster, gauge, z: float, gauge_name: str) -> Checked:
-    """Core rows of the recipe of a ``gauge`` selector of the cluster plan;
-    ``gauge_name`` ("identity", "faithful" or any other) picks the gauge's
-    own rows."""
+def synthesize(cluster, gauge, z: float) -> Checked:
+    """Core rows of the recipe of a ``gauge`` selector of the cluster plan,
+    with the own rows of the built-in gauge it names."""
     a = cluster.A
     eye = np.eye(a.shape[0])
     zm, check = cluster.interaction(gauge, z)
@@ -74,9 +74,10 @@ def synthesize(cluster, gauge, z: float, gauge_name: str) -> Checked:
         ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
         ("oracle_overlap", brute.overlap),
     ]
-    if gauge_name == "faithful":
+    name = gauge if isinstance(gauge, str) else "custom"
+    if name == "faithful":
         rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
-    if gauge_name == "identity":
+    if name == "identity":
         square = a @ a
         rows.append(("uniform_gauge_formula", max_abs(closed.C - (square + eye) * decay)))
         if max_abs(square - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
@@ -84,17 +85,17 @@ def synthesize(cluster, gauge, z: float, gauge_name: str) -> Checked:
     return Checked(model.checks(rows), model, zm, pair, closed)
 
 
-def verify(cluster, gauge, z: float, gauge_name: str, stored=None) -> Checked:
+def verify(cluster, gauge, z: float, stored=None) -> Checked:
     """:func:`synthesize`'s rows, then the reduction's and the cluster
-    condition's; ``stored`` maps some of the names Z, U, X, Y and C to a
+    condition's; ``stored`` maps some of the names P, Z, U, X, Y and C to a
     bundle's matrices, and each is checked against its fresh value, Z, X
     and Y in their :func:`structured` form."""
-    core = synthesize(cluster, gauge, z, gauge_name)
+    core = synthesize(cluster, gauge, z)
     zm, pair = core.zm, core.pair
     factors, rows = _reduction(zm, pair, z, cluster)
     rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)))
     if stored:
-        fresh = {"U": zm.U, "C": core.closed.C, **structured(zm, pair)}
+        fresh = {"P": zm.P, "U": zm.U, "C": core.closed.C, **structured(zm, pair)}
         rows += [(f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in stored.items()]
     return core._replace(checks=core.checks + core.model.checks(rows))
 
@@ -120,13 +121,8 @@ def structured(zm, pair) -> dict[str, np.ndarray]:
     ``bundle_X_matches`` and ``bundle_Y_matches`` budgets, so a bundle that
     stores the raw products verifies too.  P, U and C are exact already.
     """
-    parts = {}
-    for key, m, mirror in (("Z", zm.Z, zm.Z.T), ("X", pair.X, pair.X.conj().T), ("Y", pair.Y, pair.Y.T)):
-        if not np.array_equal(m, mirror):
-            m = m + mirror
-            m *= 0.5  # in place: no second full-size copy is held
-        parts[key] = m
-    return parts
+    mirrors = (("Z", zm.Z, zm.Z.T), ("X", pair.X, pair.X.conj().T), ("Y", pair.Y, pair.Y.T))
+    return {key: _symmetric_part(m, mirror) for key, m, mirror in mirrors}
 
 
 def decompose(zm, z: float, cluster=None) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:

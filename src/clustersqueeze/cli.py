@@ -45,7 +45,9 @@ the needed values are decoded, and every other one is only validated by
 the same JSON scanner with its floats left unconverted.  Text in any other
 layout, invalid JSON, or an object with a repeated key goes to
 ``json.loads`` whole, so values, error messages and exit codes are those of
-decoding the whole file.
+decoding the whole file.  ``verify`` plans a bundle's built-in gauge by the
+name it stores and compares every stored matrix, P included, with the fresh
+one; the P of any other gauge is planned as a custom gauge.
 
 Each command returns its exit code and one report dict, and :func:`main`
 writes that report: as JSON by the streaming writer, or as the text or CSV
@@ -529,7 +531,7 @@ def _graph_only(args, *flags) -> None:
 def cmd_synthesize(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
     z = _z(args)
-    checks, _, zm, pair, closed = battery.synthesize(cluster, gauge, z, gauge_name)
+    checks, _, zm, pair, closed = battery.synthesize(cluster, gauge, z)
     published = battery.structured(zm, pair)
     return EXIT_OK, {
         "command": "synthesize",
@@ -611,17 +613,25 @@ def cmd_verify(args) -> tuple[int, dict]:
             path, synthesis.ClusterPlan.of, matrix_from_json(bundle["adjacency"], path), bundle["theta"]
         )
         z = _scale(bundle["z"], f"{path}: z")
-        # the stored P is checked and factorized like a custom gauge
         p = matrix_from_json(bundle["P"], path)
         stored = {key: matrix_from_json(bundle[key], path) for key in matrices if key in bundle}
         wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
         if wrong:
             raise _InputError(f"{path}: {', '.join(wrong)} not of shape {cluster.A.shape}")
-        checks = battery.verify(cluster, p, z, str(bundle["gauge"]), stored).checks
+        # a built-in gauge is planned by its name, as on the graph route, and
+        # its stored P compared; any other gauge is the stored P itself
+        gauge = bundle["gauge"]
+        if gauge in ("identity", "faithful"):
+            if p.shape != cluster.A.shape:
+                raise DimensionMismatch("gauge factor shape does not match the graph")
+            stored = {"P": p, **stored}
+        else:
+            gauge = p
+        checks = battery.verify(cluster, gauge, z, stored).checks
     else:
         z = _z(args)
-        cluster, gauge_name, gauge = _load_cluster(args)
-        checks = battery.verify(cluster, gauge, z, gauge_name).checks
+        cluster, _, gauge = _load_cluster(args)
+        checks = battery.verify(cluster, gauge, z).checks
     passed = all(c["passed"] for c in checks)
     report = {"command": "verify", "z": z, "passed": passed, "checks": checks}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), report

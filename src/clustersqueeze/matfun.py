@@ -66,6 +66,17 @@ def _spectral(q: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (q * values[None, :]) @ q.conj().T
 
 
+def _symmetric_part(m: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """The symmetric or Hermitian part (m + mirror) / 2, mirror = m^T or
+    m^dagger; ``m`` itself, bits and signed zeros kept, when it equals
+    ``mirror`` in value."""
+    if np.array_equal(m, mirror):
+        return m
+    m = m + mirror
+    m *= 0.5  # in place: no second full-size copy is held
+    return m
+
+
 def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Polar decomposition Z = P U of a complex symmetric matrix.
 
@@ -76,6 +87,8 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     the one SVD Z = Q diag(sigma) V^dagger, and U = Q V^dagger.  The SVD
     keeps U unitary to rounding whatever cond(P) is; the eigenvectors of
     Z Z^dagger would square it (Higham, *Functions of Matrices*, 2008, ch. 8).
+    The asymmetry the ``rtol`` gate lets through is dropped: Z's symmetric
+    part is split, so U is symmetric to rounding.
 
     Raises :class:`NotSymmetric` for asymmetric input and
     :class:`SingularInput` when sigma_min / sigma_max falls below the
@@ -88,7 +101,7 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(zm):.3e} exceeds tolerance"
         )
-    w, s, vh = np.linalg.svd(zm)
+    w, s, vh = np.linalg.svd(_symmetric_part(zm, zm.T))
     sigma, q = s[::-1], w[:, ::-1]
     if sigma[-1] == 0.0 or sigma[0] < DEFAULT_TOLERANCES.singular * sigma[-1]:
         raise SingularInput(

@@ -14,8 +14,8 @@ and the closed-form nullifier covariance
     C = (A + i 1) e^{i Theta} e^{-2 z P} e^{-i Theta} (A - i 1) = E E^dagger,
 
 with E = (A + i 1) e^{i Theta} e^{-z P}.  The gauge factor is free up to the
-reality condition checked by :func:`validate_gauge`; the faithful choice
-makes C exactly e^{-2z} times the identity.
+reality condition that :meth:`ClusterPlan.interaction` gates; the faithful
+choice makes C exactly e^{-2z} times the identity.
 
 With P = Q_P diag(w) Q_P^dagger the covariance is taken in the nullifier
 frame M = (A + i 1) e^{i Theta} Q_P, one real product with A: H = M e^{-z w}
@@ -59,6 +59,7 @@ from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
     _real_product,
     _spectral,
+    _symmetric_part,
     as_complex_matrix,
     hermiticity_defect,
     max_abs,
@@ -101,9 +102,12 @@ class InteractionMatrix:
     @classmethod
     def from_matrix(cls, Z) -> "InteractionMatrix":
         """Polar-decompose a complex symmetric non-singular matrix; P's
-        eigenpairs come from the split's one SVD, which also checks Z."""
+        eigenpairs come from the split's one SVD, which also checks Z.  Z is
+        held as the symmetric part the split factorizes, so P U = Z to
+        rounding and P is compatible with the cluster U encodes."""
         p, u, w, q = polar_decompose_symmetric(Z)
-        return cls(Z=np.asarray(Z, dtype=complex), P=p, U=u, strengths=w, modes=q)
+        z = np.asarray(Z, dtype=complex)
+        return cls(Z=_symmetric_part(z, z.T), P=p, U=u, strengths=w, modes=q)
 
 
 @dataclass(frozen=True)
@@ -319,30 +323,11 @@ class ClusterPlan:
                                  interferometer=interferometer)
 
 
-def validate_gauge(cluster: ClusterPlan, P) -> GaugeCheck:
-    """Check the reality condition tying a gauge factor to a cluster.
-
-    P is compatible exactly when (A + i 1) e^{i Theta} P e^{-i Theta}
-    (A - i 1) is a real matrix, which is equivalent to P U being symmetric.
-    Returns the relative imaginary residual of that test matrix and its
-    largest entry; a residual above ``rtol`` raises
-    :class:`GaugeIncompatible`.  Hermiticity, positivity and singularity
-    concern P alone and are checked where its eigenpairs are formed.
-    """
-    if np.shape(P) != cluster.A.shape:
-        raise DimensionMismatch("gauge factor shape does not match the graph")
-    check = _reality_check(cluster, as_complex_matrix(P))
-    if not check.residual <= DEFAULT_TOLERANCES.rtol:
-        raise GaugeIncompatible(
-            f"gauge reality residual {check.residual:.3e} exceeds {DEFAULT_TOLERANCES.rtol:.1e}"
-        )
-    return check
-
-
 def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
-    """The residual and scale of :func:`validate_gauge` for a finite P of
-    the cluster's shape, without its verdict: the plan's gate judges the
-    residual by its budget."""
+    """Relative imaginary residual and largest entry of the test matrix
+    (A + i 1) e^{i Theta} P e^{-i Theta} (A - i 1) of a finite P of the
+    cluster's shape, real exactly when P is compatible (P U symmetric);
+    the plan's gate judges the residual by its budget."""
     a = cluster.A
     ph = np.exp(1j * cluster.theta)
     b = ph[:, None] * p * ph.conj()[None, :]
@@ -387,8 +372,9 @@ def covariance_closed_form(
 ) -> CovarianceReport:
     """Closed-form nullifier covariance of the synthesized state.
 
-    ``zm`` is the interaction matrix of the cluster, as built by
-    :meth:`ClusterPlan.interaction`, which checks the gauge.  C = H H^dagger
+    ``zm`` is compatible with the cluster: built by :meth:`ClusterPlan.interaction`,
+    which gates the gauge, or a polar split and the cluster ``analyze``
+    recovers from its own U, compatible by construction.  C = H H^dagger
     with H = M e^{-z w} from the nullifier frame M = (A + i 1) e^{i Theta}
     Q_P of P's eigenpairs (w, Q_P); E = H Q_P^dagger is formed on first
     read.  Single code path for every gauge; the special cases (faithful

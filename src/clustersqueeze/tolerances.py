@@ -28,8 +28,8 @@ UNIT_ROUNDOFF = 2.0 ** -53
 
 @dataclass(frozen=True)
 class Tolerances:
-    #: relative residual for algebraic identities (unitarity, symmetry, ...)
-    #: and for the public gauge reality predicate ``validate_gauge``
+    #: relative asymmetry of a bare Z, and non-Hermiticity of a custom P,
+    #: that the input checks let through to the part they keep
     rtol: float = 1e-9
     #: sigma_min / sigma_max below which a matrix counts as singular; a gauge
     #: factor's lambda_min must exceed it times lambda_max, which also makes
@@ -85,6 +85,7 @@ CHECKS = {
     "interferometer_identity": ("eigenvectors", 44),  # the 9 stages to V, V V^T, one spare
     "cluster_condition": ("cluster", 48),  # the 9 stages to V, two products with A, one spare
     "bundle_Z_matches": ("interaction", 20),  # the stored result of the same stages
+    "bundle_P_matches": ("interaction", 8),  # a built-in P: eigh of A, F diag(w) F^dagger
     "bundle_U_matches": ("structure", 4),
     "bundle_X_matches": ("blocks", 20),  # P, eigh, cosh(zP)
     "bundle_Y_matches": ("blocks", 28),  # and U, sinh(zP) U

@@ -24,7 +24,6 @@ from clustersqueeze import (
     find_regular_phases,
     regularity_margin,
     unitary_from_adjacency,
-    validate_gauge,
 )
 
 from conftest import (
@@ -276,7 +275,7 @@ def test_criterion_09_gauge_condition_biconditional():
                 1.0, float(np.max(np.abs(prod)))
             )
             try:
-                validate_gauge(cluster, p)
+                cluster.interaction(p)
             except GaugeIncompatible:
                 disagreements += direct
             else:

@@ -1,6 +1,6 @@
 """A Python caller gets from :mod:`clustersqueeze.battery` the verdict that
 ``verify`` reports: the same records, bit for bit, on the graph route and
-on the graph's synthesize bundle."""
+on the graph's synthesize bundle, which is planned by the gauge it names."""
 
 import dataclasses
 import json
@@ -51,19 +51,27 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
         assert cli.main(["verify", *argv]) == cli.EXIT_OK
         return json.loads(capsys.readouterr().out)["checks"]
 
-    checked = battery.verify(cluster, selector, z, gauge)
+    checked = battery.verify(cluster, selector, z)
     assert checked.checks == reported(flags)
     assert all(c["passed"] for c in checked.checks)
 
     with open(bundle_path, encoding="utf-8") as fh:
         bundle = json.load(fh)
-    stored = stored_matrices(bundle)
+    # a built-in gauge is planned by its name and its P compared; a custom
+    # bundle's P is its gauge
+    stored, p = stored_matrices(bundle), cli.matrix_from_json(bundle["P"])
+    if gauge == "custom":
+        selector = p
+    else:
+        selector, stored = bundle["gauge"], {"P": p, **stored}
     from_bundle = battery.verify(
-        ClusterPlan.of(cli.matrix_from_json(bundle["adjacency"]), bundle["theta"]),
-        cli.matrix_from_json(bundle["P"]), bundle["z"], bundle["gauge"], stored,
+        ClusterPlan.of(cli.matrix_from_json(bundle["adjacency"]), bundle["theta"]), selector, bundle["z"], stored
     )
     assert from_bundle.checks == reported(["--interaction", bundle_path])
-    assert [c["name"] for c in from_bundle.checks[-5:]] == BUNDLE_ROWS
+    rows = [c for c in from_bundle.checks if c["name"].startswith("bundle_")]
+    assert [c["name"] for c in rows] == ([] if gauge == "custom" else ["bundle_P_matches"]) + BUNDLE_ROWS
+    # the very path that wrote the bundle rebuilds it
+    assert gauge == "custom" or all(c["residual"] == 0.0 for c in rows)
 
 
 @GAUGES
@@ -73,7 +81,7 @@ def test_a_fresh_bundle_matches_its_recipe_exactly(gauge, tmp_path):
     cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
     with open(bundle_path, encoding="utf-8") as fh:
         stored = stored_matrices(json.load(fh))
-    checks = battery.verify(cluster, selector, z, gauge, stored).checks[-5:]
+    checks = battery.verify(cluster, selector, z, stored).checks[-5:]
     assert [(c["name"], c["residual"]) for c in checks] == [(name, 0.0) for name in BUNDLE_ROWS]
 
 
@@ -83,7 +91,7 @@ def test_a_bundle_of_the_raw_products_verifies(gauge, tmp_path, capsys):
     Z, X and Y were published structured, passes ``verify --interaction``:
     the parts the structured form drops lie within the bundle rows' budgets."""
     cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
-    raw = battery.synthesize(cluster, selector, z, gauge)
+    raw = battery.synthesize(cluster, selector, z)
     raw = {"Z": raw.zm.Z, "X": raw.pair.X, "Y": raw.pair.Y}
     with open(bundle_path, encoding="utf-8") as fh:
         bundle = json.load(fh)
@@ -111,7 +119,7 @@ def test_a_matrix_equal_to_its_mirror_image_keeps_its_bits():
 
     # an isolated node and a self-loop, at random phases: Z = U is diagonal
     cluster = ClusterPlan.of(np.diag([0.0, 0.12803108577163247]), [0.46643233359121483, 2.807322639145519])
-    raw = battery.synthesize(cluster, "identity", 1.0110575814690477, "identity")
+    raw = battery.synthesize(cluster, "identity", 1.0110575814690477)
     parts = battery.structured(raw.zm, raw.pair)
     assert parts["Z"] is raw.zm.Z and parts["X"] is raw.pair.X and parts["Y"] is raw.pair.Y
 

@@ -213,6 +213,40 @@ class TestAnalyze:
         assert "not a valid symmetric unitary" in err
 
 
+def _nearly_symmetric(seed):
+    """Z of a random cluster's faithful or identity gauge at z = 0.5 plus an
+    antisymmetric part at 0.99 of the polar split's gate,
+    rtol max(1, max|Z|)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    a = random_adjacency(rng, n, weight=10.0 ** rng.uniform(-3.0, 4.0))
+    gauge = "identity" if seed % 2 else "faithful"
+    z = ClusterPlan.of(a, random_phases(rng, n)).interaction(gauge, 0.5)[0].Z
+    z = (z + z.T) / 2.0
+    d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    d = d - d.T
+    return z + d * (0.99e-9 * max(1.0, np.max(np.abs(z))) / (2.0 * np.max(np.abs(d))))
+
+
+def test_a_z_within_the_symmetry_gate_is_split_as_its_symmetric_part(tmp_path, capsys):
+    """Factorized as given, this Z's U made the recovered plan's Cayley map
+    reject it: analyze exited 4 ("imaginary residual 9.276e-07; input was
+    not symmetric unitary ..."), though the split's gate had let it through
+    and decompose accepted it.  Both commands now split its symmetric part
+    and report exactly as for that part."""
+    z = _nearly_symmetric(3238)
+    asymmetry = np.max(np.abs(z - z.T))
+    assert 0.98e-9 * max(1.0, np.max(np.abs(z))) < asymmetry <= 1e-9 * max(1.0, np.max(np.abs(z)))
+    for command in ("analyze", "decompose"):
+        reports = []
+        for m in (z, (z + z.T) / 2.0):
+            path = write(tmp_path, "z.json", json.dumps(matrix_to_json(m)))
+            code, out, err = run_cli([command, "--interaction", path, "-z", "1e-3"], capsys)
+            assert code == EXIT_OK, err
+            reports.append(out)
+        assert reports[0] == reports[1], command
+
+
 class TestDecompose:
     def test_epr_squeezers(self, tmp_path, capsys):
         z_obj = matrix_to_json(-np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -270,6 +304,51 @@ class TestVerify:
         assert report["passed"] is False
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert "bundle_C_matches" in failing
+
+    @pytest.mark.parametrize(
+        "gauge, edit, row",
+        [
+            ("faithful", {"gauge": "identity"}, "bundle_P_matches"),
+            ("identity", {"gauge": "faithful"}, "bundle_P_matches"),
+            ("custom", {"gauge": "identity"}, "bundle_P_matches"),
+            ("identity", {"z": 0.9 * (1.0 + 1e-9)}, "bundle_X_matches"),
+            ("faithful", {"z": 0.9 * (1.0 + 1e-9)}, "bundle_P_matches"),
+        ],
+        ids=["faithful-as-identity", "identity-as-faithful", "custom-as-identity", "identity-z", "faithful-z"],
+    )
+    def test_a_bundle_is_checked_against_the_gauge_it_names(self, gauge, edit, row, tmp_path, capsys):
+        """A built-in gauge is planned by the name the bundle stores, at its
+        z, so a relabelled bundle or a tampered z fails the named row."""
+        graph = write(tmp_path, "g.graph", TestOneFactorizationPerRequest.GRAPH)
+        spec = gauge
+        if gauge == "custom":
+            p = random_compatible_gauge(np.random.default_rng(5), TestOneFactorizationPerRequest.A, np.zeros(6))
+            spec = f"custom:{write(tmp_path, 'p.json', json.dumps(matrix_to_json(p)))}"
+        bundle_path = tmp_path / "bundle.json"
+        args = ["synthesize", "--graph", graph, "--gauge", spec, "-z", "0.9", "--out", str(bundle_path)]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        code, out, _ = run_cli(["verify", "--interaction", str(bundle_path)], capsys)
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert code == EXIT_OK and ("bundle_P_matches" in names) == (gauge != "custom")
+        bundle = json.loads(bundle_path.read_text(encoding="utf-8"))
+        bundle_path.write_text(json.dumps({**bundle, **edit}), encoding="utf-8")
+        code, out, _ = run_cli(["verify", "--interaction", str(bundle_path)], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert row in [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+    def test_a_built_in_bundle_with_a_non_hermitian_p_fails_its_p_row(self, tmp_path, capsys):
+        """The stored P of a built-in gauge is only compared: a P that is not
+        Hermitian fails bundle_P_matches (exit 1) rather than the custom
+        gauge's Hermiticity check (exit 3)."""
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle_path = tmp_path / "bundle.json"
+        assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle_path)], capsys)[0] == EXIT_OK
+        bundle = json.loads(bundle_path.read_text(encoding="utf-8"))
+        bundle["P"] = matrix_to_json(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        bundle_path.write_text(json.dumps(bundle), encoding="utf-8")
+        code, out, _ = run_cli(["verify", "--interaction", str(bundle_path)], capsys)
+        assert code == cli.EXIT_CHECK_FAILED
+        assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == ["bundle_P_matches"]
 
     def test_graph_route(self, tmp_path, capsys):
         graph = write(tmp_path, "g.graph", "4\n0 1 1\n1 2 -0.5\n2 3 1\n0 3 0.25\n")
@@ -517,7 +596,7 @@ class TestOneFactorizationPerRequest:
 
     @staticmethod
     def _count_gauge_checks(monkeypatch):
-        """Reality checks, made by the plan's gate and by ``validate_gauge``."""
+        """Reality checks, made by the plan's gate."""
         checked = []
         reality_check = synthesis._reality_check
 
@@ -626,7 +705,8 @@ class TestOneFactorizationPerRequest:
         checked = self._count_gauge_checks(monkeypatch)
         calls = request.getfixturevalue("factorizations")
         assert run_cli(["analyze", "--interaction", bundle], capsys)[0] == EXIT_OK
-        assert len(checked) == 1
+        # the split judged Z's symmetry, and the cluster comes from its U
+        assert checked == []
         assert calls["eigvalsh"] == []
 
 
@@ -637,23 +717,30 @@ class TestFactorizationsPerCommand:
 
     The graph route factorizes A once (and the oracle's K for verify); a
     custom P adds one real ``eigh`` of Re S_W.  ``verify --interaction``
-    plans the stored P like a custom gauge.  ``decompose --interaction``
-    makes the polar split's SVD, then recovers the cluster at the equal
-    phases (``eigvalsh``, the Cayley ``solve``, ``eigh`` of A') and reads the
-    factors off one real ``eigh`` of Re S_W, whatever the gauge.
+    plans a built-in gauge by the name its bundle stores, as the graph route
+    does, and the stored P of any other like a custom gauge.  ``analyze``
+    makes the polar split's SVD, measures the input phases (SVD) and
+    inverts (the Cayley ``solve``); where it replaces the input phases it
+    adds the regularizing angle's ``eigvalsh`` and the SVD at the equal
+    phases.  ``decompose --interaction`` makes the polar split's SVD, then
+    recovers the cluster at the equal phases (``eigvalsh``, the Cayley
+    ``solve``, ``eigh`` of A') and reads the factors off one real ``eigh``
+    of Re S_W, whatever the gauge.
     """
 
     COUNTS = {
         ("verify", "graph"): {"identity": {"eigh": 2}, "faithful": {"eigh": 2}, "custom": {"eigh": 3}},
         ("decompose", "graph"): {"identity": {"eigh": 1}, "faithful": {"eigh": 1}, "custom": {"eigh": 2}},
-        ("verify", "interaction"): dict.fromkeys(("identity", "faithful", "custom"), {"eigh": 3}),
+        ("verify", "interaction"): {"identity": {"eigh": 2}, "faithful": {"eigh": 2}, "custom": {"eigh": 3}},
+        ("analyze", "interaction"): dict.fromkeys(("identity", "faithful", "custom"), {"svd": 2, "solve": 1}),
         ("decompose", "interaction"): dict.fromkeys(
             ("identity", "faithful", "custom"), {"svd": 1, "eigvalsh": 1, "solve": 1, "eigh": 2}),
     }
 
-    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
-    @pytest.mark.parametrize("command, route", list(COUNTS))
-    def test_count(self, command, route, gauge, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def _flags(gauge, route, tmp_path, capsys):
+        """The flags of the N = 24 case of ``gauge``; on the interaction
+        route, its synthesize bundle."""
         rng = np.random.default_rng(24)
         a = rng.uniform(-1.0, 1.0, (24, 24))
         a = (a + a.T) / 2.0
@@ -668,15 +755,42 @@ class TestFactorizationsPerCommand:
         if route == "interaction":
             bundle = str(tmp_path / "b.json")
             assert run_cli(["synthesize", *flags, "--out", bundle], capsys)[0] == EXIT_OK
-            flags = ["--interaction", bundle] + (["-z", "0.8"] if command == "decompose" else [])
+            flags = ["--interaction", bundle]
+        return flags
+
+    @staticmethod
+    def _counted(argv, capsys, monkeypatch) -> tuple[dict, str]:
+        """The kernel calls of the command ``argv``, which must succeed, and its output."""
         calls = {}
         for name in ("eigh", "eigvalsh", "svd", "solve", "inv"):
             def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
-        assert run_cli([command, *flags], capsys)[0] == EXIT_OK
-        assert calls == self.COUNTS[command, route][gauge]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        return calls, out
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    @pytest.mark.parametrize("command, route", list(COUNTS))
+    def test_count(self, command, route, gauge, tmp_path, capsys, monkeypatch):
+        flags = self._flags(gauge, route, tmp_path, capsys)
+        if command == "decompose" and route == "interaction":
+            flags += ["-z", "0.8"]
+        assert self._counted([command, *flags], capsys, monkeypatch)[0] == self.COUNTS[command, route][gauge]
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    def test_count_of_an_analyze_that_replaces_the_phases(self, gauge, tmp_path, capsys, monkeypatch):
+        """Equal phases c that put an eigenvalue e^{i phi} of U at -i in
+        e^{2ic} U leave the inverse singular, so analyze replaces them."""
+        flags = self._flags(gauge, "interaction", tmp_path, capsys)
+        with open(flags[1], encoding="utf-8") as fh:
+            u = matrix_from_json(json.load(fh)["U"])
+        c = (-math.pi / 2.0 - float(np.angle(np.linalg.eigvals(u)[0]))) / 2.0
+        phases = write(tmp_path, "c.phases", f"{c!r}\n" * 24)
+        calls, out = self._counted(["analyze", *flags, "--phases", phases], capsys, monkeypatch)
+        assert json.loads(out)["phase_search_used"] is True
+        assert calls == {"svd": 3, "eigvalsh": 1, "solve": 1}
 
 
 class TestOneValidationPerRequest:

@@ -131,10 +131,10 @@ class TestAcceptedImpliesVerifiable:
     def test_benchmark_high_z_recipe(self, n, headroom, gauge, tmp_path, monkeypatch):
         """Dense uniform[-1, 1] weights at the benchmark's largest z * lambda_max.
 
-        synthesize and verify --graph read the built-in gauge off the
-        cluster plan; verify --interaction reads the stored P back like a
-        custom gauge and rebuilds Z, X, Y and C from one eigh of it, so its
-        bundle rows compare two routes that differ by rounding.
+        synthesize and verify on both routes plan the built-in gauge by its
+        name off the cluster plan, verify --interaction by the name its
+        bundle stores, so no request plans a gauge matrix and the bundle
+        rows compare the bundle with the path that wrote it.
         """
         factorized = []
         plan = synthesis.ClusterPlan._plan
@@ -150,7 +150,7 @@ class TestAcceptedImpliesVerifiable:
         theta = rng.uniform(-math.pi, math.pi, n)
         z = headroom - (faithful_offset(a) if gauge == "faithful" else 0.0)
         assert_verifiable(tmp_path, a, theta, gauge, z)
-        assert len(factorized) == 1
+        assert factorized == []
 
     @settings(max_examples=60)
     @given(case=accepted_inputs(), digits=st.integers(10, 15), seed=st.integers(0, 2**32 - 1))

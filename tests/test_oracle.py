@@ -19,7 +19,6 @@ from clustersqueeze import (
     covariance_closed_form,
     covariance_oracle,
     unitary_from_adjacency,
-    validate_gauge,
 )
 from clustersqueeze import synthesis
 from clustersqueeze.oracle import quadrature_generator
@@ -364,7 +363,7 @@ class TestForcedGaugeViolation:
             p_bad = random_hermitian_pd(rng, n)
             cluster = ClusterPlan.of(a, th)
             with pytest.raises(GaugeIncompatible):
-                validate_gauge(cluster, p_bad)
+                cluster.interaction(p_bad)
             x = hermitian_function(p_bad, lambda w: np.cosh(1.0 * w))
             y = -1j * hermitian_function(p_bad, lambda w: np.sinh(1.0 * w)) @ cluster.U
             rep = covariance_from_pair(cluster, BogoliubovPair(X=x, Y=y))

@@ -17,7 +17,6 @@ from clustersqueeze import (
     covariance_closed_form,
     squeezer_spectrum,
     unitary_from_adjacency,
-    validate_gauge,
 )
 from clustersqueeze.tolerances import ErrorModel
 
@@ -78,7 +77,7 @@ class TestGauges:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            assert validate_gauge(ClusterPlan.of(a, th), np.eye(n)).residual <= 1e-12
+            assert ClusterPlan.of(a, th).interaction(np.eye(n))[1].residual <= 1e-12
 
     def test_faithful_gauge_trivial_graph(self):
         p = faithful(np.zeros((3, 3)), [0.1, -0.2, 0.3], z=2.0)
@@ -102,7 +101,7 @@ class TestGauges:
             p = faithful(a, th, z)
             eigs = np.linalg.eigvalsh(p)
             assert eigs[0] >= 1.0 - 1e-12
-            validate_gauge(ClusterPlan.of(a, th), p)  # raises if incompatible
+            ClusterPlan.of(a, th).interaction(p)  # raises if incompatible
             # e^{-2zP} collapses to e^{-2z} e^{-iT}(A^2+1)^{-1} e^{iT}
             w, q = np.linalg.eigh(p)
             decay = (q * np.exp(-2 * z * w)[None, :]) @ q.conj().T
@@ -163,21 +162,25 @@ class TestClusterPlan:
 
 
 class TestValidateGauge:
+    """The plan's gate, :meth:`ClusterPlan.interaction`, judges the reality
+    condition and raises :class:`GaugeIncompatible`."""
+
     def test_diag_gauge_incompatible_on_epr(self):
         # test matrix is [[3, -i], [i, 3]]: residual 1/3
-        with pytest.raises(GaugeIncompatible, match=r"gauge reality residual 3\.333e-01 exceeds 1\.0e-09"):
-            validate_gauge(ClusterPlan.of(epr_adjacency(), [0.0, 0.0]), np.diag([1.0, 2.0]))
+        with pytest.raises(GaugeIncompatible, match=r"^gauge_condition residual 3\.333e-01 exceeds its budget"):
+            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))
 
     def test_requires_positive_definite(self):
-        # validate_gauge checks only the reality condition; the plan builder
-        # rejects compatible gauges that are not Hermitian positive definite
+        # the reality condition alone is no gate: the plan rejects compatible
+        # gauges that are not Hermitian positive definite
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
         eye = np.eye(2)
         for p in (-eye, 0.0 * eye):
             with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
                 cluster.interaction(p)
         p = non_hermitian_compatible_gauge(cluster.A)
-        validate_gauge(cluster, p)  # compatible
+        test = (cluster.A + 1j * eye) @ p @ (cluster.A - 1j * eye)  # compatible: a real test matrix
+        assert np.max(np.abs(test.imag)) <= 1e-15 * np.max(np.abs(test))
         with pytest.raises(NotHermitian, match="not Hermitian"):
             cluster.interaction(p)
         # malformed and incompatible: P's own checks run before the reality check
@@ -218,10 +221,10 @@ class TestValidateGauge:
                 1.0, np.max(np.abs(prod))
             )
             if sym:
-                validate_gauge(cluster, p)
+                cluster.interaction(p)
             else:
                 with pytest.raises(GaugeIncompatible):
-                    validate_gauge(cluster, p)
+                    cluster.interaction(p)
 
 
 class TestInteractionMatrix:
