@@ -10,8 +10,8 @@ through its module attributes, so the rows judge what those names are bound to.
 Every row judges the recipe as computed: Z = P U, X = cosh(zP) and
 Y = -i sinh(zP) U.  A bundle publishes them with the structure the physics
 fixes (:func:`structured`), and ``verify`` compares a stored bundle with
-that structured form of its fresh recipe.  A gauge selector that names a
-built-in gauge adds that gauge's rows; a matrix is a custom P.
+that structured form of its fresh recipe.  The built-in gauge a plan records
+adds its rows; the reduction reads a plan's factors off the plan itself.
 
 The battery also holds the verdict of a convergence sweep
 (:func:`convergence_sweep`): its end rows are judged by the same
@@ -74,10 +74,9 @@ def synthesize(cluster, gauge, z: float) -> Checked:
         ("covariance_vs_oracle", max_abs(closed.C - brute.C)),
         ("oracle_overlap", brute.overlap),
     ]
-    name = gauge if isinstance(gauge, str) else "custom"
-    if name == "faithful":
+    if zm.gauge == "faithful":
         rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
-    if name == "identity":
+    if zm.gauge == "identity":
         square = a @ a
         rows.append(("uniform_gauge_formula", max_abs(closed.C - (square + eye) * decay)))
         if max_abs(square - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
@@ -92,7 +91,7 @@ def verify(cluster, gauge, z: float, stored=None) -> Checked:
     and Y in their :func:`structured` form."""
     core = synthesize(cluster, gauge, z)
     zm, pair = core.zm, core.pair
-    factors, rows = _reduction(zm, pair, z, cluster)
+    factors, rows = _reduction(zm, pair, z)
     rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)))
     if stored:
         fresh = {"P": zm.P, "U": zm.U, "C": core.closed.C, **structured(zm, pair)}
@@ -125,19 +124,19 @@ def structured(zm, pair) -> dict[str, np.ndarray]:
     return {key: _symmetric_part(m, mirror) for key, m, mirror in mirrors}
 
 
-def decompose(zm, z: float, cluster=None) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:
+def decompose(zm, z: float) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:
     """The Bloch-Messiah factors of ``zm`` and their reduction rows, judged
-    by the model of the ``cluster`` that planned ``zm`` or of Z alone."""
-    model = (ErrorModel.for_interaction(zm.strengths, z) if cluster is None
-             else ErrorModel.for_cluster(cluster, zm, z))
+    by the model of the plan that built ``zm`` or of Z alone."""
+    model = (ErrorModel.for_interaction(zm.strengths, z) if zm.cluster is None
+             else ErrorModel.for_cluster(zm.cluster, zm, z))
     pair = synthesis.bogoliubov_from_interaction(zm, z)
-    factors, rows = _reduction(zm, pair, z, cluster)
+    factors, rows = _reduction(zm, pair, z)
     return Checked(model.checks(rows), model, zm, pair), factors
 
 
-def _reduction(zm, pair, z: float, cluster):
+def _reduction(zm, pair, z: float):
     """Bloch-Messiah factors and the rows that rebuild X, Y and U from them."""
-    factors = blochmessiah.bloch_messiah(zm, z, cluster)
+    factors = blochmessiah.bloch_messiah(zm, z)
     x_rec, y_rec = factors.reconstruct()
     return factors, [
         ("blochmessiah_x", max_abs(x_rec - pair.X)),
@@ -172,7 +171,7 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
         raise ValueError("z values must be positive and finite")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
-    faithful = isinstance(gauge, str) and gauge == "faithful"
+    faithful = last.gauge == "faithful"
     ends = list(dict.fromkeys((zs[0], z_last)))
     # The end rows' oracle covariances come first, so that the order-2N eigh
     # runs before the frame or any row's C is held; only their C stay.

@@ -11,10 +11,10 @@ so one real eigendecomposition S_W = O diag(D) O^T gives
     V = W O,    D = the strengths,    R = diag(rotation),
 
 and T with P = T^dagger diag(D) T and V = T^dagger R.  The built-in gauges
-are O = 1 (T = F^dagger); a custom P's modes are W O already.  No
-Takagi factorization, grouping of equal strengths or eigen-gap enters.
-Given Z alone, the cluster is the one ``analyze`` recovers from U at its
-equal phases.
+are O = 1 (T = F^dagger); a custom P's modes are W O already, so a record
+read off the plan that built it takes no factorization.  No Takagi
+factorization, grouping of equal strengths or eigen-gap enters.  Given Z
+alone, the cluster is the one ``analyze`` recovers from U at its equal phases.
 
 The structure factor is recovered from the interferometer alone through
 U = i V V^T, which holds for every real orthogonal O; ``verify`` checks it
@@ -69,30 +69,24 @@ class BlochMessiahFactors:
         return x, y
 
 
-def bloch_messiah(
-    zm: InteractionMatrix, z: float, cluster: ClusterPlan | None = None
-) -> BlochMessiahFactors:
+def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
     """Reduce a squeezing transformation to squeezers plus interferometers.
 
-    When ``cluster`` built ``zm`` (they share U), V is its interferometer W
-    for a built-in gauge and the modes W O of a custom P; any other ``zm``
-    reads V = W O off the S_W of ``cluster`` or, for Z alone, of the plan
-    recovered from U at the equal phases.  D stays the strengths of ``zm``.
+    A planned ``zm`` reads V off its own plan: W for a built-in gauge, the
+    modes W O of a custom P.  Only Z alone recovers a plan, from U at the
+    equal phases, and reads V = W O off its S_W.  D is the strengths of ``zm``.
     """
     if not (np.isfinite(z) and z > 0):
         raise ValueError("squeezing scale z must be positive and finite")
     w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
-    planned = cluster is not None and zm.U is cluster.U
-    if cluster is None:
-        cluster = _recovered_plan(zm.U, _equal_phases(zm.U))
-    v = zm.interferometer if planned else cluster.eigenpairs(zm.P)[1]
-    rotation = cluster.rotation
-    if v is None:  # a built-in gauge: P is diagonal in F, O = 1
+    cluster = _recovered_plan(zm.U, _equal_phases(zm.U)) if zm.cluster is None else zm.cluster
+    if zm.gauge in ("identity", "faithful"):  # P is diagonal in F, O = 1
         v, t = cluster.interferometer, cluster.frame.conj().T
-    else:
-        t = rotation[:, None] * v.conj().T
-    return BlochMessiahFactors(V=v, D=w, R=np.diag(rotation), T=t, z=float(z))
+    else:  # a custom P's modes are W O; those of Z alone come off the recovered S_W
+        v = cluster.eigenpairs(zm.P)[1] if zm.cluster is None else zm.modes
+        t = cluster.rotation[:, None] * v.conj().T
+    return BlochMessiahFactors(V=v, D=w, R=np.diag(cluster.rotation), T=t, z=float(z))
 
 
 def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:

@@ -466,11 +466,12 @@ def _render(r: dict, fmt: str) -> str:
 # commands
 
 def _scale(value, what: str) -> float:
-    """A squeezing scale: a positive finite number, else an input error about ``what``."""
+    """A squeezing scale: a positive finite number, else an input error about
+    ``what``; float() reads a boolean or a string too, but neither is a number."""
     try:
-        if 0 < float(value) < math.inf:
+        if not isinstance(value, (bool, str)) and 0 < float(value) < math.inf:
             return float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         pass
     raise _InputError(f"{what} must be positive and finite")
 
@@ -586,7 +587,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
         checked, factors = battery.decompose(load_interaction(args.interaction), z)
     else:
         cluster, _, gauge = _load_cluster(args)
-        checked, factors = battery.decompose(cluster.interaction(gauge, z)[0], z, cluster)
+        checked, factors = battery.decompose(cluster.interaction(gauge, z)[0], z)
     return EXIT_OK, {
         "command": "decompose",
         "n": checked.zm.n,

@@ -77,6 +77,10 @@ def _symmetric_part(m: np.ndarray, mirror: np.ndarray) -> np.ndarray:
     return m
 
 
+class _PolarSplit(tuple):
+    """(P, U, sigma, Q), with the symmetric part of Z they split as ``part``."""
+
+
 def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Polar decomposition Z = P U of a complex symmetric matrix.
 
@@ -87,8 +91,8 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     the one SVD Z = Q diag(sigma) V^dagger, and U = Q V^dagger.  The SVD
     keeps U unitary to rounding whatever cond(P) is; the eigenvectors of
     Z Z^dagger would square it (Higham, *Functions of Matrices*, 2008, ch. 8).
-    The asymmetry the ``rtol`` gate lets through is dropped: Z's symmetric
-    part is split, so U is symmetric to rounding.
+    The asymmetry the ``rtol`` gate lets through is dropped: the tuple's
+    ``part``, Z's symmetric part, is split, so U is symmetric to rounding.
 
     Raises :class:`NotSymmetric` for asymmetric input and
     :class:`SingularInput` when sigma_min / sigma_max falls below the
@@ -101,7 +105,8 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(zm):.3e} exceeds tolerance"
         )
-    w, s, vh = np.linalg.svd(_symmetric_part(zm, zm.T))
+    part = _symmetric_part(zm, zm.T)
+    w, s, vh = np.linalg.svd(part)
     sigma, q = s[::-1], w[:, ::-1]
     if sigma[-1] == 0.0 or sigma[0] < DEFAULT_TOLERANCES.singular * sigma[-1]:
         raise SingularInput(
@@ -110,7 +115,9 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         )
     p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
-    return p, w @ vh, sigma, q
+    split = _PolarSplit((p, w @ vh, sigma, q))
+    split.part = part
+    return split
 
 
 def cayley_real(w: np.ndarray) -> np.ndarray:

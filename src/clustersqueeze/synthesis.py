@@ -42,7 +42,7 @@ its modes are W O, and the built-in gauges are the case O = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,7 +59,6 @@ from .graphs import adjacency_matrix, phase_vector
 from .matfun import (
     _real_product,
     _spectral,
-    _symmetric_part,
     as_complex_matrix,
     hermiticity_defect,
     max_abs,
@@ -78,7 +77,9 @@ class InteractionMatrix:
     and ``modes`` (column eigenvectors) are the eigenpairs of P, computed
     once here and read by every consumer.  Build instances through
     :meth:`from_matrix` or :meth:`ClusterPlan.interaction`, which enforce
-    the invariants.
+    the invariants.  ``cluster`` is the plan that built the record and
+    ``gauge`` the gauge it named, ``"identity"``, ``"faithful"`` or
+    ``"custom"`` (whose modes are W O); both are None for a polar split.
     """
 
     Z: np.ndarray
@@ -86,15 +87,14 @@ class InteractionMatrix:
     U: np.ndarray
     strengths: np.ndarray
     modes: np.ndarray
-    #: the modes W O of a custom P, which are also its Bloch-Messiah
-    #: interferometer; None for the built-in gauges (O = 1) and the polar split
-    interferometer: np.ndarray | None = None
+    cluster: ClusterPlan | None = field(default=None, repr=False, compare=False)
+    gauge: str | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.Z.shape[0]
 
-    @property
+    @cached_property
     def asymmetry(self) -> float:
         """Relative asymmetry of Z; zero exactly when the gauge is compatible."""
         return symmetry_defect(self.Z) / max(1.0, max_abs(self.Z))
@@ -105,9 +105,8 @@ class InteractionMatrix:
         eigenpairs come from the split's one SVD, which also checks Z.  Z is
         held as the symmetric part the split factorizes, so P U = Z to
         rounding and P is compatible with the cluster U encodes."""
-        p, u, w, q = polar_decompose_symmetric(Z)
-        z = np.asarray(Z, dtype=complex)
-        return cls(Z=_symmetric_part(z, z.T), P=p, U=u, strengths=w, modes=q)
+        p, u, w, q = split = polar_decompose_symmetric(Z)
+        return cls(Z=split.part, P=p, U=u, strengths=w, modes=q)
 
 
 @dataclass(frozen=True)
@@ -292,9 +291,8 @@ class ClusterPlan:
         return 1.0 + np.log1p(lam * lam) / (2.0 * z)
 
     def _plan(self, gauge, z: float | None) -> InteractionMatrix:
-        """Z = P U with P Hermitian and its eigenpairs, for any gauge."""
+        """The record of Z = P U, P Hermitian with its eigenpairs, for any gauge of this plan."""
         n = self.A.shape[0]
-        interferometer = None
         if not isinstance(gauge, str):
             if np.shape(gauge) != self.A.shape:
                 raise DimensionMismatch("gauge factor shape does not match the graph")
@@ -303,7 +301,7 @@ class ClusterPlan:
                 raise NotHermitian("gauge factor is not Hermitian")
             p = (p + p.conj().T) / 2.0
             w, modes = self.eigenpairs(p)
-            interferometer = modes
+            gauge = "custom"
         elif gauge == "identity":
             w, modes = np.ones(n), np.eye(n)
             p = np.eye(n)
@@ -320,7 +318,7 @@ class ClusterPlan:
                 "or numerically singular"
             )
         return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes,
-                                 interferometer=interferometer)
+                                 cluster=self, gauge=gauge)
 
 
 def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:

@@ -220,7 +220,7 @@ def test_criterion_08_bloch_messiah():
         kind = ("identity", "faithful", "custom")[trial % 3]
         cluster = ClusterPlan.of(a, th)
         zm = cluster.interaction(random_gauge(rng, kind, a, th), z)[0]
-        factors = bloch_messiah(zm, z, cluster)
+        factors = bloch_messiah(zm, z)
         pair = bogoliubov_from_interaction(zm, z)
         x_rec, y_rec = factors.reconstruct()
         worst_rec = max(

@@ -25,7 +25,6 @@ from conftest import (
     epr_adjacency,
     half_phase,
     random_adjacency,
-    random_compatible_gauge,
     random_gauge,
     random_orthogonal,
     random_phases,
@@ -74,7 +73,7 @@ class TestBlochMessiah:
         th = random_phases(rng, 4)
         cluster = ClusterPlan.of(a, th)
         zm = cluster.interaction(random_gauge(rng, "custom", a, th))[0]
-        factors = bloch_messiah(zm, 1.0, cluster)
+        factors = bloch_messiah(zm, 1.0)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
         # the second interferometer -i U T^T conj(R) is V itself
@@ -94,7 +93,7 @@ class TestBlochMessiah:
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction(random_gauge(rng, kind, a, th), z)[0]
-            factors = bloch_messiah(zm, z, cluster)
+            factors = bloch_messiah(zm, z)
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert rx <= 1e-8 and ry <= 1e-8
             assert ru <= 1e-9
@@ -106,7 +105,7 @@ class TestBlochMessiah:
         z = 1.2
         cluster = ClusterPlan.of(a, th)
         zm = cluster.interaction(random_gauge(rng, "custom", a, th))[0]
-        factors = bloch_messiah(zm, z, cluster)
+        factors = bloch_messiah(zm, z)
         strengths = np.array([m.strength for m in squeezer_spectrum(zm, z)])
         assert np.max(np.abs(np.sort(factors.D) - np.sort(strengths))) <= 1e-9
         assert np.allclose(
@@ -119,7 +118,7 @@ class TestBlochMessiah:
         # eigenspaces
         cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
         zm = cluster.interaction(np.diag([1.0, 2.0]))[0]
-        factors = bloch_messiah(zm, 1.0, cluster)
+        factors = bloch_messiah(zm, 1.0)
         rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
         assert max(rx, ry, ru) <= 1e-9
 
@@ -132,14 +131,15 @@ class TestBlochMessiah:
         a = random_adjacency(rng, n)
         cluster = ClusterPlan.of(a, random_phases(rng, n))
         zm = cluster.interaction("faithful", 0.7)[0]
-        factors = bloch_messiah(zm, 0.7, cluster)
+        factors = bloch_messiah(zm, 0.7)
         balanced = np.diag(-1j * factors.T @ zm.U @ factors.T.T)
         assert np.max(np.abs(factors.R - np.diag(half_phase(balanced)))) <= 1e-13
 
     def test_non_unitary_single_group_is_rejected(self):
         # from Z alone the factors come from the cluster recovered from U,
         # whose Cayley map rejects a U that is not unitary
-        zm = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)[0]
+        planned = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)[0]
+        zm = InteractionMatrix.from_matrix(planned.Z)
         with pytest.raises(NonRealResult):
             bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U), 1.0)
 
@@ -153,7 +153,7 @@ class TestBlochMessiah:
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
             zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
-            factors = bloch_messiah(zm, z, cluster)
+            factors = bloch_messiah(zm, z)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-8
 
 
@@ -175,7 +175,7 @@ class TestBudgetsDoNotDependOnTheModeBasis:
         rng = np.random.default_rng(2022)
         budgets, reference = [], bloch_messiah(zm, z)
         for modes in [zm.modes] + [zm.modes @ random_unitary(rng, n) for _ in range(5)]:
-            factors, rows = battery._reduction(dataclasses.replace(zm, modes=modes), pair, z, None)
+            factors, rows = battery._reduction(dataclasses.replace(zm, modes=modes), pair, z)
             assert np.array_equal(factors.V, reference.V)
             model = ErrorModel.for_interaction(zm.strengths, z)
             rows.append(("cluster_condition", cluster_condition_residual(factors.V, cluster)))
@@ -210,7 +210,7 @@ class TestFactorsOffThePlan:
             cluster = ClusterPlan.of(a, random_phases(rng, n))
             z = float(rng.uniform(0.3, 2.0))
             zm = cluster.interaction(gauge, z)[0]
-            factors = bloch_messiah(zm, z, cluster)
+            factors = bloch_messiah(zm, z)
             canonical = canonical_cluster_interferometer(cluster, cluster.by_magnitude[1])
             assert np.max(np.abs(factors.V - canonical)) <= 1e-13
             assert np.array_equal(factors.D, zm.strengths)
@@ -232,7 +232,7 @@ class TestFactorsOffThePlan:
             cluster = ClusterPlan.of(a, random_phases(rng, n))
             z = float(rng.uniform(0.3, 2.0))
             zm = cluster.interaction(random_gauge(rng, "custom", a, cluster.theta), z)[0]
-            factors = bloch_messiah(zm, z, cluster)
+            factors = bloch_messiah(zm, z)
             assert factors.V is zm.modes and np.array_equal(factors.D, zm.strengths)
             o = cluster.interferometer.conj().T @ factors.V
             assert np.max(np.abs(o.imag)) <= 1e-13
@@ -245,24 +245,52 @@ class TestFactorsOffThePlan:
             assert rx == 0.0 and max(ry, ru) <= 1e-13 * math.cosh(z * scale)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-13
 
-    def test_a_plan_the_cluster_did_not_build_reads_its_own_modes(self):
-        """The polar split of a custom gauge's Z, given with the cluster
-        that Z came from, is no plan of that cluster (its U is not the
-        plan's): V = W O comes off the cluster's S_W for the split's P, not
-        off the canonical interferometer, and rebuilds X and Y within their
-        budgets."""
-        rng = np.random.default_rng(6)
-        a = random_adjacency(rng, 6)
-        cluster = ClusterPlan.of(a, random_phases(rng, 6))
-        z = 1.0
-        planned = cluster.interaction(random_compatible_gauge(rng, a, cluster.theta), z)[0]
-        zm = InteractionMatrix.from_matrix(planned.Z)
-        assert zm.interferometer is None and zm.U is not cluster.U
-        factors = bloch_messiah(zm, z, cluster)
-        assert np.max(np.abs(factors.V - cluster.eigenpairs(zm.P)[1])) == 0.0
-        rx, ry, _ = _reconstruction_residuals(zm, z, factors)
-        model = ErrorModel.for_cluster(cluster, zm, z)
-        assert rx <= model.budget("blochmessiah_x") and ry <= model.budget("blochmessiah_y"), (rx, ry)
+
+class TestLibraryRoute:
+    """``bloch_messiah(zm, z)`` reads a planned record's factors off the
+    plan that built it, with no ``numpy.linalg`` factorization: V is the
+    plan's W for a built-in gauge and the modes W O of a custom P, bit for
+    bit.  Z alone recovers its plan from U at the equal phases: the
+    regularizing angle's ``eigvalsh``, the Cayley ``solve``, ``eigh`` of A'
+    and the real ``eigh`` of Re S_W."""
+
+    @staticmethod
+    def _counted(zm, z, monkeypatch):
+        """The factors of ``zm`` and the kernel calls that made them."""
+        calls = {}
+        with monkeypatch.context() as patch:
+            for name in ("eigh", "eigvalsh", "svd", "solve", "inv"):
+                def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                    calls[_name] = calls.get(_name, 0) + 1
+                    return _original(*args, **kwargs)
+                patch.setattr(np.linalg, name, counting)
+            factors = bloch_messiah(zm, z)
+        return factors, calls
+
+    @staticmethod
+    def _planned(gauge):
+        rng = np.random.default_rng(69)
+        a = random_adjacency(rng, 24)
+        cluster = ClusterPlan.of(a, random_phases(rng, 24))
+        return cluster.interaction(random_gauge(rng, gauge, a, cluster.theta), 0.8)[0]
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    def test_a_planned_record_makes_no_factorization(self, gauge, monkeypatch):
+        zm = self._planned(gauge)
+        factors, calls = self._counted(zm, 0.8, monkeypatch)
+        assert calls == {}
+        assert factors.V is (zm.modes if gauge == "custom" else zm.cluster.interferometer)
+
+    @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
+    def test_a_bare_z_recovers_its_plan(self, gauge, monkeypatch):
+        zm = InteractionMatrix.from_matrix(self._planned(gauge).Z)
+        assert zm.cluster is None and zm.gauge is None
+        factors, calls = self._counted(zm, 0.8, monkeypatch)
+        assert calls == {"eigvalsh": 1, "solve": 1, "eigh": 2}
+        rx, ry, ru = _reconstruction_residuals(zm, 0.8, factors)
+        model = ErrorModel.for_interaction(zm.strengths, 0.8)
+        assert rx <= model.budget("blochmessiah_x") and ry <= model.budget("blochmessiah_y")
+        assert ru <= model.budget("interferometer_identity")
 
 
 class TestCanonicalInterferometer:

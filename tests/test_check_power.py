@@ -182,11 +182,11 @@ class Case:
             return build_faulted
 
         def faulted_frame(build):
-            def build_faulted(zm, z, cluster):
-                lam, q = cluster.by_magnitude
-                plan = synthesis.ClusterPlan(cluster.A, cluster.theta)
+            def build_faulted(zm, z):
+                lam, q = zm.cluster.by_magnitude
+                plan = synthesis.ClusterPlan(zm.cluster.A, zm.cluster.theta)
                 plan.__dict__["by_magnitude"] = (lam, fault(q, delta, shape, rng))
-                return build(zm, z, plan)
+                return build(dataclasses.replace(zm, cluster=plan), z)
             return build_faulted
 
         argv = ["verify", *self.argv]

@@ -909,6 +909,9 @@ class TestMalformedInput:
         "bundle-theta-object": ("verify", "theta", {"a": 1}, "not 'dict'"),
         "bundle-z-negative": ("verify", "z", -1, "z must be positive and finite"),
         "bundle-z-text": ("verify", "z", "x", "z must be positive and finite"),
+        # float() reads these, but a JSON boolean or string is no number
+        "bundle-z-true": ("verify", "z", True, "z must be positive and finite"),
+        "bundle-z-numeric-text": ("verify", "z", "0.5", "z must be positive and finite"),
         "bundle-adjacency-not-square": ("verify", "adjacency", NOT_SQUARE, "adjacency matrix must be square"),
         "verify-bundle-Z-not-square": ("verify", "Z", NOT_SQUARE, "Z not of shape (2, 2)"),
         "analyze-bundle-Z-not-square": ("analyze", "Z", NOT_SQUARE, "matrix must be square"),

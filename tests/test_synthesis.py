@@ -154,7 +154,7 @@ class TestClusterPlan:
         for a, th, z in self.cases(46, 20):
             cluster = ClusterPlan.of(a, th)
             zm, check = cluster.interaction("faithful", z)
-            factors = bloch_messiah(zm, z, cluster)
+            factors = bloch_messiah(zm, z)
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             off = balanced - np.diag(np.diag(balanced))
             model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
