@@ -24,7 +24,7 @@ print("EPR cluster, z =", z)
 print("adjacency:\n", A)
 
 # --- trivial gauge: two equal squeezers -----------------------------------
-zm, _ = cluster.interaction("identity")
+zm = cluster.interaction("identity")
 print("\ninteraction matrix (trivial gauge):\n", zm.Z.real)
 
 report = covariance_closed_form(cluster, zm, z)
@@ -37,7 +37,7 @@ for mode in squeezer_spectrum(zm, z):
     )
 
 # --- faithful gauge: covariance proportional to the identity ---------------
-zm_faithful, _ = cluster.interaction("faithful", z)
+zm_faithful = cluster.interaction("faithful", z)
 report_faithful = covariance_closed_form(cluster, zm_faithful, z)
 print("\nfaithful-gauge covariance:\n", report_faithful.C)
 print("expected e^{-2z} identity:", np.exp(-2 * z))

@@ -25,7 +25,7 @@ theta = np.zeros(n)
 z = 1.2
 
 cluster = ClusterPlan.of(A, theta)
-zm, _ = cluster.interaction("faithful", z)
+zm = cluster.interaction("faithful", z)
 factors = bloch_messiah(zm, z)  # read off the plan that built zm
 
 print(f"weighted {n}-ring, faithful gauge, z = {z}")

@@ -52,7 +52,6 @@ from .synthesis import (
     BogoliubovPair,
     ClusterPlan,
     CovarianceReport,
-    GaugeCheck,
     InteractionMatrix,
     SqueezerMode,
     bogoliubov_from_interaction,
@@ -75,7 +74,6 @@ __all__ = [
     "DimensionMismatch",
     "DomainError",
     "DuplicateEdge",
-    "GaugeCheck",
     "GaugeIncompatible",
     "GraphFormatError",
     "IndexOutOfRange",

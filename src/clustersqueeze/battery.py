@@ -1,11 +1,13 @@
 """The check battery: every residual a request reports, with its verdict.
 
-A check is a row (name, residual) judged by the request's
-:class:`~clustersqueeze.tolerances.ErrorModel`, that of the cluster plan or,
-for Z alone, of its polar split.  Each check record holds ``name``,
-``residual``, ``tolerance`` and ``passed``; the tolerance is the budget the
-model derives for that check, so no option sets it.  The library is called
-through its module attributes, so the rows judge what those names are bound to.
+Every function takes one interaction record: the gated record of a
+cluster plan, or for :func:`decompose` also a polar split of Z alone.  A
+check is a row (name, residual) judged by the record's
+:class:`~clustersqueeze.tolerances.ErrorModel` (``ErrorModel.of``).  Each
+check record holds ``name``, ``residual``, ``tolerance`` and ``passed``; the
+tolerance is the budget the model derives for that check, so no option sets
+it.  The library is called through its module attributes, so the rows judge
+what those names are bound to.
 
 Every row judges the recipe as computed: Z = P U, X = cosh(zP) and
 Y = -i sinh(zP) U.  A bundle publishes them with the structure the physics
@@ -29,7 +31,7 @@ import numpy as np
 from . import blochmessiah, oracle, synthesis
 from .errors import OracleMismatch
 from .matfun import _symmetric_part, max_abs, unitarity_defect
-from .tolerances import DEFAULT_TOLERANCES, ErrorModel
+from .tolerances import ErrorModel
 
 
 class Checked(NamedTuple):
@@ -51,21 +53,19 @@ class SweepPoint(NamedTuple):
     frobenius: float
 
 
-def synthesize(cluster, gauge, z: float) -> Checked:
-    """Core rows of the recipe of a ``gauge`` selector of the cluster plan,
-    with the own rows of the built-in gauge it names."""
-    a = cluster.A
-    eye = np.eye(a.shape[0])
-    zm, check = cluster.interaction(gauge, z)
+def synthesize(zm, z: float) -> Checked:
+    """Core rows of the gated record ``zm`` of a cluster plan, with the own
+    rows of the built-in gauge it names."""
+    cluster = zm.cluster
     # the oracle's order-2N eigh first, while X, Y, C and E are not yet held
     brute = oracle.covariance_oracle(cluster, zm, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     closed = synthesis.covariance_closed_form(cluster, zm, z)
-    model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
+    model = ErrorModel.of(zm, z)
     defect_one, defect_two = pair.defects()
     decay = math.exp(-2.0 * z)
     rows = [
-        ("gauge_condition", check.residual),
+        ("gauge_condition", zm.reality.residual),
         ("interaction_symmetric", zm.asymmetry),
         ("structure_unitary", unitarity_defect(zm.U)),
         ("bogoliubov_unitary_defect", defect_one),
@@ -75,26 +75,22 @@ def synthesize(cluster, gauge, z: float) -> Checked:
         ("oracle_overlap", brute.overlap),
     ]
     if zm.gauge == "faithful":
-        rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * eye)))
+        rows.append(("faithful_gauge_identity", max_abs(closed.C - decay * np.eye(zm.n))))
     if zm.gauge == "identity":
-        square = a @ a
-        rows.append(("uniform_gauge_formula", max_abs(closed.C - (square + eye) * decay)))
-        if max_abs(square - eye) <= DEFAULT_TOLERANCES.input_asymmetry:
-            rows.append(("self_inverse_value", max_abs(closed.C - 2.0 * decay * eye)))
+        rows.append(("uniform_gauge_formula", max_abs(closed.C - (cluster.A @ cluster.A + np.eye(zm.n)) * decay)))
     return Checked(model.checks(rows), model, zm, pair, closed)
 
 
-def verify(cluster, gauge, z: float, stored=None) -> Checked:
+def verify(zm, z: float, stored=None) -> Checked:
     """:func:`synthesize`'s rows, then the reduction's and the cluster
     condition's; ``stored`` maps some of the names P, Z, U, X, Y and C to a
     bundle's matrices, and each is checked against its fresh value, Z, X
     and Y in their :func:`structured` form."""
-    core = synthesize(cluster, gauge, z)
-    zm, pair = core.zm, core.pair
-    factors, rows = _reduction(zm, pair, z)
-    rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, cluster)))
+    core = synthesize(zm, z)
+    factors, rows = _reduction(zm, core.pair, z)
+    rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, zm.cluster)))
     if stored:
-        fresh = {"P": zm.P, "U": zm.U, "C": core.closed.C, **structured(zm, pair)}
+        fresh = {"P": zm.P, "U": zm.U, "C": core.closed.C, **structured(zm, core.pair)}
         rows += [(f"bundle_{key}_matches", max_abs(m - fresh[key])) for key, m in stored.items()]
     return core._replace(checks=core.checks + core.model.checks(rows))
 
@@ -127,8 +123,7 @@ def structured(zm, pair) -> dict[str, np.ndarray]:
 def decompose(zm, z: float) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:
     """The Bloch-Messiah factors of ``zm`` and their reduction rows, judged
     by the model of the plan that built ``zm`` or of Z alone."""
-    model = (ErrorModel.for_interaction(zm.strengths, z) if zm.cluster is None
-             else ErrorModel.for_cluster(zm.cluster, zm, z))
+    model = ErrorModel.of(zm, z)
     pair = synthesis.bogoliubov_from_interaction(zm, z)
     factors, rows = _reduction(zm, pair, z)
     return Checked(model.checks(rows), model, zm, pair), factors
@@ -164,7 +159,7 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
         z_last = float(z_values[-1])
     except IndexError:
         raise ValueError("z_values must be non-empty") from None
-    last, _ = cluster.interaction(gauge, z_last)
+    last = cluster.interaction(gauge, z_last)
     synthesis.check_squeeze_budget(float(last.strengths[-1]), z_last)
     zs = [float(z) for z in z_values]
     if any(not (np.isfinite(z) and z > 0) for z in zs):
@@ -176,12 +171,12 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
     # The end rows' oracle covariances come first, so that the order-2N eigh
     # runs before the frame or any row's C is held; only their C stay.
     if faithful:  # Z depends on z: each end row plans its own gauge and K
-        groups = ((last if z == z_last else cluster.interaction(gauge, z)[0], [z]) for z in ends)
+        groups = ((last if z == z_last else cluster.interaction(gauge, z), [z]) for z in ends)
     else:  # one eigh of K serves both ends
         groups = [(last, ends)]
     oracles = {}
     for zm, at in groups:
-        oracles |= {z: (brute.C, ErrorModel.for_cluster(cluster, zm, z))
+        oracles |= {z: (brute.C, ErrorModel.of(zm, z))
                     for z, brute in zip(at, oracle._covariance_oracles(cluster, zm, at))}
     frame, rows = synthesis._nullifier_frame(cluster, last.modes), []
     for z in zs:

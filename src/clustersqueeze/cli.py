@@ -82,7 +82,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
 )
-from .graphs import format_graph, parse_graph, phase_vector
+from .graphs import _floats, format_graph, parse_graph, phase_vector
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,22 +108,24 @@ def _blocks(a: np.ndarray) -> list[tuple[str, np.ndarray]]:
 
 
 def matrix_from_json(obj, path: str | None = None) -> np.ndarray:
-    """The matrix of a JSON object; a malformed object or a NaN or infinite
-    entry is an input error, naming ``path`` when given."""
+    """The matrix of a JSON object of JSON numbers; a malformed object or a
+    NaN or infinite entry is an input error, naming ``path`` when given."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        m = np.asarray(obj["re"], dtype=float)
+        rows, cols = obj["rows"], obj["cols"]
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError("'rows' and 'cols' must be integers")
+        m = _floats(obj["re"], "'re' entries")
         if m.shape != (rows, cols):
             raise ValueError(f"'re' block has shape {m.shape}, not ({rows}, {cols})")
         if "im" in obj:
-            im = np.asarray(obj["im"], dtype=float)
+            im = _floats(obj["im"], "'im' entries")
             if im.shape != (rows, cols):
                 raise ValueError("'im' block shape mismatch")
             m = m + 1j * im
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         return m
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         where = f"{path}: " if path else ""
         raise _InputError(f"{where}malformed matrix object: {exc}") from None
 
@@ -200,14 +202,14 @@ def _top_level_fields(text: str, fields) -> dict | None:
 
 
 def _checked(what: str, build, *args):
-    """``build(*args)``, its input checks' ``ValueError`` and a ``TypeError``
-    from a field of the wrong JSON type an input error about ``what``;
-    library errors and ``LinAlgError`` stay numerical failures."""
+    """``build(*args)``; a ``ValueError``, ``TypeError`` or ``OverflowError``
+    (an input check, a JSON value of the wrong type or range) is an input
+    error about ``what``; library errors and ``LinAlgError`` stay numerical."""
     try:
         return build(*args)
     except np.linalg.LinAlgError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise _InputError(f"{what}: {exc}") from None
 
 
@@ -532,7 +534,7 @@ def _graph_only(args, *flags) -> None:
 def cmd_synthesize(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
     z = _z(args)
-    checks, _, zm, pair, closed = battery.synthesize(cluster, gauge, z)
+    checks, _, zm, pair, closed = battery.synthesize(cluster.interaction(gauge, z), z)
     published = battery.structured(zm, pair)
     return EXIT_OK, {
         "command": "synthesize",
@@ -587,7 +589,7 @@ def cmd_decompose(args) -> tuple[int, dict]:
         checked, factors = battery.decompose(load_interaction(args.interaction), z)
     else:
         cluster, _, gauge = _load_cluster(args)
-        checked, factors = battery.decompose(cluster.interaction(gauge, z)[0], z)
+        checked, factors = battery.decompose(cluster.interaction(gauge, z), z)
     return EXIT_OK, {
         "command": "decompose",
         "n": checked.zm.n,
@@ -610,9 +612,8 @@ def cmd_verify(args) -> tuple[int, dict]:
         bundle = _load_json(path, required + matrices)
         if not (isinstance(bundle, dict) and all(key in bundle for key in required)):
             raise _InputError("verify needs a synthesize bundle with " + ", ".join(required))
-        cluster = _checked(
-            path, synthesis.ClusterPlan.of, matrix_from_json(bundle["adjacency"], path), bundle["theta"]
-        )
+        adjacency = matrix_from_json(bundle["adjacency"], path)
+        cluster = _checked(path, synthesis.ClusterPlan.of, adjacency, bundle["theta"])
         z = _scale(bundle["z"], f"{path}: z")
         p = matrix_from_json(bundle["P"], path)
         stored = {key: matrix_from_json(bundle[key], path) for key in matrices if key in bundle}
@@ -628,11 +629,10 @@ def cmd_verify(args) -> tuple[int, dict]:
             stored = {"P": p, **stored}
         else:
             gauge = p
-        checks = battery.verify(cluster, gauge, z, stored).checks
     else:
-        z = _z(args)
+        z, stored = _z(args), None
         cluster, _, gauge = _load_cluster(args)
-        checks = battery.verify(cluster, gauge, z).checks
+    checks = battery.verify(cluster.interaction(gauge, z), z, stored).checks
     passed = all(c["passed"] for c in checks)
     report = {"command": "verify", "z": z, "passed": passed, "checks": checks}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), report

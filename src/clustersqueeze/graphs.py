@@ -56,9 +56,18 @@ def adjacency_matrix(values) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, but strings, or booleans alone,
+    are no numbers though float() reads them: one dtype test, no scan."""
+    kind = (array := np.asarray(values)).dtype.kind
+    if kind in "bSU":
+        raise ValueError(f"{what} must be numbers, not strings or booleans")
+    return array.astype(float, copy=False) if kind in "fiu" else np.asarray(values, dtype=float)
+
+
 def phase_vector(values, n: int | None = None) -> np.ndarray:
     """Validate local rotation angles and reduce them to (-pi, pi]."""
-    theta = np.atleast_1d(np.asarray(values, dtype=float))
+    theta = np.atleast_1d(_floats(values, "phase angles"))
     if theta.ndim != 1:
         raise ValueError("phases must form a 1-D vector")
     if not np.all(np.isfinite(theta)):

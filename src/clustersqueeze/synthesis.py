@@ -31,8 +31,8 @@ F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T and the faithful
 gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no further
 factorization.  :class:`InteractionMatrix` holds Z = P U with the
 eigenpairs of P, and X, Y, C and the squeezer strengths come from them.
-The cluster plan builds it for every gauge; the polar split of Z builds it
-when only Z is given.  In the plan's canonical interferometer
+The cluster plan builds and gates it for every gauge; the polar split of
+Z builds it when only Z is given.  In the plan's canonical interferometer
 W = F diag((1 + i lam) / |1 + i lam|), U = i W W^T, and every compatible
 gauge is P = W S_W W^dagger with S_W real symmetric positive definite.  A
 custom P's eigenpairs come from one real ``eigh`` of S_W = O diag(w) O^T:
@@ -98,6 +98,11 @@ class InteractionMatrix:
     def asymmetry(self) -> float:
         """Relative asymmetry of Z; zero exactly when the gauge is compatible."""
         return symmetry_defect(self.Z) / max(1.0, max_abs(self.Z))
+
+    @cached_property
+    def reality(self) -> GaugeCheck | None:
+        """The reality check of P that the plan's gate judged; None for a polar split."""
+        return None if self.cluster is None else _reality_check(self.cluster, self.P)
 
     @classmethod
     def from_matrix(cls, Z) -> "InteractionMatrix":
@@ -254,8 +259,8 @@ class ClusterPlan:
         u = -1j * ph[:, None] * core * ph[None, :]
         return (u + u.T) / 2.0
 
-    def interaction(self, gauge, z: float | None = None) -> tuple[InteractionMatrix, GaugeCheck]:
-        """Plan Z = P U for a gauge, and the check of that gauge.
+    def interaction(self, gauge, z: float | None = None) -> InteractionMatrix:
+        """The record of Z = P U for a gauge, once its gate has passed.
 
         ``gauge`` is ``"identity"`` (P and its modes 1, so P and X stay
         real), ``"faithful"`` (modes F, strengths 1 + ln(1 + lam^2) / (2 z)
@@ -265,22 +270,21 @@ class ClusterPlan:
         Hermiticity (:class:`NotHermitian`), then for every gauge
         positivity and singularity of the strengths
         (:class:`NotPositiveDefinite`); an explicit P's strengths are those
-        of Re S_W, which are P's to rounding whenever the gate passes.  One gate
-        then judges compatibility: a reality (``gauge_condition``) or
-        ``interaction_symmetric`` residual above its :class:`ErrorModel`
-        budget raises :class:`GaugeIncompatible`, so the rows built on P see
-        no incompatibility beyond the rounding they budget for.
+        of Re S_W, which are P's to rounding whenever the gate passes.  The
+        gate then judges the record's ``reality`` and ``asymmetry``: either
+        residual above its :class:`ErrorModel` budget raises
+        :class:`GaugeIncompatible`, so the rows built on P see no
+        incompatibility beyond the rounding they budget for.
         """
         zm = self._plan(gauge, z)
-        check = _reality_check(self, zm.P)
-        model = ErrorModel.for_cluster(self, zm, 0.0, check.scale)  # budgets free of z
-        for name, residual in (("gauge_condition", check.residual), ("interaction_symmetric", zm.asymmetry)):
+        model = ErrorModel.of(zm, 0.0)  # budgets free of z
+        for name, residual in (("gauge_condition", zm.reality.residual), ("interaction_symmetric", zm.asymmetry)):
             if not residual <= model.budget(name):
                 raise GaugeIncompatible(
                     f"{name} residual {residual:.3e} exceeds its budget "
                     f"{model.budget(name):.1e}: P fails the reality condition beyond rounding"
                 )
-        return zm, check
+        return zm
 
     def faithful_strengths(self, z: float | None) -> np.ndarray:
         """1 + ln(1 + lam^2) / (2 z) in the order of ``by_magnitude``: the
@@ -324,8 +328,7 @@ class ClusterPlan:
 def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
     """Relative imaginary residual and largest entry of the test matrix
     (A + i 1) e^{i Theta} P e^{-i Theta} (A - i 1) of a finite P of the
-    cluster's shape, real exactly when P is compatible (P U symmetric);
-    the plan's gate judges the residual by its budget."""
+    cluster's shape, real exactly when P is compatible (P U symmetric)."""
     a = cluster.A
     ph = np.exp(1j * cluster.theta)
     b = ph[:, None] * p * ph.conj()[None, :]

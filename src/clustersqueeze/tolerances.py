@@ -4,7 +4,7 @@ The frozen :class:`Tolerances` record holds the thresholds that validate
 input and steer algorithms.  A check's verdict instead compares its residual
 with a budget c * u * N * magnitude (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2002): u is the unit roundoff, N the mode count, the
-magnitude comes from numbers the request already holds (:class:`ErrorModel`),
+magnitude comes from the request's interaction record (:meth:`ErrorModel.of`),
 and c is 4 per rounded stage (a factorization, solve or N-term matrix
 product, each adding at most gamma_N ~ N u) between the inputs and the
 residual; the 4 covers complex arithmetic (sqrt(2) gamma_{N+2}, Lemma 3.5).
@@ -70,7 +70,6 @@ CHECKS = {
     "covariance_real": ("covariance", 28),
     "faithful_gauge_identity": ("covariance", 28),
     "uniform_gauge_formula": ("covariance", 32),  # and A A
-    "self_inverse_value": ("covariance", 28),
     # closed form (7 stages as above), U and Z (2), eigh of K
     # and G = [Re L, -Im L] V (order 2N, 2 stages each), H H^T
     "covariance_vs_oracle": ("oracle", 56),
@@ -122,12 +121,14 @@ class ErrorModel:
     margin: float = math.inf
 
     @classmethod
-    def for_cluster(cls, cluster, zm, z: float, test_scale: float = 1.0) -> "ErrorModel":
-        """Model of the plan ``zm`` of a :class:`~clustersqueeze.synthesis.ClusterPlan`."""
-        rho = float(np.max(np.abs(cluster.eigenvalues)))  # ||A||_2
-        lo, hi = float(zm.strengths[0]), float(zm.strengths[-1])
-        z_scale = max(1.0, float(np.max(np.abs(zm.Z))))
-        return cls(cluster.A.shape[0], z, lo, hi, 1.0 + rho, z_scale, test_scale)
+    def of(cls, zm, z: float) -> "ErrorModel":
+        """Model of a record: its plan's, with the gate's test scale, or for a
+        polar split Z alone's, with the margin of the plan recovered from U."""
+        n, lo, hi = zm.n, float(zm.strengths[0]), float(zm.strengths[-1])
+        if zm.cluster is None:
+            return cls(n, z, lo, hi, hi / lo, margin=2.0 * math.sin(math.pi / (4 * n)))
+        rho = float(np.max(np.abs(zm.cluster.eigenvalues)))  # ||A||_2
+        return cls(n, z, lo, hi, 1.0 + rho, max(1.0, float(np.max(np.abs(zm.Z)))), zm.reality.scale)
 
     @classmethod
     def for_generator(cls, A, w) -> "ErrorModel":
@@ -139,19 +140,11 @@ class ErrorModel:
         lam_max = w[-1]; kappa = 1 + ||A||_inf >= 1 + max|lam(A)| needs only
         A.  The overlap magnitude does not depend on z (z = 0 keeps the
         others finite) and grows with kappa, so the threshold is no tighter
-        than the row's budget under :meth:`for_cluster`, up to the rounding
-        of w.
+        than the row's budget under :meth:`of`, up to the rounding of w.
         """
         n = len(w) // 2
         kappa = 1.0 + float(np.max(np.sum(np.abs(A), axis=1)))
         return cls(n, 0.0, float(w[n]), float(w[-1]), kappa)
-
-    @classmethod
-    def for_interaction(cls, strengths, z: float) -> "ErrorModel":
-        """Model of Z alone: its polar split's strengths and the margin of
-        the plan recovered from its U."""
-        n, lo, hi = len(strengths), float(strengths[0]), float(strengths[-1])
-        return cls(n, z, lo, hi, hi / lo, margin=2.0 * math.sin(math.pi / (4 * n)))
 
     @cached_property
     def magnitudes(self) -> dict[str, float]:

@@ -57,7 +57,7 @@ def test_criterion_01_faithful_gauge_identity():
         th = random_phases(rng, n)
         for z in (0.5, 1.0, 2.0):
             cluster = ClusterPlan.of(a, th)
-            rep = covariance_closed_form(cluster, cluster.interaction("faithful", z)[0], z)
+            rep = covariance_closed_form(cluster, cluster.interaction("faithful", z), z)
             worst = max(
                 worst, float(np.max(np.abs(rep.C - math.exp(-2.0 * z) * np.eye(n))))
             )
@@ -72,7 +72,7 @@ def test_criterion_01_faithful_gauge_identity():
 
 def test_criterion_02_self_inverse_case():
     cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-    zm, _ = cluster.interaction("identity")
+    zm = cluster.interaction("identity")
     rep = covariance_closed_form(cluster, zm, 1.0)
     residual = float(np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))))
     _report(2, "self-inverse EPR value", residual <= 1e-10, f"residual {residual:.3e}")
@@ -87,7 +87,7 @@ def test_criterion_03_uniform_gauge_formula():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.5))
         cluster = ClusterPlan.of(a, th)
-        zm, _ = cluster.interaction("identity")
+        zm = cluster.interaction("identity")
         rep = covariance_closed_form(cluster, zm, z)
         target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
         worst = max(worst, float(np.max(np.abs(rep.C - target))))
@@ -106,7 +106,7 @@ def test_criterion_04_oracle_equivalence():
         kind = ("identity", "faithful", "custom")[trial % 3]
         p = random_gauge(rng, kind, a, th)
         cluster = ClusterPlan.of(a, th)
-        zm, _ = cluster.interaction(p, z)
+        zm = cluster.interaction(p, z)
         closed = covariance_closed_form(cluster, zm, z)
         brute = covariance_oracle(cluster, zm, z)
         worst = max(worst, float(np.max(np.abs(closed.C - brute.C))))
@@ -192,7 +192,7 @@ def test_criterion_07_bogoliubov_conditions():
         z = float(rng.uniform(0.0, 2.5))
         kind = ("identity", "faithful", "custom")[trial % 3]
         p = random_gauge(rng, kind, a, th)
-        zm = ClusterPlan.of(a, th).interaction(p, max(z, 0.3))[0]
+        zm = ClusterPlan.of(a, th).interaction(p, max(z, 0.3))
         for pair in (
             bogoliubov_from_interaction(zm, z),
             bogoliubov_oracle(zm, z),
@@ -219,7 +219,7 @@ def test_criterion_08_bloch_messiah():
         z = float(rng.uniform(0.3, 2.0))
         kind = ("identity", "faithful", "custom")[trial % 3]
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(random_gauge(rng, kind, a, th), z)[0]
+        zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
         factors = bloch_messiah(zm, z)
         pair = bogoliubov_from_interaction(zm, z)
         x_rec, y_rec = factors.reconstruct()

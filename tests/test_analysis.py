@@ -233,7 +233,7 @@ class TestAnalyzeInteraction:
         recovered = []
         for _ in range(6):
             p = random_compatible_gauge(rng, a, th)
-            zm = ClusterPlan.of(a, th).interaction(p)[0]
+            zm = ClusterPlan.of(a, th).interaction(p)
             res = analyze_interaction(zm, theta=th)
             recovered.append(res.adjacency)
         for r in recovered[1:]:

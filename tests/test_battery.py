@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clustersqueeze import ClusterPlan, OracleMismatch, battery, cli, format_graph, oracle
+from clustersqueeze import ClusterPlan, InteractionMatrix, OracleMismatch, battery, cli, format_graph, oracle, synthesis
+from clustersqueeze.tolerances import CHECKS, ErrorModel
 
 from conftest import matrix_to_json, random_adjacency, random_compatible_gauge, random_phases
 
@@ -51,7 +52,7 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
         assert cli.main(["verify", *argv]) == cli.EXIT_OK
         return json.loads(capsys.readouterr().out)["checks"]
 
-    checked = battery.verify(cluster, selector, z)
+    checked = battery.verify(cluster.interaction(selector, z), z)
     assert checked.checks == reported(flags)
     assert all(c["passed"] for c in checked.checks)
 
@@ -64,9 +65,8 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
         selector = p
     else:
         selector, stored = bundle["gauge"], {"P": p, **stored}
-    from_bundle = battery.verify(
-        ClusterPlan.of(cli.matrix_from_json(bundle["adjacency"]), bundle["theta"]), selector, bundle["z"], stored
-    )
+    stored_plan = ClusterPlan.of(cli.matrix_from_json(bundle["adjacency"]), bundle["theta"])
+    from_bundle = battery.verify(stored_plan.interaction(selector, bundle["z"]), bundle["z"], stored)
     assert from_bundle.checks == reported(["--interaction", bundle_path])
     rows = [c for c in from_bundle.checks if c["name"].startswith("bundle_")]
     assert [c["name"] for c in rows] == ([] if gauge == "custom" else ["bundle_P_matches"]) + BUNDLE_ROWS
@@ -81,7 +81,7 @@ def test_a_fresh_bundle_matches_its_recipe_exactly(gauge, tmp_path):
     cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
     with open(bundle_path, encoding="utf-8") as fh:
         stored = stored_matrices(json.load(fh))
-    checks = battery.verify(cluster, selector, z, stored).checks[-5:]
+    checks = battery.verify(cluster.interaction(selector, z), z, stored).checks[-5:]
     assert [(c["name"], c["residual"]) for c in checks] == [(name, 0.0) for name in BUNDLE_ROWS]
 
 
@@ -91,7 +91,7 @@ def test_a_bundle_of_the_raw_products_verifies(gauge, tmp_path, capsys):
     Z, X and Y were published structured, passes ``verify --interaction``:
     the parts the structured form drops lie within the bundle rows' budgets."""
     cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
-    raw = battery.synthesize(cluster, selector, z)
+    raw = battery.synthesize(cluster.interaction(selector, z), z)
     raw = {"Z": raw.zm.Z, "X": raw.pair.X, "Y": raw.pair.Y}
     with open(bundle_path, encoding="utf-8") as fh:
         bundle = json.load(fh)
@@ -119,9 +119,69 @@ def test_a_matrix_equal_to_its_mirror_image_keeps_its_bits():
 
     # an isolated node and a self-loop, at random phases: Z = U is diagonal
     cluster = ClusterPlan.of(np.diag([0.0, 0.12803108577163247]), [0.46643233359121483, 2.807322639145519])
-    raw = battery.synthesize(cluster, "identity", 1.0110575814690477)
+    z = 1.0110575814690477
+    raw = battery.synthesize(cluster.interaction("identity", z), z)
     parts = battery.structured(raw.zm, raw.pair)
     assert parts["Z"] is raw.zm.Z and parts["X"] is raw.pair.X and parts["Y"] is raw.pair.Y
+
+
+@GAUGES
+def test_the_plan_returns_the_gated_record_alone(gauge, tmp_path):
+    """``interaction`` returns one :class:`InteractionMatrix` that names its
+    plan and gauge and keeps the reality check its gate judged."""
+    cluster, selector, z, _, _ = synthesized(gauge, tmp_path)
+    zm = cluster.interaction(selector, z)
+    assert type(zm) is InteractionMatrix
+    assert zm.cluster is cluster and zm.gauge == gauge
+    assert zm.reality == synthesis._reality_check(cluster, zm.P)
+    assert zm.reality is zm.reality  # cached, as the gate left it
+
+
+@pytest.mark.parametrize(
+    "command, route, expected",
+    [("synthesize", "graph", 1), ("verify", "graph", 1), ("decompose", "graph", 1),
+     ("verify", "bundle", 1), ("decompose", "bundle", 0), ("analyze", "bundle", 0)])
+@GAUGES
+def test_one_reality_check_per_planned_request(gauge, command, route, expected, tmp_path, capsys, monkeypatch):
+    """The gate's check is the one the ``gauge_condition`` row and the error
+    model read: a request that plans a record checks reality once, and one
+    that splits a bare Z never does."""
+    _, _, z, flags, bundle_path = synthesized(gauge, tmp_path)
+    if route == "graph":
+        argv = [command, *flags]
+    else:
+        argv = [command, "--interaction", bundle_path, *([] if command == "verify" else ["-z", repr(z)])]
+    checked, reality_check = [], synthesis._reality_check
+    monkeypatch.setattr(synthesis, "_reality_check", lambda cluster, p: checked.append(p) or reality_check(cluster, p))
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(checked) == expected
+
+
+@GAUGES
+def test_the_error_model_is_read_off_the_record(gauge, tmp_path):
+    """``ErrorModel.of`` gives the budgets of the model formed by hand: for
+    a planned record, the plan's kappa and the gate's test scale; for a
+    polar split, Z alone with the margin of the plan recovered from U."""
+    cluster, selector, z, _, _ = synthesized(gauge, tmp_path)
+    zm = cluster.interaction(selector, z)
+    split = InteractionMatrix.from_matrix(zm.Z)
+    assert split.reality is None  # no plan, so no gate
+    n, rho = zm.n, float(np.max(np.abs(cluster.eigenvalues)))
+    by_hand = {
+        "planned": (zm, ErrorModel(
+            n=n, z=z, lam_min=float(zm.strengths[0]), lam_max=float(zm.strengths[-1]), kappa=1.0 + rho,
+            z_scale=max(1.0, float(np.max(np.abs(zm.Z)))),
+            test_scale=synthesis._reality_check(cluster, zm.P).scale)),
+        "split": (split, ErrorModel(
+            n=n, z=z, lam_min=float(split.strengths[0]), lam_max=float(split.strengths[-1]),
+            kappa=float(split.strengths[-1]) / float(split.strengths[0]),
+            margin=2.0 * np.sin(np.pi / (4 * n)))),
+    }
+    for record, expected in by_hand.values():
+        model = ErrorModel.of(record, z)
+        assert model == expected
+        assert [model.budget(name) for name in CHECKS] == [expected.budget(name) for name in CHECKS]
 
 
 SWEEP = [0.5, 0.9, 1.3, 1.7]

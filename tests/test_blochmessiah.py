@@ -72,7 +72,7 @@ class TestBlochMessiah:
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(random_gauge(rng, "custom", a, th))[0]
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th))
         factors = bloch_messiah(zm, 1.0)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
@@ -92,7 +92,7 @@ class TestBlochMessiah:
             z = float(rng.uniform(0.3, 2.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
-            zm = cluster.interaction(random_gauge(rng, kind, a, th), z)[0]
+            zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
             rx, ry, ru = _reconstruction_residuals(zm, z, factors)
             assert rx <= 1e-8 and ry <= 1e-8
@@ -104,7 +104,7 @@ class TestBlochMessiah:
         th = random_phases(rng, 5)
         z = 1.2
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(random_gauge(rng, "custom", a, th))[0]
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th))
         factors = bloch_messiah(zm, z)
         strengths = np.array([m.strength for m in squeezer_spectrum(zm, z)])
         assert np.max(np.abs(np.sort(factors.D) - np.sort(strengths))) <= 1e-9
@@ -117,7 +117,7 @@ class TestBlochMessiah:
         # free modes, U = i 1): the factors must not mix the strength
         # eigenspaces
         cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
-        zm = cluster.interaction(np.diag([1.0, 2.0]))[0]
+        zm = cluster.interaction(np.diag([1.0, 2.0]))
         factors = bloch_messiah(zm, 1.0)
         rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
         assert max(rx, ry, ru) <= 1e-9
@@ -130,7 +130,7 @@ class TestBlochMessiah:
         rng = np.random.default_rng(64)
         a = random_adjacency(rng, n)
         cluster = ClusterPlan.of(a, random_phases(rng, n))
-        zm = cluster.interaction("faithful", 0.7)[0]
+        zm = cluster.interaction("faithful", 0.7)
         factors = bloch_messiah(zm, 0.7)
         balanced = np.diag(-1j * factors.T @ zm.U @ factors.T.T)
         assert np.max(np.abs(factors.R - np.diag(half_phase(balanced)))) <= 1e-13
@@ -138,7 +138,7 @@ class TestBlochMessiah:
     def test_non_unitary_single_group_is_rejected(self):
         # from Z alone the factors come from the cluster recovered from U,
         # whose Cayley map rejects a U that is not unitary
-        planned = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)[0]
+        planned = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)
         zm = InteractionMatrix.from_matrix(planned.Z)
         with pytest.raises(NonRealResult):
             bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U), 1.0)
@@ -152,7 +152,7 @@ class TestBlochMessiah:
             z = 1.0
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
-            zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
+            zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
             factors = bloch_messiah(zm, z)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-8
 
@@ -169,7 +169,7 @@ class TestBudgetsDoNotDependOnTheModeBasis:
         n, z = 12, 1.0
         a = np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0)
         cluster = ClusterPlan.of(a, np.zeros(n))
-        zm = InteractionMatrix.from_matrix(cluster.interaction("identity", z)[0].Z)
+        zm = InteractionMatrix.from_matrix(cluster.interaction("identity", z).Z)
         assert zm.strengths[-1] - zm.strengths[0] < 1e-12
         pair = bogoliubov_from_interaction(zm, z)
         rng = np.random.default_rng(2022)
@@ -177,7 +177,7 @@ class TestBudgetsDoNotDependOnTheModeBasis:
         for modes in [zm.modes] + [zm.modes @ random_unitary(rng, n) for _ in range(5)]:
             factors, rows = battery._reduction(dataclasses.replace(zm, modes=modes), pair, z)
             assert np.array_equal(factors.V, reference.V)
-            model = ErrorModel.for_interaction(zm.strengths, z)
+            model = ErrorModel.of(zm, z)
             rows.append(("cluster_condition", cluster_condition_residual(factors.V, cluster)))
             records = model.checks(rows)
             assert [r["name"] for r in records] == list(self.ROWS)
@@ -209,7 +209,7 @@ class TestFactorsOffThePlan:
             n = a.shape[0]
             cluster = ClusterPlan.of(a, random_phases(rng, n))
             z = float(rng.uniform(0.3, 2.0))
-            zm = cluster.interaction(gauge, z)[0]
+            zm = cluster.interaction(gauge, z)
             factors = bloch_messiah(zm, z)
             canonical = canonical_cluster_interferometer(cluster, cluster.by_magnitude[1])
             assert np.max(np.abs(factors.V - canonical)) <= 1e-13
@@ -231,7 +231,7 @@ class TestFactorsOffThePlan:
             n = a.shape[0]
             cluster = ClusterPlan.of(a, random_phases(rng, n))
             z = float(rng.uniform(0.3, 2.0))
-            zm = cluster.interaction(random_gauge(rng, "custom", a, cluster.theta), z)[0]
+            zm = cluster.interaction(random_gauge(rng, "custom", a, cluster.theta), z)
             factors = bloch_messiah(zm, z)
             assert factors.V is zm.modes and np.array_equal(factors.D, zm.strengths)
             o = cluster.interferometer.conj().T @ factors.V
@@ -272,7 +272,7 @@ class TestLibraryRoute:
         rng = np.random.default_rng(69)
         a = random_adjacency(rng, 24)
         cluster = ClusterPlan.of(a, random_phases(rng, 24))
-        return cluster.interaction(random_gauge(rng, gauge, a, cluster.theta), 0.8)[0]
+        return cluster.interaction(random_gauge(rng, gauge, a, cluster.theta), 0.8)
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
     def test_a_planned_record_makes_no_factorization(self, gauge, monkeypatch):
@@ -288,7 +288,7 @@ class TestLibraryRoute:
         factors, calls = self._counted(zm, 0.8, monkeypatch)
         assert calls == {"eigvalsh": 1, "solve": 1, "eigh": 2}
         rx, ry, ru = _reconstruction_residuals(zm, 0.8, factors)
-        model = ErrorModel.for_interaction(zm.strengths, 0.8)
+        model = ErrorModel.of(zm, 0.8)
         assert rx <= model.budget("blochmessiah_x") and ry <= model.budget("blochmessiah_y")
         assert ru <= model.budget("interferometer_identity")
 

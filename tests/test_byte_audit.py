@@ -1,0 +1,46 @@
+"""The byte audit replays its smallest slice on one tree on both sides and
+finds nothing, and its comparison names every field that differs."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "byte_audit.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("byte_audit", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_tree_on_both_sides_differs_nowhere(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT / "src"), str(ROOT / "src"), "--slice", "smoke",
+         "--work", str(tmp_path / "work")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    *differences, summary = result.stdout.splitlines()
+    assert differences == [] and summary.startswith("byte audit (smoke): ") and summary.endswith(" requests, 0 differ")
+    assert int(summary.split()[3]) >= 60
+    # both trees ran every request, each in its own work directory
+    assert (tmp_path / "work" / "old" / "records.json").is_file()
+    assert (tmp_path / "work" / "new" / "records.json").is_file()
+
+
+def test_the_comparison_names_each_difference():
+    record = {"argv": [], "exit": 0, "stdout": "2:ab", "stderr": "", "out": "3:cd"}
+    old = {"same": record, "exit": record, "out": record, "gone": record}
+    new = {"same": dict(record), "exit": {**record, "exit": 2, "stderr": "error: x\n"},
+           "out": {**record, "out": "3:ce"}, "added": record}
+    assert _tool().compare(old, new) == [
+        "exit: exit, stderr differ (exit 0 -> 2)",
+        "    new stderr: error: x",
+        "out: out differ",
+        "gone: only in the old tree",
+        "added: only in the new tree",
+    ]

@@ -15,10 +15,10 @@ gauge, which ``verify`` plans by its name; a custom bundle's P is its gauge.
 
 ``POWER`` is the table of those faults.  Cases are N in {8, 64}, the two
 built-in gauges and z lambda_max in {1, 25}, on a dense random graph of
-spectral radius 1 with random phases; ``self_inverse_value`` needs A A = 1
-and runs on a perfect matching.  The Bloch-Messiah rows are also pinned on
-the bundle route (``INTERACTION_POWER``) and for a custom gauge on both
-routes (``CUSTOM_POWER``).
+spectral radius 1 with random phases, and for ``uniform_gauge_formula``
+also a perfect matching, whose A A = 1 exactly.  The Bloch-Messiah rows
+are also pinned on the bundle route (``INTERACTION_POWER``) and for a
+custom gauge on both routes (``CUSTOM_POWER``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ POWER = {
     "oracle_overlap": ("plan", "Z", "symmetric", 1e-10),
     "faithful_gauge_identity": ("closed", "C", "symmetric", 1e-9),
     "uniform_gauge_formula": ("closed", "C", "symmetric", 1e-9),
-    "self_inverse_value": ("closed", "C", "symmetric", 1e-9),
     "blochmessiah_x": ("factors", "V", "general", 1e-11),
     "blochmessiah_y": ("factors", "V", "general", 1e-10),
     "interferometer_identity": ("factors", "V", "general", 1e-11),
@@ -167,8 +166,8 @@ class Case:
         if row == "faithful_gauge_identity":
             return self.gauge == "faithful"
         if row == "uniform_gauge_formula":
-            return self.gauge == "identity" and not self.self_inverse
-        return self.self_inverse == (row == "self_inverse_value")
+            return self.gauge == "identity"
+        return not self.self_inverse
 
     def verify(self, monkeypatch, stage=None, name=None, shape="general", delta=0.0):
         """Exit code and {row: passed} of verify with object ``name`` built at

@@ -96,7 +96,7 @@ class TestSynthesize:
         )
         assert np.allclose(c_mat, 2.0 * math.exp(-2.0) * np.eye(2), atol=1e-10)
         assert all(check["passed"] for check in bundle["checks"])
-        assert any(c["name"] == "self_inverse_value" for c in bundle["checks"])
+        assert any(c["name"] == "uniform_gauge_formula" for c in bundle["checks"])
 
     def test_single_node_faithful(self, tmp_path, capsys):
         graph = write(tmp_path, "one.graph", "1\n")
@@ -221,7 +221,7 @@ def _nearly_symmetric(seed):
     n = int(rng.integers(2, 9))
     a = random_adjacency(rng, n, weight=10.0 ** rng.uniform(-3.0, 4.0))
     gauge = "identity" if seed % 2 else "faithful"
-    z = ClusterPlan.of(a, random_phases(rng, n)).interaction(gauge, 0.5)[0].Z
+    z = ClusterPlan.of(a, random_phases(rng, n)).interaction(gauge, 0.5).Z
     z = (z + z.T) / 2.0
     d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     d = d - d.T
@@ -350,6 +350,21 @@ class TestVerify:
         assert code == cli.EXIT_CHECK_FAILED
         assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == ["bundle_P_matches"]
 
+    @pytest.mark.parametrize("z", ["0.5", "1", "2"])
+    def test_a_graph_near_a_perfect_matching_verifies(self, z, tmp_path, capsys):
+        """A weight 4e-14 from 1 leaves A A within the 1e-12 input tolerance
+        of 1 but not equal to it.  C is judged against (A A + 1) e^{-2z},
+        not against 2 e^{-2z} 1, so the graph, its bundle and the bundle's
+        records all pass."""
+        graph = write(tmp_path, "g.graph", "2\n0 1 1.00000000000004\n")
+        bundle_path = tmp_path / "bundle.json"
+        args = ["synthesize", "--graph", graph, "-z", z, "--out", str(bundle_path)]
+        assert run_cli(args, capsys)[0] == EXIT_OK
+        assert all(c["passed"] for c in json.loads(bundle_path.read_text(encoding="utf-8"))["checks"])
+        for route in (["--graph", graph, "-z", z], ["--interaction", str(bundle_path)]):
+            code, out, _ = run_cli(["verify", *route], capsys)
+            assert code == EXIT_OK and json.loads(out)["passed"] is True
+
     def test_graph_route(self, tmp_path, capsys):
         graph = write(tmp_path, "g.graph", "4\n0 1 1\n1 2 -0.5\n2 3 1\n0 3 0.25\n")
         code, out, _ = run_cli(
@@ -467,7 +482,6 @@ EPR_CORE_CHECKS = """\
   [pass] covariance_vs_oracle: residual 2.776e-16 (tolerance 2.6e-14)
   [pass] oracle_overlap: residual 2.220e-16 (tolerance 3.2e-14)
   [pass] uniform_gauge_formula: residual 0.000e+00 (tolerance 1.0e-14)
-  [pass] self_inverse_value: residual 0.000e+00 (tolerance 9.0e-15)
 """
 EPR_REDUCTION_CHECKS = """\
   [pass] blochmessiah_x: residual 4.456e-16 (tolerance 3.6e-14)
@@ -552,7 +566,7 @@ class TestGaugeOption:
         cluster = ClusterPlan.of(parse_graph(text), np.zeros(3))
         for mine, theirs in zip(custom.splitlines()[1:], identity.splitlines()[1:]):
             (z, *norms), (z_identity, *expected) = (map(float, row.split(",")) for row in (mine, theirs))
-            model = ErrorModel.for_cluster(cluster, cluster.interaction("identity", z)[0], z)
+            model = ErrorModel.of(cluster.interaction("identity", z), z)
             assert z == z_identity
             # a Frobenius norm moves by at most N = 3 times max|dC|
             assert max(abs(a - b) for a, b in zip(norms, expected)) <= 3 * model.budget("bundle_C_matches")
@@ -613,7 +627,7 @@ class TestOneFactorizationPerRequest:
         graph = write(tmp_path, "g.graph", self.GRAPH)
         spec, selector = self._gauge(gauge, tmp_path)
         plan = ClusterPlan.of(self.A, np.zeros(6))
-        p, w = plan.interaction(selector, 0.9)[0].P, plan.interferometer
+        p, w = plan.interaction(selector, 0.9).P, plan.interferometer
         checked = self._count_gauge_checks(monkeypatch)
         calls = request.getfixturevalue("factorizations")  # counts from here, after p and w
         code, _, _ = run_cli([command, "--graph", graph, "--gauge", spec, "-z", "0.9"], capsys)
@@ -894,6 +908,8 @@ def test_tiny_uniform_gauge_is_accepted(graph_text, z, tmp_path, capsys):
 
 NOT_SQUARE = matrix_to_json(np.ones((2, 3)))
 NAN_P = matrix_to_json(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+EPR_NUMBERS = [[0.0, 1.0], [1.0, 0.0]]
+EPR_TEXT = [["0.0", "1.0"], ["1.0", "0.0"]]
 
 
 class TestMalformedInput:
@@ -922,6 +938,24 @@ class TestMalformedInput:
         "bundle-Z-im-shape": ("analyze", "Z", {"rows": 2, "cols": 2, "re": np.eye(2).tolist(), "im": [[1.0]]},
                               "'im' block shape mismatch"),
         "synthesize-phases-not-an-angle": ("synthesize", None, "0.1\nx\n", "line 2: 'x' is not an angle"),
+        # float() and int() read these too, but every number in a bundle is a
+        # JSON number and a matrix's rows and cols are JSON integers
+        "bundle-theta-numeric-text": ("verify", "theta", ["0.0", "0.0"], "phase angles must be numbers"),
+        "bundle-theta-false": ("verify", "theta", [False, False], "phase angles must be numbers"),
+        "bundle-adjacency-re-text": ("verify", "adjacency", {"rows": 2, "cols": 2, "re": EPR_TEXT},
+                                     "'re' entries must be numbers"),
+        "bundle-P-re-boolean": ("verify", "P", {"rows": 2, "cols": 2, "re": [[True, False], [False, True]]},
+                                "'re' entries must be numbers"),
+        "bundle-adjacency-rows-fraction": ("verify", "adjacency", {"rows": 2.7, "cols": 2, "re": EPR_NUMBERS},
+                                           "'rows' and 'cols' must be integers"),
+        "bundle-adjacency-rows-text": ("verify", "adjacency", {"rows": "2", "cols": 2, "re": EPR_NUMBERS},
+                                       "'rows' and 'cols' must be integers"),
+        "analyze-bundle-Z-re-text": ("analyze", "Z", {"rows": 2, "cols": 2, "re": EPR_TEXT},
+                                     "'re' entries must be numbers"),
+        # a JSON integer past a double's range is no traceback (exit 1)
+        "bundle-theta-integer-overflow": ("verify", "theta", [10 ** 400, 0], "int too large to convert to float"),
+        "bundle-P-integer-overflow": ("verify", "P", {"rows": 2, "cols": 2, "re": [[10 ** 400, 0], [0, 1]]},
+                                      "int too large to convert to float"),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -160,7 +160,7 @@ class TestAcceptedImpliesVerifiable:
         rejects it (exit 3) or verify passes it."""
         a, theta, gauge, z, p = case
         if p is None:
-            p = ClusterPlan.of(a, theta).interaction(gauge, z)[0].P
+            p = ClusterPlan.of(a, theta).interaction(gauge, z).P
         rng = np.random.default_rng(seed)
         h = rng.normal(size=p.shape) + 1j * rng.normal(size=p.shape)
         h = (h + h.conj().T) / (2.0 * np.max(np.abs(h)))
@@ -174,7 +174,7 @@ class TestAcceptedImpliesVerifiable:
         verify, decompose --graph and sweep all reject it with exit 3."""
         n = a.shape[0]
         theta, z = np.linspace(-1.0, 1.0, n), 2.0
-        p = ClusterPlan.of(a, theta).interaction("faithful", z)[0].P
+        p = ClusterPlan.of(a, theta).interaction("faithful", z).P
         twelve = np.vectorize(lambda x: float(f"{x:.12g}"))
         files = write_case(tmp_path, a, theta, twelve(p.real) + 1j * twelve(p.imag))
         flags = cluster_flags(files, "custom", z)
@@ -216,7 +216,7 @@ class TestAcceptedImpliesVerifiable:
         the factors off the plan's frame group nothing."""
         a = parse_graph("3\n1 1 0.0001\n2 2 0.5\n")
         theta, z = np.array([0.3, -1.2, 2.0]), 4.0
-        strengths = ClusterPlan.of(a, theta).interaction("faithful", z)[0].strengths
+        strengths = ClusterPlan.of(a, theta).interaction("faithful", z).strengths
         assert 0.0 < strengths[1] - strengths[0] < 1e-8
         assert_verifiable(tmp_path, a, theta, "faithful", z)
 

@@ -69,7 +69,7 @@ class TestBogoliubovOracle:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
+            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)
             direct = bogoliubov_from_interaction(zm, z)
             brute = bogoliubov_oracle(zm, z)
             assert np.max(np.abs(direct.X - brute.X)) <= 1e-8
@@ -80,7 +80,7 @@ class TestBogoliubovOracle:
     def test_one_parameter_group_property(self):
         rng = np.random.default_rng(72)
         a = random_adjacency(rng, 3)
-        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")[0]
+        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")
         for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (0.0, 1.7)):
             s_sum = quadrature_flow(zm, z1 + z2)
             s_prod = quadrature_flow(zm, z1) @ quadrature_flow(zm, z2)
@@ -115,7 +115,7 @@ class TestQuadratureFlow:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.2, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
-            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)[0]
+            zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)
             s = quadrature_flow(zm, z)
             zero = np.zeros((n, n))
             omega = np.block([[zero, np.eye(n)], [-np.eye(n), zero]])
@@ -128,7 +128,7 @@ class TestQuadratureFlow:
         a = random_adjacency(rng, 6)
         th = random_phases(rng, 6)
         cluster = ClusterPlan.of(a, th)
-        zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), 1.2)
+        zm = cluster.interaction(random_gauge(rng, kind, a, th), 1.2)
         expected = covariance_oracle(cluster, zm, 1.2).C
         # only Z and n: reading P, strengths or modes raises AttributeError
         # (NaN stand-ins would slip through a comparison such as the
@@ -158,7 +158,7 @@ class TestQuadratureFlow:
         rng = np.random.default_rng(96)
         a = random_adjacency(rng, 5)
         cluster = ClusterPlan.of(a, random_phases(rng, 5))
-        zm, _ = cluster.interaction("faithful", 1.3)
+        zm = cluster.interaction("faithful", 1.3)
         expected = covariance_oracle(cluster, zm, 1.3).C
         shapes = []
 
@@ -241,10 +241,10 @@ class TestCovarianceOracle:
             kind = ("identity", "faithful", "custom")[trial % 3]
             p = random_gauge(rng, kind, a, th)
             cluster = ClusterPlan.of(a, th)
-            zm, _ = cluster.interaction(p, z)
+            zm = cluster.interaction(p, z)
             closed = covariance_closed_form(cluster, zm, z)
             brute = covariance_oracle(cluster, zm, z)
-            assert brute.overlap <= ErrorModel.for_cluster(cluster, zm, z).budget("oracle_overlap")
+            assert brute.overlap <= ErrorModel.of(zm, z).budget("oracle_overlap")
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
             # the anti-squeezed half is left out: H is the real N x N factor
             assert brute.E.shape == (n, n) and not np.iscomplexobj(brute.E)
@@ -261,10 +261,10 @@ class TestCovarianceOracle:
             z = float(rng.uniform(0.3, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
-            zm, _ = cluster.interaction(random_gauge(rng, kind, a, th), z)
+            zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
             w, _ = np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0, 1.0))
             own = ErrorModel.for_generator(cluster.A, w).budget("oracle_overlap")
-            row = ErrorModel.for_cluster(cluster, zm, z).budget("oracle_overlap")
+            row = ErrorModel.of(zm, z).budget("oracle_overlap")
             assert own >= row * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("n", [1, 8, 64])
@@ -273,7 +273,7 @@ class TestCovarianceOracle:
         # without a symmetrization, whether H keeps N columns or all 2N
         rng = np.random.default_rng(77)
         cluster = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n))
-        matched, _ = cluster.interaction("faithful", 1.3)
+        matched = cluster.interaction("faithful", 1.3)
         mismatched = InteractionMatrix.from_matrix(random_symmetric_unitary(rng, n))
         for zm, columns in ((matched, n), (mismatched, 2 * n)):
             rep = covariance_oracle(cluster, zm, 1.3)
@@ -304,7 +304,11 @@ class TestCovarianceOracle:
             cluster = ClusterPlan.of(a, th)
             r3 = covariance_oracle(cluster, zm, 3.0)
             r4 = covariance_oracle(cluster, zm, 4.0)
-            assert r3.overlap > 1e3 * ErrorModel.for_cluster(cluster, zm, 3.0).budget("oracle_overlap")
+            # the oracle's own threshold, from the generator's eigenvalues
+            # +-sigma(Z) at z = 1, which kept the anti-squeezed half
+            sigma = zm.strengths
+            own = ErrorModel.for_generator(cluster.A, np.concatenate([-sigma[::-1], sigma]))
+            assert r3.overlap > 1e3 * own.budget("oracle_overlap")
             assert r3.E.shape == (n, 2 * n)  # the anti-squeezed half is kept
             assert r4.max_abs > r3.max_abs
 
@@ -340,8 +344,8 @@ class TestOracleBudgetsAgainstMpmath:
         cluster = ClusterPlan.of(a, np.linspace(-1.0, 1.0, n))
         rho = float(np.max(np.abs(cluster.eigenvalues)))
         z = zl - (0.5 * math.log1p(rho * rho) if gauge == "faithful" else 0.0)
-        zm, _ = cluster.interaction(gauge, z)
-        model = ErrorModel.for_cluster(cluster, zm, z)
+        zm = cluster.interaction(gauge, z)
+        model = ErrorModel.of(zm, z)
         brute = covariance_oracle(cluster, zm, z)
         exact = self.exact_covariance(cluster, zm.P, z)
         assert brute.overlap <= model.budget("oracle_overlap")
@@ -375,7 +379,7 @@ class TestForcedGaugeViolation:
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         cluster = ClusterPlan.of(a, th)
-        zm, _ = cluster.interaction(random_gauge(rng, "custom", a, th))
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th))
         pair = bogoliubov_from_interaction(zm, 1.0)
         rep = covariance_from_pair(cluster, pair)
         assert rep.imag_residual <= 1e-9
@@ -428,9 +432,9 @@ class TestConvergenceSweep:
         assert [row.z for row in rows] == zs
         cluster = ClusterPlan.of(a, th)
         for row in rows:
-            zm = cluster.interaction(gauge, row.z)[0]
+            zm = cluster.interaction(gauge, row.z)
             closed = covariance_closed_form(cluster, zm, row.z)
-            budget = ErrorModel.for_cluster(cluster, zm, row.z).budget("bundle_C_matches")
+            budget = ErrorModel.of(zm, row.z).budget("bundle_C_matches")
             assert abs(row.max_abs - closed.max_abs) <= budget
             # | ||C||_F - ||C'||_F | <= ||C - C'||_F <= n max|C - C'|
             assert abs(row.frobenius - closed.frobenius) <= n * budget

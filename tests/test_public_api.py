@@ -200,7 +200,7 @@ def _plan():
 
 
 def _interaction():
-    return _plan().interaction("identity")[0]
+    return _plan().interaction("identity")
 
 
 # case -> (call, typed error, message)

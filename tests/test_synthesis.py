@@ -58,14 +58,14 @@ class TestUnitaryFromAdjacency:
 
 def faithful(a, th, z):
     """The faithful gauge of the cluster plan."""
-    return ClusterPlan.of(a, th).interaction("faithful", z)[0].P
+    return ClusterPlan.of(a, th).interaction("faithful", z).P
 
 
 class TestGauges:
     def test_identity_gauge(self):
         rng = np.random.default_rng(30)
         for n in (1, 3):
-            zm = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n)).interaction("identity")[0]
+            zm = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n)).interaction("identity")
             # exactly real, so bundles carry no imaginary block for P or X
             assert not np.iscomplexobj(zm.P) and np.array_equal(zm.P, np.eye(n))
             assert np.array_equal(zm.strengths, np.ones(n)) and np.array_equal(zm.modes, np.eye(n))
@@ -77,7 +77,7 @@ class TestGauges:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            assert ClusterPlan.of(a, th).interaction(np.eye(n))[1].residual <= 1e-12
+            assert ClusterPlan.of(a, th).interaction(np.eye(n)).reality.residual <= 1e-12
 
     def test_faithful_gauge_trivial_graph(self):
         p = faithful(np.zeros((3, 3)), [0.1, -0.2, 0.3], z=2.0)
@@ -129,8 +129,8 @@ class TestClusterPlan:
     def test_agrees_with_the_reference_factorizations(self):
         for a, th, z in self.cases(44, 60):
             cluster = ClusterPlan.of(a, th)
-            zm, check = cluster.interaction("faithful", z)
-            model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
+            zm = cluster.interaction("faithful", z)
+            model = ErrorModel.of(zm, z)
             # U against the complex solve, as a stored U is judged
             residual = np.max(np.abs(cluster.U - reference_unitary_from_adjacency(a, th)))
             assert residual <= model.budget("bundle_U_matches")
@@ -141,7 +141,7 @@ class TestClusterPlan:
 
     def test_faithful_strengths_and_modes(self):
         for a, th, z in self.cases(45, 20):
-            zm, _ = ClusterPlan.of(a, th).interaction("faithful", z)
+            zm = ClusterPlan.of(a, th).interaction("faithful", z)
             assert np.all(np.diff(zm.strengths) >= 0.0)
             lam = np.sort(np.abs(np.linalg.eigvalsh(a)))
             assert np.allclose(zm.strengths, 1.0 + np.log1p(lam * lam) / (2.0 * z), rtol=1e-12)
@@ -153,11 +153,11 @@ class TestClusterPlan:
         rounding of U, so Bloch-Messiah's balancing mixes no modes."""
         for a, th, z in self.cases(46, 20):
             cluster = ClusterPlan.of(a, th)
-            zm, check = cluster.interaction("faithful", z)
+            zm = cluster.interaction("faithful", z)
             factors = bloch_messiah(zm, z)
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             off = balanced - np.diag(np.diag(balanced))
-            model = ErrorModel.for_cluster(cluster, zm, z, check.scale)
+            model = ErrorModel.of(zm, z)
             assert np.max(np.abs(off)) <= model.budget("bundle_U_matches")
 
 
@@ -197,7 +197,7 @@ class TestValidateGauge:
         skew = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         p = random_compatible_gauge(rng, a, th) + 1e-15 * (skew - skew.conj().T)
         cluster = ClusterPlan.of(a, th)
-        zm, _ = cluster.interaction(p)
+        zm = cluster.interaction(p)
         assert np.array_equal(zm.P, zm.P.conj().T)
         assert np.array_equal(zm.Z, zm.P @ zm.U)
         strengths, modes = cluster.eigenpairs(zm.P)
@@ -229,15 +229,15 @@ class TestValidateGauge:
 
 class TestInteractionMatrix:
     def test_trivial_mode(self):
-        zm = ClusterPlan.of(np.zeros((1, 1)), [0.0]).interaction("identity")[0]
+        zm = ClusterPlan.of(np.zeros((1, 1)), [0.0]).interaction("identity")
         assert np.allclose(zm.Z, 1j)
 
     def test_epr_identity_gauge(self):
-        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("identity")[0]
+        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("identity")
         assert np.allclose(zm.Z, -epr_adjacency(), atol=1e-12)
 
     def test_epr_faithful_gauge(self):
-        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("faithful", 1.0)[0]
+        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("faithful", 1.0)
         expected = -(1.0 + math.log(2.0) / 2.0) * epr_adjacency()
         assert np.allclose(zm.Z, expected, atol=1e-12)
 
@@ -250,7 +250,7 @@ class TestInteractionMatrix:
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         p = random_compatible_gauge(rng, a, th)
-        zm, _ = ClusterPlan.of(a, th).interaction(p)
+        zm = ClusterPlan.of(a, th).interaction(p)
         back = InteractionMatrix.from_matrix(zm.Z)
         assert np.max(np.abs(back.P - zm.P)) <= 1e-8
         assert np.max(np.abs(back.U - zm.U)) <= 1e-8
@@ -266,7 +266,7 @@ class TestBogoliubov:
     def test_zero_scale_is_identity(self):
         rng = np.random.default_rng(37)
         a = random_adjacency(rng, 3)
-        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")[0]
+        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")
         pair = bogoliubov_from_interaction(zm, 0.0)
         assert np.allclose(pair.X, np.eye(3), atol=1e-12)
         assert np.allclose(pair.Y, np.zeros((3, 3)), atol=1e-12)
@@ -288,7 +288,7 @@ class TestBogoliubov:
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
             p = random_gauge(rng, kind, a, th)
-            zm = ClusterPlan.of(a, th).interaction(p, z)[0]
+            zm = ClusterPlan.of(a, th).interaction(p, z)
             pair = bogoliubov_from_interaction(zm, z)
             first, second = pair.defects()
             assert first <= 1e-9
@@ -303,7 +303,7 @@ class TestBogoliubov:
 class TestCovarianceClosedForm:
     def test_epr_identity_gauge(self):
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-        zm, _ = cluster.interaction("identity")
+        zm = cluster.interaction("identity")
         rep = covariance_closed_form(cluster, zm, z=1.0)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
@@ -312,12 +312,12 @@ class TestCovarianceClosedForm:
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
         cluster = ClusterPlan.of(a, th)
-        rep = covariance_closed_form(cluster, cluster.interaction("faithful", 1.0)[0], z=1.0)
+        rep = covariance_closed_form(cluster, cluster.interaction("faithful", 1.0), z=1.0)
         assert np.max(np.abs(rep.C - math.exp(-2.0) * np.eye(5))) <= 1e-9
 
     def test_self_loop_identity_gauge(self):
         cluster = ClusterPlan.of(np.array([[1.0]]), [0.0])
-        zm, _ = cluster.interaction("identity")
+        zm = cluster.interaction("identity")
         rep = covariance_closed_form(cluster, zm, z=1.0)
         assert np.allclose(rep.C, [[2.0 * math.exp(-2.0)]], atol=1e-12)
 
@@ -329,7 +329,7 @@ class TestCovarianceClosedForm:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             cluster = ClusterPlan.of(a, th)
-            zm, _ = cluster.interaction("identity")
+            zm = cluster.interaction("identity")
             rep = covariance_closed_form(cluster, zm, z)
             target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
             assert np.max(np.abs(rep.C - target)) <= 1e-9
@@ -343,7 +343,7 @@ class TestCovarianceClosedForm:
             z = float(rng.uniform(0.3, 2.0))
             p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th)
             cluster = ClusterPlan.of(a, th)
-            zm = cluster.interaction(p, z)[0]
+            zm = cluster.interaction(p, z)
             rep = covariance_closed_form(cluster, zm, z)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
@@ -351,7 +351,7 @@ class TestCovarianceClosedForm:
             decay = hermitian_function(zm.P, lambda w: np.exp(-z * w))
             expected = (a + 1j * np.eye(n)) @ (np.exp(1j * th)[:, None] * decay)
             assert np.max(np.abs(rep.E - expected)) <= 1e-9 * (1.0 + np.max(np.abs(expected)))
-            budget = ErrorModel.for_cluster(cluster, zm, z).budget("covariance_real")
+            budget = ErrorModel.of(zm, z).budget("covariance_real")
             assert np.max(np.abs(rep.C - rep.E @ rep.E.conj().T)) <= budget
             assert np.linalg.eigvalsh(rep.C)[0] >= -1e-9 * scale
 
@@ -366,13 +366,13 @@ class TestCovarianceClosedForm:
                 norms = []
                 for z in (0.5, 1.0, 2.0):
                     p = random_gauge(rng, gauge, a, th)
-                    zm, _ = cluster.interaction(p, z)
+                    zm = cluster.interaction(p, z)
                     norms.append(covariance_closed_form(cluster, zm, z).max_abs)
                 assert norms[0] > norms[1] > norms[2]
 
     def test_rejects_zero_scale(self):
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-        zm, _ = cluster.interaction("identity")
+        zm = cluster.interaction("identity")
         with pytest.raises(ValueError):
             covariance_closed_form(cluster, zm, 0.0)
 
@@ -402,6 +402,6 @@ class TestSqueezerSpectrum:
     def test_identity_gauge_means_equal_squeezers(self):
         rng = np.random.default_rng(43)
         a = random_adjacency(rng, 4)
-        zm = ClusterPlan.of(a, np.zeros(4)).interaction("identity")[0]
+        zm = ClusterPlan.of(a, np.zeros(4)).interaction("identity")
         modes = squeezer_spectrum(zm, 1.3)
         assert np.allclose([m.strength for m in modes], 1.0, atol=1e-12)

@@ -1,0 +1,282 @@
+"""Byte audit: replay a fixed, seeded set of command-line requests on two
+source trees and list every request whose output differs.
+
+    python tools/byte_audit.py OLD_SRC NEW_SRC [--slice smoke|grid|full] [--work DIR]
+
+OLD_SRC and NEW_SRC are directories that hold a ``clustersqueeze`` package
+(a checkout's ``src``).  Each tree runs in a Python process of its own,
+which imports the package from that tree alone and calls ``cli.main`` in
+process for every request, in a work directory of its own, with BLAS at one
+thread.  The requests are the same for both trees: the graph, phase and
+gauge files are written here from fixed seeds, and every bundle a later
+request reads is written by the tree's own ``synthesize --out`` request,
+which is audited too.  For each request the audit compares the exit code,
+stdout, stderr and the bytes of the ``--out`` file; it prints one line per
+request that differs and exits 1 if any does, else 0.
+
+Slices, each containing the one before:
+
+* ``smoke``: every command on both routes at N = 2 for the identity,
+  faithful and custom gauges, in JSON, text and CSV, plus edited bundles
+  and a graph within the input tolerance of a perfect matching;
+* ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at random
+  phases;
+* ``full``: also every request of the seed-11 pass of the three perfbench
+  workloads, their set-up ``synthesize`` requests and warm-ups included,
+  built by ``perfbench/workloads.py``'s ``generate``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SLICES = ("smoke", "grid", "full")
+SIZES = {"smoke": (2,), "grid": (2, 12, 24, 64), "full": (2, 12, 24, 64)}
+SEED = 2020
+PERFBENCH_SEED = 11
+BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+# --------------------------------------------------------------------------
+# inputs, written without the package so that both trees read the same bytes
+
+def _matrix_json(m: np.ndarray) -> dict:
+    obj = {"rows": m.shape[0], "cols": m.shape[1], "re": m.real.tolist()}
+    if np.iscomplexobj(m):
+        obj["im"] = m.imag.tolist()
+    return obj
+
+
+def _write_graph(path: Path, a: np.ndarray) -> None:
+    rows, cols = np.nonzero(np.triu(a))
+    edges = [f"{i} {j} {float(a[i, j])!r}" for i, j in zip(rows.tolist(), cols.tolist())]
+    path.write_text("\n".join([str(a.shape[0]), *edges]) + "\n", encoding="utf-8")
+
+
+def _compatible_gauge(rng, a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """e^{-i Theta} (A + i)^{-1} S (A - i)^{-1} e^{i Theta} for a random real
+    symmetric positive definite S, scaled to strengths within [0.05, 3.05]."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    m = rng.normal(size=(n, n))
+    core = np.linalg.solve(a + 1j * eye, m @ m.T + 0.5 * eye) @ np.linalg.inv(a - 1j * eye)
+    ph = np.exp(1j * theta)
+    p = ph.conj()[:, None] * core * ph[None, :]
+    p = (p + p.conj().T) / 2.0
+    return p * (3.0 / float(np.linalg.eigvalsh(p)[-1])) + 0.05 * eye
+
+
+# --------------------------------------------------------------------------
+# replay: one tree, in its own process
+
+class Replay:
+    """Runs requests through one tree's ``cli.main`` and records each one."""
+
+    def __init__(self, cli):
+        self.cli = cli
+        self.records: dict[str, dict] = {}
+
+    def run(self, rid: str, argv: list[str]) -> int:
+        if rid in self.records:
+            raise ValueError(f"duplicate request id {rid}")
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        if out is not None and os.path.exists(out):
+            os.remove(out)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = self.cli.main(argv)
+            except Exception as exc:  # a crash is an outcome to compare
+                code = f"{type(exc).__name__}: {exc}"
+        record = {"argv": argv, "exit": code, "stdout": _digest(stdout.getvalue().encode()),
+                  "stderr": stderr.getvalue()}
+        if out is not None:
+            record["out"] = _digest(Path(out).read_bytes()) if os.path.exists(out) else None
+        self.records[rid] = record
+        return code if isinstance(code, int) else -1
+
+
+def _digest(data: bytes) -> str:
+    return f"{len(data)}:{hashlib.sha256(data).hexdigest()}"
+
+
+def _grid(replay: Replay, n: int) -> None:
+    """Every command on both routes for the three gauges on one graph."""
+    rng = np.random.default_rng([SEED, n])
+    a = np.triu(rng.uniform(-1.0, 1.0, (n, n)))
+    a = a + np.triu(a, 1).T
+    theta = rng.uniform(-math.pi, math.pi, n)
+    z = float(rng.uniform(0.3, 1.5))
+    graph, phases, custom = f"g{n}.graph", f"g{n}.phases", f"g{n}.custom.json"
+    _write_graph(Path(graph), a)
+    Path(phases).write_text("".join(f"{t!r}\n" for t in theta.tolist()), encoding="utf-8")
+    Path(custom).write_text(json.dumps(_matrix_json(_compatible_gauge(rng, a, theta))), encoding="utf-8")
+    for gauge in ("identity", "faithful", "custom"):
+        spec = f"custom:{custom}" if gauge == "custom" else gauge
+        cluster = ["--graph", graph, "--phases", phases, "--gauge", spec]
+        flags = [*cluster, "-z", repr(z)]
+        tag, bundle = f"{n}-{gauge}", f"b{n}-{gauge}.json"
+        replay.run(f"{tag}/synthesize", ["synthesize", *flags, "--out", bundle])
+        replay.run(f"{tag}/synthesize-text", ["synthesize", *flags, "--format", "text"])
+        for command in ("verify", "decompose"):
+            replay.run(f"{tag}/{command}-graph", [command, *flags])
+            replay.run(f"{tag}/{command}-graph-text", [command, *flags, "--format", "text", "--out", "out.txt"])
+        z_range = f"{z!r}:{z + 1.0!r}:0.25"
+        for fmt in ("csv", "json", "text"):
+            replay.run(f"{tag}/sweep-{fmt}", ["sweep", *cluster, "--z-range", z_range, "--format", fmt])
+        for fmt in ("json", "text"):
+            replay.run(f"{tag}/verify-bundle-{fmt}", ["verify", "--interaction", bundle, "--format", fmt])
+            replay.run(f"{tag}/decompose-bundle-{fmt}",
+                       ["decompose", "--interaction", bundle, "-z", repr(z), "--format", fmt])
+            replay.run(f"{tag}/analyze-{fmt}", ["analyze", "--interaction", bundle, "-z", repr(z), "--format", fmt])
+        replay.run(f"{tag}/analyze-phases", ["analyze", "--interaction", bundle, "--phases", phases])
+
+
+#: bundle field -> edited value, each read by ``verify --interaction`` (and
+#: ``analyze`` for Z): text, booleans, fractions and integers past a double's
+#: range where numbers belong
+EDITS = {
+    "z-true": ("z", True),
+    "z-text": ("z", "0.5"),
+    "theta-text": ("theta", ["0.0", "0.0"]),
+    "theta-false": ("theta", [False, False]),
+    "theta-null": ("theta", [None, None]),
+    "theta-integer-overflow": ("theta", [10 ** 400, 0]),
+    "adjacency-re-text": ("adjacency", {"rows": 2, "cols": 2, "re": [["0.0", "1.0"], ["1.0", "0.0"]]}),
+    "adjacency-rows-fraction": ("adjacency", {"rows": 2.7, "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
+    "adjacency-rows-text": ("adjacency", {"rows": "2", "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
+    "P-re-boolean": ("P", {"rows": 2, "cols": 2, "re": [[True, False], [False, True]]}),
+    "Z-re-text": ("Z", {"rows": 2, "cols": 2, "re": [["0.0", "-1.0"], ["-1.0", "0.0"]]}),
+}
+
+
+def _edits(replay: Replay) -> None:
+    """Edited EPR bundles, and a graph whose A A is within the input
+    tolerance of 1 without equalling it."""
+    Path("epr.graph").write_text("2\n0 1 1.0\n", encoding="utf-8")
+    replay.run("edit/synthesize", ["synthesize", "--graph", "epr.graph", "--out", "epr.json"])
+    bundle = json.loads(Path("epr.json").read_text(encoding="utf-8"))
+    for name, (field, value) in EDITS.items():
+        path = f"epr-{name}.json"
+        Path(path).write_text(json.dumps({**bundle, field: value}, indent=2) + "\n", encoding="utf-8")
+        replay.run(f"edit/{name}/verify", ["verify", "--interaction", path])
+        if field == "Z":
+            replay.run(f"edit/{name}/analyze", ["analyze", "--interaction", path])
+    Path("near.graph").write_text("2\n0 1 1.00000000000004\n", encoding="utf-8")
+    for z in ("0.5", "1", "2"):
+        flags = ["--graph", "near.graph", "-z", z]
+        replay.run(f"near-matching/synthesize-{z}", ["synthesize", *flags, "--out", "near.json"])
+        replay.run(f"near-matching/verify-{z}", ["verify", *flags])
+        replay.run(f"near-matching/verify-bundle-{z}", ["verify", "--interaction", "near.json"])
+
+
+def _perfbench(replay: Replay, work: Path) -> None:
+    """The seed-11 pass of every perfbench workload, as its worker runs it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, generate
+
+    for workload in WORKLOADS:
+        (work / workload).mkdir()
+        os.chdir(work / workload)
+        setups = itertools.count()
+        manifest = generate(workload, PERFBENCH_SEED, work / workload,
+                            lambda argv: replay.run(f"{workload}/setup-{next(setups)}", argv))
+        requests = [{"id": "warmup", "argv": manifest["warmup"]}] + manifest["requests"]
+        for request in requests:
+            out = "out.csv" if request["argv"][0] == "sweep" else "out.json"
+            replay.run(f"{workload}/{request['id']}", [*request["argv"], "--out", out])
+        os.chdir(work)
+
+
+def replay(src: Path, work: Path, slice_name: str) -> None:
+    """Replay ``slice_name`` on the tree ``src`` in ``work``; write the
+    records to ``work/records.json``."""
+    sys.path.insert(0, str(src))
+    from clustersqueeze import cli
+
+    if Path(cli.__file__).resolve().parent.parent != src.resolve():
+        raise SystemExit(f"clustersqueeze imported from {cli.__file__}, not {src}")
+    work.mkdir(parents=True)
+    work = work.resolve()
+    os.chdir(work)
+    player = Replay(cli)
+    for n in SIZES[slice_name]:
+        _grid(player, n)
+    _edits(player)
+    if slice_name == "full":
+        _perfbench(player, work)
+    (work / "records.json").write_text(json.dumps(player.records, indent=1), encoding="utf-8")
+
+
+# --------------------------------------------------------------------------
+# comparison
+
+def compare(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """One line per request whose records differ, or that only one tree ran."""
+    lines = []
+    for rid in list(old) + [rid for rid in new if rid not in old]:
+        if rid not in old or rid not in new:
+            lines.append(f"{rid}: only in the {'old' if rid in old else 'new'} tree")
+            continue
+        a, b = old[rid], new[rid]
+        what = [key for key in ("exit", "stdout", "stderr", "out") if a.get(key) != b.get(key)]
+        if what:
+            detail = f" (exit {a['exit']} -> {b['exit']})" if "exit" in what else ""
+            lines.append(f"{rid}: {', '.join(what)} differ{detail}")
+            lines += [f"    {side} stderr: {r['stderr'].strip()}" for side, r in (("old", a), ("new", b))
+                      if "stderr" in what and r["stderr"]]
+    return lines
+
+
+def _run_tree(src: Path, work: Path, slice_name: str) -> dict[str, dict]:
+    env = {**os.environ, **BLAS_ENV}
+    env.pop("PYTHONPATH", None)
+    command = [sys.executable, str(Path(__file__).resolve()), "--replay", str(src.resolve()), str(work), slice_name]
+    subprocess.run(command, env=env, check=True)
+    return json.loads((work / "records.json").read_text(encoding="utf-8"))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--replay"]:  # the process of one tree: SRC WORK SLICE
+        replay(Path(argv[1]), Path(argv[2]), argv[3])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="source tree holding clustersqueeze (e.g. a checkout's src)")
+    parser.add_argument("new", type=Path, help="the other source tree")
+    parser.add_argument("--slice", choices=SLICES, default="full")
+    parser.add_argument("--work", type=Path, default=None, help="keep the work files here (default: a temp dir)")
+    args = parser.parse_args(argv)
+    for src in (args.old, args.new):
+        if not (src / "clustersqueeze" / "cli.py").is_file():
+            parser.error(f"no clustersqueeze package under {src}")
+    work = (args.work or Path(tempfile.mkdtemp(prefix="byte-audit-"))).resolve()
+    try:
+        old = _run_tree(args.old, work / "old", args.slice)
+        new = _run_tree(args.new, work / "new", args.slice)
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    lines = compare(old, new)
+    print("\n".join(lines + [f"byte audit ({args.slice}): {len(set(old) | set(new))} requests, "
+                             f"{sum(not line.startswith(' ') for line in lines)} differ"]))
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
