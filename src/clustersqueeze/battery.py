@@ -31,7 +31,7 @@ import numpy as np
 from . import blochmessiah, oracle, synthesis
 from .errors import OracleMismatch
 from .matfun import _symmetric_part, max_abs, unitarity_defect
-from .tolerances import ErrorModel
+from .tolerances import ErrorModel, check_squeeze_budget
 
 
 class Checked(NamedTuple):
@@ -160,7 +160,7 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
     except IndexError:
         raise ValueError("z_values must be non-empty") from None
     last = cluster.interaction(gauge, z_last)
-    synthesis.check_squeeze_budget(float(last.strengths[-1]), z_last)
+    check_squeeze_budget(float(last.strengths[-1]), z_last)
     zs = [float(z) for z in z_values]
     if any(not (np.isfinite(z) and z > 0) for z in zs):
         raise ValueError("z values must be positive and finite")
@@ -181,7 +181,7 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
     frame, rows = synthesis._nullifier_frame(cluster, last.modes), []
     for z in zs:
         strengths = cluster.faithful_strengths(z) if faithful else last.strengths
-        closed = synthesis._frame_covariance(frame, strengths, z)
+        closed = synthesis._frame_covariance(frame, strengths, z, last.modes)
         rows.append(SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius))
         if z in oracles:
             brute, model = oracles[z]

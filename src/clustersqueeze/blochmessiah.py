@@ -37,8 +37,8 @@ import numpy as np
 from .analysis import _equal_phases, _recovered_plan
 from .errors import NotOrthogonal
 from .matfun import _spectral, as_complex_matrix, max_abs
-from .synthesis import ClusterPlan, InteractionMatrix, check_squeeze_budget
-from .tolerances import DEFAULT_TOLERANCES
+from .synthesis import ClusterPlan, InteractionMatrix
+from .tolerances import DEFAULT_TOLERANCES, check_squeeze_budget
 
 
 @dataclass(frozen=True)

@@ -43,26 +43,36 @@ def adjacency_matrix(values) -> np.ndarray:
 
     Input asymmetry beyond the input tolerance is an error; below it the
     matrix is replaced by (A + A.T) / 2 so downstream code may rely on exact
-    symmetry.
+    symmetry.  A pair whose sum overflows is halved before it is added, so
+    every finite input gives a finite matrix, and an exactly symmetric one
+    keeps its bits.
     """
     a = np.asarray(values, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("adjacency weights must be finite")
-    defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if defect > DEFAULT_TOLERANCES.input_asymmetry * max(1.0, float(np.max(np.abs(a)))):
-        raise NotSymmetric(f"input asymmetry {defect:.3e} exceeds tolerance")
-    return (a + a.T) / 2.0
+    with np.errstate(over="ignore"):  # a pair beyond half the float range
+        defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+        if defect > DEFAULT_TOLERANCES.input_asymmetry * max(1.0, float(np.max(np.abs(a)))):
+            raise NotSymmetric(f"input asymmetry {defect:.3e} exceeds tolerance")
+        mean = (a + a.T) / 2.0
+    return mean if np.isfinite(mean).all() else np.where(np.isfinite(mean), mean, a / 2.0 + a.T / 2.0)
 
 
 def _floats(values, what: str) -> np.ndarray:
     """``np.asarray(values, dtype=float)``, but strings, or booleans alone,
-    are no numbers though float() reads them: one dtype test, no scan."""
+    are no numbers though float() reads them: one dtype test, no scan.  A
+    null, which float() would read as NaN, makes the array one of objects,
+    and only such an array is scanned for it."""
     kind = (array := np.asarray(values)).dtype.kind
     if kind in "bSU":
         raise ValueError(f"{what} must be numbers, not strings or booleans")
-    return array.astype(float, copy=False) if kind in "fiu" else np.asarray(values, dtype=float)
+    if kind in "fiu":
+        return array.astype(float, copy=False)
+    if kind == "O" and any(v is None for v in array.flat):
+        raise ValueError(f"{what} must be numbers, not null")
+    return np.asarray(values, dtype=float)
 
 
 def phase_vector(values, n: int | None = None) -> np.ndarray:

@@ -64,32 +64,33 @@ would leave in C.  K is factorized at z = 1 and its eigenvalues scaled by z,
 so one factorization serves every z of a Z that does not change with z.
 
 The path reads only Z and the cluster's A and Theta: never P, the eigenpairs
-of P that the closed form reads, or the cluster plan's eigh(A) and U.
+of P that the closed form reads, or the cluster plan's eigh(A) and U.  From
+``synthesis`` it imports only those two record types; its report is its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .matfun import as_complex_matrix, max_abs
-from .synthesis import ClusterPlan, CovarianceReport, InteractionMatrix, check_squeeze_budget
-from .tolerances import ErrorModel
+from .synthesis import ClusterPlan, InteractionMatrix
+from .tolerances import ErrorModel, check_squeeze_budget
 
 
 @dataclass(frozen=True)
-class OracleReport(CovarianceReport):
-    """Brute-force covariance with ``overlap``, the largest entry of G_+.
+class OracleReport:
+    """Brute-force covariance C = H H^T, its largest entry ``max_abs`` and
+    ``overlap``, the largest entry of G_+.  ``H`` is real: N x N when the
+    anti-squeezed half is left out, N x 2N when it is kept."""
 
-    ``H`` (and ``E``, the same array) is the real factor of C = H H^T: N x N
-    when the anti-squeezed half is left out, N x 2N when it is kept.  H is
-    real, so ``imag_residual`` is zero.
-    """
-
-    overlap: float = field(kw_only=True)
+    C: np.ndarray
+    H: np.ndarray
+    max_abs: float
+    overlap: float
 
 
 def quadrature_generator(Z, z: float) -> np.ndarray:

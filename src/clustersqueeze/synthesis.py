@@ -65,7 +65,7 @@ from .matfun import (
     polar_decompose_symmetric,
     symmetry_defect,
 )
-from .tolerances import DEFAULT_TOLERANCES, ErrorModel
+from .tolerances import DEFAULT_TOLERANCES, ErrorModel, check_squeeze_budget
 
 
 @dataclass(frozen=True)
@@ -139,19 +139,19 @@ class BogoliubovPair:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Nullifier covariance C = H H^dagger with its factor.
+    """Closed-form nullifier covariance C = H H^dagger with its factor.
 
     ``C`` is the real symmetric covariance as reported, ``max_abs`` its
-    largest entry.  ``H`` is the factor in the eigenbasis ``modes`` of P,
-    so E = H Q_P^dagger; without ``modes``, H is E itself.  E and
-    ``imag_residual``, the largest imaginary entry of H H^dagger and thus
-    the realness defect of the covariance, are formed on first read.
+    largest entry.  ``H`` is the complex factor in the eigenbasis ``modes``
+    of P, so E = H Q_P^dagger.  E and ``imag_residual``, the largest
+    imaginary entry of H H^dagger and thus the realness defect of the
+    covariance, are formed on first read.
     """
 
     C: np.ndarray
     H: np.ndarray
     max_abs: float
-    modes: np.ndarray | None = None
+    modes: np.ndarray
 
     @property
     def frobenius(self) -> float:
@@ -159,12 +159,10 @@ class CovarianceReport:
 
     @cached_property
     def E(self) -> np.ndarray:
-        return self.H if self.modes is None else self.H @ self.modes.conj().T
+        return self.H @ self.modes.conj().T
 
     @cached_property
     def imag_residual(self) -> float:
-        if not np.iscomplexobj(self.H):
-            return 0.0
         cross = self.H.imag @ self.H.real.T  # Im H H^dagger = cross - cross^T
         return symmetry_defect(cross)
 
@@ -274,9 +272,16 @@ class ClusterPlan:
         gate then judges the record's ``reality`` and ``asymmetry``: either
         residual above its :class:`ErrorModel` budget raises
         :class:`GaugeIncompatible`, so the rows built on P see no
-        incompatibility beyond the rounding they budget for.
+        incompatibility beyond the rounding they budget for.  The gate's test
+        matrix has entries up to kappa^2 max(eig P), kappa = 1 + max|lam(A)|
+        as in :class:`ErrorModel`; a bound past the float range is a
+        :class:`DomainError`, kappa^2 alone checked before the faithful
+        strengths square lam.
         """
+        kappa = 1.0 + float(np.max(np.abs(self.eigenvalues)))
+        _in_float_range(kappa * kappa, kappa)
         zm = self._plan(gauge, z)
+        _in_float_range(kappa * kappa * float(zm.strengths[-1]), kappa)
         model = ErrorModel.of(zm, 0.0)  # budgets free of z
         for name, residual in (("gauge_condition", zm.reality.residual), ("interaction_symmetric", zm.asymmetry)):
             if not residual <= model.budget(name):
@@ -325,6 +330,15 @@ class ClusterPlan:
                                  cluster=self, gauge=gauge)
 
 
+def _in_float_range(bound: float, kappa: float) -> None:
+    """Reject a gate whose test matrix bound kappa^2 max(eig P) overflows."""
+    if not bound < math.inf:
+        raise DomainError(
+            f"(1 + max|eig A|)^2 max(eig P) overflows double precision "
+            f"(max|eig A| = {kappa - 1.0:.3e}): the gauge gate cannot judge P"
+        )
+
+
 def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
     """Relative imaginary residual and largest entry of the test matrix
     (A + i 1) e^{i Theta} P e^{-i Theta} (A - i 1) of a finite P of the
@@ -340,15 +354,6 @@ def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
     # The test matrix vanishes only for P = 0, which is real.
     residual = max_abs(test.imag) / scale if scale else 0.0
     return GaugeCheck(residual=float(residual), scale=scale)
-
-
-def check_squeeze_budget(strength_max: float, z: float) -> None:
-    """Reject z * lambda_max beyond the double-precision cosh budget."""
-    if z * strength_max > DEFAULT_TOLERANCES.z_cap:
-        raise DomainError(
-            f"z * max squeezer strength = {z * strength_max:.2f} exceeds "
-            f"{DEFAULT_TOLERANCES.z_cap:.0f}; cosh would exhaust double precision"
-        )
 
 
 def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPair:
@@ -395,9 +400,7 @@ def _nullifier_frame(cluster: ClusterPlan, modes: np.ndarray) -> np.ndarray:
     return _real_product(cluster.A, rotated) + 1j * rotated
 
 
-def _frame_covariance(
-    frame: np.ndarray, strengths: np.ndarray, z: float, modes: np.ndarray | None = None
-) -> CovarianceReport:
+def _frame_covariance(frame: np.ndarray, strengths: np.ndarray, z: float, modes: np.ndarray) -> CovarianceReport:
     """C = H H^dagger with H = M e^{-z w}, for the frame M of ``modes``."""
     h = frame * np.exp(-z * strengths)[None, :]
     # Re H H^dagger from the float view [Re H, Im H] (columns interleaved):

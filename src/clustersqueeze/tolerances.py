@@ -1,7 +1,8 @@
 """Input thresholds and the error model that judges every check.
 
 The frozen :class:`Tolerances` record holds the thresholds that validate
-input and steer algorithms.  A check's verdict instead compares its residual
+input and steer algorithms; :func:`check_squeeze_budget` applies ``z_cap``
+to every squeezing scale.  A check's verdict instead compares its residual
 with a budget c * u * N * magnitude (Higham, *Accuracy and Stability of
 Numerical Algorithms*, 2002): u is the unit roundoff, N the mode count, the
 magnitude comes from the request's interaction record (:meth:`ErrorModel.of`),
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .errors import DomainError
 
 #: Unit roundoff of IEEE double precision.
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -52,6 +55,15 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def check_squeeze_budget(strength_max: float, z: float) -> None:
+    """Reject z * lambda_max beyond the double-precision cosh budget ``z_cap``."""
+    if z * strength_max > DEFAULT_TOLERANCES.z_cap:
+        raise DomainError(
+            f"z * max squeezer strength = {z * strength_max:.2f} exceeds "
+            f"{DEFAULT_TOLERANCES.z_cap:.0f}; cosh would exhaust double precision"
+        )
 
 #: check name -> (magnitude, c); each c counts three rounded stages for P
 #: (A A, eigh, product); the cluster plan's faithful P takes two of them.

@@ -38,8 +38,7 @@ from clustersqueeze.matfun import (
     symmetry_defect,
     unitarity_defect,
 )
-from clustersqueeze.synthesis import check_squeeze_budget
-from clustersqueeze.tolerances import DEFAULT_TOLERANCES
+from clustersqueeze.tolerances import DEFAULT_TOLERANCES, check_squeeze_budget
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("tier1")
@@ -245,7 +244,7 @@ def covariance_from_pair(cluster, pair):
     m = np.hstack([left.real, -left.imag]) @ s
     c = m @ m.T  # one same-buffer product (BLAS syrk): exactly symmetric
     mx, mp = m[:, :n], m[:, n:]
-    return CovarianceReport(C=c, H=-mx + 1j * mp, max_abs=max_abs(c))
+    return CovarianceReport(C=c, H=-mx + 1j * mp, max_abs=max_abs(c), modes=np.eye(n))
 
 
 class NotUnitary(ClusterSqueezeError):

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,23 @@ class TestSweep:
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         code, out, err = run_cli(["sweep", "--graph", graph, "--z-range", z_range], capsys)
         assert code == EXIT_INPUT and out == "" and "--z-range" in err
+
+    def test_start_rounding_to_zero_or_too_many_rows_exits_2(self, tmp_path, capsys):
+        """Every z is START + k STEP rounded to 12 decimals, so a START that
+        rounds to 0 is no positive z; a range past the row limit is refused
+        before any row is formed."""
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        over = f"1e-4:{(cli.MAX_SWEEP_ROWS + 1) * 1e-4!r}:1e-4"
+        for z_range, message in (("1e-13:0.3:0.1", "--z-range START rounds to 0 at 12 decimals"),
+                                  (over, f"--z-range asks for {cli.MAX_SWEEP_ROWS + 1} rows, more than")):
+            code, out, err = run_cli(["sweep", "--graph", graph, "--z-range", z_range], capsys)
+            assert code == EXIT_INPUT and out == "" and err.startswith(f"error: {message}")
+
+    def test_row_limit_admits_its_own_count(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 3)
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        assert run_cli(["sweep", "--graph", graph, "--z-range", "1:3:1"], capsys)[0] == EXIT_OK
+        assert run_cli(["sweep", "--graph", graph, "--z-range", "1:4:1"], capsys)[0] == EXIT_INPUT
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful"])
     def test_range_past_z_cap_computes_no_row(self, gauge, tmp_path, capsys, monkeypatch):
@@ -952,6 +970,20 @@ class TestMalformedInput:
                                        "'rows' and 'cols' must be integers"),
         "analyze-bundle-Z-re-text": ("analyze", "Z", {"rows": 2, "cols": 2, "re": EPR_TEXT},
                                      "'re' entries must be numbers"),
+        # a JSON null is no number either, though float() would make it NaN
+        "bundle-theta-null": ("verify", "theta", [None, 0.0], "phase angles must be numbers, not null"),
+        "bundle-P-re-null": ("verify", "P", {"rows": 2, "cols": 2, "re": [[None, 0.0], [0.0, 1.0]]},
+                             "'re' entries must be numbers, not null"),
+        "bundle-theta-2d": ("verify", "theta", [[0.0], [0.0]], "phases must form a 1-D vector"),
+        "bundle-z-null": ("verify", "z", None, "z must be positive and finite"),
+        "bundle-z-list": ("verify", "z", [1.0], "z must be positive and finite"),
+        # an asymmetric adjacency or Z is malformed input, not a numerical failure
+        "bundle-adjacency-asymmetric": ("verify", "adjacency", {"rows": 2, "cols": 2, "re": [[0.0, 1.5], [1.0, 0.0]]},
+                                        "input asymmetry 5.000e-01 exceeds tolerance"),
+        "analyze-bundle-Z-asymmetric": ("analyze", "Z", {"rows": 2, "cols": 2, "re": [[0, 1], [0.5, 0]]},
+                                        "symmetry defect 5.000e-01 exceeds tolerance"),
+        "decompose-bundle-Z-asymmetric": ("decompose", "Z", {"rows": 2, "cols": 2, "re": [[0, 1], [0.5, 0]]},
+                                          "symmetry defect 5.000e-01 exceeds tolerance"),
         # a JSON integer past a double's range is no traceback (exit 1)
         "bundle-theta-integer-overflow": ("verify", "theta", [10 ** 400, 0], "int too large to convert to float"),
         "bundle-P-integer-overflow": ("verify", "P", {"rows": 2, "cols": 2, "re": [[10 ** 400, 0], [0, 1]]},
@@ -1030,6 +1062,29 @@ class TestMalformedInput:
         code, out, err = run_cli(["verify", "--graph", graph], capsys)
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: line 1: mode count 1") and "too large" in err
+
+    @pytest.mark.parametrize("weight, command", [
+        ("1e155", ["verify"]),
+        ("1e155", ["synthesize", "--gauge", "faithful", "-z", "0.5"]),
+        ("1.5e308", ["verify"]),
+    ])
+    def test_weights_whose_squares_overflow_exit_numerical(self, weight, command, tmp_path, capsys):
+        """(1 + max|eig A|)^2 past the float range is a domain failure named
+        as such before any gauge is built, with no numpy warning."""
+        graph = write(tmp_path, "big.graph", f"2\n0 1 {weight}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli([*command, "--graph", graph], capsys)
+        assert code == cli.EXIT_NUMERICAL and out == "" and caught == []
+        assert err.startswith("error: (1 + max|eig A|)^2 max(eig P) overflows double precision")
+        assert err.count("\n") == 1
+
+    def test_weights_whose_squares_fit_verify(self, tmp_path, capsys):
+        graph = write(tmp_path, "big.graph", "2\n0 1 1e150\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(["verify", "--graph", graph], capsys)
+        assert code == EXIT_OK and err == "" and caught == []
 
     def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))

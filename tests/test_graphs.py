@@ -1,6 +1,7 @@
 """Tests for the cluster model and graph file I/O."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ class TestAdjacencyMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             adjacency_matrix(np.zeros((2, 3)))
+
+    def test_symmetrizes_without_overflow(self):
+        # a + a.T overflows for a pair past half the float range: halving
+        # first keeps the matrix finite, with no numpy warning, and an
+        # exactly symmetric input, -0.0 included, keeps its bits
+        exact = np.array([[-0.0, 1.5e308, 5e-324], [1.5e308, 1.0, -1.7e308], [5e-324, -1.7e308, -0.0]])
+        near = np.array([[0.0, 1.5e308], [np.nextafter(1.5e308, 0.0), 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = adjacency_matrix(exact), adjacency_matrix(near)
+        assert np.array_equal(a.view(np.uint64), exact.view(np.uint64))
+        assert np.isfinite(b).all() and np.array_equal(b, b.T)
+        assert b[0, 1] == 1.5e308 / 2.0 + np.nextafter(1.5e308, 0.0) / 2.0
 
 
 class TestPhaseVector:

@@ -176,7 +176,7 @@ class TestQuadratureFlow:
 
         monkeypatch.setattr(np.linalg, "eigh", marking)
         rep = covariance_oracle(cluster, zm, 1.3)
-        assert np.array_equal(rep.C, expected) and rep.E.shape == (5, 5)
+        assert np.array_equal(rep.C, expected) and rep.H.shape == (5, 5)
         assert (5, 10) in shapes  # G = [Re L, -Im L] V is derived from V
         assert (10, 10) not in shapes
 
@@ -247,8 +247,8 @@ class TestCovarianceOracle:
             assert brute.overlap <= ErrorModel.of(zm, z).budget("oracle_overlap")
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
             # the anti-squeezed half is left out: H is the real N x N factor
-            assert brute.E.shape == (n, n) and not np.iscomplexobj(brute.E)
-            assert np.max(np.abs(brute.C - brute.E @ brute.E.T)) <= 1e-8
+            assert brute.H.shape == (n, n) and not np.iscomplexobj(brute.H)
+            assert np.max(np.abs(brute.C - brute.H @ brute.H.T)) <= 1e-8
 
     def test_own_overlap_budget_covers_the_row(self):
         # the threshold the oracle derives from K's eigenvalues and ||A||_inf
@@ -277,7 +277,7 @@ class TestCovarianceOracle:
         mismatched = InteractionMatrix.from_matrix(random_symmetric_unitary(rng, n))
         for zm, columns in ((matched, n), (mismatched, 2 * n)):
             rep = covariance_oracle(cluster, zm, 1.3)
-            assert rep.E.shape == (n, columns)
+            assert rep.H.shape == (n, columns)
             assert np.array_equal(rep.C, rep.C.T)
         rep = covariance_from_pair(cluster, bogoliubov_from_interaction(matched, 1.3))
         assert np.array_equal(rep.C, rep.C.T)
@@ -309,7 +309,7 @@ class TestCovarianceOracle:
             sigma = zm.strengths
             own = ErrorModel.for_generator(cluster.A, np.concatenate([-sigma[::-1], sigma]))
             assert r3.overlap > 1e3 * own.budget("oracle_overlap")
-            assert r3.E.shape == (n, 2 * n)  # the anti-squeezed half is kept
+            assert r3.H.shape == (n, 2 * n)  # the anti-squeezed half is kept
             assert r4.max_abs > r3.max_abs
 
 

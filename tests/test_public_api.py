@@ -16,11 +16,17 @@ import pytest
 import clustersqueeze
 from clustersqueeze import (
     ClusterPlan,
+    DimensionMismatch,
     NotOrthogonal,
     bloch_messiah,
     bogoliubov_from_interaction,
     canonical_cluster_interferometer,
     cli,
+    cluster_condition_residual,
+    covariance_closed_form,
+    covariance_oracle,
+    matfun,
+    oracle,
     squeezer_spectrum,
 )
 from clustersqueeze.tolerances import CHECKS, ErrorModel, Tolerances
@@ -63,9 +69,18 @@ def test_no_test_only_public_names():
 
 
 def test_every_tolerance_is_read():
-    """A threshold whose uses all moved into the check table is not left behind."""
-    src = ROOT / "src" / "clustersqueeze"
-    texts = [f.read_text(encoding="utf-8") for f in src.glob("*.py") if f.name != "tolerances.py"]
+    """A threshold whose uses all moved into the check table is not left
+    behind.  Only the ``Tolerances`` class body, which defines the fields,
+    is no use: the rest of tolerances.py may read them."""
+    texts = []
+    for path in LIBRARY:
+        text = path.read_text(encoding="utf-8")
+        if path.name == "tolerances.py":
+            [body] = [node for node in ast.parse(text).body
+                      if isinstance(node, ast.ClassDef) and node.name == "Tolerances"]
+            lines = text.splitlines()
+            text = "\n".join(lines[:body.lineno - 1] + lines[body.end_lineno:])
+        texts.append(text)
     unread = [
         field.name
         for field in dataclasses.fields(Tolerances)
@@ -140,9 +155,9 @@ def test_module_layering():
 
 def test_the_oracle_reads_only_z_and_the_clusters_a_and_theta():
     """The brute-force path is independent of the closed form by its module
-    boundary: from ``synthesis`` it imports the plan and report types and
-    the squeeze budget only, of a cluster plan it reads A and theta, of an
-    interaction Z and n, and no eigenpair or product of either plan."""
+    boundary: from ``synthesis`` it imports the plan and record types only,
+    of a cluster plan it reads A and theta, of an interaction Z and n, and
+    no eigenpair or product of either plan."""
     tree = ast.parse((ROOT / "src" / "clustersqueeze" / "oracle.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -150,7 +165,7 @@ def test_the_oracle_reads_only_z_and_the_clusters_a_and_theta():
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             assert "synthesis" not in ast.unparse(node)
-    assert imported <= {"ClusterPlan", "CovarianceReport", "InteractionMatrix", "check_squeeze_budget"}
+    assert imported <= {"ClusterPlan", "InteractionMatrix"}
     read = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -218,6 +233,17 @@ LIBRARY_INPUT_ERRORS = {
                      "seed must be a real matrix"),
     "seed-shape": (lambda: canonical_cluster_interferometer(_plan(), np.eye(3)), ValueError,
                    "seed shape does not match the graph"),
+    "complex-matrix-ndim": (lambda: matfun.as_complex_matrix(np.ones(2)), ValueError,
+                            "expected a 2-D matrix, got ndim=1"),
+    "generator-negative-z": (lambda: oracle.quadrature_generator(np.eye(2), -1.0), ValueError,
+                             "squeezing scale z must be non-negative and finite"),
+    "oracle-infinite-z": (lambda: covariance_oracle(_plan(), _interaction(), math.inf), ValueError,
+                          "squeezing scale z must be non-negative and finite"),
+    "interferometer-shape": (lambda: cluster_condition_residual(np.eye(3), _plan()), ValueError,
+                             "interferometer shape does not match the graph"),
+    "closed-form-modes": (lambda: covariance_closed_form(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)),
+                                                         _interaction(), 1.0),
+                          DimensionMismatch, "graph has 3 modes, interaction has 2"),
 }
 
 

@@ -17,8 +17,9 @@ request that differs and exits 1 if any does, else 0.
 Slices, each containing the one before:
 
 * ``smoke``: every command on both routes at N = 2 for the identity,
-  faithful and custom gauges, in JSON, text and CSV, plus edited bundles
-  and a graph within the input tolerance of a perfect matching;
+  faithful and custom gauges, in JSON, text and CSV, plus edited bundles,
+  malformed inputs and a graph within the input tolerance of a perfect
+  matching;
 * ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at random
   phases;
 * ``full``: also every request of the seed-11 pass of the three perfbench
@@ -147,16 +148,24 @@ def _grid(replay: Replay, n: int) -> None:
         replay.run(f"{tag}/analyze-phases", ["analyze", "--interaction", bundle, "--phases", phases])
 
 
+ASYMMETRIC_Z = {"rows": 2, "cols": 2, "re": [[0, 1], [0.5, 0]]}
+
 #: bundle field -> edited value, each read by ``verify --interaction`` (and
-#: ``analyze`` for Z): text, booleans, fractions and integers past a double's
-#: range where numbers belong
+#: ``analyze`` and ``decompose`` for Z): text, booleans, nulls, fractions,
+#: integers past a double's range and lists where numbers belong, a theta of
+#: the wrong rank, and an asymmetric adjacency or Z
 EDITS = {
     "z-true": ("z", True),
     "z-text": ("z", "0.5"),
+    "z-null": ("z", None),
+    "z-list": ("z", [1.0]),
     "theta-text": ("theta", ["0.0", "0.0"]),
     "theta-false": ("theta", [False, False]),
     "theta-null": ("theta", [None, None]),
+    "theta-2d": ("theta", [[0.0], [0.0]]),
     "theta-integer-overflow": ("theta", [10 ** 400, 0]),
+    "adjacency-asymmetric": ("adjacency", {"rows": 2, "cols": 2, "re": [[0.0, 1.5], [1.0, 0.0]]}),
+    "Z-asymmetric": ("Z", ASYMMETRIC_Z),
     "adjacency-re-text": ("adjacency", {"rows": 2, "cols": 2, "re": [["0.0", "1.0"], ["1.0", "0.0"]]}),
     "adjacency-rows-fraction": ("adjacency", {"rows": 2.7, "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
     "adjacency-rows-text": ("adjacency", {"rows": "2", "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
@@ -165,9 +174,19 @@ EDITS = {
 }
 
 
+#: graph text -> argv after ``--graph``: weights whose squares overflow
+OVERFLOW = {
+    "1e155-verify": ("2\n0 1 1e155\n", ["verify"]),
+    "1e155-synthesize-faithful": ("2\n0 1 1e155\n", ["synthesize", "--gauge", "faithful", "-z", "0.5"]),
+    "1.5e308-verify": ("2\n0 1 1.5e308\n", ["verify"]),
+}
+
+
 def _edits(replay: Replay) -> None:
-    """Edited EPR bundles, and a graph whose A A is within the input
-    tolerance of 1 without equalling it."""
+    """Edited EPR bundles, a bare asymmetric Z, sweep ranges whose START
+    rounds to 0 or that ask for 100 001 rows, graphs whose weights' squares
+    overflow, and a graph whose A A is within the input tolerance of 1
+    without equalling it."""
     Path("epr.graph").write_text("2\n0 1 1.0\n", encoding="utf-8")
     replay.run("edit/synthesize", ["synthesize", "--graph", "epr.graph", "--out", "epr.json"])
     bundle = json.loads(Path("epr.json").read_text(encoding="utf-8"))
@@ -176,7 +195,16 @@ def _edits(replay: Replay) -> None:
         Path(path).write_text(json.dumps({**bundle, field: value}, indent=2) + "\n", encoding="utf-8")
         replay.run(f"edit/{name}/verify", ["verify", "--interaction", path])
         if field == "Z":
-            replay.run(f"edit/{name}/analyze", ["analyze", "--interaction", path])
+            for command in ("analyze", "decompose"):
+                replay.run(f"edit/{name}/{command}", [command, "--interaction", path])
+    Path("z-asymmetric.json").write_text(json.dumps(ASYMMETRIC_Z), encoding="utf-8")
+    for command in ("analyze", "decompose"):
+        replay.run(f"z-asymmetric/{command}", [command, "--interaction", "z-asymmetric.json"])
+    for name, z_range in (("start-rounds-to-0", "1e-13:0.3:0.1"), ("100001-rows", "1e-4:10.0001:1e-4")):
+        replay.run(f"sweep-range/{name}", ["sweep", "--graph", "epr.graph", "--z-range", z_range])
+    for name, (text, argv) in OVERFLOW.items():
+        Path(f"{name}.graph").write_text(text, encoding="utf-8")
+        replay.run(f"overflow/{name}", [*argv, "--graph", f"{name}.graph"])
     Path("near.graph").write_text("2\n0 1 1.00000000000004\n", encoding="utf-8")
     for z in ("0.5", "1", "2"):
         flags = ["--graph", "near.graph", "-z", z]
