@@ -59,7 +59,6 @@ from .synthesis import (
     squeezer_spectrum,
     unitary_from_adjacency,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "ClusterRecovery",
     "ClusterSqueezeError",
     "CovarianceReport",
-    "DEFAULT_TOLERANCES",
     "DimensionMismatch",
     "DomainError",
     "DuplicateEdge",
@@ -89,7 +87,6 @@ __all__ = [
     "SingularPhasePoint",
     "SqueezerMode",
     "SweepPoint",
-    "Tolerances",
     "adjacency_from_unitary",
     "adjacency_matrix",
     "analyze_interaction",

@@ -28,7 +28,7 @@ from .errors import SingularPhasePoint
 from .graphs import phase_vector
 from .matfun import as_complex_matrix, cayley_real, regularizing_angle
 from .synthesis import ClusterPlan, CovarianceReport, InteractionMatrix, covariance_closed_form
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import PHASE_ACCEPT, REGULAR_MIN
 
 
 class ClusterRecovery(NamedTuple):
@@ -60,10 +60,10 @@ def regularity_margin(U, theta) -> float:
 
 
 def _regular(u: np.ndarray, theta: np.ndarray, why: str) -> float:
-    """sigma_min at Theta, which must reach ``regular_min``; ``why`` ends the error."""
+    """sigma_min at Theta, which must reach ``REGULAR_MIN``; ``why`` ends the error."""
     margin = regularity_margin(u, theta)
-    if margin < DEFAULT_TOLERANCES.regular_min:
-        raise SingularPhasePoint(f"sigma_min = {margin:.3e} below {DEFAULT_TOLERANCES.regular_min:.1e}{why}")
+    if margin < REGULAR_MIN:
+        raise SingularPhasePoint(f"sigma_min = {margin:.3e} below {REGULAR_MIN:.1e}{why}")
     return margin
 
 
@@ -95,7 +95,7 @@ def adjacency_from_unitary(U, theta) -> np.ndarray:
 def find_regular_phases(U) -> tuple[np.ndarray, float]:
     """Equal phases c = alpha / 2 + pi / 4 that regularize U, with their
     sigma_min, from one ``eigvalsh`` and one SVD (see the module docstring);
-    a sigma_min below ``regular_min`` means U is not symmetric unitary, and
+    a sigma_min below ``REGULAR_MIN`` means U is not symmetric unitary, and
     raises :class:`SingularPhasePoint`."""
     u = as_complex_matrix(U)
     theta = _equal_phases(u)
@@ -115,9 +115,9 @@ def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> Cl
     u = zm.U
     chosen = phase_vector(np.zeros(zm.n) if theta is None else theta, zm.n)
     margin = input_margin = regularity_margin(u, chosen)
-    if replaced := input_margin < DEFAULT_TOLERANCES.phase_accept:
+    if replaced := input_margin < PHASE_ACCEPT:
         chosen, margin = find_regular_phases(u)
-    # Either margin reaches regular_min: phase_accept is above it, and
+    # Either margin reaches REGULAR_MIN: PHASE_ACCEPT is above it, and
     # find_regular_phases raises below it.  The cluster comes from U, so P,
     # whose P U is Z's symmetric part, is compatible with it by construction.
     cluster = _recovered_plan(u, chosen)

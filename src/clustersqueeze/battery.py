@@ -31,7 +31,7 @@ import numpy as np
 from . import blochmessiah, oracle, synthesis
 from .errors import OracleMismatch
 from .matfun import _symmetric_part, max_abs, unitarity_defect
-from .tolerances import ErrorModel, check_squeeze_budget
+from .tolerances import ErrorModel, check_squeeze_budget, positive_scale
 
 
 class Checked(NamedTuple):
@@ -145,7 +145,7 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
 
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
     gauge the max-entry norm decreases strictly in z.  The last z, where
-    z lambda_max is largest, is checked against ``z_cap`` before any other.
+    z lambda_max is largest, is checked against ``Z_CAP`` before any other.
     The modes of every gauge are z-free, so the nullifier frame M is formed
     once and each row costs one Gram product C = H H^dagger, H = M e^{-z w};
     only the faithful strengths depend on z, and the rows read them off the
@@ -161,9 +161,7 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
         raise ValueError("z_values must be non-empty") from None
     last = cluster.interaction(gauge, z_last)
     check_squeeze_budget(float(last.strengths[-1]), z_last)
-    zs = [float(z) for z in z_values]
-    if any(not (np.isfinite(z) and z > 0) for z in zs):
-        raise ValueError("z values must be positive and finite")
+    zs = [positive_scale(z) for z in z_values]
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
     faithful = last.gauge == "faithful"

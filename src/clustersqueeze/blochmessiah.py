@@ -38,7 +38,7 @@ from .analysis import _equal_phases, _recovered_plan
 from .errors import NotOrthogonal
 from .matfun import _spectral, as_complex_matrix, max_abs
 from .synthesis import ClusterPlan, InteractionMatrix
-from .tolerances import DEFAULT_TOLERANCES, check_squeeze_budget
+from .tolerances import ORTHOGONAL, check_squeeze_budget
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
     modes W O of a custom P.  Only Z alone recovers a plan, from U at the
     equal phases, and reads V = W O off its S_W.  D is the strengths of ``zm``.
     """
-    if not (np.isfinite(z) and z > 0):
-        raise ValueError("squeezing scale z must be positive and finite")
     w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
     cluster = _recovered_plan(zm.U, _equal_phases(zm.U)) if zm.cluster is None else zm.cluster
@@ -98,13 +96,13 @@ def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
     """
     a = cluster.A
     seed = np.asarray(O)
-    if np.iscomplexobj(seed) and max_abs(seed.imag) > DEFAULT_TOLERANCES.orthogonal:
+    if np.iscomplexobj(seed) and max_abs(seed.imag) > ORTHOGONAL:
         raise NotOrthogonal("seed must be a real matrix")
     o = np.asarray(seed.real, dtype=float)
     if o.shape != a.shape:
         raise ValueError("seed shape does not match the graph")
     defect = max_abs(o @ o.T - np.eye(a.shape[0]))
-    if defect > DEFAULT_TOLERANCES.orthogonal:
+    if defect > ORTHOGONAL:
         raise NotOrthogonal(f"seed orthogonality defect {defect:.3e}")
     return cluster.interferometer @ (cluster.frame.T @ (np.exp(1j * cluster.theta)[:, None] * o))
 

@@ -56,12 +56,13 @@ number the JSON carries.  Its checks come from :mod:`clustersqueeze.battery`.
 
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
 (a malformed file or bundle field, an asymmetric adjacency or Z among them,
-a gauge of the wrong shape, a --z-range past :data:`MAX_SWEEP_ROWS` rows, or
-an --out that cannot be opened or written), 3 rejected
-gauge (incompatible, not Hermitian, not positive definite or numerically
-singular), 4 numerical failure (a singular interaction matrix, z beyond
-z_cap, weights whose squares overflow, or a structure factor that no phases
-regularize).
+a gauge or phase vector of the wrong shape, each naming its file, a
+--z-range past :data:`MAX_SWEEP_ROWS` rows, or an --out that cannot be
+opened or written), 3 rejected gauge (incompatible, not Hermitian, not
+positive definite or numerically singular), 4 numerical failure (a singular
+interaction matrix, z beyond Z_CAP, faithful strengths that overflow at a
+tiny z, weights whose squares overflow, or a structure factor that no
+phases regularize).
 """
 
 from __future__ import annotations
@@ -206,15 +207,16 @@ def _top_level_fields(text: str, fields) -> dict | None:
 
 def _checked(what: str, build, *args):
     """``build(*args)``; a ``ValueError``, ``TypeError`` or ``OverflowError``
-    (an input check, a JSON value of the wrong type or range) or a
-    ``NotSymmetric`` input is an input error about ``what``; other library
+    (an input check, a JSON value of the wrong type or range), a
+    ``NotSymmetric`` input or a ``DimensionMismatch`` (a vector or matrix of
+    the wrong size) is an input error about ``what``; other library
     errors and ``LinAlgError`` stay numerical.  No builder wrapped here
     gates a gauge, so ``GaugeIncompatible`` keeps its own exit code."""
     try:
         return build(*args)
     except np.linalg.LinAlgError:
         raise
-    except (NotSymmetric, OverflowError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, NotSymmetric, OverflowError, TypeError, ValueError) as exc:
         raise _InputError(f"{what}: {exc}") from None
 
 
@@ -248,29 +250,26 @@ def load_phases(spec: str, n: int) -> np.ndarray:
     return _checked(spec, phase_vector, values, n)
 
 
-def _load_gauge(spec: str | None):
-    """--gauge value (default identity): the name for the report and the
-    selector of :meth:`~clustersqueeze.synthesis.ClusterPlan.interaction`,
-    'identity', 'faithful' or the matrix in custom:PATH."""
-    spec = "identity" if spec is None else spec
-    if spec in ("identity", "faithful"):
-        return spec, spec
-    if spec.startswith("custom:"):
-        path = spec[len("custom:"):]
-        return "custom", matrix_from_json(_load_json(path), path)
-    raise _InputError(
-        f"unknown gauge {spec!r}; use identity, faithful or custom:PATH"
-    )
-
-
 def _load_cluster(args):
-    """The plan of the cluster in --graph at --phases, and :func:`_load_gauge`
-    of --gauge."""
+    """The plan of the cluster in --graph at --phases, and of --gauge (default
+    identity) the name for the report and the selector of
+    :meth:`~clustersqueeze.synthesis.ClusterPlan.interaction`: 'identity',
+    'faithful' or the matrix in custom:PATH, of the graph's shape."""
     if args.graph is None:
         raise _InputError("provide --interaction or --graph")
     a = parse_graph(_read_text(args.graph))
     theta = load_phases(args.phases or "zero", a.shape[0])
-    return (synthesis.ClusterPlan.of(a, theta), *_load_gauge(args.gauge))
+    cluster = synthesis.ClusterPlan.of(a, theta)
+    spec = "identity" if args.gauge is None else args.gauge
+    if spec in ("identity", "faithful"):
+        return cluster, spec, spec
+    if not spec.startswith("custom:"):
+        raise _InputError(f"unknown gauge {spec!r}; use identity, faithful or custom:PATH")
+    path = spec[len("custom:"):]
+    p = matrix_from_json(_load_json(path), path)
+    if p.shape != a.shape:
+        raise _InputError(f"{path}: P not of shape {a.shape}")
+    return cluster, "custom", p
 
 
 # --------------------------------------------------------------------------
@@ -630,20 +629,15 @@ def cmd_verify(args) -> tuple[int, dict]:
         adjacency = matrix_from_json(bundle["adjacency"], path)
         cluster = _checked(path, synthesis.ClusterPlan.of, adjacency, bundle["theta"])
         z = _scale(bundle["z"], f"{path}: z")
-        p = matrix_from_json(bundle["P"], path)
-        stored = {key: matrix_from_json(bundle[key], path) for key in matrices if key in bundle}
+        stored = {key: matrix_from_json(bundle[key], path) for key in ("P", *matrices) if key in bundle}
         wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
         if wrong:
             raise _InputError(f"{path}: {', '.join(wrong)} not of shape {cluster.A.shape}")
         # a built-in gauge is planned by its name, as on the graph route, and
         # its stored P compared; any other gauge is the stored P itself
         gauge = bundle["gauge"]
-        if gauge in ("identity", "faithful"):
-            if p.shape != cluster.A.shape:
-                raise DimensionMismatch("gauge factor shape does not match the graph")
-            stored = {"P": p, **stored}
-        else:
-            gauge = p
+        if gauge not in ("identity", "faithful"):
+            gauge = stored.pop("P")
     else:
         z, stored = _z(args), None
         cluster, _, gauge = _load_cluster(args)

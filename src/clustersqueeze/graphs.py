@@ -35,7 +35,7 @@ from .errors import (
     NotSymmetric,
     ParseError,
 )
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import INPUT_ASYMMETRY
 
 
 def adjacency_matrix(values) -> np.ndarray:
@@ -54,7 +54,7 @@ def adjacency_matrix(values) -> np.ndarray:
         raise ValueError("adjacency weights must be finite")
     with np.errstate(over="ignore"):  # a pair beyond half the float range
         defect = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if defect > DEFAULT_TOLERANCES.input_asymmetry * max(1.0, float(np.max(np.abs(a)))):
+        if defect > INPUT_ASYMMETRY * max(1.0, float(np.max(np.abs(a)))):
             raise NotSymmetric(f"input asymmetry {defect:.3e} exceeds tolerance")
         mean = (a + a.T) / 2.0
     return mean if np.isfinite(mean).all() else np.where(np.isfinite(mean), mean, a / 2.0 + a.T / 2.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonRealResult, NotSymmetric, SingularInput
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import REALNESS, RTOL, SINGULAR
 
 
 def as_complex_matrix(values) -> np.ndarray:
@@ -91,7 +91,7 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     the one SVD Z = Q diag(sigma) V^dagger, and U = Q V^dagger.  The SVD
     keeps U unitary to rounding whatever cond(P) is; the eigenvectors of
     Z Z^dagger would square it (Higham, *Functions of Matrices*, 2008, ch. 8).
-    The asymmetry the ``rtol`` gate lets through is dropped: the tuple's
+    The asymmetry the ``RTOL`` gate lets through is dropped: the tuple's
     ``part``, Z's symmetric part, is split, so U is symmetric to rounding.
 
     Raises :class:`NotSymmetric` for asymmetric input and
@@ -101,17 +101,17 @@ def polar_decompose_symmetric(z) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     """
     zm = as_complex_matrix(z)
     scale = max(1.0, max_abs(zm))
-    if symmetry_defect(zm) > DEFAULT_TOLERANCES.rtol * scale:
+    if symmetry_defect(zm) > RTOL * scale:
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(zm):.3e} exceeds tolerance"
         )
     part = _symmetric_part(zm, zm.T)
     w, s, vh = np.linalg.svd(part)
     sigma, q = s[::-1], w[:, ::-1]
-    if sigma[-1] == 0.0 or sigma[0] < DEFAULT_TOLERANCES.singular * sigma[-1]:
+    if sigma[-1] == 0.0 or sigma[0] < SINGULAR * sigma[-1]:
         raise SingularInput(
             f"sigma_min/sigma_max = {sigma[0]:.3e}/{sigma[-1]:.3e} below "
-            f"threshold {DEFAULT_TOLERANCES.singular:.1e}"
+            f"threshold {SINGULAR:.1e}"
         )
     p = _spectral(q, sigma)
     p = (p + p.conj().T) / 2.0
@@ -131,7 +131,7 @@ def cayley_real(w: np.ndarray) -> np.ndarray:
     eye = np.eye(w.shape[0])
     k = -1j * np.linalg.solve(w + 1j * eye, w - 1j * eye)
     defect = realness_defect(k)
-    if defect > DEFAULT_TOLERANCES.realness * max(1.0, max_abs(k)):
+    if defect > REALNESS * max(1.0, max_abs(k)):
         raise NonRealResult(
             f"imaginary residual {defect:.3e}; input was not symmetric "
             "unitary to sufficient accuracy"

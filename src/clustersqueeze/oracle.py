@@ -60,8 +60,10 @@ budget of a model built from its own data (the eigenvalues +-sigma(Z) of K and
 an A-only bound on ||A + i||); above it the anti-squeezed half is kept, so a
 mismatched Z still shows its growing covariance.  Dropping the half removes
 the terms of size u e^{2 z lambda_max} that a flow of size e^{z lambda_max}
-would leave in C.  K is factorized at z = 1 and its eigenvalues scaled by z,
-so one factorization serves every z of a Z that does not change with z.
+would leave in C.  K is built and factorized at z = 1
+(:func:`quadrature_generator`) and its eigenvalues scaled by z, so one
+factorization serves every z of a Z that does not change with z.  Each z
+passes the library's one scale rule and the squeeze budget first.
 
 The path reads only Z and the cluster's A and Theta: never P, the eigenpairs
 of P that the closed form reads, or the cluster plan's eigh(A) and U.  From
@@ -93,19 +95,20 @@ class OracleReport:
     overlap: float
 
 
-def quadrature_generator(Z, z: float) -> np.ndarray:
-    """Real generator K = T^-1 G T of the quadrature flow, built blockwise."""
+def quadrature_generator(Z) -> np.ndarray:
+    """Real generator K = T^-1 G T of the quadrature flow at z = 1, its
+    blocks filled in place; the flow at scale z is exp(z K)."""
     m = as_complex_matrix(Z)
-    if not (np.isfinite(z) and z >= 0):
-        raise ValueError("squeezing scale z must be non-negative and finite")
-    re = z * m.real
-    im = z * m.imag
-    return np.block([[im, -re], [-re, -im]])
+    n = m.shape[0]
+    k = np.empty((2 * n, 2 * n))
+    k[:n, :n], k[n:, n:] = m.imag, -m.imag
+    k[:n, n:] = k[n:, :n] = -m.real
+    return k
 
 
-def _generator_eigh(zm: InteractionMatrix, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) with K = V diag(w) V^T for the symmetric part of Z, w ascending."""
-    return np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0, z))
+def _generator_eigh(zm: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) with K = V diag(w) V^T at z = 1 for the symmetric part of Z, w ascending."""
+    return np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0))
 
 
 def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix, z: float) -> OracleReport:
@@ -138,7 +141,7 @@ def _covariance_oracles(
     n = cluster.A.shape[0]
     if n != zm.n:
         raise DimensionMismatch(f"graph has {n} modes, interaction has {zm.n}")
-    w, v = _generator_eigh(zm, 1.0)
+    w, v = _generator_eigh(zm)
     c, s = np.cos(cluster.theta)[:, None], np.sin(cluster.theta)[:, None]
     vx, vp = v[:n], v[n:]
     g = cluster.A @ (s * vp - c * vx) + (s * vx + c * vp)
@@ -147,8 +150,6 @@ def _covariance_oracles(
         g = g[:, :n]
     reports = []
     for z in zs:
-        if not (np.isfinite(z) and z >= 0):
-            raise ValueError("squeezing scale z must be non-negative and finite")
         check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
         h = g * np.exp(z * w[: g.shape[1]])[None, :]
         cov = h @ h.T  # one same-buffer product (BLAS syrk): exactly symmetric

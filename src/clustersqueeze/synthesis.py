@@ -65,7 +65,7 @@ from .matfun import (
     polar_decompose_symmetric,
     symmetry_defect,
 )
-from .tolerances import DEFAULT_TOLERANCES, ErrorModel, check_squeeze_budget
+from .tolerances import RTOL, SINGULAR, ErrorModel, check_squeeze_budget, positive_scale
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ class ClusterPlan:
         matrix has entries up to kappa^2 max(eig P), kappa = 1 + max|lam(A)|
         as in :class:`ErrorModel`; a bound past the float range is a
         :class:`DomainError`, kappa^2 alone checked before the faithful
-        strengths square lam.
+        strengths square lam, as are faithful strengths past it.
         """
         kappa = 1.0 + float(np.max(np.abs(self.eigenvalues)))
         _in_float_range(kappa * kappa, kappa)
@@ -293,11 +293,15 @@ class ClusterPlan:
 
     def faithful_strengths(self, z: float | None) -> np.ndarray:
         """1 + ln(1 + lam^2) / (2 z) in the order of ``by_magnitude``: the
-        faithful gauge's strengths, the only ones that depend on z."""
-        if z is None or not (np.isfinite(z) and z > 0):
-            raise ValueError("squeezing scale z must be positive and finite")
+        faithful gauge's strengths, the only ones that depend on z.  A z so
+        small that a strength overflows is a :class:`DomainError`."""
+        z = positive_scale(z)
         lam = self.by_magnitude[0]
-        return 1.0 + np.log1p(lam * lam) / (2.0 * z)
+        with np.errstate(over="ignore"):
+            w = 1.0 + np.log1p(lam * lam) / (2.0 * z)
+        if not np.all(np.isfinite(w)):
+            raise DomainError(f"faithful strengths 1 + ln(1 + lam^2) / (2 z) overflow at z = {z!r}")
+        return w
 
     def _plan(self, gauge, z: float | None) -> InteractionMatrix:
         """The record of Z = P U, P Hermitian with its eigenpairs, for any gauge of this plan."""
@@ -306,7 +310,7 @@ class ClusterPlan:
             if np.shape(gauge) != self.A.shape:
                 raise DimensionMismatch("gauge factor shape does not match the graph")
             p = as_complex_matrix(gauge)
-            if hermiticity_defect(p) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(p)):
+            if hermiticity_defect(p) > RTOL * max(1.0, max_abs(p)):
                 raise NotHermitian("gauge factor is not Hermitian")
             p = (p + p.conj().T) / 2.0
             w, modes = self.eigenpairs(p)
@@ -321,7 +325,7 @@ class ClusterPlan:
             p = (p + p.conj().T) / 2.0
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
-        if not w[0] > DEFAULT_TOLERANCES.singular * w[-1]:
+        if not w[0] > SINGULAR * w[-1]:
             raise NotPositiveDefinite(
                 f"gauge factor has min eigenvalue {w[0]:.3e}: not positive definite "
                 "or numerically singular"
@@ -357,13 +361,8 @@ def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
 
 
 def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPair:
-    """Bogoliubov blocks of the squeezing transformation at scale z >= 0.
-
-    z = 0 is the identity transformation (X = 1, Y = 0) and is accepted as a
-    boundary case.
-    """
-    if not (np.isfinite(z) and z >= 0):
-        raise ValueError("squeezing scale z must be non-negative and finite")
+    """Bogoliubov blocks X = cosh(z P) and Y = -i sinh(z P) U of the
+    squeezing transformation at a scale z > 0 within the squeeze budget."""
     w, q = zm.strengths, zm.modes
     check_squeeze_budget(float(w[-1]), z)
     x = _spectral(q, np.cosh(z * w))
@@ -387,8 +386,7 @@ def covariance_closed_form(
     gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z}, self-inverse graphs
     2 e^{-2z} 1) are consequences used as test oracles, not branches.
     """
-    if not (np.isfinite(z) and z > 0):
-        raise ValueError("squeezing scale z must be positive and finite")
+    positive_scale(z)
     if cluster.A.shape[0] != zm.n:
         raise DimensionMismatch(f"graph has {cluster.A.shape[0]} modes, interaction has {zm.n}")
     return _frame_covariance(_nullifier_frame(cluster, zm.modes), zm.strengths, z, zm.modes)
@@ -417,8 +415,6 @@ def squeezer_spectrum(zm: InteractionMatrix, z: float) -> list[SqueezerMode]:
     single-mode squeezers in the interferometer decomposition; returned in
     ascending order.
     """
-    if not (np.isfinite(z) and z >= 0):
-        raise ValueError("squeezing scale z must be non-negative and finite")
     w = zm.strengths
     check_squeeze_budget(float(w[-1]), z)
     return [

@@ -1,18 +1,20 @@
 """Input thresholds and the error model that judges every check.
 
-The frozen :class:`Tolerances` record holds the thresholds that validate
-input and steer algorithms; :func:`check_squeeze_budget` applies ``z_cap``
-to every squeezing scale.  A check's verdict instead compares its residual
-with a budget c * u * N * magnitude (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2002): u is the unit roundoff, N the mode count, the
-magnitude comes from the request's interaction record (:meth:`ErrorModel.of`),
-and c is 4 per rounded stage (a factorization, solve or N-term matrix
-product, each adding at most gamma_N ~ N u) between the inputs and the
-residual; the 4 covers complex arithmetic (sqrt(2) gamma_{N+2}, Lemma 3.5).
-The budgets of the two gauge-compatibility checks also gate the input, so a
-gauge that passes the gate passes those checks.  The Bloch-Messiah factors
-come from a cluster plan's real eigendecomposition for every gauge, so no
-budget holds an eigen-gap or a spread of near-equal strengths.
+Module constants hold the thresholds that validate input and steer
+algorithms; no option changes them.  :func:`positive_scale` states the one
+rule for a squeezing scale, a finite z > 0, and :func:`check_squeeze_budget`
+adds ``Z_CAP`` wherever cosh(z P) is formed.  A check's verdict compares its
+residual with a budget c * u * N * magnitude (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002): u is the unit roundoff, N the
+mode count, the magnitude comes from the request's interaction record
+(:meth:`ErrorModel.of`), and c is 4 per rounded stage (a factorization,
+solve or N-term matrix product, each adding at most gamma_N ~ N u) between
+the inputs and the residual; the 4 covers complex arithmetic (sqrt(2)
+gamma_{N+2}, Lemma 3.5).  The budgets of the two gauge-compatibility checks
+also gate the input, so a gauge that passes the gate passes those checks.
+The Bloch-Messiah factors come from a cluster plan's real
+eigendecomposition for every gauge, so no budget holds an eigen-gap or a
+spread of near-equal strengths.
 """
 
 from __future__ import annotations
@@ -27,43 +29,46 @@ from .errors import DomainError
 
 #: Unit roundoff of IEEE double precision.
 UNIT_ROUNDOFF = 2.0 ** -53
+#: relative asymmetry of a bare Z, and non-Hermiticity of a custom P, that
+#: the input checks let through to the part they keep
+RTOL = 1e-9
+#: sigma_min / sigma_max below which a matrix counts as singular; a gauge
+#: factor's lambda_min must exceed it times lambda_max, which also makes the
+#: gauge positive definite
+SINGULAR = 1e-10
+#: largest tolerated asymmetry of a raw adjacency input
+INPUT_ASYMMETRY = 1e-12
+#: sigma_min at which analyze keeps the supplied phases; below it the
+#: closed-form phases of ``find_regular_phases`` replace them
+PHASE_ACCEPT = 1e-6
+#: sigma_min required of the inverse relation at any phases, supplied or
+#: closed-form
+REGULAR_MIN = 1e-8
+#: imaginary residual allowed in a recovered adjacency matrix
+REALNESS = 1e-8
+#: residual of O @ O.T - 1 allowed for a real orthogonal seed
+ORTHOGONAL = 1e-12
+#: reject z * max(eig P) beyond this (cosh overflows double precision)
+Z_CAP = 30.0
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    #: relative asymmetry of a bare Z, and non-Hermiticity of a custom P,
-    #: that the input checks let through to the part they keep
-    rtol: float = 1e-9
-    #: sigma_min / sigma_max below which a matrix counts as singular; a gauge
-    #: factor's lambda_min must exceed it times lambda_max, which also makes
-    #: the gauge positive definite
-    singular: float = 1e-10
-    #: largest tolerated asymmetry of a raw adjacency input
-    input_asymmetry: float = 1e-12
-    #: sigma_min at which analyze keeps the supplied phases; below it the
-    #: closed-form phases of ``find_regular_phases`` replace them
-    phase_accept: float = 1e-6
-    #: sigma_min required of the inverse relation at any phases, supplied
-    #: or closed-form
-    regular_min: float = 1e-8
-    #: imaginary residual allowed in a recovered adjacency matrix
-    realness: float = 1e-8
-    #: residual of O @ O.T - 1 allowed for a real orthogonal seed
-    orthogonal: float = 1e-12
-    #: reject z * max(eig P) beyond this (cosh overflows double precision)
-    z_cap: float = 30.0
-
-
-DEFAULT_TOLERANCES = Tolerances()
+def positive_scale(z) -> float:
+    """The squeezing scale z as a float; anything but a finite z > 0 (None
+    too) is a ``ValueError``.  Every function that takes z checks it here."""
+    if z is None or not (np.isfinite(z) and z > 0):
+        raise ValueError("squeezing scale z must be positive and finite")
+    return float(z)
 
 
 def check_squeeze_budget(strength_max: float, z: float) -> None:
-    """Reject z * lambda_max beyond the double-precision cosh budget ``z_cap``."""
-    if z * strength_max > DEFAULT_TOLERANCES.z_cap:
+    """Check z (:func:`positive_scale`), then reject z * lambda_max beyond
+    the double-precision cosh budget ``Z_CAP``."""
+    zl = float(positive_scale(z) * strength_max)
+    if zl > Z_CAP:
         raise DomainError(
-            f"z * max squeezer strength = {z * strength_max:.2f} exceeds "
-            f"{DEFAULT_TOLERANCES.z_cap:.0f}; cosh would exhaust double precision"
+            f"z * max squeezer strength = {zl!r} exceeds {Z_CAP:.0f}; cosh would exhaust double precision"
         )
+
 
 #: check name -> (magnitude, c); each c counts three rounded stages for P
 #: (A A, eigh, product); the cluster plan's faithful P takes two of them.

@@ -38,7 +38,7 @@ from clustersqueeze.matfun import (
     symmetry_defect,
     unitarity_defect,
 )
-from clustersqueeze.tolerances import DEFAULT_TOLERANCES, check_squeeze_budget
+from clustersqueeze.tolerances import REGULAR_MIN, RTOL, check_squeeze_budget
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("tier1")
@@ -158,9 +158,9 @@ def reference_gauge_faithful(A, theta, z):
 
 
 def reference_quadrature_flow(Z, z):
-    """The quadrature flow exp(K) by scipy's scaling and squaring, as the
+    """The quadrature flow exp(z K) by scipy's scaling and squaring, as the
     oracle computed it before the ``eigh`` of K."""
-    return scipy.linalg.expm(oracle.quadrature_generator(Z, z))
+    return scipy.linalg.expm(z * oracle.quadrature_generator(Z))
 
 
 # Second routes to the library's results.  The library neither calls nor
@@ -179,11 +179,11 @@ def squeezing_generator(Z, z):
 
 
 def quadrature_flow(zm, z):
-    """Real symplectic 2N x 2N flow S = exp(K) = V diag(e^w) V^T from the
-    oracle's one ``eigh`` of K."""
-    w, v = oracle._generator_eigh(zm, z)
-    check_squeeze_budget(float(w[-1]), 1.0)  # w[-1] is z * lambda_max
-    return _spectral(v, np.exp(w))
+    """Real symplectic 2N x 2N flow S = exp(z K) = V diag(e^{z w}) V^T from
+    the oracle's one ``eigh`` of K at z = 1."""
+    w, v = oracle._generator_eigh(zm)
+    check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
+    return _spectral(v, np.exp(z * w))
 
 
 def bogoliubov_oracle(zm, z):
@@ -257,15 +257,15 @@ DEGENERACY = 1e-8
 
 
 def _symmetric_unitary(s) -> np.ndarray:
-    """S as a complex matrix, checked unitary (``rtol`` N) and symmetric
-    (``rtol`` max(1, max|S|))."""
+    """S as a complex matrix, checked unitary (``RTOL`` N) and symmetric
+    (``RTOL`` max(1, max|S|))."""
     sm = as_complex_matrix(s)
     n = sm.shape[0]
-    if unitarity_defect(sm) > DEFAULT_TOLERANCES.rtol * n:
+    if unitarity_defect(sm) > RTOL * n:
         raise NotUnitary(
             f"unitarity defect {unitarity_defect(sm):.3e} exceeds tolerance"
         )
-    if symmetry_defect(sm) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(sm)):
+    if symmetry_defect(sm) > RTOL * max(1.0, max_abs(sm)):
         raise NotSymmetric(
             f"symmetry defect {symmetry_defect(sm):.3e} exceeds tolerance"
         )
@@ -333,11 +333,11 @@ def adjacency_from_k(K):
     k = np.asarray(K, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("angle matrix must be square")
-    if symmetry_defect(k) > DEFAULT_TOLERANCES.rtol * max(1.0, max_abs(k)):
+    if symmetry_defect(k) > RTOL * max(1.0, max_abs(k)):
         raise NotSymmetric("angle matrix must be real symmetric")
     w, q = np.linalg.eigh((k + k.T) / 2.0)
     denom = 1.0 + np.sin(w)
-    if float(np.min(np.abs(denom))) < DEFAULT_TOLERANCES.regular_min:
+    if float(np.min(np.abs(denom))) < REGULAR_MIN:
         raise SingularPhasePoint(
             "an eigen-angle of K sits at -pi/2, where the inverse relation "
             "is singular"

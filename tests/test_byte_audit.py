@@ -4,6 +4,8 @@ finds nothing, and its comparison names every field that differs."""
 import importlib.util
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,3 +46,23 @@ def test_the_comparison_names_each_difference():
         "gone: only in the old tree",
         "added: only in the new tree",
     ]
+
+
+def test_a_warning_reads_the_same_from_any_tree(tmp_path):
+    """A warning names the module that raised it by its path; the record
+    holds ``<tree>`` in its place, and every request shows its warnings,
+    however many came before."""
+    def player(tree):
+        def main(argv):
+            warnings.warn_explicit("overflow encountered in divide", RuntimeWarning,
+                                   f"{tree}/clustersqueeze/synthesis.py", 7)
+            return 4
+
+        replay = _tool().Replay(types.SimpleNamespace(__file__=str(tree / "clustersqueeze" / "cli.py"), main=main))
+        for rid in ("first", "second"):
+            replay.run(rid, ["verify"])
+        return replay.records
+
+    old, new = player(tmp_path / "old"), player(tmp_path / "new")
+    assert old == new and old["first"]["stderr"] == old["second"]["stderr"]
+    assert old["first"]["stderr"].startswith("<tree>/clustersqueeze/synthesis.py:7: RuntimeWarning: overflow")

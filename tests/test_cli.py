@@ -907,7 +907,7 @@ class TestMalformedCustomGauge:
             )
             assert code == EXIT_INPUT, p.shape
             assert out == ""
-            assert "gauge factor shape does not match the graph" in err
+            assert err == f"error: {path}: P not of shape (2, 2)\n"
 
 
 @pytest.mark.parametrize("z", ["1", "29"])
@@ -932,7 +932,7 @@ EPR_TEXT = [["0.0", "1.0"], ["1.0", "0.0"]]
 
 class TestMalformedInput:
     """Input that fails validation exits 2 with a message naming the file;
-    exit 4 stays for numerical failures (a singular Z, z beyond z_cap)."""
+    exit 4 stays for numerical failures (a singular Z, z beyond Z_CAP)."""
 
     # case -> (command, bundle field or None for a phase file, value or the
     # phase file's text, message)
@@ -988,6 +988,9 @@ class TestMalformedInput:
         "bundle-theta-integer-overflow": ("verify", "theta", [10 ** 400, 0], "int too large to convert to float"),
         "bundle-P-integer-overflow": ("verify", "P", {"rows": 2, "cols": 2, "re": [[10 ** 400, 0], [0, 1]]},
                                       "int too large to convert to float"),
+        # a vector or matrix of the wrong size names its file, as U does
+        "bundle-theta-three-phases": ("verify", "theta", [0.0, 0.0, 0.0], "expected 2 phases, got 3"),
+        "bundle-P-3x3": ("verify", "P", matrix_to_json(np.eye(3)), "P not of shape (2, 2)"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1086,6 +1089,41 @@ class TestMalformedInput:
             code, _, err = run_cli(["verify", "--graph", graph], capsys)
         assert code == EXIT_OK and err == "" and caught == []
 
+    @pytest.mark.parametrize("z", ["5e-324", "1e-320", "1e-309"])
+    def test_faithful_strengths_that_overflow_exit_numerical(self, z, tmp_path, capsys):
+        """At a subnormal z, ln(1 + lam^2) / (2 z) overflows: a domain
+        failure named as such, not a rejected gauge, with no numpy warning."""
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["verify", "--graph", graph, "--gauge", "faithful", "-z", z], capsys)
+        assert code == cli.EXIT_NUMERICAL and out == "" and caught == []
+        assert err == f"error: faithful strengths 1 + ln(1 + lam^2) / (2 z) overflow at z = {float(z)!r}\n"
+
+    def test_faithful_strengths_too_far_apart_exit_gauge(self, tmp_path, capsys):
+        """A path's lam = 0 keeps strength 1 while the others reach 5e299 at
+        z = 1e-300: finite, but numerically singular (exit 3)."""
+        graph = write(tmp_path, "path.graph", "3\n0 1 1.0\n1 2 1.0\n")
+        code, out, err = run_cli(["verify", "--graph", graph, "--gauge", "faithful", "-z", "1e-300"], capsys)
+        assert code == cli.EXIT_GAUGE and out == "" and "numerically singular" in err
+
+    def test_the_squeeze_budget_shows_the_product_it_rejects(self, tmp_path, capsys):
+        """The product z lambda_max is shown by its shortest repr, so it reads
+        above the cap.  verify's first budget is the oracle's, whose
+        lambda_max is an eigenvalue of K, 1 to rounding on EPR."""
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        pattern = r"error: z \* max squeezer strength = (\S+) exceeds 30; cosh would exhaust double precision\n"
+        for args, shown in ((["decompose", "--graph", graph, "-z", "30.001"], "30.001"),
+                            (["verify", "--graph", graph, "-z", "30.001"], None),
+                            (["sweep", "--graph", graph, "--z-range", "1:1e300:1"], "1e+300")):
+            code, out, err = run_cli(args, capsys)
+            assert code == cli.EXIT_NUMERICAL and out == ""
+            number = re.fullmatch(pattern, err).group(1)
+            if shown is None:
+                assert number == repr(float(number)) and float(number) == pytest.approx(30.001, rel=1e-15)
+            else:
+                assert number == shown
+
     def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))
         code, _, err = run_cli(["analyze", "--interaction", path], capsys)
@@ -1158,10 +1196,11 @@ class TestUsage:
         bundle = tmp_path / "b.json"
         assert run_cli(["synthesize", "--graph", graph, "--out", str(bundle)], capsys)[0] == 0
         obj = json.loads(bundle.read_text(encoding="utf-8"))
-        obj["P"] = matrix_to_json(np.ones((2, 3)))
-        bad = write(tmp_path, "bad.json", json.dumps(obj))
-        code, _, err = run_cli(["verify", "--interaction", bad], capsys)
-        assert code == 2 and "gauge factor shape does not match the graph" in err
+        for gauge in ("identity", "faithful", "custom"):  # any gauge name
+            obj["P"], obj["gauge"] = matrix_to_json(np.ones((2, 3))), gauge
+            bad = write(tmp_path, "bad.json", json.dumps(obj))
+            code, _, err = run_cli(["verify", "--interaction", bad], capsys)
+            assert code == 2 and err == f"error: {bad}: P not of shape (2, 2)\n"
 
     @pytest.mark.parametrize(
         "args, message",

@@ -28,11 +28,10 @@ from clustersqueeze import (
     synthesis,
 )
 from clustersqueeze.cli import EXIT_CHECK_FAILED, EXIT_GAUGE, EXIT_OK, main
-from clustersqueeze.tolerances import DEFAULT_TOLERANCES
+from clustersqueeze.tolerances import Z_CAP
 
 from conftest import matrix_to_json, perfbench_graph_text, random_compatible_gauge
 
-Z_CAP = DEFAULT_TOLERANCES.z_cap
 EPR = np.array([[0.0, 1.0], [1.0, 0.0]])
 PATH3 = parse_graph("3\n0 1 1.0\n1 2 0.5\n")
 RING6 = parse_graph("6\n0 1 0.8\n1 2 -0.6\n2 3 1.1\n3 4 0.5\n4 5 -0.9\n0 5 0.7\n2 2 0.4\n")

@@ -22,7 +22,7 @@ from clustersqueeze import (
 )
 from clustersqueeze import synthesis
 from clustersqueeze.oracle import quadrature_generator
-from clustersqueeze.tolerances import DEFAULT_TOLERANCES, ErrorModel
+from clustersqueeze.tolerances import RTOL, ErrorModel
 
 from conftest import (
     bogoliubov_oracle,
@@ -51,9 +51,14 @@ class TestBogoliubovOracle:
         assert pair.X[0, 0] == pytest.approx(1.543081, abs=1e-6)
         assert pair.Y[0, 0] == pytest.approx(1.175201, abs=1e-6)
 
-    def test_zero_scale_is_identity(self):
+    def test_zero_scale_is_rejected(self):
+        # z = 0 squeezes nothing, so no cluster is approximated: the flow and
+        # the oracle take z > 0 only, as every function that takes z does
+        cluster = ClusterPlan.of(epr_adjacency(), np.zeros(2))
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        assert np.allclose(quadrature_flow(zm, 0.0), np.eye(4), atol=1e-15)
+        for call in (lambda: quadrature_flow(zm, 0.0), lambda: covariance_oracle(cluster, zm, 0.0)):
+            with pytest.raises(ValueError, match="squeezing scale z must be positive and finite"):
+                call()
 
     def test_epr_blocks_at_scale_two(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
@@ -81,7 +86,7 @@ class TestBogoliubovOracle:
         rng = np.random.default_rng(72)
         a = random_adjacency(rng, 3)
         zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")
-        for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (0.0, 1.7)):
+        for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (1e-3, 1.7)):
             s_sum = quadrature_flow(zm, z1 + z2)
             s_prod = quadrature_flow(zm, z1) @ quadrature_flow(zm, z2)
             assert np.max(np.abs(s_sum - s_prod)) <= 1e-9
@@ -103,7 +108,7 @@ class TestQuadratureFlow:
             eye = np.eye(n)
             t = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2.0)
             k = t.conj().T @ squeezing_generator(zz, z) @ t
-            real_k = quadrature_generator(zz, z)
+            real_k = z * quadrature_generator(zz)
             assert not np.iscomplexobj(real_k)
             assert np.max(np.abs(real_k - k)) <= 1e-12
 
@@ -192,7 +197,7 @@ class TestQuadratureFlow:
             z = zl / float(np.linalg.svd(zz, compute_uv=False)[0])
             s = quadrature_flow(InteractionMatrix.from_matrix(zz), z)
             reference = reference_quadrature_flow(zz, z)
-            assert np.max(np.abs(s - reference)) <= DEFAULT_TOLERANCES.rtol * math.exp(zl)
+            assert np.max(np.abs(s - reference)) <= RTOL * math.exp(zl)
 
     def test_flow_depends_only_on_the_symmetric_part(self):
         # entries on a dyadic grid keep Z = Z_s + D exact, so the symmetric
@@ -262,7 +267,7 @@ class TestCovarianceOracle:
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
-            w, _ = np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0, 1.0))
+            w, _ = np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0))
             own = ErrorModel.for_generator(cluster.A, w).budget("oracle_overlap")
             row = ErrorModel.of(zm, z).budget("oracle_overlap")
             assert own >= row * (1.0 - 1e-9)

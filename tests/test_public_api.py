@@ -2,7 +2,7 @@
 layers, and the public functions reject bad input with typed errors."""
 
 import ast
-import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -23,13 +23,14 @@ from clustersqueeze import (
     canonical_cluster_interferometer,
     cli,
     cluster_condition_residual,
+    convergence_sweep,
     covariance_closed_form,
     covariance_oracle,
     matfun,
-    oracle,
     squeezer_spectrum,
+    tolerances,
 )
-from clustersqueeze.tolerances import CHECKS, ErrorModel, Tolerances
+from clustersqueeze.tolerances import CHECKS, ErrorModel
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted(f for f in (ROOT / "src" / "clustersqueeze").glob("*.py") if f.name != "__init__.py")
@@ -70,23 +71,26 @@ def test_no_test_only_public_names():
 
 def test_every_tolerance_is_read():
     """A threshold whose uses all moved into the check table is not left
-    behind.  Only the ``Tolerances`` class body, which defines the fields,
-    is no use: the rest of tolerances.py may read them."""
-    texts = []
-    for path in LIBRARY:
-        text = path.read_text(encoding="utf-8")
-        if path.name == "tolerances.py":
-            [body] = [node for node in ast.parse(text).body
-                      if isinstance(node, ast.ClassDef) and node.name == "Tolerances"]
-            lines = text.splitlines()
-            text = "\n".join(lines[:body.lineno - 1] + lines[body.end_lineno:])
-        texts.append(text)
-    unread = [
-        field.name
-        for field in dataclasses.fields(Tolerances)
-        if not any(re.search(rf"\bDEFAULT_TOLERANCES\.{field.name}\b", text) for text in texts)
-    ]
-    assert unread == []
+    behind: every upper-case constant of tolerances.py is read as a name in
+    the library outside its own definition."""
+    constants = {name for name in vars(tolerances) if name.isupper()}
+    read = {
+        node.id
+        for _, tree in _trees(LIBRARY)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert constants and sorted(constants - read) == []
+
+
+def test_one_scale_rule():
+    """Only tolerances.py states the rule for a squeezing scale z; every
+    other module takes it from ``positive_scale`` or ``check_squeeze_budget``."""
+    stating = [path.name for path in LIBRARY
+               if path.name != "tolerances.py"
+               and any(text in path.read_text(encoding="utf-8")
+                       for text in ("np.isfinite(z", "squeezing scale z must"))]
+    assert stating == []
 
 
 def test_every_check_row_is_reported_and_every_magnitude_read(tmp_path, capsys):
@@ -218,14 +222,26 @@ def _interaction():
     return _plan().interaction("identity")
 
 
+#: function of z -> call, for every library function that takes a scale z
+SCALED = {
+    "bogoliubov": lambda z: bogoliubov_from_interaction(_interaction(), z),
+    "squeezer-spectrum": lambda z: squeezer_spectrum(_interaction(), z),
+    "bloch-messiah": lambda z: bloch_messiah(_interaction(), z),
+    "closed-form": lambda z: covariance_closed_form(_plan(), _interaction(), z),
+    "oracle": lambda z: covariance_oracle(_plan(), _interaction(), z),
+    "faithful-plan": lambda z: _plan().interaction("faithful", z),
+    # the last z passes the budget, so each earlier one meets the rule alone
+    "convergence-sweep": lambda z: convergence_sweep(_plan(), "identity", [z, 2.0]),
+}
+BAD_SCALES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "infinite": math.inf}
+
 # case -> (call, typed error, message)
 LIBRARY_INPUT_ERRORS = {
-    "bloch-messiah-zero-z": (lambda: bloch_messiah(_interaction(), 0.0), ValueError,
-                             "squeezing scale z must be positive and finite"),
-    "bogoliubov-negative-z": (lambda: bogoliubov_from_interaction(_interaction(), -1.0), ValueError,
-                              "squeezing scale z must be non-negative and finite"),
-    "squeezer-spectrum-nan-z": (lambda: squeezer_spectrum(_interaction(), math.nan), ValueError,
-                                "squeezing scale z must be non-negative and finite"),
+    **{f"{name}-{kind}-z": (functools.partial(call, z), ValueError,
+                            "squeezing scale z must be positive and finite")
+       for name, call in SCALED.items() for kind, z in BAD_SCALES.items()},
+    "convergence-sweep-last-nan-z": (lambda: convergence_sweep(_plan(), "identity", [1.0, math.nan]),
+                                     ValueError, "squeezing scale z must be positive and finite"),
     "faithful-plan-without-z": (lambda: _plan().interaction("faithful"), ValueError,
                                 "squeezing scale z must be positive and finite"),
     "unknown-gauge": (lambda: _plan().interaction("uniform"), ValueError, "unknown gauge 'uniform'"),
@@ -235,10 +251,6 @@ LIBRARY_INPUT_ERRORS = {
                    "seed shape does not match the graph"),
     "complex-matrix-ndim": (lambda: matfun.as_complex_matrix(np.ones(2)), ValueError,
                             "expected a 2-D matrix, got ndim=1"),
-    "generator-negative-z": (lambda: oracle.quadrature_generator(np.eye(2), -1.0), ValueError,
-                             "squeezing scale z must be non-negative and finite"),
-    "oracle-infinite-z": (lambda: covariance_oracle(_plan(), _interaction(), math.inf), ValueError,
-                          "squeezing scale z must be non-negative and finite"),
     "interferometer-shape": (lambda: cluster_condition_residual(np.eye(3), _plan()), ValueError,
                              "interferometer shape does not match the graph"),
     "closed-form-modes": (lambda: covariance_closed_form(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)),

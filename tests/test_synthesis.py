@@ -263,13 +263,13 @@ class TestBogoliubov:
         assert np.allclose(pair.X, [[math.cosh(1.0)]], atol=1e-12)
         assert np.allclose(pair.Y, [[math.sinh(1.0)]], atol=1e-12)
 
-    def test_zero_scale_is_identity(self):
+    def test_zero_scale_is_rejected(self):
+        # X = 1, Y = 0 at z = 0 squeezes nothing; the one scale rule takes z > 0
         rng = np.random.default_rng(37)
         a = random_adjacency(rng, 3)
         zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")
-        pair = bogoliubov_from_interaction(zm, 0.0)
-        assert np.allclose(pair.X, np.eye(3), atol=1e-12)
-        assert np.allclose(pair.Y, np.zeros((3, 3)), atol=1e-12)
+        with pytest.raises(ValueError, match="squeezing scale z must be positive and finite"):
+            bogoliubov_from_interaction(zm, 0.0)
 
     def test_epr_blocks(self):
         zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))

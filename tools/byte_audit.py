@@ -12,14 +12,18 @@ gauge files are written here from fixed seeds, and every bundle a later
 request reads is written by the tree's own ``synthesize --out`` request,
 which is audited too.  For each request the audit compares the exit code,
 stdout, stderr and the bytes of the ``--out`` file; it prints one line per
-request that differs and exits 1 if any does, else 0.
+request that differs and exits 1 if any does, else 0.  A request's stderr
+record holds every warning it raised, each shown however often the requests
+before it raised it, ahead of what it printed; the tree's own path in it
+reads ``<tree>``.
 
 Slices, each containing the one before:
 
 * ``smoke``: every command on both routes at N = 2 for the identity,
   faithful and custom gauges, in JSON, text and CSV, plus edited bundles,
-  malformed inputs and a graph within the input tolerance of a perfect
-  matching;
+  malformed inputs, scales past the squeeze budget or so small that the
+  faithful strengths overflow, and a graph within the input tolerance of a
+  perfect matching;
 * ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at random
   phases;
 * ``full``: also every request of the seed-11 pass of the three perfbench
@@ -41,6 +45,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +95,7 @@ class Replay:
 
     def __init__(self, cli):
         self.cli = cli
+        self.tree = str(Path(cli.__file__).resolve().parent.parent)
         self.records: dict[str, dict] = {}
 
     def run(self, rid: str, argv: list[str]) -> int:
@@ -99,13 +105,16 @@ class Replay:
         if out is not None and os.path.exists(out):
             os.remove(out)
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = self.cli.main(argv)
             except Exception as exc:  # a crash is an outcome to compare
                 code = f"{type(exc).__name__}: {exc}"
+        shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line) for w in caught)
         record = {"argv": argv, "exit": code, "stdout": _digest(stdout.getvalue().encode()),
-                  "stderr": stderr.getvalue()}
+                  "stderr": (shown + stderr.getvalue()).replace(self.tree, "<tree>")}
         if out is not None:
             record["out"] = _digest(Path(out).read_bytes()) if os.path.exists(out) else None
         self.records[rid] = record
@@ -171,6 +180,8 @@ EDITS = {
     "adjacency-rows-text": ("adjacency", {"rows": "2", "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
     "P-re-boolean": ("P", {"rows": 2, "cols": 2, "re": [[True, False], [False, True]]}),
     "Z-re-text": ("Z", {"rows": 2, "cols": 2, "re": [["0.0", "-1.0"], ["-1.0", "0.0"]]}),
+    "theta-three": ("theta", [0.0, 0.0, 0.0]),
+    "P-3x3": ("P", _matrix_json(np.eye(3))),
 }
 
 
@@ -183,10 +194,11 @@ OVERFLOW = {
 
 
 def _edits(replay: Replay) -> None:
-    """Edited EPR bundles, a bare asymmetric Z, sweep ranges whose START
-    rounds to 0 or that ask for 100 001 rows, graphs whose weights' squares
-    overflow, and a graph whose A A is within the input tolerance of 1
-    without equalling it."""
+    """Edited EPR bundles, a bare asymmetric Z, a custom gauge of the wrong
+    size, sweep ranges whose START rounds to 0 or that ask for 100 001 rows,
+    scales past the squeeze budget and a subnormal faithful one, graphs whose
+    weights' squares overflow, and a graph whose A A is within the input
+    tolerance of 1 without equalling it."""
     Path("epr.graph").write_text("2\n0 1 1.0\n", encoding="utf-8")
     replay.run("edit/synthesize", ["synthesize", "--graph", "epr.graph", "--out", "epr.json"])
     bundle = json.loads(Path("epr.json").read_text(encoding="utf-8"))
@@ -200,8 +212,16 @@ def _edits(replay: Replay) -> None:
     Path("z-asymmetric.json").write_text(json.dumps(ASYMMETRIC_Z), encoding="utf-8")
     for command in ("analyze", "decompose"):
         replay.run(f"z-asymmetric/{command}", [command, "--interaction", "z-asymmetric.json"])
-    for name, z_range in (("start-rounds-to-0", "1e-13:0.3:0.1"), ("100001-rows", "1e-4:10.0001:1e-4")):
+    Path("p3.json").write_text(json.dumps(_matrix_json(np.eye(3))), encoding="utf-8")
+    replay.run("custom-gauge-3x3/verify", ["verify", "--graph", "epr.graph", "--gauge", "custom:p3.json"])
+    for name, z_range in (("start-rounds-to-0", "1e-13:0.3:0.1"), ("100001-rows", "1e-4:10.0001:1e-4"),
+                          ("past-z-cap", "1:40:1")):
         replay.run(f"sweep-range/{name}", ["sweep", "--graph", "epr.graph", "--z-range", z_range])
+    replay.run("scale/verify-past-z-cap", ["verify", "--graph", "epr.graph", "-z", "30.001"])
+    for command in ("analyze", "decompose"):  # the closed form alone takes no budget
+        replay.run(f"scale/{command}-z-100", [command, "--interaction", "epr.json", "-z", "100"])
+    replay.run("scale/verify-faithful-subnormal",
+               ["verify", "--graph", "epr.graph", "--gauge", "faithful", "-z", "1e-320"])
     for name, (text, argv) in OVERFLOW.items():
         Path(f"{name}.graph").write_text(text, encoding="utf-8")
         replay.run(f"overflow/{name}", [*argv, "--graph", f"{name}.graph"])
