@@ -26,14 +26,14 @@ z = 1.2
 
 cluster = ClusterPlan.of(A, theta)
 zm = cluster.interaction("faithful", z)
-factors = bloch_messiah(zm, z)  # read off the plan that built zm
+factors = bloch_messiah(zm)  # read off the plan that built zm, at its z
 
 print(f"weighted {n}-ring, faithful gauge, z = {z}")
 print("squeezer strengths:", factors.D)
 print("per-mode squeezing (dB):", factors.decibels)
 
 X, Y = factors.reconstruct()
-pair = bogoliubov_from_interaction(zm, z)
+pair = bogoliubov_from_interaction(zm)
 print("reconstruction residual X:", np.max(np.abs(X - pair.X)))
 print("reconstruction residual Y:", np.max(np.abs(Y - pair.Y)))
 print(

@@ -102,15 +102,15 @@ def find_regular_phases(U) -> tuple[np.ndarray, float]:
     return theta, _regular(u, theta, " at the regularizing angle; input is not a valid symmetric unitary")
 
 
-def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> ClusterRecovery:
+def analyze_interaction(zm: InteractionMatrix, theta=None) -> ClusterRecovery:
     """Recover the cluster approximated by a squeezing interaction.
 
     Uses the supplied phases (zeros by default) when they regularize the
     structure factor, otherwise those of :func:`find_regular_phases`.  The
     gauge factor only rescales the squeezers, so the recovered adjacency
     depends on U alone; the returned covariance is that of the recovered
-    cluster's nullifiers under Z at scale z.  Every regular phase vector
-    defines a valid cluster of the class; no ranking is attempted.
+    cluster's nullifiers under Z at the record's z.  Every regular phase
+    vector defines a valid cluster of the class; no ranking is attempted.
     """
     u = zm.U
     chosen = phase_vector(np.zeros(zm.n) if theta is None else theta, zm.n)
@@ -121,7 +121,7 @@ def analyze_interaction(zm: InteractionMatrix, theta=None, z: float = 1.0) -> Cl
     # find_regular_phases raises below it.  The cluster comes from U, so P,
     # whose P U is Z's symmetric part, is compatible with it by construction.
     cluster = _recovered_plan(u, chosen)
-    report = covariance_closed_form(cluster, zm, z)
+    report = covariance_closed_form(cluster, zm)
     return ClusterRecovery(
         theta=cluster.theta,
         adjacency=cluster.A,

@@ -1,8 +1,8 @@
 """The check battery: every residual a request reports, with its verdict.
 
-Every function takes one interaction record: the gated record of a
-cluster plan, or for :func:`decompose` also a polar split of Z alone.  A
-check is a row (name, residual) judged by the record's
+Every function takes one interaction record, planned at its z: the gated
+record of a cluster plan, or for :func:`decompose` also a polar split of Z
+alone.  A check is a row (name, residual) judged by the record's
 :class:`~clustersqueeze.tolerances.ErrorModel` (``ErrorModel.of``).  Each
 check record holds ``name``, ``residual``, ``tolerance`` and ``passed``; the
 tolerance is the budget the model derives for that check, so no option sets
@@ -23,6 +23,7 @@ judged against the oracle in this module alone.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import NamedTuple, Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 from . import blochmessiah, oracle, synthesis
 from .errors import OracleMismatch
 from .matfun import _symmetric_part, max_abs, unitarity_defect
-from .tolerances import ErrorModel, check_squeeze_budget, positive_scale
+from .tolerances import ErrorModel, positive_scale
 
 
 class Checked(NamedTuple):
@@ -53,17 +54,17 @@ class SweepPoint(NamedTuple):
     frobenius: float
 
 
-def synthesize(zm, z: float) -> Checked:
+def synthesize(zm) -> Checked:
     """Core rows of the gated record ``zm`` of a cluster plan, with the own
     rows of the built-in gauge it names."""
     cluster = zm.cluster
     # the oracle's order-2N eigh first, while X, Y, C and E are not yet held
-    brute = oracle.covariance_oracle(cluster, zm, z)
-    pair = synthesis.bogoliubov_from_interaction(zm, z)
-    closed = synthesis.covariance_closed_form(cluster, zm, z)
-    model = ErrorModel.of(zm, z)
+    brute = oracle.covariance_oracle(cluster, zm)
+    pair = synthesis.bogoliubov_from_interaction(zm)
+    closed = synthesis.covariance_closed_form(cluster, zm)
+    model = ErrorModel.of(zm)
     defect_one, defect_two = pair.defects()
-    decay = math.exp(-2.0 * z)
+    decay = math.exp(-2.0 * zm.z)
     rows = [
         ("gauge_condition", zm.reality.residual),
         ("interaction_symmetric", zm.asymmetry),
@@ -81,13 +82,13 @@ def synthesize(zm, z: float) -> Checked:
     return Checked(model.checks(rows), model, zm, pair, closed)
 
 
-def verify(zm, z: float, stored=None) -> Checked:
+def verify(zm, stored=None) -> Checked:
     """:func:`synthesize`'s rows, then the reduction's and the cluster
     condition's; ``stored`` maps some of the names P, Z, U, X, Y and C to a
     bundle's matrices, and each is checked against its fresh value, Z, X
     and Y in their :func:`structured` form."""
-    core = synthesize(zm, z)
-    factors, rows = _reduction(zm, core.pair, z)
+    core = synthesize(zm)
+    factors, rows = _reduction(zm, core.pair)
     rows.append(("cluster_condition", blochmessiah.cluster_condition_residual(factors.V, zm.cluster)))
     if stored:
         fresh = {"P": zm.P, "U": zm.U, "C": core.closed.C, **structured(zm, core.pair)}
@@ -120,18 +121,18 @@ def structured(zm, pair) -> dict[str, np.ndarray]:
     return {key: _symmetric_part(m, mirror) for key, m, mirror in mirrors}
 
 
-def decompose(zm, z: float) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:
+def decompose(zm) -> tuple[Checked, blochmessiah.BlochMessiahFactors]:
     """The Bloch-Messiah factors of ``zm`` and their reduction rows, judged
     by the model of the plan that built ``zm`` or of Z alone."""
-    model = ErrorModel.of(zm, z)
-    pair = synthesis.bogoliubov_from_interaction(zm, z)
-    factors, rows = _reduction(zm, pair, z)
+    model = ErrorModel.of(zm)
+    pair = synthesis.bogoliubov_from_interaction(zm)
+    factors, rows = _reduction(zm, pair)
     return Checked(model.checks(rows), model, zm, pair), factors
 
 
-def _reduction(zm, pair, z: float):
+def _reduction(zm, pair):
     """Bloch-Messiah factors and the rows that rebuild X, Y and U from them."""
-    factors = blochmessiah.bloch_messiah(zm, z)
+    factors = blochmessiah.bloch_messiah(zm)
     x_rec, y_rec = factors.reconstruct()
     return factors, [
         ("blochmessiah_x", max_abs(x_rec - pair.X)),
@@ -145,36 +146,36 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
 
     Realizes the infinite-squeezing limit as a finite sweep: for a valid
     gauge the max-entry norm decreases strictly in z.  The last z, where
-    z lambda_max is largest, is checked against ``Z_CAP`` before any other.
-    The modes of every gauge are z-free, so the nullifier frame M is formed
-    once and each row costs one Gram product C = H H^dagger, H = M e^{-z w};
-    only the faithful strengths depend on z, and the rows read them off the
-    cluster plan.  The first and last rows are cross-checked against the
-    brute-force path: only they build the gauge plan (P, Z and its gate)
-    and the oracle, which factorizes K once when Z does not depend on z and
-    once per end row for the faithful gauge.  A failed
-    ``covariance_vs_oracle`` record raises :class:`OracleMismatch`.
+    z lambda_max is largest, is planned first, so its record checks the
+    squeeze budget; the others meet the scale rule and ascend to it.  The
+    modes of every gauge are z-free, so the nullifier frame M is formed once
+    and each row costs one Gram product C = H H^dagger, H = M e^{-z w}, with
+    the faithful strengths read off the cluster plan.  Only the end rows
+    plan the gauge and run the oracle, which factorizes K once, or once per
+    end for the faithful gauge, and each is judged by its record's model at
+    its z; a failed ``covariance_vs_oracle`` record raises
+    :class:`OracleMismatch`.
     """
     try:
-        z_last = float(z_values[-1])
+        z_last = z_values[-1]
     except IndexError:
         raise ValueError("z_values must be non-empty") from None
     last = cluster.interaction(gauge, z_last)
-    check_squeeze_budget(float(last.strengths[-1]), z_last)
     zs = [positive_scale(z) for z in z_values]
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z values must be strictly ascending")
     faithful = last.gauge == "faithful"
-    ends = list(dict.fromkeys((zs[0], z_last)))
+    ends = list(dict.fromkeys((zs[0], last.z)))
     # The end rows' oracle covariances come first, so that the order-2N eigh
     # runs before the frame or any row's C is held; only their C stay.
     if faithful:  # Z depends on z: each end row plans its own gauge and K
-        groups = ((last if z == z_last else cluster.interaction(gauge, z), [z]) for z in ends)
+        groups = ((last if z == last.z else cluster.interaction(gauge, z), [z]) for z in ends)
     else:  # one eigh of K serves both ends
         groups = [(last, ends)]
     oracles = {}
     for zm, at in groups:
-        oracles |= {z: (brute.C, ErrorModel.of(zm, z))
+        model = ErrorModel.of(zm)
+        oracles |= {z: (brute.C, dataclasses.replace(model, z=z))
                     for z, brute in zip(at, oracle._covariance_oracles(cluster, zm, at))}
     frame, rows = synthesis._nullifier_frame(cluster, last.modes), []
     for z in zs:

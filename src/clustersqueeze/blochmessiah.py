@@ -38,7 +38,7 @@ from .analysis import _equal_phases, _recovered_plan
 from .errors import NotOrthogonal
 from .matfun import _spectral, as_complex_matrix, max_abs
 from .synthesis import ClusterPlan, InteractionMatrix
-from .tolerances import ORTHOGONAL, check_squeeze_budget
+from .tolerances import ORTHOGONAL
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,21 @@ class BlochMessiahFactors:
         return x, y
 
 
-def bloch_messiah(zm: InteractionMatrix, z: float) -> BlochMessiahFactors:
-    """Reduce a squeezing transformation to squeezers plus interferometers.
+def bloch_messiah(zm: InteractionMatrix) -> BlochMessiahFactors:
+    """Reduce a squeezing transformation at its z to squeezers plus interferometers.
 
     A planned ``zm`` reads V off its own plan: W for a built-in gauge, the
     modes W O of a custom P.  Only Z alone recovers a plan, from U at the
     equal phases, and reads V = W O off its S_W.  D is the strengths of ``zm``.
     """
     w = zm.strengths
-    check_squeeze_budget(float(w[-1]), z)
     cluster = _recovered_plan(zm.U, _equal_phases(zm.U)) if zm.cluster is None else zm.cluster
     if zm.gauge in ("identity", "faithful"):  # P is diagonal in F, O = 1
         v, t = cluster.interferometer, cluster.frame.conj().T
     else:  # a custom P's modes are W O; those of Z alone come off the recovered S_W
         v = cluster.eigenpairs(zm.P)[1] if zm.cluster is None else zm.modes
         t = cluster.rotation[:, None] * v.conj().T
-    return BlochMessiahFactors(V=v, D=w, R=np.diag(cluster.rotation), T=t, z=float(z))
+    return BlochMessiahFactors(V=v, D=w, R=np.diag(cluster.rotation), T=t, z=zm.z)
 
 
 def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:

@@ -16,43 +16,18 @@ A command rejects every flag it would ignore (exit 2): --interaction and
 a bundle given to verify fixes z, and only sweep takes --z-range and csv.
 
 Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
-[[...]]}`` with ``im`` omitted for real matrices; numbers use the shortest
-representation that round-trips a double.  JSON output is byte-identical to
-``json.dumps(obj, indent=2)``; each flat list of numbers is formatted by one
-call of the C encoder, whose item separator already holds the list's indent.
-A square block whose entries equal their transposes bit for bit formats
-only its upper triangle and copies each lower entry's text from its mirror
-image; one whose entries below the diagonal are their mirror images negated
-bit for bit (the ``im`` block of a Hermitian matrix) copies that text with
-its sign flipped.  Every block of a synthesize bundle but E's is so
-structured: P, U, C and the adjacency are exact, and the bundle holds Z and
-Y as their symmetric parts and X as its Hermitian part
-(:func:`clustersqueeze.battery.structured`).  Z's symmetric part is all the
-squeezing Hamiltonian sees; the antisymmetric part dropped is bounded by
-``interaction_symmetric``, and the parts dropped from X and Y are the
-rounding of their products, well inside the bundle rows' budgets.  Reports
-hold their matrices as arrays, and the writer streams them one matrix at a
-time: it turns an array into lists and text only when it reaches it and
-writes that text with one ``write`` before the next matrix.
-Graph files use the text format described in :mod:`clustersqueeze.graphs`;
-phase files hold one angle per line (``#`` comments allowed).
-
-A bundle is read for the fields its route needs: Z (or a bare matrix's
-``rows``, ``cols``, ``re`` and ``im``) for analyze and decompose, and all
-but ``E``, ``squeezers`` and ``checks`` for verify.  In the layout the writer
-produces, each top-level field is one ``"key": value`` member at indent 2;
-the needed values are decoded, and every other one is only validated by
-the same JSON scanner with its floats left unconverted.  Text in any other
-layout, invalid JSON, or an object with a repeated key goes to
-``json.loads`` whole, so values, error messages and exit codes are those of
-decoding the whole file.  ``verify`` plans a bundle's built-in gauge by the
-name it stores and compares every stored matrix, P included, with the fresh
-one; the P of any other gauge is planned as a custom gauge.
-
-Each command returns its exit code and one report dict, and :func:`main`
-writes that report: as JSON by the streaming writer, or as the text or CSV
-lines that one renderer reads off the report, so every number printed is the
-number the JSON carries.  Its checks come from :mod:`clustersqueeze.battery`.
+[[...]]}`` with ``im`` omitted for real matrices, numbers in the shortest
+representation that round-trips a double; JSON output is byte-identical to
+``json.dumps(obj, indent=2)`` and streamed one matrix at a time
+(:func:`_emit_json`).  A bundle is read for the fields its route needs
+(:func:`_load_json`): Z for analyze and decompose, all but ``E``,
+``squeezers`` and ``checks`` for verify, which plans a bundle's built-in
+gauge by the name it stores and compares every stored matrix with the fresh
+one.  Graph files use the text format of :mod:`clustersqueeze.graphs`;
+phase files hold one angle per line (``#`` comments allowed).  Each command
+returns its exit code and one report dict, which :func:`main` writes as
+JSON or as the text or CSV that :func:`_render` reads off the report; its
+checks come from :mod:`clustersqueeze.battery`.
 
 Exit codes: 0 success, 1 failed verification checks, 2 input/parse errors
 (a malformed file or bundle field, an asymmetric adjacency or Z among them,
@@ -143,7 +118,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str, fields=None) -> dict:
-    """The JSON value in ``path``.  Given ``fields``, an object laid out as
+    """The JSON value in ``path``, booleans in arrays read as their text
+    (:func:`_booleans_as_text`).  Given ``fields``, an object laid out as
     :func:`_emit_json` writes it is read by :func:`_top_level_fields`, which
     decodes only those fields; any other text goes to ``json.loads``, so
     errors are worded as for the whole text.  Text the decoder cannot turn
@@ -155,11 +131,28 @@ def _load_json(path: str, fields=None) -> dict:
         if obj is not None:
             return obj
     try:
-        return json.loads(text)
+        return _booleans_as_text(json.loads(text), text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
     except (ValueError, RecursionError) as exc:
         raise _InputError(f"{path}: cannot decode JSON ({exc})") from None
+
+
+def _booleans_as_text(value, text: str, start: int = 0, stop: int | None = None):
+    """``value``, decoded from ``text[start:stop]``, with each boolean in an
+    array read as its JSON text, so the number checks turn it down as a
+    string (numpy reads it beside numbers as 1.0 or 0.0).  Its text holds a
+    ``u`` or an ``f``, as no number's does but Infinity's ``f``, so two
+    ``memchr`` scans pass a matrix without one."""
+    if text.find("u", start, stop) < 0 and text.find("f", start, stop) < 0:
+        return value
+
+    def walk(v):
+        if isinstance(v, list):
+            return [("true" if x else "false") if isinstance(x, bool) else walk(x) for x in v]
+        return {key: walk(x) for key, x in v.items()} if isinstance(v, dict) else v
+
+    return walk(value)
 
 
 _TOP_KEY = re.compile(r'\n  "([A-Za-z_][A-Za-z0-9_]*)": ')
@@ -175,7 +168,8 @@ def _top_level_fields(text: str, fields) -> dict | None:
     laid out as :func:`_emit_json` writes an object; otherwise None.
 
     A dict is returned only when ``json.loads(text)`` would succeed with the
-    same keys and equal values for ``fields``; every other field holds None.
+    same keys and equal values for ``fields`` (a boolean in an array read as
+    its text, :func:`_booleans_as_text`); every other field holds None.
     Each member must be one ``"key": value`` at indent 2, decoded where it
     stands: a field in ``fields`` by :data:`_DECODER`, any other by
     :data:`_VALIDATOR`.  The value must end right at the ``,`` before the
@@ -195,6 +189,7 @@ def _top_level_fields(text: str, fields) -> dict | None:
         try:
             if key[1] in fields:
                 out[key[1]], stop = _DECODER.raw_decode(text, key.end())
+                out[key[1]] = _booleans_as_text(out[key[1]], text, key.end(), stop)
             else:
                 out[key[1]], stop = None, _VALIDATOR.raw_decode(text, key.end())[1]
         except (ValueError, RecursionError):
@@ -220,14 +215,15 @@ def _checked(what: str, build, *args):
         raise _InputError(f"{what}: {exc}") from None
 
 
-def load_interaction(path: str) -> synthesis.InteractionMatrix:
-    """Read an interaction matrix from a matrix JSON file or a bundle."""
+def load_interaction(path: str, z: float) -> synthesis.InteractionMatrix:
+    """Read an interaction matrix from a matrix JSON file or a bundle and
+    plan it at scale z."""
     obj = _load_json(path, ("Z", "rows", "cols", "re", "im"))
     if not isinstance(obj, dict):
         raise _InputError(f"{path}: expected a JSON object")
     if "Z" in obj and "re" not in obj:
         obj = obj["Z"]
-    return _checked(path, synthesis.InteractionMatrix.from_matrix, matrix_from_json(obj, path))
+    return _checked(path, synthesis.InteractionMatrix.from_matrix, matrix_from_json(obj, path), z)
 
 
 def load_phases(spec: str, n: int) -> np.ndarray:
@@ -548,7 +544,7 @@ def _graph_only(args, *flags) -> None:
 def cmd_synthesize(args) -> tuple[int, dict]:
     cluster, gauge_name, gauge = _load_cluster(args)
     z = _z(args)
-    checks, _, zm, pair, closed = battery.synthesize(cluster.interaction(gauge, z), z)
+    checks, _, zm, pair, closed = battery.synthesize(cluster.interaction(gauge, z))
     published = battery.structured(zm, pair)
     return EXIT_OK, {
         "command": "synthesize",
@@ -565,7 +561,7 @@ def cmd_synthesize(args) -> tuple[int, dict]:
         "C": closed.C,
         "E": closed.E,
         "covariance_max_abs": closed.max_abs,
-        "squeezers": [m._asdict() for m in synthesis.squeezer_spectrum(zm, z)],
+        "squeezers": [m._asdict() for m in synthesis.squeezer_spectrum(zm)],
         "checks": checks,
     }
 
@@ -577,10 +573,10 @@ def _chopped(a: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def cmd_analyze(args) -> tuple[int, dict]:
-    zm = load_interaction(args.interaction)
-    theta = load_phases(args.phases, zm.n)
     z = _z(args)
-    result = analysis.analyze_interaction(zm, theta=theta, z=z)
+    zm = load_interaction(args.interaction, z)
+    theta = load_phases(args.phases, zm.n)
+    result = analysis.analyze_interaction(zm, theta=theta)
     return EXIT_OK, {
         "command": "analyze",
         "n": zm.n,
@@ -600,10 +596,10 @@ def cmd_decompose(args) -> tuple[int, dict]:
     z = _z(args)
     if args.interaction is not None:
         _graph_only(args, "--phases", "--gauge")
-        checked, factors = battery.decompose(load_interaction(args.interaction), z)
+        checked, factors = battery.decompose(load_interaction(args.interaction, z))
     else:
         cluster, _, gauge = _load_cluster(args)
-        checked, factors = battery.decompose(cluster.interaction(gauge, z), z)
+        checked, factors = battery.decompose(cluster.interaction(gauge, z))
     return EXIT_OK, {
         "command": "decompose",
         "n": checked.zm.n,
@@ -641,7 +637,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     else:
         z, stored = _z(args), None
         cluster, _, gauge = _load_cluster(args)
-    checks = battery.verify(cluster.interaction(gauge, z), z, stored).checks
+    checks = battery.verify(cluster.interaction(gauge, z), stored).checks
     passed = all(c["passed"] for c in checks)
     report = {"command": "verify", "z": z, "passed": passed, "checks": checks}
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), report

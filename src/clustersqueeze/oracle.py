@@ -62,10 +62,10 @@ mismatched Z still shows its growing covariance.  Dropping the half removes
 the terms of size u e^{2 z lambda_max} that a flow of size e^{z lambda_max}
 would leave in C.  K is built and factorized at z = 1
 (:func:`quadrature_generator`) and its eigenvalues scaled by z, so one
-factorization serves every z of a Z that does not change with z.  Each z
-passes the library's one scale rule and the squeeze budget first.
+factorization serves every z of a Z that does not change with z.  The
+record's z met the squeeze budget where it was made: the oracle judges none.
 
-The path reads only Z and the cluster's A and Theta: never P, the eigenpairs
+The path reads only Z, z and the cluster's A and Theta: never P, the eigenpairs
 of P that the closed form reads, or the cluster plan's eigh(A) and U.  From
 ``synthesis`` it imports only those two record types; its report is its own.
 """
@@ -80,7 +80,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .matfun import as_complex_matrix, max_abs
 from .synthesis import ClusterPlan, InteractionMatrix
-from .tolerances import ErrorModel, check_squeeze_budget
+from .tolerances import ErrorModel
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def _generator_eigh(zm: InteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0))
 
 
-def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix, z: float) -> OracleReport:
-    """Nullifier covariance from the eigendecomposition of the generator.
+def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix) -> OracleReport:
+    """Nullifier covariance at the record's z from one eigh of the generator.
 
     The anti-squeezed half is left out of C when the overlap max|G_+| is
     within its rounding budget, which the oracle derives from Z and A alone.
@@ -121,13 +121,13 @@ def covariance_oracle(cluster: ClusterPlan, zm: InteractionMatrix, z: float) -> 
     :class:`ErrorModel`; otherwise the overlap exceeds its budget and the
     covariance does not decay with z.
     """
-    return _covariance_oracles(cluster, zm, [z])[0]
+    return _covariance_oracles(cluster, zm, [zm.z])[0]
 
 
 def _covariance_oracles(
     cluster: ClusterPlan, zm: InteractionMatrix, zs: Sequence[float]
 ) -> list[OracleReport]:
-    """:func:`covariance_oracle` at each z of ``zs``, from one eigh of K.
+    """:func:`covariance_oracle` at each z of ``zs`` (0 < z <= zm.z), from one eigh of K.
 
     K is factorized at z = 1 into its eigenvalues w and the nullifiers
     G = [Re L, -Im L] V in its eigenbasis, without the anti-squeezed half
@@ -150,7 +150,6 @@ def _covariance_oracles(
         g = g[:, :n]
     reports = []
     for z in zs:
-        check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
         h = g * np.exp(z * w[: g.shape[1]])[None, :]
         cov = h @ h.T  # one same-buffer product (BLAS syrk): exactly symmetric
         reports.append(OracleReport(C=cov, H=h, max_abs=max_abs(cov), overlap=overlap))

@@ -75,11 +75,13 @@ class InteractionMatrix:
     P is Hermitian positive definite (the squeezing strengths) and U is
     symmetric unitary (the cluster structure).  ``strengths`` (ascending)
     and ``modes`` (column eigenvectors) are the eigenpairs of P, computed
-    once here and read by every consumer.  Build instances through
-    :meth:`from_matrix` or :meth:`ClusterPlan.interaction`, which enforce
-    the invariants.  ``cluster`` is the plan that built the record and
-    ``gauge`` the gauge it named, ``"identity"``, ``"faithful"`` or
-    ``"custom"`` (whose modes are W O); both are None for a polar split.
+    once here and read by every consumer, as is ``z``, the scale the record
+    is planned at.  Build instances through :meth:`from_matrix` or
+    :meth:`ClusterPlan.interaction`, which enforce the invariants and the
+    squeeze budget z max(strengths) <= ``Z_CAP``.  ``cluster`` is the plan
+    that built the record and ``gauge`` the gauge it named, ``"identity"``,
+    ``"faithful"`` or ``"custom"`` (whose modes are W O); both are None for
+    a polar split.
     """
 
     Z: np.ndarray
@@ -87,6 +89,7 @@ class InteractionMatrix:
     U: np.ndarray
     strengths: np.ndarray
     modes: np.ndarray
+    z: float
     cluster: ClusterPlan | None = field(default=None, repr=False, compare=False)
     gauge: str | None = field(default=None, repr=False, compare=False)
 
@@ -105,13 +108,14 @@ class InteractionMatrix:
         return None if self.cluster is None else _reality_check(self.cluster, self.P)
 
     @classmethod
-    def from_matrix(cls, Z) -> "InteractionMatrix":
-        """Polar-decompose a complex symmetric non-singular matrix; P's
-        eigenpairs come from the split's one SVD, which also checks Z.  Z is
-        held as the symmetric part the split factorizes, so P U = Z to
-        rounding and P is compatible with the cluster U encodes."""
+    def from_matrix(cls, Z, z: float) -> "InteractionMatrix":
+        """Polar-decompose a complex symmetric non-singular matrix and plan it
+        at scale z; P's eigenpairs come from the split's one SVD, which also
+        checks Z.  Z is held as the symmetric part the split factorizes, so
+        P U = Z to rounding and P is compatible with the cluster U encodes."""
         p, u, w, q = split = polar_decompose_symmetric(Z)
-        return cls(Z=split.part, P=p, U=u, strengths=w, modes=q)
+        z = check_squeeze_budget(float(w[-1]), z)
+        return cls(Z=split.part, P=p, U=u, strengths=w, modes=q, z=z)
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,8 @@ class ClusterPlan:
         u = -1j * ph[:, None] * core * ph[None, :]
         return (u + u.T) / 2.0
 
-    def interaction(self, gauge, z: float | None = None) -> InteractionMatrix:
-        """The record of Z = P U for a gauge, once its gate has passed.
+    def interaction(self, gauge, z: float) -> InteractionMatrix:
+        """The record of Z = P U for a gauge at scale z, once its gate has passed.
 
         ``gauge`` is ``"identity"`` (P and its modes 1, so P and X stay
         real), ``"faithful"`` (modes F, strengths 1 + ln(1 + lam^2) / (2 z)
@@ -268,21 +272,23 @@ class ClusterPlan:
         Hermiticity (:class:`NotHermitian`), then for every gauge
         positivity and singularity of the strengths
         (:class:`NotPositiveDefinite`); an explicit P's strengths are those
-        of Re S_W, which are P's to rounding whenever the gate passes.  The
-        gate then judges the record's ``reality`` and ``asymmetry``: either
-        residual above its :class:`ErrorModel` budget raises
-        :class:`GaugeIncompatible`, so the rows built on P see no
-        incompatibility beyond the rounding they budget for.  The gate's test
-        matrix has entries up to kappa^2 max(eig P), kappa = 1 + max|lam(A)|
-        as in :class:`ErrorModel`; a bound past the float range is a
-        :class:`DomainError`, kappa^2 alone checked before the faithful
-        strengths square lam, as are faithful strengths past it.
+        of Re S_W, which are P's to rounding whenever the gate passes.  z then
+        meets the squeeze budget on the largest strength (:class:`DomainError`)
+        before an :class:`ErrorModel` forms cosh(z lambda_max).  The gate
+        judges the record's ``reality`` and ``asymmetry``: either residual
+        above its :class:`ErrorModel` budget raises :class:`GaugeIncompatible`,
+        so the rows built on P see no incompatibility beyond the rounding
+        they budget for.  The gate's test matrix has entries up to
+        kappa^2 max(eig P), kappa = 1 + max|lam(A)| as in :class:`ErrorModel`;
+        a bound past the float range is a :class:`DomainError`, kappa^2 alone
+        checked before the faithful strengths square lam, as are faithful
+        strengths past it.
         """
         kappa = 1.0 + float(np.max(np.abs(self.eigenvalues)))
         _in_float_range(kappa * kappa, kappa)
         zm = self._plan(gauge, z)
         _in_float_range(kappa * kappa * float(zm.strengths[-1]), kappa)
-        model = ErrorModel.of(zm, 0.0)  # budgets free of z
+        model = ErrorModel.of(zm)  # the gate's two budgets are free of z
         for name, residual in (("gauge_condition", zm.reality.residual), ("interaction_symmetric", zm.asymmetry)):
             if not residual <= model.budget(name):
                 raise GaugeIncompatible(
@@ -291,7 +297,7 @@ class ClusterPlan:
                 )
         return zm
 
-    def faithful_strengths(self, z: float | None) -> np.ndarray:
+    def faithful_strengths(self, z: float) -> np.ndarray:
         """1 + ln(1 + lam^2) / (2 z) in the order of ``by_magnitude``: the
         faithful gauge's strengths, the only ones that depend on z.  A z so
         small that a strength overflows is a :class:`DomainError`."""
@@ -303,8 +309,8 @@ class ClusterPlan:
             raise DomainError(f"faithful strengths 1 + ln(1 + lam^2) / (2 z) overflow at z = {z!r}")
         return w
 
-    def _plan(self, gauge, z: float | None) -> InteractionMatrix:
-        """The record of Z = P U, P Hermitian with its eigenpairs, for any gauge of this plan."""
+    def _plan(self, gauge, z) -> InteractionMatrix:
+        """The record of Z = P U at z within the squeeze budget, for any gauge of this plan."""
         n = self.A.shape[0]
         if not isinstance(gauge, str):
             if np.shape(gauge) != self.A.shape:
@@ -330,8 +336,9 @@ class ClusterPlan:
                 f"gauge factor has min eigenvalue {w[0]:.3e}: not positive definite "
                 "or numerically singular"
             )
+        z = check_squeeze_budget(float(w[-1]), z)
         return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes,
-                                 cluster=self, gauge=gauge)
+                                 z=z, cluster=self, gauge=gauge)
 
 
 def _in_float_range(bound: float, kappa: float) -> None:
@@ -360,11 +367,10 @@ def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
     return GaugeCheck(residual=float(residual), scale=scale)
 
 
-def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPair:
+def bogoliubov_from_interaction(zm: InteractionMatrix) -> BogoliubovPair:
     """Bogoliubov blocks X = cosh(z P) and Y = -i sinh(z P) U of the
-    squeezing transformation at a scale z > 0 within the squeeze budget."""
-    w, q = zm.strengths, zm.modes
-    check_squeeze_budget(float(w[-1]), z)
+    squeezing transformation at the record's scale z."""
+    w, q, z = zm.strengths, zm.modes, zm.z
     x = _spectral(q, np.cosh(z * w))
     sinh = _spectral(q, np.sinh(z * w))
     # -i sinh(zP) U; a real sinh(zP) takes the -i into U and one real product
@@ -372,10 +378,8 @@ def bogoliubov_from_interaction(zm: InteractionMatrix, z: float) -> BogoliubovPa
     return BogoliubovPair(X=x, Y=y)
 
 
-def covariance_closed_form(
-    cluster: ClusterPlan, zm: InteractionMatrix, z: float
-) -> CovarianceReport:
-    """Closed-form nullifier covariance of the synthesized state.
+def covariance_closed_form(cluster: ClusterPlan, zm: InteractionMatrix) -> CovarianceReport:
+    """Closed-form nullifier covariance of the synthesized state at the record's z.
 
     ``zm`` is compatible with the cluster: built by :meth:`ClusterPlan.interaction`,
     which gates the gauge, or a polar split and the cluster ``analyze``
@@ -386,10 +390,9 @@ def covariance_closed_form(
     gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z}, self-inverse graphs
     2 e^{-2z} 1) are consequences used as test oracles, not branches.
     """
-    positive_scale(z)
     if cluster.A.shape[0] != zm.n:
         raise DimensionMismatch(f"graph has {cluster.A.shape[0]} modes, interaction has {zm.n}")
-    return _frame_covariance(_nullifier_frame(cluster, zm.modes), zm.strengths, z, zm.modes)
+    return _frame_covariance(_nullifier_frame(cluster, zm.modes), zm.strengths, zm.z, zm.modes)
 
 
 def _nullifier_frame(cluster: ClusterPlan, modes: np.ndarray) -> np.ndarray:
@@ -408,15 +411,14 @@ def _frame_covariance(frame: np.ndarray, strengths: np.ndarray, z: float, modes:
     return CovarianceReport(C=c, H=h, max_abs=max_abs(c), modes=modes)
 
 
-def squeezer_spectrum(zm: InteractionMatrix, z: float) -> list[SqueezerMode]:
-    """Per-mode squeezing recipe: eigenvalues of P with gains and decibels.
+def squeezer_spectrum(zm: InteractionMatrix) -> list[SqueezerMode]:
+    """Per-mode squeezing recipe at the record's z: eigenvalues of P, gains, decibels.
 
     The eigenvalues of P (singular values of Z) fix the strengths of the
     single-mode squeezers in the interferometer decomposition; returned in
     ascending order.
     """
-    w = zm.strengths
-    check_squeeze_budget(float(w[-1]), z)
+    w, z = zm.strengths, zm.z
     return [
         SqueezerMode(
             strength=float(lam),

@@ -3,18 +3,18 @@
 Module constants hold the thresholds that validate input and steer
 algorithms; no option changes them.  :func:`positive_scale` states the one
 rule for a squeezing scale, a finite z > 0, and :func:`check_squeeze_budget`
-adds ``Z_CAP`` wherever cosh(z P) is formed.  A check's verdict compares its
-residual with a budget c * u * N * magnitude (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002): u is the unit roundoff, N the
-mode count, the magnitude comes from the request's interaction record
-(:meth:`ErrorModel.of`), and c is 4 per rounded stage (a factorization,
-solve or N-term matrix product, each adding at most gamma_N ~ N u) between
-the inputs and the residual; the 4 covers complex arithmetic (sqrt(2)
-gamma_{N+2}, Lemma 3.5).  The budgets of the two gauge-compatibility checks
-also gate the input, so a gauge that passes the gate passes those checks.
-The Bloch-Messiah factors come from a cluster plan's real
-eigendecomposition for every gauge, so no budget holds an eigen-gap or a
-spread of near-equal strengths.
+adds ``Z_CAP`` where an interaction record is planned at its z.  A check's
+verdict compares its residual with a budget c * u * N * magnitude (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002): u is the unit
+roundoff, N the mode count, the magnitude comes from the request's
+interaction record (:meth:`ErrorModel.of`), and c is 4 per rounded stage
+(a factorization, solve or N-term matrix product, each adding at most
+gamma_N ~ N u) between the inputs and the residual; the 4 covers complex
+arithmetic (sqrt(2) gamma_{N+2}, Lemma 3.5).  The budgets of the two
+gauge-compatibility checks also gate the input, so a gauge that passes the
+gate passes those checks.  The Bloch-Messiah factors come from a cluster
+plan's real eigendecomposition for every gauge, so no budget holds an
+eigen-gap or a spread of near-equal strengths.
 """
 
 from __future__ import annotations
@@ -60,14 +60,16 @@ def positive_scale(z) -> float:
     return float(z)
 
 
-def check_squeeze_budget(strength_max: float, z: float) -> None:
-    """Check z (:func:`positive_scale`), then reject z * lambda_max beyond
-    the double-precision cosh budget ``Z_CAP``."""
-    zl = float(positive_scale(z) * strength_max)
+def check_squeeze_budget(strength_max: float, z) -> float:
+    """z as a float (:func:`positive_scale`) once z * lambda_max, the largest
+    strength of the record planned at z, is within the cosh budget ``Z_CAP``."""
+    z = positive_scale(z)
+    zl = float(z * strength_max)
     if zl > Z_CAP:
         raise DomainError(
             f"z * max squeezer strength = {zl!r} exceeds {Z_CAP:.0f}; cosh would exhaust double precision"
         )
+    return z
 
 
 #: check name -> (magnitude, c); each c counts three rounded stages for P
@@ -138,10 +140,10 @@ class ErrorModel:
     margin: float = math.inf
 
     @classmethod
-    def of(cls, zm, z: float) -> "ErrorModel":
-        """Model of a record: its plan's, with the gate's test scale, or for a
-        polar split Z alone's, with the margin of the plan recovered from U."""
-        n, lo, hi = zm.n, float(zm.strengths[0]), float(zm.strengths[-1])
+    def of(cls, zm) -> "ErrorModel":
+        """Model of a record at its z: its plan's, with the gate's test scale, or
+        for a polar split Z alone's, with the margin of the plan recovered from U."""
+        n, z, lo, hi = zm.n, zm.z, float(zm.strengths[0]), float(zm.strengths[-1])
         if zm.cluster is None:
             return cls(n, z, lo, hi, hi / lo, margin=2.0 * math.sin(math.pi / (4 * n)))
         rho = float(np.max(np.abs(zm.cluster.eigenvalues)))  # ||A||_2

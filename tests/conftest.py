@@ -38,7 +38,7 @@ from clustersqueeze.matfun import (
     symmetry_defect,
     unitarity_defect,
 )
-from clustersqueeze.tolerances import REGULAR_MIN, RTOL, check_squeeze_budget
+from clustersqueeze.tolerances import REGULAR_MIN, RTOL, positive_scale
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
 settings.load_profile("tier1")
@@ -178,15 +178,16 @@ def squeezing_generator(Z, z):
     return np.block([[zero, -1j * z * zm], [1j * z * zm.conj(), zero]])
 
 
-def quadrature_flow(zm, z):
+def quadrature_flow(zm, z=None):
     """Real symplectic 2N x 2N flow S = exp(z K) = V diag(e^{z w}) V^T from
-    the oracle's one ``eigh`` of K at z = 1."""
+    the oracle's one ``eigh`` of K at z = 1, at the record's z unless a
+    z > 0 is given (one record's flow at several scales)."""
     w, v = oracle._generator_eigh(zm)
-    check_squeeze_budget(float(w[-1]), z)  # w[-1] is lambda_max
+    z = zm.z if z is None else positive_scale(z)
     return _spectral(v, np.exp(z * w))
 
 
-def bogoliubov_oracle(zm, z):
+def bogoliubov_oracle(zm):
     """Bogoliubov blocks read off the real flow S = exp(K):
     X = ((S_xx + S_pp) + i (S_px - S_xp)) / 2 and
     Y = ((S_xx - S_pp) + i (S_px + S_xp)) / 2.
@@ -194,7 +195,7 @@ def bogoliubov_oracle(zm, z):
     The lower block row of B is the entrywise conjugate of the upper one,
     so (X, Y) carry the whole matrix.
     """
-    s = quadrature_flow(zm, z)
+    s = quadrature_flow(zm)
     n = zm.n
     sxx, sxp = s[:n, :n], s[:n, n:]
     spx, spp = s[n:, :n], s[n:, n:]

@@ -57,7 +57,7 @@ def test_criterion_01_faithful_gauge_identity():
         th = random_phases(rng, n)
         for z in (0.5, 1.0, 2.0):
             cluster = ClusterPlan.of(a, th)
-            rep = covariance_closed_form(cluster, cluster.interaction("faithful", z), z)
+            rep = covariance_closed_form(cluster, cluster.interaction("faithful", z))
             worst = max(
                 worst, float(np.max(np.abs(rep.C - math.exp(-2.0 * z) * np.eye(n))))
             )
@@ -72,8 +72,8 @@ def test_criterion_01_faithful_gauge_identity():
 
 def test_criterion_02_self_inverse_case():
     cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-    zm = cluster.interaction("identity")
-    rep = covariance_closed_form(cluster, zm, 1.0)
+    zm = cluster.interaction("identity", 1.0)
+    rep = covariance_closed_form(cluster, zm)
     residual = float(np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))))
     _report(2, "self-inverse EPR value", residual <= 1e-10, f"residual {residual:.3e}")
 
@@ -87,8 +87,8 @@ def test_criterion_03_uniform_gauge_formula():
         th = random_phases(rng, n)
         z = float(rng.uniform(0.3, 2.5))
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction("identity")
-        rep = covariance_closed_form(cluster, zm, z)
+        zm = cluster.interaction("identity", z)
+        rep = covariance_closed_form(cluster, zm)
         target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
         worst = max(worst, float(np.max(np.abs(rep.C - target))))
     _report(3, "trivial-gauge formula", worst <= 1e-9, f"max residual {worst:.3e}")
@@ -107,8 +107,8 @@ def test_criterion_04_oracle_equivalence():
         p = random_gauge(rng, kind, a, th)
         cluster = ClusterPlan.of(a, th)
         zm = cluster.interaction(p, z)
-        closed = covariance_closed_form(cluster, zm, z)
-        brute = covariance_oracle(cluster, zm, z)
+        closed = covariance_closed_form(cluster, zm)
+        brute = covariance_oracle(cluster, zm)
         worst = max(worst, float(np.max(np.abs(closed.C - brute.C))))
     elapsed = time.perf_counter() - start
     _report(
@@ -132,10 +132,9 @@ def test_criterion_05_theorem_necessity():
         if np.max(np.abs(u_bad - unitary_from_adjacency(a, th))) < 1e-3:
             continue
         checked += 1
-        zm = InteractionMatrix.from_matrix(u_bad)
         cluster = ClusterPlan.of(a, th)
-        c3 = covariance_oracle(cluster, zm, 3.0).max_abs
-        c4 = covariance_oracle(cluster, zm, 4.0).max_abs
+        c3 = covariance_oracle(cluster, InteractionMatrix.from_matrix(u_bad, 3.0)).max_abs
+        c4 = covariance_oracle(cluster, InteractionMatrix.from_matrix(u_bad, 4.0)).max_abs
         if not c4 > c3:
             ok = False
             detail = f"instance {checked}: {c4:.3e} <= {c3:.3e}"
@@ -192,10 +191,10 @@ def test_criterion_07_bogoliubov_conditions():
         z = float(rng.uniform(0.0, 2.5))
         kind = ("identity", "faithful", "custom")[trial % 3]
         p = random_gauge(rng, kind, a, th)
-        zm = ClusterPlan.of(a, th).interaction(p, max(z, 0.3))
+        zm = ClusterPlan.of(a, th).interaction(p, z)
         for pair in (
-            bogoliubov_from_interaction(zm, z),
-            bogoliubov_oracle(zm, z),
+            bogoliubov_from_interaction(zm),
+            bogoliubov_oracle(zm),
         ):
             d1, d2 = pair.defects()
             worst = max(worst, d1, d2)
@@ -220,8 +219,8 @@ def test_criterion_08_bloch_messiah():
         kind = ("identity", "faithful", "custom")[trial % 3]
         cluster = ClusterPlan.of(a, th)
         zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
-        factors = bloch_messiah(zm, z)
-        pair = bogoliubov_from_interaction(zm, z)
+        factors = bloch_messiah(zm)
+        pair = bogoliubov_from_interaction(zm)
         x_rec, y_rec = factors.reconstruct()
         worst_rec = max(
             worst_rec,
@@ -274,8 +273,8 @@ def test_criterion_09_gauge_condition_biconditional():
             direct = float(np.max(np.abs(prod - prod.T))) <= 1e-9 * max(
                 1.0, float(np.max(np.abs(prod)))
             )
-            try:
-                cluster.interaction(p)
+            try:  # the gate's budgets are free of z; at 0.1 the squeeze budget holds
+                cluster.interaction(p, 0.1)
             except GaugeIncompatible:
                 disagreements += direct
             else:

@@ -203,13 +203,13 @@ class TestAdjacencyFromK:
 
 class TestAnalyzeInteraction:
     def test_two_disconnected_modes(self):
-        zm = InteractionMatrix.from_matrix(1j * np.eye(2))
+        zm = InteractionMatrix.from_matrix(1j * np.eye(2), 1.0)
         res = analyze_interaction(zm)
         assert np.allclose(res.theta, np.zeros(2))
         assert np.allclose(res.adjacency, np.zeros((2, 2)), atol=1e-10)
 
     def test_epr_interaction(self):
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
+        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex), 1.0)
         res = analyze_interaction(zm)
         assert np.allclose(res.theta, np.zeros(2))
         assert np.allclose(res.adjacency, epr_adjacency(), atol=1e-10)
@@ -217,12 +217,13 @@ class TestAnalyzeInteraction:
 
     def test_gauge_rescaling_leaves_cluster_unchanged(self):
         z0 = -1.346574 * epr_adjacency().astype(complex)
-        res = analyze_interaction(InteractionMatrix.from_matrix(z0))
+        res = analyze_interaction(InteractionMatrix.from_matrix(z0, 1.0))
         assert np.allclose(res.adjacency, epr_adjacency(), atol=1e-8)
 
     def test_covariance_decays_with_scale(self):
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        norms = [analyze_interaction(zm, z=z).covariance.max_abs for z in (1.0, 2.0, 3.0)]
+        epr = -epr_adjacency().astype(complex)
+        norms = [analyze_interaction(InteractionMatrix.from_matrix(epr, z)).covariance.max_abs
+                 for z in (1.0, 2.0, 3.0)]
         assert norms[0] > norms[1] > norms[2]
 
     def test_gauge_independence_of_recovered_adjacency(self):
@@ -233,7 +234,7 @@ class TestAnalyzeInteraction:
         recovered = []
         for _ in range(6):
             p = random_compatible_gauge(rng, a, th)
-            zm = ClusterPlan.of(a, th).interaction(p)
+            zm = ClusterPlan.of(a, th).interaction(p, 1.0)
             res = analyze_interaction(zm, theta=th)
             recovered.append(res.adjacency)
         for r in recovered[1:]:
@@ -246,7 +247,7 @@ class TestAnalyzeInteraction:
         # forward relation with its own phases
         rng = np.random.default_rng(57)
         u = random_symmetric_unitary(rng, 4)
-        zm = InteractionMatrix.from_matrix(u)
+        zm = InteractionMatrix.from_matrix(u, 1.0)
         for _ in range(5):
             th = random_phases(rng, 4)
             if regularity_margin(u, th) < 1e-6:
@@ -256,7 +257,7 @@ class TestAnalyzeInteraction:
             assert np.max(np.abs(rebuilt - u)) <= 1e-8
 
     def test_falls_back_to_search_for_singular_phases(self):
-        zm = InteractionMatrix.from_matrix(-1j * np.eye(1))
+        zm = InteractionMatrix.from_matrix(-1j * np.eye(1), 1.0)
         res = analyze_interaction(zm, theta=[0.0])
         assert res.phases_replaced is True
         assert res.margin >= 1e-6

@@ -52,7 +52,7 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
         assert cli.main(["verify", *argv]) == cli.EXIT_OK
         return json.loads(capsys.readouterr().out)["checks"]
 
-    checked = battery.verify(cluster.interaction(selector, z), z)
+    checked = battery.verify(cluster.interaction(selector, z))
     assert checked.checks == reported(flags)
     assert all(c["passed"] for c in checked.checks)
 
@@ -66,7 +66,7 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
     else:
         selector, stored = bundle["gauge"], {"P": p, **stored}
     stored_plan = ClusterPlan.of(cli.matrix_from_json(bundle["adjacency"]), bundle["theta"])
-    from_bundle = battery.verify(stored_plan.interaction(selector, bundle["z"]), bundle["z"], stored)
+    from_bundle = battery.verify(stored_plan.interaction(selector, bundle["z"]), stored)
     assert from_bundle.checks == reported(["--interaction", bundle_path])
     rows = [c for c in from_bundle.checks if c["name"].startswith("bundle_")]
     assert [c["name"] for c in rows] == ([] if gauge == "custom" else ["bundle_P_matches"]) + BUNDLE_ROWS
@@ -81,7 +81,7 @@ def test_a_fresh_bundle_matches_its_recipe_exactly(gauge, tmp_path):
     cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
     with open(bundle_path, encoding="utf-8") as fh:
         stored = stored_matrices(json.load(fh))
-    checks = battery.verify(cluster.interaction(selector, z), z, stored).checks[-5:]
+    checks = battery.verify(cluster.interaction(selector, z), stored).checks[-5:]
     assert [(c["name"], c["residual"]) for c in checks] == [(name, 0.0) for name in BUNDLE_ROWS]
 
 
@@ -91,7 +91,7 @@ def test_a_bundle_of_the_raw_products_verifies(gauge, tmp_path, capsys):
     Z, X and Y were published structured, passes ``verify --interaction``:
     the parts the structured form drops lie within the bundle rows' budgets."""
     cluster, selector, z, _, bundle_path = synthesized(gauge, tmp_path)
-    raw = battery.synthesize(cluster.interaction(selector, z), z)
+    raw = battery.synthesize(cluster.interaction(selector, z))
     raw = {"Z": raw.zm.Z, "X": raw.pair.X, "Y": raw.pair.Y}
     with open(bundle_path, encoding="utf-8") as fh:
         bundle = json.load(fh)
@@ -120,7 +120,7 @@ def test_a_matrix_equal_to_its_mirror_image_keeps_its_bits():
     # an isolated node and a self-loop, at random phases: Z = U is diagonal
     cluster = ClusterPlan.of(np.diag([0.0, 0.12803108577163247]), [0.46643233359121483, 2.807322639145519])
     z = 1.0110575814690477
-    raw = battery.synthesize(cluster.interaction("identity", z), z)
+    raw = battery.synthesize(cluster.interaction("identity", z))
     parts = battery.structured(raw.zm, raw.pair)
     assert parts["Z"] is raw.zm.Z and parts["X"] is raw.pair.X and parts["Y"] is raw.pair.Y
 
@@ -165,7 +165,7 @@ def test_the_error_model_is_read_off_the_record(gauge, tmp_path):
     polar split, Z alone with the margin of the plan recovered from U."""
     cluster, selector, z, _, _ = synthesized(gauge, tmp_path)
     zm = cluster.interaction(selector, z)
-    split = InteractionMatrix.from_matrix(zm.Z)
+    split = InteractionMatrix.from_matrix(zm.Z, z)
     assert split.reality is None  # no plan, so no gate
     n, rho = zm.n, float(np.max(np.abs(cluster.eigenvalues)))
     by_hand = {
@@ -179,7 +179,7 @@ def test_the_error_model_is_read_off_the_record(gauge, tmp_path):
             margin=2.0 * np.sin(np.pi / (4 * n)))),
     }
     for record, expected in by_hand.values():
-        model = ErrorModel.of(record, z)
+        model = ErrorModel.of(record)
         assert model == expected
         assert [model.budget(name) for name in CHECKS] == [expected.budget(name) for name in CHECKS]
 

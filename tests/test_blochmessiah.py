@@ -33,8 +33,8 @@ from conftest import (
 )
 
 
-def _reconstruction_residuals(zm, z, factors):
-    pair = bogoliubov_from_interaction(zm, z)
+def _reconstruction_residuals(zm, factors):
+    pair = bogoliubov_from_interaction(zm)
     x_rec, y_rec = factors.reconstruct()
     return (
         np.max(np.abs(x_rec - pair.X)),
@@ -45,22 +45,22 @@ def _reconstruction_residuals(zm, z, factors):
 
 class TestBlochMessiah:
     def test_two_equal_squeezers(self):
-        zm = InteractionMatrix.from_matrix(1j * np.eye(2))
-        factors = bloch_messiah(zm, 1.0)
+        zm = InteractionMatrix.from_matrix(1j * np.eye(2), 1.0)
+        factors = bloch_messiah(zm)
         assert np.allclose(factors.D, np.ones(2), atol=1e-12)
-        rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
+        rx, ry, ru = _reconstruction_residuals(zm, factors)
         assert max(rx, ry, ru) <= 1e-9
 
     def test_epr_degenerate_factors(self):
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        factors = bloch_messiah(zm, 1.0)
+        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex), 1.0)
+        factors = bloch_messiah(zm)
         assert np.allclose(factors.D, np.ones(2), atol=1e-12)
-        rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
+        rx, ry, ru = _reconstruction_residuals(zm, factors)
         assert max(rx, ry, ru) <= 1e-9
 
     def test_diagonal_interaction(self):
-        zm = InteractionMatrix.from_matrix(np.diag([2.0, 3.0j]))
-        factors = bloch_messiah(zm, 0.7)
+        zm = InteractionMatrix.from_matrix(np.diag([2.0, 3.0j]), 0.7)
+        factors = bloch_messiah(zm)
         assert np.allclose(factors.D, [2.0, 3.0], atol=1e-12)
         x_rec, _ = factors.reconstruct()
         assert np.allclose(
@@ -72,8 +72,8 @@ class TestBlochMessiah:
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(random_gauge(rng, "custom", a, th))
-        factors = bloch_messiah(zm, 1.0)
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th), 1.0)
+        factors = bloch_messiah(zm)
         eye = np.eye(4)
         assert np.max(np.abs(factors.V @ factors.V.conj().T - eye)) <= 1e-9
         # the second interferometer -i U T^T conj(R) is V itself
@@ -93,8 +93,8 @@ class TestBlochMessiah:
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
-            factors = bloch_messiah(zm, z)
-            rx, ry, ru = _reconstruction_residuals(zm, z, factors)
+            factors = bloch_messiah(zm)
+            rx, ry, ru = _reconstruction_residuals(zm, factors)
             assert rx <= 1e-8 and ry <= 1e-8
             assert ru <= 1e-9
 
@@ -104,9 +104,9 @@ class TestBlochMessiah:
         th = random_phases(rng, 5)
         z = 1.2
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(random_gauge(rng, "custom", a, th))
-        factors = bloch_messiah(zm, z)
-        strengths = np.array([m.strength for m in squeezer_spectrum(zm, z)])
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th), z)
+        factors = bloch_messiah(zm)
+        strengths = np.array([m.strength for m in squeezer_spectrum(zm)])
         assert np.max(np.abs(np.sort(factors.D) - np.sort(strengths))) <= 1e-9
         assert np.allclose(
             factors.decibels, 20.0 * z * factors.D / math.log(10.0), atol=1e-12
@@ -117,9 +117,9 @@ class TestBlochMessiah:
         # free modes, U = i 1): the factors must not mix the strength
         # eigenspaces
         cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
-        zm = cluster.interaction(np.diag([1.0, 2.0]))
-        factors = bloch_messiah(zm, 1.0)
-        rx, ry, ru = _reconstruction_residuals(zm, 1.0, factors)
+        zm = cluster.interaction(np.diag([1.0, 2.0]), 1.0)
+        factors = bloch_messiah(zm)
+        rx, ry, ru = _reconstruction_residuals(zm, factors)
         assert max(rx, ry, ru) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
@@ -131,7 +131,7 @@ class TestBlochMessiah:
         a = random_adjacency(rng, n)
         cluster = ClusterPlan.of(a, random_phases(rng, n))
         zm = cluster.interaction("faithful", 0.7)
-        factors = bloch_messiah(zm, 0.7)
+        factors = bloch_messiah(zm)
         balanced = np.diag(-1j * factors.T @ zm.U @ factors.T.T)
         assert np.max(np.abs(factors.R - np.diag(half_phase(balanced)))) <= 1e-13
 
@@ -139,9 +139,9 @@ class TestBlochMessiah:
         # from Z alone the factors come from the cluster recovered from U,
         # whose Cayley map rejects a U that is not unitary
         planned = ClusterPlan.of(epr_adjacency(), np.zeros(2)).interaction("faithful", 1.0)
-        zm = InteractionMatrix.from_matrix(planned.Z)
+        zm = InteractionMatrix.from_matrix(planned.Z, 1.0)
         with pytest.raises(NonRealResult):
-            bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U), 1.0)
+            bloch_messiah(dataclasses.replace(zm, U=1.1 * zm.U))
 
     def test_cluster_condition_of_reduced_interferometer(self):
         rng = np.random.default_rng(63)
@@ -153,7 +153,7 @@ class TestBlochMessiah:
             kind = ("identity", "faithful", "custom")[trial % 3]
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-8
 
 
@@ -169,15 +169,15 @@ class TestBudgetsDoNotDependOnTheModeBasis:
         n, z = 12, 1.0
         a = np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0)
         cluster = ClusterPlan.of(a, np.zeros(n))
-        zm = InteractionMatrix.from_matrix(cluster.interaction("identity", z).Z)
+        zm = InteractionMatrix.from_matrix(cluster.interaction("identity", z).Z, z)
         assert zm.strengths[-1] - zm.strengths[0] < 1e-12
-        pair = bogoliubov_from_interaction(zm, z)
+        pair = bogoliubov_from_interaction(zm)
         rng = np.random.default_rng(2022)
-        budgets, reference = [], bloch_messiah(zm, z)
+        budgets, reference = [], bloch_messiah(zm)
         for modes in [zm.modes] + [zm.modes @ random_unitary(rng, n) for _ in range(5)]:
-            factors, rows = battery._reduction(dataclasses.replace(zm, modes=modes), pair, z)
+            factors, rows = battery._reduction(dataclasses.replace(zm, modes=modes), pair)
             assert np.array_equal(factors.V, reference.V)
-            model = ErrorModel.of(zm, z)
+            model = ErrorModel.of(zm)
             rows.append(("cluster_condition", cluster_condition_residual(factors.V, cluster)))
             records = model.checks(rows)
             assert [r["name"] for r in records] == list(self.ROWS)
@@ -210,7 +210,7 @@ class TestFactorsOffThePlan:
             cluster = ClusterPlan.of(a, random_phases(rng, n))
             z = float(rng.uniform(0.3, 2.0))
             zm = cluster.interaction(gauge, z)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm)
             canonical = canonical_cluster_interferometer(cluster, cluster.by_magnitude[1])
             assert np.max(np.abs(factors.V - canonical)) <= 1e-13
             assert np.array_equal(factors.D, zm.strengths)
@@ -218,7 +218,7 @@ class TestFactorsOffThePlan:
             assert np.max(np.abs(factors.T.conj().T @ factors.R - factors.V)) <= 1e-14
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             assert np.max(np.abs(factors.R @ factors.R.T - balanced)) <= 1e-13
-            rx, ry, ru = _reconstruction_residuals(zm, z, factors)
+            rx, ry, ru = _reconstruction_residuals(zm, factors)
             assert max(rx, ry, ru) <= 1e-13 * math.cosh(z * zm.strengths[-1])
             assert cluster_condition_residual(factors.V, cluster) <= 1e-13
 
@@ -232,7 +232,7 @@ class TestFactorsOffThePlan:
             cluster = ClusterPlan.of(a, random_phases(rng, n))
             z = float(rng.uniform(0.3, 2.0))
             zm = cluster.interaction(random_gauge(rng, "custom", a, cluster.theta), z)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm)
             assert factors.V is zm.modes and np.array_equal(factors.D, zm.strengths)
             o = cluster.interferometer.conj().T @ factors.V
             assert np.max(np.abs(o.imag)) <= 1e-13
@@ -241,13 +241,13 @@ class TestFactorsOffThePlan:
             assert np.max(np.abs(factors.T.conj().T @ factors.R - factors.V)) <= 1e-14
             scale = zm.strengths[-1]
             assert np.max(np.abs(factors.T.conj().T @ np.diag(factors.D) @ factors.T - zm.P)) <= 1e-13 * scale
-            rx, ry, ru = _reconstruction_residuals(zm, z, factors)
+            rx, ry, ru = _reconstruction_residuals(zm, factors)
             assert rx == 0.0 and max(ry, ru) <= 1e-13 * math.cosh(z * scale)
             assert cluster_condition_residual(factors.V, cluster) <= 1e-13
 
 
 class TestLibraryRoute:
-    """``bloch_messiah(zm, z)`` reads a planned record's factors off the
+    """``bloch_messiah(zm)`` reads a planned record's factors off the
     plan that built it, with no ``numpy.linalg`` factorization: V is the
     plan's W for a built-in gauge and the modes W O of a custom P, bit for
     bit.  Z alone recovers its plan from U at the equal phases: the
@@ -255,7 +255,7 @@ class TestLibraryRoute:
     and the real ``eigh`` of Re S_W."""
 
     @staticmethod
-    def _counted(zm, z, monkeypatch):
+    def _counted(zm, monkeypatch):
         """The factors of ``zm`` and the kernel calls that made them."""
         calls = {}
         with monkeypatch.context() as patch:
@@ -264,7 +264,7 @@ class TestLibraryRoute:
                     calls[_name] = calls.get(_name, 0) + 1
                     return _original(*args, **kwargs)
                 patch.setattr(np.linalg, name, counting)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm)
         return factors, calls
 
     @staticmethod
@@ -277,18 +277,18 @@ class TestLibraryRoute:
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
     def test_a_planned_record_makes_no_factorization(self, gauge, monkeypatch):
         zm = self._planned(gauge)
-        factors, calls = self._counted(zm, 0.8, monkeypatch)
+        factors, calls = self._counted(zm, monkeypatch)
         assert calls == {}
         assert factors.V is (zm.modes if gauge == "custom" else zm.cluster.interferometer)
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
     def test_a_bare_z_recovers_its_plan(self, gauge, monkeypatch):
-        zm = InteractionMatrix.from_matrix(self._planned(gauge).Z)
+        zm = InteractionMatrix.from_matrix(self._planned(gauge).Z, 0.8)
         assert zm.cluster is None and zm.gauge is None
-        factors, calls = self._counted(zm, 0.8, monkeypatch)
+        factors, calls = self._counted(zm, monkeypatch)
         assert calls == {"eigvalsh": 1, "solve": 1, "eigh": 2}
-        rx, ry, ru = _reconstruction_residuals(zm, 0.8, factors)
-        model = ErrorModel.of(zm, 0.8)
+        rx, ry, ru = _reconstruction_residuals(zm, factors)
+        model = ErrorModel.of(zm)
         assert rx <= model.budget("blochmessiah_x") and ry <= model.budget("blochmessiah_y")
         assert ru <= model.budget("interferometer_identity")
 

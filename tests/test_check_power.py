@@ -181,11 +181,11 @@ class Case:
             return build_faulted
 
         def faulted_frame(build):
-            def build_faulted(zm, z):
+            def build_faulted(zm):
                 lam, q = zm.cluster.by_magnitude
                 plan = synthesis.ClusterPlan(zm.cluster.A, zm.cluster.theta)
                 plan.__dict__["by_magnitude"] = (lam, fault(q, delta, shape, rng))
-                return build(dataclasses.replace(zm, cluster=plan), z)
+                return build(dataclasses.replace(zm, cluster=plan))
             return build_faulted
 
         argv = ["verify", *self.argv]
@@ -299,8 +299,8 @@ def test_faulted_structure_factor_of_single_groups_fails_a_reduction_row(cases, 
         for delta in (1e-8, 1e-10):
             rng = np.random.default_rng(2020)
 
-            def faulted(Z):
-                zm = split(Z)
+            def faulted(Z, z):
+                zm = split(Z, z)
                 return dataclasses.replace(zm, U=fault(zm.U, delta, "symmetric", rng))
 
             with monkeypatch.context() as patch:

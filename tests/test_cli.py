@@ -584,7 +584,7 @@ class TestGaugeOption:
         cluster = ClusterPlan.of(parse_graph(text), np.zeros(3))
         for mine, theirs in zip(custom.splitlines()[1:], identity.splitlines()[1:]):
             (z, *norms), (z_identity, *expected) = (map(float, row.split(",")) for row in (mine, theirs))
-            model = ErrorModel.of(cluster.interaction("identity", z), z)
+            model = ErrorModel.of(cluster.interaction("identity", z))
             assert z == z_identity
             # a Frobenius norm moves by at most N = 3 times max|dC|
             assert max(abs(a - b) for a, b in zip(norms, expected)) <= 3 * model.budget("bundle_C_matches")
@@ -964,6 +964,14 @@ class TestMalformedInput:
                                      "'re' entries must be numbers"),
         "bundle-P-re-boolean": ("verify", "P", {"rows": 2, "cols": 2, "re": [[True, False], [False, True]]},
                                 "'re' entries must be numbers"),
+        # numpy reads a boolean beside numbers as 1.0 or 0.0
+        "bundle-adjacency-boolean-among-numbers": ("verify", "adjacency",
+                                                   {"rows": 2, "cols": 2, "re": [[True, 1.0], [1.0, 0.0]]},
+                                                   "'re' entries must be numbers, not strings or booleans"),
+        "bundle-theta-boolean-among-numbers": ("verify", "theta", [True, 0.0], "phase angles must be numbers"),
+        "analyze-bundle-Z-im-boolean-among-numbers": ("analyze", "Z", {"rows": 2, "cols": 2, "re": EPR_NUMBERS,
+                                                                       "im": [[0.0, False], [0.0, 0.0]]},
+                                                      "'im' entries must be numbers"),
         "bundle-adjacency-rows-fraction": ("verify", "adjacency", {"rows": 2.7, "cols": 2, "re": EPR_NUMBERS},
                                            "'rows' and 'cols' must be integers"),
         "bundle-adjacency-rows-text": ("verify", "adjacency", {"rows": "2", "cols": 2, "re": EPR_NUMBERS},
@@ -1109,20 +1117,36 @@ class TestMalformedInput:
 
     def test_the_squeeze_budget_shows_the_product_it_rejects(self, tmp_path, capsys):
         """The product z lambda_max is shown by its shortest repr, so it reads
-        above the cap.  verify's first budget is the oracle's, whose
-        lambda_max is an eigenvalue of K, 1 to rounding on EPR."""
+        above the cap.  Every command judges P's largest strength, 1 exactly
+        on EPR with the identity gauge, where the record is made."""
         graph = write(tmp_path, "epr.graph", EPR_GRAPH)
         pattern = r"error: z \* max squeezer strength = (\S+) exceeds 30; cosh would exhaust double precision\n"
         for args, shown in ((["decompose", "--graph", graph, "-z", "30.001"], "30.001"),
-                            (["verify", "--graph", graph, "-z", "30.001"], None),
+                            (["verify", "--graph", graph, "-z", "30.001"], "30.001"),
                             (["sweep", "--graph", graph, "--z-range", "1:1e300:1"], "1e+300")):
             code, out, err = run_cli(args, capsys)
             assert code == cli.EXIT_NUMERICAL and out == ""
-            number = re.fullmatch(pattern, err).group(1)
-            if shown is None:
-                assert number == repr(float(number)) and float(number) == pytest.approx(30.001, rel=1e-15)
-            else:
-                assert number == shown
+            assert re.fullmatch(pattern, err).group(1) == shown
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "sweep", "decompose", "analyze"])
+    def test_every_command_has_the_same_squeeze_budget(self, command, tmp_path, capsys):
+        """On EPR every command exits 0 at z = Z_CAP = 30 and 4 at z = 30.001:
+        the budget is checked once, on P's largest strength, where the record
+        is made.  analyze and decompose take the --interaction route from a
+        z = 1 bundle, whose polar split puts lambda_max within rounding of 1;
+        the four graph-route commands print the same error line."""
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        bundle = str(tmp_path / "epr.json")
+        assert run_cli(["synthesize", "--graph", graph, "--out", bundle], capsys)[0] == EXIT_OK
+        routes = {"analyze": [["--interaction", bundle]],
+                  "decompose": [["--graph", graph], ["--interaction", bundle]]}.get(command, [["--graph", graph]])
+        for route in routes:
+            assert run_cli([command, *route, "-z", "30"], capsys)[0] == EXIT_OK
+            code, out, err = run_cli([command, *route, "-z", "30.001"], capsys)
+            assert code == cli.EXIT_NUMERICAL and out == "" and "exceeds 30; cosh would exhaust" in err
+            if route[0] == "--graph":
+                assert err == ("error: z * max squeezer strength = 30.001 exceeds 30; "
+                               "cosh would exhaust double precision\n")
 
     def test_singular_interaction_exits_numerical(self, tmp_path, capsys):
         path = write(tmp_path, "z.json", json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))

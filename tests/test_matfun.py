@@ -60,7 +60,7 @@ class TestHermitianApply:
         assert not _relative(hermiticity_defect(m), m)
         cluster = ClusterPlan.of(np.array([[0.0, 1.0], [1.0, 0.0]]), [0.0, 0.0])
         with pytest.raises(NotHermitian, match="not Hermitian"):
-            cluster.interaction(m)
+            cluster.interaction(m, 1.0)
 
 
 class TestPolarDecomposition:

@@ -44,25 +44,28 @@ class TestBogoliubovOracle:
     def test_scalar_generator_and_blocks(self):
         g = squeezing_generator(1j * np.eye(1), 1.0)
         assert np.allclose(g, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        zm = InteractionMatrix.from_matrix(1j * np.eye(1))
-        pair = bogoliubov_oracle(zm, 1.0)
+        zm = InteractionMatrix.from_matrix(1j * np.eye(1), 1.0)
+        pair = bogoliubov_oracle(zm)
         assert abs(pair.X[0, 0] - math.cosh(1.0)) <= 1e-12
         assert abs(pair.Y[0, 0] - math.sinh(1.0)) <= 1e-12
         assert pair.X[0, 0] == pytest.approx(1.543081, abs=1e-6)
         assert pair.Y[0, 0] == pytest.approx(1.175201, abs=1e-6)
 
     def test_zero_scale_is_rejected(self):
-        # z = 0 squeezes nothing, so no cluster is approximated: the flow and
-        # the oracle take z > 0 only, as every function that takes z does
+        # z = 0 squeezes nothing, so no cluster is approximated: the flow
+        # takes z > 0 only, as every function that takes z does, and no
+        # record the oracle reads is planned at z = 0
         cluster = ClusterPlan.of(epr_adjacency(), np.zeros(2))
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        for call in (lambda: quadrature_flow(zm, 0.0), lambda: covariance_oracle(cluster, zm, 0.0)):
+        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex), 1.0)
+        calls = (lambda: quadrature_flow(zm, 0.0), lambda: InteractionMatrix.from_matrix(zm.Z, 0.0),
+                 lambda: cluster.interaction("identity", 0.0))
+        for call in calls:
             with pytest.raises(ValueError, match="squeezing scale z must be positive and finite"):
                 call()
 
     def test_epr_blocks_at_scale_two(self):
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        pair = bogoliubov_oracle(zm, 2.0)
+        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex), 2.0)
+        pair = bogoliubov_oracle(zm)
         assert np.max(np.abs(pair.X - math.cosh(2.0) * np.eye(2))) <= 1e-10
         assert np.max(np.abs(pair.Y - 1j * math.sinh(2.0) * epr_adjacency())) <= 1e-10
 
@@ -75,8 +78,8 @@ class TestBogoliubovOracle:
             z = float(rng.uniform(0.2, 2.5))
             kind = ("identity", "faithful", "custom")[trial % 3]
             zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)
-            direct = bogoliubov_from_interaction(zm, z)
-            brute = bogoliubov_oracle(zm, z)
+            direct = bogoliubov_from_interaction(zm)
+            brute = bogoliubov_oracle(zm)
             assert np.max(np.abs(direct.X - brute.X)) <= 1e-8
             assert np.max(np.abs(direct.Y - brute.Y)) <= 1e-8
             d1, d2 = brute.defects()
@@ -85,16 +88,16 @@ class TestBogoliubovOracle:
     def test_one_parameter_group_property(self):
         rng = np.random.default_rng(72)
         a = random_adjacency(rng, 3)
-        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")
+        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity", 1.0)
         for z1, z2 in ((0.3, 0.9), (1.0, 1.0), (1e-3, 1.7)):
             s_sum = quadrature_flow(zm, z1 + z2)
             s_prod = quadrature_flow(zm, z1) @ quadrature_flow(zm, z2)
             assert np.max(np.abs(s_sum - s_prod)) <= 1e-9
 
     def test_overflow_cap(self):
-        zm = InteractionMatrix.from_matrix(20.0j * np.eye(1))
+        # z lambda_max = 40: no record is planned, so no flow is formed
         with pytest.raises(DomainError):
-            bogoliubov_oracle(zm, 2.0)
+            InteractionMatrix.from_matrix(20.0j * np.eye(1), 2.0)
 
 
 class TestQuadratureFlow:
@@ -121,7 +124,7 @@ class TestQuadratureFlow:
             z = float(rng.uniform(0.2, 3.0))
             kind = ("identity", "faithful", "custom")[trial % 3]
             zm = ClusterPlan.of(a, th).interaction(random_gauge(rng, kind, a, th), z)
-            s = quadrature_flow(zm, z)
+            s = quadrature_flow(zm)
             zero = np.zeros((n, n))
             omega = np.block([[zero, np.eye(n)], [-np.eye(n), zero]])
             residual = np.max(np.abs(s @ omega @ s.T - omega))
@@ -134,11 +137,11 @@ class TestQuadratureFlow:
         th = random_phases(rng, 6)
         cluster = ClusterPlan.of(a, th)
         zm = cluster.interaction(random_gauge(rng, kind, a, th), 1.2)
-        expected = covariance_oracle(cluster, zm, 1.2).C
-        # only Z and n: reading P, strengths or modes raises AttributeError
-        # (NaN stand-ins would slip through a comparison such as the
-        # overlap's with its budget)
-        blind = types.SimpleNamespace(Z=zm.Z, n=zm.n)
+        expected = covariance_oracle(cluster, zm).C
+        # only Z, n and z: reading P, strengths or modes raises
+        # AttributeError (NaN stand-ins would slip through a comparison such
+        # as the overlap's with its budget)
+        blind = types.SimpleNamespace(Z=zm.Z, n=zm.n, z=zm.z)
         fresh = ClusterPlan.of(a, th)  # its eigh(A) has not run
 
         def forbidden(*args, **kwargs):
@@ -151,7 +154,7 @@ class TestQuadratureFlow:
         for name in ("eigenvalues", "frame", "U"):
             monkeypatch.setattr(synthesis.ClusterPlan, name, property(forbidden))
         calls = request.getfixturevalue("factorizations")
-        assert np.array_equal(covariance_oracle(fresh, blind, 1.2).C, expected)
+        assert np.array_equal(covariance_oracle(fresh, blind).C, expected)
         # one eigh, of the 12 x 12 generator, and nothing of order N
         assert [c.shape for c in calls["eigh"]] == [(12, 12)] and calls.total() == 1
 
@@ -164,7 +167,7 @@ class TestQuadratureFlow:
         a = random_adjacency(rng, 5)
         cluster = ClusterPlan.of(a, random_phases(rng, 5))
         zm = cluster.interaction("faithful", 1.3)
-        expected = covariance_oracle(cluster, zm, 1.3).C
+        expected = covariance_oracle(cluster, zm).C
         shapes = []
 
         class FromEigenvectors(np.ndarray):
@@ -180,7 +183,7 @@ class TestQuadratureFlow:
             return w, marked
 
         monkeypatch.setattr(np.linalg, "eigh", marking)
-        rep = covariance_oracle(cluster, zm, 1.3)
+        rep = covariance_oracle(cluster, zm)
         assert np.array_equal(rep.C, expected) and rep.H.shape == (5, 5)
         assert (5, 10) in shapes  # G = [Re L, -Im L] V is derived from V
         assert (10, 10) not in shapes
@@ -195,7 +198,7 @@ class TestQuadratureFlow:
             zz = (m + m.T) / 2.0
             zl = float(rng.uniform(0.0, 29.0))
             z = zl / float(np.linalg.svd(zz, compute_uv=False)[0])
-            s = quadrature_flow(InteractionMatrix.from_matrix(zz), z)
+            s = quadrature_flow(InteractionMatrix.from_matrix(zz, z))
             reference = reference_quadrature_flow(zz, z)
             assert np.max(np.abs(s - reference)) <= RTOL * math.exp(zl)
 
@@ -208,32 +211,32 @@ class TestQuadratureFlow:
             zs = grid[0] + grid[0].T + 1j * (grid[1] + grid[1].T) + 4.0 * np.eye(n)
             d = rng.integers(-16, 17, (2, n, n)) / 8.0
             d = (d[0] - d[0].T) + 1j * (d[1] - d[1].T)
-            zm = InteractionMatrix.from_matrix(zs)
-            s = quadrature_flow(zm, 0.3)
+            zm = InteractionMatrix.from_matrix(zs, 0.3)
+            s = quadrature_flow(zm)
             for z_full in (zs + d, (zs + d).T):
-                assert np.array_equal(quadrature_flow(dataclasses.replace(zm, Z=z_full), 0.3), s)
+                assert np.array_equal(quadrature_flow(dataclasses.replace(zm, Z=z_full)), s)
 
 
 class TestCovarianceOracle:
     def test_single_free_mode(self):
-        zm = InteractionMatrix.from_matrix(1j * np.eye(1))
+        zm = InteractionMatrix.from_matrix(1j * np.eye(1), 1.0)
         cluster = ClusterPlan.of(np.zeros((1, 1)), [0.0])
-        rep = covariance_oracle(cluster, zm, 1.0)
+        rep = covariance_oracle(cluster, zm)
         assert rep.C[0, 0] == pytest.approx(math.exp(-2.0), abs=1e-10)
 
     def test_epr_self_inverse_value(self):
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
+        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex), 1.0)
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-        rep = covariance_oracle(cluster, zm, 1.0)
+        rep = covariance_oracle(cluster, zm)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_mismatched_interaction_grows(self):
         # a squeezing interaction for the wrong graph does not squeeze the
         # nullifiers: the covariance grows with z
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
+        z_matrix = -epr_adjacency().astype(complex)
         cluster = ClusterPlan.of(np.zeros((2, 2)), [0.0, 0.0])
-        rep1 = covariance_oracle(cluster, zm, 1.0)
-        rep2 = covariance_oracle(cluster, zm, 2.0)
+        rep1 = covariance_oracle(cluster, InteractionMatrix.from_matrix(z_matrix, 1.0))
+        rep2 = covariance_oracle(cluster, InteractionMatrix.from_matrix(z_matrix, 2.0))
         assert rep2.max_abs > rep1.max_abs
 
     def test_agrees_with_closed_form(self):
@@ -247,9 +250,9 @@ class TestCovarianceOracle:
             p = random_gauge(rng, kind, a, th)
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction(p, z)
-            closed = covariance_closed_form(cluster, zm, z)
-            brute = covariance_oracle(cluster, zm, z)
-            assert brute.overlap <= ErrorModel.of(zm, z).budget("oracle_overlap")
+            closed = covariance_closed_form(cluster, zm)
+            brute = covariance_oracle(cluster, zm)
+            assert brute.overlap <= ErrorModel.of(zm).budget("oracle_overlap")
             assert np.max(np.abs(closed.C - brute.C)) <= 1e-8
             # the anti-squeezed half is left out: H is the real N x N factor
             assert brute.H.shape == (n, n) and not np.iscomplexobj(brute.H)
@@ -269,7 +272,7 @@ class TestCovarianceOracle:
             zm = cluster.interaction(random_gauge(rng, kind, a, th), z)
             w, _ = np.linalg.eigh(quadrature_generator((zm.Z + zm.Z.T) / 2.0))
             own = ErrorModel.for_generator(cluster.A, w).budget("oracle_overlap")
-            row = ErrorModel.of(zm, z).budget("oracle_overlap")
+            row = ErrorModel.of(zm).budget("oracle_overlap")
             assert own >= row * (1.0 - 1e-9)
 
     @pytest.mark.parametrize("n", [1, 8, 64])
@@ -279,18 +282,18 @@ class TestCovarianceOracle:
         rng = np.random.default_rng(77)
         cluster = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n))
         matched = cluster.interaction("faithful", 1.3)
-        mismatched = InteractionMatrix.from_matrix(random_symmetric_unitary(rng, n))
+        mismatched = InteractionMatrix.from_matrix(random_symmetric_unitary(rng, n), 1.3)
         for zm, columns in ((matched, n), (mismatched, 2 * n)):
-            rep = covariance_oracle(cluster, zm, 1.3)
+            rep = covariance_oracle(cluster, zm)
             assert rep.H.shape == (n, columns)
             assert np.array_equal(rep.C, rep.C.T)
-        rep = covariance_from_pair(cluster, bogoliubov_from_interaction(matched, 1.3))
+        rep = covariance_from_pair(cluster, bogoliubov_from_interaction(matched))
         assert np.array_equal(rep.C, rep.C.T)
 
     def test_dimension_mismatch(self):
-        zm = InteractionMatrix.from_matrix(1j * np.eye(2))
+        zm = InteractionMatrix.from_matrix(1j * np.eye(2), 1.0)
         with pytest.raises(DimensionMismatch):
-            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm, 1.0)
+            covariance_oracle(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)), zm)
 
     def test_necessity_direction(self):
         # structure factors not matching the cluster leave the covariance
@@ -305,10 +308,10 @@ class TestCovarianceOracle:
             if np.max(np.abs(u_bad - unitary_from_adjacency(a, th))) < 1e-3:
                 continue
             checked += 1
-            zm = InteractionMatrix.from_matrix(u_bad)
+            zm = InteractionMatrix.from_matrix(u_bad, 3.0)
             cluster = ClusterPlan.of(a, th)
-            r3 = covariance_oracle(cluster, zm, 3.0)
-            r4 = covariance_oracle(cluster, zm, 4.0)
+            r3 = covariance_oracle(cluster, zm)
+            r4 = covariance_oracle(cluster, InteractionMatrix.from_matrix(u_bad, 4.0))
             # the oracle's own threshold, from the generator's eigenvalues
             # +-sigma(Z) at z = 1, which kept the anti-squeezed half
             sigma = zm.strengths
@@ -350,8 +353,8 @@ class TestOracleBudgetsAgainstMpmath:
         rho = float(np.max(np.abs(cluster.eigenvalues)))
         z = zl - (0.5 * math.log1p(rho * rho) if gauge == "faithful" else 0.0)
         zm = cluster.interaction(gauge, z)
-        model = ErrorModel.of(zm, z)
-        brute = covariance_oracle(cluster, zm, z)
+        model = ErrorModel.of(zm)
+        brute = covariance_oracle(cluster, zm)
         exact = self.exact_covariance(cluster, zm.P, z)
         assert brute.overlap <= model.budget("oracle_overlap")
         assert np.max(np.abs(brute.C - exact)) <= model.budget("covariance_vs_oracle")
@@ -372,7 +375,7 @@ class TestForcedGaugeViolation:
             p_bad = random_hermitian_pd(rng, n)
             cluster = ClusterPlan.of(a, th)
             with pytest.raises(GaugeIncompatible):
-                cluster.interaction(p_bad)
+                cluster.interaction(p_bad, 1.0)
             x = hermitian_function(p_bad, lambda w: np.cosh(1.0 * w))
             y = -1j * hermitian_function(p_bad, lambda w: np.sinh(1.0 * w)) @ cluster.U
             rep = covariance_from_pair(cluster, BogoliubovPair(X=x, Y=y))
@@ -384,8 +387,8 @@ class TestForcedGaugeViolation:
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(random_gauge(rng, "custom", a, th))
-        pair = bogoliubov_from_interaction(zm, 1.0)
+        zm = cluster.interaction(random_gauge(rng, "custom", a, th), 1.0)
+        pair = bogoliubov_from_interaction(zm)
         rep = covariance_from_pair(cluster, pair)
         assert rep.imag_residual <= 1e-9
 
@@ -438,8 +441,8 @@ class TestConvergenceSweep:
         cluster = ClusterPlan.of(a, th)
         for row in rows:
             zm = cluster.interaction(gauge, row.z)
-            closed = covariance_closed_form(cluster, zm, row.z)
-            budget = ErrorModel.of(zm, row.z).budget("bundle_C_matches")
+            closed = covariance_closed_form(cluster, zm)
+            budget = ErrorModel.of(zm).budget("bundle_C_matches")
             assert abs(row.max_abs - closed.max_abs) <= budget
             # | ||C||_F - ||C'||_F | <= ||C - C'||_F <= n max|C - C'|
             assert abs(row.frobenius - closed.frobenius) <= n * budget

@@ -17,6 +17,7 @@ import clustersqueeze
 from clustersqueeze import (
     ClusterPlan,
     DimensionMismatch,
+    InteractionMatrix,
     NotOrthogonal,
     bloch_messiah,
     bogoliubov_from_interaction,
@@ -85,12 +86,49 @@ def test_every_tolerance_is_read():
 
 def test_one_scale_rule():
     """Only tolerances.py states the rule for a squeezing scale z; every
-    other module takes it from ``positive_scale`` or ``check_squeeze_budget``."""
+    other module takes it from ``positive_scale`` or ``check_squeeze_budget``,
+    and the budget is checked where a record is made: only the two record
+    constructors in synthesis.py call ``check_squeeze_budget``."""
     stating = [path.name for path in LIBRARY
                if path.name != "tolerances.py"
                and any(text in path.read_text(encoding="utf-8")
                        for text in ("np.isfinite(z", "squeezing scale z must"))]
     assert stating == []
+    budget_calls = [
+        path.name
+        for path, tree in _trees(LIBRARY)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_squeeze_budget"
+    ]
+    assert budget_calls == ["synthesis.py", "synthesis.py"]
+
+
+def test_no_public_function_takes_z_beside_a_record():
+    """A record carries the scale it is planned at, so no public function or
+    method of the library that takes an interaction record ``zm`` takes a
+    ``z`` too."""
+    both = [
+        f"{path.stem}.{node.name}"
+        for path, tree in _trees(LIBRARY)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and {"zm", "z"} <= {arg.arg for arg in node.args.args + node.args.kwonlyargs}
+    ]
+    assert both == []
+
+
+def test_a_record_is_judged_at_its_own_scale():
+    """A record planned at one z cannot be judged at another: the closed form
+    takes no z, and a faithful record's is e^{-2z} 1 at the z it was planned
+    at, within the ``faithful_gauge_identity`` budget."""
+    cluster = ClusterPlan.of(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+    for z in (0.5, 1.0, 2.0):
+        zm = cluster.interaction("faithful", z)
+        assert zm.z == z
+        residual = matfun.max_abs(covariance_closed_form(cluster, zm).C - math.exp(-2.0 * z) * np.eye(2))
+        assert residual <= ErrorModel.of(zm).budget("faithful_gauge_identity")
+    assert list(inspect.signature(covariance_closed_form).parameters) == ["cluster", "zm"]
 
 
 def test_every_check_row_is_reported_and_every_magnitude_read(tmp_path, capsys):
@@ -160,8 +198,8 @@ def test_module_layering():
 def test_the_oracle_reads_only_z_and_the_clusters_a_and_theta():
     """The brute-force path is independent of the closed form by its module
     boundary: from ``synthesis`` it imports the plan and record types only,
-    of a cluster plan it reads A and theta, of an interaction Z and n, and
-    no eigenpair or product of either plan."""
+    of a cluster plan it reads A and theta, of an interaction Z, n and the
+    scale z it is planned at, and no eigenpair or product of either plan."""
     tree = ast.parse((ROOT / "src" / "clustersqueeze" / "oracle.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -174,7 +212,7 @@ def test_the_oracle_reads_only_z_and_the_clusters_a_and_theta():
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             read.setdefault(node.value.id, set()).add(node.attr)
-    assert read["cluster"] <= {"A", "theta"} and read["zm"] <= {"Z", "n"}
+    assert read["cluster"] <= {"A", "theta"} and read["zm"] <= {"Z", "n", "z"}
     forbidden = {"strengths", "modes", "P", "U", "eigenvalues", "frame", "interferometer", "interaction"}
     assert set().union(*read.values()) & forbidden == set()
 
@@ -218,18 +256,24 @@ def _plan():
     return ClusterPlan.of(np.zeros((2, 2)), np.zeros(2))
 
 
-def _interaction():
-    return _plan().interaction("identity")
+def _interaction(z=1.0):
+    return _plan().interaction("identity", z)
 
 
-#: function of z -> call, for every library function that takes a scale z
+#: function of z -> call, for every way a scale z enters the library: the
+#: two record constructors, the faithful strengths and a sweep.  The
+#: consumers of a record take z only inside it, so asking one of them for a
+#: bad z fails where its record is made.
 SCALED = {
-    "bogoliubov": lambda z: bogoliubov_from_interaction(_interaction(), z),
-    "squeezer-spectrum": lambda z: squeezer_spectrum(_interaction(), z),
-    "bloch-messiah": lambda z: bloch_messiah(_interaction(), z),
-    "closed-form": lambda z: covariance_closed_form(_plan(), _interaction(), z),
-    "oracle": lambda z: covariance_oracle(_plan(), _interaction(), z),
+    "bogoliubov": lambda z: bogoliubov_from_interaction(_interaction(z)),
+    "squeezer-spectrum": lambda z: squeezer_spectrum(_interaction(z)),
+    "bloch-messiah": lambda z: bloch_messiah(_interaction(z)),
+    "closed-form": lambda z: covariance_closed_form(_plan(), _interaction(z)),
+    "oracle": lambda z: covariance_oracle(_plan(), _interaction(z)),
     "faithful-plan": lambda z: _plan().interaction("faithful", z),
+    "custom-plan": lambda z: _plan().interaction(np.eye(2), z),
+    "polar-split": lambda z: InteractionMatrix.from_matrix(1j * np.eye(2), z),
+    "faithful-strengths": lambda z: _plan().faithful_strengths(z),
     # the last z passes the budget, so each earlier one meets the rule alone
     "convergence-sweep": lambda z: convergence_sweep(_plan(), "identity", [z, 2.0]),
 }
@@ -242,9 +286,9 @@ LIBRARY_INPUT_ERRORS = {
        for name, call in SCALED.items() for kind, z in BAD_SCALES.items()},
     "convergence-sweep-last-nan-z": (lambda: convergence_sweep(_plan(), "identity", [1.0, math.nan]),
                                      ValueError, "squeezing scale z must be positive and finite"),
-    "faithful-plan-without-z": (lambda: _plan().interaction("faithful"), ValueError,
+    "faithful-plan-without-z": (lambda: _plan().interaction("faithful", None), ValueError,
                                 "squeezing scale z must be positive and finite"),
-    "unknown-gauge": (lambda: _plan().interaction("uniform"), ValueError, "unknown gauge 'uniform'"),
+    "unknown-gauge": (lambda: _plan().interaction("uniform", 1.0), ValueError, "unknown gauge 'uniform'"),
     "complex-seed": (lambda: canonical_cluster_interferometer(_plan(), 1j * np.eye(2)), NotOrthogonal,
                      "seed must be a real matrix"),
     "seed-shape": (lambda: canonical_cluster_interferometer(_plan(), np.eye(3)), ValueError,
@@ -254,7 +298,7 @@ LIBRARY_INPUT_ERRORS = {
     "interferometer-shape": (lambda: cluster_condition_residual(np.eye(3), _plan()), ValueError,
                              "interferometer shape does not match the graph"),
     "closed-form-modes": (lambda: covariance_closed_form(ClusterPlan.of(np.zeros((3, 3)), np.zeros(3)),
-                                                         _interaction(), 1.0),
+                                                         _interaction()),
                           DimensionMismatch, "graph has 3 modes, interaction has 2"),
 }
 

@@ -65,11 +65,11 @@ class TestGauges:
     def test_identity_gauge(self):
         rng = np.random.default_rng(30)
         for n in (1, 3):
-            zm = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n)).interaction("identity")
+            zm = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n)).interaction("identity", 0.7)
             # exactly real, so bundles carry no imaginary block for P or X
             assert not np.iscomplexobj(zm.P) and np.array_equal(zm.P, np.eye(n))
             assert np.array_equal(zm.strengths, np.ones(n)) and np.array_equal(zm.modes, np.eye(n))
-            assert not np.iscomplexobj(bogoliubov_from_interaction(zm, 0.7).X)
+            assert not np.iscomplexobj(bogoliubov_from_interaction(zm).X)
 
     def test_identity_gauge_always_compatible(self):
         rng = np.random.default_rng(32)
@@ -77,7 +77,7 @@ class TestGauges:
             n = int(rng.integers(1, 8))
             a = random_adjacency(rng, n)
             th = random_phases(rng, n)
-            assert ClusterPlan.of(a, th).interaction(np.eye(n)).reality.residual <= 1e-12
+            assert ClusterPlan.of(a, th).interaction(np.eye(n), 1.0).reality.residual <= 1e-12
 
     def test_faithful_gauge_trivial_graph(self):
         p = faithful(np.zeros((3, 3)), [0.1, -0.2, 0.3], z=2.0)
@@ -101,7 +101,7 @@ class TestGauges:
             p = faithful(a, th, z)
             eigs = np.linalg.eigvalsh(p)
             assert eigs[0] >= 1.0 - 1e-12
-            ClusterPlan.of(a, th).interaction(p)  # raises if incompatible
+            ClusterPlan.of(a, th).interaction(p, z)  # raises if incompatible
             # e^{-2zP} collapses to e^{-2z} e^{-iT}(A^2+1)^{-1} e^{iT}
             w, q = np.linalg.eigh(p)
             decay = (q * np.exp(-2 * z * w)[None, :]) @ q.conj().T
@@ -130,7 +130,7 @@ class TestClusterPlan:
         for a, th, z in self.cases(44, 60):
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction("faithful", z)
-            model = ErrorModel.of(zm, z)
+            model = ErrorModel.of(zm)
             # U against the complex solve, as a stored U is judged
             residual = np.max(np.abs(cluster.U - reference_unitary_from_adjacency(a, th)))
             assert residual <= model.budget("bundle_U_matches")
@@ -154,10 +154,10 @@ class TestClusterPlan:
         for a, th, z in self.cases(46, 20):
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction("faithful", z)
-            factors = bloch_messiah(zm, z)
+            factors = bloch_messiah(zm)
             balanced = -1j * factors.T @ zm.U @ factors.T.T
             off = balanced - np.diag(np.diag(balanced))
-            model = ErrorModel.of(zm, z)
+            model = ErrorModel.of(zm)
             assert np.max(np.abs(off)) <= model.budget("bundle_U_matches")
 
 
@@ -168,7 +168,7 @@ class TestValidateGauge:
     def test_diag_gauge_incompatible_on_epr(self):
         # test matrix is [[3, -i], [i, 3]]: residual 1/3
         with pytest.raises(GaugeIncompatible, match=r"^gauge_condition residual 3\.333e-01 exceeds its budget"):
-            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))
+            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]), 1.0)
 
     def test_requires_positive_definite(self):
         # the reality condition alone is no gate: the plan rejects compatible
@@ -177,17 +177,17 @@ class TestValidateGauge:
         eye = np.eye(2)
         for p in (-eye, 0.0 * eye):
             with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
-                cluster.interaction(p)
+                cluster.interaction(p, 1.0)
         p = non_hermitian_compatible_gauge(cluster.A)
         test = (cluster.A + 1j * eye) @ p @ (cluster.A - 1j * eye)  # compatible: a real test matrix
         assert np.max(np.abs(test.imag)) <= 1e-15 * np.max(np.abs(test))
         with pytest.raises(NotHermitian, match="not Hermitian"):
-            cluster.interaction(p)
+            cluster.interaction(p, 1.0)
         # malformed and incompatible: P's own checks run before the reality check
         with pytest.raises(NotPositiveDefinite, match="min eigenvalue"):
-            cluster.interaction(np.diag([1.0, -1.0]))
+            cluster.interaction(np.diag([1.0, -1.0]), 1.0)
         with pytest.raises(NotHermitian, match="not Hermitian"):
-            cluster.interaction(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            cluster.interaction(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0)
 
     def test_custom_gauge_is_planned_from_its_hermitian_part(self):
         # an anti-Hermitian part within rtol passes the Hermiticity check;
@@ -197,7 +197,7 @@ class TestValidateGauge:
         skew = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         p = random_compatible_gauge(rng, a, th) + 1e-15 * (skew - skew.conj().T)
         cluster = ClusterPlan.of(a, th)
-        zm = cluster.interaction(p)
+        zm = cluster.interaction(p, 1.0)
         assert np.array_equal(zm.P, zm.P.conj().T)
         assert np.array_equal(zm.Z, zm.P @ zm.U)
         strengths, modes = cluster.eigenpairs(zm.P)
@@ -220,20 +220,22 @@ class TestValidateGauge:
             sym = np.max(np.abs(prod - prod.T)) <= 1e-9 * max(
                 1.0, np.max(np.abs(prod))
             )
+            # the gate's budgets do not depend on z; at z = 0.1 every
+            # strength here is within the squeeze budget, checked first
             if sym:
-                cluster.interaction(p)
+                cluster.interaction(p, 0.1)
             else:
                 with pytest.raises(GaugeIncompatible):
-                    cluster.interaction(p)
+                    cluster.interaction(p, 0.1)
 
 
 class TestInteractionMatrix:
     def test_trivial_mode(self):
-        zm = ClusterPlan.of(np.zeros((1, 1)), [0.0]).interaction("identity")
+        zm = ClusterPlan.of(np.zeros((1, 1)), [0.0]).interaction("identity", 1.0)
         assert np.allclose(zm.Z, 1j)
 
     def test_epr_identity_gauge(self):
-        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("identity")
+        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("identity", 1.0)
         assert np.allclose(zm.Z, -epr_adjacency(), atol=1e-12)
 
     def test_epr_faithful_gauge(self):
@@ -243,37 +245,37 @@ class TestInteractionMatrix:
 
     def test_incompatible_gauge_raises(self):
         with pytest.raises(GaugeIncompatible):
-            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))
+            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]), 1.0)
 
     def test_from_matrix_round_trips_factors(self):
         rng = np.random.default_rng(35)
         a = random_adjacency(rng, 4)
         th = random_phases(rng, 4)
         p = random_compatible_gauge(rng, a, th)
-        zm = ClusterPlan.of(a, th).interaction(p)
-        back = InteractionMatrix.from_matrix(zm.Z)
+        zm = ClusterPlan.of(a, th).interaction(p, 1.0)
+        back = InteractionMatrix.from_matrix(zm.Z, 1.0)
         assert np.max(np.abs(back.P - zm.P)) <= 1e-8
         assert np.max(np.abs(back.U - zm.U)) <= 1e-8
 
 
 class TestBogoliubov:
     def test_scalar_interaction(self):
-        zm = InteractionMatrix.from_matrix(1j * np.eye(1))
-        pair = bogoliubov_from_interaction(zm, 1.0)
+        zm = InteractionMatrix.from_matrix(1j * np.eye(1), 1.0)
+        pair = bogoliubov_from_interaction(zm)
         assert np.allclose(pair.X, [[math.cosh(1.0)]], atol=1e-12)
         assert np.allclose(pair.Y, [[math.sinh(1.0)]], atol=1e-12)
 
     def test_zero_scale_is_rejected(self):
-        # X = 1, Y = 0 at z = 0 squeezes nothing; the one scale rule takes z > 0
+        # X = 1, Y = 0 at z = 0 squeezes nothing; the one scale rule takes
+        # z > 0, so no record is planned at z = 0
         rng = np.random.default_rng(37)
         a = random_adjacency(rng, 3)
-        zm = ClusterPlan.of(a, np.zeros(3)).interaction("identity")
         with pytest.raises(ValueError, match="squeezing scale z must be positive and finite"):
-            bogoliubov_from_interaction(zm, 0.0)
+            ClusterPlan.of(a, np.zeros(3)).interaction("identity", 0.0)
 
     def test_epr_blocks(self):
-        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex))
-        pair = bogoliubov_from_interaction(zm, 1.0)
+        zm = InteractionMatrix.from_matrix(-epr_adjacency().astype(complex), 1.0)
+        pair = bogoliubov_from_interaction(zm)
         assert np.allclose(pair.X, math.cosh(1.0) * np.eye(2), atol=1e-12)
         assert np.allclose(
             pair.Y, 1j * math.sinh(1.0) * epr_adjacency(), atol=1e-12
@@ -289,22 +291,22 @@ class TestBogoliubov:
             kind = ("identity", "faithful", "custom")[trial % 3]
             p = random_gauge(rng, kind, a, th)
             zm = ClusterPlan.of(a, th).interaction(p, z)
-            pair = bogoliubov_from_interaction(zm, z)
+            pair = bogoliubov_from_interaction(zm)
             first, second = pair.defects()
             assert first <= 1e-9
             assert second <= 1e-9
 
     def test_overflow_cap(self):
-        zm = InteractionMatrix.from_matrix(40.0j * np.eye(2))
+        # the record is not made, so no cosh(z P) is formed past the budget
         with pytest.raises(DomainError, match="cosh"):
-            bogoliubov_from_interaction(zm, 1.0)
+            InteractionMatrix.from_matrix(40.0j * np.eye(2), 1.0)
 
 
 class TestCovarianceClosedForm:
     def test_epr_identity_gauge(self):
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-        zm = cluster.interaction("identity")
-        rep = covariance_closed_form(cluster, zm, z=1.0)
+        zm = cluster.interaction("identity", 1.0)
+        rep = covariance_closed_form(cluster, zm)
         assert np.max(np.abs(rep.C - 2.0 * math.exp(-2.0) * np.eye(2))) <= 1e-10
 
     def test_faithful_gauge_scalar_value(self):
@@ -312,13 +314,13 @@ class TestCovarianceClosedForm:
         a = random_adjacency(rng, 5)
         th = random_phases(rng, 5)
         cluster = ClusterPlan.of(a, th)
-        rep = covariance_closed_form(cluster, cluster.interaction("faithful", 1.0), z=1.0)
+        rep = covariance_closed_form(cluster, cluster.interaction("faithful", 1.0))
         assert np.max(np.abs(rep.C - math.exp(-2.0) * np.eye(5))) <= 1e-9
 
     def test_self_loop_identity_gauge(self):
         cluster = ClusterPlan.of(np.array([[1.0]]), [0.0])
-        zm = cluster.interaction("identity")
-        rep = covariance_closed_form(cluster, zm, z=1.0)
+        zm = cluster.interaction("identity", 1.0)
+        rep = covariance_closed_form(cluster, zm)
         assert np.allclose(rep.C, [[2.0 * math.exp(-2.0)]], atol=1e-12)
 
     def test_uniform_gauge_formula(self):
@@ -329,8 +331,8 @@ class TestCovarianceClosedForm:
             th = random_phases(rng, n)
             z = float(rng.uniform(0.3, 2.0))
             cluster = ClusterPlan.of(a, th)
-            zm = cluster.interaction("identity")
-            rep = covariance_closed_form(cluster, zm, z)
+            zm = cluster.interaction("identity", z)
+            rep = covariance_closed_form(cluster, zm)
             target = (a @ a + np.eye(n)) * math.exp(-2.0 * z)
             assert np.max(np.abs(rep.C - target)) <= 1e-9
 
@@ -344,14 +346,14 @@ class TestCovarianceClosedForm:
             p = random_gauge(rng, ("identity", "faithful", "custom")[trial % 3], a, th)
             cluster = ClusterPlan.of(a, th)
             zm = cluster.interaction(p, z)
-            rep = covariance_closed_form(cluster, zm, z)
+            rep = covariance_closed_form(cluster, zm)
             scale = 1.0 + rep.max_abs
             assert rep.imag_residual <= 1e-9 * scale
             # E = (A + i) e^{i Theta} e^{-z P} from a dense e^{-z P}, and C = E E^dagger
             decay = hermitian_function(zm.P, lambda w: np.exp(-z * w))
             expected = (a + 1j * np.eye(n)) @ (np.exp(1j * th)[:, None] * decay)
             assert np.max(np.abs(rep.E - expected)) <= 1e-9 * (1.0 + np.max(np.abs(expected)))
-            budget = ErrorModel.of(zm, z).budget("covariance_real")
+            budget = ErrorModel.of(zm).budget("covariance_real")
             assert np.max(np.abs(rep.C - rep.E @ rep.E.conj().T)) <= budget
             assert np.linalg.eigvalsh(rep.C)[0] >= -1e-9 * scale
 
@@ -367,25 +369,24 @@ class TestCovarianceClosedForm:
                 for z in (0.5, 1.0, 2.0):
                     p = random_gauge(rng, gauge, a, th)
                     zm = cluster.interaction(p, z)
-                    norms.append(covariance_closed_form(cluster, zm, z).max_abs)
+                    norms.append(covariance_closed_form(cluster, zm).max_abs)
                 assert norms[0] > norms[1] > norms[2]
 
     def test_rejects_zero_scale(self):
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])
-        zm = cluster.interaction("identity")
         with pytest.raises(ValueError):
-            covariance_closed_form(cluster, zm, 0.0)
+            cluster.interaction("identity", 0.0)
 
     def test_rejects_incompatible_gauge(self):
         # the closed form takes a plan; the plan builder rejects the gauge
         with pytest.raises(GaugeIncompatible):
-            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]))
+            ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction(np.diag([1.0, 2.0]), 1.0)
 
 
 class TestSqueezerSpectrum:
     def test_unit_strengths(self):
-        zm = InteractionMatrix.from_matrix(1j * np.eye(2))
-        modes = squeezer_spectrum(zm, 1.0)
+        zm = InteractionMatrix.from_matrix(1j * np.eye(2), 1.0)
+        modes = squeezer_spectrum(zm)
         for m in modes:
             assert m.strength == pytest.approx(1.0)
             assert m.cosh_factor == pytest.approx(math.cosh(1.0))
@@ -393,8 +394,8 @@ class TestSqueezerSpectrum:
             assert m.decibels == pytest.approx(20.0 / math.log(10.0))
 
     def test_diagonal_strengths_in_decibels(self):
-        zm = InteractionMatrix.from_matrix(np.diag([2.0, 3.0j]))
-        modes = squeezer_spectrum(zm, 0.5)
+        zm = InteractionMatrix.from_matrix(np.diag([2.0, 3.0j]), 0.5)
+        modes = squeezer_spectrum(zm)
         assert [m.strength for m in modes] == pytest.approx([2.0, 3.0])
         assert modes[0].decibels == pytest.approx(20.0 / math.log(10.0), rel=1e-12)
         assert modes[1].decibels == pytest.approx(30.0 / math.log(10.0), rel=1e-12)
@@ -402,6 +403,6 @@ class TestSqueezerSpectrum:
     def test_identity_gauge_means_equal_squeezers(self):
         rng = np.random.default_rng(43)
         a = random_adjacency(rng, 4)
-        zm = ClusterPlan.of(a, np.zeros(4)).interaction("identity")
-        modes = squeezer_spectrum(zm, 1.3)
+        zm = ClusterPlan.of(a, np.zeros(4)).interaction("identity", 1.3)
+        modes = squeezer_spectrum(zm)
         assert np.allclose([m.strength for m in modes], 1.0, atol=1e-12)

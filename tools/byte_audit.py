@@ -21,8 +21,8 @@ Slices, each containing the one before:
 
 * ``smoke``: every command on both routes at N = 2 for the identity,
   faithful and custom gauges, in JSON, text and CSV, plus edited bundles,
-  malformed inputs, scales past the squeeze budget or so small that the
-  faithful strengths overflow, and a graph within the input tolerance of a
+  malformed inputs, scales at and past the squeeze budget or so small
+  that the faithful strengths overflow, and a graph within the input tolerance of a
   perfect matching;
 * ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at random
   phases;
@@ -179,6 +179,7 @@ EDITS = {
     "adjacency-rows-fraction": ("adjacency", {"rows": 2.7, "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
     "adjacency-rows-text": ("adjacency", {"rows": "2", "cols": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}),
     "P-re-boolean": ("P", {"rows": 2, "cols": 2, "re": [[True, False], [False, True]]}),
+    "adjacency-bool": ("adjacency", {"rows": 2, "cols": 2, "re": [[True, 1.0], [1.0, 0.0]]}),
     "Z-re-text": ("Z", {"rows": 2, "cols": 2, "re": [["0.0", "-1.0"], ["-1.0", "0.0"]]}),
     "theta-three": ("theta", [0.0, 0.0, 0.0]),
     "P-3x3": ("P", _matrix_json(np.eye(3))),
@@ -196,8 +197,8 @@ OVERFLOW = {
 def _edits(replay: Replay) -> None:
     """Edited EPR bundles, a bare asymmetric Z, a custom gauge of the wrong
     size, sweep ranges whose START rounds to 0 or that ask for 100 001 rows,
-    scales past the squeeze budget and a subnormal faithful one, graphs whose
-    weights' squares overflow, and a graph whose A A is within the input
+    scales at and past the squeeze budget and a subnormal faithful one,
+    graphs whose weights' squares overflow, and a graph whose A A is within the input
     tolerance of 1 without equalling it."""
     Path("epr.graph").write_text("2\n0 1 1.0\n", encoding="utf-8")
     replay.run("edit/synthesize", ["synthesize", "--graph", "epr.graph", "--out", "epr.json"])
@@ -218,7 +219,10 @@ def _edits(replay: Replay) -> None:
                           ("past-z-cap", "1:40:1")):
         replay.run(f"sweep-range/{name}", ["sweep", "--graph", "epr.graph", "--z-range", z_range])
     replay.run("scale/verify-past-z-cap", ["verify", "--graph", "epr.graph", "-z", "30.001"])
-    for command in ("analyze", "decompose"):  # the closed form alone takes no budget
+    for command in ("synthesize", "verify", "decompose", "sweep", "analyze"):  # z lambda_max = Z_CAP
+        route = ["--interaction", "epr.json"] if command == "analyze" else ["--graph", "epr.graph"]
+        replay.run(f"scale/{command}-epr-z-30", [command, *route, "-z", "30"])
+    for command in ("analyze", "decompose"):  # a bare Z meets the budget as a graph does
         replay.run(f"scale/{command}-z-100", [command, "--interaction", "epr.json", "-z", "100"])
     replay.run("scale/verify-faithful-subnormal",
                ["verify", "--graph", "epr.graph", "--gauge", "faithful", "-z", "1e-320"])
