@@ -68,6 +68,7 @@ def synthesize(zm) -> Checked:
     rows = [
         ("gauge_condition", zm.reality.residual),
         ("interaction_symmetric", zm.asymmetry),
+        ("interaction_product", zm.departure),
         ("structure_unitary", unitarity_defect(zm.U)),
         ("bogoliubov_unitary_defect", defect_one),
         ("bogoliubov_symmetry_defect", defect_two),
@@ -148,9 +149,12 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
     gauge the max-entry norm decreases strictly in z.  The last z, where
     z lambda_max is largest, is planned first, so its record checks the
     squeeze budget; the others meet the scale rule and ascend to it.  The
-    modes of every gauge are z-free, so the nullifier frame M is formed once
-    and each row costs one Gram product C = H H^dagger, H = M e^{-z w}, with
-    the faithful strengths read off the cluster plan.  Only the end rows
+    modes of every gauge are z-free, so the frame of the closed form is
+    formed once (:func:`synthesis._covariance_frame`: A for a scalar P, the
+    real R = Q diag(sqrt(1 + lam^2)) for another built-in one, the
+    nullifier frame M for a custom one), and each row costs one Gram
+    product C = H H^dagger, H = frame e^{-z w}, with the faithful strengths
+    read off the cluster plan.  Only the end rows
     plan the gauge and run the oracle, which factorizes K once, or once per
     end for the faithful gauge, and each is judged by its record's model at
     its z; a failed ``covariance_vs_oracle`` record raises
@@ -177,14 +181,15 @@ def convergence_sweep(cluster, gauge, z_values: Sequence[float]) -> list[SweepPo
         model = ErrorModel.of(zm)
         oracles |= {z: (brute.C, dataclasses.replace(model, z=z))
                     for z, brute in zip(at, oracle._covariance_oracles(cluster, zm, at))}
-    frame, rows = synthesis._nullifier_frame(cluster, last.modes), []
+    frame, rows = synthesis._covariance_frame(cluster, last), []
     for z in zs:
         strengths = cluster.faithful_strengths(z) if faithful else last.strengths
-        closed = synthesis._frame_covariance(frame, strengths, z, last.modes)
-        rows.append(SweepPoint(z=z, max_abs=closed.max_abs, frobenius=closed.frobenius))
+        decay = np.exp(-z * strengths)
+        c = synthesis._frame_covariance(frame * decay[None, :], decay[0] * decay[0] if last.scalar else 0.0)
+        rows.append(SweepPoint(z=z, max_abs=max_abs(c), frobenius=float(np.linalg.norm(c))))
         if z in oracles:
             brute, model = oracles[z]
-            [check] = model.checks([("covariance_vs_oracle", max_abs(closed.C - brute))])
+            [check] = model.checks([("covariance_vs_oracle", max_abs(c - brute))])
             if not check["passed"]:
                 raise OracleMismatch(
                     f"closed-form and brute-force covariances differ by "

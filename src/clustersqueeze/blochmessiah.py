@@ -78,7 +78,7 @@ def bloch_messiah(zm: InteractionMatrix) -> BlochMessiahFactors:
     """
     w = zm.strengths
     cluster = _recovered_plan(zm.U, _equal_phases(zm.U)) if zm.cluster is None else zm.cluster
-    if zm.gauge in ("identity", "faithful"):  # P is diagonal in F, O = 1
+    if zm.diagonal:  # P is diagonal in F, O = 1
         v, t = cluster.interferometer, cluster.frame.conj().T
     else:  # a custom P's modes are W O; those of Z alone come off the recovered S_W
         v = cluster.eigenpairs(zm.P)[1] if zm.cluster is None else zm.modes

@@ -122,20 +122,24 @@ def _load_json(path: str, fields=None) -> dict:
     (:func:`_booleans_as_text`).  Given ``fields``, an object laid out as
     :func:`_emit_json` writes it is read by :func:`_top_level_fields`, which
     decodes only those fields; any other text goes to ``json.loads``, so
-    errors are worded as for the whole text.  Text the decoder cannot turn
-    into values (an integer past Python's digit limit, or nesting past the
-    recursion limit) is an input error too."""
+    errors are worded as for the whole text, and of an object only the
+    ``fields`` have their booleans read as text.  Text the decoder cannot
+    turn into values (an integer past Python's digit limit, or nesting past
+    the recursion limit) is an input error too."""
     text = _read_text(path)
     if fields is not None:
         obj = _top_level_fields(text, fields)
         if obj is not None:
             return obj
     try:
-        return _booleans_as_text(json.loads(text), text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path}: invalid JSON ({exc})") from None
     except (ValueError, RecursionError) as exc:
         raise _InputError(f"{path}: cannot decode JSON ({exc})") from None
+    if fields is None or not isinstance(value, dict):
+        return _booleans_as_text(value, text)
+    return {key: _booleans_as_text(v, text) if key in fields else v for key, v in value.items()}
 
 
 def _booleans_as_text(value, text: str, start: int = 0, stop: int | None = None):
@@ -143,12 +147,15 @@ def _booleans_as_text(value, text: str, start: int = 0, stop: int | None = None)
     array read as its JSON text, so the number checks turn it down as a
     string (numpy reads it beside numbers as 1.0 or 0.0).  Its text holds a
     ``u`` or an ``f``, as no number's does but Infinity's ``f``, so two
-    ``memchr`` scans pass a matrix without one."""
+    ``memchr`` scans pass a matrix without one, and a list of numbers alone
+    is passed by one scan of its types."""
     if text.find("u", start, stop) < 0 and text.find("f", start, stop) < 0:
         return value
 
     def walk(v):
         if isinstance(v, list):
+            if set(map(type, v)) <= {float, int}:  # a row of numbers, passed in one scan
+                return v
             return [("true" if x else "false") if isinstance(x, bool) else walk(x) for x in v]
         return {key: walk(x) for key, x in v.items()} if isinstance(v, dict) else v
 

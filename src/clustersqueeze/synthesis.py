@@ -37,6 +37,30 @@ W = F diag((1 + i lam) / |1 + i lam|), U = i W W^T, and every compatible
 gauge is P = W S_W W^dagger with S_W real symmetric positive definite.  A
 custom P's eigenpairs come from one real ``eigh`` of S_W = O diag(w) O^T:
 its modes are W O, and the built-in gauges are the case O = 1.
+
+The real route.  A P diagonal in the plan's frame, P = F diag(w) F^dagger
+(the identity and faithful gauges, whose records are ``diagonal``), has
+every block of the form Q diag(d) Q^T between diagonal phases.  With
+r = (lam - i)/(lam + i), each comes from real products with Q:
+
+    Z = -i F diag(w r) F^T,               X = F diag(cosh zw) F^dagger,
+    Y = -F diag(sinh(zw) r) F^T,          C = R diag(e^{-2zw}) R^T,
+
+with the real R = Q diag(sqrt(1 + lam^2)), because (A + i) Q =
+Q diag(lam + i); C is one syrk of R e^{-zw}, which a sweep scales per row.
+A scalar P = w 1, the identity gauge, takes Z = w U, X = cosh(zw) 1 and
+Y = -i sinh(zw) U with no product, and C = e^{-2zw} (A A^T + 1) from one
+syrk of A, which keeps the zeros of A^2 + 1.  Nothing else takes this
+route: a custom gauge keeps Z = P U and its blocks from its modes W O;
+``analyze``'s polar split keeps the complex frame for C; and the oracle
+reads only Z, A and Theta.  P no longer feeds Z here: the gauge gate still
+judges the published P's reality, and ``InteractionMatrix.departure``
+ties it to Z.  E = Q diag((lam + i) e^{-zw}) Q^T e^{i Theta},
+formed only when read, is (A + i) e^{i Theta} e^{-zw} for a scalar P, with
+no product, so the zeros of A stay exact zeros of E.  The realness defect
+that the ``covariance_real`` row judges comes from H = (A + i) Q e^{-zw},
+one real product with A: Im H H^dagger is the commutator of Q e^{-2zw} Q^T
+with A, which vanishes when A Q = Q diag(lam), the identity R rests on.
 """
 
 from __future__ import annotations
@@ -81,7 +105,9 @@ class InteractionMatrix:
     squeeze budget z max(strengths) <= ``Z_CAP``.  ``cluster`` is the plan
     that built the record and ``gauge`` the gauge it named, ``"identity"``,
     ``"faithful"`` or ``"custom"`` (whose modes are W O); both are None for
-    a polar split.
+    a polar split.  A record of a built-in gauge is ``diagonal``: its P is
+    F diag(strengths) F^dagger in its plan's frame F, and its Z, X, Y and C
+    come off the plan's real Q.
     """
 
     Z: np.ndarray
@@ -97,10 +123,30 @@ class InteractionMatrix:
     def n(self) -> int:
         return self.Z.shape[0]
 
+    @property
+    def diagonal(self) -> bool:
+        """P = F diag(strengths) F^dagger in its plan's frame F: a built-in gauge."""
+        return self.cluster is not None and self.gauge in ("identity", "faithful")
+
+    @property
+    def scalar(self) -> bool:
+        """A diagonal P that is w 1 (:func:`_uniform`), as the identity gauge's is."""
+        return self.diagonal and _uniform(self.strengths)
+
     @cached_property
     def asymmetry(self) -> float:
-        """Relative asymmetry of Z; zero exactly when the gauge is compatible."""
+        """Relative asymmetry of Z.  Z = P U is symmetric exactly when P is
+        compatible; a built-in gauge's Z = -i F diag(w r) F^T is symmetric
+        by construction, up to the rounding of its product with Q."""
         return symmetry_defect(self.Z) / max(1.0, max_abs(self.Z))
+
+    @cached_property
+    def departure(self) -> float:
+        """max|Z v - P (U v)| on the fixed unit probe v of :func:`_probe`, in
+        O(N^2).  A built-in gauge forms Z off the plan's Q apart from P, so
+        this is what ties the published P to Z, and through Z to the oracle."""
+        v = _probe(self.n)
+        return max_abs(self.Z @ v - self.P @ (self.U @ v))
 
     @cached_property
     def reality(self) -> GaugeCheck | None:
@@ -146,16 +192,17 @@ class CovarianceReport:
     """Closed-form nullifier covariance C = H H^dagger with its factor.
 
     ``C`` is the real symmetric covariance as reported, ``max_abs`` its
-    largest entry.  ``H`` is the complex factor in the eigenbasis ``modes``
-    of P, so E = H Q_P^dagger.  E and ``imag_residual``, the largest
-    imaginary entry of H H^dagger and thus the realness defect of the
-    covariance, are formed on first read.
+    largest entry.  ``H`` is the complex factor in the eigenbasis Q_P of
+    the ``record``'s P.  E and ``imag_residual``, the largest imaginary
+    entry of H H^dagger and thus the realness defect of the covariance, are
+    formed on first read: E = H Q_P^dagger, or for a record diagonal in its
+    plan's frame off the plan's real Q (:func:`_nullifiers`).
     """
 
     C: np.ndarray
     H: np.ndarray
     max_abs: float
-    modes: np.ndarray
+    record: InteractionMatrix = field(repr=False, compare=False)
 
     @property
     def frobenius(self) -> float:
@@ -163,7 +210,8 @@ class CovarianceReport:
 
     @cached_property
     def E(self) -> np.ndarray:
-        return self.H @ self.modes.conj().T
+        zm = self.record
+        return _nullifiers(zm) if zm.diagonal else self.H @ zm.modes.conj().T
 
     @cached_property
     def imag_residual(self) -> float:
@@ -238,6 +286,24 @@ class ClusterPlan:
         """W = F diag(rotation), the canonical interferometer with O = Q."""
         return self.frame * self.rotation[None, :]
 
+    @cached_property
+    def _cayley(self) -> np.ndarray:
+        """r = (lam - i) / (lam + i) in the order of ``by_magnitude``: U = -i F diag(r) F^T."""
+        lam = self.by_magnitude[0]
+        return (lam - 1j) / (lam + 1j)
+
+    def _symmetric(self, d: np.ndarray) -> np.ndarray:
+        """F diag(d) F^T = e^{-i Theta} Q diag(d) Q^T e^{-i Theta} for a complex
+        d in the order of ``by_magnitude``: one real product with Q."""
+        q, ph = self.by_magnitude[1], self._phases
+        return ph[:, None] * _real_product(q, d[:, None] * q.T) * ph[None, :]
+
+    def _hermitian(self, d: np.ndarray) -> np.ndarray:
+        """F diag(d) F^dagger for a real d in the order of ``by_magnitude``: the
+        real Q diag(d) Q^T between the phases."""
+        ph = self._phases
+        return ph[:, None] * _spectral(self.by_magnitude[1], d) * ph.conj()[None, :]
+
     def eigenpairs(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Strengths w and modes W O of a Hermitian P compatible with the
         cluster, from one real eigh(Re S_W) = O diag(w) O^T, S_W = W^dagger P W.
@@ -271,14 +337,15 @@ class ClusterPlan:
         explicit P's shape (:class:`DimensionMismatch`), finiteness and
         Hermiticity (:class:`NotHermitian`), then for every gauge
         positivity and singularity of the strengths
-        (:class:`NotPositiveDefinite`); an explicit P's strengths are those
-        of Re S_W, which are P's to rounding whenever the gate passes.  z then
-        meets the squeeze budget on the largest strength (:class:`DomainError`)
-        before an :class:`ErrorModel` forms cosh(z lambda_max).  The gate
-        judges the record's ``reality`` and ``asymmetry``: either residual
-        above its :class:`ErrorModel` budget raises :class:`GaugeIncompatible`,
-        so the rows built on P see no incompatibility beyond the rounding
-        they budget for.  The gate's test matrix has entries up to
+        (:class:`NotPositiveDefinite`).  The gate then judges the record's
+        ``reality`` and ``asymmetry``: either residual above its
+        :class:`ErrorModel` budget raises :class:`GaugeIncompatible`, so the
+        rows built on P see no incompatibility beyond the rounding they
+        budget for.  The gate's two budgets are free of z and form no
+        cosh(z lambda_max).  Only a gauge that passes meets the squeeze
+        budget on its largest strength (:class:`DomainError`): an explicit
+        P's strengths are those of Re S_W, which are P's to rounding only
+        when the gate passes.  The gate's test matrix has entries up to
         kappa^2 max(eig P), kappa = 1 + max|lam(A)| as in :class:`ErrorModel`;
         a bound past the float range is a :class:`DomainError`, kappa^2 alone
         checked before the faithful strengths square lam, as are faithful
@@ -288,13 +355,14 @@ class ClusterPlan:
         _in_float_range(kappa * kappa, kappa)
         zm = self._plan(gauge, z)
         _in_float_range(kappa * kappa * float(zm.strengths[-1]), kappa)
-        model = ErrorModel.of(zm)  # the gate's two budgets are free of z
+        model = ErrorModel.of(zm)
         for name, residual in (("gauge_condition", zm.reality.residual), ("interaction_symmetric", zm.asymmetry)):
             if not residual <= model.budget(name):
                 raise GaugeIncompatible(
                     f"{name} residual {residual:.3e} exceeds its budget "
                     f"{model.budget(name):.1e}: P fails the reality condition beyond rounding"
                 )
+        check_squeeze_budget(float(zm.strengths[-1]), zm.z)
         return zm
 
     def faithful_strengths(self, z: float) -> np.ndarray:
@@ -310,7 +378,11 @@ class ClusterPlan:
         return w
 
     def _plan(self, gauge, z) -> InteractionMatrix:
-        """The record of Z = P U at z within the squeeze budget, for any gauge of this plan."""
+        """The record of Z = P U at z, for any gauge of this plan.
+
+        A P diagonal in the frame F (the built-in gauges) takes Z = P U =
+        -i F diag(w r) F^T off the real Q, or Z = w U when P is a scalar.
+        """
         n = self.A.shape[0]
         if not isinstance(gauge, str):
             if np.shape(gauge) != self.A.shape:
@@ -325,9 +397,8 @@ class ClusterPlan:
             w, modes = np.ones(n), np.eye(n)
             p = np.eye(n)
         elif gauge == "faithful":
-            w, modes, q = self.faithful_strengths(z), self.frame, self.by_magnitude[1]
-            # F diag(w) F^dagger, with the real Q diag(w) Q^T between the phases
-            p = self._phases[:, None] * _spectral(q, w) * self._phases.conj()[None, :]
+            w, modes = self.faithful_strengths(z), self.frame
+            p = self._hermitian(w)
             p = (p + p.conj().T) / 2.0
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
@@ -336,9 +407,34 @@ class ClusterPlan:
                 f"gauge factor has min eigenvalue {w[0]:.3e}: not positive definite "
                 "or numerically singular"
             )
-        z = check_squeeze_budget(float(w[-1]), z)
-        return InteractionMatrix(Z=p @ self.U, P=p, U=self.U, strengths=w, modes=modes,
-                                 z=z, cluster=self, gauge=gauge)
+        if gauge == "custom":
+            interaction = p @ self.U
+        elif _uniform(w):
+            interaction = _scaled(self.U, w[0])
+        else:
+            interaction = self._symmetric(-1j * w * self._cayley)
+        return InteractionMatrix(Z=interaction, P=p, U=self.U, strengths=w, modes=modes,
+                                 z=positive_scale(z), cluster=self, gauge=gauge)
+
+
+def _uniform(w: np.ndarray) -> bool:
+    """Whether the ascending strengths w are all equal: a P diagonal in its
+    plan's frame is then w 1, and its blocks need no product with Q."""
+    return bool(w[0] == w[-1])
+
+
+def _probe(n: int) -> np.ndarray:
+    """The fixed real unit vector that ``InteractionMatrix.departure`` tests
+    Z = P U on, v_k ~ cos(sqrt(2) k): no two entries are equal, so no
+    eigenvector of a graph is orthogonal to it by the graph's symmetry."""
+    v = np.cos(math.sqrt(2.0) * np.arange(1, n + 1))
+    return v / np.linalg.norm(v)
+
+
+def _scaled(m: np.ndarray, factor: float) -> np.ndarray:
+    """A complex m times a real factor, each part scaled alone: a factor 1
+    keeps every bit, signed zeros included."""
+    return (m.view(float) * factor).view(complex)
 
 
 def _in_float_range(bound: float, kappa: float) -> None:
@@ -369,10 +465,22 @@ def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
 
 def bogoliubov_from_interaction(zm: InteractionMatrix) -> BogoliubovPair:
     """Bogoliubov blocks X = cosh(z P) and Y = -i sinh(z P) U of the
-    squeezing transformation at the record's scale z."""
-    w, q, z = zm.strengths, zm.modes, zm.z
-    x = _spectral(q, np.cosh(z * w))
-    sinh = _spectral(q, np.sinh(z * w))
+    squeezing transformation at the record's scale z.
+
+    A P diagonal in its plan's frame F takes X = F diag(cosh zw) F^dagger
+    and Y = -F diag(sinh(zw) r) F^T, each from one real product with Q; a
+    scalar P = w 1 takes X = cosh(zw) 1 and Y = -i sinh(zw) U with none.
+    Any other P takes its blocks from its modes and U.
+    """
+    w, z = zm.strengths, zm.z
+    cosh, sinh = np.cosh(z * w), np.sinh(z * w)
+    if zm.scalar:
+        return BogoliubovPair(X=np.eye(zm.n) * cosh[0], Y=_scaled(-1j * zm.U, sinh[0]))
+    if zm.diagonal:
+        plan = zm.cluster
+        return BogoliubovPair(X=plan._hermitian(cosh), Y=plan._symmetric(-sinh * plan._cayley))
+    x = _spectral(zm.modes, cosh)
+    sinh = _spectral(zm.modes, sinh)
     # -i sinh(zP) U; a real sinh(zP) takes the -i into U and one real product
     y = (-1j * sinh) @ zm.U if np.iscomplexobj(sinh) else _real_product(sinh, -1j * zm.U)
     return BogoliubovPair(X=x, Y=y)
@@ -381,34 +489,80 @@ def bogoliubov_from_interaction(zm: InteractionMatrix) -> BogoliubovPair:
 def covariance_closed_form(cluster: ClusterPlan, zm: InteractionMatrix) -> CovarianceReport:
     """Closed-form nullifier covariance of the synthesized state at the record's z.
 
-    ``zm`` is compatible with the cluster: built by :meth:`ClusterPlan.interaction`,
-    which gates the gauge, or a polar split and the cluster ``analyze``
-    recovers from its own U, compatible by construction.  C = H H^dagger
-    with H = M e^{-z w} from the nullifier frame M = (A + i 1) e^{i Theta}
-    Q_P of P's eigenpairs (w, Q_P); E = H Q_P^dagger is formed on first
-    read.  Single code path for every gauge; the special cases (faithful
-    gauge e^{-2z} 1, trivial gauge (A^2 + 1) e^{-2z}, self-inverse graphs
-    2 e^{-2z} 1) are consequences used as test oracles, not branches.
+    ``zm`` is compatible with the cluster: built by the
+    :meth:`ClusterPlan.interaction` of a plan of this A and Theta, which
+    gates the gauge, or a polar split and the cluster ``analyze`` recovers
+    from its own U, compatible by construction.  C = H H^dagger with
+    H = M e^{-z w} from the nullifier frame M = (A + i 1) e^{i Theta} Q_P of
+    P's eigenpairs (w, Q_P); E = H Q_P^dagger is formed on first read.  A
+    record diagonal in its plan's frame takes C off that plan's real frame
+    (:func:`_covariance_frame`) and E off Q (:func:`_nullifiers`), and its
+    H = (A + i) Q e^{-z w}, in the modes F, from one real product with A:
+    Im H H^dagger is then the commutator of Q e^{-2 z w} Q^T with A, so
+    ``imag_residual`` judges the identity A Q = Q diag(lam) that R rests
+    on.  The special cases (faithful gauge e^{-2z} 1, trivial gauge
+    (A^2 + 1) e^{-2z}, self-inverse graphs 2 e^{-2z} 1) are consequences
+    used as test oracles, not branches.
     """
     if cluster.A.shape[0] != zm.n:
         raise DimensionMismatch(f"graph has {cluster.A.shape[0]} modes, interaction has {zm.n}")
-    return _frame_covariance(_nullifier_frame(cluster, zm.modes), zm.strengths, zm.z, zm.modes)
+    decay = np.exp(-zm.z * zm.strengths)
+    scaled = _covariance_frame(cluster, zm) * decay[None, :]
+    c = _frame_covariance(scaled, decay[0] * decay[0] if zm.scalar else 0.0)
+    if not zm.diagonal:
+        return CovarianceReport(C=c, H=scaled, max_abs=max_abs(c), record=zm)
+    plan = zm.cluster
+    q, h = plan.by_magnitude[1], np.empty(zm.Z.shape, dtype=complex)
+    np.multiply(plan.A @ q, decay, out=h.real)
+    np.multiply(q, decay, out=h.imag)
+    return CovarianceReport(C=c, H=h, max_abs=max_abs(c), record=zm)
 
 
-def _nullifier_frame(cluster: ClusterPlan, modes: np.ndarray) -> np.ndarray:
-    """M = (A + i 1) e^{i Theta} Q_P: one real product with A."""
-    rotated = np.exp(1j * cluster.theta)[:, None] * modes
+def _nullifiers(zm: InteractionMatrix) -> np.ndarray:
+    """E = (A + i 1) e^{i Theta} e^{-z P} of a record diagonal in its plan's
+    frame: Q diag((lam + i) e^{-z w}) Q^T e^{i Theta}, one real product with
+    Q, or for a scalar P = w 1 (A + i 1) e^{i Theta} e^{-z w} with none, so
+    that the zeros of A stay exact."""
+    plan, w = zm.cluster, zm.strengths
+    decay, ph = np.exp(-zm.z * w), np.exp(1j * plan.theta)
+    if zm.scalar:
+        e = plan.A * ph[None, :]
+        e[np.diag_indices_from(e)] += 1j * ph
+        e *= decay[None, :]
+        return e
+    lam, q = plan.by_magnitude
+    return _real_product(q, ((lam + 1j) * decay)[:, None] * q.T) * ph[None, :]
+
+
+def _covariance_frame(cluster: ClusterPlan, zm: InteractionMatrix) -> np.ndarray:
+    """The frame whose columns, scaled by e^{-z w}, factor C = Re H H^dagger.
+
+    A record diagonal in its plan's frame F has (A + i 1) e^{i Theta} F =
+    (A + i 1) Q = Q diag(lam + i): its columns are those of the real
+    R = Q diag(sqrt(1 + lam^2)) times phases that H H^dagger drops.  For a
+    scalar P = w 1, C = e^{-2zw} (A A^T + 1): the frame is A itself, and
+    :func:`_frame_covariance` adds e^{-2zw} 1, so that the zeros of
+    A^2 + 1 stay exact.  Any other record takes the nullifier frame
+    M = (A + i 1) e^{i Theta} Q_P, one real product with A.
+    """
+    if zm.scalar:
+        return zm.cluster.A
+    if zm.diagonal:
+        lam, q = zm.cluster.by_magnitude
+        return q * np.sqrt(lam * lam + 1.0)[None, :]
+    rotated = np.exp(1j * cluster.theta)[:, None] * zm.modes
     return _real_product(cluster.A, rotated) + 1j * rotated
 
 
-def _frame_covariance(frame: np.ndarray, strengths: np.ndarray, z: float, modes: np.ndarray) -> CovarianceReport:
-    """C = H H^dagger with H = M e^{-z w}, for the frame M of ``modes``."""
-    h = frame * np.exp(-z * strengths)[None, :]
-    # Re H H^dagger from the float view [Re H, Im H] (columns interleaved):
-    # one same-buffer product (BLAS syrk), exactly symmetric
+def _frame_covariance(h: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """C = Re H H^dagger + shift 1 of a scaled frame H, real or complex: one
+    same-buffer product (BLAS syrk), exactly symmetric, of H itself or of
+    its float view [Re H, Im H] (columns interleaved)."""
     real = np.ascontiguousarray(h).view(float)
     c = real @ real.T
-    return CovarianceReport(C=c, H=h, max_abs=max_abs(c), modes=modes)
+    if shift:
+        c[np.diag_indices_from(c)] += shift
+    return c
 
 
 def squeezer_spectrum(zm: InteractionMatrix) -> list[SqueezerMode]:

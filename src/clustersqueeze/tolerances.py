@@ -81,11 +81,22 @@ def check_squeeze_budget(strength_max: float, z) -> float:
 CHECKS = {
     "gauge_condition": ("reality", 4),
     "interaction_symmetric": ("asymmetry", 4),
+    # Z v - P (U v) on a unit v, 7 stages: eigh of A, the products with Q
+    # that form a built-in gauge's Z, P and U (3), and the three
+    # matrix-vector products; a custom P's Z = P U takes one product
+    # instead of Z's and P's
+    "interaction_product": ("interaction", 28),
     "structure_unitary": ("structure", 12),  # eigh of A, Q diag Q^T, U U^dagger
-    "bogoliubov_unitary_defect": ("bogoliubov", 40),  # P, U, eigh, X, Y (2), two products
+    # a custom P's route: P, U, eigh, X, Y (2), two products.  A P diagonal
+    # in the plan's frame takes fewer: eigh of A, X and Y as one product with
+    # Q each (none for a scalar P), then the two products
+    "bogoliubov_unitary_defect": ("bogoliubov", 40),
     "bogoliubov_symmetry_defect": ("bogoliubov", 40),
-    # P, eigh, the frame M = (A + i) e^{i Theta} Q_P, H H^dagger, and one
-    # stage to spare
+    # a custom P's route: P, eigh, the frame M = (A + i) e^{i Theta} Q_P,
+    # H H^dagger, and one stage to spare.  A P diagonal in the plan's frame
+    # takes fewer: C from eigh of A and the syrk of R e^{-zw}, and
+    # covariance_real's H = (A + i) Q e^{-zw} from eigh of A, one product
+    # with A and the cross product Im H H^dagger
     "covariance_real": ("covariance", 28),
     "faithful_gauge_identity": ("covariance", 28),
     "uniform_gauge_formula": ("covariance", 32),  # and A A
@@ -105,8 +116,10 @@ CHECKS = {
     "bundle_Z_matches": ("interaction", 20),  # the stored result of the same stages
     "bundle_P_matches": ("interaction", 8),  # a built-in P: eigh of A, F diag(w) F^dagger
     "bundle_U_matches": ("structure", 4),
-    "bundle_X_matches": ("blocks", 20),  # P, eigh, cosh(zP)
-    "bundle_Y_matches": ("blocks", 28),  # and U, sinh(zP) U
+    # a custom P's route: P, eigh, cosh(zP), and for Y U and sinh(zP) U; a P
+    # diagonal in the plan's frame takes eigh of A and one product with Q
+    "bundle_X_matches": ("blocks", 20),
+    "bundle_Y_matches": ("blocks", 28),
     "bundle_C_matches": ("covariance", 28),
 }
 
@@ -166,6 +179,20 @@ class ErrorModel:
         return cls(n, 0.0, float(w[n]), float(w[-1]), kappa)
 
     @cached_property
+    def _compatibility(self) -> dict[str, float]:
+        """The magnitudes of the gate's two rows, free of z: the gate reads
+        them before the squeeze budget, where cosh(z lambda_max) may overflow."""
+        k = self.kappa
+        return {
+            # Im (A + i) e^{i Theta} P e^{-i Theta} (A - i), with ||A + i|| <= k
+            "reality": k * k * self.lam_max / self.test_scale,
+            # P U - (P U)^T of a custom P: the product, and U's error k u N,
+            # which only the non-scalar part of P turns into asymmetry; a
+            # built-in gauge's Z has only its product's rounding
+            "asymmetry": (self.lam_max + k * (self.lam_max - self.lam_min)) / self.z_scale,
+        }
+
+    @cached_property
     def magnitudes(self) -> dict[str, float]:
         k, zl = self.kappa, self.z * self.lam_max
         cosh = math.cosh(zl)
@@ -181,11 +208,7 @@ class ErrorModel:
         return {
             "structure": k,
             "interaction": k * self.lam_max,
-            # Im (A + i) e^{i Theta} P e^{-i Theta} (A - i), with ||A + i|| <= k
-            "reality": k * k * self.lam_max / self.test_scale,
-            # P U - (P U)^T: the product, and U's error k u N, which only the
-            # non-scalar part of P turns into asymmetry
-            "asymmetry": (self.lam_max + k * (self.lam_max - self.lam_min)) / self.z_scale,
+            **self._compatibility,
             # X X^dagger and Y Y^dagger have entries up to cosh^2
             "bogoliubov": k * cosh * cosh,
             # X and Y; an error in P is amplified by z sinh
@@ -213,7 +236,10 @@ class ErrorModel:
 
     def budget(self, name: str) -> float:
         magnitude, c = CHECKS[name]
-        return c * UNIT_ROUNDOFF * self.n * self.magnitudes[magnitude]
+        value = self._compatibility.get(magnitude)
+        if value is None:
+            value = self.magnitudes[magnitude]
+        return c * UNIT_ROUNDOFF * self.n * value
 
     def checks(self, rows) -> list[dict]:
         """Report records of (name, residual) rows; ``tolerance`` is the budget."""

@@ -32,6 +32,7 @@ from clustersqueeze import (
     phase_vector,
 )
 from clustersqueeze.matfun import (
+    _real_product,
     _spectral,
     as_complex_matrix,
     max_abs,
@@ -205,6 +206,24 @@ def bogoliubov_oracle(zm):
     )
 
 
+def complex_route(zm):
+    """Z, X, Y, C and E of a planned record by the complex route, which every
+    gauge took before a P diagonal in the plan's frame read its blocks off
+    the plan's real Q: Z = P U, X = Q_P cosh(zw) Q_P^dagger,
+    Y = -i sinh(zP) U, and C = Re H H^dagger and E = H Q_P^dagger with
+    H = (A + i) e^{i Theta} Q_P e^{-zw}, for P's eigenpairs (w, Q_P).  The
+    products with P, X and sinh(zP) of the identity gauge are those of
+    exact identity matrices."""
+    cluster, w, q, z = zm.cluster, zm.strengths, zm.modes, zm.z
+    x = _spectral(q, np.cosh(z * w))
+    sinh = _spectral(q, np.sinh(z * w))
+    y = (-1j * sinh) @ zm.U if np.iscomplexobj(sinh) else _real_product(sinh, -1j * zm.U)
+    rotated = np.exp(1j * cluster.theta)[:, None] * q
+    h = (_real_product(cluster.A, rotated) + 1j * rotated) * np.exp(-z * w)[None, :]
+    real = h.view(float)
+    return {"Z": zm.P @ zm.U, "X": x, "Y": y, "C": real @ real.T, "E": h @ q.conj().T}
+
+
 def nullifier_map(cluster):
     """N x 2N coefficient matrix Q = [L, conj(L)], L = -(A + i 1) e^{i Theta},
     of the nullifiers of a ``ClusterPlan``, acting on the stacked
@@ -245,7 +264,8 @@ def covariance_from_pair(cluster, pair):
     m = np.hstack([left.real, -left.imag]) @ s
     c = m @ m.T  # one same-buffer product (BLAS syrk): exactly symmetric
     mx, mp = m[:, :n], m[:, n:]
-    return CovarianceReport(C=c, H=-mx + 1j * mp, max_abs=max_abs(c), modes=np.eye(n))
+    # no record: this reference's E is never formed
+    return CovarianceReport(C=c, H=-mx + 1j * mp, max_abs=max_abs(c), record=None)
 
 
 class NotUnitary(ClusterSqueezeError):

@@ -9,6 +9,7 @@ whole-text read.
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +192,33 @@ class TestMutatedBundles:
         else:
             bad = text[:at] + text[at + 1:]
         assert_sound(bad, fields)
+
+
+class TestCompactBundle:
+    """A bundle in another layout, here compact JSON, is decoded whole by
+    ``json.loads``; only the fields a command reads have their booleans
+    read as text, so a boolean elsewhere is neither walked nor judged."""
+
+    @staticmethod
+    def compact(bundles, tmp_path, field, value):
+        path, text = bundles[-1]  # N = 64, faithful
+        bundle = json.loads(text)
+        block = bundle[field]
+        bundle[field] = {**block, "re": [[value, *row[1:]] if i == 0 else row for i, row in enumerate(block["re"])]}
+        out = tmp_path / "compact.json"
+        out.write_text(json.dumps(bundle, separators=(",", ":")), encoding="utf-8")
+        return str(out)
+
+    def test_a_boolean_in_an_unread_field_is_ignored(self, bundles, tmp_path, capsys):
+        path = self.compact(bundles, tmp_path, "E", True)
+        assert cli._top_level_fields(Path(path).read_text(encoding="utf-8"), VERIFY_FIELDS) is None
+        loaded = cli._load_json(path, VERIFY_FIELDS)
+        assert loaded["E"]["re"][0][0] is True  # left as decoded: not walked
+        assert main(["verify", "--interaction", path]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_a_boolean_in_a_read_field_exits_input(self, bundles, tmp_path, capsys):
+        path = self.compact(bundles, tmp_path, "P", True)
+        assert cli._load_json(path, VERIFY_FIELDS)["P"]["re"][0][0] == "true"
+        assert main(["verify", "--interaction", path]) == cli.EXIT_INPUT
+        assert "malformed matrix object" in capsys.readouterr().err

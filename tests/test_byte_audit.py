@@ -66,3 +66,25 @@ def test_a_warning_reads_the_same_from_any_tree(tmp_path):
     old, new = player(tmp_path / "old"), player(tmp_path / "new")
     assert old == new and old["first"]["stderr"] == old["second"]["stderr"]
     assert old["first"]["stderr"].startswith("<tree>/clustersqueeze/synthesis.py:7: RuntimeWarning: overflow")
+
+
+def test_each_side_runs_at_its_thread_count(tmp_path, monkeypatch):
+    """``--threads OLD NEW`` sets every BLAS thread variable of each side's
+    process, over any value the caller's environment holds; by default both
+    sides run at one thread."""
+    tool = _tool()
+    seen = []
+
+    def run(command, env, check):
+        seen.append({name: env.get(name) for name in tool.BLAS_THREADS})
+        work = Path(command[-2])
+        work.mkdir(parents=True)
+        (work / "records.json").write_text("{}", encoding="utf-8")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    src = str(ROOT / "src")
+    assert tool.main([src, src, "--slice", "smoke", "--work", str(tmp_path / "work"), "--threads", "1", "2"]) == 0
+    assert seen == [dict.fromkeys(tool.BLAS_THREADS, "1"), dict.fromkeys(tool.BLAS_THREADS, "2")]
+    assert tool.main([src, src, "--slice", "smoke", "--work", str(tmp_path / "again")]) == 0
+    assert seen[2:] == [dict.fromkeys(tool.BLAS_THREADS, "1")] * 2

@@ -7,7 +7,8 @@ that keeps the structure the later stages assume: a Hermitian P, a symmetric
 U, Z or C.  X is replaced where it is built: in the cluster plan (P, Z, U
 and the eigenpairs of P, before the gauge gate), the Bogoliubov pair, the
 closed-form covariance, the Bloch-Messiah factors (on either route), the
-plan's eigenvectors as those factors read them, or a stored bundle field.
+plan's eigenvectors as those factors or the closed form read them, or a
+stored bundle field.
 The faulted request then reports the row failed (exit 1), except for the
 two rows that share their budget with the gauge gate: their fault is a
 rejection (exit 3).  A stored P is compared only in a bundle of a built-in
@@ -19,6 +20,14 @@ spectral radius 1 with random phases, and for ``uniform_gauge_formula``
 also a perfect matching, whose A A = 1 exactly.  The Bloch-Messiah rows
 are also pinned on the bundle route (``INTERACTION_POWER``) and for a
 custom gauge on both routes (``CUSTOM_POWER``).
+
+A built-in gauge forms Z off the plan's real Q apart from P, so
+``interaction_product`` ties P to Z: a P that stays compatible passes the
+gauge gate, and that row alone fails (``COMPATIBLE_P_FAULT``).  The
+built-in gauges take their closed form off the plan's real Q, which
+``covariance_real`` judges through the commutator of Q e^{-2zw} Q^T with A,
+so its fault is in that Q; a custom gauge keeps the nullifier frame of its
+modes, and a fault in them flips the row there (``CUSTOM_MODES_FAULT``).
 """
 
 from __future__ import annotations
@@ -48,10 +57,11 @@ GATE_ROWS = ("gauge_condition", "interaction_symmetric")
 POWER = {
     "gauge_condition": ("plan", "P", "hermitian", 1e-12),
     "interaction_symmetric": ("plan", "Z", "antisymmetric", 1e-12),
+    "interaction_product": ("plan", "Z", "symmetric", 1e-11),
     "structure_unitary": ("plan", "U", "symmetric", 1e-12),
     "bogoliubov_unitary_defect": ("pair", "X", "general", 1e-11),
     "bogoliubov_symmetry_defect": ("pair", "Y", "general", 1e-11),
-    "covariance_real": ("plan", "modes", "general", 1e-10),
+    "covariance_real": ("closed frame", "Q", "general", 1e-9),
     "covariance_vs_oracle": ("closed", "C", "symmetric", 1e-9),
     "oracle_overlap": ("plan", "Z", "symmetric", 1e-10),
     "faithful_gauge_identity": ("closed", "C", "symmetric", 1e-9),
@@ -93,6 +103,16 @@ CUSTOM_POWER = {
     "cluster_condition": 1e-11,
 }
 
+#: covariance_real's fault of a custom gauge's modes, which its closed form
+#: reads; set by the rule above.
+CUSTOM_MODES_FAULT = 1e-9
+
+#: interaction_product's fault of a P that stays compatible, P + delta max|P|
+#: F diag(r) F^dagger: the gauge gate passes it, and a built-in gauge forms
+#: Z, X, Y and C without P, so only the tie of P to Z sees it.  Set by the
+#: rule above on the built-in and the custom cases.
+COMPATIBLE_P_FAULT = 1e-10
+
 #: Faults no row of their own guards since the rows that compared the
 #: construction with itself are gone: (stage, object, shape, fault, the rows
 #: of which at least one fails).  A tampered C is covariance_vs_oracle's
@@ -100,7 +120,6 @@ CUSTOM_POWER = {
 #: plan's eigenvector matrix as the Bloch-Messiah factors read it: V is
 #: built from it and checked against A alone by cluster_condition.
 UNGUARDED = {
-    "Z != P U": ("plan", "Z", "symmetric", 1e-10, {"covariance_vs_oracle", "oracle_overlap"}),
     "strengths": ("plan", "strengths", "general", 1e-10,
                   {"covariance_vs_oracle", "faithful_gauge_identity", "uniform_gauge_formula"}),
     "D": ("factors", "D", "general", 1e-10, {"blochmessiah_x", "blochmessiah_y"}),
@@ -108,9 +127,13 @@ UNGUARDED = {
 }
 
 
-def fault(m, delta, shape, rng):
-    """m + delta max|m| R with R of the given ``shape`` and entries in [-1, 1]."""
+def fault(m, delta, shape, rng, plan=None):
+    """m + delta max|m| R with R of the given ``shape`` and entries in [-1, 1];
+    a ``compatible`` R is F diag(r) F^dagger in the frame F of ``plan``, so
+    that a P so faulted still passes the gauge gate."""
     m = np.asarray(m)
+    if shape == "compatible":
+        return m + delta * max_abs(m) * plan._hermitian(rng.uniform(-1.0, 1.0, m.shape[0]))
     r = rng.uniform(-1.0, 1.0, m.shape)
     if np.iscomplexobj(m):
         r = r + 1j * rng.uniform(-1.0, 1.0, m.shape)
@@ -177,15 +200,25 @@ class Case:
         def faulted(build):
             def build_faulted(*args):
                 built = build(*args)
-                return dataclasses.replace(built, **{name: fault(getattr(built, name), delta, shape, rng)})
+                plan = getattr(built, "cluster", None)
+                return dataclasses.replace(built, **{name: fault(getattr(built, name), delta, shape, rng, plan)})
             return build_faulted
+
+        def faulted_plan(cluster):
+            lam, q = cluster.by_magnitude
+            plan = synthesis.ClusterPlan(cluster.A, cluster.theta)
+            plan.__dict__["by_magnitude"] = (lam, fault(q, delta, shape, rng))
+            return plan
 
         def faulted_frame(build):
             def build_faulted(zm):
-                lam, q = zm.cluster.by_magnitude
-                plan = synthesis.ClusterPlan(zm.cluster.A, zm.cluster.theta)
-                plan.__dict__["by_magnitude"] = (lam, fault(q, delta, shape, rng))
-                return build(dataclasses.replace(zm, cluster=plan))
+                return build(dataclasses.replace(zm, cluster=faulted_plan(zm.cluster)))
+            return build_faulted
+
+        def faulted_closed_frame(build):
+            def build_faulted(cluster, zm):
+                plan = faulted_plan(cluster)
+                return build(plan, dataclasses.replace(zm, cluster=plan))
             return build_faulted
 
         argv = ["verify", *self.argv]
@@ -200,6 +233,9 @@ class Case:
                 patch.setattr(blochmessiah, "bloch_messiah", faulted(blochmessiah.bloch_messiah))
             elif stage == "frame":
                 patch.setattr(blochmessiah, "bloch_messiah", faulted_frame(blochmessiah.bloch_messiah))
+            elif stage == "closed frame":
+                closed = synthesis.covariance_closed_form
+                patch.setattr(synthesis, "covariance_closed_form", faulted_closed_frame(closed))
             elif stage == "bundle":
                 stored = cli.matrix_from_json(self.bundle[name])
                 bundle = {**self.bundle, name: matrix_to_json(fault(stored, delta, shape, rng))}
@@ -273,6 +309,19 @@ def test_fault_of_the_custom_gauge_factors_flips_the_row(row, stage, custom_case
     for case in custom_cases:
         code, rows = case.verify(monkeypatch, stage, "V", "general", CUSTOM_POWER[row])
         assert code == cli.EXIT_CHECK_FAILED and rows[row] is False, case.id
+
+
+def test_fault_of_a_compatible_p_flips_interaction_product(cases, custom_cases, monkeypatch):
+    for case in [case for case in cases if not case.self_inverse] + custom_cases:
+        code, rows = case.verify(monkeypatch, "plan", "P", "compatible", COMPATIBLE_P_FAULT)
+        failed = {row for row, passed in rows.items() if not passed}
+        assert code == cli.EXIT_CHECK_FAILED and failed == {"interaction_product"}, case.id
+
+
+def test_fault_of_the_custom_modes_flips_covariance_real(custom_cases, monkeypatch):
+    for case in custom_cases:
+        code, rows = case.verify(monkeypatch, "plan", "modes", "general", CUSTOM_MODES_FAULT)
+        assert code == cli.EXIT_CHECK_FAILED and rows["covariance_real"] is False, case.id
 
 
 @pytest.mark.parametrize("what", UNGUARDED)

@@ -493,6 +493,7 @@ class TestSweep:
 EPR_CORE_CHECKS = """\
   [pass] gauge_condition: residual 0.000e+00 (tolerance 1.8e-15)
   [pass] interaction_symmetric: residual 0.000e+00 (tolerance 8.9e-16)
+  [pass] interaction_product: residual 0.000e+00 (tolerance 1.2e-14)
   [pass] structure_unitary: residual 4.441e-16 (tolerance 5.3e-15)
   [pass] bogoliubov_unitary_defect: residual 6.661e-16 (tolerance 3.2e-14)
   [pass] bogoliubov_symmetry_defect: residual 0.000e+00 (tolerance 3.2e-14)
@@ -908,6 +909,37 @@ class TestMalformedCustomGauge:
             assert code == EXIT_INPUT, p.shape
             assert out == ""
             assert err == f"error: {path}: P not of shape (2, 2)\n"
+
+
+def _z_one(command):
+    """-z 1, which a sweep with its --z-range does not take."""
+    return [] if command[0] == "sweep" else ["-z", "1"]
+
+
+class TestCustomGaugeBeforeTheSqueezeBudget:
+    """A custom P's strengths are those of Re S_W, which are P's only when
+    the gate passes, so the gate judges P before z meets the squeeze
+    budget.  P = diag(1, w) is incompatible with EPR: the request exits 3
+    naming the gate's residual, not 4 on a strength P does not have.  At
+    w = 1e4, z lambda_max of Re S_W passes 710, where cosh overflows: the
+    gate's two budgets form no cosh."""
+
+    @GAUGE_COMMANDS
+    @pytest.mark.parametrize("weight, residual", [(100.0, "9.802e-01"), (1e4, "9.998e-01")])
+    def test_an_incompatible_gauge_exits_gauge(self, command, weight, residual, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        path = write(tmp_path, "p.json", json.dumps(matrix_to_json(np.diag([1.0, weight]))))
+        code, out, err = run_cli([*command, "--graph", graph, "--gauge", f"custom:{path}", *_z_one(command)], capsys)
+        assert code == cli.EXIT_GAUGE and out == ""
+        assert err.startswith(f"error: gauge_condition residual {residual} exceeds its budget ")
+
+    @GAUGE_COMMANDS
+    def test_a_compatible_gauge_over_the_cap_exits_numerical(self, command, tmp_path, capsys):
+        graph = write(tmp_path, "epr.graph", EPR_GRAPH)
+        path = write(tmp_path, "p.json", json.dumps(matrix_to_json(40.0 * np.eye(2))))
+        code, out, err = run_cli([*command, "--graph", graph, "--gauge", f"custom:{path}", *_z_one(command)], capsys)
+        assert code == cli.EXIT_NUMERICAL and out == ""
+        assert "exceeds 30; cosh would exhaust double precision" in err
 
 
 @pytest.mark.parametrize("z", ["1", "29"])

@@ -84,6 +84,14 @@ class TestBogoliubovOracle:
             assert np.max(np.abs(direct.Y - brute.Y)) <= 1e-8
             d1, d2 = brute.defects()
             assert d1 <= 1e-9 and d2 <= 1e-9
+        # the built-in gauges read X and Y off the plan's real Q; the flow
+        # reads only Z, so it judges them at N = 64 too
+        for kind in ("identity", "faithful"):
+            a, th = random_adjacency(rng, 64, weight=1.0), random_phases(rng, 64)
+            zm = ClusterPlan.of(a, th).interaction(kind, float(rng.uniform(0.2, 2.5)))
+            direct, brute = bogoliubov_from_interaction(zm), bogoliubov_oracle(zm)
+            assert np.max(np.abs(direct.X - brute.X)) <= 1e-8, kind
+            assert np.max(np.abs(direct.Y - brute.Y)) <= 1e-8, kind
 
     def test_one_parameter_group_property(self):
         rng = np.random.default_rng(72)

@@ -1,5 +1,6 @@
 """Tests for the forward synthesis path."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from clustersqueeze import (
 from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
+    complex_route,
     epr_adjacency,
     hermitian_function,
     non_hermitian_compatible_gauge,
@@ -406,3 +408,88 @@ class TestSqueezerSpectrum:
         zm = ClusterPlan.of(a, np.zeros(4)).interaction("identity", 1.3)
         modes = squeezer_spectrum(zm)
         assert np.allclose([m.strength for m in modes], 1.0, atol=1e-12)
+
+
+class TestRealRoute:
+    """A P diagonal in the plan's frame F, the built-in gauges, takes Z, X,
+    Y, C and E off the plan's real Q; the complex route that every gauge
+    took before (``complex_route``) agrees within the budgets of the rows
+    that compare a stored block with a fresh one, E within C's budget over
+    e^{-z lambda_min}, the one factor of e^{-z w} that E has fewer."""
+
+    @staticmethod
+    def records():
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 8, 64):
+            a = random_adjacency(rng, n, weight=1.0)
+            cluster = ClusterPlan.of(a, random_phases(rng, n))
+            for gauge in ("identity", "faithful"):
+                yield cluster.interaction(gauge, float(rng.uniform(0.2, 2.5)))
+
+    def test_blocks_match_the_complex_route(self):
+        for zm in self.records():
+            model, reference = ErrorModel.of(zm), complex_route(zm)
+            pair, closed = bogoliubov_from_interaction(zm), covariance_closed_form(zm.cluster, zm)
+            fresh = {"Z": zm.Z, "X": pair.X, "Y": pair.Y, "C": closed.C}
+            for key, block in fresh.items():
+                assert np.max(np.abs(block - reference[key])) <= model.budget(f"bundle_{key}_matches"), (zm.gauge, key)
+            decay = math.exp(-zm.z * float(zm.strengths[0]))
+            assert np.max(np.abs(closed.E - reference["E"])) <= model.budget("bundle_C_matches") / decay
+            assert closed.imag_residual <= model.budget("covariance_real")
+
+    def test_z_is_p_u(self):
+        """The route forms no P U, yet Z is P U within bundle_Z_matches."""
+        for zm in self.records():
+            assert np.max(np.abs(zm.Z - zm.P @ zm.U)) <= ErrorModel.of(zm).budget("bundle_Z_matches"), zm.gauge
+
+    def test_identity_blocks_keep_their_bits(self):
+        """Z = 1 U, X = cosh(z) 1, Y = -i sinh(z) U and E = (A + i) e^{i Theta}
+        e^{-z} take no product, and the complex route's products with exact
+        identity matrices were exact."""
+        for zm in self.records():
+            if zm.gauge != "identity":
+                continue
+            reference, pair = complex_route(zm), bogoliubov_from_interaction(zm)
+            e = covariance_closed_form(zm.cluster, zm).E
+            for key, block in (("Z", zm.Z), ("X", pair.X), ("Y", pair.Y), ("E", e)):
+                assert block.dtype == reference[key].dtype, key
+                assert block.tobytes() == reference[key].tobytes(), (zm.n, key)
+
+    def test_route_follows_the_gauge(self):
+        """``diagonal`` and ``scalar`` are read off the record's gauge and
+        strengths: named custom, or without its plan, the same record takes
+        the general route from its modes, and its blocks agree."""
+        for zm in self.records():
+            assert zm.diagonal and zm.scalar == (zm.gauge == "identity" or zm.n == 1)
+            assert not dataclasses.replace(zm, cluster=None).diagonal
+            general = dataclasses.replace(zm, gauge="custom")
+            assert not general.diagonal and not general.scalar
+            model, pair, closed = ErrorModel.of(zm), bogoliubov_from_interaction(zm), covariance_closed_form(zm.cluster, zm)
+            moved, moved_closed = bogoliubov_from_interaction(general), covariance_closed_form(zm.cluster, general)
+            assert np.max(np.abs(moved.X - pair.X)) <= model.budget("bundle_X_matches"), zm.gauge
+            assert np.max(np.abs(moved.Y - pair.Y)) <= model.budget("bundle_Y_matches"), zm.gauge
+            assert np.max(np.abs(moved_closed.C - closed.C)) <= model.budget("bundle_C_matches"), zm.gauge
+
+    def test_departure_ties_p_to_z(self):
+        """The route forms Z apart from P; the probe Z v - P (U v) is
+        rounding, and a compatible P whose strengths are not Z's moves it."""
+        for zm in self.records():
+            budget = ErrorModel.of(zm).budget("interaction_product")
+            assert zm.departure <= budget / 8.0, zm.gauge
+            if zm.n > 1:
+                off = zm.cluster._hermitian(zm.strengths * (1.0 + 1e-9 * np.arange(zm.n)))
+                assert dataclasses.replace(zm, P=off).departure > 100.0 * budget, zm.gauge
+
+    def test_scalar_covariance_keeps_the_zeros_of_a_squared_plus_one(self):
+        """C = e^{-2z} (A A^T + 1) of the identity gauge, from the syrk of A:
+        where A^2 + 1 has an exact zero, so has C, at any phases."""
+        rng = np.random.default_rng(38)
+        pairs = np.kron(np.eye(3), [[0.0, 1.0], [1.0, 0.0]]) * rng.uniform(0.5, 2.0, (6, 6))
+        a = np.zeros((7, 7))
+        a[:6, :6] = (pairs + pairs.T) / 2.0
+        a[6, 6] = 0.7  # a self-loop on an isolated node
+        zm = ClusterPlan.of(a, random_phases(rng, 7)).interaction("identity", 0.9)
+        c = covariance_closed_form(zm.cluster, zm).C
+        zeros = (a @ a + np.eye(7)) == 0.0
+        assert zeros.sum() == 42 and np.all(c[zeros] == 0.0)  # A^2 is diagonal
+        assert np.allclose(c, (a @ a + np.eye(7)) * math.exp(-1.8), rtol=1e-15, atol=0.0)

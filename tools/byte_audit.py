@@ -2,15 +2,18 @@
 source trees and list every request whose output differs.
 
     python tools/byte_audit.py OLD_SRC NEW_SRC [--slice smoke|grid|full] [--work DIR]
+                               [--threads OLD NEW]
 
 OLD_SRC and NEW_SRC are directories that hold a ``clustersqueeze`` package
 (a checkout's ``src``).  Each tree runs in a Python process of its own,
 which imports the package from that tree alone and calls ``cli.main`` in
 process for every request, in a work directory of its own, with BLAS at one
-thread.  The requests are the same for both trees: the graph, phase and
-gauge files are written here from fixed seeds, and every bundle a later
-request reads is written by the tree's own ``synthesize --out`` request,
-which is audited too.  For each request the audit compares the exit code,
+thread, or at the count ``--threads`` gives each side (1 or 2): one tree
+on both sides at ``--threads 1 2`` lists the requests whose bytes depend
+on the thread count.  The requests are the same for both trees: the graph,
+phase and gauge files are written here from fixed seeds, and every bundle a
+later request reads is written by the tree's own ``synthesize --out``
+request, which is audited too.  For each request the audit compares the exit code,
 stdout, stderr and the bytes of the ``--out`` file; it prints one line per
 request that differs and exits 1 if any does, else 0.  A request's stderr
 record holds every warning it raised, each shown however often the requests
@@ -55,7 +58,7 @@ SLICES = ("smoke", "grid", "full")
 SIZES = {"smoke": (2,), "grid": (2, 12, 24, 64), "full": (2, 12, 24, 64)}
 SEED = 2020
 PERFBENCH_SEED = 11
-BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +298,8 @@ def compare(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
     return lines
 
 
-def _run_tree(src: Path, work: Path, slice_name: str) -> dict[str, dict]:
-    env = {**os.environ, **BLAS_ENV}
+def _run_tree(src: Path, work: Path, slice_name: str, threads: int) -> dict[str, dict]:
+    env = {**os.environ, **{name: str(threads) for name in BLAS_THREADS}}
     env.pop("PYTHONPATH", None)
     command = [sys.executable, str(Path(__file__).resolve()), "--replay", str(src.resolve()), str(work), slice_name]
     subprocess.run(command, env=env, check=True)
@@ -313,14 +316,16 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="the other source tree")
     parser.add_argument("--slice", choices=SLICES, default="full")
     parser.add_argument("--work", type=Path, default=None, help="keep the work files here (default: a temp dir)")
+    parser.add_argument("--threads", type=int, nargs=2, choices=(1, 2), default=(1, 1), metavar=("OLD", "NEW"),
+                        help="BLAS threads of each side, 1 or 2 (default: 1 1)")
     args = parser.parse_args(argv)
     for src in (args.old, args.new):
         if not (src / "clustersqueeze" / "cli.py").is_file():
             parser.error(f"no clustersqueeze package under {src}")
     work = (args.work or Path(tempfile.mkdtemp(prefix="byte-audit-"))).resolve()
     try:
-        old = _run_tree(args.old, work / "old", args.slice)
-        new = _run_tree(args.new, work / "new", args.slice)
+        old = _run_tree(args.old, work / "old", args.slice, args.threads[0])
+        new = _run_tree(args.new, work / "new", args.slice, args.threads[1])
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
