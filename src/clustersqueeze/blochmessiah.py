@@ -29,15 +29,14 @@ W O is the member with seed Q O.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import _equal_phases, _recovered_plan
 from .errors import NotOrthogonal
-from .matfun import _spectral, as_complex_matrix, max_abs
-from .synthesis import ClusterPlan, InteractionMatrix
+from .matfun import _real_product, _spectral, as_complex_matrix, max_abs
+from .synthesis import ClusterPlan, InteractionMatrix, _decibels
 from .tolerances import ORTHOGONAL
 
 
@@ -60,12 +59,12 @@ class BlochMessiahFactors:
     @property
     def decibels(self) -> np.ndarray:
         """Squeezing of each single-mode squeezer in dB."""
-        return 20.0 * self.z * self.D / math.log(10.0)
+        return _decibels(self.z, self.D)
 
     def reconstruct(self) -> tuple[np.ndarray, np.ndarray]:
         """Bogoliubov blocks (X, Y) rebuilt from the factors."""
         x = _spectral(self.V, np.cosh(self.z * self.D))
-        y = (self.V * np.sinh(self.z * self.D)[None, :]) @ self.V.T
+        y = _spectral(self.V, np.sinh(self.z * self.D), transpose=True)
         return x, y
 
 
@@ -90,8 +89,9 @@ def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
     """Interferometer V = e^{-i Theta} (1 + i A)(A^2 + 1)^{-1/2} O.
 
     O is a free real orthogonal seed; every choice yields a unitary V
-    satisfying the cluster condition for (A, Theta).  In the plan's frame
-    F = e^{-i Theta} Q: V = F diag((1 + i lam)/|1 + i lam|) F^T e^{i Theta} O.
+    satisfying the cluster condition for (A, Theta).  The plan's real Q
+    gives (1 + i A)(A^2 + 1)^{-1/2} = Q diag(rotation) Q^T in one real
+    product, and its product with the real O is one more.
     """
     a = cluster.A
     seed = np.asarray(O)
@@ -103,7 +103,9 @@ def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:
     defect = max_abs(o @ o.T - np.eye(a.shape[0]))
     if defect > ORTHOGONAL:
         raise NotOrthogonal(f"seed orthogonality defect {defect:.3e}")
-    return cluster.interferometer @ (cluster.frame.T @ (np.exp(1j * cluster.theta)[:, None] * o))
+    root = _spectral(cluster.by_magnitude[1], cluster.rotation, transpose=True)
+    # root O = (O^T root^T)^T, one real product with O
+    return np.exp(-1j * cluster.theta)[:, None] * _real_product(o.T, root.T).T
 
 
 def cluster_condition_residual(V, cluster: ClusterPlan) -> float:

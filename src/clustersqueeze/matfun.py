@@ -1,10 +1,12 @@
 """Dense complex-matrix kernels.
 
 The library is built on three operations: functions f(H) of Hermitian
-matrices, all by one kernel (:func:`_spectral`) from eigenpairs the caller
-holds; the polar decomposition Z = P U of a complex symmetric matrix; and
-the Cayley map of a symmetric unitary to a real symmetric matrix, kept
-regular by one phase read off the spectrum of Re S (:func:`regularizing_angle`).
+matrices, Q diag(d) Q^dagger, and the symmetric Q diag(d) Q^T, all by one
+kernel (:func:`_spectral`) from eigenpairs the caller holds, which takes
+real arithmetic for a real Q; the polar decomposition Z = P U of a
+complex symmetric matrix; and the Cayley map of a symmetric unitary to a
+real symmetric matrix, kept regular by one phase read off the spectrum of
+Re S (:func:`regularizing_angle`).
 """
 
 from __future__ import annotations
@@ -61,9 +63,14 @@ def _real_product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (a @ m.view(float)).view(complex)
 
 
-def _spectral(q: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """f(H) = Q diag(f(L)) Q^dagger from the eigenvectors Q of H and f(L)."""
-    return (q * values[None, :]) @ q.conj().T
+def _spectral(q: np.ndarray, values: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """f(H) = Q diag(f(L)) Q^dagger from the eigenvectors Q of H and f(L),
+    or Q diag(d) Q^T with ``transpose``.  A real Q has Q^T = Q^dagger and
+    takes real arithmetic: a real product for real values, and for complex
+    ones the product of Q with the float view of diag(d) Q^T."""
+    if np.iscomplexobj(values) and not np.iscomplexobj(q):
+        return _real_product(q, values[:, None] * q.T)
+    return (q * values[None, :]) @ (q.T if transpose else q.conj().T)
 
 
 def _symmetric_part(m: np.ndarray, mirror: np.ndarray) -> np.ndarray:

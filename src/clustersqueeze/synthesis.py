@@ -26,10 +26,11 @@ Gram product per row.
 
 Two plans carry the factorizations.  :class:`ClusterPlan`, the checked
 cluster that every cluster-side function takes, holds the one real
-eigendecomposition A = Q diag(lam) Q^T, taken on first use: with
-F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T and the faithful
-gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no further
-factorization.  :class:`InteractionMatrix` holds Z = P U with the
+eigendecomposition A = Q diag(lam) Q^T, taken on first use and held once,
+in ascending |lam|; U is formed from eigh's own order first, which fixes
+its bits.  With F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T
+and the faithful gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no
+further factorization.  :class:`InteractionMatrix` holds Z = P U with the
 eigenpairs of P, and X, Y, C and the squeezer strengths come from them.
 The cluster plan builds and gates it for every gauge; the polar split of
 Z builds it when only Z is given.  In the plan's canonical interferometer
@@ -41,7 +42,8 @@ its modes are W O, and the built-in gauges are the case O = 1.
 The real route.  A P diagonal in the plan's frame, P = F diag(w) F^dagger
 (the identity and faithful gauges, whose records are ``diagonal``), has
 every block of the form Q diag(d) Q^T between diagonal phases.  With
-r = (lam - i)/(lam + i), each comes from real products with Q:
+r = (lam - i)/(lam + i), each comes from real products with Q
+(:func:`~clustersqueeze.matfun._spectral` forms every Q diag(d) Q^T):
 
     Z = -i F diag(w r) F^T,               X = F diag(cosh zw) F^dagger,
     Y = -F diag(sinh(zw) r) F^T,          C = R diag(e^{-2zw}) R^T,
@@ -53,7 +55,7 @@ Y = -i sinh(zw) U with no product, and C = e^{-2zw} (A A^T + 1) from one
 syrk of A, which keeps the zeros of A^2 + 1.  Nothing else takes this
 route: a custom gauge keeps Z = P U and its blocks from its modes W O;
 ``analyze``'s polar split keeps the complex frame for C; and the oracle
-reads only Z, A and Theta.  P no longer feeds Z here: the gauge gate still
+reads only Z, A and Theta.  P does not feed Z here: the gauge gate
 judges the published P's reality, and ``InteractionMatrix.departure``
 ties it to Z.  E = Q diag((lam + i) e^{-zw}) Q^T e^{i Theta},
 formed only when read, is (A + i) e^{i Theta} e^{-zw} for a scalar P, with
@@ -204,10 +206,6 @@ class CovarianceReport:
     max_abs: float
     record: InteractionMatrix = field(repr=False, compare=False)
 
-    @property
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.C))
-
     @cached_property
     def E(self) -> np.ndarray:
         zm = self.record
@@ -222,6 +220,16 @@ class CovarianceReport:
 class GaugeCheck(NamedTuple):
     residual: float
     scale: float  # largest entry of the test matrix, which residual is relative to
+
+
+class _Spectrum(NamedTuple):
+    """A = Q diag(lam) Q^T in ascending |lam|, with r = (lam - i)/(lam + i)
+    and the structure factor U formed before the reordering."""
+
+    lam: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    U: np.ndarray
 
 
 class SqueezerMode(NamedTuple):
@@ -242,8 +250,9 @@ def unitary_from_adjacency(A, theta) -> np.ndarray:
 @dataclass(frozen=True)
 class ClusterPlan:
     """A checked cluster (A, Theta), built by :meth:`of` or from an exactly
-    symmetric A.  Its properties take A = Q diag(lam) Q^T once, on first use:
-    F = e^{-i Theta} Q and U = -i F diag((lam - i)/(lam + i)) F^T."""
+    symmetric A.  Its properties read one eigendecomposition A = Q diag(lam)
+    Q^T, taken on first use (:attr:`_factorization`): F = e^{-i Theta} Q and
+    U = -i F diag(r) F^T, r = (lam - i)/(lam + i)."""
 
     A: np.ndarray
     theta: np.ndarray
@@ -254,31 +263,48 @@ class ClusterPlan:
         return cls(A=a, theta=phase_vector(theta, a.shape[0]))
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.A)
-
-    eigenvalues = property(lambda self: self._spectrum[0])
-
-    @cached_property
     def _phases(self) -> np.ndarray:
         return np.exp(-1j * self.theta)
 
     @cached_property
+    def _factorization(self) -> _Spectrum:
+        """The one eigh of A.  U is formed in eigh's own order, which fixes
+        its bits; lam, Q and r are then held in ascending |lam| (stable
+        order), the order of the faithful strengths and of the Bloch-Messiah
+        factors read off the plan."""
+        lam, q = np.linalg.eigh(self.A)
+        r = (lam - 1j) / (lam + 1j)
+        ph = self._phases
+        u = -1j * ph[:, None] * _spectral(q, r, transpose=True) * ph[None, :]
+        order = np.argsort(np.abs(lam), kind="stable")
+        return _Spectrum(lam[order], q[:, order], r[order], (u + u.T) / 2.0)
+
+    @property
     def by_magnitude(self) -> tuple[np.ndarray, np.ndarray]:
-        """lam and Q in ascending |lam| (stable order): the order of the
-        faithful strengths and of the Bloch-Messiah factors read off the plan."""
-        order = np.argsort(np.abs(self.eigenvalues), kind="stable")
-        return self.eigenvalues[order], self._spectrum[1][:, order]
+        """lam and Q in ascending |lam| (stable order)."""
+        lam, q, _, _ = self._factorization
+        return lam, q
+
+    @property
+    def U(self) -> np.ndarray:
+        """U = -i F diag(r) F^T, formed in eigh's order."""
+        return self._factorization.U
+
+    @property
+    def kappa(self) -> float:
+        """1 + max|lam(A)| >= ||A + i||_2, the bound on how much U amplifies
+        rounding that the gauge gate and :class:`ErrorModel` read."""
+        return 1.0 + float(abs(self._factorization.lam[-1]))
 
     @cached_property
     def frame(self) -> np.ndarray:
         """F = e^{-i Theta} Q, its columns in the order of ``by_magnitude``."""
-        return self._phases[:, None] * self.by_magnitude[1]
+        return self._phases[:, None] * self._factorization.q
 
     @cached_property
     def rotation(self) -> np.ndarray:
         """(1 + i lam) / |1 + i lam|; F diag(rotation) is the canonical interferometer."""
-        lam = self.by_magnitude[0]
+        lam = self._factorization.lam
         return (1.0 + 1j * lam) / np.sqrt(lam * lam + 1.0)
 
     @cached_property
@@ -286,23 +312,13 @@ class ClusterPlan:
         """W = F diag(rotation), the canonical interferometer with O = Q."""
         return self.frame * self.rotation[None, :]
 
-    @cached_property
-    def _cayley(self) -> np.ndarray:
-        """r = (lam - i) / (lam + i) in the order of ``by_magnitude``: U = -i F diag(r) F^T."""
-        lam = self.by_magnitude[0]
-        return (lam - 1j) / (lam + 1j)
-
-    def _symmetric(self, d: np.ndarray) -> np.ndarray:
-        """F diag(d) F^T = e^{-i Theta} Q diag(d) Q^T e^{-i Theta} for a complex
-        d in the order of ``by_magnitude``: one real product with Q."""
-        q, ph = self.by_magnitude[1], self._phases
-        return ph[:, None] * _real_product(q, d[:, None] * q.T) * ph[None, :]
-
-    def _hermitian(self, d: np.ndarray) -> np.ndarray:
-        """F diag(d) F^dagger for a real d in the order of ``by_magnitude``: the
-        real Q diag(d) Q^T between the phases."""
+    def _in_frame(self, d: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """F diag(d) F^dagger, or F diag(d) F^T with ``transpose``, for d in
+        the order of ``by_magnitude``: Q diag(d) Q^T (:func:`_spectral`, in
+        real arithmetic) between the phases."""
         ph = self._phases
-        return ph[:, None] * _spectral(self.by_magnitude[1], d) * ph.conj()[None, :]
+        inner = _spectral(self._factorization.q, d, transpose)
+        return ph[:, None] * inner * (ph if transpose else ph.conj())[None, :]
 
     def eigenpairs(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Strengths w and modes W O of a Hermitian P compatible with the
@@ -318,14 +334,6 @@ class ClusterPlan:
         w, o = np.linalg.eigh(s.real)
         # W O = (O^T W^T)^T, one real product with O
         return w, _real_product(o.T, w_frame.T).T
-
-    @cached_property
-    def U(self) -> np.ndarray:
-        lam, q = self._spectrum
-        ph = self._phases
-        core = _real_product(q, ((lam - 1j) / (lam + 1j))[:, None] * q.T)
-        u = -1j * ph[:, None] * core * ph[None, :]
-        return (u + u.T) / 2.0
 
     def interaction(self, gauge, z: float) -> InteractionMatrix:
         """The record of Z = P U for a gauge at scale z, once its gate has passed.
@@ -346,12 +354,11 @@ class ClusterPlan:
         budget on its largest strength (:class:`DomainError`): an explicit
         P's strengths are those of Re S_W, which are P's to rounding only
         when the gate passes.  The gate's test matrix has entries up to
-        kappa^2 max(eig P), kappa = 1 + max|lam(A)| as in :class:`ErrorModel`;
-        a bound past the float range is a :class:`DomainError`, kappa^2 alone
-        checked before the faithful strengths square lam, as are faithful
-        strengths past it.
+        kappa^2 max(eig P) with the plan's ``kappa``; a bound past the float
+        range is a :class:`DomainError`, kappa^2 alone checked before the
+        faithful strengths square lam, as are faithful strengths past it.
         """
-        kappa = 1.0 + float(np.max(np.abs(self.eigenvalues)))
+        kappa = self.kappa
         _in_float_range(kappa * kappa, kappa)
         zm = self._plan(gauge, z)
         _in_float_range(kappa * kappa * float(zm.strengths[-1]), kappa)
@@ -398,7 +405,7 @@ class ClusterPlan:
             p = np.eye(n)
         elif gauge == "faithful":
             w, modes = self.faithful_strengths(z), self.frame
-            p = self._hermitian(w)
+            p = self._in_frame(w)
             p = (p + p.conj().T) / 2.0
         else:
             raise ValueError(f"unknown gauge {gauge!r}; use 'identity' or 'faithful'")
@@ -412,7 +419,7 @@ class ClusterPlan:
         elif _uniform(w):
             interaction = _scaled(self.U, w[0])
         else:
-            interaction = self._symmetric(-1j * w * self._cayley)
+            interaction = self._in_frame(-1j * w * self._factorization.r, transpose=True)
         return InteractionMatrix(Z=interaction, P=p, U=self.U, strengths=w, modes=modes,
                                  z=positive_scale(z), cluster=self, gauge=gauge)
 
@@ -478,7 +485,8 @@ def bogoliubov_from_interaction(zm: InteractionMatrix) -> BogoliubovPair:
         return BogoliubovPair(X=np.eye(zm.n) * cosh[0], Y=_scaled(-1j * zm.U, sinh[0]))
     if zm.diagonal:
         plan = zm.cluster
-        return BogoliubovPair(X=plan._hermitian(cosh), Y=plan._symmetric(-sinh * plan._cayley))
+        y = plan._in_frame(-sinh * plan._factorization.r, transpose=True)
+        return BogoliubovPair(X=plan._in_frame(cosh), Y=y)
     x = _spectral(zm.modes, cosh)
     sinh = _spectral(zm.modes, sinh)
     # -i sinh(zP) U; a real sinh(zP) takes the -i into U and one real product
@@ -531,7 +539,7 @@ def _nullifiers(zm: InteractionMatrix) -> np.ndarray:
         e *= decay[None, :]
         return e
     lam, q = plan.by_magnitude
-    return _real_product(q, ((lam + 1j) * decay)[:, None] * q.T) * ph[None, :]
+    return _spectral(q, (lam + 1j) * decay, transpose=True) * ph[None, :]
 
 
 def _covariance_frame(cluster: ClusterPlan, zm: InteractionMatrix) -> np.ndarray:
@@ -578,7 +586,12 @@ def squeezer_spectrum(zm: InteractionMatrix) -> list[SqueezerMode]:
             strength=float(lam),
             cosh_factor=float(np.cosh(z * lam)),
             sinh_factor=float(np.sinh(z * lam)),
-            decibels=float(20.0 * z * lam / math.log(10.0)),
+            decibels=float(_decibels(z, lam)),
         )
         for lam in w
     ]
+
+
+def _decibels(z: float, strength):
+    """Squeezing in dB, 20 z strength / ln 10, of a strength or an array of them."""
+    return 20.0 * z * strength / math.log(10.0)

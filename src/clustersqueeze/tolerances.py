@@ -19,7 +19,9 @@ eigen-gap or a spread of near-equal strengths.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,11 +55,17 @@ Z_CAP = 30.0
 
 
 def positive_scale(z) -> float:
-    """The squeezing scale z as a float; anything but a finite z > 0 (None
-    too) is a ``ValueError``.  Every function that takes z checks it here."""
-    if z is None or not (np.isfinite(z) and z > 0):
+    """The squeezing scale z as a float: a real number, not a bool, whose
+    float is finite and > 0.  Anything else (None, a string, a list, an int
+    past the float range) is a ``ValueError``.  Every function that takes z
+    checks it here."""
+    value = math.nan
+    if isinstance(z, numbers.Real) and not isinstance(z, bool):  # numpy's bool is no numbers.Real
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            value = float(z)
+    if not (math.isfinite(value) and value > 0):
         raise ValueError("squeezing scale z must be positive and finite")
-    return float(z)
+    return value
 
 
 def check_squeeze_budget(strength_max: float, z) -> float:
@@ -130,7 +138,7 @@ class ErrorModel:
 
     ``kappa`` bounds how much the structure factor U amplifies rounding:
     1 + max|lam(A)| >= ||A + i||_2 = sqrt(1 + max|lam(A)|^2) when U comes
-    from a cluster, read off the cluster plan's eigenvalues, and the
+    from a cluster, the cluster plan's ``kappa``, and the
     condition number lambda_max / lambda_min of P when U comes from the
     polar split of an interaction matrix.  The two compatibility residuals
     are relative to ``z_scale`` (max(1, max|Z|)) and ``test_scale`` (the
@@ -159,8 +167,7 @@ class ErrorModel:
         n, z, lo, hi = zm.n, zm.z, float(zm.strengths[0]), float(zm.strengths[-1])
         if zm.cluster is None:
             return cls(n, z, lo, hi, hi / lo, margin=2.0 * math.sin(math.pi / (4 * n)))
-        rho = float(np.max(np.abs(zm.cluster.eigenvalues)))  # ||A||_2
-        return cls(n, z, lo, hi, 1.0 + rho, max(1.0, float(np.max(np.abs(zm.Z)))), zm.reality.scale)
+        return cls(n, z, lo, hi, zm.cluster.kappa, max(1.0, float(np.max(np.abs(zm.Z)))), zm.reality.scale)
 
     @classmethod
     def for_generator(cls, A, w) -> "ErrorModel":

@@ -167,7 +167,7 @@ def test_the_error_model_is_read_off_the_record(gauge, tmp_path):
     zm = cluster.interaction(selector, z)
     split = InteractionMatrix.from_matrix(zm.Z, z)
     assert split.reality is None  # no plan, so no gate
-    n, rho = zm.n, float(np.max(np.abs(cluster.eigenvalues)))
+    n, rho = zm.n, float(np.max(np.abs(cluster.by_magnitude[0])))
     by_hand = {
         "planned": (zm, ErrorModel(
             n=n, z=z, lam_min=float(zm.strengths[0]), lam_max=float(zm.strengths[-1]), kappa=1.0 + rho,

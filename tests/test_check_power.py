@@ -133,7 +133,7 @@ def fault(m, delta, shape, rng, plan=None):
     that a P so faulted still passes the gauge gate."""
     m = np.asarray(m)
     if shape == "compatible":
-        return m + delta * max_abs(m) * plan._hermitian(rng.uniform(-1.0, 1.0, m.shape[0]))
+        return m + delta * max_abs(m) * plan._in_frame(rng.uniform(-1.0, 1.0, m.shape[0]))
     r = rng.uniform(-1.0, 1.0, m.shape)
     if np.iscomplexobj(m):
         r = r + 1j * rng.uniform(-1.0, 1.0, m.shape)
@@ -205,9 +205,10 @@ class Case:
             return build_faulted
 
         def faulted_plan(cluster):
-            lam, q = cluster.by_magnitude
+            # Q as every reader but U, formed before the reordering, sees it
+            spectrum = cluster._factorization
             plan = synthesis.ClusterPlan(cluster.A, cluster.theta)
-            plan.__dict__["by_magnitude"] = (lam, fault(q, delta, shape, rng))
+            plan.__dict__["_factorization"] = spectrum._replace(q=fault(spectrum.q, delta, shape, rng))
             return plan
 
         def faulted_frame(build):

@@ -1576,12 +1576,16 @@ class TestJsonWriter:
 
 class TestModuleEntryPoints:
     @staticmethod
-    def run_python(args):
+    def run_python(args, threads=None):
+        """Run Python on the package's source tree; ``threads`` sets the BLAS
+        thread count of the process."""
         src = str(Path(clustersqueeze.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
+        if threads is not None:
+            env |= dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(threads))
         return subprocess.run(
             [sys.executable, *args],
             env=env,
@@ -1590,8 +1594,8 @@ class TestModuleEntryPoints:
             timeout=120,
         )
 
-    def run_module(self, module, args):
-        return self.run_python(["-m", module, *args])
+    def run_module(self, module, args, threads=None):
+        return self.run_python(["-m", module, *args], threads)
 
     def test_cli_runs_without_scipy(self):
         proc = self.run_python(
@@ -1605,6 +1609,20 @@ class TestModuleEntryPoints:
         proc = self.run_module(module, ["verify", "--graph", missing])
         assert proc.returncode == EXIT_INPUT
         assert "cannot read" in proc.stderr
+
+    def test_a_bundle_written_at_two_blas_threads_verifies_at_one(self, tmp_path):
+        """Bundle bytes are stable at a fixed BLAS thread count, verdicts at
+        any.  With OpenBLAS 0.3.31 on 2 cores, N = 128 was the smallest of
+        64, 96 and 128 whose faithful bundle of this dense random graph
+        differs between 1 and 2 threads; the test asserts the verdict only."""
+        graph = write(tmp_path, "dense.graph", format_graph(random_adjacency(np.random.default_rng(128), 128)))
+        bundle = str(tmp_path / "bundle.json")
+        written = self.run_module(
+            "clustersqueeze", ["synthesize", "--graph", graph, "--gauge", "faithful", "-z", "0.5", "--out", bundle],
+            threads=2)
+        assert written.returncode == EXIT_OK, written.stderr
+        verified = self.run_module("clustersqueeze", ["verify", "--interaction", bundle], threads=1)
+        assert verified.returncode == EXIT_OK and json.loads(verified.stdout)["passed"] is True
 
     @pytest.mark.parametrize("module", ["clustersqueeze", "clustersqueeze.cli"])
     def test_valid_verify_exits_ok(self, module, tmp_path):

@@ -158,8 +158,9 @@ class TestQuadratureFlow:
         monkeypatch.setattr(synthesis, "covariance_closed_form", forbidden)
         monkeypatch.setattr(synthesis.ClusterPlan, "of", forbidden)
         monkeypatch.setattr(synthesis.ClusterPlan, "interaction", forbidden)
-        # of the plan, only A and theta: its eigendecomposition and U raise
-        for name in ("eigenvalues", "frame", "U"):
+        # of the plan, only A and theta: its one factorization, which U, the
+        # frame and kappa read, raises
+        for name in ("_factorization", "frame", "U"):
             monkeypatch.setattr(synthesis.ClusterPlan, name, property(forbidden))
         calls = request.getfixturevalue("factorizations")
         assert np.array_equal(covariance_oracle(fresh, blind).C, expected)
@@ -358,7 +359,7 @@ class TestOracleBudgetsAgainstMpmath:
     def test_within_budget(self, a, gauge, zl):
         n = a.shape[0]
         cluster = ClusterPlan.of(a, np.linspace(-1.0, 1.0, n))
-        rho = float(np.max(np.abs(cluster.eigenvalues)))
+        rho = float(np.max(np.abs(cluster.by_magnitude[0])))
         z = zl - (0.5 * math.log1p(rho * rho) if gauge == "faithful" else 0.0)
         zm = cluster.interaction(gauge, z)
         model = ErrorModel.of(zm)
@@ -453,7 +454,7 @@ class TestConvergenceSweep:
             budget = ErrorModel.of(zm).budget("bundle_C_matches")
             assert abs(row.max_abs - closed.max_abs) <= budget
             # | ||C||_F - ||C'||_F | <= ||C - C'||_F <= n max|C - C'|
-            assert abs(row.frobenius - closed.frobenius) <= n * budget
+            assert abs(row.frobenius - np.linalg.norm(closed.C)) <= n * budget
 
     def test_rejects_unsorted_or_empty(self):
         cluster = ClusterPlan.of(epr_adjacency(), [0.0, 0.0])

@@ -213,7 +213,8 @@ def test_the_oracle_reads_only_z_and_the_clusters_a_and_theta():
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             read.setdefault(node.value.id, set()).add(node.attr)
     assert read["cluster"] <= {"A", "theta"} and read["zm"] <= {"Z", "n", "z"}
-    forbidden = {"strengths", "modes", "P", "U", "eigenvalues", "frame", "interferometer", "interaction"}
+    forbidden = {"strengths", "modes", "P", "U", "_factorization", "by_magnitude", "kappa", "frame", "interferometer",
+                 "interaction"}
     assert set().union(*read.values()) & forbidden == set()
 
 
@@ -278,12 +279,21 @@ SCALED = {
     "convergence-sweep": lambda z: convergence_sweep(_plan(), "identity", [z, 2.0]),
 }
 BAD_SCALES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "infinite": math.inf}
+#: values that are no real number, or none a float can hold: each is the
+#: one ValueError too, not a record at z = 1 (True) nor another error
+NOT_SCALES = {"bool": True, "numpy-bool": np.True_, "string": "1.0", "list": [1.0], "huge-int": 10 ** 400}
 
 # case -> (call, typed error, message)
 LIBRARY_INPUT_ERRORS = {
     **{f"{name}-{kind}-z": (functools.partial(call, z), ValueError,
                             "squeezing scale z must be positive and finite")
        for name, call in SCALED.items() for kind, z in BAD_SCALES.items()},
+    **{f"{name}-{kind}-z": (functools.partial(call, z), ValueError,
+                            "squeezing scale z must be positive and finite")
+       for name, call in (("identity-plan", lambda z: _plan().interaction("identity", z)),
+                          ("polar-split", SCALED["polar-split"]),
+                          ("faithful-strengths", SCALED["faithful-strengths"]))
+       for kind, z in NOT_SCALES.items()},
     "convergence-sweep-last-nan-z": (lambda: convergence_sweep(_plan(), "identity", [1.0, math.nan]),
                                      ValueError, "squeezing scale z must be positive and finite"),
     "faithful-plan-without-z": (lambda: _plan().interaction("faithful", None), ValueError,

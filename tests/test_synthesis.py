@@ -141,6 +141,31 @@ class TestClusterPlan:
             residual = np.max(np.abs(zm.P - reference_gauge_faithful(a, th, z)))
             assert residual <= model.budget("bundle_Z_matches")
 
+    def test_one_factorization_held_once(self, factorizations):
+        """U, the frame, the interferometer, ``by_magnitude`` and ``kappa``
+        all read one eigh(A), and the plan holds one real N x N eigenvector
+        array, in ascending |lam|."""
+        rng = np.random.default_rng(47)
+        n = 9
+        cluster = ClusterPlan.of(random_adjacency(rng, n), random_phases(rng, n))
+        for name in ("U", "frame", "interferometer", "by_magnitude", "kappa"):
+            getattr(cluster, name)
+        assert factorizations.total() == factorizations.of("eigh", cluster.A) == 1
+
+        def arrays(values):
+            for value in values:
+                if isinstance(value, tuple):
+                    yield from arrays(value)
+                elif isinstance(value, np.ndarray):
+                    yield value
+
+        held = [m for m in arrays(vars(cluster).values())
+                if m is not cluster.A and m.shape == (n, n) and not np.iscomplexobj(m)]
+        lam, q = cluster.by_magnitude
+        assert len(held) == 1 and held[0] is q
+        assert np.array_equal(np.abs(lam), np.sort(np.abs(lam)))
+        assert cluster.kappa == 1.0 + np.max(np.abs(lam))
+
     def test_faithful_strengths_and_modes(self):
         for a, th, z in self.cases(45, 20):
             zm = ClusterPlan.of(a, th).interaction("faithful", z)
@@ -477,7 +502,7 @@ class TestRealRoute:
             budget = ErrorModel.of(zm).budget("interaction_product")
             assert zm.departure <= budget / 8.0, zm.gauge
             if zm.n > 1:
-                off = zm.cluster._hermitian(zm.strengths * (1.0 + 1e-9 * np.arange(zm.n)))
+                off = zm.cluster._in_frame(zm.strengths * (1.0 + 1e-9 * np.arange(zm.n)))
                 assert dataclasses.replace(zm, P=off).departure > 100.0 * budget, zm.gauge
 
     def test_scalar_covariance_keeps_the_zeros_of_a_squared_plus_one(self):
