@@ -19,7 +19,13 @@ Matrices are serialized as ``{"rows": N, "cols": M, "re": [[...]], "im":
 [[...]]}`` with ``im`` omitted for real matrices, numbers in the shortest
 representation that round-trips a double; JSON output is byte-identical to
 ``json.dumps(obj, indent=2)`` and streamed one matrix at a time
-(:func:`_emit_json`).  A bundle is read for the fields its route needs
+(:func:`_emit_json`).  A block formats its diagonal alone when it is +0.0
+off it bit for bit, one triangle when it is symmetric or antisymmetric bit
+for bit, and a matrix that repeats an earlier one bit for bit at the same
+indent is written from that one's text, held only until its last repeat.
+At any phases the identity gauge's Z is its U, and its P and X and
+decompose's R are diagonal; its E.im is diagonal at Theta = 0 only.  A
+bundle is read for the fields its route needs
 (:func:`_load_json`): Z for analyze and decompose, all but ``E``,
 ``squeezers`` and ``checks`` for verify, which plans a bundle's built-in
 gauge by the name it stores and compares every stored matrix with the fresh
@@ -307,27 +313,101 @@ def _emit_json(obj, out_path: str | None) -> None:
     Python; here a list of numbers is encoded by one call of the C encoder
     (same ``float.__repr__``, same ``NaN``/``Infinity``) built with the
     list's line break and indent as its item separator, so its text needs no
-    further pass.  A matrix block symmetric bit for bit, or antisymmetric
-    below its diagonal, formats one triangle (see :func:`_row_items`).  An
-    array's rows are turned into lists and text only when the walk reaches
-    it, and the matrix's text goes out with one ``write``, so at most one
-    matrix is held as text.
+    further pass.  A matrix block diagonal bit for bit formats its diagonal
+    alone, and one symmetric bit for bit, or antisymmetric below its
+    diagonal, one triangle (see :func:`_row_items`).  When the walk
+    reaches the first array, the report's arrays are listed in walk order
+    (:class:`_Repeats`), and an array with the shape, dtype and bits of an
+    earlier one at the same indent takes that one's text.  An array's rows
+    are turned into lists and text only when the walk reaches it, and the
+    matrix's text goes out with one ``write``; it is held beyond that
+    write only while a later matrix repeats it, so at most one matrix is
+    held as lists and text, beside the text of those that later matrices
+    repeat.
     """
+    repeats = _Repeats(obj)
     chunks: list[str] = []
     with _output(out_path) as fh:
-        _write_json(obj, "\n", chunks, fh)
+        _write_json(obj, "\n", chunks, fh, repeats)
         chunks.append("\n")
         fh.write("".join(chunks))
 
 
-def _write_json(obj, newline: str, chunks: list[str], fh) -> None:
-    """Append ``obj`` laid out as ``indent=2`` does; ``newline`` ends in its
-    indent.  An array's text is written to ``fh`` with the chunks before it."""
-    inner = newline + "  "
+_CONTAINERS = (np.ndarray, dict, list, tuple)
+_SCALARS = {bool, float, int, str, type(None)}
+
+
+def _arrays(obj, newline: str, found: list[tuple[np.ndarray, str]]) -> None:
+    """Append each array in ``obj`` with the ``newline`` :func:`_write_json`
+    writes it at, in the order it writes them."""
     if isinstance(obj, np.ndarray):
-        _write_matrix(obj, newline, chunks)
+        found.append((obj, newline))
+    elif isinstance(obj, _CONTAINERS):
+        inner = newline + "  "
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            if type(value) not in _SCALARS:  # no call for a plain scalar
+                _arrays(value, inner, found)
+
+
+class _Repeats:
+    """The arrays of a report, in walk order, that repeat an earlier one:
+    at the same indent with the same shape, dtype and bytes, so with the
+    same text.  Bytes, not ``==``: 0.0 and -0.0 compare equal but print
+    differently.  The report is searched for arrays when the walk reaches
+    its first, so a report of none is walked once.  A repeated array's
+    text is held from its write to its last repeat, and each repeat writes
+    that text."""
+
+    def __init__(self, report):
+        self._report = report
+        self._source: list[int] | None = None  # the first array each one repeats, or itself
+        self._last: dict[int, int] = {}  # a repeated array -> its last repeat
+        self._held: dict[int, str] = {}
+        self._count = 0
+
+    def _find(self) -> list[int]:
+        arrays: list[tuple[np.ndarray, str]] = []
+        _arrays(self._report, "\n", arrays)
+        # first arrays by what is cheap to compare: only these need all their bytes read
+        alike: dict[tuple, list[int]] = {}
+        source: list[int] = []
+        for k, (a, newline) in enumerate(arrays):
+            firsts = alike.setdefault((a.shape, a.dtype, newline, a[:1].tobytes()), [])
+            j = next((j for j in firsts if arrays[j][0].tobytes() == a.tobytes()), k)
+            source.append(j)
+            if j == k:
+                firsts.append(k)
+            else:
+                self._last[j] = k
+        return source
+
+    def write(self, a: np.ndarray, newline: str, chunks: list[str], fh) -> None:
+        """Write the chunks, then the matrix object of ``a``, the next array
+        of the walk, with one ``write``."""
+        if self._source is None:
+            self._source = self._find()
+        k, self._count = self._count, self._count + 1
+        j = self._source[k]
+        if j != k:  # a repeat, the last one drops the text
+            chunks.append(self._held.pop(j) if self._last[j] == k else self._held[j])
+        elif k in self._last:
+            text: list[str] = []
+            _write_matrix(a, newline, text)
+            self._held[k] = "".join(text)
+            chunks.append(self._held[k])
+        else:
+            _write_matrix(a, newline, chunks)
         fh.write("".join(chunks))
         chunks.clear()
+
+
+def _write_json(obj, newline: str, chunks: list[str], fh, repeats: _Repeats) -> None:
+    """Append ``obj`` laid out as ``indent=2`` does; ``newline`` ends in its
+    indent.  An array's text is written to ``fh`` with the chunks before it
+    (:meth:`_Repeats.write`)."""
+    inner = newline + "  "
+    if isinstance(obj, np.ndarray):
+        repeats.write(obj, newline, chunks, fh)
         return
     if isinstance(obj, dict) and obj:
         brackets = "{}"
@@ -345,7 +425,7 @@ def _write_json(obj, newline: str, chunks: list[str], fh) -> None:
     separator = brackets[0] + inner
     for prefix, value in items:
         chunks.append(separator + prefix)
-        _write_json(value, inner, chunks, fh)
+        _write_json(value, inner, chunks, fh, repeats)
         separator = "," + inner
     chunks.append(newline + brackets[1])
 
@@ -367,6 +447,20 @@ def _write_matrix(a: np.ndarray, newline: str, chunks: list[str]) -> None:
 
 
 _SIGN_BIT = np.uint64(1 << 63)
+
+
+def _diagonal(block: np.ndarray) -> bool:
+    """Whether ``block`` is square, n >= 2, with every bit off its diagonal
+    zero: +0.0 there, not -0.0, which prints differently.  The two entries
+    next to the first diagonal entry are read first, so most blocks are
+    turned down before the whole of one is read."""
+    n = block.shape[0]
+    if n != block.shape[1] or n < 2:
+        return False
+    bits = block.view(np.uint64)
+    if bits[0, 1] or bits[1, 0]:
+        return False
+    return np.count_nonzero(bits) == np.count_nonzero(np.diagonal(bits))
 
 
 def _mirror(block: np.ndarray) -> str | None:
@@ -398,14 +492,22 @@ def _row_items(block: np.ndarray, indent: str):
     by ``"," + indent``, as the C encoder formats them.
 
     The encoder's item separator holds the indent, so a row is one
-    ``encode`` call.  A square block that :func:`_mirror` finds symmetric or
-    antisymmetric bit for bit below the diagonal formats only its upper
-    triangle: each entry below the diagonal takes the text of its mirror
-    image, or that text with its sign flipped (the text of -x is that of x
-    with a ``-`` added or removed; NaN prints without a sign).
+    ``encode`` call.  A block that :func:`_diagonal` finds diagonal bit for
+    bit encodes its diagonal alone, n numbers in one call: row i is i
+    ``0.0`` entries, the diagonal entry and n - 1 - i more.  Any other
+    square block that :func:`_mirror` finds symmetric or antisymmetric bit
+    for bit below the diagonal formats only its upper triangle: each entry
+    below the diagonal takes the text of its mirror image, or that text
+    with its sign flipped (the text of -x is that of x with a ``-`` added
+    or removed; NaN prints without a sign).
     """
     separator = "," + indent
     encoder = json.JSONEncoder(separators=(separator, ": "))
+    if _diagonal(block):
+        n, before, after = block.shape[0], "0.0" + separator, separator + "0.0"
+        for i, text in enumerate(encoder.encode(np.diagonal(block).tolist())[1:-1].split(separator)):
+            yield before * i + text + after * (n - 1 - i)
+        return
     sign = _mirror(block)
     if sign is None:
         for values in block:

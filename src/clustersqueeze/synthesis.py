@@ -27,10 +27,10 @@ Gram product per row.
 Two plans carry the factorizations.  :class:`ClusterPlan`, the checked
 cluster that every cluster-side function takes, holds the one real
 eigendecomposition A = Q diag(lam) Q^T, taken on first use and held once,
-in ascending |lam|; U is formed from eigh's own order first, which fixes
-its bits.  With F = e^{-i Theta} Q, U = -i F diag((lam - i)/(lam + i)) F^T
-and the faithful gauge F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no
-further factorization.  :class:`InteractionMatrix` holds Z = P U with the
+in ascending |lam|; U is formed on first read, in eigh's own order and
+layout, which fix its bits.  With F = e^{-i Theta} Q,
+U = -i F diag((lam - i)/(lam + i)) F^T and the faithful gauge
+F diag(1 + ln(1 + lam^2) / (2z)) F^dagger need no further factorization.  :class:`InteractionMatrix` holds Z = P U with the
 eigenpairs of P, and X, Y, C and the squeezer strengths come from them.
 The cluster plan builds and gates it for every gauge; the polar split of
 Z builds it when only Z is given.  In the plan's canonical interferometer
@@ -224,12 +224,12 @@ class GaugeCheck(NamedTuple):
 
 class _Spectrum(NamedTuple):
     """A = Q diag(lam) Q^T in ascending |lam|, with r = (lam - i)/(lam + i)
-    and the structure factor U formed before the reordering."""
+    and the ``order`` that took eigh's columns to it."""
 
     lam: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    U: np.ndarray
+    order: np.ndarray
 
 
 class SqueezerMode(NamedTuple):
@@ -268,16 +268,13 @@ class ClusterPlan:
 
     @cached_property
     def _factorization(self) -> _Spectrum:
-        """The one eigh of A.  U is formed in eigh's own order, which fixes
-        its bits; lam, Q and r are then held in ascending |lam| (stable
-        order), the order of the faithful strengths and of the Bloch-Messiah
-        factors read off the plan."""
+        """The one eigh of A, held in ascending |lam| (stable order), the
+        order of the faithful strengths and of the Bloch-Messiah factors
+        read off the plan."""
         lam, q = np.linalg.eigh(self.A)
-        r = (lam - 1j) / (lam + 1j)
-        ph = self._phases
-        u = -1j * ph[:, None] * _spectral(q, r, transpose=True) * ph[None, :]
         order = np.argsort(np.abs(lam), kind="stable")
-        return _Spectrum(lam[order], q[:, order], r[order], (u + u.T) / 2.0)
+        lam = lam[order]
+        return _Spectrum(lam, q[:, order], (lam - 1j) / (lam + 1j), order)
 
     @property
     def by_magnitude(self) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +282,19 @@ class ClusterPlan:
         lam, q, _, _ = self._factorization
         return lam, q
 
-    @property
+    @cached_property
     def U(self) -> np.ndarray:
-        """U = -i F diag(r) F^T, formed in eigh's order."""
-        return self._factorization.U
+        """U = -i F diag(r) F^T, formed on first read, so a plan that never
+        reads it (the one ``bloch_messiah`` recovers for Z alone) makes no
+        product for it.  It is formed in eigh's own order and operand
+        layout, a C-ordered Q (``take`` gives one, ``q[:, eigh]`` an
+        F-ordered one), which fixes its bits: a product by BLAS rounds
+        differently by layout as well as by order."""
+        _, q, r, order = self._factorization
+        eigh = np.argsort(order)
+        ph = self._phases
+        u = -1j * ph[:, None] * _spectral(q.take(eigh, axis=1), r[eigh], transpose=True) * ph[None, :]
+        return (u + u.T) / 2.0
 
     @property
     def kappa(self) -> float:
@@ -389,8 +395,11 @@ class ClusterPlan:
 
         A P diagonal in the frame F (the built-in gauges) takes Z = P U =
         -i F diag(w r) F^T off the real Q, or Z = w U when P is a scalar.
+        Every record holds U, formed first, as it was beside the
+        factorization: formed after P and Z, it raised the peak RSS of
+        perfbench's verify-dense (N = 320) from 72.2 to 76.0 MB.
         """
-        n = self.A.shape[0]
+        n, u = self.A.shape[0], self.U
         if not isinstance(gauge, str):
             if np.shape(gauge) != self.A.shape:
                 raise DimensionMismatch("gauge factor shape does not match the graph")
@@ -415,12 +424,12 @@ class ClusterPlan:
                 "or numerically singular"
             )
         if gauge == "custom":
-            interaction = p @ self.U
+            interaction = p @ u
         elif _uniform(w):
-            interaction = _scaled(self.U, w[0])
+            interaction = _scaled(u, w[0])
         else:
             interaction = self._in_frame(-1j * w * self._factorization.r, transpose=True)
-        return InteractionMatrix(Z=interaction, P=p, U=self.U, strengths=w, modes=modes,
+        return InteractionMatrix(Z=interaction, P=p, U=u, strengths=w, modes=modes,
                                  z=positive_scale(z), cluster=self, gauge=gauge)
 
 

@@ -19,6 +19,7 @@ from clustersqueeze import (
     squeezer_spectrum,
     unitary_from_adjacency,
 )
+from clustersqueeze import synthesis
 from clustersqueeze.tolerances import ErrorModel
 
 from conftest import (
@@ -291,6 +292,21 @@ class TestLibraryRoute:
         model = ErrorModel.of(zm)
         assert rx <= model.budget("blochmessiah_x") and ry <= model.budget("blochmessiah_y")
         assert ru <= model.budget("interferometer_identity")
+
+    def test_a_recovered_plan_forms_no_u(self, monkeypatch):
+        """The plan Z alone recovers gives V, R and T, which never read its
+        U, so its U is never formed: no product with Q is made."""
+        zm = InteractionMatrix.from_matrix(self._planned("faithful").Z, 0.8)
+        products = []
+
+        def counting(*args, **kwargs):
+            products.append(args)
+            return spectral(*args, **kwargs)
+
+        spectral = synthesis._spectral
+        monkeypatch.setattr(synthesis, "_spectral", counting)
+        bloch_messiah(zm)
+        assert products == []
 
 
 class TestCanonicalInterferometer:

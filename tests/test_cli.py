@@ -1434,6 +1434,8 @@ class TestJsonWriter:
         diagonal[np.diag_indices(5)] = rng.normal(size=5)
         ulp_anti[4, 0] = np.nextafter(-ulp_anti[0, 4], math.inf)
         special = np.array([[0.0, math.nan, math.inf], [-math.nan, 1.5, -1e16], [-math.inf, 1e16, -0.0]])
+        minus_zero_off = np.eye(5)  # diagonal in value, not in bits
+        minus_zero_off[3, 1] = -0.0
 
         def complex_(im):  # real + 1j * im would turn -0.0 into 0.0
             out = real.astype(complex)
@@ -1455,6 +1457,11 @@ class TestJsonWriter:
             "diagonal-im": complex_(diagonal),
             "one-ulp-antisymmetric-im": complex_(ulp_anti),
             "antisymmetric-special": special,
+            "eye": np.eye(5),
+            "rotation-diagonal": np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 5))),  # like decompose's R
+            "special-diagonal": np.diag([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+            "2x2-diagonal": np.diag([2.0, -3.0]),
+            "minus-zero-off-diagonal": minus_zero_off,
             "1x1": np.array([[complex(-0.0, 2.5)]]),
             "0x0": np.zeros((0, 0), dtype=complex),
             "0x4": np.zeros((0, 4)),
@@ -1469,11 +1476,9 @@ class TestJsonWriter:
         for array in blocks.values():
             self.assert_reference(array)
 
-    def test_only_bitwise_symmetric_blocks_are_mirrored(self, monkeypatch):
-        """A block symmetric bit for bit, or antisymmetric bit for bit below
-        its diagonal, formats its upper triangle alone; a 0.0 facing -0.0 in
-        a symmetric block, a 0.0 facing 0.0 in an antisymmetric one, or one
-        ulp off either structure formats every entry."""
+    @staticmethod
+    def counting(monkeypatch) -> list[int]:
+        """The length of each list the writer's encoders encode from now on."""
         encoded = []
 
         class Counting(json.JSONEncoder):
@@ -1482,18 +1487,64 @@ class TestJsonWriter:
                 return super().encode(o)
 
         monkeypatch.setattr(json, "JSONEncoder", Counting)
-        # numbers encoded per block: 15 for a mirrored 5x5 one, 25 for a full one
+        return encoded
+
+    def test_only_bitwise_symmetric_blocks_are_mirrored(self, monkeypatch):
+        """A block diagonal bit for bit, +0.0 off its diagonal, formats its n
+        diagonal entries alone, in one encoder call; any other block
+        symmetric bit for bit, or antisymmetric bit for bit below its
+        diagonal, formats its upper triangle alone; a -0.0 off the diagonal
+        of an identity, a 0.0 facing -0.0 in a symmetric block, a 0.0 facing
+        0.0 in an antisymmetric one, or one ulp off either structure formats
+        every entry."""
+        encoded = self.counting(monkeypatch)
+        # numbers encoded per block: 5 for a diagonal 5x5 one, 15 for a
+        # mirrored one, 25 for a full one
         expected = {"real": 15, "complex": 15 + 15, "re-only": 15 + 25, "signed-zero": 25,
                     "one-ulp": 25, "signed-zero-im": 15 + 25, "one-ulp-im": 15 + 25,
                     "non-square": 10, "special": 6, "hermitian": 15 + 15,
                     "zero-facing-zero-im": 15 + 25, "zero-facing-minus-zero-im": 15 + 15,
                     "diagonal-im": 15 + 15, "one-ulp-antisymmetric-im": 15 + 25,
-                    "antisymmetric-special": 6}
+                    "antisymmetric-special": 6, "eye": 5, "rotation-diagonal": 5 + 5,
+                    "special-diagonal": 5, "2x2-diagonal": 2, "minus-zero-off-diagonal": 25,
+                    "1x1": 1 + 1, "0x0": 0}
         blocks = self.symmetric_blocks()
         for name, count in expected.items():
             encoded.clear()
             self.emitted(blocks[name])
             assert sum(encoded) == count, name
+        encoded.clear()
+        self.emitted(blocks["special-diagonal"])
+        assert encoded == [5]
+
+    def test_a_bitwise_repeat_at_the_same_indent_reuses_the_text(self, monkeypatch):
+        """A matrix with the bits of an earlier one at the same indent is
+        encoded once, and still written with one write of its own; one
+        signed zero or one ulp apart, or at another depth, it is encoded
+        again.  Every text is that of ``json.dumps``."""
+        rng = np.random.default_rng(41)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        m[2, 1] = complex(0.0, m[2, 1].imag)
+        signed_zero, ulp = m.copy(), m.copy()
+        signed_zero.real[2, 1] = -0.0
+        ulp[3, 3] = complex(m[3, 3].real, np.nextafter(m[3, 3].imag, math.inf))
+        encoded = self.counting(monkeypatch)
+        reports = {
+            "copy": ({"a": m, "b": m.copy(), "tail": [1.5, 2]}, 2 * 16 + 2),
+            "same-object-thrice": ({"a": m, "x": 1.0, "b": m, "nested": {"c": 2}, "d": m}, 2 * 16),
+            "signed-zero": ({"a": m, "b": signed_zero}, 4 * 16),
+            "one-ulp": ({"a": m, "b": ulp}, 4 * 16),
+            "interleaved": ({"a": m, "b": ulp, "c": m, "d": ulp}, 4 * 16),
+            "other-depth": ({"a": m, "nested": [m, {"m": m}], "b": m}, 6 * 16),
+            "real-and-complex": ({"a": m.real.copy(), "b": m.real.astype(complex)}, 2 * 16),
+        }
+        for name, (report, count) in reports.items():
+            encoded.clear()
+            stream = self.emitted(report)
+            assert sum(encoded) == count, name
+            assert stream.getvalue() == json.dumps(_reference(report), indent=2) + "\n", name
+            matrices = 4 if name == "other-depth" else sum(isinstance(v, np.ndarray) for v in report.values())
+            assert stream.writes == matrices + 1, name  # one per matrix, one for the tail
 
     @pytest.mark.parametrize("gauge", ["identity", "faithful", "custom"])
     def test_every_bundle_block_but_e_is_one_triangle(self, gauge, tmp_path, capsys, monkeypatch):
@@ -1501,7 +1552,8 @@ class TestJsonWriter:
         P and X Hermitian bit for bit: the real blocks and the im blocks of
         Z and Y equal their transposes, and the im blocks of P and X are
         their negated transposes below the diagonal.  So the writer formats
-        one triangle of every block but E's."""
+        one triangle of every block but E's, and of the identity gauge's P
+        = 1 and X = cosh(z) 1, diagonal at any phases, the diagonal alone."""
         n = 9
         rng = np.random.default_rng(29)
         a = random_adjacency(rng, n)
@@ -1530,25 +1582,57 @@ class TestJsonWriter:
             else:
                 assert np.array_equal(im, im.T), key
 
-        encoded = []
-
-        class Counting(json.JSONEncoder):
-            def encode(self, o):
-                encoded.append(len(o))
-                return super().encode(o)
-
-        monkeypatch.setattr(json, "JSONEncoder", Counting)
+        encoded = self.counting(monkeypatch)
         for key in ("adjacency", "Z", "P", "U", "X", "Y", "C", "E"):
             m = bundle[key]
             blocks = 2 if np.iscomplexobj(m) and m.imag.any() else 1
+            per_block = (n if gauge == "identity" and key in ("P", "X")
+                         else n * n if key == "E" else n * (n + 1) // 2)
             encoded.clear()
             self.emitted(m)
-            assert sum(encoded) == blocks * (n * n if key == "E" else n * (n + 1) // 2), key
+            assert sum(encoded) == blocks * per_block, key
+
+    def test_identity_z_and_u_are_encoded_once_and_r_by_its_diagonal(self, tmp_path, capsys, monkeypatch):
+        """An identity bundle's Z is its U bit for bit, at any phases, so the
+        pair is encoded once: the bundle encodes as many numbers as it does
+        without Z.  decompose's R = diag(rotation) encodes its 2n diagonal
+        entries alone.  Both outputs read back as ``json.dumps`` writes
+        them."""
+        n = 9
+        rng = np.random.default_rng(31)
+        graph = write(tmp_path, "g.graph", format_graph(random_adjacency(rng, n)))
+        phases = write(tmp_path, "th.txt", "".join(f"{t!r}\n" for t in random_phases(rng, n).tolist()))
+        reports = []
+
+        def recording(obj, out_path):
+            reports.append(obj)
+            _emit_json(obj, out_path)
+
+        monkeypatch.setattr(cli, "_emit_json", recording)
+        out = tmp_path / "out.json"
+        flags = ["--graph", graph, "--phases", phases, "-z", "0.7", "--out", str(out)]
+        encoded = self.counting(monkeypatch)
+        assert run_cli(["synthesize", *flags], capsys)[0] == EXIT_OK
+        bundle, with_z = reports[0], sum(encoded)
+        assert out.read_text(encoding="utf-8") == json.dumps(_reference(bundle), indent=2) + "\n"
+        assert np.array_equal(bundle["Z"].view(np.uint64), bundle["U"].view(np.uint64))
+        encoded.clear()
+        self.emitted({key: value for key, value in bundle.items() if key != "Z"})
+        assert with_z == sum(encoded)
+
+        encoded.clear()
+        assert run_cli(["decompose", *flags], capsys)[0] == EXIT_OK
+        factors = reports[1]
+        assert out.read_text(encoding="utf-8") == json.dumps(_reference(factors), indent=2) + "\n"
+        encoded.clear()
+        self.emitted(factors["R"])
+        assert sum(encoded) == 2 * n
 
     def test_bundle_write_allocates_less_than_its_output(self, tmp_path, capsys, monkeypatch):
-        """Once the battery has built the recipe, writing its bundle holds at
-        most one matrix as lists and text at a time, not the whole bundle;
-        with the identity gauge every block is mirrored."""
+        """Once the battery has built the recipe, writing its bundle holds
+        one matrix as lists and text at a time, plus the text of one that a
+        later matrix repeats, not the whole bundle; with the identity gauge
+        every block is mirrored or diagonal, and Z's text is held for U."""
         graph = write(tmp_path, "g.graph", _random_graph(np.random.default_rng(5), 96))
         bundle = tmp_path / "bundle.json"
         held = []

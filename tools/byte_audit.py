@@ -25,8 +25,9 @@ Slices, each containing the one before:
 * ``smoke``: every command on both routes at N = 2 for the identity,
   faithful and custom gauges, in JSON, text and CSV, plus edited bundles,
   malformed inputs, scales at and past the squeeze budget or so small
-  that the faithful strengths overflow, and a graph within the input tolerance of a
-  perfect matching;
+  that the faithful strengths overflow, a graph within the input tolerance of a
+  perfect matching, and a custom gauge P = 1 with -0.0 off its diagonal,
+  also on a graph whose adjacency has -0.0 off its diagonal;
 * ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at random
   phases;
 * ``full``: also every request of the seed-11 pass of the three perfbench
@@ -201,8 +202,11 @@ def _edits(replay: Replay) -> None:
     """Edited EPR bundles, a bare asymmetric Z, a custom gauge of the wrong
     size, sweep ranges whose START rounds to 0 or that ask for 100 001 rows,
     scales at and past the squeeze budget and a subnormal faithful one,
-    graphs whose weights' squares overflow, and a graph whose A A is within the input
-    tolerance of 1 without equalling it."""
+    graphs whose weights' squares overflow, a graph whose A A is within the input
+    tolerance of 1 without equalling it, and a custom gauge P = 1 stored
+    with -0.0 off its diagonal on EPR, a random graph and a graph of
+    self-loops and -0.0 edges, whose adjacency is diagonal in value but not
+    in bits."""
     Path("epr.graph").write_text("2\n0 1 1.0\n", encoding="utf-8")
     replay.run("edit/synthesize", ["synthesize", "--graph", "epr.graph", "--out", "epr.json"])
     bundle = json.loads(Path("epr.json").read_text(encoding="utf-8"))
@@ -238,6 +242,23 @@ def _edits(replay: Replay) -> None:
         replay.run(f"near-matching/synthesize-{z}", ["synthesize", *flags, "--out", "near.json"])
         replay.run(f"near-matching/verify-{z}", ["verify", *flags])
         replay.run(f"near-matching/verify-bundle-{z}", ["verify", "--interaction", "near.json"])
+    rng = np.random.default_rng([SEED, 12, 0])
+    a = np.triu(rng.uniform(-1.0, 1.0, (12, 12)))
+    _write_graph(Path("minus-zero12.graph"), a + np.triu(a, 1).T)
+    # self-loops and -0.0 edges: an adjacency diagonal in value, not in bits
+    loops = [f"{i} {i} {w!r}" for i, w in enumerate(rng.uniform(-1.0, 1.0, 12).tolist())]
+    Path("loops12.graph").write_text("\n".join(["12", *loops, *(f"{i} {i + 1} -0.0" for i in range(11))]) + "\n",
+                                     encoding="utf-8")
+    for name, graph, n in (("epr", "epr.graph", 2), ("12", "minus-zero12.graph", 12),
+                           ("loops12", "loops12.graph", 12)):
+        p = np.full((n, n), -0.0)
+        p[np.diag_indices(n)] = 1.0
+        Path(f"minus-zero-p{n}.json").write_text(json.dumps(_matrix_json(p)), encoding="utf-8")
+        flags = ["--graph", graph, "--gauge", f"custom:minus-zero-p{n}.json", "-z", "0.6"]
+        bundle = f"minus-zero-{name}.json"
+        replay.run(f"minus-zero-gauge/{name}/synthesize", ["synthesize", *flags, "--out", bundle])
+        replay.run(f"minus-zero-gauge/{name}/decompose", ["decompose", *flags])
+        replay.run(f"minus-zero-gauge/{name}/verify-bundle", ["verify", "--interaction", bundle])
 
 
 def _perfbench(replay: Replay, work: Path) -> None:
