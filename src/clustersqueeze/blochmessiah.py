@@ -29,7 +29,8 @@ W O is the member with seed Q O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +47,29 @@ class BlochMessiahFactors:
 
     ``D`` holds the per-mode squeezer strengths in ascending order, so the
     squeezing blocks are cosh(z D) and sinh(z D).  ``T`` diagonalizes the
-    strength factor P and ``R`` is the balancing unitary; the factors are
-    not unique, so consumers must check them through residuals only.
+    strength factor P and ``R`` = diag(``rotation``) is the balancing
+    unitary; both are formed on first read, so a request that only checks
+    V forms neither.  ``frame`` is F when V = F diag(rotation) (O = 1), and
+    T = F^dagger.  The factors are not unique, so consumers must check them
+    through residuals only.
     """
 
     V: np.ndarray
     D: np.ndarray
-    R: np.ndarray
-    T: np.ndarray
+    rotation: np.ndarray
     z: float
+    frame: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return np.diag(self.rotation)
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """T = R V^dagger, with P = T^dagger diag(D) T; F^dagger when O = 1."""
+        if self.frame is not None:
+            return self.frame.conj().T
+        return self.rotation[:, None] * self.V.conj().T
 
     @property
     def decibels(self) -> np.ndarray:
@@ -78,11 +93,11 @@ def bloch_messiah(zm: InteractionMatrix) -> BlochMessiahFactors:
     w = zm.strengths
     cluster = _recovered_plan(zm.U, _equal_phases(zm.U)) if zm.cluster is None else zm.cluster
     if zm.diagonal:  # P is diagonal in F, O = 1
-        v, t = cluster.interferometer, cluster.frame.conj().T
-    else:  # a custom P's modes are W O; those of Z alone come off the recovered S_W
-        v = cluster.eigenpairs(zm.P)[1] if zm.cluster is None else zm.modes
-        t = cluster.rotation[:, None] * v.conj().T
-    return BlochMessiahFactors(V=v, D=w, R=np.diag(cluster.rotation), T=t, z=zm.z)
+        return BlochMessiahFactors(V=cluster.interferometer, D=w, rotation=cluster.rotation, z=zm.z,
+                                   frame=cluster.frame)
+    # a custom P's modes are W O; those of Z alone come off the recovered S_W
+    v = cluster.eigenpairs(zm.P)[1] if zm.cluster is None else zm.modes
+    return BlochMessiahFactors(V=v, D=w, rotation=cluster.rotation, z=zm.z)
 
 
 def canonical_cluster_interferometer(cluster: ClusterPlan, O) -> np.ndarray:

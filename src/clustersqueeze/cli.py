@@ -576,20 +576,9 @@ def _render(r: dict, fmt: str) -> str:
 # --------------------------------------------------------------------------
 # commands
 
-def _scale(value, what: str) -> float:
-    """A squeezing scale: a positive finite number, else an input error about
-    ``what``; float() reads a boolean or a string too, but neither is a number."""
-    try:
-        if not isinstance(value, (bool, str)) and 0 < float(value) < math.inf:
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise _InputError(f"{what} must be positive and finite")
-
-
 def _z(args) -> float:
     """-z value, 1.0 when absent."""
-    return _scale(1.0 if args.z is None else args.z, "-z")
+    return _checked("-z", battery.positive_scale, 1.0 if args.z is None else args.z)
 
 
 #: most rows a --z-range may ask for; at 1e5 rows a JSON sweep of the EPR
@@ -733,7 +722,7 @@ def cmd_verify(args) -> tuple[int, dict]:
             raise _InputError("verify needs a synthesize bundle with " + ", ".join(required))
         adjacency = matrix_from_json(bundle["adjacency"], path)
         cluster = _checked(path, synthesis.ClusterPlan.of, adjacency, bundle["theta"])
-        z = _scale(bundle["z"], f"{path}: z")
+        z = _checked(f"{path}: z", battery.positive_scale, bundle["z"])
         stored = {key: matrix_from_json(bundle[key], path) for key in ("P", *matrices) if key in bundle}
         wrong = [key for key, m in stored.items() if m.shape != cluster.A.shape]
         if wrong:

@@ -63,6 +63,16 @@ no product, so the zeros of A stay exact zeros of E.  The realness defect
 that the ``covariance_real`` row judges comes from H = (A + i) Q e^{-zw},
 one real product with A: Im H H^dagger is the commutator of Q e^{-2zw} Q^T
 with A, which vanishes when A Q = Q diag(lam), the identity R rests on.
+
+Zero phases and the gate.  A plan whose Theta is exactly zero has F = Q,
+so the faithful P, its modes, X and the Bloch-Messiah T = F^dagger are real
+arrays, equal in value to what the phase factors 1 would give.  The gauge
+gate judges the test matrix T = (A + i 1) B (A - i 1), B = e^{i Theta} P
+e^{-i Theta} = Br + i Bi, through Im T = A Bi A + Br A - (Br A)^T + Bi in
+real products (:func:`_reality_check`): at zero phases B = P, so the
+faithful P takes one product and the identity's none, and the scale is
+T's largest diagonal entry, which is max|T| since T is Hermitian positive
+semi-definite for a positive-definite P.
 """
 
 from __future__ import annotations
@@ -168,10 +178,16 @@ class InteractionMatrix:
 
 @dataclass(frozen=True)
 class BogoliubovPair:
-    """Blocks (X, Y) of a 2N x 2N Bogoliubov matrix [[X, Y], [Y*, X*]]."""
+    """Blocks (X, Y) of a 2N x 2N Bogoliubov matrix [[X, Y], [Y*, X*]].
+
+    ``scalar`` is c when X = c 1, set by :func:`bogoliubov_from_interaction`
+    for a record whose P is scalar; it is no constructor argument, so a
+    copy with a new X (``dataclasses.replace``) is judged by its products.
+    """
 
     X: np.ndarray
     Y: np.ndarray
+    scalar: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -181,12 +197,19 @@ class BogoliubovPair:
         """Residuals of the bosonic-commutation conditions.
 
         Returns max-entry residuals of ``X X^dagger - Y Y^dagger - 1`` and
-        ``X Y^T - Y X^T``; both vanish for a genuine Bogoliubov pair.
+        ``X Y^T - Y X^T``; both vanish for a genuine Bogoliubov pair.  A
+        scalar X = c 1 takes no product with X: X X^dagger is c^2 1 and
+        X Y^T is c Y^T, the values the products give.
         """
-        eye = np.eye(self.n)
-        first = max_abs(self.X @ self.X.conj().T - self.Y @ self.Y.conj().T - eye)
-        xy = _real_product(self.X, self.Y.T)  # and Y X^T is its transpose
-        return first, max_abs(xy - xy.T)
+        eye, c = np.eye(self.n), self.scalar
+        if c is None:
+            gram = self.X @ self.X.conj().T - self.Y @ self.Y.conj().T
+            xy = _real_product(self.X, self.Y.T)  # and Y X^T is its transpose
+        else:
+            gram = -(self.Y @ self.Y.conj().T)
+            gram[np.diag_indices_from(gram)] += c * c
+            xy = c * self.Y.T
+        return max_abs(gram - eye), max_abs(xy - xy.T)
 
 
 @dataclass(frozen=True)
@@ -218,8 +241,12 @@ class CovarianceReport:
 
 
 class GaugeCheck(NamedTuple):
+    """The gauge gate's reading of the test matrix T = (A + i) B (A - i),
+    B = e^{i Theta} P e^{-i Theta}: max|Im T| relative to ``scale``, T's
+    largest diagonal entry, which is max|T| for a positive-definite P."""
+
     residual: float
-    scale: float  # largest entry of the test matrix, which residual is relative to
+    scale: float
 
 
 class _Spectrum(NamedTuple):
@@ -303,9 +330,18 @@ class ClusterPlan:
         return 1.0 + float(abs(self._factorization.lam[-1]))
 
     @cached_property
+    def _real_frame(self) -> bool:
+        """Whether Theta is exactly zero, so that F = Q is real."""
+        return not np.any(self.theta)
+
+    @cached_property
     def frame(self) -> np.ndarray:
-        """F = e^{-i Theta} Q, its columns in the order of ``by_magnitude``."""
-        return self._phases[:, None] * self._factorization.q
+        """F = e^{-i Theta} Q, its columns in the order of ``by_magnitude``;
+        the real Q at zero phases, where adding 0.0 turns each -0.0 of eigh
+        into the 0.0 that the product with the phases gives, so that T = F^dagger
+        and V = F diag(rotation) keep their bits."""
+        q = self._factorization.q
+        return q + 0.0 if self._real_frame else self._phases[:, None] * q
 
     @cached_property
     def rotation(self) -> np.ndarray:
@@ -321,9 +357,12 @@ class ClusterPlan:
     def _in_frame(self, d: np.ndarray, transpose: bool = False) -> np.ndarray:
         """F diag(d) F^dagger, or F diag(d) F^T with ``transpose``, for d in
         the order of ``by_magnitude``: Q diag(d) Q^T (:func:`_spectral`, in
-        real arithmetic) between the phases."""
-        ph = self._phases
+        real arithmetic) between the phases, with none at zero phases, where
+        a real d gives a real matrix."""
         inner = _spectral(self._factorization.q, d, transpose)
+        if self._real_frame:
+            return inner
+        ph = self._phases
         return ph[:, None] * inner * (ph if transpose else ph.conj())[None, :]
 
     def eigenpairs(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +385,8 @@ class ClusterPlan:
 
         ``gauge`` is ``"identity"`` (P and its modes 1, so P and X stay
         real), ``"faithful"`` (modes F, strengths 1 + ln(1 + lam^2) / (2 z)
-        ascending) or an explicit P (modes W O, see :meth:`eigenpairs`).
+        ascending; P and X real at zero phases, where F = Q) or an explicit
+        P (modes W O, see :meth:`eigenpairs`).
         One builder plans every gauge and checks what concerns P first: an
         explicit P's shape (:class:`DimensionMismatch`), finiteness and
         Hermiticity (:class:`NotHermitian`), then for every gauge
@@ -463,19 +503,47 @@ def _in_float_range(bound: float, kappa: float) -> None:
 
 
 def _reality_check(cluster: ClusterPlan, p: np.ndarray) -> GaugeCheck:
-    """Relative imaginary residual and largest entry of the test matrix
-    (A + i 1) e^{i Theta} P e^{-i Theta} (A - i 1) of a finite P of the
-    cluster's shape, real exactly when P is compatible (P U symmetric)."""
+    """Relative imaginary residual and scale of the test matrix
+    T = (A + i 1) B (A - i 1), B = e^{i Theta} P e^{-i Theta}, of a finite P
+    of the cluster's shape, real exactly when P is compatible (P U symmetric).
+
+    With B = Br + i Bi and the symmetric A, Im T = A Bi A + Br A - (Br A)^T
+    + Bi, in real products: Br A is one, or a row scaling when B is
+    diagonal, and A Bi A two more, taken only when Bi is nonzero.  A plan at
+    zero phases has B = P, so a real P (every built-in one there) takes Br A
+    alone.  The scale is the largest diagonal entry of T, diag(A Br A) +
+    2 diag(A Bi) + diag(Br), in O(N^2).  T = M B M^dagger with M = A + i is
+    Hermitian positive semi-definite when P is, so |T_jk| <= sqrt(T_jj T_kk)
+    and this is max|T|.  The gate judges only a P whose Re S_W is positive
+    definite (:meth:`ClusterPlan.eigenpairs`; the strengths are checked
+    first), and T_jj = x^T Re S_W x for a real x != 0, so the scale is
+    positive.  The gate's residual and its budget are both relative to the
+    scale, so its verdict does not depend on it.
+    """
     a = cluster.A
-    ph = np.exp(1j * cluster.theta)
-    b = ph[:, None] * p * ph.conj()[None, :]
-    # (A + i) B (A - i) in real products with the symmetric A:
-    # B (A - i) = (A B^T)^T - i B
-    right = _real_product(a, b.T).T - 1j * b
-    test = _real_product(a, right) + 1j * right
-    scale = max_abs(test)
-    # The test matrix vanishes only for P = 0, which is real.
-    residual = max_abs(test.imag) / scale if scale else 0.0
+    if cluster._real_frame:
+        b = p
+    else:
+        ph = np.exp(1j * cluster.theta)
+        b = ph[:, None] * p * ph.conj()[None, :]
+        np.fill_diagonal(b, np.diagonal(p))  # the phases cancel there exactly
+    diagonal = np.count_nonzero(b) == np.count_nonzero(np.diagonal(b))
+
+    def times_a(m: np.ndarray) -> np.ndarray:
+        return np.diagonal(m)[:, None] * a if diagonal else m @ a
+
+    br = np.ascontiguousarray(b.real)
+    br_a = times_a(br)
+    imag = br_a - br_a.T
+    diag = np.einsum("ij,ij->j", a, br_a) + np.diagonal(br)
+    bi = b.imag if np.iscomplexobj(b) else None
+    if bi is not None and bi.any():
+        bi = np.ascontiguousarray(bi)
+        imag += a @ times_a(bi) + bi
+        diag += 2.0 * np.einsum("ij,ij->j", a, bi)
+    scale, defect = float(np.max(diag)), max_abs(imag)
+    # the scale is positive for every P the gate judges (above); any other T passes only if real
+    residual = defect / scale if scale > 0 else (0.0 if defect == 0 else math.inf)
     return GaugeCheck(residual=float(residual), scale=scale)
 
 
@@ -491,7 +559,9 @@ def bogoliubov_from_interaction(zm: InteractionMatrix) -> BogoliubovPair:
     w, z = zm.strengths, zm.z
     cosh, sinh = np.cosh(z * w), np.sinh(z * w)
     if zm.scalar:
-        return BogoliubovPair(X=np.eye(zm.n) * cosh[0], Y=_scaled(-1j * zm.U, sinh[0]))
+        pair = BogoliubovPair(X=np.eye(zm.n) * cosh[0], Y=_scaled(-1j * zm.U, sinh[0]))
+        object.__setattr__(pair, "scalar", cosh[0])
+        return pair
     if zm.diagonal:
         plan = zm.cluster
         y = plan._in_frame(-sinh * plan._factorization.r, transpose=True)

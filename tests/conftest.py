@@ -125,6 +125,20 @@ def non_hermitian_compatible_gauge(A):
     return np.linalg.solve(a + 1j * eye, r) @ np.linalg.inv(a - 1j * eye)
 
 
+def reference_reality_check(cluster, p):
+    """The gauge gate's residual and scale from the whole test matrix
+    T = (A + i) e^{i Theta} P e^{-i Theta} (A - i), formed in four real
+    products: max|Im T| / max|T| and max|T|."""
+    a = cluster.A
+    ph = np.exp(1j * cluster.theta)
+    b = ph[:, None] * p * ph.conj()[None, :]
+    # B (A - i) = (A B^T)^T - i B with the symmetric A
+    right = _real_product(a, b.T).T - 1j * b
+    test = _real_product(a, right) + 1j * right
+    scale = max_abs(test)
+    return (max_abs(test.imag) / scale if scale else 0.0), scale
+
+
 def random_gauge(rng, kind, A, theta):
     """Gauge selector of the requested kind for a theorem-consistent
     instance: the name of a built-in gauge, or a random compatible P."""

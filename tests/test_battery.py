@@ -10,7 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clustersqueeze import ClusterPlan, InteractionMatrix, OracleMismatch, battery, cli, format_graph, oracle, synthesis
+from clustersqueeze import (
+    ClusterPlan, InteractionMatrix, OracleMismatch, battery, blochmessiah, cli, format_graph, oracle, synthesis,
+)
 from clustersqueeze.tolerances import CHECKS, ErrorModel
 
 from conftest import matrix_to_json, random_adjacency, random_compatible_gauge, random_phases
@@ -72,6 +74,19 @@ def test_battery_records_are_the_verify_report(gauge, tmp_path, capsys):
     assert [c["name"] for c in rows] == ([] if gauge == "custom" else ["bundle_P_matches"]) + BUNDLE_ROWS
     # the very path that wrote the bundle rebuilds it
     assert gauge == "custom" or all(c["residual"] == 0.0 for c in rows)
+
+
+@GAUGES
+def test_verify_forms_no_r_or_t(gauge, tmp_path, monkeypatch):
+    """Only decompose reports R and T, so verify leaves both unformed."""
+    cluster, selector, z, _, _ = synthesized(gauge, tmp_path)
+    made, bloch_messiah = [], blochmessiah.bloch_messiah
+    monkeypatch.setattr(blochmessiah, "bloch_messiah", lambda zm: made.append(bloch_messiah(zm)) or made[-1])
+    battery.verify(cluster.interaction(selector, z))
+    [factors] = made
+    assert "R" not in vars(factors) and "T" not in vars(factors)
+    assert np.array_equal(factors.R, np.diag(cluster.rotation))
+    assert np.allclose(factors.T.conj().T @ factors.R, factors.V, rtol=0.0, atol=1e-13)  # V = T^dagger R
 
 
 @GAUGES

@@ -86,13 +86,14 @@ def test_every_tolerance_is_read():
 
 def test_one_scale_rule():
     """Only tolerances.py states the rule for a squeezing scale z; every
-    other module takes it from ``positive_scale`` or ``check_squeeze_budget``,
-    and the budget is checked where a record is made: only the two record
+    other module, the CLI's readers of -z and of a bundle's z included,
+    takes it from ``positive_scale`` or ``check_squeeze_budget``, and the
+    budget is checked where a record is made: only the two record
     constructors in synthesis.py call ``check_squeeze_budget``."""
     stating = [path.name for path in LIBRARY
                if path.name != "tolerances.py"
                and any(text in path.read_text(encoding="utf-8")
-                       for text in ("np.isfinite(z", "squeezing scale z must"))]
+                       for text in ("np.isfinite(z", "squeezing scale z must", "must be positive and finite"))]
     assert stating == []
     budget_calls = [
         path.name

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from clustersqueeze import (
+    BogoliubovPair,
     ClusterPlan,
     DomainError,
     GaugeIncompatible,
@@ -19,7 +20,8 @@ from clustersqueeze import (
     squeezer_spectrum,
     unitary_from_adjacency,
 )
-from clustersqueeze.tolerances import ErrorModel
+from clustersqueeze.synthesis import _reality_check
+from clustersqueeze.tolerances import UNIT_ROUNDOFF, ErrorModel
 
 from conftest import (
     complex_route,
@@ -32,6 +34,7 @@ from conftest import (
     random_hermitian_pd,
     random_phases,
     reference_gauge_faithful,
+    reference_reality_check,
     reference_unitary_from_adjacency,
 )
 
@@ -518,3 +521,82 @@ class TestRealRoute:
         zeros = (a @ a + np.eye(7)) == 0.0
         assert zeros.sum() == 42 and np.all(c[zeros] == 0.0)  # A^2 is diagonal
         assert np.allclose(c, (a @ a + np.eye(7)) * math.exp(-1.8), rtol=1e-15, atol=0.0)
+
+
+class TestRealityCheck:
+    """The gate forms Im T in real products (one, or none for a diagonal P,
+    when B = e^{i Theta} P e^{-i Theta} is real) and reads its scale off
+    T's diagonal; the four-product form of the whole T is the reference."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 8, 64):
+            a = random_adjacency(rng, n, weight=1.0)
+            for th in (np.zeros(n), random_phases(rng, n)):
+                cluster = ClusterPlan.of(a, th)
+                compatible = random_compatible_gauge(rng, a, th)
+                noise = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+                noise = (noise + noise.conj().T) / 2.0
+                built_in = [cluster.interaction(g, 0.8).P for g in ("identity", "faithful")]
+                diagonal = np.diag(rng.uniform(0.5, 2.0, n))
+                for p in (compatible, compatible + 1e-6 * np.max(np.abs(compatible)) * noise, *built_in, diagonal):
+                    yield cluster, p
+
+    def test_agrees_with_the_four_product_gate(self):
+        for cluster, p in self.cases():
+            n, (residual, scale) = cluster.A.shape[0], reference_reality_check(cluster, p)
+            check = _reality_check(cluster, p)
+            strengths = np.linalg.eigvalsh(p)
+            model = ErrorModel(n, 1.0, float(strengths[0]), float(strengths[-1]), cluster.kappa, test_scale=scale)
+            assert abs(check.residual - residual) <= model.budget("gauge_condition"), (n, residual)
+            rounding = 4.0 * UNIT_ROUNDOFF * n * cluster.kappa ** 2 * float(strengths[-1])
+            assert abs(check.scale - scale) <= rounding, (n, check.scale, scale)
+
+
+class TestZeroPhases:
+    """A plan at Theta = 0 has F = Q: the faithful P, the modes, X and
+    decompose's T are real arrays, equal in value to the phased route's."""
+
+    @staticmethod
+    def plans(n):
+        rng = np.random.default_rng([42, n])
+        a = random_adjacency(rng, n, weight=1.0)
+        real, phased = ClusterPlan.of(a, np.zeros(n)), ClusterPlan.of(a, np.zeros(n))
+        phased.__dict__["_real_frame"] = False  # the route of any other phases
+        return real, phased
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("gauge", ["identity", "faithful"])
+    def test_real_blocks_equal_the_phased_route(self, n, gauge):
+        real, phased = (plan.interaction(gauge, 0.9) for plan in self.plans(n))
+        pairs = [bogoliubov_from_interaction(zm) for zm in (real, phased)]
+        factors = [bloch_messiah(zm) for zm in (real, phased)]
+        assert not any(np.iscomplexobj(m) for m in (real.P, real.modes, pairs[0].X, factors[0].T))
+        assert np.iscomplexobj(factors[1].T)
+        assert gauge == "identity" or np.iscomplexobj(phased.P)
+        for key, (x, y) in {"P": (real.P, phased.P), "modes": (real.modes, phased.modes), "Z": (real.Z, phased.Z),
+                            "U": (real.U, phased.U), "X": (pairs[0].X, pairs[1].X), "Y": (pairs[0].Y, pairs[1].Y),
+                            "T": (factors[0].T, factors[1].T), "V": (factors[0].V, factors[1].V)}.items():
+            assert np.array_equal(x, y), (n, gauge, key)
+        assert real.reality == phased.reality
+
+
+class TestScalarDefects:
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_scalar_x_gives_the_product_form_bit_for_bit(self, n):
+        rng = np.random.default_rng([43, n])
+        a = random_adjacency(rng, n, weight=1.0)
+        for th in (np.zeros(n), random_phases(rng, n)):
+            zm = ClusterPlan.of(a, th).interaction("identity", 1.3)
+            pair = bogoliubov_from_interaction(zm)
+            assert pair.scalar == math.cosh(1.3)
+            product = BogoliubovPair(X=pair.X, Y=pair.Y)
+            assert product.scalar is None
+            assert pair.defects() == product.defects()
+
+    def test_a_new_x_is_judged_by_its_products(self):
+        zm = ClusterPlan.of(epr_adjacency(), [0.0, 0.0]).interaction("identity", 1.0)
+        pair = bogoliubov_from_interaction(zm)
+        moved = dataclasses.replace(pair, X=pair.X + 1e-3)
+        assert moved.scalar is None and moved.defects()[0] > 1e-3

@@ -23,13 +23,15 @@ reads ``<tree>``.
 Slices, each containing the one before:
 
 * ``smoke``: every command on both routes at N = 2 for the identity,
-  faithful and custom gauges, in JSON, text and CSV, plus edited bundles,
+  faithful and custom gauges, at random phases and at zero phases (no
+  ``--phases``), in JSON, text and CSV, plus edited bundles,
   malformed inputs, scales at and past the squeeze budget or so small
   that the faithful strengths overflow, a graph within the input tolerance of a
-  perfect matching, and a custom gauge P = 1 with -0.0 off its diagonal,
-  also on a graph whose adjacency has -0.0 off its diagonal;
-* ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at random
-  phases;
+  perfect matching, a custom gauge P = 1 with -0.0 off its diagonal,
+  also on a graph whose adjacency has -0.0 off its diagonal, and a graph of
+  disjoint blocks, whose eigenvectors hold exact zeros;
+* ``grid``: the same at N = 2, 12, 24 and 64, dense random graphs at both
+  kinds of phases;
 * ``full``: also every request of the seed-11 pass of the three perfbench
   workloads, their set-up ``synthesize`` requests and warm-ups included,
   built by ``perfbench/workloads.py``'s ``generate``.
@@ -130,35 +132,41 @@ def _digest(data: bytes) -> str:
 
 
 def _grid(replay: Replay, n: int) -> None:
-    """Every command on both routes for the three gauges on one graph."""
+    """Every command on both routes for the three gauges on one graph, at
+    random phases and at zero phases (no --phases), each with a custom
+    gauge compatible at its phases."""
     rng = np.random.default_rng([SEED, n])
     a = np.triu(rng.uniform(-1.0, 1.0, (n, n)))
     a = a + np.triu(a, 1).T
     theta = rng.uniform(-math.pi, math.pi, n)
     z = float(rng.uniform(0.3, 1.5))
-    graph, phases, custom = f"g{n}.graph", f"g{n}.phases", f"g{n}.custom.json"
+    graph, phases = f"g{n}.graph", f"g{n}.phases"
     _write_graph(Path(graph), a)
     Path(phases).write_text("".join(f"{t!r}\n" for t in theta.tolist()), encoding="utf-8")
-    Path(custom).write_text(json.dumps(_matrix_json(_compatible_gauge(rng, a, theta))), encoding="utf-8")
-    for gauge in ("identity", "faithful", "custom"):
-        spec = f"custom:{custom}" if gauge == "custom" else gauge
-        cluster = ["--graph", graph, "--phases", phases, "--gauge", spec]
-        flags = [*cluster, "-z", repr(z)]
-        tag, bundle = f"{n}-{gauge}", f"b{n}-{gauge}.json"
-        replay.run(f"{tag}/synthesize", ["synthesize", *flags, "--out", bundle])
-        replay.run(f"{tag}/synthesize-text", ["synthesize", *flags, "--format", "text"])
-        for command in ("verify", "decompose"):
-            replay.run(f"{tag}/{command}-graph", [command, *flags])
-            replay.run(f"{tag}/{command}-graph-text", [command, *flags, "--format", "text", "--out", "out.txt"])
-        z_range = f"{z!r}:{z + 1.0!r}:0.25"
-        for fmt in ("csv", "json", "text"):
-            replay.run(f"{tag}/sweep-{fmt}", ["sweep", *cluster, "--z-range", z_range, "--format", fmt])
-        for fmt in ("json", "text"):
-            replay.run(f"{tag}/verify-bundle-{fmt}", ["verify", "--interaction", bundle, "--format", fmt])
-            replay.run(f"{tag}/decompose-bundle-{fmt}",
-                       ["decompose", "--interaction", bundle, "-z", repr(z), "--format", fmt])
-            replay.run(f"{tag}/analyze-{fmt}", ["analyze", "--interaction", bundle, "-z", repr(z), "--format", fmt])
-        replay.run(f"{tag}/analyze-phases", ["analyze", "--interaction", bundle, "--phases", phases])
+    routes = (("", theta, ["--phases", phases]), ("zero-", np.zeros(n), []))
+    for route, angles, phase_flags in routes:
+        custom = f"g{n}.{route}custom.json"
+        Path(custom).write_text(json.dumps(_matrix_json(_compatible_gauge(rng, a, angles))), encoding="utf-8")
+        for gauge in ("identity", "faithful", "custom"):
+            spec = f"custom:{custom}" if gauge == "custom" else gauge
+            cluster = ["--graph", graph, *phase_flags, "--gauge", spec]
+            flags = [*cluster, "-z", repr(z)]
+            tag, bundle = f"{n}-{route}{gauge}", f"b{n}-{route}{gauge}.json"
+            replay.run(f"{tag}/synthesize", ["synthesize", *flags, "--out", bundle])
+            replay.run(f"{tag}/synthesize-text", ["synthesize", *flags, "--format", "text"])
+            for command in ("verify", "decompose"):
+                replay.run(f"{tag}/{command}-graph", [command, *flags])
+                replay.run(f"{tag}/{command}-graph-text", [command, *flags, "--format", "text", "--out", "out.txt"])
+            z_range = f"{z!r}:{z + 1.0!r}:0.25"
+            for fmt in ("csv", "json", "text"):
+                replay.run(f"{tag}/sweep-{fmt}", ["sweep", *cluster, "--z-range", z_range, "--format", fmt])
+            for fmt in ("json", "text"):
+                replay.run(f"{tag}/verify-bundle-{fmt}", ["verify", "--interaction", bundle, "--format", fmt])
+                replay.run(f"{tag}/decompose-bundle-{fmt}",
+                           ["decompose", "--interaction", bundle, "-z", repr(z), "--format", fmt])
+                replay.run(f"{tag}/analyze-{fmt}",
+                           ["analyze", "--interaction", bundle, "-z", repr(z), "--format", fmt])
+            replay.run(f"{tag}/analyze-phases", ["analyze", "--interaction", bundle, "--phases", phases])
 
 
 ASYMMETRIC_Z = {"rows": 2, "cols": 2, "re": [[0, 1], [0.5, 0]]}
@@ -206,7 +214,8 @@ def _edits(replay: Replay) -> None:
     tolerance of 1 without equalling it, and a custom gauge P = 1 stored
     with -0.0 off its diagonal on EPR, a random graph and a graph of
     self-loops and -0.0 edges, whose adjacency is diagonal in value but not
-    in bits."""
+    in bits, and both built-in gauges on a graph of disjoint blocks, whose
+    eigenvectors hold exact zeros."""
     Path("epr.graph").write_text("2\n0 1 1.0\n", encoding="utf-8")
     replay.run("edit/synthesize", ["synthesize", "--graph", "epr.graph", "--out", "epr.json"])
     bundle = json.loads(Path("epr.json").read_text(encoding="utf-8"))
@@ -259,6 +268,13 @@ def _edits(replay: Replay) -> None:
         replay.run(f"minus-zero-gauge/{name}/synthesize", ["synthesize", *flags, "--out", bundle])
         replay.run(f"minus-zero-gauge/{name}/decompose", ["decompose", *flags])
         replay.run(f"minus-zero-gauge/{name}/verify-bundle", ["verify", "--interaction", bundle])
+    # disjoint blocks at zero phases: eigh's Q holds -0.0, and the real frame
+    # F = Q must publish T = F^dagger and V as the phased route did
+    Path("blocks6.graph").write_text("6\n0 1 1.0\n2 3 -0.5\n4 4 0.7\n", encoding="utf-8")
+    for gauge in ("identity", "faithful"):
+        for command in ("synthesize", "decompose"):
+            replay.run(f"blocks6/{gauge}/{command}",
+                       [command, "--graph", "blocks6.graph", "--gauge", gauge, "-z", "0.7"])
 
 
 def _perfbench(replay: Replay, work: Path) -> None:
